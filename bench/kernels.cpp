@@ -33,8 +33,8 @@
 #include "graph/graph.hpp"
 #include "hypergraph/bisect.hpp"
 #include "hypergraph/coarsen.hpp"
-#include "hypergraph/recursive.hpp"
 #include "obs/report.hpp"
+#include "partition/engine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/permute.hpp"
@@ -158,23 +158,26 @@ BENCHMARK(BM_HypergraphBisect)->Arg(64)->Arg(128);
 
 void BM_HypergraphCoarsen(benchmark::State& state) {
   const Hypergraph h = column_net_model(bench_matrix(128));
-  Rng rng(3);
   for (auto _ : state) {
-    const auto match = heavy_connectivity_matching(h, rng);
+    const auto match = heavy_connectivity_matching_det(h, 1);
     benchmark::DoNotOptimize(contract(h, match));
   }
 }
 BENCHMARK(BM_HypergraphCoarsen);
 
-// Ablation: recursive partitioning under the three net-inheritance policies.
+// Ablation: static-weight recursive partitioning under the three
+// net-inheritance policies.
 void BM_RecursiveMetric(benchmark::State& state) {
-  const Hypergraph h = column_net_model(bench_matrix(96));
-  HgPartitionOptions opt;
+  const CsrMatrix m = bench_matrix(96);
+  RhbOptions opt;
   opt.num_parts = 8;
   opt.metric = static_cast<CutMetric>(state.range(0));
+  opt.dynamic_weights = false;
+  opt.epsilon = 0.05;
+  opt.attempts = 1;
   for (auto _ : state) {
     opt.seed++;
-    benchmark::DoNotOptimize(partition_recursive(h, opt));
+    benchmark::DoNotOptimize(partition::rhb_engine(m, opt, {}));
   }
 }
 BENCHMARK(BM_RecursiveMetric)
@@ -192,7 +195,7 @@ void BM_RhbWeights(benchmark::State& state) {
   opt.dynamic_weights = state.range(0) != 0;
   for (auto _ : state) {
     opt.seed++;
-    benchmark::DoNotOptimize(rhb_partition(p.incidence, opt));
+    benchmark::DoNotOptimize(partition::rhb_engine(p.incidence, opt, {}));
   }
 }
 BENCHMARK(BM_RhbWeights)->Arg(0)->Arg(1);
@@ -238,9 +241,10 @@ void BM_RhbThreads(benchmark::State& state) {
   RhbOptions opt;
   opt.num_parts = 8;
   opt.attempts = 1;
-  opt.threads = static_cast<unsigned>(state.range(0));
+  partition::EngineOptions eng;
+  eng.threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rhb_partition(p.incidence, opt));
+    benchmark::DoNotOptimize(partition::rhb_engine(p.incidence, opt, eng));
   }
 }
 BENCHMARK(BM_RhbThreads)->Arg(1)->Arg(4);

@@ -15,7 +15,7 @@
 #include "direct/mindeg.hpp"
 #include "direct/multirhs.hpp"
 #include "graph/graph.hpp"
-#include "graph/nested_dissection.hpp"
+#include "partition/engine.hpp"
 #include "reorder/postorder_rhs.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/permute.hpp"
@@ -92,7 +92,7 @@ inline std::vector<SubdomainRhsSetup> prepare_problem(const GeneratedProblem& p,
   NgdOptions nopt;
   nopt.num_parts = k;
   nopt.seed = seed;
-  const DissectionResult nd = nested_dissection(g, nopt);
+  const DissectionResult nd = partition::ngd_engine(g, nopt, {}).unknowns;
   // The separator block follows the dissection elimination order — the
   // paper's "natural ordering ... is in fact the nested dissection ordering
   // of the global matrix" (§V-B-a).

@@ -30,7 +30,7 @@
 #include "direct/lu.hpp"
 #include "direct/mindeg.hpp"
 #include "graph/graph.hpp"
-#include "graph/nested_dissection.hpp"
+#include "partition/engine.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/permute.hpp"
@@ -160,7 +160,8 @@ int main() {
   NgdOptions nopt;
   nopt.num_parts = k;
   nopt.seed = seed;
-  const DissectionResult nd = nested_dissection(graph_from_matrix(sym), nopt);
+  const DissectionResult nd =
+      partition::ngd_engine(graph_from_matrix(sym), nopt, {}).unknowns;
   const DbbdPartition dbbd = build_dbbd(nd.part, k, nd.separator_order);
   std::vector<Subdomain> subs;
   subs.reserve(k);

@@ -16,7 +16,7 @@
 #include "direct/multirhs.hpp"
 #include "gen/suite.hpp"
 #include "graph/graph.hpp"
-#include "graph/nested_dissection.hpp"
+#include "partition/engine.hpp"
 #include "reorder/hypergraph_rhs.hpp"
 #include "reorder/padding.hpp"
 #include "direct/etree.hpp"
@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   const CsrMatrix sym = symmetrize_abs(pattern_of(p.a));
   NgdOptions nopt;
   nopt.num_parts = 8;
-  const DissectionResult nd = nested_dissection(graph_from_matrix(sym), nopt);
+  const DissectionResult nd =
+      partition::ngd_engine(graph_from_matrix(sym), nopt, {}).unknowns;
   const DbbdPartition dbbd = build_dbbd(nd.part, 8);
   const Subdomain sub = extract_subdomain(p.a, dbbd, 0);
   std::printf("subdomain 0: n=%d, interface Ê has %d columns, %d nnz\n\n",

@@ -14,18 +14,21 @@
 // The row partition of M induces the unknown partition of A = MᵀM: a column
 // of M touching rows of a single part is interior to that subdomain; a cut
 // column becomes a separator unknown (paper Eq. (10) → Eq. (12)).
+//
+// The recursion runs in the partition engine (partition::rhb_engine); this
+// header holds its options. Any k ≥ 1 splits as ⌊k/2⌋ + ⌈k/2⌉ with side 0
+// aimed at the ⌊k/2⌋/k weight share.
 #pragma once
 
 #include <cstdint>
 
 #include "core/config.hpp"
-#include "graph/nested_dissection.hpp"
 #include "sparse/csr.hpp"
 
 namespace pdslin {
 
 struct RhbOptions {
-  index_t num_parts = 8;  // power of two
+  index_t num_parts = 8;
   CutMetric metric = CutMetric::Soed;
   RhbConstraintMode constraints = RhbConstraintMode::SingleW1;
   /// Ablation switch: false freezes the first-level (unit) weights, turning
@@ -40,23 +43,6 @@ struct RhbOptions {
   /// result with the best induced subdomain balance (ties: smaller
   /// separator). Recursive bisection is cheap next to the numerical phases.
   int attempts = 3;
-  /// Parallel recursion (the paper's §VI future work: "investigate the use
-  /// of a parallel partitioner"): after each bisection the two child
-  /// recursions are independent and run concurrently. Bisection seeds are
-  /// derived from the (part-range, level) position, so the result is
-  /// bit-identical to the serial run for any thread count.
-  unsigned threads = 1;
 };
-
-struct RhbResult {
-  /// Part of each row of M.
-  std::vector<index_t> row_part;
-  /// Induced partition of the unknowns (columns of M), separator = -1 —
-  /// same shape as the NGD result so downstream code is agnostic.
-  DissectionResult unknowns;
-};
-
-/// `m` is the structural factor (rows = cliques/elements, cols = unknowns).
-RhbResult rhb_partition(const CsrMatrix& m, const RhbOptions& opt);
 
 }  // namespace pdslin

@@ -116,7 +116,6 @@ void SchurSolver::setup(const CsrMatrix* incidence,
     ropt.dynamic_weights = opt_.rhb_dynamic_weights;
     ropt.epsilon = opt_.partition_epsilon;
     ropt.seed = opt_.seed;
-    ropt.threads = opt_.threads;
     // Value-weighted nets: each unknown (column of M) is weighted by the
     // strongest |a_ij| coupling it participates in, bucketed onto small
     // integers — cutting a strongly coupled unknown into the separator

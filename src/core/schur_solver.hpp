@@ -37,10 +37,10 @@ struct SolverOptions {
   /// from mere vertex weighting.
   bool ngd_weighted = false;
   double partition_epsilon = 0.10;
-  /// Partitioning-engine selection (src/partition): Auto/Multilevel run the
+  /// Partitioning-engine selection (src/partition): Multilevel runs the
   /// multilevel recursion (degrading under the budget), Geometric forces the
   /// O(n log n) coordinate/streaming fallback everywhere.
-  partition::Engine partition_engine = partition::Engine::Auto;
+  partition::Engine partition_engine = partition::Engine::Multilevel;
   /// Wall-clock budget for the partition phase (partition::Budget::max_ms
   /// sentinel semantics: 0 = unlimited, < 0 = exhausted at entry). Changes
   /// partition quality, never correctness: degraded subtrees still produce a

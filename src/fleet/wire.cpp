@@ -211,6 +211,10 @@ void encode_solver_options(WireWriter& w, const SolverOptions& opt) {
   w.u8(opt.rhb_dynamic_weights ? 1 : 0);
   w.u8(opt.ngd_weighted ? 1 : 0);
   w.f64(opt.partition_epsilon);
+  w.u32(static_cast<std::uint32_t>(opt.partition_engine));
+  w.f64(opt.partition_budget_ms);
+  w.f64(opt.partition_min_quality);
+  w.u32(static_cast<std::uint32_t>(opt.partition_values));
   // assembly
   w.f64(opt.assembly.drop_wg);
   w.f64(opt.assembly.drop_s);
@@ -275,6 +279,12 @@ SolverOptions decode_solver_options(WireReader& r) {
   opt.rhb_dynamic_weights = r.u8() != 0;
   opt.ngd_weighted = r.u8() != 0;
   opt.partition_epsilon = r.f64();
+  opt.partition_engine =
+      decode_enum(r, partition::Engine::Geometric, "partition_engine");
+  opt.partition_budget_ms = r.f64();
+  opt.partition_min_quality = r.f64();
+  opt.partition_values =
+      decode_enum(r, partition::ValueMode::LogAbs, "partition_values");
   opt.assembly.drop_wg = r.f64();
   opt.assembly.drop_s = r.f64();
   opt.assembly.rhs_block_size = checked_index(r.i64(), "rhs_block_size");

@@ -1,14 +1,5 @@
 #include "graph/nested_dissection.hpp"
 
-#include <algorithm>
-
-#include "graph/bisect.hpp"
-#include "graph/separator.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "util/error.hpp"
-#include "util/rng.hpp"
-
 namespace pdslin {
 
 Graph induced_subgraph(const Graph& g, const std::vector<index_t>& verts,
@@ -44,90 +35,6 @@ Graph induced_subgraph(const Graph& g, const std::vector<index_t>& verts,
     }
   }
   return sub;
-}
-
-namespace {
-
-struct NdState {
-  const Graph* g = nullptr;
-  std::vector<index_t> part;       // output labels
-  std::vector<index_t> sep_order;  // separators in elimination order
-  std::vector<index_t> local_of;   // scratch: global → local (reset per call)
-  Rng rng{1};
-  double epsilon = 0.05;
-};
-
-// Recursively dissect the subgraph induced on `verts` into parts
-// [low, low + num_parts). `depth` is the bisection level, exported as the
-// span argument so a trace shows the shape of the recursion tree.
-void dissect(NdState& state, const std::vector<index_t>& verts,
-             index_t num_parts, index_t low, int depth) {
-  if (num_parts == 1 || verts.size() <= 1) {
-    for (index_t v : verts) state.part[v] = low;
-    return;
-  }
-  PDSLIN_SPAN_I("ngd.bisect", depth);
-  static obs::Counter& bisections = obs::counter("ngd.bisections");
-  bisections.add();
-  Graph sub = induced_subgraph(*state.g, verts, state.local_of);
-  // Reset the scratch map before any recursion reuses it.
-  auto reset_scratch = [&] {
-    for (index_t v : verts) state.local_of[v] = -1;
-  };
-
-  GraphBisectOptions opt;
-  opt.epsilon = state.epsilon;
-  opt.seed = state.rng.next();
-  const GraphBisection bis = bisect_graph(sub, opt);
-  const VertexSeparator sep = vertex_separator_from_bisection(sub, bis);
-  reset_scratch();
-
-  std::vector<index_t> left, right, sep_verts;
-  left.reserve(verts.size() / 2);
-  right.reserve(verts.size() / 2);
-  for (std::size_t i = 0; i < verts.size(); ++i) {
-    switch (sep.label[i]) {
-      case SepLabel::PartA: left.push_back(verts[i]); break;
-      case SepLabel::PartB: right.push_back(verts[i]); break;
-      case SepLabel::Separator:
-        state.part[verts[i]] = DissectionResult::kSeparator;
-        sep_verts.push_back(verts[i]);
-        break;
-    }
-  }
-  dissect(state, left, num_parts / 2, low, depth + 1);
-  dissect(state, right, num_parts / 2, low + num_parts / 2, depth + 1);
-  // Nested-dissection elimination order: this node's separator follows
-  // everything below it.
-  state.sep_order.insert(state.sep_order.end(), sep_verts.begin(),
-                         sep_verts.end());
-}
-
-}  // namespace
-
-DissectionResult nested_dissection(const Graph& g, const NgdOptions& opt) {
-  PDSLIN_CHECK_MSG(opt.num_parts >= 1 &&
-                       (opt.num_parts & (opt.num_parts - 1)) == 0,
-                   "num_parts must be a power of two");
-  NdState state;
-  state.g = &g;
-  state.part.assign(g.n, 0);
-  state.local_of.assign(g.n, -1);
-  state.rng = Rng(opt.seed);
-  state.epsilon = opt.epsilon;
-
-  std::vector<index_t> all(g.n);
-  for (index_t v = 0; v < g.n; ++v) all[v] = v;
-  dissect(state, all, opt.num_parts, 0, /*depth=*/0);
-
-  DissectionResult r;
-  r.part = std::move(state.part);
-  r.separator_order = std::move(state.sep_order);
-  r.num_parts = opt.num_parts;
-  r.separator_size = static_cast<index_t>(
-      std::count(r.part.begin(), r.part.end(), DissectionResult::kSeparator));
-  PDSLIN_ASSERT(is_valid_dissection(g, r));
-  return r;
 }
 
 bool is_valid_dissection(const Graph& g, const DissectionResult& r) {

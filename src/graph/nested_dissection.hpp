@@ -1,5 +1,7 @@
 // Nested graph dissection (NGD) — the paper's baseline partitioner
-// (the role PT-Scotch/ParMETIS play for PDSLin, §III).
+// (the role PT-Scotch/ParMETIS play for PDSLin, §III). The recursion runs in
+// the partition engine (partition::ngd_engine); this header holds its
+// options, its result type and the graph helpers it shares.
 //
 // The input graph is recursively bisected by vertex separators until k
 // subdomains remain. Each leaf is a subdomain; all separator vertices are
@@ -36,12 +38,10 @@ struct DissectionResult {
   std::vector<index_t> separator_order;
 };
 
-DissectionResult nested_dissection(const Graph& g, const NgdOptions& opt);
-
 /// Induced subgraph on the vertex list `verts`. `local_of` is caller-owned
 /// scratch of size g.n, initialized to -1; on return it maps each vertex in
 /// `verts` to its local index (the caller resets those entries before
-/// reuse). Shared with the parallel dissection engine in src/partition.
+/// reuse).
 Graph induced_subgraph(const Graph& g, const std::vector<index_t>& verts,
                        std::vector<index_t>& local_of);
 

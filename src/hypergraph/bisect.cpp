@@ -57,9 +57,7 @@ HgBisection bisect_level(const Hypergraph& h, const HgBisectOptions& opt,
   }
 
   const std::vector<index_t> match =
-      opt.deterministic_matching
-          ? heavy_connectivity_matching_det(h, opt.matching_threads)
-          : heavy_connectivity_matching(h, rng);
+      heavy_connectivity_matching_det(h, opt.matching_threads);
   HgCoarsening c = contract(h, match);
   if (c.coarse.num_vertices > h.num_vertices * 19 / 20) {
     // Matching stalled (e.g. star hypergraph); fall back to flat partitioning.

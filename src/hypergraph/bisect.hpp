@@ -20,12 +20,9 @@ struct HgBisectOptions {
   int refine_passes = 6;
   int initial_tries = 4;
   std::uint64_t seed = 1;
-  /// Deterministic (thread-count-independent) coarsening: the two-pass
-  /// claim/commit matching instead of the seeded random-order walk. The
-  /// partition engine turns this on so parallel recursive bisection stays
-  /// bitwise identical at any thread count; the matching itself runs on
-  /// `matching_threads` pool workers.
-  bool deterministic_matching = false;
+  /// Pool workers for the coarsening matching. Coarsening always uses the
+  /// deterministic claim/commit matching, so the bisection is bitwise
+  /// identical for any value.
   unsigned matching_threads = 1;
   /// Latency-budget hook: polled between coarsening levels and before each
   /// refinement, never mid-kernel. Once it returns true the bisection

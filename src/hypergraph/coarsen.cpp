@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <unordered_map>
 
 #include "parallel/thread_pool.hpp"
@@ -34,54 +33,6 @@ index_t sat_add_cost(index_t a, index_t b) {
   return a + b;
 }
 
-}  // namespace
-
-std::vector<index_t> heavy_connectivity_matching(const Hypergraph& h, Rng& rng) {
-  std::vector<index_t> order(h.num_vertices);
-  std::iota(order.begin(), order.end(), 0);
-  std::shuffle(order.begin(), order.end(), rng);
-
-  std::vector<index_t> match(h.num_vertices, -1);
-  // Scatter accumulator for connectivity scores.
-  std::vector<long long> score(h.num_vertices, 0);
-  std::vector<index_t> touched;
-
-  for (index_t v : order) {
-    if (match[v] >= 0) continue;
-    touched.clear();
-    for (index_t net : h.nets_of(v)) {
-      const auto pin_span = h.pins(net);
-      // Very large nets contribute little information and dominate cost;
-      // cap the scan as PaToH-style implementations do.
-      if (pin_span.size() > 512) continue;
-      const long long c = h.net_cost[net];
-      for (index_t u : pin_span) {
-        if (u == v || match[u] >= 0) continue;
-        if (score[u] == 0) touched.push_back(u);
-        score[u] = sat_add_score(score[u], c);
-      }
-    }
-    index_t best = -1;
-    long long best_score = 0;
-    for (index_t u : touched) {
-      if (score[u] > best_score) {
-        best_score = score[u];
-        best = u;
-      }
-      score[u] = 0;
-    }
-    if (best >= 0) {
-      match[v] = best;
-      match[best] = v;
-    } else {
-      match[v] = v;
-    }
-  }
-  return match;
-}
-
-namespace {
-
 // Position-independent vertex key for tie-breaking: with many equal
 // connectivity scores (regular meshes), breaking ties by raw index makes
 // every vertex point the same way and almost no proposal is mutual — the
@@ -107,8 +58,8 @@ std::vector<index_t> heavy_connectivity_matching_det(const Hypergraph& h,
   constexpr int kMaxRounds = 8;
   for (int round = 0; round < kMaxRounds; ++round) {
     auto propose = [&](unsigned, long long lo, long long hi) {
-      // Per-range scatter accumulator (same idiom as the serial matcher,
-      // one instance per worker so ranges never share scratch).
+      // Per-range scatter accumulator of shared net cost, one instance per
+      // worker so ranges never share scratch.
       std::vector<long long> score(n, 0);
       std::vector<index_t> touched;
       for (index_t v = static_cast<index_t>(lo); v < static_cast<index_t>(hi);

@@ -3,7 +3,6 @@
 #pragma once
 
 #include "hypergraph/hypergraph.hpp"
-#include "util/rng.hpp"
 
 namespace pdslin {
 
@@ -12,18 +11,15 @@ struct HgCoarsening {
   std::vector<index_t> map;  // fine vertex → coarse vertex
 };
 
-/// Heavy-connectivity matching: each unmatched vertex pairs with the
-/// unmatched vertex sharing the largest total net cost. match[v] = partner
-/// (v itself if unmatched).
-std::vector<index_t> heavy_connectivity_matching(const Hypergraph& h, Rng& rng);
-
-/// Deterministic heavy-connectivity matching for the parallel partition
-/// engine: bounded rounds of a two-pass claim/commit protocol. Pass 1 runs
+/// Deterministic heavy-connectivity matching: each unmatched vertex pairs
+/// with the unmatched vertex sharing the largest total net cost, in bounded
+/// rounds of a two-pass claim/commit protocol. Pass 1 runs
 /// vertex-parallel (parallel_ranges over the shared pool) — every unmatched
-/// vertex proposes its best-connected unmatched partner, ties broken toward
-/// the lowest vertex index; pass 2 commits mutual proposals. Each pass is a
+/// vertex proposes its best-connected unmatched partner, ties broken by a
+/// hashed vertex key; pass 2 commits mutual proposals. Each pass is a
 /// pure function of the hypergraph and the previous round's matched set, so
-/// the result is identical for any `threads`, including 1.
+/// the result is identical for any `threads`, including 1. match[v] =
+/// partner (v itself if unmatched).
 std::vector<index_t> heavy_connectivity_matching_det(const Hypergraph& h,
                                                      unsigned threads);
 

@@ -60,7 +60,7 @@ double balance_ratio_of(const DissectionResult& d) {
 }
 
 // ---------------------------------------------------------------------------
-// RHB path (moved from core/rhb.cpp and rebuilt on the shared pool)
+// RHB path
 // ---------------------------------------------------------------------------
 
 // Submatrix carried through the recursion: local CSR rows over a local
@@ -193,16 +193,18 @@ void rhb_recurse(RhbContext& ctx, const SubMatrix& sub, index_t k, index_t low,
              std::max<index_t>(2, ctx.opt->num_parts))))));
   const double eps_level =
       std::pow(1.0 + ctx.opt->epsilon, 1.0 / static_cast<double>(levels)) - 1.0;
+  // Any k: split into k0 = ⌊k/2⌋ and k1 = k − k0 parts and aim side 0 at
+  // the k0/k share (exactly ½ for the powers of two the solver uses).
+  const index_t k0 = k / 2;
+  const index_t k1 = k - k0;
   HgBisectOptions bopt;
-  bopt.target0.assign(h.num_constraints, 0.5);
+  bopt.target0.assign(h.num_constraints,
+                      static_cast<double>(k0) / static_cast<double>(k));
   bopt.epsilon.assign(h.num_constraints, eps_level);
   bopt.coarsen_to = ctx.opt->coarsen_to;
   bopt.refine_passes = ctx.opt->refine_passes;
   bopt.initial_tries = ctx.opt->initial_tries;
   bopt.seed = node_seed(ctx.base_seed, low, k);
-  // Thread-count independence: the engine always coarsens with the
-  // deterministic claim/commit matching, so serial == parallel bitwise.
-  bopt.deterministic_matching = true;
   bopt.matching_threads = ctx.eng->threads;
   if (ctx.eng->budget.max_ms != 0.0) {
     bopt.should_stop = [t = ctx.tracker] { return t->exhausted(); };
@@ -223,12 +225,12 @@ void rhb_recurse(RhbContext& ctx, const SubMatrix& sub, index_t k, index_t low,
   SubMatrix child1 = child_of(sub, bis.side, 1, ctx.opt->metric);
   if (spawn) {
     TaskGroup group(ThreadPool::shared());
-    group.run([&] { rhb_recurse(ctx, child0, k / 2, low, depth + 1); });
-    rhb_recurse(ctx, child1, k / 2, low + k / 2, depth + 1);
+    group.run([&] { rhb_recurse(ctx, child0, k0, low, depth + 1); });
+    rhb_recurse(ctx, child1, k1, low + k0, depth + 1);
     group.wait();
   } else {
-    rhb_recurse(ctx, child0, k / 2, low, depth + 1);
-    rhb_recurse(ctx, child1, k / 2, low + k / 2, depth + 1);
+    rhb_recurse(ctx, child0, k0, low, depth + 1);
+    rhb_recurse(ctx, child1, k1, low + k0, depth + 1);
   }
 }
 
@@ -364,9 +366,7 @@ std::vector<index_t> ngd_recurse(NgdContext& ctx,
 
 EngineResult rhb_engine(const CsrMatrix& m, const RhbOptions& opt,
                         const EngineOptions& eng) {
-  PDSLIN_CHECK_MSG(opt.num_parts >= 1 &&
-                       (opt.num_parts & (opt.num_parts - 1)) == 0,
-                   "num_parts must be a power of two");
+  PDSLIN_CHECK_MSG(opt.num_parts >= 1, "num_parts must be positive");
   PDSLIN_SPAN("partition.rhb_engine");
   BudgetTracker tracker(eng.budget);
 

@@ -26,7 +26,7 @@
 namespace pdslin::partition {
 
 struct EngineOptions {
-  Engine engine = Engine::Auto;
+  Engine engine = Engine::Multilevel;
   Budget budget;
   /// Concurrent subtree tasks (the spawn budget of the recursion). The
   /// partition is bitwise identical for any value.
@@ -56,9 +56,11 @@ struct EngineResult {
 };
 
 /// RHB through the engine: recursive hypergraph bisection of the structural
-/// factor `m` (rows = elements/cliques, cols = unknowns) with the paper's
-/// dynamic weights and metric net-inheritance, multi-start attempts, and
-/// budget-driven degradation. Fallback subtrees split rows by RCB over
+/// factor `m` (rows = elements/cliques, cols = unknowns) into any
+/// opt.num_parts ≥ 1 parts, with the paper's dynamic weights and metric
+/// net-inheritance, multi-start attempts, and budget-driven degradation.
+/// With dynamic_weights = false it is the plain static-weight k-way
+/// partitioner of the rows' column-net hypergraph (the §IV RHS reordering). Fallback subtrees split rows by RCB over
 /// element centroids (mean of the member unknowns' coordinates) or a
 /// streaming index split; the unknown partition is induced per Eq. (12)
 /// either way, so the result is always a valid DBBD input.

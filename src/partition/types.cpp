@@ -11,7 +11,6 @@ constexpr struct {
   Engine e;
   const char* name;
 } kEngines[] = {
-    {Engine::Auto, "auto"},
     {Engine::Multilevel, "multilevel"},
     {Engine::Geometric, "geometric"},
 };

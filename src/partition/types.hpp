@@ -16,10 +16,6 @@ enum class Engine {
   /// Multilevel with budget-driven degradation to the geometric fallback —
   /// the default: full quality when the budget allows, bounded latency when
   /// it does not.
-  Auto,
-  /// Multilevel only; the budget still degrades subtrees when exhausted
-  /// (Auto and Multilevel differ only in name today and are kept distinct
-  /// so callers can pin the multilevel path explicitly).
   Multilevel,
   /// Geometric/streaming fallback for every subtree: recursive coordinate
   /// bisection when coordinates exist, a streaming weighted index split
@@ -28,7 +24,7 @@ enum class Engine {
 };
 
 const char* to_string(Engine e);
-/// Parse the to_string() name ("auto", "multilevel", "geometric");
+/// Parse the to_string() name ("multilevel", "geometric");
 /// returns false on unknown names.
 bool engine_from_string(std::string_view name, Engine& out);
 

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <numeric>
 
-#include "hypergraph/hypergraph.hpp"
-#include "sparse/convert.hpp"
-#include "hypergraph/recursive.hpp"
+#include "partition/engine.hpp"
 #include "reorder/quasidense.hpp"
+#include "sparse/convert.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -48,19 +47,21 @@ HypergraphRhsResult hypergraph_rhs_ordering(
   res.removed_dense_rows = filter.removed_dense;
   res.removed_empty_rows = filter.removed_empty;
 
-  // Row-net model: vertices = columns of G, nets = (kept) rows.
-  Hypergraph h = row_net_model(filter.filtered);
-
-  HgPartitionOptions popt;
+  // Row-net model on the partition engine: one CSR row per head column of G
+  // (a vertex) holding its kept-row pattern (its nets). Static unit weights
+  // and ε = 0 aim every part at exactly B columns.
+  RhbOptions popt;
   popt.num_parts = num_full_parts;
   popt.metric = CutMetric::Con1;  // Eq. (15): padded zeros ≡ con1 up to consts
-  popt.epsilon = 0.0;             // parts of exactly B columns
+  popt.dynamic_weights = false;
+  popt.epsilon = 0.0;
   popt.seed = opt.seed;
   popt.coarsen_to = opt.coarsen_to;
   popt.refine_passes = opt.refine_passes;
   popt.initial_tries = opt.initial_tries;
-  popt.part_targets.assign(num_full_parts, b);
-  const std::vector<index_t> part = partition_recursive(h, popt);
+  popt.attempts = 1;
+  const std::vector<index_t> part =
+      partition::rhb_engine(transpose(filter.filtered), popt, {}).row_part;
   res.partition_seconds = timer.seconds();
 
   // Emit columns part by part. Parts may deviate from B by a vertex or two

@@ -9,10 +9,10 @@
 #include "sparse/convert.hpp"
 #include "sparse/permute.hpp"
 #include "util/error.hpp"
-#include "core/rhb.hpp"
 #include "core/structural_factor.hpp"
 #include "gen/grid_fem.hpp"
 #include "gen/suite.hpp"
+#include "partition/engine.hpp"
 #include "sparse/spgemm.hpp"
 #include "sparse/symmetrize.hpp"
 #include "test_util.hpp"
@@ -65,7 +65,7 @@ TEST_P(RhbMetricParam, ProducesValidDissection) {
   opt.num_parts = 4;
   opt.metric = GetParam();
   opt.seed = 5;
-  const RhbResult r = rhb_partition(p.incidence, opt);
+  const auto r = partition::rhb_engine(p.incidence, opt, {});
   ASSERT_EQ(r.unknowns.part.size(), static_cast<std::size_t>(p.a.rows));
 
   // Validity: no A-edge between two different subdomains (check directly on
@@ -100,7 +100,7 @@ TEST(Rhb, MultiConstraintRunsAndBalances) {
   opt.num_parts = 4;
   opt.constraints = RhbConstraintMode::MultiW1W2;
   opt.seed = 7;
-  const RhbResult r = rhb_partition(p.incidence, opt);
+  const auto r = partition::rhb_engine(p.incidence, opt, {});
   const DbbdPartition dbbd = build_dbbd(r.unknowns.part, 4);
   const DbbdStats stats = dbbd_stats(p.a, dbbd);
   // Subdomain nonzeros balanced within a generous factor.
@@ -121,7 +121,7 @@ TEST(Rhb, DynamicWeightsImproveNnzBalanceOnIrregularInput) {
     opt.num_parts = 8;
     opt.dynamic_weights = dynamic;
     opt.seed = 11;
-    const RhbResult r = rhb_partition(m, opt);
+    const auto r = partition::rhb_engine(m, opt, {});
     const DbbdPartition dbbd = build_dbbd(r.unknowns.part, 8);
     const DbbdStats s = dbbd_stats(p.a, dbbd);
     return max_over_min(std::span<const long long>(s.nnz_d));

@@ -12,7 +12,6 @@
 #include "graph/bisect.hpp"
 #include "graph/graph.hpp"
 #include "hypergraph/bisect.hpp"
-#include "hypergraph/recursive.hpp"
 #include "iterative/gmres.hpp"
 #include "reorder/quasidense.hpp"
 #include "sparse/io.hpp"
@@ -88,17 +87,11 @@ TEST(EdgeCases, HypergraphWithEmptyAndUnitNets) {
 }
 
 TEST(EdgeCases, RecursivePartitionMorePartsThanVertices) {
-  Hypergraph h;
-  h.num_vertices = 3;
-  h.num_nets = 1;
-  h.net_ptr = {0, 3};
-  h.net_pins = {0, 1, 2};
-  h.vwgt.assign(3, 1);
-  h.net_cost.assign(1, 1);
-  h.build_vertex_lists();
-  HgPartitionOptions opt;
-  opt.num_parts = 8;
-  const auto part = partition_recursive(h, opt);
+  // Three vertices on one net, asked for eight parts.
+  const CsrMatrix m = testing::from_dense({{1}, {1}, {1}});
+  const auto part =
+      testing::static_partition(m, 8, CutMetric::Con1, 0.05, 1);
+  ASSERT_EQ(part.size(), 3u);
   for (index_t p : part) {
     EXPECT_GE(p, 0);
     EXPECT_LT(p, 8);

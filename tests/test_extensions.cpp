@@ -2,11 +2,11 @@
 // alternative Krylov method): parallel RHB determinism and BiCGSTAB.
 #include <gtest/gtest.h>
 
-#include "core/rhb.hpp"
 #include "core/schur_solver.hpp"
 #include "gen/grid_fem.hpp"
 #include "gen/suite.hpp"
 #include "iterative/bicgstab.hpp"
+#include "partition/engine.hpp"
 #include "sparse/ops.hpp"
 #include "test_util.hpp"
 
@@ -74,34 +74,15 @@ TEST(SchurSolverKrylov, BicgstabMatchesGmresSolution) {
   for (index_t i = 0; i < a.rows; ++i) EXPECT_NEAR(xg[i], xb[i], 1e-7);
 }
 
-TEST(ParallelRhb, BitIdenticalToSerial) {
-  GridFemOptions gen;
-  gen.nx = gen.ny = 28;
-  gen.nz = 1;
-  const GeneratedProblem p = generate_grid_fem(gen);
-
-  RhbOptions serial;
-  serial.num_parts = 8;
-  serial.seed = 13;
-  serial.threads = 1;
-  RhbOptions parallel = serial;
-  parallel.threads = 4;
-
-  const RhbResult rs = rhb_partition(p.incidence, serial);
-  const RhbResult rp = rhb_partition(p.incidence, parallel);
-  EXPECT_EQ(rs.row_part, rp.row_part);
-  EXPECT_EQ(rs.unknowns.part, rp.unknowns.part);
-  EXPECT_EQ(rs.unknowns.separator_size, rp.unknowns.separator_size);
-}
-
 TEST(ParallelRhb, DeterministicAcrossRuns) {
   const GeneratedProblem p = make_suite_matrix("dds.linear", 0.03);
   RhbOptions opt;
   opt.num_parts = 4;
   opt.seed = 99;
-  opt.threads = 3;
-  const RhbResult a = rhb_partition(p.incidence, opt);
-  const RhbResult b = rhb_partition(p.incidence, opt);
+  partition::EngineOptions eng;
+  eng.threads = 3;
+  const auto a = partition::rhb_engine(p.incidence, opt, eng);
+  const auto b = partition::rhb_engine(p.incidence, opt, eng);
   EXPECT_EQ(a.unknowns.part, b.unknowns.part);
 }
 

@@ -214,8 +214,15 @@ TEST(FleetWire, FrameRejectsCorruption) {
 }
 
 TEST(FleetWire, SolveRequestRoundTrip) {
-  const WireSolveRequest req =
+  WireSolveRequest req =
       make_wire_request(testing::grid_laplacian(9, 7), 3, 11);
+  // Every setup-affecting knob must cross the wire: the worker re-hashes
+  // the decoded options and rejects a request whose hash does not match.
+  req.opt.partition_engine = partition::Engine::Geometric;
+  req.opt.partition_budget_ms = 12.5;
+  req.opt.partition_min_quality = 0.75;
+  req.opt.partition_values = partition::ValueMode::LogAbs;
+  req.options_hash = serve::setup_options_hash(req.opt);
   const WireSolveRequest got =
       fleet::decode_solve_request(fleet::encode_solve_request(req));
 
@@ -230,6 +237,10 @@ TEST(FleetWire, SolveRequestRoundTrip) {
   EXPECT_EQ(got.b, req.b);
   EXPECT_EQ(got.timeout_seconds, req.timeout_seconds);
   EXPECT_EQ(got.opt.num_subdomains, req.opt.num_subdomains);
+  EXPECT_EQ(got.opt.partition_engine, partition::Engine::Geometric);
+  EXPECT_EQ(got.opt.partition_budget_ms, 12.5);
+  EXPECT_EQ(got.opt.partition_min_quality, 0.75);
+  EXPECT_EQ(got.opt.partition_values, partition::ValueMode::LogAbs);
   EXPECT_EQ(serve::setup_options_hash(got.opt),
             serve::setup_options_hash(req.opt));
 

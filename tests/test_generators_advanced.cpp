@@ -9,7 +9,7 @@
 #include "gen/fem_assembly.hpp"
 #include "gen/tet_fem.hpp"
 #include "graph/graph.hpp"
-#include "graph/nested_dissection.hpp"
+#include "partition/engine.hpp"
 #include "sparse/permute.hpp"
 #include "sparse/symmetrize.hpp"
 #include "sparse/convert.hpp"
@@ -82,7 +82,7 @@ TEST(SeparatorOrder, IsPermutationOfSeparator) {
   NgdOptions opt;
   opt.num_parts = 8;
   opt.seed = 5;
-  const DissectionResult r = nested_dissection(g, opt);
+  const DissectionResult r = partition::ngd_engine(g, opt, {}).unknowns;
   ASSERT_EQ(r.separator_order.size(),
             static_cast<std::size_t>(r.separator_size));
   std::vector<char> seen(g.n, 0);
@@ -94,29 +94,71 @@ TEST(SeparatorOrder, IsPermutationOfSeparator) {
 }
 
 TEST(SeparatorOrder, RootSeparatorComesLast) {
-  // In elimination order, the root (first bisection) separator is last.
-  // Verify via levels: the final chunk of separator_order must all be at
-  // tree level 0 (the root separator) — we detect the root separator as the
-  // vertices whose removal leaves the two k/2 halves; simpler proxy: the
-  // order's last vertex belongs to the root separator computed by a 2-way
-  // dissection with the same seed.
+  // In elimination order the root (first bisection) separator is last. On
+  // a 4-way dissection that means: some suffix of separator_order splits
+  // the graph so that no connected component mixes parts {0,1} with parts
+  // {2,3}, and every separator vertex before that suffix touches interior
+  // vertices of one half only.
   const CsrMatrix a = testing::grid_laplacian(16, 16);
   const Graph g = graph_from_matrix(a);
-  NgdOptions two;
-  two.num_parts = 2;
-  two.seed = 7;
-  const DissectionResult root = nested_dissection(g, two);
-  NgdOptions four;
-  four.num_parts = 4;
-  four.seed = 7;
-  const DissectionResult r = nested_dissection(g, four);
-  // The last root.separator_size entries of the 4-way order are exactly the
-  // 2-way separator (same seed → same first bisection).
-  const index_t tail = root.separator_size;
-  ASSERT_GE(static_cast<index_t>(r.separator_order.size()), tail);
-  for (std::size_t i = r.separator_order.size() - tail;
-       i < r.separator_order.size(); ++i) {
-    EXPECT_EQ(root.part[r.separator_order[i]], DissectionResult::kSeparator);
+  NgdOptions opt;
+  opt.num_parts = 4;
+  opt.seed = 7;
+  const DissectionResult r = partition::ngd_engine(g, opt, {}).unknowns;
+  const std::vector<index_t>& order = r.separator_order;
+  auto half_of = [&](index_t v) {
+    return r.part[v] == DissectionResult::kSeparator ? -1 : r.part[v] / 2;
+  };
+
+  // Does removing the last `t` separator vertices split the two halves?
+  auto suffix_separates = [&](std::size_t t) {
+    std::vector<char> removed(g.n, 0);
+    for (std::size_t i = order.size() - t; i < order.size(); ++i) {
+      removed[order[i]] = 1;
+    }
+    std::vector<char> seen(g.n, 0);
+    for (index_t s = 0; s < g.n; ++s) {
+      if (removed[s] || seen[s]) continue;
+      // Flood one component of the remaining graph; it may hold interior
+      // vertices of one half only.
+      std::vector<index_t> stack{s};
+      seen[s] = 1;
+      index_t half = -1;
+      while (!stack.empty()) {
+        const index_t v = stack.back();
+        stack.pop_back();
+        const index_t h = half_of(v);
+        if (h >= 0) {
+          if (half >= 0 && half != h) return false;
+          half = h;
+        }
+        for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
+          const index_t u = g.adj[p];
+          if (removed[u] || seen[u]) continue;
+          seen[u] = 1;
+          stack.push_back(u);
+        }
+      }
+    }
+    return true;
+  };
+
+  std::size_t tail = 0;
+  while (tail <= order.size() && !suffix_separates(tail)) ++tail;
+  ASSERT_GT(tail, 0u);  // the two halves are connected before any removal
+  // Non-vacuous: the level-1 separators precede the root separator.
+  ASSERT_LT(tail, order.size());
+  for (std::size_t i = 0; i + tail < order.size(); ++i) {
+    const index_t v = order[i];
+    index_t touched = -1;
+    for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
+      const index_t h = half_of(g.adj[p]);
+      if (h < 0) continue;
+      EXPECT_TRUE(touched < 0 || touched == h)
+          << "separator vertex " << v << " at position " << i
+          << " touches both halves";
+      touched = h;
+    }
   }
 }
 

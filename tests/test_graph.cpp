@@ -11,7 +11,7 @@
 #include "util/error.hpp"
 #include "graph/graph.hpp"
 #include "graph/matching.hpp"
-#include "graph/nested_dissection.hpp"
+#include "partition/engine.hpp"
 #include "graph/rcm.hpp"
 #include "graph/separator.hpp"
 #include "test_util.hpp"
@@ -120,7 +120,7 @@ TEST_P(NestedDissectionParam, ValidAndBalanced) {
   NgdOptions opt;
   opt.num_parts = k;
   opt.seed = 11;
-  const DissectionResult r = nested_dissection(g, opt);
+  const DissectionResult r = partition::ngd_engine(g, opt, {}).unknowns;
   EXPECT_TRUE(is_valid_dissection(g, r));
   std::vector<long long> sizes(k, 0);
   for (index_t v = 0; v < g.n; ++v) {
@@ -138,7 +138,7 @@ TEST(NestedDissection, RejectsNonPowerOfTwo) {
   const Graph g = grid_graph(4, 4);
   NgdOptions opt;
   opt.num_parts = 6;
-  EXPECT_THROW(nested_dissection(g, opt), Error);
+  EXPECT_THROW(partition::ngd_engine(g, opt, {}), Error);
 }
 
 TEST(Rcm, IsPermutationAndReducesBandwidth) {

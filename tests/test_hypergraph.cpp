@@ -1,6 +1,6 @@
 // Tests for the hypergraph model, incremental bisection state, FM,
-// coarsening, multilevel bisection, recursive k-way partitioning and the
-// three cut metrics.
+// coarsening, multilevel bisection, recursive k-way partitioning (through
+// the partition engine with static weights) and the three cut metrics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,7 @@
 #include "hypergraph/hypergraph.hpp"
 #include "hypergraph/initial.hpp"
 #include "hypergraph/metrics.hpp"
-#include "hypergraph/recursive.hpp"
+#include "sparse/convert.hpp"
 #include "test_util.hpp"
 #include "util/error.hpp"
 
@@ -72,7 +72,7 @@ TEST(Coarsen, MatchingAndContraction) {
   Rng rng(11);
   const CsrMatrix m = testing::random_sparse(40, 30, 0.15, rng);
   const Hypergraph h = column_net_model(m);
-  const auto match = heavy_connectivity_matching(h, rng);
+  const auto match = heavy_connectivity_matching_det(h, 1);
   for (index_t v = 0; v < h.num_vertices; ++v) {
     EXPECT_EQ(match[match[v]], v);
   }
@@ -180,33 +180,6 @@ TEST(Metrics, SeparatorLabelsIgnored) {
   EXPECT_EQ(lambda[1], 2);
 }
 
-TEST(SplitSide, MetricPolicies) {
-  const CsrMatrix m = testing::from_dense({{1, 1, 0},
-                                           {1, 1, 0},
-                                           {1, 0, 1},
-                                           {1, 0, 1}});
-  Hypergraph h = column_net_model(m);
-  // Net 0 spans all four vertices; nets 1 and 2 are internal to the sides.
-  const std::vector<signed char> side{0, 0, 1, 1};
-  std::vector<index_t> ids;
-
-  Hypergraph c1 = split_side(h, side, 0, CutMetric::Con1, ids);
-  EXPECT_EQ(c1.num_nets, 2);  // cut net split + internal net
-  EXPECT_EQ(ids, (std::vector<index_t>{0, 1}));
-
-  Hypergraph cn = split_side(h, side, 0, CutMetric::CutNet, ids);
-  EXPECT_EQ(cn.num_nets, 1);  // cut net discarded
-
-  Hypergraph hs = h;
-  for (auto& c : hs.net_cost) c *= 2;  // soed driver doubles costs
-  Hypergraph sd = split_side(hs, side, 1, CutMetric::Soed, ids);
-  ASSERT_EQ(sd.num_nets, 2);
-  // One net kept at cost 2 (uncut), the split one halved to 1.
-  std::vector<index_t> costs{sd.net_cost[0], sd.net_cost[1]};
-  std::sort(costs.begin(), costs.end());
-  EXPECT_EQ(costs, (std::vector<index_t>{1, 2}));
-}
-
 class RecursivePartitionParam
     : public ::testing::TestWithParam<std::tuple<index_t, CutMetric>> {};
 
@@ -214,12 +187,7 @@ TEST_P(RecursivePartitionParam, PartitionsGridWithBalance) {
   const auto [k, metric] = GetParam();
   const CsrMatrix lap = testing::grid_laplacian(18, 18);
   const Hypergraph h = column_net_model(lap);
-  HgPartitionOptions opt;
-  opt.num_parts = k;
-  opt.metric = metric;
-  opt.epsilon = 0.05;
-  opt.seed = 19;
-  const auto part = partition_recursive(h, opt);
+  const auto part = testing::static_partition(lap, k, metric, 0.05, 19);
   ASSERT_EQ(part.size(), static_cast<std::size_t>(h.num_vertices));
   std::vector<long long> sizes(k, 0);
   for (index_t p : part) {
@@ -248,13 +216,9 @@ TEST(RecursivePartition, ExactPartTargets) {
   // 60 columns of a random pattern partitioned into 6 parts of exactly 10.
   Rng rng(23);
   const CsrMatrix g = testing::random_sparse(80, 60, 0.1, rng);
-  const Hypergraph h = row_net_model(g);
-  HgPartitionOptions opt;
-  opt.num_parts = 6;
-  opt.epsilon = 0.0;
-  opt.seed = 29;
-  opt.part_targets.assign(6, 10);
-  const auto part = partition_recursive(h, opt);
+  // Row-net model: the columns of g are the vertices, i.e. the rows of gᵀ.
+  const auto part =
+      testing::static_partition(transpose(g), 6, CutMetric::Con1, 0.0, 29);
   std::vector<index_t> sizes(6, 0);
   for (index_t p : part) ++sizes[p];
   for (index_t l = 0; l < 6; ++l) {

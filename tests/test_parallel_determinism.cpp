@@ -16,7 +16,7 @@
 #include "direct/multirhs.hpp"
 #include "gen/grid_fem.hpp"
 #include "graph/graph.hpp"
-#include "graph/nested_dissection.hpp"
+#include "partition/engine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/permute.hpp"
 #include "sparse/spgemm.hpp"
@@ -73,7 +73,9 @@ FactoredSubdomain make_factored_subdomain() {
   nopt.num_parts = 2;
   nopt.seed = 7;
   const DissectionResult nd =
-      nested_dissection(graph_from_matrix(symmetrize_abs(pattern_of(a))), nopt);
+      partition::ngd_engine(graph_from_matrix(symmetrize_abs(pattern_of(a))),
+                            nopt, {})
+          .unknowns;
   const DbbdPartition dbbd = build_dbbd(nd.part, 2);
   const Subdomain sub = extract_subdomain(a, dbbd, 0);
 

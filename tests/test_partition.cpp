@@ -61,6 +61,34 @@ TEST(PartitionEngine, RhbBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(PartitionEngine, RhbNonPowerOfTwoBitwiseAcrossThreadCounts) {
+  // Any k splits as ⌊k/2⌋ + ⌈k/2⌉; the uneven split must stay
+  // position-seeded, so labels cover [0, k) and match at every thread count.
+  const GeneratedProblem p = small_fem();
+  for (const index_t k : {3, 6}) {
+    RhbOptions opt;
+    opt.num_parts = k;
+    opt.dynamic_weights = false;
+    opt.seed = 17;
+    partition::EngineOptions eng;
+    const partition::EngineResult serial =
+        partition::rhb_engine(p.incidence, opt, eng);
+    std::vector<long long> rows_in(static_cast<std::size_t>(k), 0);
+    for (index_t label : serial.row_part) {
+      ASSERT_GE(label, 0) << "k=" << k;
+      ASSERT_LT(label, k) << "k=" << k;
+      ++rows_in[static_cast<std::size_t>(label)];
+    }
+    for (long long rows : rows_in) EXPECT_GT(rows, 0) << "k=" << k;
+
+    eng.threads = 4;
+    const partition::EngineResult parallel =
+        partition::rhb_engine(p.incidence, opt, eng);
+    EXPECT_EQ(parallel.row_part, serial.row_part) << "k=" << k;
+    EXPECT_EQ(parallel.unknowns.part, serial.unknowns.part) << "k=" << k;
+  }
+}
+
 TEST(PartitionEngine, NgdBitwiseIdenticalAcrossThreadCounts) {
   const GeneratedProblem p = small_fem();
   const CsrMatrix sym = symmetrize_abs(pattern_of(p.a));

@@ -11,9 +11,8 @@
 #include "direct/multirhs.hpp"
 #include "direct/trisolve.hpp"
 #include "graph/graph.hpp"
-#include "graph/nested_dissection.hpp"
 #include "hypergraph/metrics.hpp"
-#include "hypergraph/recursive.hpp"
+#include "partition/engine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/permute.hpp"
@@ -34,7 +33,7 @@ TEST_P(SeedSweep, NestedDissectionValidOnRandomGraphs) {
     NgdOptions opt;
     opt.num_parts = k;
     opt.seed = GetParam();
-    const DissectionResult r = nested_dissection(g, opt);
+    const DissectionResult r = partition::ngd_engine(g, opt, {}).unknowns;
     EXPECT_TRUE(is_valid_dissection(g, r)) << "k=" << k;
     // Every vertex labeled.
     for (index_t v = 0; v < g.n; ++v) {
@@ -50,11 +49,8 @@ TEST_P(SeedSweep, RecursivePartitionMetricIdentities) {
   const Hypergraph h = column_net_model(m);
   for (const CutMetric metric :
        {CutMetric::Con1, CutMetric::CutNet, CutMetric::Soed}) {
-    HgPartitionOptions opt;
-    opt.num_parts = 4;
-    opt.metric = metric;
-    opt.seed = GetParam();
-    const auto part = partition_recursive(h, opt);
+    const auto part =
+        testing::static_partition(m, 4, metric, 0.05, GetParam());
     const CutSizes s = evaluate_cutsizes(h, part, 4);
     // Identities among the standard metrics (paper Eqs. (7)–(9)).
     EXPECT_EQ(s.soed, s.con1 + s.cnet);
@@ -67,10 +63,8 @@ TEST_P(SeedSweep, BisectionCutEqualsCon1EqualsCnet) {
   Rng rng(GetParam() + 17);
   const CsrMatrix m = testing::random_sparse(90, 70, 0.06, rng);
   const Hypergraph h = column_net_model(m);
-  HgPartitionOptions opt;
-  opt.num_parts = 2;
-  opt.seed = GetParam();
-  const auto part = partition_recursive(h, opt);
+  const auto part =
+      testing::static_partition(m, 2, CutMetric::Con1, 0.05, GetParam());
   const CutSizes s = evaluate_cutsizes(h, part, 2);
   EXPECT_EQ(s.con1, s.cnet);  // λ ∈ {1, 2} for a bisection
   EXPECT_EQ(s.soed, 2 * s.cnet);

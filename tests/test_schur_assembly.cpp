@@ -12,7 +12,7 @@
 #include "core/subdomain.hpp"
 #include "gen/grid_fem.hpp"
 #include "graph/graph.hpp"
-#include "graph/nested_dissection.hpp"
+#include "partition/engine.hpp"
 #include "sparse/symmetrize.hpp"
 #include "sparse/convert.hpp"
 #include "test_util.hpp"
@@ -67,7 +67,9 @@ Fixture make_setup(index_t grid, index_t k) {
   nopt.num_parts = k;
   nopt.seed = 5;
   const DissectionResult nd =
-      nested_dissection(graph_from_matrix(symmetrize_abs(pattern_of(s.a))), nopt);
+      partition::ngd_engine(graph_from_matrix(symmetrize_abs(pattern_of(s.a))),
+                            nopt, {})
+          .unknowns;
   s.dbbd = build_dbbd(nd.part, k);
   return s;
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "partition/engine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/csr.hpp"
 #include "util/rng.hpp"
@@ -116,6 +117,22 @@ inline CsrMatrix grid_laplacian(index_t nx, index_t ny) {
     }
   }
   return coo_to_csr(coo);
+}
+
+/// Static-weight k-way partition of the rows of `m` (the vertices of its
+/// column-net hypergraph): the engine's recursion with unit weights, one
+/// attempt — the plain recursive bisection of §III-C.
+inline std::vector<index_t> static_partition(const CsrMatrix& m, index_t k,
+                                             CutMetric metric, double epsilon,
+                                             std::uint64_t seed) {
+  RhbOptions opt;
+  opt.num_parts = k;
+  opt.metric = metric;
+  opt.dynamic_weights = false;
+  opt.epsilon = epsilon;
+  opt.seed = seed;
+  opt.attempts = 1;
+  return partition::rhb_engine(m, opt, {}).row_part;
 }
 
 }  // namespace pdslin::testing

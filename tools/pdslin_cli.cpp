@@ -10,7 +10,7 @@
 //   --static-weights          disable RHB dynamic weights
 //   -k N                      number of subdomains (power of 2) [8]
 //   --epsilon X               partition balance tolerance     [0.05]
-//   --partition-engine E      auto|multilevel|geometric       [auto]
+//   --partition-engine E      multilevel|geometric            [multilevel]
 //   --partition-budget-ms X   partition latency budget (0 = unlimited;
 //                             exhausted budget degrades remaining subtrees
 //                             to the geometric/streaming fallback)    [0]
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--partition-engine") {
       const std::string v = next();
       if (!partition::engine_from_string(v, opt.partition_engine)) {
-        usage("unknown --partition-engine (auto|multilevel|geometric)");
+        usage("unknown --partition-engine (multilevel|geometric)");
       }
     } else if (arg == "--partition-budget-ms") {
       opt.partition_budget_ms = std::atof(next());
