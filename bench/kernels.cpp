@@ -4,9 +4,12 @@
 //
 // Before the google-benchmark suite runs, main() executes the scalar-vs-
 // supernodal LU factorization ablation: both kernels factorize the same
-// ordered matrices, the factors are cross-checked (bitwise by contract,
-// plus a matvec probe of ‖LU − PA‖), and one "BENCH {json}" line per
-// (matrix, kernel) is printed. A factor mismatch hard-fails the binary.
+// ordered matrices — two grid FEM meshes and one indefinite Schur
+// complement whose off-diagonal pivots all fall in the dense tail — the
+// factors are cross-checked (bitwise by contract, plus a matvec probe of
+// ‖LU − PA‖, plus the panel kernel having run rather than fallen back),
+// and one "BENCH {json}" line per (matrix, kernel) is printed. A failed
+// check hard-fails the binary.
 //   --lu-kernel=scalar|panel   restrict which kernel's BENCH lines are
 //                              emitted (both factors are always built for
 //                              the cross-check); default emits both.
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "core/rhb.hpp"
+#include "core/schur_solver.hpp"
 #include "core/structural_factor.hpp"
 #include "direct/etree.hpp"
 #include "direct/lu.hpp"
@@ -27,6 +31,7 @@
 #include "direct/multirhs.hpp"
 #include "direct/supernodes.hpp"
 #include "gen/grid_fem.hpp"
+#include "gen/suite.hpp"
 #include "iterative/bicgstab.hpp"
 #include "iterative/gmres.hpp"
 #include "graph/bisect.hpp"
@@ -308,15 +313,48 @@ bool factors_bitwise_equal(const LuFactors& fa, const LuFactors& fb) {
          csc_equal(fa.upper, fb.upper);
 }
 
-/// Returns false (after printing the defect) when the kernels disagree.
+/// S̃ of benchmark/'s warm-krylov workload (tdr190k at scale 0.4, its
+/// solver options with drop_s 1e-3, system seed 20130520), ordered as
+/// SchurPreconditioner orders it. Indefinite: threshold pivoting leaves the
+/// diagonal, but only inside the dense tail.
+CsrMatrix warm_krylov_schur() {
+  const GeneratedProblem p = make_suite_matrix("tdr190k", 0.4, 20130520);
+  SolverOptions opt;
+  opt.partitioning = PartitionMethod::RHB;
+  opt.metric = CutMetric::Soed;
+  opt.num_subdomains = 8;
+  opt.partition_epsilon = 0.05;
+  opt.assembly.drop_wg = 1e-6;
+  opt.assembly.drop_s = 1e-3;
+  SchurSolver solver(p.a, opt);
+  solver.setup(p.incidence.rows > 0 ? &p.incidence : nullptr);
+  solver.factor();
+  const CsrMatrix& s = solver.schur_tilde();
+  return permute_symmetric(
+      s, minimum_degree_ordering(symmetrize_abs(pattern_of(s))));
+}
+
+/// Returns false (after printing the defect) when the kernels disagree or
+/// the panel kernel fell back to the scalar one.
 bool run_lu_ablation(const std::string& kernel_filter) {
   constexpr double kResidualTol = 1e-10;
-  const index_t sides[] = {64, 128};
-  bool ok = true;
-  for (const index_t side : sides) {
+  struct Case {
+    std::string name;
+    CsrMatrix ordered;
+  };
+  std::vector<Case> cases;
+  for (const index_t side : {64, 128}) {
     const CsrMatrix a = bench_matrix(side);
     const auto perm = minimum_degree_ordering(symmetrize_abs(pattern_of(a)));
-    const CsrMatrix ordered = permute_symmetric(a, perm);
+    cases.push_back({"grid-fem-" + std::to_string(side),
+                     permute_symmetric(a, perm)});
+  }
+  cases.push_back({"warm-krylov-schur", warm_krylov_schur()});
+
+  bool ok = true;
+  for (const Case& c : cases) {
+    const CsrMatrix& ordered = c.ordered;
+    const char* name = c.name.c_str();
 
     LuOptions sopt;
     sopt.kernel = LuKernel::Scalar;
@@ -331,19 +369,24 @@ bool run_lu_ablation(const std::string& kernel_filter) {
     const LuFactors fp = lu_factorize(ordered, popt);
     const double panel_seconds = tp.seconds();
 
-    Rng rng(1234 + side);
+    Rng rng(1234 + ordered.rows);
     const double res_scalar = lu_residual_probe(ordered, fs, rng);
     const double res_panel = lu_residual_probe(ordered, fp, rng);
     const bool bitwise = factors_bitwise_equal(fs, fp);
     if (!bitwise) {
-      std::printf("LU ABLATION FAIL grid%d: panel factors differ bitwise "
-                  "from scalar (contract violation)\n", side);
+      std::printf("LU ABLATION FAIL %s: panel factors differ bitwise "
+                  "from scalar (contract violation)\n", name);
       ok = false;
     }
     if (res_scalar > kResidualTol || res_panel > kResidualTol) {
-      std::printf("LU ABLATION FAIL grid%d: ‖LU−PA‖ probe %g (scalar) / %g "
+      std::printf("LU ABLATION FAIL %s: ‖LU−PA‖ probe %g (scalar) / %g "
                   "(panel) exceeds %g\n",
-                  side, res_scalar, res_panel, kResidualTol);
+                  name, res_scalar, res_panel, kResidualTol);
+      ok = false;
+    }
+    if (!fp.stats.used_panel) {
+      std::printf("LU ABLATION FAIL %s: the panel kernel fell back to the "
+                  "scalar kernel\n", name);
       ok = false;
     }
 
@@ -359,7 +402,7 @@ bool run_lu_ablation(const std::string& kernel_filter) {
       if (kernel_filter != "both" && kernel_filter != ln.kernel) continue;
       obs::RunReport rep;
       rep.tool = "bench/kernels";
-      rep.matrix = "grid-fem-" + std::to_string(side);
+      rep.matrix = c.name;
       rep.n = ordered.rows;
       rep.nnz = ordered.nnz();
       rep.set_config("ablation", "lu_factorize");
@@ -376,6 +419,9 @@ bool run_lu_ablation(const std::string& kernel_filter) {
       rep.set_stat("panel_avg_width", ln.f->stats.avg_width);
       rep.set_stat("panel_max_width", static_cast<double>(ln.f->stats.max_width));
       rep.set_stat("panel_wide_col_fraction", ln.f->stats.wide_col_fraction);
+      rep.set_stat("panel_tail_cols", static_cast<double>(ln.f->stats.tail_cols));
+      rep.set_stat("panel_tail_pivots",
+                   static_cast<double>(ln.f->stats.tail_pivots));
       rep.set_stat("panel_gemm_fraction",
                    ln.f->stats.total_flops > 0
                        ? static_cast<double>(ln.f->stats.gemm_flops) /

@@ -46,6 +46,27 @@ bool run_pipeline(const GeneratedProblem& prob, const SolverOptions& opt,
   }
 }
 
+/// Rerun the case under `rerun`; it must solve, to `x` bit for bit. `first`
+/// and `second` name the original and the rerun configuration.
+void check_rerun_bitwise(const GeneratedProblem& prob, const CaseSpec& rerun,
+                         std::span<const value_t> b,
+                         const std::vector<value_t>& x, const char* threw_key,
+                         const char* mismatch_key, const std::string& first,
+                         const std::string& second, CheckReport& rep) {
+  std::unique_ptr<SchurSolver> solver;
+  std::vector<value_t> rx;
+  std::vector<GmresResult> results;
+  std::string err;
+  if (!run_pipeline(prob, solver_options_for(rerun), b, rx, rerun.nrhs,
+                    results, solver, err)) {
+    rep.add(threw_key,
+            second + " rerun threw where the " + first + " run solved: " + err);
+  } else if (!bitwise_equal(x, rx)) {
+    rep.add(mismatch_key,
+            first + " solution differs bitwise from " + second);
+  }
+}
+
 void check_serve_path(const GeneratedProblem& prob, const CaseSpec& spec,
                       const std::vector<value_t>& b,
                       const std::vector<value_t>& direct_x,
@@ -302,19 +323,20 @@ DifferentialResult run_differential(const CaseSpec& spec,
         spec.partition_engine == PartitionEngineAxis::Multilevel) {
       serial.partition_engine = PartitionEngineAxis::ParallelMultilevel;
     }
-    std::unique_ptr<SchurSolver> ssolver;
-    std::vector<value_t> sx;
-    std::vector<GmresResult> sresults;
-    std::string serr;
-    if (!run_pipeline(prob, solver_options_for(serial), b, sx, spec.nrhs,
-                      sresults, ssolver, serr)) {
-      res.report.add("determinism.serial_threw",
-                     "serial rerun threw where the parallel run solved: " +
-                         serr);
-    } else if (!bitwise_equal(x, sx)) {
-      res.report.add("determinism.threads",
-                     "parallel solution differs bitwise from serial");
-    }
+    check_rerun_bitwise(prob, serial, b, x, "determinism.serial_threw",
+                        "determinism.threads", "parallel", "serial",
+                        res.report);
+  }
+
+  // Kernel determinism: the panel kernel reproduces the scalar kernel bit
+  // for bit on every input, fallback or not, so the lu-panel lane reruns
+  // the case on lu-scalar and diffs the full solution.
+  if (opt.check_determinism && spec.lu_kernel == LuKernelAxis::Panel) {
+    CaseSpec scalar = spec;
+    scalar.lu_kernel = LuKernelAxis::Scalar;
+    check_rerun_bitwise(prob, scalar, b, x, "determinism.lu_kernel",
+                        "determinism.lu_kernel", "lu-panel", "lu-scalar",
+                        res.report);
   }
 
   // Serve path: cold vs cached vs direct, all bitwise. Only judged when the

@@ -8,8 +8,8 @@
 // Bitwise contract: the scalar Gilbert–Peierls kernel applies, to every
 // factor element, its update terms `x -= l·u` in ascending pivot order with
 // plain (non-fused) multiply-subtract expressions. Every kernel here
-// preserves exactly that per-element order and expression shape — the outer
-// loop of trsm/gemm walks pivots ascending and the inner loops touch
+// preserves exactly that per-element order and expression shape — every
+// element meets its pivots in ascending order and the inner loops touch
 // distinct elements — so the packed path reproduces the scalar
 // factorization bit for bit. Terms whose coefficient is an exact 0.0
 // (structural padding from relaxed amalgamation) are skipped: subtracting
@@ -29,21 +29,33 @@ void trsm_unit_lower(const T* tri, index_t nr, index_t tri0, index_t w,
                      T* y, index_t ncol);
 
 /// C ← C − L·Y: L is ni × w with column k at lblk + k·lda (the below-diagonal
-/// block of a panel), Y is w × ncol row-major, C is ni × ncol column-major.
-/// k (pivot) is the outer loop; the ni-inner loop is contiguous.
+/// block of a panel), Y is w × ncol row-major, C is ni × ncol column-major
+/// with column q at c + q·ldc (a gathered block, ldc = ni, or a block of a
+/// panel updated in place, ldc = its row count). Each column of C takes its
+/// w pivots ascending; the ni-inner loop is contiguous.
 template <typename T>
 void gemm_minus(const T* lblk, index_t lda, index_t ni, index_t w,
-                const T* y, index_t ncol, T* c);
+                const T* y, index_t ncol, T* c, index_t ldc);
 
-/// In-place left-looking factorization of one panel with threshold partial
-/// pivoting confined to the diagonal: each column keeps its diagonal pivot
-/// iff |diag| ≥ pivot_tol·max|below| and |diag| > min_pivot (the scalar
-/// kernel's exact rule). Returns -1 on success, else the in-panel column
-/// index that failed; *singular tells a vanishing column (max ≤ min_pivot)
-/// apart from a pivot deviation. Either failure aborts the panel path.
+/// In-place left-looking factorization of panel columns [j0, j1), applying
+/// only the updates of pivots j0 … jj−1 (earlier pivots are the caller's).
+/// Each column's pivot follows the scalar kernel's exact rule: the largest
+/// |value| among the candidate rows (local rows [tri0 + jj, nr)), ties to
+/// the smallest original row, unless the diagonal row is still a candidate
+/// with |diag| ≥ pivot_tol·max and |diag| > min_pivot.
+///  - perm == nullptr: pivots are confined to the diagonal (the panel's rows
+///    are its original rows); a column that wants another row fails.
+///  - perm != nullptr (the dense tail, nr == tri0 + w): perm[i] is the
+///    panel-local column whose original row sits at local row tri0 + i. A
+///    pivot row is exchanged with row tri0 + jj across all w columns, and
+///    perm follows; on return perm[jj] is the row that pivoted column jj.
+/// Fails (returns false) on a singular column (max ≤ min_pivot) and on a
+/// multiplier that rounds to zero from a nonzero numerator — the scalar
+/// kernel keeps that explicit zero in L, which packed extraction cannot.
 template <typename T>
-index_t factorize_panel(T* pan, index_t nr, index_t tri0, index_t w,
-                        double pivot_tol, double min_pivot, bool* singular);
+bool factorize_columns(T* pan, index_t nr, index_t tri0, index_t w,
+                       index_t j0, index_t j1, double pivot_tol,
+                       double min_pivot, index_t* perm);
 
 /// Gather a block out of a panel through precomputed local positions:
 /// out(i, q) = pan[jloc[q]·nr + pos[i]], with pos[i] < 0 (slots structurally

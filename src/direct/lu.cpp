@@ -234,7 +234,8 @@ LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt) {
                    "LU requires numeric values");
   if (opt.kernel == LuKernel::Panel) {
     if (auto f = panel_lu_factorize(a, opt)) return std::move(*f);
-    // Threshold pivoting left the diagonal (or hit a singular column):
+    // Threshold pivoting left the diagonal before the dense tail, or a
+    // guard tripped (singular column, zero multiplier, non-finite value):
     // refactorize with the scalar kernel, which produces the identical
     // result — including the identical singularity error — that the panel
     // path could not.

@@ -9,11 +9,14 @@
 //    the symbolic Cholesky factor of the symmetrized pattern (relaxed
 //    amalgamation, width cap), dense packed storage, TRSM/GEMM microkernels,
 //    and pipelined scheduling of the supernodal elimination forest on the
-//    shared pool. The panel path only runs while threshold pivoting keeps
-//    every diagonal pivot; the first deviation (or singular column) aborts
-//    it and the scalar kernel refactorizes, so results — including error
-//    behavior — are identical for every input, and parallel == serial stays
-//    bitwise for any LuOptions::threads.
+//    shared pool. The trailing columns whose symbolic columns are full to
+//    the bottom (the dense tail) form one panel factored with threshold row
+//    pivoting, so off-diagonal pivots there stay on the panel path. An
+//    off-diagonal pivot before the tail, a singular column, a multiplier
+//    that rounds to zero or a non-finite value aborts the attempt and the
+//    scalar kernel refactorizes, so results — including error behavior —
+//    are identical for every input, and parallel == serial stays bitwise
+//    for any LuOptions::threads.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +39,8 @@ struct LuOptions {
   double pivot_tol = 0.1;
   /// Refuse pivots smaller than this in absolute value.
   double min_pivot = 1e-300;
-  /// Factorization kernel; Panel falls back to Scalar on pivot deviation.
+  /// Factorization kernel; Panel falls back to Scalar on a pivot deviation
+  /// before the dense tail.
   LuKernel kernel = LuKernel::Panel;
   /// Panel width cap for the supernodal kernel (0 = unlimited).
   index_t panel_max_width = 32;
@@ -45,7 +49,8 @@ struct LuOptions {
   double panel_relax = 0.25;
   /// Factor panels in fp32 (iterative refinement via lu_solve_refined
   /// recovers fp64 accuracy). Factors are no longer bitwise comparable to
-  /// the scalar kernel; pivot deviations still fall back to fp64 scalar.
+  /// the scalar kernel; any off-diagonal pivot, dense tail included, still
+  /// falls back to fp64 scalar.
   bool panel_fp32 = false;
   /// Pipeline workers for the panel kernel (≤ 1 = serial). Results are
   /// bitwise identical for any value.
@@ -61,9 +66,12 @@ struct LuPanelStats {
   index_t max_width = 0;
   /// Fraction of columns living in panels of width ≥ 4.
   double wide_col_fraction = 0.0;
-  long long gemm_flops = 0;   // multiply-adds in supernode-supernode GEMM
+  long long gemm_flops = 0;   // multiply-adds in GEMM (supernode updates
+                              // and the dense tail's trailing updates)
   long long total_flops = 0;  // + TRSM + in-panel factorization
   long long panel_bytes = 0;  // peak packed-panel arena footprint
+  index_t tail_cols = 0;      // columns of the dense tail
+  index_t tail_pivots = 0;    // off-diagonal pivots taken inside it
 };
 
 /// Factorization P·A = L·U with L unit lower triangular (unit diagonal

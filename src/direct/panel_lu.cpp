@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
+#include <tuple>
+#include <utility>
 
 #include "direct/kernels.hpp"
 #include "direct/symbolic.hpp"
@@ -26,7 +29,8 @@ struct UpdateEdge {
 };
 
 struct PanelSymbolic {
-  Supernodes sn;
+  Supernodes sn;                      // the panels; the last one is the tail
+  index_t tail = 0;                   // first column of the dense tail
   std::vector<index_t> sn_parent;     // supernodal elimination forest
   std::vector<index_t> rows;          // concatenated sorted row lists
   std::vector<std::size_t> row_ptr;   // per-panel slice of `rows`
@@ -37,6 +41,26 @@ struct PanelSymbolic {
   long long l_nnz_bound = 0;          // symbolic L entries (incl. diagonal)
   long long u_nnz_bound = 0;
 };
+
+/// `sn`'s panels before column t (the one straddling t cut at t), then
+/// [t, n) in pieces of `width` columns (0 = one piece).
+Supernodes cut_at_tail(const Supernodes& sn, index_t t, index_t width) {
+  const index_t n = static_cast<index_t>(sn.of_column.size());
+  Supernodes out;
+  for (index_t s = 0; s < sn.count() && sn.start[s] < t; ++s) {
+    out.start.push_back(sn.start[s]);
+  }
+  for (index_t c = t; c < n; c += width > 0 ? width : n - t) {
+    out.start.push_back(c);
+  }
+  out.start.push_back(n);
+  out.of_column.resize(n);
+  for (index_t s = 0; s < out.count(); ++s) {
+    std::fill(out.of_column.begin() + out.start[s],
+              out.of_column.begin() + out.start[s + 1], s);
+  }
+  return out;
+}
 
 PanelSymbolic panel_symbolic(const CscMatrix& a, const LuOptions& opt) {
   PDSLIN_SPAN("lu.panel.symbolic");
@@ -51,9 +75,18 @@ PanelSymbolic panel_symbolic(const CscMatrix& a, const LuOptions& opt) {
   const CsrMatrix sym = symmetrize_abs(at);
   const SymbolicFactor sf = symbolic_cholesky(sym);
 
+  // The dense tail: the trailing columns whose symbolic columns are full to
+  // the bottom. Its rows all share one pattern, so row exchanges among them
+  // change no structure; it is factored as one panel with row pivoting.
   PanelSymbolic ps;
-  ps.sn = relaxed_supernodes(sf.parent, sf.col_counts, opt.panel_max_width,
-                             std::max(0.0, opt.panel_relax));
+  ps.tail = n;
+  while (ps.tail > 0 && sf.col_counts[ps.tail - 1] == n - ps.tail + 1) {
+    --ps.tail;
+  }
+  ps.sn = cut_at_tail(relaxed_supernodes(sf.parent, sf.col_counts,
+                                         opt.panel_max_width,
+                                         std::max(0.0, opt.panel_relax)),
+                      ps.tail, 0);
   const index_t np = ps.sn.count();
 
   const CscMatrix lpat = cholesky_pattern(sym);  // diag-first, sorted
@@ -131,10 +164,57 @@ struct Workspace {
   long long other_flops = 0;
 };
 
+/// Factor one panel in place: right-looking over blocks of `block` columns,
+/// left-looking inside each (panel::factorize_columns). Every element still
+/// takes its updates in ascending pivot order, so the factors are the
+/// scalar kernel's bit for bit. A panel before the tail is one block with
+/// pivots confined to the diagonal (perm == nullptr); the dense tail passes
+/// the width cap and its row order, and exchanges rows.
+template <typename T>
+bool factor_panel(T* pan, index_t nr, index_t tri0, index_t w, index_t block,
+                  const LuOptions& opt, index_t* perm, Workspace<T>& s) {
+  if (block <= 0) block = w;
+  const index_t depth = nr - tri0;
+  for (index_t j0 = 0; j0 < w; j0 += block) {
+    const index_t j1 = std::min(w, j0 + block);
+    const index_t bw = j1 - j0;
+    if (!panel::factorize_columns(pan, nr, tri0, w, j0, j1, opt.pivot_tol,
+                                  opt.min_pivot, perm)) {
+      return false;
+    }
+    for (index_t jj = j0; jj < j1; ++jj) {
+      s.other_flops += static_cast<long long>(jj - j0) * (depth - jj);
+    }
+    const index_t rest = w - j1;
+    if (rest == 0) break;
+
+    // Trailing update: U12 = L11⁻¹·A12 (gathered row-major, solved, put
+    // back), then A22 −= L21·U12 in place.
+    const index_t ni = depth - j1;
+    s.pos.resize(bw);
+    s.jloc.resize(rest);
+    for (index_t k = 0; k < bw; ++k) s.pos[k] = tri0 + j0 + k;
+    for (index_t q = 0; q < rest; ++q) s.jloc[q] = j1 + q;
+    s.y.resize(static_cast<std::size_t>(bw) * rest);
+    panel::gather_block(pan, nr, s.pos.data(), bw, s.jloc.data(), rest, true,
+                        s.y.data());
+    T* blk = pan + static_cast<std::size_t>(j0) * nr;
+    panel::trsm_unit_lower(blk, nr, tri0 + j0, bw, s.y.data(), rest);
+    panel::scatter_block(s.y.data(), bw, rest, true, s.pos.data(),
+                         s.jloc.data(), pan, nr);
+    panel::gemm_minus(blk + tri0 + j1, nr, ni, bw, s.y.data(), rest,
+                      pan + static_cast<std::size_t>(j1) * nr + tri0 + j1,
+                      nr);
+    s.gemm_flops += static_cast<long long>(ni) * rest * bw;
+    s.other_flops += static_cast<long long>(rest) * bw * (bw - 1) / 2;
+  }
+  return true;
+}
+
 template <typename T>
 bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
                    const PanelSymbolic& ps, std::vector<T>& arena,
-                   LuPanelStats& stats) {
+                   std::vector<index_t>& tail_perm, LuPanelStats& stats) {
   PDSLIN_SPAN("lu.panel.numeric");
   const index_t n = a.rows;
   const index_t np = ps.sn.count();
@@ -146,6 +226,8 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
   std::vector<Workspace<T>> ws(nw);
   for (auto& w : ws) w.rowpos.assign(n, -1);
 
+  tail_perm.resize(n - ps.tail);
+  std::iota(tail_perm.begin(), tail_perm.end(), index_t{0});
   std::atomic<bool> abort{false};
 
   auto body = [&](unsigned widx, index_t p) {
@@ -202,7 +284,7 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
       panel::gather_block(pan, nr, s.pos.data(), ni, s.jloc.data(), nj, false,
                           s.c.data());
       panel::gemm_minus(dpan + below0d, nrd, ni, wd, s.y.data(), nj,
-                        s.c.data());
+                        s.c.data(), ni);
       panel::scatter_block(s.c.data(), ni, nj, false, s.pos.data(),
                            s.jloc.data(), pan, nr);
 
@@ -210,16 +292,18 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
       s.other_flops += static_cast<long long>(nj) * wd * (wd - 1) / 2;
     }
 
-    // In-panel dense factorization (threshold pivoting on the diagonal).
-    bool singular = false;
-    const index_t bad = panel::factorize_panel(pan, nr, ps.tri0[p], wp,
-                                               opt.pivot_tol, opt.min_pivot,
-                                               &singular);
-    if (bad >= 0) abort.store(true, std::memory_order_relaxed);
-    const long long depth = nr - ps.tri0[p];
-    for (index_t jj = 0; jj < wp; ++jj) {
-      s.other_flops += static_cast<long long>(jj) * (depth - jj);
-    }
+    // In-panel dense factorization. Only the tail exchanges rows, and only
+    // in fp64: the fp32 rung sends any off-diagonal pivot to the fp64
+    // scalar kernel. A non-finite value aborts too — padding products like
+    // 0·inf would make NaNs the scalar kernel never forms.
+    const bool tail = c0 == ps.tail;
+    const bool ok =
+        factor_panel(pan, nr, ps.tri0[p], wp, tail ? opt.panel_max_width : wp,
+                     opt, tail && !opt.panel_fp32 ? tail_perm.data() : nullptr,
+                     s) &&
+        std::all_of(pan, pan + static_cast<std::size_t>(nr) * wp,
+                    [](T v) { return std::isfinite(v); });
+    if (!ok) abort.store(true, std::memory_order_relaxed);
 
     for (index_t i = 0; i < nr; ++i) s.rowpos[prows[i]] = -1;
   };
@@ -239,17 +323,29 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
   return !abort.load(std::memory_order_relaxed);
 }
 
-/// Extract clean CSC factors from the packed panels. Pivoting kept every
-/// diagonal, so pivot positions are row indices and row_perm is identity;
-/// exact zeros (structural padding and numerically cancelled entries) are
-/// dropped, exactly as the scalar kernel's scatter drops them.
+/// Extract clean CSC factors from the packed panels. Pivots before the tail
+/// kept their diagonal, and every tail row sits at its pivot position, so
+/// panel rows are pivot positions — except the tail rows of earlier L
+/// columns, which carry original rows and are relabeled through the tail's
+/// exchanges (then re-sorted). Exact zeros (structural padding and
+/// numerically cancelled entries) are dropped, exactly as the scalar
+/// kernel's scatter drops them.
 template <typename T>
 LuFactors panel_extract(const PanelSymbolic& ps, const std::vector<T>& arena,
+                        const std::vector<index_t>& tail_perm, bool relabel,
                         index_t n) {
   LuFactors f;
   f.n = n;
   f.row_perm.resize(n);
-  for (index_t r = 0; r < n; ++r) f.row_perm[r] = r;
+  for (index_t r = 0; r < n; ++r) {
+    f.row_perm[r] = r < ps.tail ? r : ps.tail + tail_perm[r - ps.tail];
+  }
+  std::vector<index_t> pinv;
+  if (relabel) {
+    pinv.resize(n);
+    for (index_t k = 0; k < n; ++k) pinv[f.row_perm[k]] = k;
+  }
+  std::vector<std::pair<index_t, value_t>> buf;
 
   CscMatrix& L = f.lower;
   CscMatrix& U = f.upper;
@@ -281,11 +377,27 @@ LuFactors panel_extract(const PanelSymbolic& ps, const std::vector<T>& arena,
 
       L.row_idx.push_back(j);  // unit diagonal first
       L.values.push_back(1.0);
+      const std::size_t first = L.row_idx.size();
       for (index_t i = dpos + 1; i < nr; ++i) {
         const value_t v = static_cast<value_t>(col[i]);
         if (v != 0.0) {
           L.row_idx.push_back(prows[i]);
           L.values.push_back(v);
+        }
+      }
+      if (relabel && j < ps.tail) {
+        const auto tail0 = std::lower_bound(
+            L.row_idx.begin() + static_cast<std::ptrdiff_t>(first),
+            L.row_idx.end(), ps.tail);
+        const std::size_t q0 =
+            static_cast<std::size_t>(tail0 - L.row_idx.begin());
+        buf.clear();
+        for (std::size_t q = q0; q < L.row_idx.size(); ++q) {
+          buf.emplace_back(pinv[L.row_idx[q]], L.values[q]);
+        }
+        std::sort(buf.begin(), buf.end());
+        for (std::size_t q = q0; q < L.row_idx.size(); ++q) {
+          std::tie(L.row_idx[q], L.values[q]) = buf[q - q0];
         }
       }
       L.col_ptr[j + 1] = static_cast<index_t>(L.row_idx.size());
@@ -300,22 +412,33 @@ std::optional<LuFactors> panel_factorize_typed(const CscMatrix& a,
                                                PanelSymbolic&& ps) {
   LuPanelStats stats;
   std::vector<T> arena;
-  if (!panel_numeric<T>(a, opt, ps, arena, stats)) return std::nullopt;
+  std::vector<index_t> tail_perm;
+  if (!panel_numeric<T>(a, opt, ps, arena, tail_perm, stats)) {
+    return std::nullopt;
+  }
 
-  LuFactors f = panel_extract<T>(ps, arena, a.rows);
+  stats.tail_cols = a.rows - ps.tail;
+  for (index_t i = 0; i < stats.tail_cols; ++i) {
+    if (tail_perm[i] != i) ++stats.tail_pivots;
+  }
+  LuFactors f = panel_extract<T>(ps, arena, tail_perm, stats.tail_pivots > 0,
+                                 a.rows);
+  // Reported panels: the tail in the blocks it was factored in.
+  f.panels = cut_at_tail(ps.sn, ps.tail, opt.panel_max_width);
   stats.used_panel = true;
-  stats.panel_count = ps.sn.count();
-  stats.avg_width = ps.sn.average_width();
-  stats.max_width = ps.sn.max_width();
-  stats.wide_col_fraction = ps.sn.wide_column_fraction(4);
+  stats.panel_count = f.panels.count();
+  stats.avg_width = f.panels.average_width();
+  stats.max_width = f.panels.max_width();
+  stats.wide_col_fraction = f.panels.wide_column_fraction(4);
   stats.panel_bytes =
       static_cast<long long>(ps.arena_cells) * static_cast<long long>(sizeof(T));
   f.stats = stats;
-  f.panels = std::move(ps.sn);
 
   obs::counter("lu.panel.factorizations").add(1);
   obs::counter("lu.panel.panels_total").add(stats.panel_count);
   obs::counter("lu.panel.cols_total").add(f.n);
+  obs::counter("lu.panel.tail_cols").add(stats.tail_cols);
+  obs::counter("lu.panel.tail_pivots").add(stats.tail_pivots);
   obs::counter("lu.panel.gemm_flops").add(stats.gemm_flops);
   obs::counter("lu.panel.total_flops").add(stats.total_flops);
   obs::gauge("lu.panel.count").set(static_cast<double>(stats.panel_count));

@@ -8,7 +8,8 @@
 // cold/cached, GMRES vs. BiCGSTAB, exact vs. dropped assembly, LU kernel
 // scalar vs. supernodal panel vs. panel-fp32, triangular solves serial vs.
 // level-set scheduled) and diffs every stage against the dense oracle; the
-// level-set lanes additionally rerun fully serial and must match bitwise.
+// level-set lanes additionally rerun fully serial and the lu-panel lanes
+// rerun on the scalar kernel, and each must match bitwise.
 // On failure the case is shrunk to a minimal reproducer and written as a
 // replayable JSON seed artifact.
 //
