@@ -249,18 +249,6 @@ DifferentialResult run_differential(const CaseSpec& spec,
         opt.dropped_schur_rel_tol *
         std::max(1.0, interior_block_condition(prob.a, solver->partition()));
   }
-  if (spec.lu_kernel == LuKernelAxis::PanelFp32) {
-    // fp32 panels round every factor entry to float: the factor residual
-    // and the Schur complement assembled through those factors degrade to
-    // fp32 roundoff amplified by the interior-block conditioning. The
-    // solve-phase checks below stay untouched — GMRES iterates in fp64 and
-    // its reported residuals are judged against fp64 true residuals.
-    const double fp32_tol =
-        1e-5 *
-        std::max(1.0, interior_block_condition(prob.a, solver->partition()));
-    schur_opt.rel_tol = std::max(schur_opt.rel_tol, fp32_tol);
-    schur_opt.factor_rel_tol = std::max(schur_opt.factor_rel_tol, fp32_tol);
-  }
   check_solver(*solver, schur_opt, res.report);
 
   // Krylov honesty + solution accuracy.

@@ -108,7 +108,6 @@ constexpr struct {
 } kLuKernels[] = {
     {LuKernelAxis::Scalar, "lu-scalar"},
     {LuKernelAxis::Panel, "lu-panel"},
-    {LuKernelAxis::PanelFp32, "lu-fp32"},
 };
 
 }  // namespace
@@ -433,9 +432,9 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
 
   // Config axes: cycle the full matrix so coverage is guaranteed, not
   // merely probable. Bit layout of i: partitioner, threads, nrhs, serve,
-  // krylov, exact/dropped (period 64), and the 3-way LU kernel cycles on
-  // i mod 3 — coprime with 64, so the joint period is 192 and every
-  // (config, kernel) pair is hit.
+  // krylov, exact/dropped (period 64), and the LU kernel cycles on i mod 3
+  // as {scalar, panel, panel} — coprime with 64, so the joint period is 192
+  // and every (config, kernel) pair is hit.
   const unsigned c = static_cast<unsigned>(i);
   spec.partitioning =
       (c & 1u) ? PartitionMethod::RHB : PartitionMethod::NGD;
@@ -445,7 +444,7 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
   spec.serve = (c & 8u) != 0;
   spec.krylov = (c & 16u) ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
   spec.exact_assembly = (c & 32u) == 0;
-  spec.lu_kernel = static_cast<LuKernelAxis>(c % 3u);
+  spec.lu_kernel = c % 3u == 0 ? LuKernelAxis::Scalar : LuKernelAxis::Panel;
   // Trisolve engine cycles mod 5 (coprime with the 64-bit layout and the
   // mod-3 kernel cycle), so every (config, kernel, scheduler) pair is hit
   // and the level-set lanes appear from the very first seeds.
@@ -500,18 +499,9 @@ SolverOptions solver_options_for(const CaseSpec& spec) {
   opt.assembly.inner_threads = spec.inner_threads;
   opt.krylov = spec.krylov;
   opt.seed = spec.seed;
-  switch (spec.lu_kernel) {
-    case LuKernelAxis::Scalar:
-      opt.assembly.lu.kernel = LuKernel::Scalar;
-      break;
-    case LuKernelAxis::Panel:
-      opt.assembly.lu.kernel = LuKernel::Panel;
-      break;
-    case LuKernelAxis::PanelFp32:
-      opt.assembly.lu.kernel = LuKernel::Panel;
-      opt.assembly.lu.panel_fp32 = true;
-      break;
-  }
+  opt.assembly.lu.kernel = spec.lu_kernel == LuKernelAxis::Scalar
+                               ? LuKernel::Scalar
+                               : LuKernel::Panel;
   if (spec.levelset_trisolve) {
     opt.assembly.trisolve.scheduler = TrisolveScheduler::LevelSet;
     opt.assembly.trisolve.threads = std::max(1u, spec.inner_threads);

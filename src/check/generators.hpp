@@ -40,12 +40,10 @@ const char* to_string(Family f);
 bool family_from_string(std::string_view name, Family& out);
 
 /// LU factorization kernel axis. Scalar and Panel must agree bitwise (the
-/// differential runner enforces it); PanelFp32 changes factor bits, so the
-/// Schur/factor tolerances are loosened to fp32 roundoff for that lane.
+/// differential runner reruns every Panel case on Scalar and diffs it).
 enum class LuKernelAxis {
-  Scalar,     // reference Gilbert–Peierls column kernel
-  Panel,      // supernodal blocked kernel (bitwise == Scalar by contract)
-  PanelFp32,  // panel kernel with fp32 panel arithmetic
+  Scalar,  // reference Gilbert–Peierls column kernel
+  Panel,   // supernodal blocked kernel (bitwise == Scalar by contract)
 };
 
 const char* to_string(LuKernelAxis k);

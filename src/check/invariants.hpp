@@ -71,8 +71,6 @@ struct SchurCheckOptions {
   /// default drop_wg/drop_s loosen it (the dropped mass is theirs).
   double rel_tol = 1e-9;
   /// Per-subdomain ‖L_ℓU_ℓ − P_ℓ D̂_ℓ‖ tolerance (check_subdomain_factors).
-  /// fp64 kernels keep the tight default; fp32-panel runs loosen it to
-  /// fp32 roundoff scaled by the interior-block conditioning.
   double factor_rel_tol = 1e-8;
 };
 

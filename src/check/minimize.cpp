@@ -68,12 +68,11 @@ bool ngd_partitioner(CaseSpec& s) {
   s.partitioning = PartitionMethod::NGD;
   return true;
 }
-/// Step the LU kernel down one rung (fp32 → panel → scalar): a failure
-/// that survives on Scalar is not the panel kernel's fault.
+/// Step the LU kernel down to scalar: a failure that survives on Scalar
+/// is not the panel kernel's fault.
 bool simpler_lu_kernel(CaseSpec& s) {
   if (s.lu_kernel == LuKernelAxis::Scalar) return false;
-  s.lu_kernel = s.lu_kernel == LuKernelAxis::PanelFp32 ? LuKernelAxis::Panel
-                                                       : LuKernelAxis::Scalar;
+  s.lu_kernel = LuKernelAxis::Scalar;
   return true;
 }
 /// Fall back to the serial trisolve engine: a failure that survives

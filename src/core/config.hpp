@@ -31,6 +31,7 @@ enum class KrylovMethod {
 };
 
 const char* to_string(PartitionMethod m);
+const char* to_string(RhbConstraintMode m);
 const char* to_string(RhsOrdering o);
 const char* to_string(KrylovMethod k);
 

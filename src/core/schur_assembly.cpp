@@ -8,6 +8,7 @@
 #include "direct/mindeg.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
+#include "reorder/hypergraph_rhs.hpp"
 #include "reorder/postorder_rhs.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/permute.hpp"
@@ -68,9 +69,8 @@ std::vector<index_t> choose_rhs_order(
     }
     case RhsOrdering::Hypergraph: {
       patterns_out = symbolic_solve_patterns(l, rhs);
-      HypergraphRhsOptions hopt = opt.hg_rhs;
+      HypergraphRhsOptions hopt;
       hopt.block_size = opt.rhs_block_size;
-      hopt.seed = opt.seed;
       order = hypergraph_rhs_ordering(patterns_out, rhs.rows, hopt).col_order;
       break;
     }

@@ -5,7 +5,6 @@
 // sparsification S̃.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -14,7 +13,6 @@
 #include "direct/level_solve.hpp"
 #include "direct/lu.hpp"
 #include "direct/multirhs.hpp"
-#include "reorder/hypergraph_rhs.hpp"
 
 namespace pdslin {
 
@@ -24,9 +22,10 @@ struct SchurAssemblyOptions {
   /// Relative drop threshold for S̃ (diagonal always kept).
   double drop_s = 1e-10;
   index_t rhs_block_size = 60;
+  /// Hypergraph runs the §IV-B ordering with the HypergraphRhsOptions
+  /// defaults and parts of rhs_block_size columns.
   RhsOrdering rhs_ordering = RhsOrdering::Postorder;
   LuOptions lu;
-  HypergraphRhsOptions hg_rhs;
   /// Inner workers per subdomain — the second level of the paper's
   /// np = k × (np/k) hierarchy. Parallelizes the multi-RHS triangular
   /// solves (across RHS blocks), the T̃ = W̃G̃ SpGEMM (across rows) and the
@@ -38,7 +37,6 @@ struct SchurAssemblyOptions {
   /// one L/U solve (level-scheduled row-gather, bitwise == serial), so it is
   /// deliberately excluded from the serve fingerprint.
   TrisolveOptions trisolve;
-  std::uint64_t seed = 1;
 };
 
 /// Everything the solver needs to apply D_ℓ⁻¹ later, plus T̃_ℓ and the

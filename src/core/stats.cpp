@@ -15,6 +15,14 @@ const char* to_string(PartitionMethod m) {
   return "?";
 }
 
+const char* to_string(RhbConstraintMode m) {
+  switch (m) {
+    case RhbConstraintMode::SingleW1:  return "w1";
+    case RhbConstraintMode::MultiW1W2: return "w1w2";
+  }
+  return "?";
+}
+
 const char* to_string(RhsOrdering o) {
   switch (o) {
     case RhsOrdering::Natural:    return "natural";

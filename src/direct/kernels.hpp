@@ -24,18 +24,16 @@ namespace pdslin::panel {
 /// Y ← L_dd⁻¹ Y for the unit lower triangle of a panel. `tri` points at the
 /// panel storage (nr × w, column-major, triangle at local rows
 /// [tri0, tri0 + w)); y is w × ncol row-major.
-template <typename T>
-void trsm_unit_lower(const T* tri, index_t nr, index_t tri0, index_t w,
-                     T* y, index_t ncol);
+void trsm_unit_lower(const value_t* tri, index_t nr, index_t tri0, index_t w,
+                     value_t* y, index_t ncol);
 
 /// C ← C − L·Y: L is ni × w with column k at lblk + k·lda (the below-diagonal
 /// block of a panel), Y is w × ncol row-major, C is ni × ncol column-major
 /// with column q at c + q·ldc (a gathered block, ldc = ni, or a block of a
 /// panel updated in place, ldc = its row count). Each column of C takes its
 /// w pivots ascending; the ni-inner loop is contiguous.
-template <typename T>
-void gemm_minus(const T* lblk, index_t lda, index_t ni, index_t w,
-                const T* y, index_t ncol, T* c, index_t ldc);
+void gemm_minus(const value_t* lblk, index_t lda, index_t ni, index_t w,
+                const value_t* y, index_t ncol, value_t* c, index_t ldc);
 
 /// In-place left-looking factorization of panel columns [j0, j1), applying
 /// only the updates of pivots j0 … jj−1 (earlier pivots are the caller's).
@@ -52,8 +50,7 @@ void gemm_minus(const T* lblk, index_t lda, index_t ni, index_t w,
 /// Fails (returns false) on a singular column (max ≤ min_pivot) and on a
 /// multiplier that rounds to zero from a nonzero numerator — the scalar
 /// kernel keeps that explicit zero in L, which packed extraction cannot.
-template <typename T>
-bool factorize_columns(T* pan, index_t nr, index_t tri0, index_t w,
+bool factorize_columns(value_t* pan, index_t nr, index_t tri0, index_t w,
                        index_t j0, index_t j1, double pivot_tol,
                        double min_pivot, index_t* perm);
 
@@ -62,15 +59,14 @@ bool factorize_columns(T* pan, index_t nr, index_t tri0, index_t w,
 /// absent from the target, hence exactly zero) reading as 0.0.
 /// row_major → out[i·ncol + q] (TRSM operand), else out[q·nrows + i]
 /// (GEMM accumulator, contiguous in i).
-template <typename T>
-void gather_block(const T* pan, index_t nr, const index_t* pos, index_t nrows,
-                  const index_t* jloc, index_t ncol, bool row_major, T* out);
+void gather_block(const value_t* pan, index_t nr, const index_t* pos,
+                  index_t nrows, const index_t* jloc, index_t ncol,
+                  bool row_major, value_t* out);
 
 /// Scatter-assign the block back; pos[i] < 0 slots are dropped (their value
 /// is an exact ±0.0 with no slot to land in).
-template <typename T>
-void scatter_block(const T* block, index_t nrows, index_t ncol, bool row_major,
-                   const index_t* pos, const index_t* jloc, T* pan,
-                   index_t nr);
+void scatter_block(const value_t* block, index_t nrows, index_t ncol,
+                   bool row_major, const index_t* pos, const index_t* jloc,
+                   value_t* pan, index_t nr);
 
 }  // namespace pdslin::panel

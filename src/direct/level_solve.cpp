@@ -19,6 +19,14 @@ constexpr index_t kParallelRowCutoff = 128;
 
 }  // namespace
 
+const char* to_string(TrisolveScheduler s) {
+  switch (s) {
+    case TrisolveScheduler::Serial:   return "serial";
+    case TrisolveScheduler::LevelSet: return "levelset";
+  }
+  return "?";
+}
+
 LevelSchedule LevelSchedule::build(const CscMatrix& a, bool lower, bool divide,
                                    const Supernodes* panels) {
   PDSLIN_SPAN("trisolve.level_build");

@@ -38,6 +38,8 @@ enum class TrisolveScheduler {
   LevelSet,  // level-scheduled row-gather on the shared pool
 };
 
+const char* to_string(TrisolveScheduler s);
+
 /// How triangular solves execute; plumbed through SchurAssemblyOptions and
 /// the CLI (--trisolve). Deliberately *excluded* from the serve fingerprint:
 /// both schedulers produce bitwise-identical x, so differing choices must

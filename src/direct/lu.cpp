@@ -225,6 +225,14 @@ LuFactors scalar_lu_factorize(const CscMatrix& a, const LuOptions& opt) {
 
 }  // namespace
 
+const char* to_string(LuKernel k) {
+  switch (k) {
+    case LuKernel::Scalar: return "scalar";
+    case LuKernel::Panel:  return "panel";
+  }
+  return "?";
+}
+
 LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt) {
   PDSLIN_CHECK_MSG(a.rows == a.cols, "LU requires a square matrix");
   // An all-zero (or 0×0) matrix carries no values array; it is either the

@@ -32,6 +32,8 @@ enum class LuKernel {
   Panel,   // supernodal blocked kernel with scalar fallback
 };
 
+const char* to_string(LuKernel k);
+
 struct LuOptions {
   /// Threshold pivoting: keep the diagonal pivot when
   /// |a_jj| ≥ pivot_tol · max|column|; otherwise take the largest entry.
@@ -47,11 +49,6 @@ struct LuOptions {
   /// Relaxed amalgamation: allowed structural-zero fraction when merging
   /// e-tree chain columns into one panel (0 = fundamental supernodes only).
   double panel_relax = 0.25;
-  /// Factor panels in fp32 (iterative refinement via lu_solve_refined
-  /// recovers fp64 accuracy). Factors are no longer bitwise comparable to
-  /// the scalar kernel; any off-diagonal pivot, dense tail included, still
-  /// falls back to fp64 scalar.
-  bool panel_fp32 = false;
   /// Pipeline workers for the panel kernel (≤ 1 = serial). Results are
   /// bitwise identical for any value.
   unsigned threads = 1;

@@ -153,13 +153,12 @@ PanelSymbolic panel_symbolic(const CscMatrix& a, const LuOptions& opt) {
 
 /// Per-worker scratch: the global→local row map for the panel being built
 /// plus reusable gather buffers.
-template <typename T>
 struct Workspace {
   std::vector<index_t> rowpos;  // size n, -1 outside the current panel
   std::vector<index_t> pos;     // update-local positions in the target
   std::vector<index_t> jloc;    // target-local column indices
-  std::vector<T> y;             // TRSM block (w_d × nJ, row-major)
-  std::vector<T> c;             // GEMM block (ni × nJ, column-major)
+  std::vector<value_t> y;       // TRSM block (w_d × nJ, row-major)
+  std::vector<value_t> c;       // GEMM block (ni × nJ, column-major)
   long long gemm_flops = 0;
   long long other_flops = 0;
 };
@@ -170,9 +169,9 @@ struct Workspace {
 /// scalar kernel's bit for bit. A panel before the tail is one block with
 /// pivots confined to the diagonal (perm == nullptr); the dense tail passes
 /// the width cap and its row order, and exchanges rows.
-template <typename T>
-bool factor_panel(T* pan, index_t nr, index_t tri0, index_t w, index_t block,
-                  const LuOptions& opt, index_t* perm, Workspace<T>& s) {
+bool factor_panel(value_t* pan, index_t nr, index_t tri0, index_t w,
+                  index_t block, const LuOptions& opt, index_t* perm,
+                  Workspace& s) {
   if (block <= 0) block = w;
   const index_t depth = nr - tri0;
   for (index_t j0 = 0; j0 < w; j0 += block) {
@@ -198,7 +197,7 @@ bool factor_panel(T* pan, index_t nr, index_t tri0, index_t w, index_t block,
     s.y.resize(static_cast<std::size_t>(bw) * rest);
     panel::gather_block(pan, nr, s.pos.data(), bw, s.jloc.data(), rest, true,
                         s.y.data());
-    T* blk = pan + static_cast<std::size_t>(j0) * nr;
+    value_t* blk = pan + static_cast<std::size_t>(j0) * nr;
     panel::trsm_unit_lower(blk, nr, tri0 + j0, bw, s.y.data(), rest);
     panel::scatter_block(s.y.data(), bw, rest, true, s.pos.data(),
                          s.jloc.data(), pan, nr);
@@ -211,19 +210,18 @@ bool factor_panel(T* pan, index_t nr, index_t tri0, index_t w, index_t block,
   return true;
 }
 
-template <typename T>
 bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
-                   const PanelSymbolic& ps, std::vector<T>& arena,
+                   const PanelSymbolic& ps, std::vector<value_t>& arena,
                    std::vector<index_t>& tail_perm, LuPanelStats& stats) {
   PDSLIN_SPAN("lu.panel.numeric");
   const index_t n = a.rows;
   const index_t np = ps.sn.count();
-  arena.assign(ps.arena_cells, T(0));
+  arena.assign(ps.arena_cells, 0.0);
 
   const unsigned workers = std::max(1u, opt.threads);
   const unsigned nw = std::min<unsigned>(workers, np == 0 ? 1u
                                                           : static_cast<unsigned>(np));
-  std::vector<Workspace<T>> ws(nw);
+  std::vector<Workspace> ws(nw);
   for (auto& w : ws) w.rowpos.assign(n, -1);
 
   tail_perm.resize(n - ps.tail);
@@ -232,21 +230,21 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
 
   auto body = [&](unsigned widx, index_t p) {
     if (abort.load(std::memory_order_relaxed)) return;
-    Workspace<T>& s = ws[widx];
+    Workspace& s = ws[widx];
     const index_t c0 = ps.sn.start[p], c1 = ps.sn.start[p + 1];
     const index_t wp = c1 - c0;
     const index_t* prows = ps.rows.data() + ps.row_ptr[p];
     const index_t nr = static_cast<index_t>(ps.row_ptr[p + 1] - ps.row_ptr[p]);
-    T* pan = arena.data() + ps.arena_off[p];
+    value_t* pan = arena.data() + ps.arena_off[p];
 
     for (index_t i = 0; i < nr; ++i) s.rowpos[prows[i]] = i;
 
     // Scatter A's columns (assignment in storage order: duplicate entries
     // resolve last-wins, exactly as the scalar kernel's scatter does).
     for (index_t j = c0; j < c1; ++j) {
-      T* col = pan + static_cast<std::size_t>(j - c0) * nr;
+      value_t* col = pan + static_cast<std::size_t>(j - c0) * nr;
       for (index_t ptr = a.col_ptr[j]; ptr < a.col_ptr[j + 1]; ++ptr) {
-        col[s.rowpos[a.row_idx[ptr]]] = static_cast<T>(a.values[ptr]);
+        col[s.rowpos[a.row_idx[ptr]]] = a.values[ptr];
       }
     }
 
@@ -258,7 +256,7 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
       const index_t* drows = ps.rows.data() + ps.row_ptr[d];
       const index_t nrd =
           static_cast<index_t>(ps.row_ptr[d + 1] - ps.row_ptr[d]);
-      const T* dpan = arena.data() + ps.arena_off[d];
+      const value_t* dpan = arena.data() + ps.arena_off[d];
       const index_t tri0d = ps.tri0[d];
       const index_t below0d = tri0d + wd;
       const index_t nj = e.je - e.jb;
@@ -292,17 +290,15 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
       s.other_flops += static_cast<long long>(nj) * wd * (wd - 1) / 2;
     }
 
-    // In-panel dense factorization. Only the tail exchanges rows, and only
-    // in fp64: the fp32 rung sends any off-diagonal pivot to the fp64
-    // scalar kernel. A non-finite value aborts too — padding products like
-    // 0·inf would make NaNs the scalar kernel never forms.
+    // In-panel dense factorization. Only the tail exchanges rows. A
+    // non-finite value aborts too — padding products like 0·inf would make
+    // NaNs the scalar kernel never forms.
     const bool tail = c0 == ps.tail;
     const bool ok =
         factor_panel(pan, nr, ps.tri0[p], wp, tail ? opt.panel_max_width : wp,
-                     opt, tail && !opt.panel_fp32 ? tail_perm.data() : nullptr,
-                     s) &&
+                     opt, tail ? tail_perm.data() : nullptr, s) &&
         std::all_of(pan, pan + static_cast<std::size_t>(nr) * wp,
-                    [](T v) { return std::isfinite(v); });
+                    [](value_t v) { return std::isfinite(v); });
     if (!ok) abort.store(true, std::memory_order_relaxed);
 
     for (index_t i = 0; i < nr; ++i) s.rowpos[prows[i]] = -1;
@@ -330,8 +326,8 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
 /// exchanges (then re-sorted). Exact zeros (structural padding and
 /// numerically cancelled entries) are dropped, exactly as the scalar
 /// kernel's scatter drops them.
-template <typename T>
-LuFactors panel_extract(const PanelSymbolic& ps, const std::vector<T>& arena,
+LuFactors panel_extract(const PanelSymbolic& ps,
+                        const std::vector<value_t>& arena,
                         const std::vector<index_t>& tail_perm, bool relabel,
                         index_t n) {
   LuFactors f;
@@ -360,26 +356,26 @@ LuFactors panel_extract(const PanelSymbolic& ps, const std::vector<T>& arena,
     const index_t c0 = ps.sn.start[p], c1 = ps.sn.start[p + 1];
     const index_t* prows = ps.rows.data() + ps.row_ptr[p];
     const index_t nr = static_cast<index_t>(ps.row_ptr[p + 1] - ps.row_ptr[p]);
-    const T* pan = arena.data() + ps.arena_off[p];
+    const value_t* pan = arena.data() + ps.arena_off[p];
     for (index_t j = c0; j < c1; ++j) {
-      const T* col = pan + static_cast<std::size_t>(j - c0) * nr;
+      const value_t* col = pan + static_cast<std::size_t>(j - c0) * nr;
       const index_t dpos = ps.tri0[p] + (j - c0);
       for (index_t i = 0; i < dpos; ++i) {
-        const value_t v = static_cast<value_t>(col[i]);
+        const value_t v = col[i];
         if (v != 0.0) {
           U.row_idx.push_back(prows[i]);
           U.values.push_back(v);
         }
       }
       U.row_idx.push_back(j);  // diagonal last
-      U.values.push_back(static_cast<value_t>(col[dpos]));
+      U.values.push_back(col[dpos]);
       U.col_ptr[j + 1] = static_cast<index_t>(U.row_idx.size());
 
       L.row_idx.push_back(j);  // unit diagonal first
       L.values.push_back(1.0);
       const std::size_t first = L.row_idx.size();
       for (index_t i = dpos + 1; i < nr; ++i) {
-        const value_t v = static_cast<value_t>(col[i]);
+        const value_t v = col[i];
         if (v != 0.0) {
           L.row_idx.push_back(prows[i]);
           L.values.push_back(v);
@@ -406,14 +402,16 @@ LuFactors panel_extract(const PanelSymbolic& ps, const std::vector<T>& arena,
   return f;
 }
 
-template <typename T>
-std::optional<LuFactors> panel_factorize_typed(const CscMatrix& a,
-                                               const LuOptions& opt,
-                                               PanelSymbolic&& ps) {
+}  // namespace
+
+std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
+                                            const LuOptions& opt) {
+  PDSLIN_CHECK_MSG(a.rows == a.cols, "LU requires a square matrix");
+  const PanelSymbolic ps = panel_symbolic(a, opt);
   LuPanelStats stats;
-  std::vector<T> arena;
+  std::vector<value_t> arena;
   std::vector<index_t> tail_perm;
-  if (!panel_numeric<T>(a, opt, ps, arena, tail_perm, stats)) {
+  if (!panel_numeric(a, opt, ps, arena, tail_perm, stats)) {
     return std::nullopt;
   }
 
@@ -421,8 +419,8 @@ std::optional<LuFactors> panel_factorize_typed(const CscMatrix& a,
   for (index_t i = 0; i < stats.tail_cols; ++i) {
     if (tail_perm[i] != i) ++stats.tail_pivots;
   }
-  LuFactors f = panel_extract<T>(ps, arena, tail_perm, stats.tail_pivots > 0,
-                                 a.rows);
+  LuFactors f = panel_extract(ps, arena, tail_perm, stats.tail_pivots > 0,
+                              a.rows);
   // Reported panels: the tail in the blocks it was factored in.
   f.panels = cut_at_tail(ps.sn, ps.tail, opt.panel_max_width);
   stats.used_panel = true;
@@ -430,8 +428,8 @@ std::optional<LuFactors> panel_factorize_typed(const CscMatrix& a,
   stats.avg_width = f.panels.average_width();
   stats.max_width = f.panels.max_width();
   stats.wide_col_fraction = f.panels.wide_column_fraction(4);
-  stats.panel_bytes =
-      static_cast<long long>(ps.arena_cells) * static_cast<long long>(sizeof(T));
+  stats.panel_bytes = static_cast<long long>(ps.arena_cells) *
+                      static_cast<long long>(sizeof(value_t));
   f.stats = stats;
 
   obs::counter("lu.panel.factorizations").add(1);
@@ -451,18 +449,6 @@ std::optional<LuFactors> panel_factorize_typed(const CscMatrix& a,
                      static_cast<double>(stats.total_flops)
                : 0.0);
   return f;
-}
-
-}  // namespace
-
-std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
-                                            const LuOptions& opt) {
-  PDSLIN_CHECK_MSG(a.rows == a.cols, "LU requires a square matrix");
-  PanelSymbolic ps = panel_symbolic(a, opt);
-  if (opt.panel_fp32) {
-    return panel_factorize_typed<float>(a, opt, std::move(ps));
-  }
-  return panel_factorize_typed<double>(a, opt, std::move(ps));
 }
 
 }  // namespace pdslin

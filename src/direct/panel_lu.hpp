@@ -31,9 +31,9 @@ namespace pdslin {
 /// Attempt the supernodal factorization. Returns std::nullopt — the caller
 /// reruns the scalar kernel, which reproduces the exact scalar result
 /// (including its singularity error) — when threshold pivoting wants an
-/// off-diagonal pivot before the dense tail (anywhere under panel_fp32), a
-/// column is numerically singular, a nonzero numerator gives a zero L
-/// multiplier, or a factor value is not finite.
+/// off-diagonal pivot before the dense tail, a column is numerically
+/// singular, a nonzero numerator gives a zero L multiplier, or a factor
+/// value is not finite.
 std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
                                             const LuOptions& opt);
 

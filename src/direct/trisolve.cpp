@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "sparse/ops.hpp"
 #include "util/error.hpp"
 
 namespace pdslin {
@@ -53,40 +52,6 @@ void lu_solve(const LuFactors& f, std::span<const value_t> b,
   for (index_t k = 0; k < f.n; ++k) x[k] = b[f.row_perm[k]];
   lower_solve_dense(f.lower, x, /*unit_diag=*/true);
   upper_solve_dense(f.upper, x);
-}
-
-LuRefineResult lu_solve_refined(const LuFactors& f, const CsrMatrix& a,
-                                std::span<const value_t> b,
-                                std::span<value_t> x,
-                                const LuRefineOptions& opt) {
-  PDSLIN_CHECK(a.rows == a.cols && a.rows == f.n);
-  PDSLIN_CHECK(b.size() == static_cast<std::size_t>(f.n));
-  lu_solve(f, b, x);
-
-  LuRefineResult res;
-  const value_t bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    // No norm to scale by: report the *absolute* residual so a caller never
-    // sees rel_residual == 0.0 alongside converged == false.
-    res.rel_residual = residual_norm(a, x, b);
-    res.converged = res.rel_residual == 0.0;
-    return res;
-  }
-  std::vector<value_t> r(f.n), dx(f.n);
-  for (;;) {
-    // True residual in fp64 — the only signal convergence is claimed from.
-    spmv(a, x, r);
-    for (index_t i = 0; i < f.n; ++i) r[i] = b[i] - r[i];
-    res.rel_residual = norm2(r) / bnorm;
-    if (res.rel_residual <= opt.rel_tol) {
-      res.converged = true;
-      return res;
-    }
-    if (res.iterations >= opt.max_iterations) return res;
-    ++res.iterations;
-    lu_solve(f, r, dx);
-    axpy(1.0, dx, x);
-  }
 }
 
 SparseLowerSolver::SparseLowerSolver(const CscMatrix& l)

@@ -22,27 +22,6 @@ void upper_solve_dense(const CscMatrix& u, std::span<value_t> x);
 /// x = A⁻¹ b using the factors (applies the row permutation internally).
 void lu_solve(const LuFactors& f, std::span<const value_t> b, std::span<value_t> x);
 
-struct LuRefineOptions {
-  int max_iterations = 10;     // refinement steps after the initial solve
-  double rel_tol = 1e-12;      // target true-residual reduction ‖b−Ax‖/‖b‖
-};
-
-struct LuRefineResult {
-  int iterations = 0;          // refinement steps actually taken
-  double rel_residual = 0.0;   // recomputed ‖b−Ax‖/‖b‖ at exit
-  bool converged = false;
-};
-
-/// Solve A·x = b by one LU solve plus fp64 iterative refinement — the
-/// accuracy rung for factors computed in reduced precision
-/// (LuOptions::panel_fp32). The honesty gate of the observability PR
-/// applies: `converged` is claimed only from the recomputed true residual
-/// ‖b − A·x‖/‖b‖, never from the correction norms.
-LuRefineResult lu_solve_refined(const LuFactors& f, const CsrMatrix& a,
-                                std::span<const value_t> b,
-                                std::span<value_t> x,
-                                const LuRefineOptions& opt = {});
-
 /// Sparse-RHS lower-triangular solver with reusable workspace.
 /// Requires the diagonal to be the first entry of every column; divides by
 /// it, so both L (unit) and Uᵀ (non-unit) work.

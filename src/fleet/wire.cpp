@@ -1,6 +1,9 @@
 #include "fleet/wire.hpp"
 
 #include <cstring>
+#include <limits>
+#include <optional>
+#include <type_traits>
 
 #include "core/schur_solver.hpp"
 #include "fleet/socket.hpp"
@@ -203,120 +206,56 @@ CsrMatrix decode_csr(WireReader& r) {
   return a;
 }
 
-void encode_solver_options(WireWriter& w, const SolverOptions& opt) {
-  w.u32(static_cast<std::uint32_t>(opt.partitioning));
-  w.i64(opt.num_subdomains);
-  w.u32(static_cast<std::uint32_t>(opt.metric));
-  w.u32(static_cast<std::uint32_t>(opt.constraints));
-  w.u8(opt.rhb_dynamic_weights ? 1 : 0);
-  w.u8(opt.ngd_weighted ? 1 : 0);
-  w.f64(opt.partition_epsilon);
-  w.u32(static_cast<std::uint32_t>(opt.partition_engine));
-  w.f64(opt.partition_budget_ms);
-  w.f64(opt.partition_min_quality);
-  w.u32(static_cast<std::uint32_t>(opt.partition_values));
-  // assembly
-  w.f64(opt.assembly.drop_wg);
-  w.f64(opt.assembly.drop_s);
-  w.i64(opt.assembly.rhs_block_size);
-  w.u32(static_cast<std::uint32_t>(opt.assembly.rhs_ordering));
-  w.f64(opt.assembly.lu.pivot_tol);
-  w.f64(opt.assembly.lu.min_pivot);
-  w.u32(static_cast<std::uint32_t>(opt.assembly.lu.kernel));
-  w.i64(opt.assembly.lu.panel_max_width);
-  w.f64(opt.assembly.lu.panel_relax);
-  w.u8(opt.assembly.lu.panel_fp32 ? 1 : 0);
-  w.u32(opt.assembly.lu.threads);
-  w.i64(opt.assembly.hg_rhs.block_size);
-  w.f64(opt.assembly.hg_rhs.quasi_dense_tau);
-  w.u64(opt.assembly.hg_rhs.seed);
-  w.i64(opt.assembly.hg_rhs.coarsen_to);
-  w.i64(opt.assembly.hg_rhs.refine_passes);
-  w.i64(opt.assembly.hg_rhs.initial_tries);
-  w.u32(opt.assembly.inner_threads);
-  w.u32(static_cast<std::uint32_t>(opt.assembly.trisolve.scheduler));
-  w.u32(opt.assembly.trisolve.threads);
-  w.u64(opt.assembly.seed);
-  // krylov
-  w.u32(static_cast<std::uint32_t>(opt.krylov));
-  w.i64(opt.gmres.restart);
-  w.i64(opt.gmres.max_iterations);
-  w.f64(opt.gmres.rel_tolerance);
-  w.i64(opt.bicgstab.max_iterations);
-  w.f64(opt.bicgstab.rel_tolerance);
-  w.u32(opt.threads);
-  w.u64(opt.seed);
-}
-
 namespace {
 
-template <typename E>
-E decode_enum(WireReader& r, E max_value, const char* what) {
-  const std::uint32_t v = r.u32();
-  if (v > static_cast<std::uint32_t>(max_value)) {
-    throw WireError(std::string("out-of-range enum for ") + what);
+/// The one narrowing every decoded integer goes through: values with a
+/// `last` (enums, index counts) must lie in [0, last], the others in T's
+/// range.
+template <typename T>
+T checked_integer(std::int64_t v, std::optional<T> last, const char* what) {
+  using U = typename std::conditional_t<std::is_enum_v<T>,
+                                        std::underlying_type<T>,
+                                        std::type_identity<T>>::type;
+  const std::int64_t lo = last ? 0 : std::numeric_limits<U>::min();
+  const std::int64_t hi = last ? static_cast<std::int64_t>(*last)
+                               : std::numeric_limits<U>::max();
+  if (v < lo || v > hi) {
+    throw WireError(std::string("out-of-range value for ") + what);
   }
-  return static_cast<E>(v);
-}
-
-index_t checked_index(std::int64_t v, const char* what) {
-  if (v < 0 || v > (1ll << 30)) {
-    throw WireError(std::string("out-of-range index for ") + what);
-  }
-  return static_cast<index_t>(v);
+  return static_cast<T>(v);
 }
 
 }  // namespace
 
+void encode_solver_options(WireWriter& w, const SolverOptions& opt) {
+  for_each_option(opt, [&w](const auto& field) {
+    using T = std::remove_cvref_t<decltype(field.value)>;
+    if constexpr (std::is_same_v<T, double>) {
+      w.f64(field.value);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      w.u8(field.value ? 1 : 0);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      w.u64(field.value);
+    } else {
+      w.i64(static_cast<std::int64_t>(field.value));
+    }
+  });
+}
+
 SolverOptions decode_solver_options(WireReader& r) {
   SolverOptions opt;
-  opt.partitioning =
-      decode_enum(r, PartitionMethod::RHB, "partitioning");
-  opt.num_subdomains = checked_index(r.i64(), "num_subdomains");
-  opt.metric = decode_enum(r, CutMetric::Soed, "metric");
-  opt.constraints =
-      decode_enum(r, RhbConstraintMode::MultiW1W2, "constraints");
-  opt.rhb_dynamic_weights = r.u8() != 0;
-  opt.ngd_weighted = r.u8() != 0;
-  opt.partition_epsilon = r.f64();
-  opt.partition_engine =
-      decode_enum(r, partition::Engine::Geometric, "partition_engine");
-  opt.partition_budget_ms = r.f64();
-  opt.partition_min_quality = r.f64();
-  opt.partition_values =
-      decode_enum(r, partition::ValueMode::LogAbs, "partition_values");
-  opt.assembly.drop_wg = r.f64();
-  opt.assembly.drop_s = r.f64();
-  opt.assembly.rhs_block_size = checked_index(r.i64(), "rhs_block_size");
-  opt.assembly.rhs_ordering =
-      decode_enum(r, RhsOrdering::Hypergraph, "rhs_ordering");
-  opt.assembly.lu.pivot_tol = r.f64();
-  opt.assembly.lu.min_pivot = r.f64();
-  opt.assembly.lu.kernel = decode_enum(r, LuKernel::Panel, "lu.kernel");
-  opt.assembly.lu.panel_max_width =
-      checked_index(r.i64(), "lu.panel_max_width");
-  opt.assembly.lu.panel_relax = r.f64();
-  opt.assembly.lu.panel_fp32 = r.u8() != 0;
-  opt.assembly.lu.threads = r.u32();
-  opt.assembly.hg_rhs.block_size = checked_index(r.i64(), "hg_rhs.block_size");
-  opt.assembly.hg_rhs.quasi_dense_tau = r.f64();
-  opt.assembly.hg_rhs.seed = r.u64();
-  opt.assembly.hg_rhs.coarsen_to = checked_index(r.i64(), "hg_rhs.coarsen_to");
-  opt.assembly.hg_rhs.refine_passes = static_cast<int>(r.i64());
-  opt.assembly.hg_rhs.initial_tries = static_cast<int>(r.i64());
-  opt.assembly.inner_threads = r.u32();
-  opt.assembly.trisolve.scheduler =
-      decode_enum(r, TrisolveScheduler::LevelSet, "trisolve.scheduler");
-  opt.assembly.trisolve.threads = r.u32();
-  opt.assembly.seed = r.u64();
-  opt.krylov = decode_enum(r, KrylovMethod::Bicgstab, "krylov");
-  opt.gmres.restart = static_cast<int>(r.i64());
-  opt.gmres.max_iterations = static_cast<int>(r.i64());
-  opt.gmres.rel_tolerance = r.f64();
-  opt.bicgstab.max_iterations = static_cast<int>(r.i64());
-  opt.bicgstab.rel_tolerance = r.f64();
-  opt.threads = r.u32();
-  opt.seed = r.u64();
+  for_each_option(opt, [&r](const auto& field) {
+    using T = std::remove_cvref_t<decltype(field.value)>;
+    if constexpr (std::is_same_v<T, double>) {
+      field.value = r.f64();
+    } else if constexpr (std::is_same_v<T, bool>) {
+      field.value = r.u8() != 0;
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      field.value = r.u64();
+    } else {
+      field.value = checked_integer(r.i64(), field.last, field.key);
+    }
+  });
   return opt;
 }
 
@@ -362,7 +301,7 @@ WireSolveRequest decode_solve_request(std::span<const std::uint8_t> payload) {
   req.opt = decode_solver_options(r);
   req.a = decode_csr(r);
   req.incidence = decode_csr(r);
-  req.nrhs = checked_index(r.i64(), "nrhs");
+  req.nrhs = checked_integer<index_t>(r.i64(), kMaxIndexOption, "nrhs");
   req.b = r.array<value_t>();
   req.timeout_seconds = r.f64();
   if (!r.done()) throw WireError("trailing bytes after solve request");

@@ -9,7 +9,9 @@
 //                    explicit: responses may return out of order)
 //     u64 payload_len
 //     u64 checksum   FNV-1a over the payload bytes
-//   payload (payload_len bytes, per-type codec below)
+//   payload (payload_len bytes, per-type codec below; the SolverOptions
+//            of a solve request follow the for_each_option table, see
+//            encode_solver_options)
 //
 // The length prefix makes framing self-synchronizing under normal operation;
 // the magic + version + checksum make corruption and protocol drift loud
@@ -31,7 +33,7 @@
 namespace pdslin::fleet {
 
 inline constexpr std::uint32_t kWireMagic = 0x4C534450u;  // "PDSL"
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 /// Defensive ceiling on payload_len: a garbage header must not turn into a
 /// multi-gigabyte allocation.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 31;
@@ -208,7 +210,11 @@ std::vector<std::uint8_t> encode_shard_stats(const WireShardStats& s);
 WireShardStats decode_shard_stats(std::span<const std::uint8_t> payload);
 
 /// SolverOptions codec, shared by request encode/decode (public so tests
-/// can round-trip options in isolation).
+/// can round-trip options in isolation). One value per for_each_option
+/// field, in table order: f64 for a double, u8 for a bool, u64 for a
+/// std::uint64_t, i64 for every other integer and enum. The decoder
+/// range-checks each integer (WireError on a value outside its field's
+/// range).
 void encode_solver_options(WireWriter& w, const SolverOptions& opt);
 SolverOptions decode_solver_options(WireReader& r);
 

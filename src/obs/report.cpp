@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <type_traits>
 
 #include "core/schur_solver.hpp"
 #include "core/stats.hpp"
@@ -57,23 +58,18 @@ const std::string* RunReport::find_config(std::string_view key) const {
 }
 
 void RunReport::add_solver(const SolverOptions& opt, const SolverStats& st) {
-  set_config("partitioning", to_string(opt.partitioning));
-  set_config("num_subdomains", std::to_string(opt.num_subdomains));
-  set_config("metric", opt.metric == CutMetric::Con1    ? "con1"
-                       : opt.metric == CutMetric::CutNet ? "cnet"
-                                                         : "soed");
-  set_config("krylov", to_string(opt.krylov));
-  set_config("rhs_ordering", to_string(opt.assembly.rhs_ordering));
-  set_config("threads", std::to_string(opt.threads));
-  set_config("inner_threads", std::to_string(opt.assembly.inner_threads));
-  set_config("drop_wg", json::number_to_string(opt.assembly.drop_wg));
-  set_config("drop_s", json::number_to_string(opt.assembly.drop_s));
-  set_config("epsilon", json::number_to_string(opt.partition_epsilon));
-  set_config("partition_engine", partition::to_string(opt.partition_engine));
-  set_config("partition_budget_ms",
-             json::number_to_string(opt.partition_budget_ms));
-  set_config("partition_values", partition::to_string(opt.partition_values));
-  set_config("seed", std::to_string(opt.seed));
+  for_each_option(opt, [this](const auto& field) {
+    using T = std::remove_cvref_t<decltype(field.value)>;
+    if constexpr (std::is_enum_v<T>) {
+      set_config(field.key, to_string(field.value));
+    } else if constexpr (std::is_same_v<T, bool>) {
+      set_config(field.key, field.value ? "true" : "false");
+    } else if constexpr (std::is_floating_point_v<T>) {
+      set_config(field.key, json::number_to_string(field.value));
+    } else {
+      set_config(field.key, std::to_string(field.value));
+    }
+  });
 
   set_phase("partition", st.partition_seconds);
   set_phase("subdomains", st.subdomain_wall_seconds);

@@ -1,6 +1,7 @@
 #include "serve/fingerprint.hpp"
 
 #include <cstdio>
+#include <type_traits>
 
 #include "core/schur_solver.hpp"
 #include "util/error.hpp"
@@ -50,40 +51,18 @@ Fingerprint fingerprint_of(const CsrMatrix& a) {
 }
 
 std::uint64_t setup_options_hash(const pdslin::SolverOptions& opt) {
-  std::uint64_t h = 0x2545f4914f6cdd1dULL;
-  h = hash_u64(static_cast<std::uint64_t>(opt.partitioning), h);
-  h = hash_u64(static_cast<std::uint64_t>(opt.num_subdomains), h);
-  h = hash_u64(static_cast<std::uint64_t>(opt.metric), h);
-  h = hash_u64(static_cast<std::uint64_t>(opt.constraints), h);
-  h = hash_u64(opt.rhb_dynamic_weights ? 1 : 0, h);
-  h = hash_u64(opt.ngd_weighted ? 1 : 0, h);
-  h = hash_double(opt.partition_epsilon, h);
-  h = hash_double(opt.assembly.drop_wg, h);
-  h = hash_double(opt.assembly.drop_s, h);
-  h = hash_u64(static_cast<std::uint64_t>(opt.assembly.rhs_block_size), h);
-  h = hash_u64(static_cast<std::uint64_t>(opt.assembly.rhs_ordering), h);
-  h = hash_double(opt.assembly.lu.pivot_tol, h);
-  h = hash_double(opt.assembly.lu.min_pivot, h);
-  // LU kernel knobs that can change the factors' bits. threads and the
-  // trisolve scheduler (assembly.trisolve) are excluded deliberately:
-  // parallel == serial is bitwise for both, so neither may split the cache
-  // — requests differing only in those knobs share one factorization.
-  h = hash_u64(static_cast<std::uint64_t>(opt.assembly.lu.kernel), h);
-  h = hash_u64(static_cast<std::uint64_t>(opt.assembly.lu.panel_max_width), h);
-  h = hash_double(opt.assembly.lu.panel_relax, h);
-  h = hash_u64(opt.assembly.lu.panel_fp32 ? 1 : 0, h);
-  // Partition-engine knobs change the partition (and thus the factors), so
-  // they split the cache. The engine's thread count does NOT: the parallel
-  // recursion is bitwise identical to serial (same exclusion rationale as
-  // opt.threads above).
-  h = hash_u64(static_cast<std::uint64_t>(opt.partition_engine), h);
-  h = hash_double(opt.partition_budget_ms, h);
-  h = hash_double(opt.partition_min_quality, h);
-  // Value-aware partitioning changes the partition, hence the setup.
-  // Adaptive-σ state (serve/adapt.hpp) is deliberately NOT hashed: one
+  // Adaptive-σ state (serve/adapt.hpp) is deliberately not hashed: one
   // matrix class keeps one cache entry while its σ is tuned in place.
-  h = hash_u64(static_cast<std::uint64_t>(opt.partition_values), h);
-  h = hash_u64(opt.seed, h);
+  std::uint64_t h = 0x2545f4914f6cdd1dULL;
+  for_each_option(opt, [&h](const auto& field) {
+    if (!field.setup) return;
+    if constexpr (std::is_floating_point_v<
+                      std::remove_cvref_t<decltype(field.value)>>) {
+      h = hash_double(field.value, h);
+    } else {
+      h = hash_u64(static_cast<std::uint64_t>(field.value), h);
+    }
+  });
   return h;
 }
 

@@ -56,10 +56,10 @@ std::uint64_t hash_bytes(const void* data, std::size_t len,
 /// Fingerprint a matrix: O(nnz) hashing, no allocation.
 Fingerprint fingerprint_of(const CsrMatrix& a);
 
-/// Hash the setup-affecting SolverOptions fields (partitioner, k, metric,
-/// constraints, epsilon, drop thresholds, orderings, threads-independent
-/// seed). Pure solve-phase knobs (Krylov tolerances, nrhs) are excluded so
-/// requests differing only there still share a setup and can batch.
+/// Hash the SolverOptions fields that the for_each_option table marks
+/// setup-affecting. Thread counts, the trisolve scheduler and the Krylov
+/// knobs are excluded, so requests differing only there still share a
+/// setup and can batch.
 std::uint64_t setup_options_hash(const pdslin::SolverOptions& opt);
 
 /// Full cache key: matrix fingerprint + setup-affecting options.

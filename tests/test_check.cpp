@@ -423,6 +423,14 @@ TEST(Differential, SampleCaseIsDeterministic) {
   EXPECT_NE(sample_case(42, 0).to_string(), sample_case(42, 1).to_string());
 }
 
+TEST(Differential, LuKernelAxisCyclesScalarPanelPanel) {
+  for (int i = 0; i < 12; ++i) {
+    EXPECT_EQ(sample_case(42, i).lu_kernel,
+              i % 3 == 0 ? LuKernelAxis::Scalar : LuKernelAxis::Panel)
+        << "case " << i;
+  }
+}
+
 TEST(Differential, BuildCaseIsDeterministic) {
   const CaseSpec spec = sample_case(7, 3);
   const GeneratedProblem p1 = build_case(spec);
@@ -463,6 +471,13 @@ TEST(Artifact, MalformedDocumentThrows) {
   EXPECT_THROW(
       artifact_from_json(R"({"artifact": "something-else", "version": 1})"),
       Error);
+  // Artifacts from older campaigns may name the lu-fp32 lane; they must be
+  // rejected as an unknown lu_kernel, not replayed on some other kernel.
+  std::string fp32 = artifact_to_json(CaseSpec{});
+  const std::size_t at = fp32.find("\"lu-panel\"");
+  ASSERT_NE(at, std::string::npos);
+  fp32.replace(at, 10, "\"lu-fp32\"");
+  EXPECT_THROW(artifact_from_json(fp32), Error);
 }
 
 // ------------------------------------------------------------------- Minimize

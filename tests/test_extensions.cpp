@@ -109,6 +109,12 @@ TEST(ConfigStrings, AllEnumsPrintable) {
   EXPECT_STREQ(to_string(PartitionMethod::NGD), "NGD");
   EXPECT_STREQ(to_string(RhsOrdering::Hypergraph), "hypergraph");
   EXPECT_STREQ(to_string(CutMetric::Soed), "soed");
+  EXPECT_STREQ(to_string(RhbConstraintMode::SingleW1), "w1");
+  EXPECT_STREQ(to_string(RhbConstraintMode::MultiW1W2), "w1w2");
+  EXPECT_STREQ(to_string(LuKernel::Scalar), "scalar");
+  EXPECT_STREQ(to_string(LuKernel::Panel), "panel");
+  EXPECT_STREQ(to_string(TrisolveScheduler::Serial), "serial");
+  EXPECT_STREQ(to_string(TrisolveScheduler::LevelSet), "levelset");
 }
 
 }  // namespace

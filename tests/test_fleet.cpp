@@ -9,13 +9,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "fleet/launch.hpp"
@@ -214,15 +218,10 @@ TEST(FleetWire, FrameRejectsCorruption) {
 }
 
 TEST(FleetWire, SolveRequestRoundTrip) {
-  WireSolveRequest req =
+  // Every options field crossing the wire is covered field by field in
+  // EveryOptionFieldRoundTrips; this pins the request frame around them.
+  const WireSolveRequest req =
       make_wire_request(testing::grid_laplacian(9, 7), 3, 11);
-  // Every setup-affecting knob must cross the wire: the worker re-hashes
-  // the decoded options and rejects a request whose hash does not match.
-  req.opt.partition_engine = partition::Engine::Geometric;
-  req.opt.partition_budget_ms = 12.5;
-  req.opt.partition_min_quality = 0.75;
-  req.opt.partition_values = partition::ValueMode::LogAbs;
-  req.options_hash = serve::setup_options_hash(req.opt);
   const WireSolveRequest got =
       fleet::decode_solve_request(fleet::encode_solve_request(req));
 
@@ -237,10 +236,7 @@ TEST(FleetWire, SolveRequestRoundTrip) {
   EXPECT_EQ(got.b, req.b);
   EXPECT_EQ(got.timeout_seconds, req.timeout_seconds);
   EXPECT_EQ(got.opt.num_subdomains, req.opt.num_subdomains);
-  EXPECT_EQ(got.opt.partition_engine, partition::Engine::Geometric);
-  EXPECT_EQ(got.opt.partition_budget_ms, 12.5);
-  EXPECT_EQ(got.opt.partition_min_quality, 0.75);
-  EXPECT_EQ(got.opt.partition_values, partition::ValueMode::LogAbs);
+  EXPECT_EQ(got.opt.seed, req.opt.seed);
   EXPECT_EQ(serve::setup_options_hash(got.opt),
             serve::setup_options_hash(req.opt));
 
@@ -251,6 +247,129 @@ TEST(FleetWire, SolveRequestRoundTrip) {
       fleet::decode_solve_request(fleet::encode_solve_request(with_inc));
   EXPECT_EQ(got2.incidence.rows, 25);
   EXPECT_EQ(got2.incidence.values, with_inc.incidence.values);
+}
+
+/// A different valid value for one options field: the next enumerator
+/// (wrapping after `last`), the other bool, or a shifted number.
+template <typename T>
+T perturbed(T v, const std::optional<T>& last) {
+  if constexpr (std::is_enum_v<T>) {
+    return v == *last ? T{} : static_cast<T>(static_cast<int>(v) + 1);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return !v;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return v + 0.5;
+  } else {
+    return last && v == *last ? v - 1 : v + 1;
+  }
+}
+
+std::vector<std::uint8_t> encode_options(const SolverOptions& opt) {
+  WireWriter w;
+  fleet::encode_solver_options(w, opt);
+  return w.take();
+}
+
+SolverOptions decode_options(const std::vector<std::uint8_t>& bytes) {
+  WireReader r(bytes);
+  SolverOptions opt = fleet::decode_solver_options(r);
+  if (!r.done()) throw WireError("trailing bytes after options");
+  return opt;
+}
+
+/// Default options with `edit` applied to the field named `key`.
+template <typename Edit>
+SolverOptions options_with(std::string_view key, Edit edit) {
+  SolverOptions opt;
+  bool found = false;
+  for_each_option(opt, [&](const auto& field) {
+    if (key != field.key) return;
+    edit(field);
+    found = true;
+  });
+  EXPECT_TRUE(found) << "no options field " << key;
+  return opt;
+}
+
+// Table-driven: perturb each SolverOptions field in turn. Each must cross
+// the wire (encode → decode → encode is byte-identical and differs from the
+// default encoding) and move setup_options_hash exactly when the table marks
+// it setup-affecting — the worker re-hashes the decoded options and rejects
+// a request whose hash does not match.
+TEST(FleetWire, EveryOptionFieldRoundTrips) {
+  const SolverOptions base;
+  const std::vector<std::uint8_t> base_bytes = encode_options(base);
+  const std::uint64_t base_hash = serve::setup_options_hash(base);
+  int fields = 0, setup_fields = 0;
+  for_each_option(base, [&](const auto& field) {
+    SCOPED_TRACE(field.key);
+    ++fields;
+    setup_fields += field.setup ? 1 : 0;
+    const SolverOptions opt = options_with(field.key, [](const auto& f) {
+      f.value = perturbed(f.value, f.last);
+    });
+    const std::vector<std::uint8_t> bytes = encode_options(opt);
+    EXPECT_NE(bytes, base_bytes);
+    EXPECT_EQ(encode_options(decode_options(bytes)), bytes);
+    EXPECT_EQ(serve::setup_options_hash(opt) != base_hash, field.setup);
+  });
+  EXPECT_EQ(fields, 32);
+  EXPECT_EQ(setup_fields, 21);
+}
+
+/// The default options encoding with the i64 of field `key` set to `raw`:
+/// the field sits at the first byte where a perturbed copy's encoding
+/// differs (little-endian, so a ±1 step changes the first byte).
+std::vector<std::uint8_t> options_with_raw(std::string_view key,
+                                           std::int64_t raw) {
+  std::vector<std::uint8_t> bytes = encode_options(SolverOptions{});
+  const std::vector<std::uint8_t> moved =
+      encode_options(options_with(key, [](const auto& f) {
+        f.value = perturbed(f.value, f.last);
+      }));
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(bytes.begin(), bytes.end(), moved.begin()).first -
+      bytes.begin());
+  EXPECT_LE(at + 8, bytes.size());
+  for (std::size_t k = 0; k < 8; ++k) {
+    bytes[at + k] =
+        static_cast<std::uint8_t>(static_cast<std::uint64_t>(raw) >> (8 * k));
+  }
+  return bytes;
+}
+
+TEST(FleetWire, OptionsDecoderRejectsOutOfRange) {
+  // Controls: in-range values written the same way decode.
+  EXPECT_EQ(decode_options(options_with_raw("lu_kernel", 0)).assembly.lu.kernel,
+            LuKernel::Scalar);
+  EXPECT_EQ(decode_options(options_with_raw("num_subdomains", 1 << 30))
+                .num_subdomains,
+            1 << 30);
+  // int fields take any int, negative included.
+  EXPECT_EQ(decode_options(options_with_raw("gmres_max_iterations", -1))
+                .gmres.max_iterations,
+            -1);
+
+  // Enums past their last enumerator, or negative.
+  EXPECT_THROW(decode_options(options_with_raw("lu_kernel", 2)), WireError);
+  EXPECT_THROW(decode_options(options_with_raw("partitioning", -1)),
+               WireError);
+  // Index fields: negative, or past today's 2^30 ceiling.
+  EXPECT_THROW(decode_options(options_with_raw("num_subdomains", -1)),
+               WireError);
+  EXPECT_THROW(
+      decode_options(options_with_raw("rhs_block_size", (1ll << 30) + 1)),
+      WireError);
+  // int fields whose i64 does not fit in int.
+  EXPECT_THROW(decode_options(options_with_raw("gmres_restart", 1ll << 31)),
+               WireError);
+  EXPECT_THROW(decode_options(options_with_raw("bicgstab_max_iterations",
+                                               -(1ll << 31) - 1)),
+               WireError);
+  // unsigned fields: negative, or past 2^32 − 1.
+  EXPECT_THROW(decode_options(options_with_raw("threads", -1)), WireError);
+  EXPECT_THROW(decode_options(options_with_raw("lu_threads", 1ll << 32)),
+               WireError);
 }
 
 TEST(FleetWire, ServeRequestEncoderMatchesWireEncoder) {

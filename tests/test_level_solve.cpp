@@ -1,7 +1,7 @@
 // Level-scheduled triangular solves (ISSUE 7): the bitwise parallel==serial
 // contract of the LevelSchedule engine across dense and multi-RHS paths,
 // the trisolve-layer hardening satellites (zero-pivot guards, empty-quantile
-// pin, absolute-residual reporting), and the serve-cache invariants (the
+// pin), and the serve-cache invariants (the
 // scheduler must not split the fingerprint; schedules charge memory_bytes).
 #include <gtest/gtest.h>
 
@@ -244,19 +244,7 @@ TEST(LevelSolve, ScheduleBuildRejectsZeroDiagonal) {
   EXPECT_NO_THROW(LevelSchedule::build_lower(l, /*unit_diag=*/true));
 }
 
-// ------------------------------------------ refine / histogram audits (bugfix)
-
-TEST(LevelSolve, RefinedSolveZeroRhsReportsAbsoluteResidual) {
-  const CsrMatrix a = testing::grid_laplacian(6, 6);
-  const LuFactors f = lu_factorize(a, {});
-  const std::vector<value_t> b(a.rows, 0.0);
-  std::vector<value_t> x(a.rows, 1.0);  // stale garbage the solve overwrites
-  const LuRefineResult r = lu_solve_refined(f, a, b, x);
-  EXPECT_TRUE(std::isfinite(r.rel_residual));
-  EXPECT_EQ(r.rel_residual, 0.0);
-  EXPECT_TRUE(r.converged);
-  for (const value_t v : x) EXPECT_EQ(v, 0.0);
-}
+// ------------------------------------------------- histogram audit (bugfix)
 
 TEST(LevelSolve, EmptyHistogramQuantileIsZero) {
   const double bounds[] = {1.0, 10.0, 100.0};

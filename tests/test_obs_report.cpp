@@ -209,5 +209,47 @@ TEST(ObsReport, SolverRunFillsReportAndCounters) {
   EXPECT_EQ(obs::RunReport::from_json(rep.to_json()), rep);
 }
 
+// add_solver() writes one config key per entry of the SolverOptions field
+// table, in table order, and every value survives the JSON round trip.
+TEST(ObsReport, AddSolverWritesEveryOptionField) {
+  SolverOptions opt;
+  opt.assembly.lu.kernel = LuKernel::Scalar;
+  opt.assembly.trisolve.scheduler = TrisolveScheduler::LevelSet;
+  opt.constraints = RhbConstraintMode::MultiW1W2;
+  opt.gmres.restart = 45;
+  obs::RunReport rep;
+  rep.add_solver(opt, SolverStats{});
+
+  std::vector<std::string> keys;
+  for_each_option(opt, [&keys](const auto& field) {
+    keys.emplace_back(field.key);
+  });
+  ASSERT_EQ(rep.config.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(rep.config[i].first, keys[i]);
+  }
+  const obs::RunReport back = obs::RunReport::from_json(rep.to_json());
+  EXPECT_EQ(back.config, rep.config);
+
+  // Keys that predate the table keep their renderings; the others say
+  // which kernel, constraint mode, scheduler and restart ran.
+  const auto config = [&back](const char* key) {
+    const std::string* v = back.find_config(key);
+    return v != nullptr ? *v : std::string("<missing>");
+  };
+  EXPECT_EQ(config("partitioning"), "RHB");
+  EXPECT_EQ(config("metric"), "soed");
+  EXPECT_EQ(config("epsilon"), obs::json::number_to_string(0.10));
+  EXPECT_EQ(config("drop_s"), obs::json::number_to_string(1e-10));
+  EXPECT_EQ(config("num_subdomains"), "8");
+  EXPECT_EQ(config("seed"), "1");
+  EXPECT_EQ(config("lu_kernel"), "scalar");
+  EXPECT_EQ(config("constraints"), "w1w2");
+  EXPECT_EQ(config("lu_pivot_tol"), obs::json::number_to_string(0.1));
+  EXPECT_EQ(config("trisolve"), "levelset");
+  EXPECT_EQ(config("gmres_restart"), "45");
+  EXPECT_EQ(config("rhb_dynamic_weights"), "true");
+}
+
 }  // namespace
 }  // namespace pdslin

@@ -2,8 +2,8 @@
 // equivalence with the scalar Gilbert–Peierls reference, parallel == serial
 // determinism, row pivoting inside the dense tail, scalar fallback on pivot
 // deviation before the tail, singularity, zero multipliers and non-finite
-// values, the relaxed-amalgamation and width-cap knobs, the fp32 rung with
-// iterative refinement, and the serve-layer byte accounting.
+// values, the relaxed-amalgamation and width-cap knobs, and the serve-layer
+// byte accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -167,23 +167,20 @@ TEST(PanelLu, FallbackOnPivotDeviationMatchesScalar) {
   const CsrMatrix a =
       ordered_matrix(testing::random_pattern_symmetric(60, 0.15, rng,
                                                        /*diag_boost=*/0.0));
-  for (const bool fp32 : {false, true}) {
-    LuOptions scalar;
-    scalar.kernel = LuKernel::Scalar;
-    scalar.pivot_tol = 1.0;
-    LuOptions panel = scalar;
-    panel.kernel = LuKernel::Panel;
-    panel.panel_fp32 = fp32;
-    panel.threads = 3;
-    const LuFactors fs = lu_factorize(a, scalar);
-    const LuFactors fp = lu_factorize(a, panel);
-    // The first deviation must precede the dense tail: inside it the panel
-    // kernel pivots itself and there would be no fallback to test.
-    ASSERT_LT(first_deviation(fs), dense_tail_start(a));
-    ASSERT_FALSE(fp.stats.used_panel)
-        << "expected a pivot deviation to force the scalar fallback";
-    expect_factors_bitwise(fs, fp, "fallback vs scalar");
-  }
+  LuOptions scalar;
+  scalar.kernel = LuKernel::Scalar;
+  scalar.pivot_tol = 1.0;
+  LuOptions panel = scalar;
+  panel.kernel = LuKernel::Panel;
+  panel.threads = 3;
+  const LuFactors fs = lu_factorize(a, scalar);
+  const LuFactors fp = lu_factorize(a, panel);
+  // The first deviation must precede the dense tail: inside it the panel
+  // kernel pivots itself and there would be no fallback to test.
+  ASSERT_LT(first_deviation(fs), dense_tail_start(a));
+  ASSERT_FALSE(fp.stats.used_panel)
+      << "expected a pivot deviation to force the scalar fallback";
+  expect_factors_bitwise(fs, fp, "fallback vs scalar");
 }
 
 TEST(PanelLu, DenseTailPivotMatchesScalar) {
@@ -208,12 +205,6 @@ TEST(PanelLu, DenseTailPivotMatchesScalar) {
     EXPECT_LE(fp.stats.max_width, 4);
     expect_factors_bitwise(fs, fp, "tail-pivoted panel vs scalar");
   }
-
-  // The fp32 rung sends every off-diagonal pivot to the fp64 scalar kernel.
-  panel.panel_fp32 = true;
-  const LuFactors f32 = lu_factorize(a, panel);
-  EXPECT_FALSE(f32.stats.used_panel);
-  expect_factors_bitwise(fs, f32, "fp32 fallback vs scalar");
 }
 
 TEST(PanelLu, DenseTailPivotTieGoesToSmallestOriginalRow) {
@@ -359,32 +350,6 @@ TEST(PanelLu, WidthCapAndRelaxationKnobs) {
   LuOptions unlimited = fundamental;
   unlimited.panel_max_width = 0;  // 0 = no cap
   expect_factors_bitwise(fs, lu_factorize(a, unlimited), "unlimited width");
-}
-
-TEST(PanelLu, Fp32RungRefinesToFp64) {
-  const CsrMatrix a = ordered_matrix(testing::grid_laplacian(12, 12));
-  LuOptions opt;
-  opt.kernel = LuKernel::Panel;
-  opt.panel_fp32 = true;
-  opt.threads = 2;
-  const LuFactors f = lu_factorize(a, opt);
-  EXPECT_TRUE(f.stats.used_panel);
-
-  Rng rng(99);
-  std::vector<value_t> b(a.rows), x(a.rows, 0.0);
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  // Plain solve with fp32 factors: ~single-precision relative residual.
-  lu_solve(f, b, x);
-  const double raw = residual_norm(a, x, b) / norm2(b);
-  EXPECT_LT(raw, 1e-4);
-  // Iterative refinement gated on the fp64 true residual recovers fp64.
-  LuRefineOptions ropt;
-  ropt.rel_tol = 1e-12;
-  const LuRefineResult res = lu_solve_refined(f, a, b, x, ropt);
-  EXPECT_TRUE(res.converged);
-  EXPECT_LE(res.rel_residual, 1e-12);
-  EXPECT_GT(res.iterations, 0);
-  EXPECT_LT(residual_norm(a, x, b) / norm2(b), 1e-11);
 }
 
 TEST(PanelLu, MemoryBytesCoversPanelMetadata) {

@@ -24,8 +24,6 @@
 //   --lu-kernel scalar|panel  LU factorization kernel         [panel]
 //   --lu-panel-width W        panel width cap (0 = unlimited) [32]
 //   --lu-panel-relax X        relaxed-amalgamation padding    [0.25]
-//   --lu-panel-fp32           factor panels in fp32 (refined to fp64;
-//                             changes factor bits — off by default)
 //   --trisolve serial|levelset triangular-solve engine         [serial]
 //                             (levelset = level-scheduled parallel solves
 //                             inside one L/U solve, bitwise == serial)
@@ -175,8 +173,6 @@ int main(int argc, char** argv) {
           static_cast<index_t>(std::atoi(next()));
     } else if (arg == "--lu-panel-relax") {
       opt.assembly.lu.panel_relax = std::atof(next());
-    } else if (arg == "--lu-panel-fp32") {
-      opt.assembly.lu.panel_fp32 = true;
     } else if (arg == "--krylov") {
       krylov = next();
       if (krylov != "gmres" && krylov != "bicgstab") usage("unknown --krylov");
