@@ -6,14 +6,9 @@
 // hypergraph ordering gains more as B grows, up to ~1.3× over natural.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <numeric>
-#include <thread>
 
 #include "rhs_experiment.hpp"
-#include "direct/level_solve.hpp"
-#include "direct/trisolve.hpp"
-#include "gen/grid_fem.hpp"
 #include "reorder/hypergraph_rhs.hpp"
 #include "util/timer.hpp"
 
@@ -22,158 +17,16 @@ using namespace pdslin;
 namespace {
 
 double timed_solve(const CscMatrix& l, const CscMatrix& rhs,
-                   const std::vector<index_t>& order, index_t b,
-                   const MultiRhsOptions& base = {},
-                   CscMatrix* out = nullptr) {
+                   const std::vector<index_t>& order, index_t b) {
   // Repeat-min timing: these solves run in milliseconds at laptop scale, so
   // a single shot is noise-dominated.
-  MultiRhsOptions opts = base;
-  opts.block_size = b;
   double best = 1e30;
   for (int rep = 0; rep < 3; ++rep) {
     WallTimer t;
-    MultiRhsResult r = solve_multi_rhs_blocked(l, rhs, order, opts);
+    solve_multi_rhs_blocked(l, rhs, order, b);
     best = std::min(best, t.seconds());
-    if (out != nullptr && rep == 0) *out = std::move(r.solution);
   }
   return best;
-}
-
-bool bitwise_equal(const std::vector<value_t>& a,
-                   const std::vector<value_t>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(value_t)) == 0);
-}
-
-/// Serial-vs-levelset ablation on the grid128 interface solves (ISSUE 7
-/// acceptance gate). Two hard gates:
-///   1. the level-scheduled output must be BITWISE identical to serial
-///      (enforced always — this is the determinism contract);
-///   2. the level-set engine must be >= 1.5x faster at 4 threads (enforced
-///      only when the machine actually has >= 4 hardware threads; reported
-///      informationally otherwise).
-/// Returns false when a gate fails (driver exits nonzero).
-bool run_levelset_ablation(std::uint64_t seed) {
-  std::printf("\n--- level-set ablation: grid128, serial vs levelset@4 ---\n");
-  GridFemOptions gopt;
-  gopt.nx = 128;
-  gopt.ny = 128;
-  gopt.seed = seed;
-  const GeneratedProblem p = generate_grid_fem(gopt);
-  std::printf("grid128 (n=%d): preparing 8 subdomains...\n", p.a.rows);
-  const auto setups = bench::prepare_problem(p, seed);
-  const unsigned hw = std::thread::hardware_concurrency();
-  constexpr unsigned kThreads = 4;
-  constexpr index_t kBlock = 60;  // the PDSLin default B
-
-  // --- blocked multi-RHS interface solves: G = L^-1 Ehat per subdomain ---
-  double serial_mr = 0.0, level_mr = 0.0;
-  bool bitwise_ok = true;
-  std::vector<LevelSchedule> schedules;  // keep alive for dense timing below
-  schedules.reserve(setups.size());
-  std::vector<const bench::SubdomainRhsSetup*> live;
-  for (const auto& s : setups) {
-    if (s.num_cols == 0) continue;
-    live.push_back(&s);
-    schedules.push_back(
-        LevelSchedule::build_lower(s.lu_md.lower, /*unit_diag=*/true,
-                                   &s.lu_md.panels));
-  }
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const bench::SubdomainRhsSetup& s = *live[i];
-    std::vector<index_t> identity(s.num_cols);
-    std::iota(identity.begin(), identity.end(), 0);
-    CscMatrix x_serial, x_level;
-    serial_mr += timed_solve(s.lu_md.lower, s.ehat_md, identity, kBlock, {},
-                             &x_serial);
-    MultiRhsOptions lv;
-    lv.trisolve.scheduler = TrisolveScheduler::LevelSet;
-    lv.trisolve.threads = kThreads;
-    lv.schedule = &schedules[i];
-    level_mr += timed_solve(s.lu_md.lower, s.ehat_md, identity, kBlock, lv,
-                            &x_level);
-    if (!bitwise_equal(x_serial.values, x_level.values) ||
-        x_serial.col_ptr != x_level.col_ptr ||
-        x_serial.row_idx != x_level.row_idx) {
-      std::printf("FAIL: multi-RHS levelset output != serial (subdomain %zu)\n",
-                  i);
-      bitwise_ok = false;
-    }
-  }
-
-  // --- dense single-RHS solves through the cached L+U schedules ---
-  double serial_dense = 0.0, level_dense = 0.0;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const LuFactors& f = live[i]->lu_md;
-    const auto sched = build_trisolve_schedules(f);
-    Rng rng(seed + static_cast<std::uint64_t>(i));
-    std::vector<value_t> b(static_cast<std::size_t>(f.n));
-    for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-    std::vector<value_t> x_serial(b.size()), x_level(b.size());
-    // Repeat-min over an inner batch so each sample is above timer noise.
-    constexpr int kReps = 3, kInner = 8;
-    double best_s = 1e30, best_l = 1e30;
-    for (int rep = 0; rep < kReps; ++rep) {
-      WallTimer t;
-      for (int it = 0; it < kInner; ++it) lu_solve(f, b, x_serial);
-      best_s = std::min(best_s, t.seconds());
-    }
-    for (int rep = 0; rep < kReps; ++rep) {
-      WallTimer t;
-      for (int it = 0; it < kInner; ++it)
-        lu_solve_scheduled(f, *sched, b, x_level, kThreads);
-      best_l = std::min(best_l, t.seconds());
-    }
-    serial_dense += best_s;
-    level_dense += best_l;
-    if (!bitwise_equal(x_serial, x_level)) {
-      std::printf("FAIL: dense levelset solve != serial (subdomain %zu)\n", i);
-      bitwise_ok = false;
-    }
-  }
-
-  const double speedup_mr = level_mr > 0.0 ? serial_mr / level_mr : 0.0;
-  const double speedup_dense =
-      level_dense > 0.0 ? serial_dense / level_dense : 0.0;
-  std::printf("multi-RHS (B=%d): serial %.4fs  levelset@%u %.4fs  -> %.2fx\n",
-              kBlock, serial_mr, kThreads, level_mr, speedup_mr);
-  std::printf("dense 1-RHS:      serial %.4fs  levelset@%u %.4fs  -> %.2fx\n",
-              serial_dense, kThreads, level_dense, speedup_dense);
-  std::printf("bitwise serial == levelset: %s\n", bitwise_ok ? "yes" : "NO");
-
-  obs::RunReport rep;
-  rep.tool = "bench/fig5_triangular_time";
-  rep.matrix = "grid128-trisolve-ablation";
-  rep.n = p.a.rows;
-  rep.nnz = p.a.nnz();
-  rep.set_stat("trisolve_ablation_threads", static_cast<double>(kThreads));
-  rep.set_stat("trisolve_ablation_serial_multirhs_seconds", serial_mr);
-  rep.set_stat("trisolve_ablation_levelset_multirhs_seconds", level_mr);
-  rep.set_stat("trisolve_ablation_multirhs_speedup", speedup_mr);
-  rep.set_stat("trisolve_ablation_serial_dense_seconds", serial_dense);
-  rep.set_stat("trisolve_ablation_levelset_dense_seconds", level_dense);
-  rep.set_stat("trisolve_ablation_dense_speedup", speedup_dense);
-  rep.set_stat("trisolve_ablation_bitwise_ok", bitwise_ok ? 1.0 : 0.0);
-  rep.set_stat("hardware_threads", static_cast<double>(hw));
-  bench::emit_bench_report(rep);
-
-  if (!bitwise_ok) return false;
-  const double speedup = std::max(speedup_mr, speedup_dense);
-  if (hw >= kThreads) {
-    if (speedup < 1.5) {
-      std::printf("FAIL: levelset speedup %.2fx < 1.5x at %u threads\n",
-                  speedup, kThreads);
-      return false;
-    }
-    std::printf("PASS: levelset %.2fx >= 1.5x at %u threads, bitwise ok\n",
-                speedup, kThreads);
-  } else {
-    std::printf(
-        "NOTE: only %u hardware thread(s) — speedup gate skipped "
-        "(bitwise gate enforced: ok)\n", hw);
-  }
-  return true;
 }
 
 }  // namespace
@@ -229,7 +82,5 @@ int main() {
     // Summary speedup at the largest B (where ordering matters most).
     std::printf("  (speedup hypergraph vs natural grows with B; paper: up to 1.3x)\n");
   }
-  // ISSUE 7: hard-gated serial-vs-levelset ablation on grid128.
-  if (!run_levelset_ablation(seed)) return 1;
   return 0;
 }

@@ -33,8 +33,6 @@ std::string artifact_to_json(const CaseSpec& spec, const CheckReport* report) {
      << ",\n"
      << "    \"serve\": " << (spec.serve ? "true" : "false") << ",\n"
      << "    \"lu_kernel\": \"" << to_string(spec.lu_kernel) << "\",\n"
-     << "    \"levelset_trisolve\": "
-     << (spec.levelset_trisolve ? "true" : "false") << ",\n"
      << "    \"partition_engine\": \"" << to_string(spec.partition_engine)
      << "\",\n"
      << "    \"partition_values\": \""
@@ -99,11 +97,6 @@ CaseSpec artifact_from_json(std::string_view text) {
     PDSLIN_CHECK_MSG(lk->is_string() &&
                          lu_kernel_from_string(lk->str, spec.lu_kernel),
                      "unknown lu_kernel in artifact");
-  }
-  // Optional for corpus files written before the trisolve axis existed;
-  // those ran the (then-only) serial engine, which the default reproduces.
-  if (const obsjson::Value* ts = s.find("levelset_trisolve")) {
-    spec.levelset_trisolve = ts->boolean;
   }
   // Optional for corpus files written before the partition-engine axis
   // existed; those ran the (then-only) serial multilevel engine.

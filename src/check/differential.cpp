@@ -285,18 +285,14 @@ DifferentialResult run_differential(const CaseSpec& spec,
     }
   }
 
-  // Thread determinism: parallel must be bitwise identical to serial. The
-  // level-set trisolve lanes rerun against the fully serial engine too —
-  // the gather kernel's accumulation order must equal the serial scatter
-  // even at one thread.
+  // Thread determinism: parallel must be bitwise identical to serial.
   if (opt.check_determinism &&
-      (spec.threads > 1 || spec.inner_threads > 1 || spec.levelset_trisolve ||
+      (spec.threads > 1 || spec.inner_threads > 1 ||
        spec.partition_engine == PartitionEngineAxis::ParallelMultilevel ||
        spec.partition_values != partition::ValueMode::Off)) {
     CaseSpec serial = spec;
     serial.threads = 1;
     serial.inner_threads = 1;
-    serial.levelset_trisolve = false;
     // The parallel-partition lane reruns on the serial recursion: the
     // engine's thread-count determinism contract, enforced end to end.
     if (serial.partition_engine == PartitionEngineAxis::ParallelMultilevel) {
@@ -307,7 +303,6 @@ DifferentialResult run_differential(const CaseSpec& spec,
     // |a_ij|-weighted net costs must not perturb thread-count determinism.
     if (spec.partition_values != partition::ValueMode::Off &&
         spec.threads <= 1 && spec.inner_threads <= 1 &&
-        !spec.levelset_trisolve &&
         spec.partition_engine == PartitionEngineAxis::Multilevel) {
       serial.partition_engine = PartitionEngineAxis::ParallelMultilevel;
     }

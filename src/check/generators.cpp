@@ -168,7 +168,7 @@ std::string CaseSpec::to_string() const {
      << threads << "x" << inner_threads << "/nrhs" << nrhs << "/"
      << (krylov == KrylovMethod::Gmres ? "gmres" : "bicgstab") << "/"
      << (exact_assembly ? "exact" : "dropped") << "/"
-     << check::to_string(lu_kernel) << (levelset_trisolve ? "/ts-level" : "")
+     << check::to_string(lu_kernel)
      << (partition_engine != PartitionEngineAxis::Multilevel
              ? std::string("/") + check::to_string(partition_engine)
              : "")
@@ -445,11 +445,7 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
   spec.krylov = (c & 16u) ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
   spec.exact_assembly = (c & 32u) == 0;
   spec.lu_kernel = c % 3u == 0 ? LuKernelAxis::Scalar : LuKernelAxis::Panel;
-  // Trisolve engine cycles mod 5 (coprime with the 64-bit layout and the
-  // mod-3 kernel cycle), so every (config, kernel, scheduler) pair is hit
-  // and the level-set lanes appear from the very first seeds.
-  spec.levelset_trisolve = (c % 5u) >= 2;
-  // Partition engine cycles mod 7 (coprime with 64, 3 and 5): the default
+  // Partition engine cycles mod 7 (coprime with 64 and 3): the default
   // multilevel engine keeps the majority share, with the parallel,
   // geometric-fallback and exhausted-budget lanes each sampled 1-in-7.
   switch (c % 7u) {
@@ -466,7 +462,7 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
       spec.partition_engine = PartitionEngineAxis::Multilevel;
       break;
   }
-  // value_adapt axis cycles mod 11 (coprime with 64, 3, 5 and 7): pattern-
+  // value_adapt axis cycles mod 11 (coprime with 64, 3 and 7): pattern-
   // only keeps the majority share; the value-weighted lanes (abs / logabs)
   // and the adaptive-σ lanes (alone and combined with logabs) are each
   // sampled 1-in-11, so every (engine, value-mode, adapt) pair is hit over
@@ -502,10 +498,6 @@ SolverOptions solver_options_for(const CaseSpec& spec) {
   opt.assembly.lu.kernel = spec.lu_kernel == LuKernelAxis::Scalar
                                ? LuKernel::Scalar
                                : LuKernel::Panel;
-  if (spec.levelset_trisolve) {
-    opt.assembly.trisolve.scheduler = TrisolveScheduler::LevelSet;
-    opt.assembly.trisolve.threads = std::max(1u, spec.inner_threads);
-  }
   switch (spec.partition_engine) {
     case PartitionEngineAxis::Multilevel:
       opt.partition_engine = partition::Engine::Multilevel;

@@ -87,10 +87,6 @@ struct CaseSpec {
   bool serve = false;
   /// Which subdomain LU kernel factorizes the interior blocks.
   LuKernelAxis lu_kernel = LuKernelAxis::Panel;
-  /// Triangular-solve engine: false → serial kernels, true → level-set
-  /// scheduling (must agree bitwise with serial at any thread count; the
-  /// differential runner's serial rerun enforces it).
-  bool levelset_trisolve = false;
   /// Which partition engine lane computes the DBBD partition.
   PartitionEngineAxis partition_engine = PartitionEngineAxis::Multilevel;
   /// Value-aware partitioning lane (--partition-values): weight nets/graph

@@ -75,13 +75,6 @@ bool simpler_lu_kernel(CaseSpec& s) {
   s.lu_kernel = LuKernelAxis::Scalar;
   return true;
 }
-/// Fall back to the serial trisolve engine: a failure that survives
-/// without level scheduling is not the scheduler's fault.
-bool serial_trisolve(CaseSpec& s) {
-  if (!s.levelset_trisolve) return false;
-  s.levelset_trisolve = false;
-  return true;
-}
 /// Fall back to the default serial multilevel partition engine: a failure
 /// that survives there is not the parallel recursion's, the geometric
 /// fallback's, or the budget degradation's fault.
@@ -108,8 +101,7 @@ bool static_sigma(CaseSpec& s) {
 constexpr Candidate kLadder[] = {
     halve_n, halve_subdomains, single_rhs, no_serve,       serial,
     gmres_only, sparsify,      shave_n,    ngd_partitioner, simpler_lu_kernel,
-    serial_trisolve, default_partition_engine, pattern_only_partition,
-    static_sigma,
+    default_partition_engine, pattern_only_partition, static_sigma,
 };
 
 }  // namespace

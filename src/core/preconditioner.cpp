@@ -12,17 +12,14 @@ namespace pdslin {
 
 SchurPreconditioner::SchurPreconditioner(const CsrMatrix& s_tilde,
                                          const LuOptions& opt,
-                                         const TrisolveOptions& trisolve)
-    : n_(s_tilde.rows), trisolve_(trisolve), scratch_(s_tilde.rows) {
+                                         const TrisolveOptions&)
+    : n_(s_tilde.rows), scratch_(s_tilde.rows) {
   PDSLIN_CHECK(s_tilde.rows == s_tilde.cols);
   WallTimer timer;
   const CsrMatrix sym = symmetrize_abs(pattern_of(s_tilde));
   colmap_ = minimum_degree_ordering(sym);
   const CsrMatrix ordered = permute_symmetric(s_tilde, colmap_);
   lu_ = lu_factorize(ordered, opt);
-  if (trisolve_.scheduler == TrisolveScheduler::LevelSet) {
-    schedules_ = build_trisolve_schedules(lu_);
-  }
   factor_seconds_ = timer.seconds();
 }
 
@@ -42,13 +39,8 @@ void SchurPreconditioner::apply_with_scratch(
     scratch[k] = x[colmap_[lu_.row_perm[k]]];
   }
   const std::span<value_t> ws(scratch.data(), static_cast<std::size_t>(n_));
-  if (schedules_) {
-    schedules_->lower.solve(ws, trisolve_.threads);
-    schedules_->upper.solve(ws, trisolve_.threads);
-  } else {
-    lower_solve_dense(lu_.lower, ws, /*unit_diag=*/true);
-    upper_solve_dense(lu_.upper, ws);
-  }
+  lower_solve_dense(lu_.lower, ws, /*unit_diag=*/true);
+  upper_solve_dense(lu_.upper, ws);
   for (index_t j = 0; j < n_; ++j) y[colmap_[j]] = scratch[j];
 }
 

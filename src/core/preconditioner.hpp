@@ -3,10 +3,8 @@
 // used as a preconditioner for solving (2)").
 #pragma once
 
-#include <memory>
-
-#include "direct/level_solve.hpp"
 #include "direct/lu.hpp"
+#include "direct/trisolve.hpp"
 #include "iterative/operators.hpp"
 
 namespace pdslin {
@@ -14,11 +12,10 @@ namespace pdslin {
 class SchurPreconditioner final : public LinearOperator {
  public:
   /// Factorizes S̃ (throws pdslin::Error if singular). A fill-reducing
-  /// ordering is applied internally. With trisolve.scheduler == LevelSet
-  /// the level schedules are built here (once per factorization) and every
-  /// apply() runs level-parallel — bitwise identical to the serial kernels.
+  /// ordering is applied internally. The third parameter is unused (see
+  /// TrisolveOptions).
   explicit SchurPreconditioner(const CsrMatrix& s_tilde, const LuOptions& opt = {},
-                               const TrisolveOptions& trisolve = {});
+                               const TrisolveOptions& = {});
 
   [[nodiscard]] index_t size() const override { return n_; }
   void apply(std::span<const value_t> x, std::span<value_t> y) const override;
@@ -32,23 +29,16 @@ class SchurPreconditioner final : public LinearOperator {
 
   [[nodiscard]] long long factor_nnz() const { return lu_.fill_nnz(); }
   [[nodiscard]] double factor_seconds() const { return factor_seconds_; }
-  /// Heap footprint of the factors plus any cached level schedules — the
-  /// serve cache charges this through SchurSolver::memory_bytes().
+  /// Heap footprint of the factors — the serve cache charges this through
+  /// SchurSolver::memory_bytes().
   [[nodiscard]] std::size_t memory_bytes() const {
-    return lu_.memory_bytes() +
-           (schedules_ ? schedules_->memory_bytes() : 0) +
-           colmap_.size() * sizeof(index_t);
-  }
-  [[nodiscard]] const TrisolveSchedules* schedules() const {
-    return schedules_.get();
+    return lu_.memory_bytes() + colmap_.size() * sizeof(index_t);
   }
 
  private:
   index_t n_ = 0;
   std::vector<index_t> colmap_;  // fill-reducing permutation (new → old)
   LuFactors lu_;
-  TrisolveOptions trisolve_;
-  std::shared_ptr<const TrisolveSchedules> schedules_;  // null under Serial
   double factor_seconds_ = 0.0;
   mutable std::vector<value_t> scratch_;
 };

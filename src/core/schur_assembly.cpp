@@ -194,19 +194,10 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   std::vector<index_t> row_new_of(nd);
   for (index_t k = 0; k < nd; ++k) row_new_of[f.rowmap[k]] = k;
 
-  // Symbolic phase of the level-set trisolve engine: once per
-  // factorization, cached beside the factors (and rebuilt with them on a
-  // numeric-only refresh). The scheduler never changes bits, so it is not
-  // part of the serve fingerprint.
-  const bool levelset = opt.trisolve.scheduler == TrisolveScheduler::LevelSet;
-  if (levelset) f.schedules = build_trisolve_schedules(f.lu);
-
   // --- G = L⁻¹ (P Ê): blocked multi-RHS forward solve. ---
   MultiRhsOptions mr;
   mr.block_size = opt.rhs_block_size;
   mr.threads = opt.inner_threads;
-  mr.trisolve = opt.trisolve;
-  if (levelset) mr.schedule = &f.schedules->lower;
   f.nnz_ehat = sub.ehat.nnz();
   const CscMatrix ehat_perm = remap_rows_to_csc(sub.ehat, row_new_of);
   std::vector<std::vector<index_t>> g_patterns;
@@ -238,15 +229,6 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   fhat_t.sort_cols();
 
   const CscMatrix ut = transpose(f.lu.upper);
-  // Uᵀ's forward-solve DAG is the reverse of U's backward DAG, so the
-  // cached upper schedule does not apply — build a transient one (W is
-  // solved once per factorization; the cost amortizes like the reach).
-  LevelSchedule ut_schedule;
-  if (levelset) {
-    ut_schedule = LevelSchedule::build_lower(ut, /*unit_diag=*/false,
-                                             &f.lu.panels);
-    mr.schedule = &ut_schedule;
-  }
   std::vector<std::vector<index_t>> w_patterns;
   std::vector<index_t> w_order =
       choose_rhs_order(ut, fhat_t, opt, f.reorder_seconds, w_patterns);

@@ -5,14 +5,13 @@
 // sparsification S̃.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/subdomain.hpp"
-#include "direct/level_solve.hpp"
 #include "direct/lu.hpp"
 #include "direct/multirhs.hpp"
+#include "direct/trisolve.hpp"
 
 namespace pdslin {
 
@@ -32,10 +31,7 @@ struct SchurAssemblyOptions {
   /// threshold-drop sweeps; 1 = serial. Results are bitwise identical for
   /// any value.
   unsigned inner_threads = 1;
-  /// Triangular-solve engine for the interface solves and the per-iteration
-  /// subdomain/preconditioner applications. LevelSet parallelizes *inside*
-  /// one L/U solve (level-scheduled row-gather, bitwise == serial), so it is
-  /// deliberately excluded from the serve fingerprint.
+  /// Unused (see TrisolveOptions).
   TrisolveOptions trisolve;
 };
 
@@ -50,10 +46,6 @@ struct SubdomainFactorization {
   /// row k (colmap ∘ LU row permutation).
   std::vector<index_t> rowmap;
   CsrMatrix t_tilde;  // F̂-row × Ê-col local update matrix
-  /// Cached level-set schedules for lu (symbolic phase, built once per
-  /// factorization when the LevelSet scheduler is active; null under
-  /// Serial). Rides the serve factor cache via SchurSolver::memory_bytes().
-  std::shared_ptr<const TrisolveSchedules> schedules;
 
   // --- measurements ---
   double order_seconds = 0.0;

@@ -315,18 +315,12 @@ std::size_t SchurSolver::memory_bytes() const {
     bytes += f.lu.memory_bytes();  // factors + panel metadata
     bytes += index_bytes(f.colmap) + index_bytes(f.rowmap);
     bytes += csr_bytes(f.t_tilde);
-    // Cached level-set trisolve schedules ride the factors (and so the
-    // serve cache's byte accounting).
-    if (f.schedules) bytes += f.schedules->memory_bytes();
   }
   bytes += csr_bytes(c_block_) + csr_bytes(s_tilde_);
   // LU(S̃): nnz(L+U) values + row indices, plus the permutation vectors.
   bytes += static_cast<std::size_t>(stats_.precond_nnz) *
            (sizeof(value_t) + sizeof(index_t));
   bytes += 2 * static_cast<std::size_t>(stats_.schur_dim) * sizeof(index_t);
-  if (precond_ && precond_->schedules() != nullptr) {
-    bytes += precond_->schedules()->memory_bytes();
-  }
   return bytes;
 }
 
@@ -350,13 +344,8 @@ void SchurSolver::domain_solve_scratch(index_t l, std::span<const value_t> b,
   PDSLIN_ASSERT(w.size() >= static_cast<std::size_t>(nd));
   const std::span<value_t> ws(w.data(), static_cast<std::size_t>(nd));
   for (index_t kk = 0; kk < nd; ++kk) ws[kk] = b[f.rowmap[kk]];
-  if (f.schedules) {
-    f.schedules->lower.solve(ws, opt_.assembly.trisolve.threads);
-    f.schedules->upper.solve(ws, opt_.assembly.trisolve.threads);
-  } else {
-    lower_solve_dense(f.lu.lower, ws, /*unit_diag=*/true);
-    upper_solve_dense(f.lu.upper, ws);
-  }
+  lower_solve_dense(f.lu.lower, ws, /*unit_diag=*/true);
+  upper_solve_dense(f.lu.upper, ws);
   for (index_t j = 0; j < nd; ++j) z[f.colmap[j]] = ws[j];
 }
 

@@ -81,9 +81,8 @@ struct OptionField {
   T& value;         // the member; const when visiting const options
   /// The field can change what set-up computes (the partition, the factors,
   /// S̃): exactly these fields make up serve::setup_options_hash. Thread
-  /// counts and the trisolve scheduler are bitwise neutral and the Krylov
-  /// fields act only in the solve, so requests differing in them share one
-  /// cached set-up.
+  /// counts are bitwise neutral and the Krylov fields act only in the
+  /// solve, so requests differing in them share one cached set-up.
   bool setup;
   /// Enums and index counts lie in [0, *last]; every other field may take
   /// any value of its type.
@@ -130,9 +129,6 @@ void for_each_option(Opt& o, F&& f) {
   f(OptionField{"lu_panel_relax", o.assembly.lu.panel_relax, kSetup});
   f(OptionField{"lu_threads", o.assembly.lu.threads, kOther});
   f(OptionField{"inner_threads", o.assembly.inner_threads, kOther});
-  f(OptionField{"trisolve", o.assembly.trisolve.scheduler, kOther,
-                TrisolveScheduler::LevelSet});
-  f(OptionField{"trisolve_threads", o.assembly.trisolve.threads, kOther});
   f(OptionField{"krylov", o.krylov, kOther, KrylovMethod::Bicgstab});
   f(OptionField{"gmres_restart", o.gmres.restart, kOther});
   f(OptionField{"gmres_max_iterations", o.gmres.max_iterations, kOther});

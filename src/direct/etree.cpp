@@ -61,16 +61,6 @@ std::vector<index_t> tree_postorder(const std::vector<index_t>& parent) {
   return post;
 }
 
-std::vector<index_t> tree_levels(const std::vector<index_t>& parent) {
-  const index_t n = static_cast<index_t>(parent.size());
-  std::vector<index_t> level(n, -1);
-  for (index_t i = n - 1; i >= 0; --i) {
-    // parent[i] > i for e-trees, so a reverse sweep sees parents first.
-    level[i] = (parent[i] == -1) ? 0 : level[parent[i]] + 1;
-  }
-  return level;
-}
-
 std::vector<index_t> subtree_sizes(const std::vector<index_t>& parent) {
   const index_t n = static_cast<index_t>(parent.size());
   std::vector<index_t> size(n, 1);

@@ -20,9 +20,6 @@ std::vector<index_t> elimination_tree(const CsrMatrix& a);
 /// k-th. Children are visited in ascending node order.
 std::vector<index_t> tree_postorder(const std::vector<index_t>& parent);
 
-/// level[i] = distance from node i to its root (root level 0).
-std::vector<index_t> tree_levels(const std::vector<index_t>& parent);
-
 /// For each node, the size of its subtree (including itself).
 std::vector<index_t> subtree_sizes(const std::vector<index_t>& parent);
 

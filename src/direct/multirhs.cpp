@@ -34,97 +34,11 @@ struct BlockWorker {
   std::vector<index_t> union_rows;
   std::vector<std::vector<index_t>> col_patterns;
   std::vector<value_t> buf;  // |union| × width, row-major
-  // Level-scheduled numeric phase scratch: the block-local gather transpose
-  // (per target slot, its source slots in ascending order) and the union
-  // slots bucketed by scalar dependency level.
-  std::vector<index_t> tr_ptr, tr_src, tr_cur;
-  std::vector<value_t> tr_val;
-  std::vector<index_t> lvl_of, lvl_ptr, lvl_slots;
   MultiRhsStats stats;
 
   BlockWorker(const CscMatrix& l, index_t block_size)
       : reach(l), slot(l.rows, -1), col_patterns(block_size) {}
 };
-
-// Level-scheduled numeric phase: the serial kernel below sweeps union slots
-// in ascending order (divide, then scatter down). This variant gathers
-// instead — per target slot, updates are applied in ascending source-slot
-// order (the exact serial accumulation sequence, no zero-skip, division only
-// when dj != 1.0, both matching the serial kernel), so slots of one
-// dependency level can run concurrently with bitwise-identical results.
-// Union rows are bucketed by the factor-wide scalar levels of the cached
-// schedule: a valid topological level assignment for any reach-closed subset.
-void numeric_level_scheduled(const CscMatrix& l, const MultiRhsOptions& opts,
-                             index_t width, index_t u, BlockWorker& w) {
-  // Block-local gather transpose over the union slots.
-  w.tr_ptr.assign(u + 1, 0);
-  for (index_t s = 0; s < u; ++s) {
-    const index_t j = w.union_rows[s];
-    for (index_t p = l.col_ptr[j] + 1; p < l.col_ptr[j + 1]; ++p) {
-      ++w.tr_ptr[w.slot[l.row_idx[p]] + 1];
-    }
-  }
-  for (index_t t = 0; t < u; ++t) w.tr_ptr[t + 1] += w.tr_ptr[t];
-  w.tr_src.resize(w.tr_ptr[u]);
-  w.tr_val.resize(w.tr_ptr[u]);
-  w.tr_cur.assign(w.tr_ptr.begin(), w.tr_ptr.end() - 1);
-  for (index_t s = 0; s < u; ++s) {
-    const index_t j = w.union_rows[s];
-    for (index_t p = l.col_ptr[j] + 1; p < l.col_ptr[j + 1]; ++p) {
-      const index_t at = w.tr_cur[w.slot[l.row_idx[p]]]++;
-      w.tr_src[at] = s;
-      w.tr_val[at] = l.values[p];
-    }
-  }
-
-  // Bucket slots by scalar row level (ascending slot inside a level).
-  const std::span<const index_t> row_level = opts.schedule->row_level();
-  w.lvl_of.resize(u);
-  index_t nlev = 0;
-  for (index_t s = 0; s < u; ++s) {
-    w.lvl_of[s] = row_level[w.union_rows[s]];
-    nlev = std::max(nlev, w.lvl_of[s] + 1);
-  }
-  w.lvl_ptr.assign(nlev + 1, 0);
-  for (index_t s = 0; s < u; ++s) ++w.lvl_ptr[w.lvl_of[s] + 1];
-  for (index_t lv = 0; lv < nlev; ++lv) w.lvl_ptr[lv + 1] += w.lvl_ptr[lv];
-  w.lvl_slots.resize(u);
-  {
-    std::vector<index_t>& cur = w.tr_cur;  // reuse as cursor scratch
-    cur.assign(w.lvl_ptr.begin(), w.lvl_ptr.end() - 1);
-    for (index_t s = 0; s < u; ++s) w.lvl_slots[cur[w.lvl_of[s]]++] = s;
-  }
-
-  const auto exec_slot = [&](index_t t) {
-    value_t* xt = w.buf.data() + static_cast<std::size_t>(t) * width;
-    for (index_t q = w.tr_ptr[t]; q < w.tr_ptr[t + 1]; ++q) {
-      const value_t v = w.tr_val[q];
-      const value_t* xs =
-          w.buf.data() + static_cast<std::size_t>(w.tr_src[q]) * width;
-      for (index_t c = 0; c < width; ++c) xt[c] -= v * xs[c];
-    }
-    const index_t j = w.union_rows[t];
-    const value_t dj = l.values[l.col_ptr[j]];
-    if (dj != 1.0) {
-      for (index_t c = 0; c < width; ++c) xt[c] /= dj;
-    }
-  };
-  const unsigned workers = std::max(1u, opts.trisolve.threads);
-  for (index_t lv = 0; lv < nlev; ++lv) {
-    const index_t b0 = w.lvl_ptr[lv];
-    const index_t cnt = w.lvl_ptr[lv + 1] - b0;
-    if (workers <= 1 || cnt <= 1) {
-      for (index_t k = 0; k < cnt; ++k) exec_slot(w.lvl_slots[b0 + k]);
-    } else {
-      parallel_ranges(ThreadPool::shared(), cnt, workers,
-                      [&](unsigned, long long k0, long long k1) {
-                        for (long long k = k0; k < k1; ++k) {
-                          exec_slot(w.lvl_slots[b0 + static_cast<index_t>(k)]);
-                        }
-                      });
-    }
-  }
-}
 
 // Columns [begin, begin+width) of the blocked solve, gathered into the
 // block-local output arrays (stitched into the CSC result afterwards, in
@@ -182,26 +96,21 @@ void process_block(const CscMatrix& l, const CscMatrix& b,
       w.buf[static_cast<std::size_t>(w.slot[rows[k]]) * width + c] = vals[k];
     }
   }
-  if (opts.trisolve.scheduler == TrisolveScheduler::LevelSet &&
-      opts.schedule != nullptr) {
-    numeric_level_scheduled(l, opts, width, u, w);
-  } else {
-    for (index_t s = 0; s < u; ++s) {
-      const index_t j = w.union_rows[s];
-      value_t* xj = w.buf.data() + static_cast<std::size_t>(s) * width;
-      const index_t cb = l.col_ptr[j];
-      const index_t ce = l.col_ptr[j + 1];
-      const value_t dj = l.values[cb];
-      if (dj != 1.0) {
-        for (index_t c = 0; c < width; ++c) xj[c] /= dj;
-      }
-      for (index_t p = cb + 1; p < ce; ++p) {
-        const index_t t = w.slot[l.row_idx[p]];
-        PDSLIN_ASSERT(t >= 0);  // union pattern is closed under reach
-        const value_t v = l.values[p];
-        value_t* xt = w.buf.data() + static_cast<std::size_t>(t) * width;
-        for (index_t c = 0; c < width; ++c) xt[c] -= v * xj[c];
-      }
+  for (index_t s = 0; s < u; ++s) {
+    const index_t j = w.union_rows[s];
+    value_t* xj = w.buf.data() + static_cast<std::size_t>(s) * width;
+    const index_t cb = l.col_ptr[j];
+    const index_t ce = l.col_ptr[j + 1];
+    const value_t dj = l.values[cb];
+    if (dj != 1.0) {
+      for (index_t c = 0; c < width; ++c) xj[c] /= dj;
+    }
+    for (index_t p = cb + 1; p < ce; ++p) {
+      const index_t t = w.slot[l.row_idx[p]];
+      PDSLIN_ASSERT(t >= 0);  // union pattern is closed under reach
+      const value_t v = l.values[p];
+      value_t* xt = w.buf.data() + static_cast<std::size_t>(t) * width;
+      for (index_t c = 0; c < width; ++c) xt[c] -= v * xj[c];
     }
   }
   w.stats.numeric_seconds += timer.seconds();
@@ -241,7 +150,6 @@ MultiRhsResult solve_multi_rhs_blocked(const CscMatrix& l, const CscMatrix& b,
   PDSLIN_CHECK(order.size() == static_cast<std::size_t>(b.cols));
   PDSLIN_CHECK(opts.col_patterns == nullptr ||
                opts.col_patterns->size() == static_cast<std::size_t>(b.cols));
-  PDSLIN_CHECK(opts.schedule == nullptr || opts.schedule->n() == l.rows);
   const index_t n = l.rows;
   const index_t m = b.cols;
   const index_t bs = opts.block_size;

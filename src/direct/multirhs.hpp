@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "direct/level_solve.hpp"
 #include "direct/trisolve.hpp"
 #include "sparse/csr.hpp"
 
@@ -61,17 +60,6 @@ struct MultiRhsOptions {
   /// reach (the §IV-B pipeline already computed them to build the
   /// hypergraph).
   const std::vector<std::vector<index_t>>* col_patterns = nullptr;
-  /// Within-block parallelism: with scheduler == LevelSet (and `schedule`
-  /// set) the dense numeric kernel runs level-by-level over the union rows —
-  /// a row-gather whose per-element accumulation order equals the serial
-  /// scatter, so the result is bitwise identical at any thread count. This
-  /// is the third parallel axis (after subdomains and RHS blocks): it goes
-  /// *inside* one block's triangular solve.
-  TrisolveOptions trisolve;
-  /// Level schedule of `l` (its row_level() buckets the union rows).
-  /// Required when trisolve.scheduler == LevelSet — typically the schedule
-  /// cached alongside the factors.
-  const LevelSchedule* schedule = nullptr;
 };
 
 /// Solve l · X = B(:, order) in blocks of `opts.block_size` columns.

@@ -22,6 +22,12 @@ void upper_solve_dense(const CscMatrix& u, std::span<value_t> x);
 /// x = A⁻¹ b using the factors (applies the row permutation internally).
 void lu_solve(const LuFactors& f, std::span<const value_t> b, std::span<value_t> x);
 
+/// Empty: the kernels in this header are the only triangular solves. It
+/// survives only because benchmark/harness/layers.cpp still passes
+/// SchurAssemblyOptions::trisolve to the SchurPreconditioner constructor;
+/// delete it, that field and that parameter together.
+struct TrisolveOptions {};
+
 /// Sparse-RHS lower-triangular solver with reusable workspace.
 /// Requires the diagonal to be the first entry of every column; divides by
 /// it, so both L (unit) and Uᵀ (non-unit) work.

@@ -33,7 +33,7 @@
 namespace pdslin::fleet {
 
 inline constexpr std::uint32_t kWireMagic = 0x4C534450u;  // "PDSL"
-inline constexpr std::uint16_t kWireVersion = 3;
+inline constexpr std::uint16_t kWireVersion = 4;
 /// Defensive ceiling on payload_len: a garbage header must not turn into a
 /// multi-gigabyte allocation.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 31;

@@ -54,7 +54,7 @@ struct BfsResult {
 BfsResult bfs_levels(const Graph& g, index_t seed);
 
 /// Pseudo-peripheral vertex: repeated BFS until the eccentricity stops
-/// growing. Good seed for region-growing bisection and RCM.
+/// growing. Good seed for region-growing bisection.
 index_t pseudo_peripheral_vertex(const Graph& g, index_t seed);
 
 }  // namespace pdslin

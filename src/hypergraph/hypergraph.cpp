@@ -64,17 +64,4 @@ Hypergraph column_net_model(const CsrMatrix& m) {
   return h;
 }
 
-Hypergraph row_net_model(const CsrMatrix& m) {
-  // Vertices are columns, nets are rows → net-major lists are the CSR layout.
-  Hypergraph h;
-  h.num_vertices = m.cols;
-  h.num_nets = m.rows;
-  h.net_ptr = m.row_ptr;
-  h.net_pins = m.col_idx;
-  h.vwgt.assign(h.num_vertices, 1);
-  h.net_cost.assign(h.num_nets, 1);
-  h.build_vertex_lists();
-  return h;
-}
-
 }  // namespace pdslin

@@ -54,8 +54,4 @@ struct Hypergraph {
 /// Unit vertex weights and unit net costs.
 Hypergraph column_net_model(const CsrMatrix& m);
 
-/// Row-net model: the column-net model of Mᵀ (vertices are columns, nets are
-/// rows). Used by the RHS-reordering hypergraph of §IV-B.
-Hypergraph row_net_model(const CsrMatrix& m);
-
 }  // namespace pdslin

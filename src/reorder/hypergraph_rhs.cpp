@@ -5,7 +5,6 @@
 
 #include "partition/engine.hpp"
 #include "reorder/quasidense.hpp"
-#include "sparse/convert.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -30,26 +29,16 @@ HypergraphRhsResult hypergraph_rhs_ordering(
   const index_t head = num_full_parts * b;  // columns partitioned into parts
 
   WallTimer timer;
-  // G's pattern, row-major (rows of G = hypergraph nets), restricted to the
-  // first head columns as the paper prescribes.
-  CsrMatrix g_rows;  // head here plays the role of "cols"
-  {
-    CscMatrix g_cols(num_rows, head);
-    for (index_t j = 0; j < head; ++j) {
-      g_cols.row_idx.insert(g_cols.row_idx.end(), g_patterns[j].begin(),
-                            g_patterns[j].end());
-      g_cols.col_ptr[j + 1] = static_cast<index_t>(g_cols.row_idx.size());
-    }
-    g_rows = csc_to_csr(g_cols);
-  }
-
-  const QuasiDenseFilter filter = remove_quasi_dense_rows(g_rows, opt.quasi_dense_tau);
+  // Rows of G become hypergraph nets; only the first head columns take
+  // part, as the paper prescribes.
+  const QuasiDenseFilter filter = remove_quasi_dense_rows(
+      std::span(g_patterns).first(static_cast<std::size_t>(head)), num_rows,
+      opt.quasi_dense_tau);
   res.removed_dense_rows = filter.removed_dense;
   res.removed_empty_rows = filter.removed_empty;
 
-  // Row-net model on the partition engine: one CSR row per head column of G
-  // (a vertex) holding its kept-row pattern (its nets). Static unit weights
-  // and ε = 0 aim every part at exactly B columns.
+  // Row-net model on the partition engine: one vertex per head column of G.
+  // Static unit weights and ε = 0 aim every part at exactly B columns.
   RhbOptions popt;
   popt.num_parts = num_full_parts;
   popt.metric = CutMetric::Con1;  // Eq. (15): padded zeros ≡ con1 up to consts
@@ -61,7 +50,7 @@ HypergraphRhsResult hypergraph_rhs_ordering(
   popt.initial_tries = opt.initial_tries;
   popt.attempts = 1;
   const std::vector<index_t> part =
-      partition::rhb_engine(transpose(filter.filtered), popt, {}).row_part;
+      partition::rhb_engine(filter.vertex_nets, popt, {}).row_part;
   res.partition_seconds = timer.seconds();
 
   // Emit columns part by part. Parts may deviate from B by a vertex or two

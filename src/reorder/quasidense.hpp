@@ -5,6 +5,7 @@
 // inflate hypergraph partitioning time without improving the partition.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -12,17 +13,22 @@
 namespace pdslin {
 
 struct QuasiDenseFilter {
-  /// Row-major pattern with empty and quasi-dense rows removed.
-  CsrMatrix filtered;
+  /// The row-net hypergraph the partition engine takes: row j lists the
+  /// kept rows of G that column j touches (its nets), each numbered by its
+  /// position in kept_rows, ascending.
+  CsrMatrix vertex_nets;
   index_t removed_dense = 0;
   index_t removed_empty = 0;
-  /// kept[r] = original row index of filtered row r.
+  /// kept_rows[r] = original row index of net r.
   std::vector<index_t> kept_rows;
 };
 
-/// Remove rows of `g_rows` (a rows × cols pattern, rows become hypergraph
-/// nets) whose density nnz(row)/cols ≥ tau, and empty rows. tau > 1 disables
-/// the dense filter (only empties are dropped).
-QuasiDenseFilter remove_quasi_dense_rows(const CsrMatrix& g_rows, double tau);
+/// Remove the rows of G (num_rows × col_patterns.size(), given column by
+/// column as sorted row patterns; rows become hypergraph nets) whose density
+/// nnz(row)/cols ≥ tau, and the empty rows. tau > 1 disables the dense
+/// filter (only empties are dropped).
+QuasiDenseFilter remove_quasi_dense_rows(
+    std::span<const std::vector<index_t>> col_patterns, index_t num_rows,
+    double tau);
 
 }  // namespace pdslin

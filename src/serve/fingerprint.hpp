@@ -57,9 +57,8 @@ std::uint64_t hash_bytes(const void* data, std::size_t len,
 Fingerprint fingerprint_of(const CsrMatrix& a);
 
 /// Hash the SolverOptions fields that the for_each_option table marks
-/// setup-affecting. Thread counts, the trisolve scheduler and the Krylov
-/// knobs are excluded, so requests differing only there still share a
-/// setup and can batch.
+/// setup-affecting. Thread counts and the Krylov knobs are excluded, so
+/// requests differing only there still share a setup and can batch.
 std::uint64_t setup_options_hash(const pdslin::SolverOptions& opt);
 
 /// Full cache key: matrix fingerprint + setup-affecting options.

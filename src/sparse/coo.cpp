@@ -16,17 +16,6 @@ void CooMatrix::add(index_t row, index_t col, value_t value) {
   val_.push_back(value);
 }
 
-void CooMatrix::add_block(const CooMatrix& block, index_t row0, index_t col0) {
-  PDSLIN_CHECK(row0 >= 0 && col0 >= 0);
-  PDSLIN_CHECK(row0 + block.rows() <= rows_ && col0 + block.cols() <= cols_);
-  reserve(nnz() + block.nnz());
-  for (std::size_t k = 0; k < block.nnz(); ++k) {
-    row_.push_back(block.row_[k] + row0);
-    col_.push_back(block.col_[k] + col0);
-    val_.push_back(block.val_[k]);
-  }
-}
-
 void CooMatrix::resize(index_t rows, index_t cols) {
   PDSLIN_CHECK(rows >= rows_ && cols >= cols_);
   rows_ = rows;

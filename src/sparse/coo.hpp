@@ -20,9 +20,6 @@ class CooMatrix {
   /// summed when converting to a compressed format.
   void add(index_t row, index_t col, value_t value);
 
-  /// Append the whole pattern of another COO block at offset (row0, col0).
-  void add_block(const CooMatrix& block, index_t row0, index_t col0);
-
   [[nodiscard]] index_t rows() const { return rows_; }
   [[nodiscard]] index_t cols() const { return cols_; }
   [[nodiscard]] std::size_t nnz() const { return row_.size(); }

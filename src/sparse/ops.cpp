@@ -1,6 +1,5 @@
 #include "sparse/ops.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -17,21 +16,6 @@ void spmv(const CsrMatrix& a, std::span<const value_t> x, std::span<value_t> y) 
       sum += a.values[p] * x[a.col_idx[p]];
     }
     y[i] = sum;
-  }
-}
-
-void spmv_transpose(const CsrMatrix& a, std::span<const value_t> x,
-                    std::span<value_t> y) {
-  PDSLIN_CHECK(x.size() == static_cast<std::size_t>(a.rows));
-  PDSLIN_CHECK(y.size() == static_cast<std::size_t>(a.cols));
-  PDSLIN_CHECK(a.has_values() || a.nnz() == 0);
-  std::fill(y.begin(), y.end(), 0.0);
-  for (index_t i = 0; i < a.rows; ++i) {
-    const value_t xi = x[i];
-    if (xi == 0.0) continue;
-    for (index_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
-      y[a.col_idx[p]] += a.values[p] * xi;
-    }
   }
 }
 
@@ -97,12 +81,6 @@ CsrMatrix extract(const CsrMatrix& a, std::span<const index_t> rows,
   }
   b.sort_rows();
   return b;
-}
-
-std::vector<index_t> row_nnz_counts(const CsrMatrix& a) {
-  std::vector<index_t> counts(a.rows);
-  for (index_t i = 0; i < a.rows; ++i) counts[i] = a.row_nnz(i);
-  return counts;
 }
 
 std::vector<index_t> nonzero_columns(const CsrMatrix& a) {

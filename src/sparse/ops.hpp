@@ -11,10 +11,6 @@ namespace pdslin {
 /// y = A·x.
 void spmv(const CsrMatrix& a, std::span<const value_t> x, std::span<value_t> y);
 
-/// y = Aᵀ·x.
-void spmv_transpose(const CsrMatrix& a, std::span<const value_t> x,
-                    std::span<value_t> y);
-
 /// y += alpha·A·x.
 void spmv_add(const CsrMatrix& a, std::span<const value_t> x,
               std::span<value_t> y, value_t alpha);
@@ -33,9 +29,6 @@ value_t residual_norm(const CsrMatrix& a, std::span<const value_t> x,
 /// A(rows[i], cols[j]).
 CsrMatrix extract(const CsrMatrix& a, std::span<const index_t> rows,
                   std::span<const index_t> cols);
-
-/// Per-row nonzero counts of A.
-std::vector<index_t> row_nnz_counts(const CsrMatrix& a);
 
 /// Column indices of A that contain at least one nonzero, ascending.
 std::vector<index_t> nonzero_columns(const CsrMatrix& a);

@@ -77,20 +77,4 @@ CsrMatrix permute_cols(const CsrMatrix& a, std::span<const index_t> colperm) {
   return b;
 }
 
-std::vector<value_t> permute_vector(std::span<const value_t> x,
-                                    std::span<const index_t> perm) {
-  PDSLIN_CHECK(x.size() == perm.size());
-  std::vector<value_t> out(x.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) out[i] = x[perm[i]];
-  return out;
-}
-
-std::vector<value_t> unpermute_vector(std::span<const value_t> x,
-                                      std::span<const index_t> perm) {
-  PDSLIN_CHECK(x.size() == perm.size());
-  std::vector<value_t> out(x.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) out[perm[i]] = x[i];
-  return out;
-}
-
 }  // namespace pdslin

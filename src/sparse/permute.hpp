@@ -32,12 +32,4 @@ CsrMatrix permute_rows(const CsrMatrix& a, std::span<const index_t> rowperm);
 /// Permute columns only: B(:, j) = A(:, colperm[j]).
 CsrMatrix permute_cols(const CsrMatrix& a, std::span<const index_t> colperm);
 
-/// Permute a dense vector: out[i] = x[perm[i]].
-std::vector<value_t> permute_vector(std::span<const value_t> x,
-                                    std::span<const index_t> perm);
-
-/// Scatter a dense vector back: out[perm[i]] = x[i].
-std::vector<value_t> unpermute_vector(std::span<const value_t> x,
-                                      std::span<const index_t> perm);
-
 }  // namespace pdslin

@@ -11,7 +11,6 @@ namespace pdslin {
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::Warn};
 std::mutex g_mutex;
-LogSink g_sink;  // guarded by g_mutex; empty → default stderr sink
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -28,22 +27,13 @@ void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_rela
 
 LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
-void set_log_sink(LogSink sink) {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_sink = std::move(sink);
-}
-
 void log_message(LogLevel level, const std::string& msg) {
   if (level < g_level.load(std::memory_order_relaxed)) return;
   char prefix[32];
   std::snprintf(prefix, sizeof(prefix), "[pdslin %s t%02u] ",
                 level_name(level), obs::thread_index());
   std::lock_guard<std::mutex> lock(g_mutex);
-  if (g_sink) {
-    g_sink(level, prefix + msg);
-  } else {
-    std::fprintf(stderr, "%s%s\n", prefix, msg.c_str());
-  }
+  std::fprintf(stderr, "%s%s\n", prefix, msg.c_str());
 }
 
 }  // namespace pdslin

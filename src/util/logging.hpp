@@ -2,12 +2,11 @@
 // narrate phases; tests keep the default Warn so output stays clean.
 //
 // Thread safety: messages are formatted into a single string on the calling
-// thread, then handed to one mutex-guarded sink, so concurrent pool workers
+// thread, then written to stderr under one mutex, so concurrent pool workers
 // never interleave characters within a line. Every line is tagged with the
 // caller's dense thread index (obs::thread_index()), e.g. "[pdslin INFO t03]".
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -19,13 +18,6 @@ enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 /// (set it once at program start).
 void set_log_level(LogLevel level);
 LogLevel log_level();
-
-/// Replace the output sink (default: one fprintf(stderr) per line). The sink
-/// is invoked with the formatted line (no trailing newline) under the global
-/// logging mutex — it must not log recursively. Pass nullptr to restore the
-/// default. Set it once at program start, like the level.
-using LogSink = std::function<void(LogLevel, const std::string& line)>;
-void set_log_sink(LogSink sink);
 
 /// Emit a message at the given level (no-op if below threshold).
 void log_message(LogLevel level, const std::string& msg);

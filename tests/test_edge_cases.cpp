@@ -119,11 +119,11 @@ TEST(EdgeCases, MultiRhsEmptyAndDenseColumns) {
 }
 
 TEST(EdgeCases, QuasiDenseAllRowsRemoved) {
-  CsrMatrix g(2, 3);
-  g.col_idx = {0, 1, 2, 0, 1, 2};
-  g.row_ptr = {0, 3, 6};
-  const QuasiDenseFilter f = remove_quasi_dense_rows(g, 0.5);
-  EXPECT_EQ(f.filtered.rows, 0);
+  // 2 rows × 3 columns, both rows full.
+  const std::vector<std::vector<index_t>> g = {{0, 1}, {0, 1}, {0, 1}};
+  const QuasiDenseFilter f = remove_quasi_dense_rows(g, 2, 0.5);
+  EXPECT_EQ(f.vertex_nets.cols, 0);
+  EXPECT_TRUE(f.kept_rows.empty());
   EXPECT_EQ(f.removed_dense, 2);
 }
 

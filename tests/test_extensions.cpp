@@ -113,8 +113,6 @@ TEST(ConfigStrings, AllEnumsPrintable) {
   EXPECT_STREQ(to_string(RhbConstraintMode::MultiW1W2), "w1w2");
   EXPECT_STREQ(to_string(LuKernel::Scalar), "scalar");
   EXPECT_STREQ(to_string(LuKernel::Panel), "panel");
-  EXPECT_STREQ(to_string(TrisolveScheduler::Serial), "serial");
-  EXPECT_STREQ(to_string(TrisolveScheduler::LevelSet), "levelset");
 }
 
 }  // namespace

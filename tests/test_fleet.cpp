@@ -313,7 +313,7 @@ TEST(FleetWire, EveryOptionFieldRoundTrips) {
     EXPECT_EQ(encode_options(decode_options(bytes)), bytes);
     EXPECT_EQ(serve::setup_options_hash(opt) != base_hash, field.setup);
   });
-  EXPECT_EQ(fields, 32);
+  EXPECT_EQ(fields, 30);
   EXPECT_EQ(setup_fields, 21);
 }
 

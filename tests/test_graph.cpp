@@ -1,9 +1,8 @@
 // Tests for the graph model, coarsening, multilevel bisection, vertex
-// separators, nested dissection and RCM.
+// separators and nested dissection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 
 #include "graph/bisect.hpp"
@@ -12,7 +11,6 @@
 #include "graph/graph.hpp"
 #include "graph/matching.hpp"
 #include "partition/engine.hpp"
-#include "graph/rcm.hpp"
 #include "graph/separator.hpp"
 #include "test_util.hpp"
 
@@ -139,31 +137,6 @@ TEST(NestedDissection, RejectsNonPowerOfTwo) {
   NgdOptions opt;
   opt.num_parts = 6;
   EXPECT_THROW(partition::ngd_engine(g, opt, {}), Error);
-}
-
-TEST(Rcm, IsPermutationAndReducesBandwidth) {
-  const Graph g = grid_graph(20, 20);
-  const auto perm = rcm_ordering(g);
-  EXPECT_TRUE(is_permutation(perm, g.n));
-
-  // Bandwidth under RCM should beat a pessimal random order.
-  auto bandwidth = [&](const std::vector<index_t>& p) {
-    std::vector<index_t> inv(g.n);
-    for (index_t i = 0; i < g.n; ++i) inv[p[i]] = i;
-    index_t bw = 0;
-    for (index_t v = 0; v < g.n; ++v) {
-      for (index_t q = g.adj_ptr[v]; q < g.adj_ptr[v + 1]; ++q) {
-        bw = std::max(bw, std::abs(inv[v] - inv[g.adj[q]]));
-      }
-    }
-    return bw;
-  };
-  std::vector<index_t> shuffled(g.n);
-  std::iota(shuffled.begin(), shuffled.end(), 0);
-  Rng rng(23);
-  std::shuffle(shuffled.begin(), shuffled.end(), rng);
-  EXPECT_LT(bandwidth(perm), bandwidth(shuffled));
-  EXPECT_LE(bandwidth(perm), 60);  // grid RCM bandwidth ≈ grid width
 }
 
 }  // namespace

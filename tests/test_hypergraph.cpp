@@ -34,15 +34,6 @@ TEST(HypergraphModel, ColumnNetFromMatrix) {
   EXPECT_EQ(h.total_weight(0), 3);
 }
 
-TEST(HypergraphModel, RowNetIsTransposedColumnNet) {
-  Rng rng(3);
-  const CsrMatrix m = testing::random_sparse(10, 6, 0.3, rng);
-  const Hypergraph hr = row_net_model(m);
-  hr.validate();
-  EXPECT_EQ(hr.num_vertices, m.cols);
-  EXPECT_EQ(hr.num_nets, m.rows);
-}
-
 TEST(BisectionState, ApplyMoveMatchesRebuild) {
   Rng rng(7);
   const CsrMatrix m = testing::random_sparse(30, 20, 0.2, rng);

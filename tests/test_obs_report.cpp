@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,17 @@ TEST(ObsMetrics, ResetZeroesValuesButKeepsNames) {
   EXPECT_EQ(&obs::counter("test.reset.counter"), &c);
   c.add(1);
   EXPECT_EQ(c.value(), 1);
+}
+
+TEST(ObsMetrics, EmptyHistogramQuantileIsZero) {
+  const double bounds[] = {1.0, 10.0, 100.0};
+  obs::Histogram& h = obs::histogram("test.histogram.empty_quantile", bounds);
+  ASSERT_EQ(h.count(), 0);
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    const double v = h.quantile(q);
+    EXPECT_TRUE(std::isfinite(v)) << "q=" << q;
+    EXPECT_EQ(v, 0.0) << "q=" << q;
+  }
 }
 
 obs::RunReport sample_report() {
@@ -214,7 +226,6 @@ TEST(ObsReport, SolverRunFillsReportAndCounters) {
 TEST(ObsReport, AddSolverWritesEveryOptionField) {
   SolverOptions opt;
   opt.assembly.lu.kernel = LuKernel::Scalar;
-  opt.assembly.trisolve.scheduler = TrisolveScheduler::LevelSet;
   opt.constraints = RhbConstraintMode::MultiW1W2;
   opt.gmres.restart = 45;
   obs::RunReport rep;
@@ -232,7 +243,7 @@ TEST(ObsReport, AddSolverWritesEveryOptionField) {
   EXPECT_EQ(back.config, rep.config);
 
   // Keys that predate the table keep their renderings; the others say
-  // which kernel, constraint mode, scheduler and restart ran.
+  // which kernel, constraint mode and restart ran.
   const auto config = [&back](const char* key) {
     const std::string* v = back.find_config(key);
     return v != nullptr ? *v : std::string("<missing>");
@@ -246,7 +257,6 @@ TEST(ObsReport, AddSolverWritesEveryOptionField) {
   EXPECT_EQ(config("lu_kernel"), "scalar");
   EXPECT_EQ(config("constraints"), "w1w2");
   EXPECT_EQ(config("lu_pivot_tol"), obs::json::number_to_string(0.1));
-  EXPECT_EQ(config("trisolve"), "levelset");
   EXPECT_EQ(config("gmres_restart"), "45");
   EXPECT_EQ(config("rhb_dynamic_weights"), "true");
 }

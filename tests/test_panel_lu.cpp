@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/schur_solver.hpp"
-#include "direct/level_solve.hpp"
 #include "direct/lu.hpp"
 #include "direct/mindeg.hpp"
 #include "direct/supernodes.hpp"
@@ -233,7 +232,7 @@ TEST(PanelLu, DenseTailPivotTieGoesToSmallestOriginalRow) {
   expect_factors_bitwise(fs, fp, "tied tail pivot");
 }
 
-TEST(PanelLu, LevelSetSolveOnTailPivotedFactorBitwise) {
+TEST(PanelLu, SolveOnTailPivotedFactorHasSmallResidual) {
   Rng rng(5);
   const CsrMatrix a = bordered_indefinite(80, 16, rng);
   LuOptions opt;
@@ -243,16 +242,10 @@ TEST(PanelLu, LevelSetSolveOnTailPivotedFactorBitwise) {
   ASSERT_TRUE(f.stats.used_panel);
   ASSERT_GT(f.stats.tail_pivots, 0);
 
-  std::vector<value_t> b(a.rows), xs(a.rows), xl(a.rows);
+  std::vector<value_t> b(a.rows), xs(a.rows);
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
   lu_solve(f, b, xs);
   EXPECT_LT(residual_norm(a, xs, b) / norm2(b), 1e-10);
-  const auto sched = build_trisolve_schedules(f);
-  for (const unsigned t : {1u, 3u}) {
-    lu_solve_scheduled(f, *sched, b, xl, t);
-    EXPECT_EQ(0, std::memcmp(xs.data(), xl.data(), xs.size() * sizeof(value_t)))
-        << "level-set threads=" << t;
-  }
 }
 
 TEST(PanelLu, ZeroMultiplierAndNonFiniteMatchScalar) {

@@ -155,16 +155,20 @@ TEST(HypergraphRhs, FewColumnsFallsBackToIdentity) {
 
 TEST(QuasiDense, FiltersEmptyAndDenseRows) {
   // 5 columns; rows: empty, sparse(1), dense(5), sparse(2), dense(4).
-  CsrMatrix g(5, 5);
-  g.col_idx = {2, 0, 1, 2, 3, 4, 1, 3, 0, 1, 2, 3};
-  g.row_ptr = {0, 0, 1, 6, 8, 12};
-  const QuasiDenseFilter f = remove_quasi_dense_rows(g, 0.7);
+  const std::vector<std::vector<index_t>> g = {
+      {2, 4}, {2, 3, 4}, {1, 2, 4}, {2, 3, 4}, {2}};
+  const QuasiDenseFilter f = remove_quasi_dense_rows(g, 5, 0.7);
   EXPECT_EQ(f.removed_empty, 1);
   EXPECT_EQ(f.removed_dense, 2);  // rows with 5 and 4 nonzeros (≥ 3.5)
-  EXPECT_EQ(f.filtered.rows, 2);
   EXPECT_EQ(f.kept_rows, (std::vector<index_t>{1, 3}));
+  // One vertex per column, listing the kept rows it touches: row 1 is
+  // net 0, row 3 is net 1.
+  EXPECT_EQ(f.vertex_nets.rows, 5);
+  EXPECT_EQ(f.vertex_nets.cols, 2);
+  EXPECT_EQ(f.vertex_nets.row_ptr, (std::vector<index_t>{0, 0, 1, 2, 3, 3}));
+  EXPECT_EQ(f.vertex_nets.col_idx, (std::vector<index_t>{1, 0, 1}));
   // tau > 1 keeps dense rows.
-  const QuasiDenseFilter keep = remove_quasi_dense_rows(g, 1.5);
+  const QuasiDenseFilter keep = remove_quasi_dense_rows(g, 5, 1.5);
   EXPECT_EQ(keep.removed_dense, 0);
   EXPECT_EQ(keep.removed_empty, 1);
 }

@@ -23,18 +23,6 @@ TEST(Coo, AddAndBounds) {
   EXPECT_THROW(coo.add(-1, 0, 1.0), Error);
 }
 
-TEST(Coo, AddBlockOffsets) {
-  CooMatrix block(2, 2);
-  block.add(0, 1, 5.0);
-  block.add(1, 0, 7.0);
-  CooMatrix big(4, 4);
-  big.add_block(block, 2, 1);
-  const CsrMatrix a = coo_to_csr(big);
-  const auto d = to_dense(a);
-  EXPECT_DOUBLE_EQ(d[2][2], 5.0);
-  EXPECT_DOUBLE_EQ(d[3][1], 7.0);
-}
-
 TEST(CooToCsr, SumsDuplicates) {
   CooMatrix coo(2, 2);
   coo.add(0, 1, 1.5);

@@ -24,11 +24,6 @@
 //   --lu-kernel scalar|panel  LU factorization kernel         [panel]
 //   --lu-panel-width W        panel width cap (0 = unlimited) [32]
 //   --lu-panel-relax X        relaxed-amalgamation padding    [0.25]
-//   --trisolve serial|levelset triangular-solve engine         [serial]
-//                             (levelset = level-scheduled parallel solves
-//                             inside one L/U solve, bitwise == serial)
-//   --trisolve-threads N      workers per level-set solve
-//                             [inner-threads]
 //   --krylov gmres|bicgstab   Schur iterative method          [gmres]
 //   --nrhs N                  right-hand sides solved as one batch      [1]
 //                             (one operator/preconditioner/workspace set
@@ -52,6 +47,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <span>
 #include <string>
 #include <vector>
@@ -83,16 +79,13 @@ bool is_suite_name(const std::string& name) {
   return false;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   obs::label_this_thread("main");
   std::string matrix;
   std::string trace_out;
   std::string report_out;
   double scale = 1.0;
   index_t nrhs = 1;
-  unsigned trisolve_threads = 0;  // 0 → follow --inner-threads
   SolverOptions opt;
   opt.partitioning = PartitionMethod::RHB;
   opt.metric = CutMetric::Soed;
@@ -183,13 +176,6 @@ int main(int argc, char** argv) {
       opt.threads = static_cast<unsigned>(std::atoi(next()));
     } else if (arg == "--inner-threads") {
       opt.assembly.inner_threads = static_cast<unsigned>(std::atoi(next()));
-    } else if (arg == "--trisolve") {
-      const std::string k = next();
-      if (k == "serial") opt.assembly.trisolve.scheduler = TrisolveScheduler::Serial;
-      else if (k == "levelset") opt.assembly.trisolve.scheduler = TrisolveScheduler::LevelSet;
-      else usage("unknown --trisolve (serial|levelset)");
-    } else if (arg == "--trisolve-threads") {
-      trisolve_threads = static_cast<unsigned>(std::atoi(next()));
     } else if (arg == "--seed") {
       opt.seed = static_cast<std::uint64_t>(std::strtoull(next(), nullptr, 10));
     } else if (arg == "--verbose") {
@@ -204,9 +190,6 @@ int main(int argc, char** argv) {
   }
   if (matrix.empty()) usage("--matrix is required");
   opt.krylov = krylov == "bicgstab" ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
-  opt.assembly.trisolve.threads =
-      trisolve_threads != 0 ? trisolve_threads
-                            : std::max(1u, opt.assembly.inner_threads);
 
   obs::trace_init_from_env();
   if (!trace_out.empty()) obs::trace_enable();
@@ -294,4 +277,18 @@ int main(int argc, char** argv) {
   }
   obs::trace_finalize_env();
   return all_converged ? 0 : 1;
+}
+
+}  // namespace
+
+// An error that reaches here (an unreadable input, a bad option value, an
+// unknown matrix) ends the run with a one-line reason and the usage-error
+// status instead of an abort.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pdslin: %s\n", e.what());
+    return 2;
+  }
 }

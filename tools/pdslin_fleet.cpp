@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <string>
 #include <unistd.h>
@@ -69,9 +70,7 @@ std::size_t zipf_pick(Rng& rng, const std::vector<double>& cdf) {
       std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   obs::label_this_thread("main");
   obs::trace_init_from_env();
 
@@ -269,4 +268,18 @@ int main(int argc, char** argv) {
   for (fleet::WorkerProcess& p : procs) p.terminate();
 
   return by_status[4] == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+// An error that reaches here (an unreadable input, a bad option value, an
+// unknown matrix) ends the run with a one-line reason and the usage-error
+// status instead of an abort.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pdslin_fleet: %s\n", e.what());
+    return 2;
+  }
 }

@@ -6,10 +6,10 @@
 // runs the full hybrid pipeline across the config matrix (graph vs.
 // hypergraph partitioner, threads ∈ {1, k}, nrhs ∈ {1, m}, direct vs. served
 // cold/cached, GMRES vs. BiCGSTAB, exact vs. dropped assembly, LU kernel
-// scalar vs. supernodal panel (one case in three on scalar), triangular
-// solves serial vs. level-set scheduled) and diffs every stage against the
-// dense oracle; the level-set lanes additionally rerun fully serial and the
-// lu-panel lanes rerun on the scalar kernel, and each must match bitwise.
+// scalar vs. supernodal panel (one case in three on scalar)) and diffs every
+// stage against the dense oracle; the parallel lanes additionally rerun
+// fully serial and the lu-panel lanes rerun on the scalar kernel, and each
+// must match bitwise.
 // On failure the case is shrunk to a minimal reproducer and written as a
 // replayable JSON seed artifact.
 //

@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -146,9 +147,7 @@ double quantile_exact(std::vector<double>& sorted, double q) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   obs::label_this_thread("main");
   obs::trace_init_from_env();
   std::string workload_file;
@@ -360,5 +359,19 @@ int main(int argc, char** argv) {
     if (!report_out.empty()) report_write_file(report, report_out);
 
     return st.failed == 0 ? 0 : 1;
+  }
+}
+
+}  // namespace
+
+// An error that reaches here (an unreadable input, a bad option value, an
+// unknown matrix) ends the run with a one-line reason and the usage-error
+// status instead of an abort.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pdslin_serve: %s\n", e.what());
+    return 2;
   }
 }

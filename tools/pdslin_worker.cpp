@@ -28,12 +28,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <thread>
 
 #include "fleet/worker.hpp"
 #include "obs/trace.hpp"
-#include "util/error.hpp"
 #include "util/logging.hpp"
 
 using namespace pdslin;
@@ -50,9 +50,7 @@ void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
   std::exit(2);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   obs::label_this_thread("main");
   fleet::FleetWorkerConfig cfg;
   bool have_listen = false;
@@ -98,28 +96,36 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
 
+  fleet::FleetWorker worker(cfg);
+  worker.start();
+  std::printf("pdslin_worker: serving on %s\n",
+              worker.endpoint().to_string().c_str());
+  std::fflush(stdout);
+  while (!g_stop.load(std::memory_order_relaxed) &&
+         !worker.stop_requested()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  worker.stop();  // drain: finish-queued, answer everything accepted
+  const fleet::WireShardStats s = worker.stats_snapshot();
+  std::printf("pdslin_worker: drained — %lld completed (%lld ok, %lld "
+              "degraded, %lld failed), cache %lld/%lld hits\n",
+              static_cast<long long>(s.completed),
+              static_cast<long long>(s.ok),
+              static_cast<long long>(s.degraded),
+              static_cast<long long>(s.failed),
+              static_cast<long long>(s.cache_hits),
+              static_cast<long long>(s.cache_hits + s.cache_misses));
+  return 0;
+}
+
+}  // namespace
+
+// Any error, from the --listen spec to a failed bind, ends the worker with
+// a one-line reason and status 1.
+int main(int argc, char** argv) {
   try {
-    fleet::FleetWorker worker(cfg);
-    worker.start();
-    std::printf("pdslin_worker: serving on %s\n",
-                worker.endpoint().to_string().c_str());
-    std::fflush(stdout);
-    while (!g_stop.load(std::memory_order_relaxed) &&
-           !worker.stop_requested()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    worker.stop();  // drain: finish-queued, answer everything accepted
-    const fleet::WireShardStats s = worker.stats_snapshot();
-    std::printf("pdslin_worker: drained — %lld completed (%lld ok, %lld "
-                "degraded, %lld failed), cache %lld/%lld hits\n",
-                static_cast<long long>(s.completed),
-                static_cast<long long>(s.ok),
-                static_cast<long long>(s.degraded),
-                static_cast<long long>(s.failed),
-                static_cast<long long>(s.cache_hits),
-                static_cast<long long>(s.cache_hits + s.cache_misses));
-    return 0;
-  } catch (const Error& e) {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "pdslin_worker: %s\n", e.what());
     return 1;
   }
