@@ -8,8 +8,9 @@
 //   - repeated solve() calls perform no workspace allocation after the
 //     first (SolverStats::solve_workspace_allocs stays flat);
 //   - enabling tracing neither changes a single bit of the solution nor
-//     costs more than 5% of apply throughput (best-of-3 batches on the same
-//     factored solver, plus a small absolute slack for timer noise).
+//     costs more than 5% of apply throughput (each side's best of 7
+//     interleaved untraced/traced batches on the same factored solver, plus
+//     a small absolute slack for timer noise).
 //
 // Emits one JSON line (prefix "JSON ") with iterations/s and per-apply
 // seconds per configuration, and a standard "BENCH {...}" RunReport line,
@@ -154,7 +155,9 @@ int main() {
 
   // --- Tracing overhead and bit-exactness check (hard-fail). One factored
   // solver serves all batches, so only the steady-state solve path is
-  // compared; best-of-3 plus an absolute slack keeps timer noise out.
+  // compared. Untraced and traced batches alternate, so drift in the host's
+  // speed hits both sides alike; each side's best of 7 plus an absolute
+  // slack keeps timer noise out.
   SolverOptions topt = bench::bench_solver_options();
   topt.num_subdomains = 8;
   topt.threads = 2;
@@ -164,20 +167,21 @@ int main() {
   const std::vector<value_t> tb = random_batch(p.a.rows, nrhs, seed + 101);
   std::vector<value_t> x_off(tb.size(), 0.0), x_on(tb.size(), 0.0);
   tsolver.solve_multi(tb, x_off, nrhs);  // warm-up
-  auto best_of_3 = [&](std::vector<value_t>& x) {
-    double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      std::fill(x.begin(), x.end(), 0.0);
-      tsolver.solve_multi(tb, x, nrhs);
-      best = std::min(best, tsolver.stats().solve_seconds);
-    }
-    return best;
+  auto timed_solve = [&](std::vector<value_t>& x) {
+    std::fill(x.begin(), x.end(), 0.0);
+    tsolver.solve_multi(tb, x, nrhs);
+    return tsolver.stats().solve_seconds;
   };
-  const double off_best = best_of_3(x_off);
-  obs::trace_enable();
-  const double on_best = best_of_3(x_on);
-  obs::trace_disable();
-  const bool trace_bits_ok = x_on == x_off;
+  double off_best = 1e300;
+  double on_best = 1e300;
+  bool trace_bits_ok = true;
+  for (int pair = 0; pair < 7; ++pair) {
+    off_best = std::min(off_best, timed_solve(x_off));
+    obs::trace_enable();
+    on_best = std::min(on_best, timed_solve(x_on));
+    obs::trace_disable();
+    trace_bits_ok = trace_bits_ok && x_on == x_off;
+  }
   // ≤5% relative plus 2ms absolute slack for sub-millisecond solves.
   const bool trace_cost_ok = on_best <= off_best * 1.05 + 2e-3;
   const double overhead = off_best > 0.0 ? on_best / off_best - 1.0 : 0.0;

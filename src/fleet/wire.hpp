@@ -8,7 +8,7 @@
 //     u64 request_id correlates responses with requests (pipelining is
 //                    explicit: responses may return out of order)
 //     u64 payload_len
-//     u64 checksum   FNV-1a over the payload bytes
+//     u64 checksum   serve::hash_bytes over the payload bytes
 //   payload (payload_len bytes, per-type codec below; the SolverOptions
 //            of a solve request follow the for_each_option table, see
 //            encode_solver_options)
@@ -33,7 +33,7 @@
 namespace pdslin::fleet {
 
 inline constexpr std::uint32_t kWireMagic = 0x4C534450u;  // "PDSL"
-inline constexpr std::uint16_t kWireVersion = 4;
+inline constexpr std::uint16_t kWireVersion = 5;
 /// Defensive ceiling on payload_len: a garbage header must not turn into a
 /// multi-gigabyte allocation.
 inline constexpr std::uint64_t kMaxPayloadBytes = 1ull << 31;

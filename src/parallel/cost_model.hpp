@@ -2,10 +2,11 @@
 //
 // The paper's Fig. 1 runs PDSLin on a Cray XE6 with P cores over k = 8
 // subdomains (P/k cores per subdomain via SuperLU_DIST, plus a parallel
-// Schur factorization/solve). This machine has one core, so the intra-
-// subdomain scaling is modeled, not measured (DESIGN.md §3): measured
-// serial per-phase work feeds an Amdahl-style model with communication
-// overhead calibrated to published SuperLU_DIST scaling behaviour.
+// Schur factorization/solve). A few-core host cannot reach those core
+// counts, so the intra-subdomain scaling is modeled, not measured
+// (DESIGN.md §3): measured serial per-phase work feeds an Amdahl-style
+// model with communication overhead calibrated to published SuperLU_DIST
+// scaling behaviour.
 //
 // What stays real: all per-subdomain serial work is actually measured, so
 // load imbalance — the paper's subject — is measured, not modeled.

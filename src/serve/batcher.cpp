@@ -15,42 +15,25 @@ const char* to_string(ServeStatus s) {
   return "unknown";
 }
 
-namespace {
-
-/// Move every key-matching request from `queue` into `batch` while the
-/// width budget holds. Non-matching requests keep their relative order.
-std::size_t absorb_matching(Batch& batch, std::deque<PendingRequest>& queue,
-                            index_t max_nrhs) {
-  std::size_t absorbed = 0;
-  index_t width = batch.total_nrhs();
-  for (auto it = queue.begin(); it != queue.end();) {
-    if (it->key == batch.key && width + it->req.nrhs <= max_nrhs) {
-      width += it->req.nrhs;
-      batch.requests.push_back(std::move(*it));
-      it = queue.erase(it);
-      ++absorbed;
-    } else {
-      ++it;
-    }
-  }
-  return absorbed;
-}
-
-}  // namespace
-
 Batch take_batch(std::deque<PendingRequest>& queue, const BatcherConfig& cfg) {
   PDSLIN_CHECK_MSG(!queue.empty(), "take_batch on an empty queue");
   Batch batch;
   batch.key = queue.front().key;
+  index_t width = queue.front().req.nrhs;
   batch.requests.push_back(std::move(queue.front()));
   queue.pop_front();
-  absorb_matching(batch, queue, cfg.max_batch_nrhs);
+  // Every key-matching request joins while the width budget holds;
+  // non-matching requests keep their relative order.
+  for (auto it = queue.begin(); it != queue.end();) {
+    if (it->key == batch.key && width + it->req.nrhs <= cfg.max_batch_nrhs) {
+      width += it->req.nrhs;
+      batch.requests.push_back(std::move(*it));
+      it = queue.erase(it);
+    } else {
+      ++it;
+    }
+  }
   return batch;
-}
-
-std::size_t extend_batch(Batch& batch, std::deque<PendingRequest>& queue,
-                         const BatcherConfig& cfg) {
-  return absorb_matching(batch, queue, cfg.max_batch_nrhs);
 }
 
 }  // namespace pdslin::serve

@@ -5,9 +5,9 @@
 // amortization of paper §IV applied across requests instead of within one.
 //
 // The batcher is a pure queue-surgery component: the service owns the
-// mutex/condition variable and decides *when* to collect; take_batch() and
-// extend_batch() decide *what* travels together. Keeping it lock-free makes
-// it unit-testable without a running service.
+// mutex/condition variable and decides *when* to collect (as soon as a
+// worker slot is free); take_batch() decides *what* travels together.
+// Keeping it lock-free makes it unit-testable without a running service.
 #pragma once
 
 #include <chrono>
@@ -94,19 +94,11 @@ struct Batch {
 struct BatcherConfig {
   /// Ceiling on the coalesced batch width (summed nrhs over members).
   index_t max_batch_nrhs = 32;
-  /// After the first member is picked, how long the dispatcher may keep the
-  /// batch open for same-key arrivals (0 = take only what is queued now).
-  double max_wait_seconds = 0.002;
 };
 
 /// Pop the front request and every same-key request currently queued, up to
 /// cfg.max_batch_nrhs. Other-key requests keep their relative order. The
 /// queue must be non-empty.
 Batch take_batch(std::deque<PendingRequest>& queue, const BatcherConfig& cfg);
-
-/// Move further same-key arrivals into an open batch (after a max-wait
-/// sleep). Returns the number of requests absorbed.
-std::size_t extend_batch(Batch& batch, std::deque<PendingRequest>& queue,
-                         const BatcherConfig& cfg);
 
 }  // namespace pdslin::serve

@@ -48,8 +48,11 @@ struct Fingerprint {
   static std::optional<Fingerprint> from_hex(std::string_view hex);
 };
 
-/// FNV-1a over a byte range; pass the previous hash as `seed` to chain
-/// ranges into one stream.
+/// 64-bit hash of a byte range: four multiply-xorshift lanes over 8-byte
+/// words. Pass the previous hash as `seed` to chain ranges. Changing any one
+/// 8-byte word of the range (counted from its start; the last 1-7 bytes
+/// count as one word), or the seed, always changes the result. Also the
+/// fleet's wire checksum and ring hash.
 std::uint64_t hash_bytes(const void* data, std::size_t len,
                          std::uint64_t seed = 0xcbf29ce484222325ULL);
 

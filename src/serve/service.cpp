@@ -150,29 +150,14 @@ void SolveService::dispatch_loop() {
     }
     // Claim a worker slot before forming the batch: while all slots are
     // busy, same-key requests pile up behind the front and leave as one
-    // wide batch — load adaptivity for free.
+    // wide batch — load adaptivity for free. With a slot free, the batch is
+    // whatever same-key work is queued now; nothing waits for stragglers.
     cv_slot_.wait(lock, [&] { return active_batches_ < cfg_.workers; });
     if (queue_.empty()) continue;
 
     BatcherConfig bcfg = cfg_.batcher;
     if (!cfg_.enable_batching) bcfg.max_batch_nrhs = queue_.front().req.nrhs;
     Batch batch = take_batch(queue_, bcfg);
-
-    // Keep the batch open for stragglers up to the max-wait deadline.
-    if (cfg_.enable_batching && bcfg.max_wait_seconds > 0.0 &&
-        batch.total_nrhs() < bcfg.max_batch_nrhs && !stopping_) {
-      const auto deadline =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(
-                                 bcfg.max_wait_seconds));
-      while (batch.total_nrhs() < bcfg.max_batch_nrhs && !stopping_) {
-        if (cv_queue_.wait_until(lock, deadline) == std::cv_status::timeout) {
-          extend_batch(batch, queue_, bcfg);
-          break;
-        }
-        extend_batch(batch, queue_, bcfg);
-      }
-    }
 
     // Enforce queue deadlines at dispatch (a running solve is never
     // preempted; the ladder's Timeout is a queue-time contract). Responses

@@ -6,6 +6,7 @@
 // fingerprint/edge-case properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -635,6 +636,39 @@ TEST(ServeProperty, ValuePerturbationAlwaysFlipsNumericHash) {
   }
 }
 
+TEST(ServeProperty, EveryBitFlipOfOneValueFlipsNumericHashOnly) {
+  // A value is one 8-byte word of the hashed range, and every hash step is
+  // a bijection of the word it consumes: each of the 64 single-bit flips of
+  // a value moves the numeric half, and the structural half never moves.
+  // Value q is word q, in lane q mod 4, so the first and the last four
+  // values hold every lane's first and last word. Across all of them no two
+  // flips share a numeric hash: a fold that let two lanes' differences
+  // cancel would pair the sign flips of two lanes' last words.
+  Rng rng(212);
+  const CsrMatrix a = testing::random_sparse(24, 24, 0.2, rng, 2.0);
+  const serve::Fingerprint base = serve::fingerprint_of(a);
+  const std::size_t m = a.values.size();
+  ASSERT_GE(m, 8u);
+  std::vector<std::uint64_t> seen = {base.values};
+  for (const std::size_t site : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{2}, std::size_t{3}, m - 4,
+                                 m - 3, m - 2, m - 1}) {
+    for (int bit = 0; bit < 64; ++bit) {
+      CsrMatrix b = a;
+      std::uint64_t word;
+      std::memcpy(&word, &b.values[site], sizeof word);
+      word ^= std::uint64_t{1} << bit;
+      std::memcpy(&b.values[site], &word, sizeof word);
+      const serve::Fingerprint f = serve::fingerprint_of(b);
+      EXPECT_EQ(f.structure, base.structure) << site << " bit " << bit;
+      seen.push_back(f.values);
+    }
+  }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
+      << "two single-bit value flips share a numeric hash";
+}
+
 TEST(ServeProperty, SolvePhaseKnobsNeverChangeSetupHash) {
   SolverOptions base;
   base.num_subdomains = 4;
@@ -674,9 +708,9 @@ TEST(ServeProperty, DeadlineAlreadyExpiredAtEnqueueTimesOut) {
   EXPECT_EQ(service.solve(ok).status, serve::ServeStatus::Ok);
 }
 
-TEST(ServeProperty, MaxWaitZeroTakesOnlyQueuedRequests) {
-  // Pure queue surgery: with max_wait = 0 the batcher must take exactly the
-  // same-key requests queued now and keep other-key order intact.
+TEST(ServeProperty, TakeBatchTakesOnlyQueuedSameKeyRequests) {
+  // Pure queue surgery: the batcher must take exactly the same-key requests
+  // queued now and keep other-key order intact.
   const serve::SetupKey k1{serve::Fingerprint{1, 1}, 7};
   const serve::SetupKey k2{serve::Fingerprint{2, 2}, 7};
   std::deque<serve::PendingRequest> queue;
@@ -691,15 +725,11 @@ TEST(ServeProperty, MaxWaitZeroTakesOnlyQueuedRequests) {
   push(k2, 1);
   push(k1, 2);
   serve::BatcherConfig cfg;
-  cfg.max_wait_seconds = 0.0;
   serve::Batch batch = serve::take_batch(queue, cfg);
   EXPECT_EQ(batch.requests.size(), 2u);  // both k1 requests, nothing else
   EXPECT_EQ(batch.total_nrhs(), 3);
   ASSERT_EQ(queue.size(), 1u);
   EXPECT_EQ(queue.front().key, k2);
-  // max_wait = 0: extending immediately absorbs nothing new.
-  EXPECT_EQ(serve::extend_batch(batch, queue, cfg), 0u);
-  EXPECT_EQ(queue.size(), 1u);
 }
 
 TEST(ServeProperty, CacheSmallerThanOneEntryStillSolves) {

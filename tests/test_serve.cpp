@@ -93,6 +93,49 @@ TEST(ServeFingerprint, PatternChangeFlipsStructure) {
             serve::fingerprint_of(b).structure);
 }
 
+TEST(ServeFingerprint, ColIdxEditInEachLaneAndTheTailFlipsStructure) {
+  // hash_bytes deals 8-byte word w of a range to lane w mod 4 and folds the
+  // last 1-7 bytes into lane 3. With 4-byte indices, entries 2w and 2w+1 of
+  // col_idx form word w, and an odd nnz leaves the last entry as a 4-byte
+  // tail. One edit per lane (sites 0, 2, 4, 6, then the next round at 10)
+  // and one in the tail: each must move the structural half alone.
+  const CsrMatrix a = testing::grid_laplacian(5, 5);
+  ASSERT_EQ(a.nnz() % 2, 1) << "the case needs a sub-8-byte tail";
+  const Fingerprint base = serve::fingerprint_of(a);
+  for (const index_t site : {index_t{0}, index_t{2}, index_t{4}, index_t{6},
+                             index_t{10}, a.nnz() - 1}) {
+    CsrMatrix b = a;
+    b.col_idx[static_cast<std::size_t>(site)] ^= 1;
+    const Fingerprint f = serve::fingerprint_of(b);
+    EXPECT_NE(f.structure, base.structure) << "col_idx[" << site << "]";
+    EXPECT_EQ(f.values, base.values) << "col_idx[" << site << "]";
+  }
+}
+
+TEST(ServeFingerprint, EmptyAndPatternOnlyMatrices) {
+  // Empty vectors may hand hash_bytes a null pointer with a zero length;
+  // it must not reach memcpy (the ASan+UBSan build runs this suite).
+  EXPECT_EQ(serve::hash_bytes(nullptr, 0), serve::hash_bytes("x", 0));
+  const CsrMatrix none;        // 0×0, even row_ptr empty
+  const CsrMatrix zero(0, 0);  // 0×0, row_ptr = {0}
+  const CsrMatrix one(1, 1);   // 1×1 with no entries
+  EXPECT_EQ(serve::fingerprint_of(none).values, 0u);
+  EXPECT_EQ(serve::fingerprint_of(zero).values, 0u);
+  EXPECT_NE(serve::fingerprint_of(zero).structure,
+            serve::fingerprint_of(one).structure);
+
+  // Pattern-only: fresh arrays, values never allocated. The structural
+  // half matches the valued matrix's; the numeric half is 0.
+  const CsrMatrix valued = testing::grid_laplacian(6, 6);
+  CsrMatrix pattern(valued.rows, valued.cols);
+  pattern.row_ptr = valued.row_ptr;
+  pattern.col_idx = valued.col_idx;
+  ASSERT_FALSE(pattern.has_values());
+  const Fingerprint fp = serve::fingerprint_of(pattern);
+  EXPECT_EQ(fp.structure, serve::fingerprint_of(valued).structure);
+  EXPECT_EQ(fp.values, 0u);
+}
+
 TEST(ServeFingerprint, OptionsHashIgnoresSolvePhaseKnobs) {
   SolverOptions a = small_options();
   SolverOptions b = a;

@@ -41,6 +41,7 @@ expect_error pdslin --matrix tdr190k --scale 0.05 -k 3
 expect_error pdslin_serve --workload "$work/missing.json"
 expect_error pdslin_serve --workload "$work/malformed.json"
 expect_error pdslin_serve --matrix "$work/missing.mtx" --requests 1
+expect_error pdslin_serve --max-wait-ms 2
 expect_error pdslin_fleet --connect unix:"$work/none.sock" --matrix no_such_matrix
 expect_error pdslin_fleet --connect tcp:notahost:99999
 expect_error pdslin_worker --listen tcp:notahost:99999

@@ -115,8 +115,7 @@ int run(int argc, char** argv) {
       timeout_s = std::atof(next());
     } else if (arg == "--workers" || arg == "--queue" ||
                arg == "--capacity-mb" || arg == "--max-batch" ||
-               arg == "--max-wait-ms" || arg == "--cache" ||
-               arg == "--batch") {
+               arg == "--cache" || arg == "--batch") {
       worker_flags.push_back(arg);
       worker_flags.emplace_back(next());
     } else if (arg == "--report-out") {

@@ -27,7 +27,6 @@
 //   --queue N           queue capacity (backpressure beyond) [256]
 //   --capacity-mb M     cache byte budget                    [512]
 //   --max-batch N       max coalesced width (summed nrhs)    [32]
-//   --max-wait-ms X     batch hold-open window               [2]
 //   --requests N / --nrhs N / --scale X   built-in workload shape
 //   --threads N / --inner-threads M       solver thread budget per batch
 //   --report-out FILE   write the RunReport JSON
@@ -203,8 +202,6 @@ int run(int argc, char** argv) {
           static_cast<std::size_t>(std::atoll(next())) << 20;
     } else if (arg == "--max-batch") {
       cfg.batcher.max_batch_nrhs = static_cast<index_t>(std::atoi(next()));
-    } else if (arg == "--max-wait-ms") {
-      cfg.batcher.max_wait_seconds = std::atof(next()) * 1e-3;
     } else if (arg == "--threads") {
       sopt.threads = static_cast<unsigned>(std::atoi(next()));
     } else if (arg == "--inner-threads") {
@@ -261,12 +258,11 @@ int run(int argc, char** argv) {
   }
 
   std::printf("pdslin_serve: %zu requests, cache=%s batch=%s workers=%u "
-              "queue=%zu cap=%zuMB max-batch=%d wait=%.1fms\n",
+              "queue=%zu cap=%zuMB max-batch=%d\n",
               prepared.size(), cfg.enable_cache ? "on" : "off",
               cfg.enable_batching ? "on" : "off", cfg.workers,
               cfg.queue_capacity, cfg.cache.capacity_bytes >> 20,
-              cfg.batcher.max_batch_nrhs,
-              cfg.batcher.max_wait_seconds * 1e3);
+              cfg.batcher.max_batch_nrhs);
 
   obs::MetricsRegistry::instance().reset_values();
   WallTimer wall;

@@ -13,7 +13,6 @@
 //   --queue N           bounded queue depth                      [256]
 //   --capacity-mb M     factor-cache byte budget                 [512]
 //   --max-batch N       max coalesced batch width                [32]
-//   --max-wait-ms X     batch hold-open window                   [2]
 //   --cache on|off      factorization cache                      [on]
 //   --batch on|off      same-key coalescing                      [on]
 //   --verbose           info logging
@@ -79,8 +78,6 @@ int run(int argc, char** argv) {
     } else if (arg == "--max-batch") {
       cfg.service.batcher.max_batch_nrhs =
           static_cast<index_t>(std::atoi(next()));
-    } else if (arg == "--max-wait-ms") {
-      cfg.service.batcher.max_wait_seconds = std::atof(next()) * 1e-3;
     } else if (arg == "--cache") {
       cfg.service.enable_cache = on_off(next());
     } else if (arg == "--batch") {
