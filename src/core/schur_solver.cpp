@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/structural_factor.hpp"
 #include "direct/trisolve.hpp"

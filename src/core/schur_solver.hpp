@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -84,52 +83,39 @@ struct OptionField {
   /// counts are bitwise neutral and the Krylov fields act only in the
   /// solve, so requests differing in them share one cached set-up.
   bool setup;
-  /// Enums and index counts lie in [0, *last]; every other field may take
-  /// any value of its type.
-  std::optional<std::remove_const_t<T>> last{};
 };
 
-/// `last` of the index-count fields.
-inline constexpr index_t kMaxIndexOption = index_t{1} << 30;
-
 /// The SolverOptions field table: calls f(OptionField{...}) once per
-/// settable field, in declaration order. The serve fingerprint, the fleet
-/// wire codec and the run report are visitors over this table, so a new
-/// field is named here and nowhere else. `Opt` is SolverOptions or
-/// const SolverOptions.
+/// settable field, in declaration order. The serve fingerprint and the run
+/// report are visitors over this table, so a new field is named here and
+/// nowhere else. `Opt` is SolverOptions or const SolverOptions.
 template <typename Opt, typename F>
 void for_each_option(Opt& o, F&& f) {
   static_assert(std::is_same_v<std::remove_const_t<Opt>, SolverOptions>);
   constexpr bool kSetup = true, kOther = false;
-  constexpr index_t kIndex = kMaxIndexOption;
-  f(OptionField{"partitioning", o.partitioning, kSetup, PartitionMethod::RHB});
-  f(OptionField{"num_subdomains", o.num_subdomains, kSetup, kIndex});
-  f(OptionField{"metric", o.metric, kSetup, CutMetric::Soed});
-  f(OptionField{"constraints", o.constraints, kSetup,
-                RhbConstraintMode::MultiW1W2});
+  f(OptionField{"partitioning", o.partitioning, kSetup});
+  f(OptionField{"num_subdomains", o.num_subdomains, kSetup});
+  f(OptionField{"metric", o.metric, kSetup});
+  f(OptionField{"constraints", o.constraints, kSetup});
   f(OptionField{"rhb_dynamic_weights", o.rhb_dynamic_weights, kSetup});
   f(OptionField{"ngd_weighted", o.ngd_weighted, kSetup});
   f(OptionField{"epsilon", o.partition_epsilon, kSetup});
-  f(OptionField{"partition_engine", o.partition_engine, kSetup,
-                partition::Engine::Geometric});
+  f(OptionField{"partition_engine", o.partition_engine, kSetup});
   f(OptionField{"partition_budget_ms", o.partition_budget_ms, kSetup});
   f(OptionField{"partition_min_quality", o.partition_min_quality, kSetup});
-  f(OptionField{"partition_values", o.partition_values, kSetup,
-                partition::ValueMode::LogAbs});
+  f(OptionField{"partition_values", o.partition_values, kSetup});
   f(OptionField{"drop_wg", o.assembly.drop_wg, kSetup});
   f(OptionField{"drop_s", o.assembly.drop_s, kSetup});
-  f(OptionField{"rhs_block_size", o.assembly.rhs_block_size, kSetup, kIndex});
-  f(OptionField{"rhs_ordering", o.assembly.rhs_ordering, kSetup,
-                RhsOrdering::Hypergraph});
+  f(OptionField{"rhs_block_size", o.assembly.rhs_block_size, kSetup});
+  f(OptionField{"rhs_ordering", o.assembly.rhs_ordering, kSetup});
   f(OptionField{"lu_pivot_tol", o.assembly.lu.pivot_tol, kSetup});
   f(OptionField{"lu_min_pivot", o.assembly.lu.min_pivot, kSetup});
-  f(OptionField{"lu_kernel", o.assembly.lu.kernel, kSetup, LuKernel::Panel});
-  f(OptionField{"lu_panel_width", o.assembly.lu.panel_max_width, kSetup,
-                kIndex});
+  f(OptionField{"lu_kernel", o.assembly.lu.kernel, kSetup});
+  f(OptionField{"lu_panel_width", o.assembly.lu.panel_max_width, kSetup});
   f(OptionField{"lu_panel_relax", o.assembly.lu.panel_relax, kSetup});
   f(OptionField{"lu_threads", o.assembly.lu.threads, kOther});
   f(OptionField{"inner_threads", o.assembly.inner_threads, kOther});
-  f(OptionField{"krylov", o.krylov, kOther, KrylovMethod::Bicgstab});
+  f(OptionField{"krylov", o.krylov, kOther});
   f(OptionField{"gmres_restart", o.gmres.restart, kOther});
   f(OptionField{"gmres_max_iterations", o.gmres.max_iterations, kOther});
   f(OptionField{"gmres_rel_tolerance", o.gmres.rel_tolerance, kOther});

@@ -6,12 +6,9 @@
 // the numeric factorization is redone — the HYLU-style reuse ladder.
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
-#include <string_view>
 
 #include "sparse/csr.hpp"
 
@@ -32,27 +29,16 @@ struct Fingerprint {
   /// "0123456789abcdef:fedcba9876543210" — log/report rendering.
   [[nodiscard]] std::string to_string() const;
 
-  /// Canonical 16-byte serialization: structure then values, each 8 bytes
-  /// little-endian regardless of host order. This is the form that travels
-  /// on the fleet wire protocol and keys workload logs; to_bytes/from_bytes
-  /// and to_hex/from_hex are exact inverses (round-trip pinned by test).
-  static constexpr std::size_t kWireBytes = 16;
-  [[nodiscard]] std::array<std::uint8_t, kWireBytes> to_bytes() const;
-  static Fingerprint from_bytes(std::span<const std::uint8_t> bytes);
-
-  /// 32 lowercase hex digits (the byte serialization, hex-encoded).
+  /// 32 lowercase hex digits, the form pdslin_serve logs per request:
+  /// structure then values, each as its 8 bytes little-endian (least
+  /// significant byte first) regardless of host order. Pinned by test.
   [[nodiscard]] std::string to_hex() const;
-  /// Parse to_hex() output, or the to_string() rendering with the ':'
-  /// separator. Returns nullopt on any malformed input (wrong length,
-  /// non-hex digit, misplaced separator).
-  static std::optional<Fingerprint> from_hex(std::string_view hex);
 };
 
 /// 64-bit hash of a byte range: four multiply-xorshift lanes over 8-byte
 /// words. Pass the previous hash as `seed` to chain ranges. Changing any one
 /// 8-byte word of the range (counted from its start; the last 1-7 bytes
-/// count as one word), or the seed, always changes the result. Also the
-/// fleet's wire checksum and ring hash.
+/// count as one word), or the seed, always changes the result.
 std::uint64_t hash_bytes(const void* data, std::size_t len,
                          std::uint64_t seed = 0xcbf29ce484222325ULL);
 

@@ -61,8 +61,8 @@ void SolveService::stop() {
   // reject-new (submit() under the same lock sees stopping_ first), then
   // finish-queued — the dispatcher keeps forming batches until the queue is
   // empty, and we wait for every in-flight batch. Exactly one caller joins
-  // the dispatcher; concurrent callers (destructor racing a SIGTERM
-  // handler's explicit stop()) block until the drain is complete instead of
+  // the dispatcher; concurrent callers (the destructor racing an explicit
+  // stop() on another thread) block until the drain is complete instead of
   // double-joining the thread.
   std::unique_lock<std::mutex> lock(mu_);
   if (stopping_) {
@@ -99,10 +99,6 @@ std::future<SolveResponse> SolveService::submit(SolveRequest req) {
     ++stats_.failed;
     return fut;
   }
-  if (req.timeout_seconds <= 0.0) {
-    req.timeout_seconds = cfg_.default_timeout_seconds;
-  }
-
   PendingRequest pr;
   pr.key = SetupKey{fingerprint_of(*req.a), setup_options_hash(req.opt)};
   pr.req = std::move(req);

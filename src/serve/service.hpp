@@ -54,9 +54,6 @@ struct ServiceConfig {
   /// Ablation switches (bench/serve measures both off vs. both on).
   bool enable_cache = true;
   bool enable_batching = true;
-  /// Default queue deadline applied when a request leaves timeout_seconds
-  /// at 0 (0 here too = no deadline).
-  double default_timeout_seconds = 0.0;
 };
 
 struct ServiceStats {
@@ -99,7 +96,7 @@ class SolveService {
   /// executed to a terminal status, and stop() returns only once all of
   /// them have been answered. Safe to call from any number of threads
   /// concurrently — one caller drains, the rest block until it is done.
-  /// The destructor calls it; the fleet worker's SIGTERM path relies on it.
+  /// The destructor calls it.
   void stop();
 
   [[nodiscard]] ServiceStats stats() const;

@@ -13,6 +13,8 @@
 #include <deque>
 #include <filesystem>
 #include <memory>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "check/artifact.hpp"
@@ -669,6 +671,22 @@ TEST(ServeProperty, EveryBitFlipOfOneValueFlipsNumericHashOnly) {
       << "two single-bit value flips share a numeric hash";
 }
 
+/// Another valid value of an options field: enumerator 1 for enumerator 0
+/// and 0 otherwise (every options enum has both), the other bool, or a
+/// shifted number.
+template <typename T>
+T perturbed(T v) {
+  if constexpr (std::is_enum_v<T>) {
+    return static_cast<T>(static_cast<int>(v) == 0 ? 1 : 0);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return !v;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return v + 0.5;
+  } else {
+    return v + 1;
+  }
+}
+
 TEST(ServeProperty, SolvePhaseKnobsNeverChangeSetupHash) {
   SolverOptions base;
   base.num_subdomains = 4;
@@ -687,6 +705,26 @@ TEST(ServeProperty, SolvePhaseKnobsNeverChangeSetupHash) {
   SolverOptions drop_changed = base;
   drop_changed.assembly.drop_s = 0.123;
   EXPECT_NE(serve::setup_options_hash(drop_changed), h0);
+}
+
+TEST(ServeProperty, EveryOptionFieldMovesSetupHashExactlyWhenSetup) {
+  // Table-driven: perturb each SolverOptions field in turn. The hash moves
+  // exactly when the table marks the field setup-affecting.
+  const SolverOptions defaults;
+  const std::uint64_t default_hash = serve::setup_options_hash(defaults);
+  int fields = 0, setup_fields = 0;
+  for_each_option(defaults, [&](const auto& field) {
+    SCOPED_TRACE(field.key);
+    ++fields;
+    setup_fields += field.setup ? 1 : 0;
+    SolverOptions opt;
+    for_each_option(opt, [&](const auto& f) {
+      if (std::string_view(f.key) == field.key) f.value = perturbed(f.value);
+    });
+    EXPECT_EQ(serve::setup_options_hash(opt) != default_hash, field.setup);
+  });
+  EXPECT_EQ(fields, 30);
+  EXPECT_EQ(setup_fields, 21);
 }
 
 TEST(ServeProperty, DeadlineAlreadyExpiredAtEnqueueTimesOut) {

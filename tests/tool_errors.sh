@@ -4,8 +4,7 @@
 # aborts the process ("terminate called after throwing ...", status 134).
 #
 # Usage: tool_errors.sh BIN_DIR WORK_DIR
-#   BIN_DIR   directory holding pdslin, pdslin_serve, pdslin_fleet and
-#             pdslin_worker
+#   BIN_DIR   directory holding pdslin, pdslin_serve and pdslin_fuzz
 #   WORK_DIR  scratch directory for the malformed input files
 set -u
 bin=$1
@@ -42,9 +41,8 @@ expect_error pdslin_serve --workload "$work/missing.json"
 expect_error pdslin_serve --workload "$work/malformed.json"
 expect_error pdslin_serve --matrix "$work/missing.mtx" --requests 1
 expect_error pdslin_serve --max-wait-ms 2
-expect_error pdslin_fleet --connect unix:"$work/none.sock" --matrix no_such_matrix
-expect_error pdslin_fleet --connect tcp:notahost:99999
-expect_error pdslin_worker --listen tcp:notahost:99999
+expect_error pdslin_fuzz --seeds notanumber
+expect_error pdslin_fuzz --replay "$work/missing.json"
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures tool invocation(s) did not fail cleanly"

@@ -19,16 +19,18 @@
 //   pdslin_fuzz --minimize --corpus-dir d   # shrink failures + write artifacts
 //   pdslin_fuzz --replay tests/corpus/x.json…   # re-run committed artifacts
 //   pdslin_fuzz --inject-bug schur-gather-off-by-one --seeds 50 --minimize
+#include <charconv>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "check/artifact.hpp"
 #include "check/differential.hpp"
 #include "check/fault.hpp"
 #include "check/minimize.hpp"
-#include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -63,54 +65,53 @@ void usage() {
       "  --quiet              only print failures and the summary line\n";
 }
 
-bool parse_args(int argc, char** argv, Args& a) {
+/// The value of numeric flag `flag`: all of `v` must parse as a T in range.
+template <typename T>
+T parse_number(const std::string& flag, const char* v) {
+  T out{};
+  const char* end = v + std::strlen(v);
+  const auto [stop, ec] = std::from_chars(v, end, out);
+  if (ec != std::errc{} || stop != end) {
+    throw std::invalid_argument("bad value for " + flag + ": '" + v + "'");
+  }
+  return out;
+}
+
+Args parse_args(int argc, char** argv) {
+  Args a;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
+    auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::cerr << "missing value for " << what << "\n";
-        return nullptr;
+        throw std::invalid_argument("missing value for " + arg);
       }
       return argv[++i];
     };
     if (arg == "--seeds") {
-      const char* v = next("--seeds");
-      if (v == nullptr) return false;
-      a.seeds = std::stoi(v);
+      a.seeds = parse_number<int>(arg, next());
     } else if (arg == "--seed-base") {
-      const char* v = next("--seed-base");
-      if (v == nullptr) return false;
-      a.seed_base = std::stoull(v);
+      a.seed_base = parse_number<std::uint64_t>(arg, next());
     } else if (arg == "--minimize") {
       a.minimize = true;
     } else if (arg == "--corpus-dir") {
-      const char* v = next("--corpus-dir");
-      if (v == nullptr) return false;
-      a.corpus_dir = v;
+      a.corpus_dir = next();
     } else if (arg == "--max-n") {
-      const char* v = next("--max-n");
-      if (v == nullptr) return false;
-      a.max_n = std::stoi(v);
+      a.max_n = parse_number<index_t>(arg, next());
     } else if (arg == "--stop-after") {
-      const char* v = next("--stop-after");
-      if (v == nullptr) return false;
-      a.stop_after = std::stoi(v);
+      a.stop_after = parse_number<int>(arg, next());
     } else if (arg == "--inject-bug") {
-      const char* v = next("--inject-bug");
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "schur-gather-off-by-one") == 0) {
+      const std::string v = next();
+      if (v == "schur-gather-off-by-one") {
         a.inject = Fault::SchurGatherOffByOne;
-      } else if (std::strcmp(v, "schur-drop-last-entry") == 0) {
+      } else if (v == "schur-drop-last-entry") {
         a.inject = Fault::SchurDropLastEntry;
       } else {
-        std::cerr << "unknown fault: " << v << "\n";
-        return false;
+        throw std::invalid_argument("unknown fault: " + v);
       }
     } else if (arg == "--replay") {
       while (i + 1 < argc && argv[i + 1][0] != '-') a.replay.push_back(argv[++i]);
       if (a.replay.empty()) {
-        std::cerr << "--replay needs at least one file\n";
-        return false;
+        throw std::invalid_argument("--replay needs at least one file");
       }
     } else if (arg == "--quiet") {
       a.quiet = true;
@@ -118,12 +119,11 @@ bool parse_args(int argc, char** argv, Args& a) {
       usage();
       std::exit(0);
     } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      usage();
-      return false;
+      throw std::invalid_argument("unknown argument: " + arg +
+                                  " (see --help)");
     }
   }
-  return true;
+  return a;
 }
 
 struct Campaign {
@@ -173,34 +173,26 @@ void run_one(const Args& args, const CaseSpec& spec, Campaign& c) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args args;
-  if (!parse_args(argc, argv, args)) return 2;
+int run(int argc, char** argv) {
+  const Args args = parse_args(argc, argv);
   if (args.inject != Fault::None) inject_fault(args.inject);
 
   WallTimer timer;
   Campaign c;
-  try {
-    if (!args.replay.empty()) {
-      for (const std::string& path : args.replay) {
-        if (args.stop_after > 0 && c.failures >= args.stop_after) break;
-        const CaseSpec spec = load_artifact(path);
-        if (!args.quiet) std::cout << "replay " << path << "\n";
-        run_one(args, spec, c);
-      }
-    } else {
-      for (int i = 0; i < args.seeds; ++i) {
-        if (args.stop_after > 0 && c.failures >= args.stop_after) break;
-        CaseSpec spec = sample_case(args.seed_base, i);
-        if (args.max_n > 0 && spec.n > args.max_n) spec.n = args.max_n;
-        run_one(args, spec, c);
-      }
+  if (!args.replay.empty()) {
+    for (const std::string& path : args.replay) {
+      if (args.stop_after > 0 && c.failures >= args.stop_after) break;
+      const CaseSpec spec = load_artifact(path);
+      if (!args.quiet) std::cout << "replay " << path << "\n";
+      run_one(args, spec, c);
     }
-  } catch (const Error& e) {
-    std::cerr << "fuzz driver error: " << e.what() << "\n";
-    return 2;
+  } else {
+    for (int i = 0; i < args.seeds; ++i) {
+      if (args.stop_after > 0 && c.failures >= args.stop_after) break;
+      CaseSpec spec = sample_case(args.seed_base, i);
+      if (args.max_n > 0 && spec.n > args.max_n) spec.n = args.max_n;
+      run_one(args, spec, c);
+    }
   }
 
   std::cout << "FUZZ {\"cases\": " << c.run << ", \"failures\": " << c.failures
@@ -214,4 +206,15 @@ int main(int argc, char** argv) {
     return c.failures > 0 ? 0 : 1;
   }
   return c.failures > 0 ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "pdslin_fuzz: " << e.what() << "\n";
+    return 2;
+  }
 }
