@@ -47,7 +47,7 @@ HgBisection bisect_level(const Hypergraph& h, const HgBisectOptions& opt,
     for (int t = 0; t < tries; ++t) {
       HgBisection b = (t % 2 == 0) ? grow_bisection(h, bal.target0[0], rng)
                                    : random_bisection(h, bal.target0[0], rng);
-      fm_refine(h, b, window, passes, rng);
+      fm_refine(h, b, window, passes);
       if (!have || better(b, best, window)) {
         best = std::move(b);
         have = true;
@@ -78,7 +78,7 @@ HgBisection bisect_level(const Hypergraph& h, const HgBisectOptions& opt,
   b.rebuild(h);
   // Re-poll on the way back up: projection is cheap, refinement is not.
   if (!(opt.should_stop && opt.should_stop())) {
-    fm_refine(h, b, window, opt.refine_passes, rng);
+    fm_refine(h, b, window, opt.refine_passes);
   }
   return b;
 }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <numeric>
 
 #include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
@@ -33,16 +33,20 @@ index_t sat_add_cost(index_t a, index_t b) {
   return a + b;
 }
 
+// SplitMix64 finalizer.
+std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 // Position-independent vertex key for tie-breaking: with many equal
 // connectivity scores (regular meshes), breaking ties by raw index makes
 // every vertex point the same way and almost no proposal is mutual — the
 // commit frontier crawls one diagonal per round. A hashed key decorrelates
 // the preferences, so a constant fraction of proposals pair up each round.
 std::uint64_t vertex_key(index_t v) {
-  auto x = static_cast<std::uint64_t>(v) + 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+  return mix64(static_cast<std::uint64_t>(v) + 0x9E3779B97F4A7C15ULL);
 }
 
 }  // namespace
@@ -51,61 +55,77 @@ std::vector<index_t> heavy_connectivity_matching_det(const Hypergraph& h,
                                                      unsigned threads) {
   const index_t n = h.num_vertices;
   std::vector<index_t> match(n, -1);
+  // proposal[v] is v's best unmatched partner, -1 if it has none. A
+  // candidate's score depends on the hypergraph alone and the candidate set
+  // only shrinks as vertices match, so a proposal stays v's best until its
+  // target is matched, and a vertex without a candidate never gets one.
+  // Each round therefore rescores only the `stale` vertices, whose partner
+  // was matched by the previous commit; the rest propose the same partner
+  // again. That is the matching of rescoring everyone, bit for bit.
   std::vector<index_t> proposal(n, -1);
+  std::vector<index_t> active(n);  // unmatched, may still have a candidate
+  std::iota(active.begin(), active.end(), 0);
+  std::vector<index_t> stale = active;
+  // Per-range scatter accumulator of shared net cost, one per range index
+  // so concurrent ranges never share scratch; kept across rounds.
+  struct Scratch {
+    std::vector<long long> score;
+    std::vector<index_t> touched;
+  };
+  std::vector<Scratch> scratch(std::max(1u, threads));
+  auto propose = [&](unsigned range, long long lo, long long hi) {
+    std::vector<long long>& score = scratch[range].score;
+    std::vector<index_t>& touched = scratch[range].touched;
+    if (score.empty()) score.assign(n, 0);
+    for (long long i = lo; i < hi; ++i) {
+      const index_t v = stale[i];
+      touched.clear();
+      for (index_t net : h.nets_of(v)) {
+        const auto pin_span = h.pins(net);
+        if (pin_span.size() > 512) continue;
+        const long long c = h.net_cost[net];
+        for (index_t u : pin_span) {
+          if (u == v || match[u] >= 0) continue;
+          if (score[u] == 0) touched.push_back(u);
+          score[u] = sat_add_score(score[u], c);
+        }
+      }
+      index_t best = -1;
+      long long best_score = 0;
+      std::uint64_t best_key = 0;
+      for (index_t u : touched) {
+        // Ties: lowest hashed key, then lowest index — independent of the
+        // visit order and of the thread count.
+        const std::uint64_t key = vertex_key(u);
+        if (score[u] > best_score ||
+            (score[u] == best_score && best >= 0 &&
+             (key < best_key || (key == best_key && u < best)))) {
+          best_score = score[u];
+          best = u;
+          best_key = key;
+        }
+        score[u] = 0;
+      }
+      proposal[v] = best;
+    }
+  };
   // Mutual-proposal rounds: each leaves the unmatched stragglers whose best
   // partner preferred someone else; with hashed tie-breaking the pool
   // shrinks geometrically, so a fixed round count saturates in practice.
   constexpr int kMaxRounds = 8;
   for (int round = 0; round < kMaxRounds; ++round) {
-    auto propose = [&](unsigned, long long lo, long long hi) {
-      // Per-range scatter accumulator of shared net cost, one instance per
-      // worker so ranges never share scratch.
-      std::vector<long long> score(n, 0);
-      std::vector<index_t> touched;
-      for (index_t v = static_cast<index_t>(lo); v < static_cast<index_t>(hi);
-           ++v) {
-        proposal[v] = -1;
-        if (match[v] >= 0) continue;
-        touched.clear();
-        for (index_t net : h.nets_of(v)) {
-          const auto pin_span = h.pins(net);
-          if (pin_span.size() > 512) continue;
-          const long long c = h.net_cost[net];
-          for (index_t u : pin_span) {
-            if (u == v || match[u] >= 0) continue;
-            if (score[u] == 0) touched.push_back(u);
-            score[u] = sat_add_score(score[u], c);
-          }
-        }
-        index_t best = -1;
-        long long best_score = 0;
-        std::uint64_t best_key = 0;
-        for (index_t u : touched) {
-          // Ties: lowest hashed key, then lowest index — independent of the
-          // visit order and of the thread count.
-          const std::uint64_t key = vertex_key(u);
-          if (score[u] > best_score ||
-              (score[u] == best_score && best >= 0 &&
-               (key < best_key || (key == best_key && u < best)))) {
-            best_score = score[u];
-            best = u;
-            best_key = key;
-          }
-          score[u] = 0;
-        }
-        proposal[v] = best;
-      }
-    };
-    if (threads > 1 && n > 1) {
-      parallel_ranges(ThreadPool::shared(), n, threads, propose);
+    const auto count = static_cast<long long>(stale.size());
+    if (threads > 1 && count > 1) {
+      parallel_ranges(ThreadPool::shared(), count, threads, propose);
     } else {
-      propose(0, 0, n);
+      propose(0, 0, count);
     }
-    // Commit pass: mutual proposals become matches. Serial scan in vertex
-    // order — O(n) and order-independent (the committed set is exactly the
-    // set of mutual pairs, however it is enumerated).
+    std::erase_if(active, [&](index_t v) { return proposal[v] < 0; });
+    // Commit pass: mutual proposals become matches. Serial scan — O(active)
+    // and order-independent (the committed set is exactly the set of mutual
+    // pairs, however it is enumerated).
     bool any = false;
-    for (index_t v = 0; v < n; ++v) {
+    for (index_t v : active) {
       if (match[v] >= 0) continue;
       const index_t u = proposal[v];
       if (u > v && proposal[u] == v) {
@@ -115,6 +135,11 @@ std::vector<index_t> heavy_connectivity_matching_det(const Hypergraph& h,
       }
     }
     if (!any) break;
+    std::erase_if(active, [&](index_t v) { return match[v] >= 0; });
+    stale.clear();
+    for (index_t v : active) {
+      if (match[proposal[v]] >= 0) stale.push_back(v);
+    }
   }
   for (index_t v = 0; v < n; ++v) {
     if (match[v] < 0) match[v] = v;
@@ -147,9 +172,17 @@ HgCoarsening contract(const Hypergraph& h, const std::vector<index_t>& match) {
   }
 
   // Remap pins, dedupe within net, drop single-pin nets, merge identical
-  // nets (hash of sorted pin list → net id).
+  // nets into the first one seen. Identical nets are found through a flat
+  // open-addressing table: each slot holds one coarse net, found by the
+  // hash of its sorted pin list; equal hashes probe on to the next slot.
+  // At most one coarse net matches a pin list (a second would have merged
+  // into the first), so the coarse hypergraph does not depend on the table.
+  std::size_t capacity = 1;
+  while (capacity < 2 * static_cast<std::size_t>(h.num_nets)) capacity <<= 1;
+  const std::size_t mask = capacity - 1;
+  std::vector<index_t> slot(capacity, -1);  // coarse net id, -1 = empty
+  std::vector<std::size_t> net_hash;        // per coarse net
   std::vector<index_t> buf;
-  std::unordered_map<std::size_t, std::vector<index_t>> buckets;  // hash → net ids
   hc.net_ptr.push_back(0);
   for (index_t n = 0; n < h.num_nets; ++n) {
     buf.clear();
@@ -163,29 +196,24 @@ HgCoarsening contract(const Hypergraph& h, const std::vector<index_t>& match) {
       hash ^= static_cast<std::size_t>(v) + 0x9E3779B97F4A7C15ULL +
               (hash << 6) + (hash >> 2);
     }
-    bool merged = false;
-    auto it = buckets.find(hash);
-    if (it != buckets.end()) {
-      for (index_t existing : it->second) {
-        const auto existing_pins = std::span<const index_t>(
-            hc.net_pins.data() + hc.net_ptr[existing],
-            static_cast<std::size_t>(hc.net_ptr[existing + 1] -
-                                     hc.net_ptr[existing]));
-        if (existing_pins.size() == buf.size() &&
-            std::equal(existing_pins.begin(), existing_pins.end(), buf.begin())) {
-          hc.net_cost[existing] =
-              sat_add_cost(hc.net_cost[existing], h.net_cost[n]);
-          merged = true;
-          break;
-        }
+    for (std::size_t i = mix64(hash) & mask;; i = (i + 1) & mask) {
+      const index_t id = slot[i];
+      if (id < 0) {
+        slot[i] = static_cast<index_t>(hc.net_cost.size());
+        net_hash.push_back(hash);
+        hc.net_pins.insert(hc.net_pins.end(), buf.begin(), buf.end());
+        hc.net_ptr.push_back(static_cast<index_t>(hc.net_pins.size()));
+        hc.net_cost.push_back(h.net_cost[n]);
+        break;
       }
-    }
-    if (!merged) {
-      const index_t id = static_cast<index_t>(hc.net_cost.size());
-      hc.net_pins.insert(hc.net_pins.end(), buf.begin(), buf.end());
-      hc.net_ptr.push_back(static_cast<index_t>(hc.net_pins.size()));
-      hc.net_cost.push_back(h.net_cost[n]);
-      buckets[hash].push_back(id);
+      if (net_hash[id] == hash &&
+          hc.net_ptr[id + 1] - hc.net_ptr[id] ==
+              static_cast<index_t>(buf.size()) &&
+          std::equal(buf.begin(), buf.end(),
+                     hc.net_pins.begin() + hc.net_ptr[id])) {
+        hc.net_cost[id] = sat_add_cost(hc.net_cost[id], h.net_cost[n]);
+        break;
+      }
     }
   }
   hc.num_nets = static_cast<index_t>(hc.net_cost.size());

@@ -1,8 +1,7 @@
 #include "hypergraph/fm.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -51,16 +50,19 @@ long long violation(const HgBisection& b, const BalanceWindow& w) {
   return v;
 }
 
+// A net's share of the gain of moving one of its pins, given the net's pin
+// counts on the pin's side (`own`) and on the other side.
+long long pin_gain(index_t own, index_t other, long long cost) {
+  if (other == 0) return own > 1 ? -cost : 0;  // would become cut
+  return own == 1 ? cost : 0;                  // would become uncut
+}
+
 long long gain_of(const Hypergraph& h, const HgBisection& b, index_t v) {
   const int s = b.side[v];
   const int t = 1 - s;
   long long g = 0;
   for (index_t n : h.nets_of(v)) {
-    if (b.pin_count[t][n] == 0) {
-      if (b.pin_count[s][n] > 1) g -= h.net_cost[n];  // would become cut
-    } else if (b.pin_count[s][n] == 1) {
-      g += h.net_cost[n];  // would become uncut
-    }
+    g += pin_gain(b.pin_count[s][n], b.pin_count[t][n], h.net_cost[n]);
   }
   return g;
 }
@@ -130,22 +132,39 @@ void rebalance(const Hypergraph& h, HgBisection& b, const BalanceWindow& w) {
 }  // namespace
 
 int fm_refine(const Hypergraph& h, HgBisection& b, const BalanceWindow& w,
-              int max_passes, Rng& rng) {
+              int max_passes) {
   if (h.num_vertices <= 1) return 0;
   if (!is_balanced(b, w)) rebalance(h, b, w);
 
-  std::vector<long long> gain(h.num_vertices);
+  const index_t n = h.num_vertices;
+  std::vector<long long> gain(n);
+  // Max-heap of (gain, vertex) with lazy deletion: an entry is stale once
+  // its vertex is locked or its gain has changed. Pairs order totally, so
+  // the pop sequence depends only on the entries pushed, not on the order
+  // they were pushed in or on how the heap was built.
   using HeapItem = std::pair<long long, index_t>;
+  std::vector<HeapItem> heap;
+  std::vector<char> locked(n);
+  std::vector<index_t> moves;
+  moves.reserve(n);
+  // Unlocked pins whose gain the current move changed, each with its gain
+  // before the move (`in_touched` marks them while the move is applied).
+  std::vector<std::pair<index_t, long long>> touched;
+  std::vector<char> in_touched(n, 0);
   int improving_passes = 0;
 
   for (int pass = 0; pass < max_passes; ++pass) {
     const bool pre_feasible = is_balanced(b, w);
     const long long pre_cut = b.cut_cost;
     const long long pre_viol = violation(b, w);
-    for (index_t v = 0; v < h.num_vertices; ++v) gain[v] = gain_of(h, b, v);
-    std::priority_queue<HeapItem> heap;
-    for (index_t v = 0; v < h.num_vertices; ++v) heap.emplace(gain[v], v);
-    std::vector<bool> locked(h.num_vertices, false);
+    heap.clear();
+    for (index_t v = 0; v < n; ++v) {
+      gain[v] = gain_of(h, b, v);
+      heap.emplace_back(gain[v], v);
+    }
+    std::make_heap(heap.begin(), heap.end());
+    std::fill(locked.begin(), locked.end(), 0);
+    moves.clear();
 
     // Track the best prefix lexicographically: feasible first, then cut,
     // then violation (for the all-infeasible case).
@@ -157,9 +176,6 @@ int fm_refine(const Hypergraph& h, HgBisection& b, const BalanceWindow& w,
     };
     long long cur_violation = violation(b, w);
     Snapshot best{is_balanced(b, w), b.cut_cost, cur_violation, 0};
-    std::vector<index_t> moves;
-    moves.reserve(h.num_vertices);
-    std::vector<index_t> crossing;
 
     long long negative_streak = 0;
     // Abandon a pass after this much accumulated harm with no new best —
@@ -167,38 +183,50 @@ int fm_refine(const Hypergraph& h, HgBisection& b, const BalanceWindow& w,
     const long long patience = 2000;
 
     while (!heap.empty()) {
-      const auto [gval, v] = heap.top();
-      heap.pop();
+      std::pop_heap(heap.begin(), heap.end());
+      const auto [gval, v] = heap.back();
+      heap.pop_back();
       if (locked[v] || gval != gain[v]) continue;
       if (!move_allowed(h, b, w, v, cur_violation)) continue;
 
-      // Nets whose cut status thresholds are crossed by this move; their
-      // pins need gain recomputation.
-      crossing.clear();
-      {
-        const int s = b.side[v];
-        const int t = 1 - s;
-        for (index_t n : h.nets_of(v)) {
-          if (b.pin_count[t][n] <= 1 || b.pin_count[s][n] <= 2) {
-            crossing.push_back(n);
+      // Delta gains: a net's share of its pins' gains changes only when the
+      // move takes its target-side pin count out of {0, 1} or its
+      // source-side count into {0, 1}. The change is the same for every pin
+      // on one side, so it is computed once per side from the counts before
+      // the move and added to the unlocked pins.
+      locked[v] = 1;
+      moves.push_back(v);
+      const int s = b.side[v];
+      const int t = 1 - s;
+      touched.clear();
+      for (index_t net : h.nets_of(v)) {
+        const index_t ps = b.pin_count[s][net];
+        const index_t pt = b.pin_count[t][net];
+        if (pt > 1 && ps > 2) continue;
+        const long long c = h.net_cost[net];
+        const long long ds = pin_gain(ps - 1, pt + 1, c) - pin_gain(ps, pt, c);
+        const long long dt = pin_gain(pt + 1, ps - 1, c) - pin_gain(pt, ps, c);
+        if (ds == 0 && dt == 0) continue;
+        for (index_t u : h.pins(net)) {
+          const long long d = b.side[u] == s ? ds : dt;
+          if (d == 0 || locked[u]) continue;
+          if (!in_touched[u]) {
+            in_touched[u] = 1;
+            touched.emplace_back(u, gain[u]);
           }
+          gain[u] += d;
         }
       }
-      locked[v] = true;
-      moves.push_back(v);
       b.apply_move(h, v);
       cur_violation = violation(b, w);
-      for (index_t n : crossing) {
-        for (index_t u : h.pins(n)) {
-          if (locked[u]) continue;
-          const long long g = gain_of(h, b, u);
-          if (g != gain[u]) {
-            gain[u] = g;
-            heap.emplace(g, u);
-          }
+      // One entry per pin whose gain the move changed, at its final gain.
+      for (const auto& [u, before] : touched) {
+        in_touched[u] = 0;
+        if (gain[u] != before) {
+          heap.emplace_back(gain[u], u);
+          std::push_heap(heap.begin(), heap.end());
         }
       }
-      gain[v] = gain_of(h, b, v);
 
       const bool feas = is_balanced(b, w);
       const Snapshot cur{feas, b.cut_cost, cur_violation,
@@ -230,7 +258,6 @@ int fm_refine(const Hypergraph& h, HgBisection& b, const BalanceWindow& w,
     } else {
       break;
     }
-    (void)rng;
   }
   return improving_passes;
 }

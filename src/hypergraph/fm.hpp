@@ -6,7 +6,6 @@
 
 #include "hypergraph/hypergraph.hpp"
 #include "hypergraph/partition_state.hpp"
-#include "util/rng.hpp"
 
 namespace pdslin {
 
@@ -32,6 +31,6 @@ bool is_balanced(const HgBisection& b, const BalanceWindow& w);
 /// keeping every constraint inside its window. Returns the number of passes
 /// that improved the cut.
 int fm_refine(const Hypergraph& h, HgBisection& b, const BalanceWindow& w,
-              int max_passes, Rng& rng);
+              int max_passes);
 
 }  // namespace pdslin

@@ -1,9 +1,10 @@
 // Hypergraph model (paper §II).
 //
 // A hypergraph H = (V, N) with pins stored both net-major (net → pins) and
-// vertex-major (vertex → nets). Vertices carry one weight per balancing
-// constraint (the multi-constraint RHB of §III-C uses two); nets carry an
-// integer cost (the soed implementation of §III-C manipulates these).
+// vertex-major (vertex → nets); a net lists each pin once (FM's delta gains
+// rely on it). Vertices carry one weight per balancing constraint (the
+// multi-constraint RHB of §III-C uses two); nets carry an integer cost (the
+// soed implementation of §III-C manipulates these).
 #pragma once
 
 #include <span>

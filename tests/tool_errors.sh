@@ -37,10 +37,15 @@ expect_error() {
 expect_error pdslin --matrix "$work/missing.mtx"
 expect_error pdslin --matrix "$work/malformed.mtx"
 expect_error pdslin --matrix tdr190k --scale 0.05 -k 3
+expect_error pdslin --matrix tdr190k --scale 0.05 --threads abc
+expect_error pdslin --matrix tdr190k --scale 0.05x
+expect_error pdslin --matrix tdr190k --scale 0.05 -k 8x
 expect_error pdslin_serve --workload "$work/missing.json"
 expect_error pdslin_serve --workload "$work/malformed.json"
 expect_error pdslin_serve --matrix "$work/missing.mtx" --requests 1
 expect_error pdslin_serve --max-wait-ms 2
+expect_error pdslin_serve --matrix tdr190k --scale 0.05 --requests 2 --workers abc
+expect_error pdslin_serve --capacity-mb 100000000000000
 expect_error pdslin_fuzz --seeds notanumber
 expect_error pdslin_fuzz --replay "$work/missing.json"
 

@@ -56,6 +56,7 @@
 #include "gen/suite.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "parse_number.hpp"
 #include "sparse/io.hpp"
 #include "sparse/ops.hpp"
 #include "util/logging.hpp"
@@ -63,6 +64,7 @@
 #include "util/stats.hpp"
 
 using namespace pdslin;
+using tools::parse_number;
 
 namespace {
 
@@ -105,7 +107,7 @@ int run(int argc, char** argv) {
     if (arg == "--matrix") {
       matrix = next();
     } else if (arg == "--scale") {
-      scale = std::atof(next());
+      scale = parse_number<double>(arg, next());
     } else if (arg == "--method") {
       const std::string v = next();
       if (v == "RHB") {
@@ -122,23 +124,24 @@ int run(int argc, char** argv) {
       else if (v == "soed") opt.metric = CutMetric::Soed;
       else usage("unknown --metric");
     } else if (arg == "--constraints") {
-      opt.constraints = std::atoi(next()) >= 2 ? RhbConstraintMode::MultiW1W2
-                                               : RhbConstraintMode::SingleW1;
+      opt.constraints = parse_number<int>(arg, next()) >= 2
+                            ? RhbConstraintMode::MultiW1W2
+                            : RhbConstraintMode::SingleW1;
     } else if (arg == "--static-weights") {
       opt.rhb_dynamic_weights = false;
     } else if (arg == "-k") {
-      opt.num_subdomains = static_cast<index_t>(std::atoi(next()));
+      opt.num_subdomains = parse_number<index_t>(arg, next());
     } else if (arg == "--epsilon") {
-      opt.partition_epsilon = std::atof(next());
+      opt.partition_epsilon = parse_number<double>(arg, next());
     } else if (arg == "--partition-engine") {
       const std::string v = next();
       if (!partition::engine_from_string(v, opt.partition_engine)) {
         usage("unknown --partition-engine (multilevel|geometric)");
       }
     } else if (arg == "--partition-budget-ms") {
-      opt.partition_budget_ms = std::atof(next());
+      opt.partition_budget_ms = parse_number<double>(arg, next());
     } else if (arg == "--partition-min-quality") {
-      opt.partition_min_quality = std::atof(next());
+      opt.partition_min_quality = parse_number<double>(arg, next());
     } else if (arg == "--partition-values") {
       const std::string v = next();
       if (!partition::value_mode_from_string(v, opt.partition_values)) {
@@ -151,33 +154,32 @@ int run(int argc, char** argv) {
       else if (v == "hypergraph") opt.assembly.rhs_ordering = RhsOrdering::Hypergraph;
       else usage("unknown --rhs-ordering");
     } else if (arg == "--block-size") {
-      opt.assembly.rhs_block_size = static_cast<index_t>(std::atoi(next()));
+      opt.assembly.rhs_block_size = parse_number<index_t>(arg, next());
     } else if (arg == "--drop-wg") {
-      opt.assembly.drop_wg = std::atof(next());
+      opt.assembly.drop_wg = parse_number<double>(arg, next());
     } else if (arg == "--drop-s") {
-      opt.assembly.drop_s = std::atof(next());
+      opt.assembly.drop_s = parse_number<double>(arg, next());
     } else if (arg == "--lu-kernel") {
       const std::string k = next();
       if (k == "scalar") opt.assembly.lu.kernel = LuKernel::Scalar;
       else if (k == "panel") opt.assembly.lu.kernel = LuKernel::Panel;
       else usage("unknown --lu-kernel (scalar|panel)");
     } else if (arg == "--lu-panel-width") {
-      opt.assembly.lu.panel_max_width =
-          static_cast<index_t>(std::atoi(next()));
+      opt.assembly.lu.panel_max_width = parse_number<index_t>(arg, next());
     } else if (arg == "--lu-panel-relax") {
-      opt.assembly.lu.panel_relax = std::atof(next());
+      opt.assembly.lu.panel_relax = parse_number<double>(arg, next());
     } else if (arg == "--krylov") {
       krylov = next();
       if (krylov != "gmres" && krylov != "bicgstab") usage("unknown --krylov");
     } else if (arg == "--nrhs") {
-      nrhs = static_cast<index_t>(std::atoi(next()));
+      nrhs = parse_number<index_t>(arg, next());
       if (nrhs < 1) usage("--nrhs must be >= 1");
     } else if (arg == "--threads") {
-      opt.threads = static_cast<unsigned>(std::atoi(next()));
+      opt.threads = parse_number<unsigned>(arg, next());
     } else if (arg == "--inner-threads") {
-      opt.assembly.inner_threads = static_cast<unsigned>(std::atoi(next()));
+      opt.assembly.inner_threads = parse_number<unsigned>(arg, next());
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::strtoull(next(), nullptr, 10));
+      opt.seed = parse_number<std::uint64_t>(arg, next());
     } else if (arg == "--verbose") {
       set_log_level(LogLevel::Info);
     } else if (arg == "--trace-out") {

@@ -19,24 +19,24 @@
 //   pdslin_fuzz --minimize --corpus-dir d   # shrink failures + write artifacts
 //   pdslin_fuzz --replay tests/corpus/x.json…   # re-run committed artifacts
 //   pdslin_fuzz --inject-bug schur-gather-off-by-one --seeds 50 --minimize
-#include <charconv>
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "check/artifact.hpp"
 #include "check/differential.hpp"
 #include "check/fault.hpp"
 #include "check/minimize.hpp"
+#include "parse_number.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
 using namespace pdslin;
 using namespace pdslin::check;
+using tools::parse_number;
 
 struct Args {
   int seeds = 100;
@@ -63,18 +63,6 @@ void usage() {
       "                       schur-drop-last-entry) — the gate must catch it\n"
       "  --replay FILE…       replay artifact files instead of sampling\n"
       "  --quiet              only print failures and the summary line\n";
-}
-
-/// The value of numeric flag `flag`: all of `v` must parse as a T in range.
-template <typename T>
-T parse_number(const std::string& flag, const char* v) {
-  T out{};
-  const char* end = v + std::strlen(v);
-  const auto [stop, ec] = std::from_chars(v, end, out);
-  if (ec != std::errc{} || stop != end) {
-    throw std::invalid_argument("bad value for " + flag + ": '" + v + "'");
-  }
-  return out;
 }
 
 Args parse_args(int argc, char** argv) {

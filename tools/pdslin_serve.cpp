@@ -40,6 +40,7 @@
 #include <exception>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -50,6 +51,7 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "parse_number.hpp"
 #include "serve/service.hpp"
 #include "sparse/io.hpp"
 #include "util/logging.hpp"
@@ -57,6 +59,7 @@
 #include "util/timer.hpp"
 
 using namespace pdslin;
+using tools::parse_number;
 
 namespace {
 
@@ -184,28 +187,31 @@ int run(int argc, char** argv) {
     } else if (arg == "--matrix") {
       builtin.matrix = next();
     } else if (arg == "--scale") {
-      builtin.scale = std::atof(next());
+      builtin.scale = parse_number<double>(arg, next());
     } else if (arg == "--requests") {
-      builtin.repeat = std::atoi(next());
+      builtin.repeat = parse_number<int>(arg, next());
     } else if (arg == "--nrhs") {
-      builtin.nrhs = static_cast<index_t>(std::atoi(next()));
+      builtin.nrhs = parse_number<index_t>(arg, next());
     } else if (arg == "--cache") {
       cfg.enable_cache = on_off(next());
     } else if (arg == "--batch") {
       cfg.enable_batching = on_off(next());
     } else if (arg == "--workers") {
-      cfg.workers = static_cast<unsigned>(std::atoi(next()));
+      cfg.workers = parse_number<unsigned>(arg, next());
     } else if (arg == "--queue") {
-      cfg.queue_capacity = static_cast<std::size_t>(std::atoll(next()));
+      cfg.queue_capacity = parse_number<std::size_t>(arg, next());
     } else if (arg == "--capacity-mb") {
-      cfg.cache.capacity_bytes =
-          static_cast<std::size_t>(std::atoll(next())) << 20;
+      const auto mb = parse_number<std::size_t>(arg, next());
+      if (mb > (std::numeric_limits<std::size_t>::max() >> 20)) {
+        usage("--capacity-mb is too large");
+      }
+      cfg.cache.capacity_bytes = mb << 20;
     } else if (arg == "--max-batch") {
-      cfg.batcher.max_batch_nrhs = static_cast<index_t>(std::atoi(next()));
+      cfg.batcher.max_batch_nrhs = parse_number<index_t>(arg, next());
     } else if (arg == "--threads") {
-      sopt.threads = static_cast<unsigned>(std::atoi(next()));
+      sopt.threads = parse_number<unsigned>(arg, next());
     } else if (arg == "--inner-threads") {
-      sopt.assembly.inner_threads = static_cast<unsigned>(std::atoi(next()));
+      sopt.assembly.inner_threads = parse_number<unsigned>(arg, next());
     } else if (arg == "--report-out") {
       report_out = next();
     } else if (arg == "--verbose") {
