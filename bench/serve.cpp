@@ -1,6 +1,6 @@
 // Serve-layer benchmark: throughput of the in-process solve service on a
-// repeated-matrix workload with the factorization cache and request batching
-// ON versus OFF (the ablation of docs/SERVE.md).
+// repeated-matrix workload with the factorization cache ON versus OFF (the
+// ablation of docs/SERVE.md).
 //
 // This driver is also a correctness gate, not just a stopwatch:
 //   - the cached-path answer must be BITWISE identical to the cold-path
@@ -81,18 +81,16 @@ struct RunResult {
   double seconds = 0.0;
   double solves_per_second = 0.0;
   double hit_rate = 0.0;
-  double mean_batch_width = 0.0;
   double p50 = 0.0, p99 = 0.0;
   long long ok = 0, degraded = 0, failed = 0;
   std::vector<std::vector<value_t>> solutions;  // per request, submit order
 };
 
 RunResult run_workload(const Workload& w, const SolverOptions& opt, bool cache,
-                       bool batch, unsigned workers) {
+                       unsigned workers) {
   obs::MetricsRegistry::instance().reset_values();
   serve::ServiceConfig cfg;
   cfg.enable_cache = cache;
-  cfg.enable_batching = batch;
   cfg.workers = workers;
   cfg.queue_capacity = w.rhs.size() + 16;
   serve::SolveService service(cfg);
@@ -125,12 +123,10 @@ RunResult run_workload(const Workload& w, const SolverOptions& opt, bool cache,
     out.solutions.push_back(std::move(resp.x));
   }
   out.seconds = wall.seconds();
-  const serve::ServiceStats st = service.stats();
   out.solves_per_second =
       out.seconds > 0.0 ? static_cast<double>(total_nrhs) / out.seconds : 0.0;
   const auto timed = static_cast<double>(futures.size());
   out.hit_rate = timed > 0.0 ? static_cast<double>(hits) / timed : 0.0;
-  out.mean_batch_width = st.mean_batch_width();
   std::sort(latencies.begin(), latencies.end());
   if (!latencies.empty()) {
     out.p50 = latencies[latencies.size() / 2];
@@ -150,7 +146,6 @@ void emit(const char* config, const GeneratedProblem& p, const RunResult& r) {
   report.set_stat("wall_seconds", r.seconds);
   report.set_stat("solves_per_second", r.solves_per_second);
   report.set_stat("cache_hit_rate", r.hit_rate);
-  report.set_stat("mean_batch_width", r.mean_batch_width);
   report.set_stat("latency_p50_seconds", r.p50);
   report.set_stat("latency_p99_seconds", r.p99);
   report.set_stat("ok", static_cast<double>(r.ok));
@@ -187,7 +182,7 @@ Workload make_easy_workload(index_t n) {
 }  // namespace
 
 int main() {
-  print_header("Solve service: factorization cache + request batching",
+  print_header("Solve service: factorization cache ON vs OFF",
                "the setup/solve amortization regime of §IV");
   const double scale = bench_scale(0.4);
   const int repeats = 32;
@@ -204,20 +199,20 @@ int main() {
               static_cast<long long>(p.a.nnz()), repeats,
               static_cast<int>(nrhs), workers);
 
-  std::printf("\n[1/5] cache+batching OFF (cold setup per request)...\n");
-  const RunResult off = run_workload(w, opt, false, false, workers);
+  std::printf("\n[1/5] cache OFF (cold setup per request)...\n");
+  const RunResult off = run_workload(w, opt, false, workers);
   emit("off", p, off);
   std::printf("      %.2fs — %.1f solves/s, p50 %.1fms p99 %.1fms\n",
               off.seconds, off.solves_per_second, off.p50 * 1e3,
               off.p99 * 1e3);
 
-  std::printf("[2/5] cache+batching ON...\n");
-  const RunResult on = run_workload(w, opt, true, true, workers);
+  std::printf("[2/5] cache ON...\n");
+  const RunResult on = run_workload(w, opt, true, workers);
   emit("on", p, on);
-  std::printf("      %.2fs — %.1f solves/s, hit rate %.0f%%, mean batch "
-              "width %.2f, p50 %.1fms p99 %.1fms\n",
+  std::printf("      %.2fs — %.1f solves/s, hit rate %.0f%%, p50 %.1fms "
+              "p99 %.1fms\n",
               on.seconds, on.solves_per_second, on.hit_rate * 100.0,
-              on.mean_batch_width, on.p50 * 1e3, on.p99 * 1e3);
+              on.p50 * 1e3, on.p99 * 1e3);
 
   int exit_code = 0;
 
@@ -368,7 +363,7 @@ int main() {
   // Gate 4: the acceptance threshold.
   const double speedup =
       off.seconds > 0.0 && on.seconds > 0.0 ? off.seconds / on.seconds : 0.0;
-  std::printf("\nspeedup cache+batching ON vs OFF: %.2fx (threshold 5x)\n",
+  std::printf("\nspeedup cache ON vs OFF: %.2fx (threshold 5x)\n",
               speedup);
   if (speedup < 5.0) {
     std::printf("FAIL: below the 5x acceptance threshold\n");

@@ -3,7 +3,7 @@
 // The static --drop-s knob trades preconditioner cost against Krylov
 // iteration count, but the right value is a property of the *matrix class*
 // being served, not of the deployment. The controller observes the mean
-// GMRES/BiCGSTAB iteration count of every served batch and nudges σ within
+// GMRES/BiCGSTAB iteration count of every served request and nudges σ within
 // configured bounds: slow convergence → tighten (drop less, stronger LU(S̃)),
 // fast convergence → relax (drop more, cheaper factors). Repeat traffic on
 // one matrix class converges to its own sweet spot.
@@ -16,7 +16,7 @@
 //     class keeps one cache entry while its σ is re-tuned in place (the
 //     entry is rebuilt at the new σ and *replaces* the old one);
 //   * at any fixed σ the answers are bitwise deterministic — adaptation
-//     changes *which* σ a batch is built with, never how a solve at that σ
+//     changes *which* σ a setup is built with, never how a solve at that σ
 //     behaves. SolveResponse::tuned_drop_s reports the σ actually used so
 //     callers (and the differential harness) can reproduce bit-for-bit.
 //
@@ -55,7 +55,7 @@ struct AdaptConfig {
 /// Per-class adaptation state, exported for tests and the RunReport.
 struct AdaptState {
   double sigma = 0.0;           // current tuned σ
-  long long observations = 0;   // batches observed
+  long long observations = 0;   // requests observed
   long long tightened = 0;      // tighten nudges applied
   long long relaxed = 0;        // relax nudges applied
   bool frozen = false;          // sweet spot reached (reversal used up)
@@ -80,7 +80,7 @@ class AdaptiveDropController {
   /// bounds. Disabled → returns static_sigma unchanged, records nothing.
   double tuned_sigma(const SetupKey& key, double static_sigma);
 
-  /// Feed back the mean converged-column iteration count of one batch.
+  /// Feed back the mean converged-column iteration count of one request.
   /// No-op when disabled or the class is unknown (e.g. dropped on
   /// overflow) — the next tuned_sigma() re-seeds it.
   void observe(const SetupKey& key, double mean_iterations, bool converged);

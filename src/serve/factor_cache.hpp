@@ -24,7 +24,7 @@
 namespace pdslin::serve {
 
 /// One completed setup: a factored solver shared read-only between
-/// concurrent solves, plus a pool of SolveContexts so steady-state batches
+/// concurrent solves, plus a pool of SolveContexts so steady-state solves
 /// against a hot entry allocate nothing.
 class CachedSetup {
  public:
@@ -38,7 +38,7 @@ class CachedSetup {
 
   /// Pop a prepared solve context (or make a fresh one on first use /
   /// under contention). Give it back with return_context() so the next
-  /// batch reuses the buffers.
+  /// solve reuses the buffers.
   std::unique_ptr<SchurSolver::SolveContext> take_context();
   void return_context(std::unique_ptr<SchurSolver::SolveContext> ctx);
 

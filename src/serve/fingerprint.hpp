@@ -47,7 +47,7 @@ Fingerprint fingerprint_of(const CsrMatrix& a);
 
 /// Hash the SolverOptions fields that the for_each_option table marks
 /// setup-affecting. Thread counts and the Krylov knobs are excluded, so
-/// requests differing only there still share a setup and can batch.
+/// requests differing only there still share a setup.
 std::uint64_t setup_options_hash(const pdslin::SolverOptions& opt);
 
 /// Full cache key: matrix fingerprint + setup-affecting options.

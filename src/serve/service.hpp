@@ -3,17 +3,20 @@
 // requests (the ROADMAP's serving north star; the amortized-repeated-solve
 // regime the paper's setup/solve split exists for).
 //
-// Request lifecycle:
+// Request lifecycle — every request is answered on its own, as one task on
+// the shared thread pool:
 //   submit() → bounded queue (reject-with-status when full — backpressure)
-//            → dispatcher thread forms same-key batches (serve/batcher.hpp)
-//            → batch executes on the shared thread pool (≤ config.workers
-//              batches concurrently; the solver's own two-level parallelism
-//              runs inside the same pool, nesting-safe)
+//            → a task starts for it while fewer than config.workers run;
+//              a task that ends hands its slot to the next queued request
+//              (the solver's own two-level parallelism runs inside the same
+//              pool, nesting-safe)
 //            → factorization cache consulted (serve/factor_cache.hpp):
 //              full hit → cached const setup; symbolic hit → partition
-//              adopted, factor() redone; miss → full setup
-//            → one solve_multi over the coalesced right-hand sides
-//            → per-request responses through std::future.
+//              adopted, factor() redone; miss → full setup. One build per
+//              key at a time: a miss on a key whose build is in flight
+//              parks until that build ends, then is answered from it
+//            → one solve_multi over the request's own right-hand sides
+//            → the response through std::future.
 //
 // Degradation ladder (no request ever takes the service down):
 //   1. hybrid solve with a cached/fresh setup            → Ok
@@ -21,39 +24,91 @@
 //      unpreconditioned GMRES/BiCGSTAB on A              → Degraded
 //   3. hybrid solve did not converge                     → same fallback;
 //      fallback converged → Degraded, else               → Failed
-//   4. queue deadline exceeded before dispatch           → Timeout
+//   4. queue deadline exceeded when taken from the queue → Timeout
 //   5. queue full / service stopping                     → Rejected
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <string>
+#include <vector>
 
+#include "core/schur_solver.hpp"
 #include "serve/adapt.hpp"
-#include "serve/batcher.hpp"
 #include "serve/factor_cache.hpp"
+#include "serve/fingerprint.hpp"
 
 namespace pdslin::serve {
 
+/// Terminal status of one request, ordered roughly by health.
+enum class ServeStatus {
+  Ok,        // hybrid solve converged
+  Degraded,  // setup failed or hybrid did not converge; fallback answered
+  Timeout,   // exceeded its deadline while queued
+  Rejected,  // bounded queue full (backpressure) or service stopped
+  Failed,    // no path produced a converged answer (x = best effort)
+};
+
+const char* to_string(ServeStatus s);
+
+/// One solve job: A X = B for `nrhs` column-major right-hand sides. The
+/// matrix travels by shared_ptr so a workload of repeated systems carries
+/// one copy.
+struct SolveRequest {
+  std::shared_ptr<const CsrMatrix> a;
+  /// Optional incidence/structural factor for RHB (see SchurSolver::setup).
+  std::shared_ptr<const CsrMatrix> incidence;
+  /// Optional problem geometry (3 doubles per unknown) for the partition
+  /// engine's geometric fallback; read only during a cold setup.
+  std::shared_ptr<const std::vector<double>> coords;
+  std::vector<value_t> b;  // n × nrhs, column-major
+  index_t nrhs = 1;
+  SolverOptions opt;
+  /// Queue deadline in seconds; 0 = no deadline. Checked each time the
+  /// request is taken from the queue (a running solve is never preempted).
+  double timeout_seconds = 0.0;
+};
+
+struct SolveResponse {
+  ServeStatus status = ServeStatus::Ok;
+  std::vector<value_t> x;               // n × nrhs, column-major
+  std::vector<GmresResult> columns;     // per right-hand side
+  bool cache_hit = false;               // full setup reuse
+  bool symbolic_reuse = false;          // partition reuse, values re-factored
+  int batch_width = 0;                  // the request's own nrhs
+  std::string detail;                   // degradation / failure explanation
+  double queue_seconds = 0.0;           // includes any wait on another build
+  double setup_seconds = 0.0;           // this request's build, failed or not
+  double solve_seconds = 0.0;           // hybrid solve plus any fallback
+  /// S̃ drop tolerance σ the answering setup was actually built with —
+  /// equals opt.assembly.drop_s unless the adaptive controller
+  /// (serve/adapt.hpp) retuned the class. 0 when no hybrid setup answered
+  /// (fallback/timeout/rejected paths). Re-running a direct solve at this
+  /// σ reproduces the answer bitwise (pinned by the differential harness).
+  double tuned_drop_s = 0.0;
+};
+
 struct ServiceConfig {
-  /// Bounded queue depth; submits beyond it are Rejected (backpressure).
+  /// Bounded queue depth, requests parked behind a build included; submits
+  /// beyond it are Rejected (backpressure).
   std::size_t queue_capacity = 256;
-  /// Concurrent batches in flight on the shared pool.
+  /// Requests answered concurrently on the shared pool.
   unsigned workers = 2;
-  BatcherConfig batcher;
   FactorCacheConfig cache;
   /// Self-tuning S̃ drop tolerance (serve/adapt.hpp, docs/SERVE.md). Off by
   /// default; when enabled, observed Krylov iteration counts nudge σ per
   /// matrix class within [sigma_min, sigma_max] and stale cache entries are
   /// rebuilt at the tuned σ (replacing, never duplicating, their entry).
   AdaptConfig adapt;
-  /// Ablation switches (bench/serve measures both off vs. both on).
+  /// Ablation switch (bench/serve measures off vs on). Off, every request
+  /// builds its own setup.
   bool enable_cache = true;
-  bool enable_batching = true;
 };
 
 struct ServiceStats {
@@ -64,13 +119,9 @@ struct ServiceStats {
   long long degraded = 0;
   long long failed = 0;
   long long timeouts = 0;
-  long long batches = 0;
-  long long batched_requests = 0;  // requests that travelled in batches
-  long long batched_nrhs = 0;      // summed batch widths
-  long long setups_built = 0;      // cold + symbolic-reuse builds
-  [[nodiscard]] double mean_batch_width() const {
-    return batches > 0 ? static_cast<double>(batched_nrhs) / batches : 0.0;
-  }
+  long long batches = 0;       // requests begun (deadline met), each once
+  long long batched_nrhs = 0;  // their summed nrhs
+  long long setups_built = 0;  // cold + symbolic-reuse builds
 };
 
 /// The service. Thread-safe: submit() from any thread; responses complete
@@ -95,8 +146,7 @@ class SolveService {
   /// already racing it) are Rejected, every request accepted before it is
   /// executed to a terminal status, and stop() returns only once all of
   /// them have been answered. Safe to call from any number of threads
-  /// concurrently — one caller drains, the rest block until it is done.
-  /// The destructor calls it.
+  /// concurrently. The destructor calls it.
   void stop();
 
   [[nodiscard]] ServiceStats stats() const;
@@ -105,10 +155,38 @@ class SolveService {
   [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
 
  private:
-  void dispatch_loop();
-  void execute_batch(Batch& batch);
-  /// Plain unpreconditioned Krylov on A — ladder steps 2/3.
-  SolveResponse fallback_solve(const SolveRequest& req) const;
+  /// What a finished build hands to the requests parked behind it.
+  struct BuildOutcome {
+    std::shared_ptr<CachedSetup> setup;  // null when the build threw
+    std::string detail;                  // the failure, when it threw
+  };
+
+  struct PendingRequest {
+    SolveRequest req;
+    SetupKey key;
+    std::promise<SolveResponse> promise;
+    std::chrono::steady_clock::time_point enqueued;
+    /// Set when the request parked behind another request's build of its
+    /// key and that build ended; it is then answered from this outcome.
+    std::shared_ptr<const BuildOutcome> handoff;
+  };
+
+  /// Pop the queue front and run it as a pool task. Requires mu_ held and
+  /// a worker slot already counted in running_ for the task.
+  void start_front_locked();
+  /// Pool task body: answer one request, then hand the slot on.
+  void run(PendingRequest& pr);
+  /// Deadline check, cache ladder, solve, respond. Never throws. Leaves `pr`
+  /// moved-from when it parks the request behind a build in flight.
+  void answer(PendingRequest& pr);
+  /// Build pr's setup at σ — the cached partition adopted when there is
+  /// one, else cold — and cache it. Never throws: on failure returns null
+  /// with the reason in resp.detail. Records resp.setup_seconds either way.
+  std::shared_ptr<CachedSetup> build(const PendingRequest& pr, double sigma,
+                                     bool stale, SolveResponse& resp);
+  /// Release the claim on `key` and requeue its parked requests at the
+  /// queue front, in arrival order, carrying `outcome`.
+  void hand_off(const SetupKey& key, std::shared_ptr<const BuildOutcome> outcome);
   void respond(PendingRequest& pr, SolveResponse&& resp);
 
   ServiceConfig cfg_;
@@ -116,15 +194,15 @@ class SolveService {
   AdaptiveDropController adapt_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_queue_;  // dispatcher: work available / stopping
-  std::condition_variable cv_slot_;   // dispatcher: worker slot free; stop(): drained
+  std::condition_variable cv_idle_;  // stop(): the last task ended
   std::deque<PendingRequest> queue_;
-  unsigned active_batches_ = 0;
+  /// Keys whose build is in flight → the requests parked behind it. The
+  /// claim check, the park and the hand-off all hold mu_.
+  std::map<SetupKey, std::vector<PendingRequest>> builds_;
+  std::size_t parked_ = 0;  // requests in builds_, charged to queue_capacity
+  unsigned running_ = 0;    // tasks started and not yet ended
   bool stopping_ = false;
-  bool joined_ = false;
   ServiceStats stats_;
-
-  std::thread dispatcher_;
 };
 
 }  // namespace pdslin::serve

@@ -7,10 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <memory>
 #include <string_view>
@@ -744,30 +742,6 @@ TEST(ServeProperty, DeadlineAlreadyExpiredAtEnqueueTimesOut) {
   serve::SolveRequest ok = req;
   ok.timeout_seconds = 0.0;
   EXPECT_EQ(service.solve(ok).status, serve::ServeStatus::Ok);
-}
-
-TEST(ServeProperty, TakeBatchTakesOnlyQueuedSameKeyRequests) {
-  // Pure queue surgery: the batcher must take exactly the same-key requests
-  // queued now and keep other-key order intact.
-  const serve::SetupKey k1{serve::Fingerprint{1, 1}, 7};
-  const serve::SetupKey k2{serve::Fingerprint{2, 2}, 7};
-  std::deque<serve::PendingRequest> queue;
-  auto push = [&](const serve::SetupKey& k, index_t nrhs) {
-    serve::PendingRequest pr;
-    pr.key = k;
-    pr.req.nrhs = nrhs;
-    pr.enqueued = std::chrono::steady_clock::now();
-    queue.push_back(std::move(pr));
-  };
-  push(k1, 1);
-  push(k2, 1);
-  push(k1, 2);
-  serve::BatcherConfig cfg;
-  serve::Batch batch = serve::take_batch(queue, cfg);
-  EXPECT_EQ(batch.requests.size(), 2u);  // both k1 requests, nothing else
-  EXPECT_EQ(batch.total_nrhs(), 3);
-  ASSERT_EQ(queue.size(), 1u);
-  EXPECT_EQ(queue.front().key, k2);
 }
 
 TEST(ServeProperty, CacheSmallerThanOneEntryStillSolves) {

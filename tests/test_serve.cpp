@@ -1,8 +1,10 @@
 // Serve-layer tests: fingerprint keying, the factorization cache (LRU,
 // byte pressure, in-flight pinning, symbolic partition reuse), the
 // const-solver concurrency contract (two threads against one cached setup
-// are bitwise identical to serial), and the service's status ladder
-// (Ok / Degraded / Timeout / Rejected / Failed) with queue draining.
+// are bitwise identical to serial), the service's status ladder
+// (Ok / Degraded / Timeout / Rejected / Failed) with queue draining, and
+// its single-flight set-up (one build per key; requests that meet a build
+// in flight park behind it).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -577,6 +579,10 @@ TEST(ServeService, DegradedOnSingularSetupAndQueueKeepsDraining) {
   ASSERT_EQ(r2.status, ServeStatus::Degraded);
   EXPECT_NE(r2.detail.find("setup failed"), std::string::npos);
   EXPECT_EQ(r3.status, ServeStatus::Ok) << "queue must drain past the fault";
+  // The failed build and the fallback solve both took time; latency sums
+  // over these fields must not undercount a degraded request.
+  EXPECT_GT(r2.setup_seconds, 0.0);
+  EXPECT_GT(r2.solve_seconds, 0.0);
 
   // The degraded answer is still an answer: residual-checked fallback.
   const auto b = random_rhs(a->rows, 52);
@@ -588,7 +594,8 @@ TEST(ServeService, DegradedOnSingularSetupAndQueueKeepsDraining) {
 }
 
 /// Occupy the service's single worker slot long enough to observe queue
-/// behaviour behind it: returns once the blocker batch is dispatched.
+/// behaviour behind it: returns once the blocker request is taken from the
+/// queue.
 std::future<serve::SolveResponse> dispatch_blocker(
     SolveService& service, const std::shared_ptr<const CsrMatrix>& big,
     const SolverOptions& opt) {
@@ -597,6 +604,44 @@ std::future<serve::SolveResponse> dispatch_blocker(
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   return fut;
+}
+
+/// Submit `count` requests against one matrix, right-hand sides seeded
+/// seed0, seed0 + 1, ...
+std::vector<std::future<serve::SolveResponse>> submit_burst(
+    SolveService& service, const std::shared_ptr<const CsrMatrix>& a,
+    const SolverOptions& opt, int count, index_t nrhs, std::uint64_t seed0) {
+  std::vector<std::future<serve::SolveResponse>> fs;
+  for (int i = 0; i < count; ++i) {
+    fs.push_back(service.submit(
+        make_request(a, opt, nrhs, seed0 + static_cast<std::uint64_t>(i))));
+  }
+  return fs;
+}
+
+/// The answers a direct SchurSolver gives to the requests of submit_burst.
+std::vector<std::vector<value_t>> direct_burst(const CsrMatrix& a,
+                                               const SolverOptions& opt,
+                                               int count, index_t nrhs,
+                                               std::uint64_t seed0) {
+  SchurSolver solver(a, opt);
+  solver.setup();
+  solver.factor();
+  std::vector<std::vector<value_t>> xs;
+  for (int i = 0; i < count; ++i) {
+    const auto b = random_rhs(a.rows * nrhs, seed0 + static_cast<std::uint64_t>(i));
+    std::vector<value_t> x(b.size(), 0.0);
+    for (const GmresResult& r : solver.solve_multi(b, x, nrhs)) {
+      EXPECT_TRUE(r.converged);
+    }
+    xs.push_back(std::move(x));
+  }
+  return xs;
+}
+
+bool bitwise_equal(const std::vector<value_t>& x, const std::vector<value_t>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(value_t)) == 0;
 }
 
 TEST(ServeService, BackpressureRejectsWhenQueueFull) {
@@ -649,42 +694,167 @@ TEST(ServeService, QueueDeadlineYieldsTimeout) {
   EXPECT_EQ(blocker.get().status, ServeStatus::Ok);
 }
 
-TEST(ServeService, CoalescesSameKeyRequestsIntoOneBatch) {
-  auto big = std::make_shared<const CsrMatrix>(testing::grid_laplacian(40, 40));
-  auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(12, 12));
+TEST(ServeService, ColdBurstBuildsOneSetup) {
+  // Same-key requests arriving together at a cold service: the first miss
+  // claims the build, the others park behind it and are answered from it.
+  auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(20, 20));
   const SolverOptions opt = small_options();
-  serve::ServiceConfig cfg;
-  cfg.workers = 1;
-  SolveService service(cfg);
+  constexpr int kBurst = 8;
+  const auto ref = direct_burst(*a, opt, kBurst, 2, 70);
 
-  auto blocker = dispatch_blocker(service, big, opt);
-  std::vector<std::future<serve::SolveResponse>> fs;
-  for (int i = 0; i < 4; ++i) {
-    fs.push_back(service.submit(make_request(a, opt, 1, 70 + i)));
-  }
-  ASSERT_EQ(blocker.get().status, ServeStatus::Ok);
-  for (auto& f : fs) {
-    const auto r = f.get();
-    EXPECT_EQ(r.status, ServeStatus::Ok);
-    EXPECT_EQ(r.batch_width, 4)
-        << "four same-key requests queued behind a busy worker must leave "
-           "as one coalesced multi-RHS batch";
+  serve::ServiceConfig cfg;
+  cfg.workers = 4;
+  SolveService service(cfg);
+  auto fs = submit_burst(service, a, opt, kBurst, 2, 70);
+  for (int i = 0; i < kBurst; ++i) {
+    const auto r = fs[static_cast<std::size_t>(i)].get();
+    ASSERT_EQ(r.status, ServeStatus::Ok) << r.detail;
+    EXPECT_EQ(r.batch_width, 2);
+    EXPECT_TRUE(bitwise_equal(r.x, ref[static_cast<std::size_t>(i)]))
+        << "request " << i << " differs from the direct solve";
   }
   const auto st = service.stats();
-  EXPECT_EQ(st.batches, 2);  // blocker + the coalesced four
+  EXPECT_EQ(st.setups_built, 1) << "one key, one build";
+  EXPECT_EQ(st.batches, kBurst) << "each request counts once";
+  EXPECT_EQ(st.batched_nrhs, 2 * kBurst);
 }
 
-TEST(ServeService, BatchedAnswersMatchIndividualSolves) {
+TEST(ServeService, FailedBuildAnswersEveryParkedRequest) {
+  auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(12, 12));
+  SolverOptions sick = small_options();
+  sick.assembly.lu.min_pivot = 1e30;  // every subdomain LU reports singular
+  serve::ServiceConfig cfg;
+  cfg.workers = 4;
+  SolveService service(cfg);
+
+  auto fs = submit_burst(service, a, sick, 6, 1, 90);
+  std::string detail;
+  for (auto& f : fs) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(120)), std::future_status::ready)
+        << "a request parked behind the failed build was never answered";
+    const auto r = f.get();
+    ASSERT_EQ(r.status, ServeStatus::Degraded);
+    EXPECT_NE(r.detail.find("setup failed"), std::string::npos);
+    if (detail.empty()) detail = r.detail;
+    EXPECT_EQ(r.detail, detail);
+    EXPECT_FALSE(r.cache_hit);
+  }
+  // No claim is left behind: the next request of the key builds again.
+  auto again = service.submit(make_request(a, sick, 1, 99));
+  ASSERT_EQ(again.wait_for(std::chrono::seconds(120)), std::future_status::ready)
+      << "a failed build left its claim behind";
+  const auto r = again.get();
+  EXPECT_EQ(r.status, ServeStatus::Degraded);
+  EXPECT_GT(r.setup_seconds, 0.0) << "the request did not build";
+  EXPECT_EQ(service.stats().setups_built, 0);
+}
+
+TEST(ServeService, NestedParallelBurstFinishes) {
+  // Set-ups and solves fan out on the same pool that runs the requests, so
+  // a pool wait may run another request's task on the stack of a request
+  // that is building. A request that meets a build in flight must park,
+  // never block.
+  auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(20, 20));
+  auto b = std::make_shared<const CsrMatrix>(testing::grid_laplacian(18, 22));
+  SolverOptions opt = small_options();
+  opt.threads = 4;
+  opt.assembly.inner_threads = 2;
+  serve::ServiceConfig cfg;
+  cfg.workers = 4;
+  SolveService service(cfg);
+
+  std::vector<std::future<serve::SolveResponse>> fs;
+  for (int i = 0; i < 6; ++i) {
+    fs.push_back(service.submit(make_request(a, opt, 1, 110 + i)));
+    fs.push_back(service.submit(make_request(b, opt, 2, 120 + i)));
+  }
+  for (auto& f : fs) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(120)), std::future_status::ready)
+        << "nested burst did not finish";
+    EXPECT_EQ(f.get().status, ServeStatus::Ok);
+  }
+  EXPECT_EQ(service.stats().setups_built, 2);
+}
+
+TEST(ServeService, StopDrainsParkedRequests) {
+  auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(20, 20));
+  const SolverOptions opt = small_options();
+  serve::ServiceConfig cfg;
+  cfg.workers = 4;
+  SolveService service(cfg);
+
+  auto fs = submit_burst(service, a, opt, 8, 1, 130);
+  service.stop();
+  for (auto& f : fs) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
+        << "stop() returned before a parked request was answered";
+    EXPECT_EQ(f.get().status, ServeStatus::Ok);
+  }
+  const auto st = service.stats();
+  EXPECT_EQ(st.completed, 8);
+  EXPECT_EQ(st.setups_built, 1);
+}
+
+TEST(ServeService, ParkedRequestsCountAgainstCapacity) {
+  // Two requests parked behind a build fill a queue of capacity 2, although
+  // the queue itself is empty: a third request is Rejected.
+  auto big = std::make_shared<const CsrMatrix>(testing::grid_laplacian(80, 80));
+  auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(10, 10));
+  const SolverOptions opt = small_options();
+  serve::ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.queue_capacity = 2;
+  SolveService service(cfg);
+
+  auto fs = submit_burst(service, big, opt, 3, 1, 140);
+  // Each of the three looks the key up once, under the same lock as its
+  // claim or park; the submit below takes that lock after the last park.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (service.cache().stats().misses < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  ASSERT_EQ(service.cache().stats().misses, 3)
+      << "the build ended before the other two requests looked the key up";
+  const auto late = service.solve(make_request(a, opt, 1, 149));
+  EXPECT_EQ(late.status, ServeStatus::Rejected);
+  EXPECT_NE(late.detail.find("queue full"), std::string::npos);
+
+  for (auto& f : fs) EXPECT_EQ(f.get().status, ServeStatus::Ok);
+  EXPECT_EQ(service.stats().setups_built, 1);
+}
+
+TEST(ServeService, CacheOffBuildsEveryRequest) {
+  auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(16, 16));
+  const SolverOptions opt = small_options();
+  constexpr int kBurst = 4;
+  const auto ref = direct_burst(*a, opt, kBurst, 1, 150);
+
+  serve::ServiceConfig cfg;
+  cfg.workers = 4;
+  cfg.enable_cache = false;
+  SolveService service(cfg);
+  auto fs = submit_burst(service, a, opt, kBurst, 1, 150);
+  for (int i = 0; i < kBurst; ++i) {
+    const auto r = fs[static_cast<std::size_t>(i)].get();
+    ASSERT_EQ(r.status, ServeStatus::Ok);
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_GT(r.setup_seconds, 0.0);
+    EXPECT_TRUE(bitwise_equal(r.x, ref[static_cast<std::size_t>(i)]));
+  }
+  EXPECT_EQ(service.stats().setups_built, kBurst);
+  EXPECT_EQ(service.cache().stats().entries, 0u);
+}
+
+TEST(ServeService, QueuedAnswersMatchIndividualSolves) {
   auto big = std::make_shared<const CsrMatrix>(testing::grid_laplacian(40, 40));
   auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(12, 12));
   const SolverOptions opt = small_options();
 
-  // Reference: each request solved alone, batching off.
+  // Reference: each request solved alone, one at a time.
   std::vector<std::vector<value_t>> ref;
   {
-    serve::ServiceConfig cfg;
-    cfg.enable_batching = false;
-    SolveService service(cfg);
+    SolveService service;
     for (int i = 0; i < 3; ++i) {
       auto r = service.solve(make_request(a, opt, 1, 80 + i));
       ASSERT_EQ(r.status, ServeStatus::Ok);
@@ -692,23 +862,18 @@ TEST(ServeService, BatchedAnswersMatchIndividualSolves) {
     }
   }
 
-  // Same requests coalesced into one batch behind a blocker.
+  // The same requests queued together behind a blocker.
   serve::ServiceConfig cfg;
   cfg.workers = 1;
   SolveService service(cfg);
   auto blocker = dispatch_blocker(service, big, opt);
-  std::vector<std::future<serve::SolveResponse>> fs;
-  for (int i = 0; i < 3; ++i) {
-    fs.push_back(service.submit(make_request(a, opt, 1, 80 + i)));
-  }
+  auto fs = submit_burst(service, a, opt, 3, 1, 80);
   (void)blocker.get();
   for (int i = 0; i < 3; ++i) {
     const auto r = fs[static_cast<std::size_t>(i)].get();
     ASSERT_EQ(r.status, ServeStatus::Ok);
-    ASSERT_EQ(r.x.size(), ref[static_cast<std::size_t>(i)].size());
-    EXPECT_EQ(0, std::memcmp(r.x.data(), ref[static_cast<std::size_t>(i)].data(),
-                             r.x.size() * sizeof(value_t)))
-        << "batched answer differs from the individually-solved answer";
+    EXPECT_TRUE(bitwise_equal(r.x, ref[static_cast<std::size_t>(i)]))
+        << "queued answer differs from the individually-solved answer";
   }
 }
 

@@ -44,6 +44,8 @@ expect_error pdslin_serve --workload "$work/missing.json"
 expect_error pdslin_serve --workload "$work/malformed.json"
 expect_error pdslin_serve --matrix "$work/missing.mtx" --requests 1
 expect_error pdslin_serve --max-wait-ms 2
+expect_error pdslin_serve --batch on
+expect_error pdslin_serve --max-batch 4
 expect_error pdslin_serve --matrix tdr190k --scale 0.05 --requests 2 --workers abc
 expect_error pdslin_serve --capacity-mb 100000000000000
 expect_error pdslin_fuzz --seeds notanumber

@@ -22,16 +22,14 @@
 //   miss + symbolic partition reuse).
 // Options:
 //   --cache on|off      factorization cache                  [on]
-//   --batch on|off      same-key request coalescing          [on]
-//   --workers N         concurrent batches                   [2]
+//   --workers N         requests answered concurrently       [2]
 //   --queue N           queue capacity (backpressure beyond) [256]
 //   --capacity-mb M     cache byte budget                    [512]
-//   --max-batch N       max coalesced width (summed nrhs)    [32]
 //   --requests N / --nrhs N / --scale X   built-in workload shape
-//   --threads N / --inner-threads M       solver thread budget per batch
+//   --threads N / --inner-threads M       solver thread budget per request
 //   --report-out FILE   write the RunReport JSON
 //   --verbose           info logging
-// Prints per-status counts, solves/s, cache hit rate, mean batch width and
+// Prints per-status counts, solves/s, cache hit rate, setups built and
 // p50/p99 latency, and emits one "BENCH {json}" line.
 #include <algorithm>
 #include <cstdio>
@@ -194,8 +192,6 @@ int run(int argc, char** argv) {
       builtin.nrhs = parse_number<index_t>(arg, next());
     } else if (arg == "--cache") {
       cfg.enable_cache = on_off(next());
-    } else if (arg == "--batch") {
-      cfg.enable_batching = on_off(next());
     } else if (arg == "--workers") {
       cfg.workers = parse_number<unsigned>(arg, next());
     } else if (arg == "--queue") {
@@ -206,8 +202,6 @@ int run(int argc, char** argv) {
         usage("--capacity-mb is too large");
       }
       cfg.cache.capacity_bytes = mb << 20;
-    } else if (arg == "--max-batch") {
-      cfg.batcher.max_batch_nrhs = parse_number<index_t>(arg, next());
     } else if (arg == "--threads") {
       sopt.threads = parse_number<unsigned>(arg, next());
     } else if (arg == "--inner-threads") {
@@ -263,12 +257,10 @@ int run(int argc, char** argv) {
     }
   }
 
-  std::printf("pdslin_serve: %zu requests, cache=%s batch=%s workers=%u "
-              "queue=%zu cap=%zuMB max-batch=%d\n",
-              prepared.size(), cfg.enable_cache ? "on" : "off",
-              cfg.enable_batching ? "on" : "off", cfg.workers,
-              cfg.queue_capacity, cfg.cache.capacity_bytes >> 20,
-              cfg.batcher.max_batch_nrhs);
+  std::printf("pdslin_serve: %zu requests, cache=%s workers=%u queue=%zu "
+              "cap=%zuMB\n",
+              prepared.size(), cfg.enable_cache ? "on" : "off", cfg.workers,
+              cfg.queue_capacity, cfg.cache.capacity_bytes >> 20);
 
   obs::MetricsRegistry::instance().reset_values();
   WallTimer wall;
@@ -327,8 +319,6 @@ int run(int argc, char** argv) {
                 hit_rate * 100.0, hits, st.completed, symbolic,
                 st.setups_built, cs.entries,
                 static_cast<double>(cs.bytes) / (1 << 20));
-    std::printf("batching: %lld batches, mean width %.2f rhs\n", st.batches,
-                st.mean_batch_width());
     std::printf("latency: p50 %.2fms, p99 %.2fms (exact over %zu requests); "
                 "service histogram p50 %.2fms p99 %.2fms\n", p50 * 1e3,
                 p99 * 1e3, latencies.size(),
@@ -343,13 +333,11 @@ int run(int argc, char** argv) {
     report.tool = "pdslin_serve";
     report.matrix = prepared.size() == 1 ? prepared.front().matrix : "workload";
     report.set_config("cache", cfg.enable_cache ? "on" : "off");
-    report.set_config("batch", cfg.enable_batching ? "on" : "off");
     report.set_config("workers", std::to_string(cfg.workers));
     report.set_stat("requests", static_cast<double>(st.completed));
     report.set_stat("solves_per_second", solves_per_s);
     report.set_stat("cache_hit_rate", hit_rate);
     report.set_stat("symbolic_reuses", static_cast<double>(symbolic));
-    report.set_stat("mean_batch_width", st.mean_batch_width());
     report.set_stat("latency_p50_seconds", p50);
     report.set_stat("latency_p99_seconds", p99);
     report.set_stat("degraded", static_cast<double>(st.degraded));
