@@ -62,13 +62,10 @@ int main() {
       opt.num_subdomains = 8;
       const bench::PipelineResult r = bench::run_pipeline(p, opt);
       // The BENCH line carries the partition-engine stats via add_solver:
-      // partition_engine_used, partition_{multilevel,fallback}_subtrees,
-      // partition_budget_exhausted, partition_balance_ratio.
+      // partition_multilevel_subtrees, partition_balance_ratio.
       bench::emit_bench_report("bench/table2_partition_stats", p, opt, r.stats);
       print_row(to_string(method), r);
-      std::printf("       engine=%s balance=%.3f\n",
-                  r.stats.partition_engine.c_str(),
-                  r.stats.partition_balance_ratio);
+      std::printf("       balance=%.3f\n", r.stats.partition_balance_ratio);
       if (!r.converged) std::printf("  ^ WARNING: iterative solve did not converge\n");
     }
   }

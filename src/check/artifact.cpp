@@ -36,9 +36,7 @@ std::string artifact_to_json(const CaseSpec& spec, const CheckReport* report) {
      << "    \"partition_engine\": \"" << to_string(spec.partition_engine)
      << "\",\n"
      << "    \"partition_values\": \""
-     << partition::to_string(spec.partition_values) << "\",\n"
-     << "    \"adaptive_sigma\": " << (spec.adaptive_sigma ? "true" : "false")
-     << "\n"
+     << partition::to_string(spec.partition_values) << "\"\n"
      << "  }";
   if (report != nullptr && !report->ok()) {
     os << ",\n  \"violations\": [\n";
@@ -99,23 +97,28 @@ CaseSpec artifact_from_json(std::string_view text) {
                      "unknown lu_kernel in artifact");
   }
   // Optional for corpus files written before the partition-engine axis
-  // existed; those ran the (then-only) serial multilevel engine.
+  // existed; those ran the (then-only) serial multilevel engine. The
+  // removed pe-geometric and pe-budget0 lanes are unknown names.
   if (const obsjson::Value* pe = s.find("partition_engine")) {
     PDSLIN_CHECK_MSG(
         pe->is_string() &&
             partition_engine_from_string(pe->str, spec.partition_engine),
         "unknown partition_engine in artifact");
   }
-  // Optional for corpus files written before the value_adapt axis existed;
-  // those ran pattern-only partitioning with the static σ.
+  // Optional for corpus files written before the value-mode axis existed;
+  // those ran pattern-only partitioning.
   if (const obsjson::Value* pv = s.find("partition_values")) {
     PDSLIN_CHECK_MSG(
         pv->is_string() &&
             partition::value_mode_from_string(pv->str, spec.partition_values),
         "unknown partition_values in artifact");
   }
+  // Artifacts from older campaigns carry adaptive_sigma; only false (the
+  // static drop tolerance every case now runs) replays as recorded.
   if (const obsjson::Value* as = s.find("adaptive_sigma")) {
-    spec.adaptive_sigma = as->boolean;
+    PDSLIN_CHECK_MSG(as->type == obsjson::Value::Type::Bool && !as->boolean,
+                     "adaptive_sigma must be false: the adaptive-sigma lane "
+                     "was removed");
   }
 
   PDSLIN_CHECK_MSG(spec.n >= 8 && spec.n <= 4096, "artifact n out of range");

@@ -73,7 +73,6 @@ void check_serve_path(const GeneratedProblem& prob, const CaseSpec& spec,
                       CheckReport& rep) {
   serve::ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.adapt.enabled = spec.adaptive_sigma;
   serve::SolveService service(cfg);
   auto shared_a = std::make_shared<const CsrMatrix>(prob.a);
   std::shared_ptr<const CsrMatrix> shared_inc;
@@ -90,20 +89,6 @@ void check_serve_path(const GeneratedProblem& prob, const CaseSpec& spec,
     return req;
   };
 
-  // A direct (service-free) pipeline run at a specific S̃ drop tolerance —
-  // the reference for the adaptive-σ lanes, where the controller may build
-  // the setup at a σ different from the request's static drop_s. The
-  // response's tuned_drop_s must reproduce the served answer bitwise.
-  auto direct_at_sigma = [&](double sigma, std::vector<value_t>& out,
-                             std::string& err) {
-    SolverOptions o = solver_options_for(spec);
-    o.assembly.drop_s = sigma;
-    std::unique_ptr<SchurSolver> s;
-    std::vector<GmresResult> rs;
-    return run_pipeline(prob, o, b, out, spec.nrhs, rs, s, err);
-  };
-  const double static_sigma = solver_options_for(spec).assembly.drop_s;
-
   const serve::SolveResponse cold = service.solve(make_request());
   if (cold.status != serve::ServeStatus::Ok) {
     rep.add("serve.cold_status",
@@ -111,22 +96,9 @@ void check_serve_path(const GeneratedProblem& prob, const CaseSpec& spec,
                 " although the direct pipeline solved: " + cold.detail);
     return;
   }
-  const std::vector<value_t>* cold_ref = &direct_x;
-  std::vector<value_t> tuned_x;
-  if (spec.adaptive_sigma && cold.tuned_drop_s != static_sigma) {
-    std::string derr;
-    if (!direct_at_sigma(cold.tuned_drop_s, tuned_x, derr)) {
-      rep.add("serve.adapt_direct_threw",
-              "direct rerun at the served tuned σ threw: " + derr);
-      return;
-    }
-    cold_ref = &tuned_x;
-  }
-  if (!bitwise_equal(cold.x, *cold_ref)) {
-    rep.add(spec.adaptive_sigma ? "serve.adapt_cold_mismatch"
-                                : "serve.cold_mismatch",
-            "served answer differs bitwise from the direct solve at the "
-            "response's drop tolerance");
+  if (!bitwise_equal(cold.x, direct_x)) {
+    rep.add("serve.cold_mismatch",
+            "served answer differs bitwise from the direct solve");
   }
   const serve::SolveResponse warm = service.solve(make_request());
   if (warm.status != serve::ServeStatus::Ok) {
@@ -134,38 +106,13 @@ void check_serve_path(const GeneratedProblem& prob, const CaseSpec& spec,
             std::string("cached request ended ") + to_string(warm.status));
     return;
   }
-  if (spec.adaptive_sigma) {
-    const serve::AdaptConfig& ac = service.config().adapt;
-    if (warm.tuned_drop_s < ac.sigma_min || warm.tuned_drop_s > ac.sigma_max) {
-      rep.add("serve.adapt_sigma_bounds",
-              "tuned σ = " + std::to_string(warm.tuned_drop_s) +
-                  " escaped [sigma_min, sigma_max]");
-    }
+  if (!warm.cache_hit) {
+    rep.add("serve.no_cache_hit",
+            "identical repeat request missed the factorization cache");
   }
-  if (warm.tuned_drop_s == cold.tuned_drop_s) {
-    // σ stable between the two requests → the cache entry was reusable and
-    // the answers must agree bitwise.
-    if (!warm.cache_hit) {
-      rep.add("serve.no_cache_hit",
-              "identical repeat request missed the factorization cache");
-    }
-    if (!bitwise_equal(warm.x, cold.x)) {
-      rep.add("serve.warm_mismatch",
-              "cached answer differs bitwise from the cold answer");
-    }
-  } else {
-    // The controller retuned σ between the requests (rebuild-and-replace
-    // path): the warm answer must still equal a direct solve at its σ.
-    std::vector<value_t> retuned_x;
-    std::string derr;
-    if (!direct_at_sigma(warm.tuned_drop_s, retuned_x, derr)) {
-      rep.add("serve.adapt_direct_threw",
-              "direct rerun at the retuned σ threw: " + derr);
-    } else if (!bitwise_equal(warm.x, retuned_x)) {
-      rep.add("serve.adapt_warm_mismatch",
-              "retuned answer differs bitwise from the direct solve at its "
-              "tuned σ");
-    }
+  if (!bitwise_equal(warm.x, cold.x)) {
+    rep.add("serve.warm_mismatch",
+            "cached answer differs bitwise from the cold answer");
   }
 }
 

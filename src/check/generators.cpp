@@ -137,8 +137,6 @@ constexpr struct {
 } kPartitionEngines[] = {
     {PartitionEngineAxis::Multilevel, "pe-multilevel"},
     {PartitionEngineAxis::ParallelMultilevel, "pe-parallel"},
-    {PartitionEngineAxis::Geometric, "pe-geometric"},
-    {PartitionEngineAxis::BudgetZero, "pe-budget0"},
 };
 
 }  // namespace
@@ -175,7 +173,7 @@ std::string CaseSpec::to_string() const {
      << (partition_values != partition::ValueMode::Off
              ? std::string("/pv-") + partition::to_string(partition_values)
              : "")
-     << (adaptive_sigma ? "/adapt" : "") << (serve ? "/serve" : "");
+     << (serve ? "/serve" : "");
   return os.str();
 }
 
@@ -445,41 +443,22 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
   spec.krylov = (c & 16u) ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
   spec.exact_assembly = (c & 32u) == 0;
   spec.lu_kernel = c % 3u == 0 ? LuKernelAxis::Scalar : LuKernelAxis::Panel;
-  // Partition engine cycles mod 7 (coprime with 64 and 3): the default
-  // multilevel engine keeps the majority share, with the parallel,
-  // geometric-fallback and exhausted-budget lanes each sampled 1-in-7.
-  switch (c % 7u) {
-    case 4u:
-      spec.partition_engine = PartitionEngineAxis::ParallelMultilevel;
-      break;
-    case 5u:
-      spec.partition_engine = PartitionEngineAxis::Geometric;
-      break;
-    case 6u:
-      spec.partition_engine = PartitionEngineAxis::BudgetZero;
-      break;
-    default:
-      spec.partition_engine = PartitionEngineAxis::Multilevel;
-      break;
-  }
-  // value_adapt axis cycles mod 11 (coprime with 64, 3 and 7): pattern-
-  // only keeps the majority share; the value-weighted lanes (abs / logabs)
-  // and the adaptive-σ lanes (alone and combined with logabs) are each
-  // sampled 1-in-11, so every (engine, value-mode, adapt) pair is hit over
-  // a few hundred seeds.
+  // Partition engine cycles mod 7 (coprime with 64 and 3): the serial
+  // multilevel recursion keeps the majority share, the parallel lane is
+  // sampled 1-in-7.
+  spec.partition_engine = c % 7u == 4u
+                              ? PartitionEngineAxis::ParallelMultilevel
+                              : PartitionEngineAxis::Multilevel;
+  // Value mode cycles mod 11 (coprime with 64, 3 and 7): pattern-only keeps
+  // the majority share; logabs is sampled 2-in-11 and abs 1-in-11, so every
+  // (engine, value-mode) pair is hit over a few hundred seeds.
   switch (c % 11u) {
     case 3u:
+    case 8u:
       spec.partition_values = partition::ValueMode::LogAbs;
       break;
     case 6u:
       spec.partition_values = partition::ValueMode::Abs;
-      break;
-    case 8u:
-      spec.partition_values = partition::ValueMode::LogAbs;
-      spec.adaptive_sigma = true;
-      break;
-    case 9u:
-      spec.adaptive_sigma = true;
       break;
     default:
       break;
@@ -498,25 +477,10 @@ SolverOptions solver_options_for(const CaseSpec& spec) {
   opt.assembly.lu.kernel = spec.lu_kernel == LuKernelAxis::Scalar
                                ? LuKernel::Scalar
                                : LuKernel::Panel;
-  switch (spec.partition_engine) {
-    case PartitionEngineAxis::Multilevel:
-      opt.partition_engine = partition::Engine::Multilevel;
-      break;
-    case PartitionEngineAxis::ParallelMultilevel:
-      // Same engine — the parallel recursion is bitwise identical to serial
-      // by contract; forcing threads >= 4 actually spawns the subtrees.
-      opt.partition_engine = partition::Engine::Multilevel;
-      opt.threads = std::max(opt.threads, 4u);
-      break;
-    case PartitionEngineAxis::Geometric:
-      opt.partition_engine = partition::Engine::Geometric;
-      break;
-    case PartitionEngineAxis::BudgetZero:
-      // Exhausted-at-entry sentinel: deterministic full degradation without
-      // any clock reads (docs/PARTITION.md).
-      opt.partition_engine = partition::Engine::Multilevel;
-      opt.partition_budget_ms = -1.0;
-      break;
+  if (spec.partition_engine == PartitionEngineAxis::ParallelMultilevel) {
+    // Same engine — the parallel recursion is bitwise identical to serial
+    // by contract; forcing threads >= 4 actually spawns the subtrees.
+    opt.threads = std::max(opt.threads, 4u);
   }
   opt.partition_values = spec.partition_values;
   if (spec.exact_assembly) {

@@ -51,15 +51,10 @@ bool lu_kernel_from_string(std::string_view name, LuKernelAxis& out);
 
 /// Partition-engine axis (src/partition/). Multilevel and ParallelMultilevel
 /// must agree bitwise (the engine's thread-count determinism contract; the
-/// differential runner's serial rerun enforces it end to end). Geometric
-/// routes through the coordinate/streaming fallback, BudgetZero through the
-/// exhausted-at-entry sentinel (partition_budget_ms = -1) — both change the
-/// partition but must still produce a valid pipeline.
+/// differential runner's serial rerun enforces it end to end).
 enum class PartitionEngineAxis {
   Multilevel,          // serial multilevel recursion (the default engine)
   ParallelMultilevel,  // same engine, parallel recursion (bitwise == serial)
-  Geometric,           // forced geometric/streaming fallback
-  BudgetZero,          // budget exhausted at entry → full degradation
 };
 
 const char* to_string(PartitionEngineAxis e);
@@ -94,10 +89,6 @@ struct CaseSpec {
   /// default; value-weighted parallel lanes are re-run serial and diffed
   /// bitwise by the differential runner.
   partition::ValueMode partition_values = partition::ValueMode::Off;
-  /// Adaptive-σ lane: the served path runs with the self-tuning drop
-  /// controller enabled (serve/adapt.hpp). The warm answer must stay
-  /// bitwise equal to a direct solve at the response's tuned_drop_s.
-  bool adaptive_sigma = false;
 
   /// Short id, e.g. "random-diag-dom/n64/seed7/RHB/k4/t3/nrhs2/exact".
   [[nodiscard]] std::string to_string() const;

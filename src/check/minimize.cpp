@@ -76,8 +76,7 @@ bool simpler_lu_kernel(CaseSpec& s) {
   return true;
 }
 /// Fall back to the default serial multilevel partition engine: a failure
-/// that survives there is not the parallel recursion's, the geometric
-/// fallback's, or the budget degradation's fault.
+/// that survives there is not the parallel recursion's fault.
 bool default_partition_engine(CaseSpec& s) {
   if (s.partition_engine == PartitionEngineAxis::Multilevel) return false;
   s.partition_engine = PartitionEngineAxis::Multilevel;
@@ -90,18 +89,11 @@ bool pattern_only_partition(CaseSpec& s) {
   s.partition_values = partition::ValueMode::Off;
   return true;
 }
-/// Disable the adaptive-σ controller: a failure that survives at the static
-/// drop tolerance is not the controller's fault.
-bool static_sigma(CaseSpec& s) {
-  if (!s.adaptive_sigma) return false;
-  s.adaptive_sigma = false;
-  return true;
-}
 
 constexpr Candidate kLadder[] = {
     halve_n, halve_subdomains, single_rhs, no_serve,       serial,
     gmres_only, sparsify,      shave_n,    ngd_partitioner, simpler_lu_kernel,
-    default_partition_engine, pattern_only_partition, static_sigma,
+    default_partition_engine, pattern_only_partition,
 };
 
 }  // namespace

@@ -59,21 +59,11 @@ SchurSolver::SchurSolver(CsrMatrix a, SolverOptions opt)
 }
 
 void SchurSolver::setup(const CsrMatrix* incidence,
-                        std::span<const double> coords) {
+                        std::span<const double> /*coords*/) {
   PDSLIN_SPAN("setup.partition");
   WallTimer timer;
-  // Geometry is optional: silently drop coordinate spans of the wrong shape
-  // (e.g. a problem generated before the coords were threaded through).
-  if (!coords.empty() &&
-      coords.size() != static_cast<std::size_t>(a_.rows) * 3) {
-    coords = {};
-  }
   partition::EngineOptions eng;
-  eng.engine = opt_.partition_engine;
-  eng.budget.max_ms = opt_.partition_budget_ms;
-  eng.budget.min_quality = opt_.partition_min_quality;
   eng.threads = opt_.threads;
-  eng.coords = coords;
 
   std::vector<index_t> part;
   std::vector<index_t> separator_order;  // NGD elimination order when known
@@ -155,26 +145,19 @@ void SchurSolver::setup(const CsrMatrix* incidence,
     dbbd_ = build_dbbd(part, opt_.num_subdomains, separator_order);
   }
   stats_.partition_seconds = timer.seconds();
-  stats_.partition_engine = pstats.engine_label();
   stats_.partition_multilevel_subtrees = pstats.multilevel_subtrees;
-  stats_.partition_fallback_subtrees = pstats.fallback_subtrees;
-  stats_.partition_budget_exhausted = pstats.budget_exhausted;
   stats_.partition_balance_ratio = pstats.balance_ratio;
   obs::gauge("partition.separator_size")
       .set(static_cast<double>(dbbd_.separator_size()));
   obs::counter("partition.subtrees.multilevel").add(pstats.multilevel_subtrees);
-  obs::counter("partition.subtrees.fallback").add(pstats.fallback_subtrees);
-  if (pstats.budget_exhausted) obs::counter("partition.budget.exhausted").add();
   obs::gauge("partition.balance_ratio").set(pstats.balance_ratio);
-  obs::gauge("partition.elapsed_ms").set(pstats.elapsed_ms);
   obs::gauge("partition.value_weighted").set(value_weighted ? 1.0 : 0.0);
   stats_.partition = dbbd_stats(a_, dbbd_);
   stats_.schur_dim = dbbd_.separator_size();
   setup_done_ = true;
   factor_done_ = false;
   log_info("partition: ", to_string(opt_.partitioning), " k=",
-           opt_.num_subdomains, " engine=", stats_.partition_engine,
-           " separator=", dbbd_.separator_size(), " (",
+           opt_.num_subdomains, " separator=", dbbd_.separator_size(), " (",
            stats_.partition_seconds, "s)");
 }
 

@@ -37,18 +37,6 @@ struct SolverOptions {
   /// from mere vertex weighting.
   bool ngd_weighted = false;
   double partition_epsilon = 0.10;
-  /// Partitioning-engine selection (src/partition): Multilevel runs the
-  /// multilevel recursion (degrading under the budget), Geometric forces the
-  /// O(n log n) coordinate/streaming fallback everywhere.
-  partition::Engine partition_engine = partition::Engine::Multilevel;
-  /// Wall-clock budget for the partition phase (partition::Budget::max_ms
-  /// sentinel semantics: 0 = unlimited, < 0 = exhausted at entry). Changes
-  /// partition quality, never correctness: degraded subtrees still produce a
-  /// valid DBBD input.
-  double partition_budget_ms = 0.0;
-  /// partition::Budget::min_quality — fraction of the top bisection levels
-  /// immune to budget degradation.
-  double partition_min_quality = 0.0;
   /// Value-aware partitioning (--partition-values, docs/PARTITION.md):
   /// weight hyperedges/graph edges by log- or linearly-bucketed |a_ij|
   /// magnitudes so the partitioner prefers cutting weak couplings
@@ -100,9 +88,6 @@ void for_each_option(Opt& o, F&& f) {
   f(OptionField{"rhb_dynamic_weights", o.rhb_dynamic_weights, kSetup});
   f(OptionField{"ngd_weighted", o.ngd_weighted, kSetup});
   f(OptionField{"epsilon", o.partition_epsilon, kSetup});
-  f(OptionField{"partition_engine", o.partition_engine, kSetup});
-  f(OptionField{"partition_budget_ms", o.partition_budget_ms, kSetup});
-  f(OptionField{"partition_min_quality", o.partition_min_quality, kSetup});
   f(OptionField{"partition_values", o.partition_values, kSetup});
   f(OptionField{"drop_wg", o.assembly.drop_wg, kSetup});
   f(OptionField{"drop_s", o.assembly.drop_s, kSetup});
@@ -132,9 +117,10 @@ class SchurSolver {
 
   /// Phase 1 — compute the DBBD partition (Eq. (1)). RHB consumes the
   /// structural factor M; pass the generator's incidence or nullptr to build
-  /// a clique cover internally. NGD ignores `incidence`. `coords` is the
-  /// problem geometry (3 doubles per unknown, empty = none) used by the
-  /// partition engine's geometric fallback; it is read during setup only.
+  /// a clique cover internally. NGD ignores `incidence`. The second
+  /// parameter is not read: the partition depends on the matrix, the
+  /// incidence and the options alone. It stays only for callers that still
+  /// pass problem coordinates.
   void setup(const CsrMatrix* incidence = nullptr,
              std::span<const double> coords = {});
 

@@ -14,12 +14,7 @@ struct SolverStats {
   // --- partition phase ---
   double partition_seconds = 0.0;
   DbbdStats partition;  // dim(D), nnz(D), col(E), nnz(E), separator size
-  /// Engine actually used by the partition phase: "multilevel", "geometric",
-  /// or "hybrid" (budget ran out mid-recursion). Empty for adopt_partition().
-  std::string partition_engine;
-  long long partition_multilevel_subtrees = 0;  // subtrees bisected multilevel
-  long long partition_fallback_subtrees = 0;    // subtrees degraded geometric
-  bool partition_budget_exhausted = false;      // budget tripped during setup
+  long long partition_multilevel_subtrees = 0;  // bisection nodes
   /// max/min interior part size of the induced partition (1.0 = perfect).
   double partition_balance_ratio = 0.0;
 

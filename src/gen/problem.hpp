@@ -20,8 +20,9 @@ struct GeneratedProblem {
   CsrMatrix incidence;
   /// Node geometry: interleaved xyz, 3 doubles per unknown. FEM generators
   /// emit the mesh coordinates (2D meshes use z = 0); empty for problems
-  /// with no natural embedding (e.g. circuits). Consumed by the partition
-  /// engine's geometric fallback (src/partition/geometric.hpp).
+  /// with no natural embedding (e.g. circuits). Nothing in the library
+  /// reads it; it stays only for callers that still pass it to
+  /// SchurSolver::setup.
   std::vector<double> coords;
   bool pattern_symmetric = true;
   bool value_symmetric = true;

@@ -36,18 +36,15 @@ HgBisection bisect_level(const Hypergraph& h, const HgBisectOptions& opt,
                          Rng& rng) {
   const HgBalance bal = make_balance(h, opt);
   const BalanceWindow window = balance_window(h, bal);
-  const bool stopped = opt.should_stop && opt.should_stop();
 
-  if (stopped || h.num_vertices <= opt.coarsen_to) {
+  if (h.num_vertices <= opt.coarsen_to) {
     HgBisection best;
     bool have = false;
-    // Budget exhausted → cheapest valid answer: one grown bisection, no FM.
-    const int tries = stopped ? 1 : std::max(1, opt.initial_tries);
-    const int passes = stopped ? 0 : opt.refine_passes;
+    const int tries = std::max(1, opt.initial_tries);
     for (int t = 0; t < tries; ++t) {
       HgBisection b = (t % 2 == 0) ? grow_bisection(h, bal.target0[0], rng)
                                    : random_bisection(h, bal.target0[0], rng);
-      fm_refine(h, b, window, passes);
+      fm_refine(h, b, window, opt.refine_passes);
       if (!have || better(b, best, window)) {
         best = std::move(b);
         have = true;
@@ -76,10 +73,7 @@ HgBisection bisect_level(const Hypergraph& h, const HgBisectOptions& opt,
     b.side[v] = coarse_b.side[c.map[v]];
   }
   b.rebuild(h);
-  // Re-poll on the way back up: projection is cheap, refinement is not.
-  if (!(opt.should_stop && opt.should_stop())) {
-    fm_refine(h, b, window, opt.refine_passes);
-  }
+  fm_refine(h, b, window, opt.refine_passes);
   return b;
 }
 

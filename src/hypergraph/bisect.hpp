@@ -3,7 +3,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <vector>
 
 #include "hypergraph/fm.hpp"
 #include "hypergraph/hypergraph.hpp"
@@ -24,11 +24,6 @@ struct HgBisectOptions {
   /// deterministic claim/commit matching, so the bisection is bitwise
   /// identical for any value.
   unsigned matching_threads = 1;
-  /// Latency-budget hook: polled between coarsening levels and before each
-  /// refinement, never mid-kernel. Once it returns true the bisection
-  /// finishes on the cheapest path (single initial try, no FM) — still a
-  /// valid bisection, just unrefined. Empty → never stops.
-  std::function<bool()> should_stop;
 };
 
 /// Bisect minimizing the weighted cut-net cost subject to the balance

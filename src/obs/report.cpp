@@ -103,15 +103,8 @@ void RunReport::add_solver(const SolverOptions& opt, const SolverStats& st) {
   set_stat("seconds_per_apply", st.seconds_per_apply());
   set_stat("iterations_per_second", st.iterations_per_second());
 
-  if (!st.partition_engine.empty()) {
-    set_config("partition_engine_used", st.partition_engine);
-  }
   set_stat("partition_multilevel_subtrees",
            static_cast<double>(st.partition_multilevel_subtrees));
-  set_stat("partition_fallback_subtrees",
-           static_cast<double>(st.partition_fallback_subtrees));
-  set_stat("partition_budget_exhausted",
-           st.partition_budget_exhausted ? 1.0 : 0.0);
   set_stat("partition_balance_ratio", st.partition_balance_ratio);
 }
 

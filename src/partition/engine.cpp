@@ -12,8 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
-#include "partition/budget.hpp"
-#include "partition/geometric.hpp"
 #include "sparse/convert.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -32,15 +30,6 @@ std::uint64_t node_seed(std::uint64_t base, index_t low, index_t k) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
-}
-
-int protected_depth_of(const Budget& b, index_t num_parts) {
-  const int levels = std::max(
-      1, static_cast<int>(std::round(
-             std::log2(static_cast<double>(std::max<index_t>(2, num_parts))))));
-  const double q = std::clamp(b.min_quality, 0.0, 1.0);
-  return std::min(levels,
-                  static_cast<int>(std::ceil(q * static_cast<double>(levels))));
 }
 
 /// Balance ratio (max/min interior part size) of an induced partition;
@@ -75,14 +64,9 @@ struct RhbContext {
   const RhbOptions* opt = nullptr;
   const CsrMatrix* full = nullptr;  // full M (for w2)
   const EngineOptions* eng = nullptr;
-  const BudgetTracker* tracker = nullptr;
-  int protected_depth = 0;
-  std::span<const double> row_centroid;   // 3 per global row; empty = none
-  std::span<const long long> row_weight;  // nnz per global row
-  std::vector<index_t> row_part;          // disjoint subtree writes: race-free
+  std::vector<index_t> row_part;  // disjoint subtree writes: race-free
   std::uint64_t base_seed = 1;
   std::atomic<long long>* multilevel = nullptr;
-  std::atomic<long long>* fallback = nullptr;
 };
 
 Hypergraph model_of(const SubMatrix& sub, const RhbContext& ctx, int depth) {
@@ -158,29 +142,10 @@ SubMatrix child_of(const SubMatrix& sub, const std::vector<signed char>& side,
   return child;
 }
 
-/// Degraded subtree: split the rows k ways by RCB over element centroids
-/// (or a streaming index split without geometry). O(r log r), no multilevel
-/// machinery — the cheap path the latency budget buys.
-void rhb_fallback(RhbContext& ctx, const SubMatrix& sub, index_t k,
-                  index_t low) {
-  ctx.fallback->fetch_add(1, std::memory_order_relaxed);
-  std::vector<index_t> items = sub.row_ids;
-  if (!ctx.row_centroid.empty()) {
-    rcb_assign(ctx.row_centroid, ctx.row_weight, items, k, low, ctx.row_part);
-  } else {
-    streaming_assign(ctx.row_weight, items, k, low, ctx.row_part);
-  }
-}
-
 void rhb_recurse(RhbContext& ctx, const SubMatrix& sub, index_t k, index_t low,
                  int depth) {
   if (k == 1 || sub.m.rows == 0) {
     for (index_t g : sub.row_ids) ctx.row_part[g] = low;
-    return;
-  }
-  if (ctx.eng->engine == Engine::Geometric ||
-      (ctx.tracker->exhausted() && depth >= ctx.protected_depth)) {
-    rhb_fallback(ctx, sub, k, low);
     return;
   }
   ctx.multilevel->fetch_add(1, std::memory_order_relaxed);
@@ -206,9 +171,6 @@ void rhb_recurse(RhbContext& ctx, const SubMatrix& sub, index_t k, index_t low,
   bopt.initial_tries = ctx.opt->initial_tries;
   bopt.seed = node_seed(ctx.base_seed, low, k);
   bopt.matching_threads = ctx.eng->threads;
-  if (ctx.eng->budget.max_ms != 0.0) {
-    bopt.should_stop = [t = ctx.tracker] { return t->exhausted(); };
-  }
   const HgBisection bis = [&] {
     PDSLIN_SPAN_I("rhb.bisect", depth);
     static obs::Counter& bisections = obs::counter("rhb.bisections");
@@ -278,14 +240,10 @@ DissectionResult induce_unknowns(const CsrMatrix& m, const CscMatrix& mc,
 struct NgdContext {
   const Graph* g = nullptr;
   const EngineOptions* eng = nullptr;
-  const BudgetTracker* tracker = nullptr;
-  int protected_depth = 0;
   double epsilon = 0.05;
   std::uint64_t base_seed = 1;
-  std::span<const long long> vweight;
   std::vector<index_t> part;  // disjoint subtree writes: race-free
   std::atomic<long long>* multilevel = nullptr;
-  std::atomic<long long>* fallback = nullptr;
 };
 
 // Returns this subtree's separator vertices in elimination order (deepest
@@ -300,25 +258,14 @@ std::vector<index_t> ngd_recurse(NgdContext& ctx,
     return {};
   }
   PDSLIN_SPAN_I("ngd.bisect", depth);
-  const bool degrade =
-      ctx.eng->engine == Engine::Geometric ||
-      (ctx.tracker->exhausted() && depth >= ctx.protected_depth);
   Graph sub = induced_subgraph(*ctx.g, verts, local_of);
-  GraphBisection bis;
-  if (degrade) {
-    ctx.fallback->fetch_add(1, std::memory_order_relaxed);
-    bis.side = geometric_bisect_side(ctx.eng->coords, ctx.vweight, verts);
-  } else {
-    ctx.multilevel->fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& bisections = obs::counter("ngd.bisections");
-    bisections.add();
-    GraphBisectOptions opt;
-    opt.epsilon = ctx.epsilon;
-    opt.seed = node_seed(ctx.base_seed, low, k);
-    bis = bisect_graph(sub, opt);
-  }
-  // Even a degraded level extracts a proper vertex separator from its
-  // (geometric) edge cut, so is_valid_dissection holds on every path.
+  ctx.multilevel->fetch_add(1, std::memory_order_relaxed);
+  static obs::Counter& bisections = obs::counter("ngd.bisections");
+  bisections.add();
+  GraphBisectOptions opt;
+  opt.epsilon = ctx.epsilon;
+  opt.seed = node_seed(ctx.base_seed, low, k);
+  const GraphBisection bis = bisect_graph(sub, opt);
   const VertexSeparator sep = vertex_separator_from_bisection(sub, bis);
   for (index_t v : verts) local_of[v] = -1;  // reset scratch before reuse
 
@@ -368,7 +315,6 @@ EngineResult rhb_engine(const CsrMatrix& m, const RhbOptions& opt,
                         const EngineOptions& eng) {
   PDSLIN_CHECK_MSG(opt.num_parts >= 1, "num_parts must be positive");
   PDSLIN_SPAN("partition.rhb_engine");
-  BudgetTracker tracker(eng.budget);
 
   // Root inputs shared by every attempt.
   SubMatrix root;
@@ -389,58 +335,20 @@ EngineResult rhb_engine(const CsrMatrix& m, const RhbOptions& opt,
   }
   const CscMatrix mc = csr_to_csc(m);
 
-  // Fallback inputs: per-row weight (nnz) always; element centroids (mean
-  // of the member unknowns' coordinates) when the problem has geometry.
-  std::vector<long long> row_weight(static_cast<std::size_t>(m.rows));
-  for (index_t r = 0; r < m.rows; ++r) row_weight[r] = m.row_nnz(r);
-  std::vector<double> row_centroid;
-  if (!eng.coords.empty()) {
-    PDSLIN_CHECK_MSG(eng.coords.size() ==
-                         static_cast<std::size_t>(m.cols) * 3,
-                     "coords must hold 3 doubles per unknown");
-    row_centroid.assign(static_cast<std::size_t>(m.rows) * 3, 0.0);
-    for (index_t r = 0; r < m.rows; ++r) {
-      const auto cols = root.m.row_cols(r);
-      if (cols.empty()) continue;
-      double* c = row_centroid.data() + 3 * static_cast<std::size_t>(r);
-      for (index_t j : cols) {
-        const double* p = eng.coords.data() + 3 * static_cast<std::size_t>(j);
-        c[0] += p[0];
-        c[1] += p[1];
-        c[2] += p[2];
-      }
-      const double inv = 1.0 / static_cast<double>(cols.size());
-      c[0] *= inv;
-      c[1] *= inv;
-      c[2] *= inv;
-    }
-  }
-
   std::atomic<long long> multilevel{0};
-  std::atomic<long long> fallback{0};
   RhbContext ctx;
   ctx.opt = &opt;
   ctx.full = &m;
   ctx.eng = &eng;
-  ctx.tracker = &tracker;
-  ctx.protected_depth = protected_depth_of(eng.budget, opt.num_parts);
-  ctx.row_centroid = row_centroid;
-  ctx.row_weight = row_weight;
   ctx.multilevel = &multilevel;
-  ctx.fallback = &fallback;
 
   // Multi-start: the recursion is cheap next to factorization, so take the
   // attempt with the best induced subdomain balance (then separator size).
-  // The pure-geometric path is deterministic in one shot; one attempt.
-  const int attempts =
-      eng.engine == Engine::Geometric ? 1 : std::max(1, opt.attempts);
+  const int attempts = std::max(1, opt.attempts);
   EngineResult best;
   double best_ratio = 0.0;
   Rng seeder(opt.seed);
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    // Once the budget is gone, later attempts would all take the fallback
-    // path and produce the same partition — stop burning wall clock.
-    if (attempt > 0 && tracker.exhausted()) break;
     ctx.base_seed = attempt == 0 ? opt.seed : seeder.next();
     ctx.row_part.assign(static_cast<std::size_t>(m.rows), 0);
     rhb_recurse(ctx, root, opt.num_parts, 0, 0);
@@ -460,9 +368,6 @@ EngineResult rhb_engine(const CsrMatrix& m, const RhbOptions& opt,
   }
 
   best.stats.multilevel_subtrees = multilevel.load();
-  best.stats.fallback_subtrees = fallback.load();
-  best.stats.budget_exhausted = tracker.exhausted();
-  best.stats.elapsed_ms = tracker.elapsed_ms();
   best.stats.separator_size = best.unknowns.separator_size;
   best.stats.balance_ratio = best_ratio;
   return best;
@@ -473,29 +378,16 @@ EngineResult ngd_engine(const Graph& g, const NgdOptions& opt,
   PDSLIN_CHECK_MSG(opt.num_parts >= 1 &&
                        (opt.num_parts & (opt.num_parts - 1)) == 0,
                    "num_parts must be a power of two");
-  if (!eng.coords.empty()) {
-    PDSLIN_CHECK_MSG(eng.coords.size() == static_cast<std::size_t>(g.n) * 3,
-                     "coords must hold 3 doubles per vertex");
-  }
   PDSLIN_SPAN("partition.ngd_engine");
-  BudgetTracker tracker(eng.budget);
-
-  std::vector<long long> vweight(static_cast<std::size_t>(g.n));
-  for (index_t v = 0; v < g.n; ++v) vweight[v] = g.vwgt[v];
 
   std::atomic<long long> multilevel{0};
-  std::atomic<long long> fallback{0};
   NgdContext ctx;
   ctx.g = &g;
   ctx.eng = &eng;
-  ctx.tracker = &tracker;
-  ctx.protected_depth = protected_depth_of(eng.budget, opt.num_parts);
   ctx.epsilon = opt.epsilon;
   ctx.base_seed = opt.seed;
-  ctx.vweight = vweight;
   ctx.part.assign(static_cast<std::size_t>(g.n), 0);
   ctx.multilevel = &multilevel;
-  ctx.fallback = &fallback;
 
   std::vector<index_t> all(static_cast<std::size_t>(g.n));
   std::iota(all.begin(), all.end(), 0);
@@ -512,9 +404,6 @@ EngineResult ngd_engine(const Graph& g, const NgdOptions& opt,
                  DissectionResult::kSeparator));
   PDSLIN_ASSERT(is_valid_dissection(g, res.unknowns));
   res.stats.multilevel_subtrees = multilevel.load();
-  res.stats.fallback_subtrees = fallback.load();
-  res.stats.budget_exhausted = tracker.exhausted();
-  res.stats.elapsed_ms = tracker.elapsed_ms();
   res.stats.separator_size = res.unknowns.separator_size;
   res.stats.balance_ratio = balance_ratio_of(res.unknowns);
   return res;

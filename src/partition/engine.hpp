@@ -1,5 +1,5 @@
-// Parallel, budget-aware partitioning engine — the serve cold-start path
-// (ROADMAP item 4).
+// Parallel partitioning engine: the multilevel recursions behind
+// SchurSolver::setup.
 //
 // The engine orchestrates the existing src/graph + src/hypergraph kernels:
 //   * parallel recursive bisection — after each split the two subtrees are
@@ -7,12 +7,8 @@
 //     derives from the (part-range, level) position via node_seed, so the
 //     result is bitwise identical at any thread count;
 //   * parallel deterministic coarsening — the two-pass claim/commit
-//     heavy-connectivity matching (hypergraph/coarsen.hpp);
-//   * a geometric/streaming fallback (partition/geometric.hpp) for problems
-//     that carry coordinates, and
-//   * a quality-vs-latency dial (partition/types.hpp Budget): the multilevel
-//     path runs until the wall-clock budget is exhausted, after which
-//     remaining unprotected subtrees degrade to the fallback.
+//     heavy-connectivity matching (hypergraph/coarsen.hpp).
+// The result is a pure function of the input and the options.
 #pragma once
 
 #include <span>
@@ -26,15 +22,9 @@
 namespace pdslin::partition {
 
 struct EngineOptions {
-  Engine engine = Engine::Multilevel;
-  Budget budget;
   /// Concurrent subtree tasks (the spawn budget of the recursion). The
   /// partition is bitwise identical for any value.
   unsigned threads = 1;
-  /// Interleaved xyz, 3 doubles per unknown of A (= column of M / vertex of
-  /// the dissection graph). Empty → no geometry; the fallback degrades to a
-  /// streaming weighted index split.
-  std::span<const double> coords;
   /// Value-aware RHB (--partition-values): per-column-of-M integer weight in
   /// [1, kValueWeightMax], bucketed from |a_ij| magnitudes by the caller
   /// (value_weight in partition/types.hpp). Empty → pattern-only, every net
@@ -57,20 +47,17 @@ struct EngineResult {
 
 /// RHB through the engine: recursive hypergraph bisection of the structural
 /// factor `m` (rows = elements/cliques, cols = unknowns) into any
-/// opt.num_parts ≥ 1 parts, with the paper's dynamic weights and metric
-/// net-inheritance, multi-start attempts, and budget-driven degradation.
-/// With dynamic_weights = false it is the plain static-weight k-way
-/// partitioner of the rows' column-net hypergraph (the §IV RHS reordering). Fallback subtrees split rows by RCB over
-/// element centroids (mean of the member unknowns' coordinates) or a
-/// streaming index split; the unknown partition is induced per Eq. (12)
-/// either way, so the result is always a valid DBBD input.
+/// opt.num_parts ≥ 1 parts, with the paper's dynamic weights, metric
+/// net-inheritance and multi-start attempts. With dynamic_weights = false it
+/// is the plain static-weight k-way partitioner of the rows' column-net
+/// hypergraph (the §IV RHS reordering). The unknown partition is induced
+/// per Eq. (12), so the result is always a valid DBBD input.
 EngineResult rhb_engine(const CsrMatrix& m, const RhbOptions& opt,
                         const EngineOptions& eng);
 
 /// NGD through the engine: parallel nested dissection of `g` with
-/// position-seeded bisections. Fallback subtrees replace the multilevel
-/// graph bisection with a geometric (or index) split; the vertex separator
-/// is still extracted per level, so is_valid_dissection holds on every path.
+/// position-seeded multilevel graph bisections; a vertex separator is
+/// extracted per level, so is_valid_dissection holds.
 EngineResult ngd_engine(const Graph& g, const NgdOptions& opt,
                         const EngineOptions& eng);
 

@@ -8,14 +8,6 @@ namespace pdslin::partition {
 namespace {
 
 constexpr struct {
-  Engine e;
-  const char* name;
-} kEngines[] = {
-    {Engine::Multilevel, "multilevel"},
-    {Engine::Geometric, "geometric"},
-};
-
-constexpr struct {
   ValueMode m;
   const char* name;
 } kValueModes[] = {
@@ -43,23 +35,6 @@ bool value_mode_from_string(std::string_view name, ValueMode& out) {
   return false;
 }
 
-const char* to_string(Engine e) {
-  for (const auto& entry : kEngines) {
-    if (entry.e == e) return entry.name;
-  }
-  return "?";
-}
-
-bool engine_from_string(std::string_view name, Engine& out) {
-  for (const auto& entry : kEngines) {
-    if (name == entry.name) {
-      out = entry.e;
-      return true;
-    }
-  }
-  return false;
-}
-
 int value_weight(double absval, double maxabs, ValueMode m) {
   if (m == ValueMode::Off) return 1;
   if (!(absval > 0.0) || !(maxabs > 0.0) || !std::isfinite(absval) ||
@@ -76,12 +51,6 @@ int value_weight(double absval, double maxabs, ValueMode m) {
   // Abs: linear quantization of absval / maxabs onto 1..kValueWeightMax.
   const int w = 1 + static_cast<int>((absval * (kValueWeightMax - 1)) / maxabs);
   return std::clamp(w, 1, kValueWeightMax);
-}
-
-const char* Stats::engine_label() const {
-  if (fallback_subtrees == 0) return "multilevel";
-  if (multilevel_subtrees == 0) return "geometric";
-  return "hybrid";
 }
 
 }  // namespace pdslin::partition

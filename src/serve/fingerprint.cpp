@@ -115,8 +115,6 @@ Fingerprint fingerprint_of(const CsrMatrix& a) {
 }
 
 std::uint64_t setup_options_hash(const pdslin::SolverOptions& opt) {
-  // Adaptive-σ state (serve/adapt.hpp) is deliberately not hashed: one
-  // matrix class keeps one cache entry while its σ is tuned in place.
   std::uint64_t h = 0x2545f4914f6cdd1dULL;
   for_each_option(opt, [&h](const auto& field) {
     if (!field.setup) return;

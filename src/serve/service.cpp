@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 
@@ -80,7 +81,7 @@ const char* to_string(ServeStatus s) {
 }
 
 SolveService::SolveService(ServiceConfig cfg)
-    : cfg_(cfg), cache_(cfg.cache), adapt_(cfg.adapt) {
+    : cfg_(cfg), cache_(cfg.cache) {
   PDSLIN_CHECK_MSG(cfg_.queue_capacity >= 1, "queue_capacity must be >= 1");
   if (cfg_.workers == 0) cfg_.workers = 1;
 }
@@ -194,16 +195,12 @@ void SolveService::hand_off(const SetupKey& key,
 }
 
 std::shared_ptr<CachedSetup> SolveService::build(const PendingRequest& pr,
-                                                 double sigma, bool stale,
                                                  SolveResponse& resp) {
   PDSLIN_SPAN("serve.setup");
   WallTimer timer;
   std::shared_ptr<CachedSetup> setup;
   try {
-    if (stale) adapt_.note_rebuild();
-    SolverOptions build_opt = pr.req.opt;
-    build_opt.assembly.drop_s = sigma;
-    auto solver = std::make_shared<SchurSolver>(*pr.req.a, build_opt);
+    auto solver = std::make_shared<SchurSolver>(*pr.req.a, pr.req.opt);
     std::shared_ptr<const DbbdPartition> part;
     if (cfg_.enable_cache) part = cache_.find_partition(pr.key);
     if (part) {
@@ -212,10 +209,7 @@ std::shared_ptr<CachedSetup> SolveService::build(const PendingRequest& pr,
       const CsrMatrix* inc = pr.req.incidence && pr.req.incidence->rows > 0
                                  ? pr.req.incidence.get()
                                  : nullptr;
-      const std::span<const double> coords =
-          pr.req.coords ? std::span<const double>(*pr.req.coords)
-                        : std::span<const double>{};
-      solver->setup(inc, coords);
+      solver->setup(inc);
     }
     solver->factor();
     setup = std::make_shared<CachedSetup>(
@@ -259,12 +253,6 @@ void SolveService::answer(PendingRequest& pr) {
       resp.detail = pr.handoff->detail;
       resp.cache_hit = setup != nullptr;
     } else {
-      // --- adaptive σ: which drop tolerance should this class build with? ---
-      // The tuned σ never enters the cache key (fingerprint exclusion: one
-      // matrix class, one entry); it changes what the entry is *built* with.
-      const double sigma =
-          adapt_.tuned_sigma(pr.key, pr.req.opt.assembly.drop_s);
-      bool stale = false;
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.batches;
@@ -275,12 +263,6 @@ void SolveService::answer(PendingRequest& pr) {
           // meets the entry or the claim of any build of its key, and
           // builds only when it meets neither.
           setup = cache_.find(pr.key);
-          if (setup && setup->solver().options().assembly.drop_s != sigma) {
-            // The controller moved σ since this entry was built: rebuild
-            // at the tuned value; insert() replaces the stale entry.
-            setup.reset();
-            stale = true;
-          }
           if (!setup) {
             auto [claim, claimed] = builds_.try_emplace(pr.key);
             if (!claimed) {
@@ -293,7 +275,7 @@ void SolveService::answer(PendingRequest& pr) {
       }
       resp.cache_hit = setup != nullptr;
       if (!setup) {
-        setup = build(pr, sigma, stale, resp);
+        setup = build(pr, resp);
         if (cfg_.enable_cache) {
           hand_off(pr.key, std::make_shared<const BuildOutcome>(
                                BuildOutcome{setup, resp.detail}));
@@ -317,21 +299,10 @@ void SolveService::answer(PendingRequest& pr) {
         setup->solver().solve_multi(pr.req.b, resp.x, pr.req.nrhs, *ctx);
     setup->return_context(std::move(ctx));
     resp.solve_seconds = solve_timer.seconds();
-    resp.tuned_drop_s = setup->solver().options().assembly.drop_s;
 
-    // --- close the adaptation loop on this request's iteration counts ---
-    double iter_sum = 0.0;
-    bool converged = true;
-    for (const GmresResult& c : resp.columns) {
-      iter_sum += c.iterations;
-      converged = converged && c.converged;
-    }
-    adapt_.observe(pr.key,
-                   resp.columns.empty()
-                       ? 0.0
-                       : iter_sum / static_cast<double>(resp.columns.size()),
-                   converged);
-
+    const bool converged =
+        std::all_of(resp.columns.begin(), resp.columns.end(),
+                    [](const GmresResult& c) { return c.converged; });
     if (converged) {
       resp.status = ServeStatus::Ok;
     } else {
@@ -341,7 +312,6 @@ void SolveService::answer(PendingRequest& pr) {
       std::vector<GmresResult> hybrid_columns = resp.columns;
       fallback_solve(pr.req, resp);
       if (resp.status == ServeStatus::Degraded) {
-        resp.tuned_drop_s = 0.0;
         resp.detail =
             "hybrid solve did not converge — unpreconditioned fallback";
       } else {

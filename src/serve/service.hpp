@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "core/schur_solver.hpp"
-#include "serve/adapt.hpp"
 #include "serve/factor_cache.hpp"
 #include "serve/fingerprint.hpp"
 
@@ -64,8 +63,9 @@ struct SolveRequest {
   std::shared_ptr<const CsrMatrix> a;
   /// Optional incidence/structural factor for RHB (see SchurSolver::setup).
   std::shared_ptr<const CsrMatrix> incidence;
-  /// Optional problem geometry (3 doubles per unknown) for the partition
-  /// engine's geometric fallback; read only during a cold setup.
+  /// Problem geometry (3 doubles per unknown). Not read: a set-up depends
+  /// on the matrix, the incidence and the options alone. It stays only for
+  /// callers that still fill it.
   std::shared_ptr<const std::vector<double>> coords;
   std::vector<value_t> b;  // n × nrhs, column-major
   index_t nrhs = 1;
@@ -86,12 +86,6 @@ struct SolveResponse {
   double queue_seconds = 0.0;           // includes any wait on another build
   double setup_seconds = 0.0;           // this request's build, failed or not
   double solve_seconds = 0.0;           // hybrid solve plus any fallback
-  /// S̃ drop tolerance σ the answering setup was actually built with —
-  /// equals opt.assembly.drop_s unless the adaptive controller
-  /// (serve/adapt.hpp) retuned the class. 0 when no hybrid setup answered
-  /// (fallback/timeout/rejected paths). Re-running a direct solve at this
-  /// σ reproduces the answer bitwise (pinned by the differential harness).
-  double tuned_drop_s = 0.0;
 };
 
 struct ServiceConfig {
@@ -101,11 +95,6 @@ struct ServiceConfig {
   /// Requests answered concurrently on the shared pool.
   unsigned workers = 2;
   FactorCacheConfig cache;
-  /// Self-tuning S̃ drop tolerance (serve/adapt.hpp, docs/SERVE.md). Off by
-  /// default; when enabled, observed Krylov iteration counts nudge σ per
-  /// matrix class within [sigma_min, sigma_max] and stale cache entries are
-  /// rebuilt at the tuned σ (replacing, never duplicating, their entry).
-  AdaptConfig adapt;
   /// Ablation switch (bench/serve measures off vs on). Off, every request
   /// builds its own setup.
   bool enable_cache = true;
@@ -151,7 +140,6 @@ class SolveService {
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] FactorCache& cache() { return cache_; }
-  [[nodiscard]] AdaptiveDropController& adapt() { return adapt_; }
   [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
 
  private:
@@ -179,11 +167,11 @@ class SolveService {
   /// Deadline check, cache ladder, solve, respond. Never throws. Leaves `pr`
   /// moved-from when it parks the request behind a build in flight.
   void answer(PendingRequest& pr);
-  /// Build pr's setup at σ — the cached partition adopted when there is
-  /// one, else cold — and cache it. Never throws: on failure returns null
-  /// with the reason in resp.detail. Records resp.setup_seconds either way.
-  std::shared_ptr<CachedSetup> build(const PendingRequest& pr, double sigma,
-                                     bool stale, SolveResponse& resp);
+  /// Build pr's setup — the cached partition adopted when there is one,
+  /// else cold — and cache it. Never throws: on failure returns null with
+  /// the reason in resp.detail. Records resp.setup_seconds either way.
+  std::shared_ptr<CachedSetup> build(const PendingRequest& pr,
+                                     SolveResponse& resp);
   /// Release the claim on `key` and requeue its parked requests at the
   /// queue front, in arrival order, carrying `outcome`.
   void hand_off(const SetupKey& key, std::shared_ptr<const BuildOutcome> outcome);
@@ -191,7 +179,6 @@ class SolveService {
 
   ServiceConfig cfg_;
   FactorCache cache_;
-  AdaptiveDropController adapt_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_idle_;  // stop(): the last task ended

@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace pdslin {
 
@@ -17,10 +18,23 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
+/// The repository path of a source file, from its last "src/" directory on
+/// ("src/direct/lu.cpp"), else its base name: a message names the file the
+/// same way whatever directory the library was built in.
+inline std::string_view source_path(std::string_view file) {
+  if (file.starts_with("src/")) return file;
+  if (const auto at = file.rfind("/src/"); at != std::string_view::npos) {
+    return file.substr(at + 1);
+  }
+  const auto slash = file.rfind('/');
+  return slash == std::string_view::npos ? file : file.substr(slash + 1);
+}
+
 [[noreturn]] inline void raise(const char* expr, const char* file, int line,
                                const std::string& msg) {
-  std::string full = std::string("pdslin check failed: ") + expr + " at " +
-                     file + ":" + std::to_string(line);
+  std::string full = std::string("pdslin check failed: ") + expr + " at ";
+  full += source_path(file);
+  full += ":" + std::to_string(line);
   if (!msg.empty()) full += " — " + msg;
   throw Error(full);
 }

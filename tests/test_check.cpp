@@ -458,7 +458,7 @@ TEST(Artifact, SpecRoundTripsThroughJson) {
   spec.krylov = KrylovMethod::Bicgstab;
   spec.exact_assembly = false;
   spec.serve = true;
-  spec.partition_engine = PartitionEngineAxis::BudgetZero;
+  spec.partition_engine = PartitionEngineAxis::ParallelMultilevel;
   const std::string json = artifact_to_json(spec);
   const CaseSpec back = artifact_from_json(json);
   EXPECT_EQ(back.to_string(), spec.to_string());
@@ -479,6 +479,31 @@ TEST(Artifact, MalformedDocumentThrows) {
   ASSERT_NE(at, std::string::npos);
   fp32.replace(at, 10, "\"lu-fp32\"");
   EXPECT_THROW(artifact_from_json(fp32), Error);
+
+  // The same holds for the removed partition-engine lanes.
+  const std::string base = artifact_to_json(CaseSpec{});
+  for (const char* lane : {"pe-geometric", "pe-budget0"}) {
+    std::string removed = base;
+    const std::size_t pe = removed.find("\"pe-multilevel\"");
+    ASSERT_NE(pe, std::string::npos);
+    removed.replace(pe, 15, std::string("\"") + lane + "\"");
+    EXPECT_THROW(artifact_from_json(removed), Error) << lane;
+  }
+
+  // adaptive_sigma: absent or false replays; true names the removed lane,
+  // and a non-boolean is malformed.
+  const std::size_t close = base.find("\n  }");
+  ASSERT_NE(close, std::string::npos);
+  auto with_adaptive = [&](const char* value) {
+    std::string doc = base;
+    doc.insert(close, std::string(",\n    \"adaptive_sigma\": ") + value);
+    return doc;
+  };
+  EXPECT_NO_THROW(artifact_from_json(base));
+  EXPECT_NO_THROW(artifact_from_json(with_adaptive("false")));
+  for (const char* bad : {"true", "0", "\"false\"", "null"}) {
+    EXPECT_THROW(artifact_from_json(with_adaptive(bad)), Error) << bad;
+  }
 }
 
 // ------------------------------------------------------------------- Minimize
@@ -721,8 +746,8 @@ TEST(ServeProperty, EveryOptionFieldMovesSetupHashExactlyWhenSetup) {
     });
     EXPECT_EQ(serve::setup_options_hash(opt) != default_hash, field.setup);
   });
-  EXPECT_EQ(fields, 30);
-  EXPECT_EQ(setup_fields, 21);
+  EXPECT_EQ(fields, 27);
+  EXPECT_EQ(setup_fields, 18);
 }
 
 TEST(ServeProperty, DeadlineAlreadyExpiredAtEnqueueTimesOut) {

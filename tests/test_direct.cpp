@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "direct/etree.hpp"
 #include "direct/lu.hpp"
@@ -13,6 +14,7 @@
 #include "direct/reach.hpp"
 #include "direct/symbolic.hpp"
 #include "direct/trisolve.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/permute.hpp"
 #include "sparse/symmetrize.hpp"
@@ -64,7 +66,9 @@ TEST(Etree, PostorderProperties) {
   std::vector<index_t> position(a.rows);
   for (index_t k = 0; k < a.rows; ++k) position[post[k]] = k;
   for (index_t v = 0; v < a.rows; ++v) {
-    if (parent[v] >= 0) EXPECT_LT(position[v], position[parent[v]]);
+    if (parent[v] >= 0) {
+      EXPECT_LT(position[v], position[parent[v]]);
+    }
   }
   // Subtrees are contiguous in a postorder.
   const auto size = subtree_sizes(parent);
@@ -202,6 +206,22 @@ TEST(Lu, ThrowsOnSingular) {
   EXPECT_THROW(lu_factorize(a), Error);
   const CsrMatrix structurally = testing::from_dense({{1, 0}, {3, 0}});
   EXPECT_THROW(lu_factorize(structurally), Error);
+}
+
+TEST(Lu, CheckMessageNamesRepositoryPath) {
+  // A failed check names its source file from src/ on, whatever directory
+  // the library was built in: messages are copied into serve responses and
+  // fuzz artifacts, so they must not carry a build's absolute path.
+  const CsrMatrix pattern_only = pattern_of(testing::grid_laplacian(3, 3));
+  try {
+    (void)lu_factorize(pattern_only);
+    FAIL() << "expected an Error for a pattern-only matrix";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    const std::size_t at = what.find(" at ");
+    ASSERT_NE(at, std::string::npos) << what;
+    EXPECT_EQ(what.compare(at + 4, 18, "src/direct/lu.cpp:"), 0) << what;
+  }
 }
 
 TEST(Lu, ThresholdKeepsDiagonalWhenAcceptable) {

@@ -1,7 +1,7 @@
-// Tests for the parallel, budget-aware partitioning engine (src/partition/):
-// thread-count determinism, budget degradation validity, the geometric
-// fallback, the deterministic coarsening matching, and the serve-layer
-// fingerprint contract for the new knobs.
+// Tests for the parallel partitioning engine (src/partition/): thread-count
+// determinism, the stats a solver set-up records, the deterministic
+// coarsening matching, value-aware weighting, and the serve-layer
+// fingerprint contract for the partition knobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,17 +9,13 @@
 #include <vector>
 
 #include "check/invariants.hpp"
-#include "core/dbbd.hpp"
 #include "core/schur_solver.hpp"
 #include "gen/grid_fem.hpp"
-#include "gen/cavity.hpp"
 #include "graph/graph.hpp"
 #include "graph/nested_dissection.hpp"
 #include "hypergraph/coarsen.hpp"
 #include "hypergraph/hypergraph.hpp"
-#include "partition/budget.hpp"
 #include "partition/engine.hpp"
-#include "partition/geometric.hpp"
 #include "serve/fingerprint.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/coo.hpp"
@@ -51,8 +47,6 @@ TEST(PartitionEngine, RhbBitwiseIdenticalAcrossThreadCounts) {
     if (threads == 1) {
       base = std::move(r);
       EXPECT_GT(base.stats.multilevel_subtrees, 0);
-      EXPECT_EQ(base.stats.fallback_subtrees, 0);
-      EXPECT_STREQ(base.stats.engine_label(), "multilevel");
       continue;
     }
     EXPECT_EQ(r.row_part, base.row_part) << "threads=" << threads;
@@ -113,144 +107,28 @@ TEST(PartitionEngine, NgdBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(PartitionEngine, ExhaustedBudgetDegradesButStaysValid) {
-  const GeneratedProblem p = small_fem();
-  RhbOptions opt;
-  opt.num_parts = 8;
-  opt.seed = 3;
-  partition::EngineOptions eng;
-  eng.budget.max_ms = -1.0;  // exhausted on entry: every subtree degrades
-  eng.coords = p.coords;
-  const partition::EngineResult r = partition::rhb_engine(p.incidence, opt, eng);
-  EXPECT_TRUE(r.stats.budget_exhausted);
-  EXPECT_EQ(r.stats.multilevel_subtrees, 0);
-  EXPECT_GT(r.stats.fallback_subtrees, 0);
-  EXPECT_STREQ(r.stats.engine_label(), "geometric");
-
-  const DbbdPartition dbbd = build_dbbd(r.unknowns.part, opt.num_parts);
-  check::CheckReport rep;
-  check::check_partition(p.a, dbbd, rep);
-  EXPECT_TRUE(rep.ok()) << rep.summary();
-}
-
-TEST(PartitionEngine, MinQualityProtectsTopLevels) {
-  const GeneratedProblem p = small_fem();
-  RhbOptions opt;
-  opt.num_parts = 8;
-  opt.seed = 3;
-  partition::EngineOptions eng;
-  eng.budget.max_ms = -1.0;
-  eng.budget.min_quality = 1.0;  // protect all levels: budget cannot degrade
-  eng.coords = p.coords;
-  const partition::EngineResult r = partition::rhb_engine(p.incidence, opt, eng);
-  EXPECT_TRUE(r.stats.budget_exhausted);
-  EXPECT_EQ(r.stats.fallback_subtrees, 0);
-  EXPECT_GT(r.stats.multilevel_subtrees, 0);
-}
-
-TEST(PartitionEngine, GeometricEngineUsesCoordsAndStaysValid) {
-  // dds (tet FEM) exercises the coordinate path end-to-end through the
-  // generator: coords are emitted per node and consumed by the RCB fallback.
-  const GeneratedProblem p = generate_dds_linear(0.02, 11);
-  ASSERT_FALSE(p.coords.empty());
-  ASSERT_EQ(p.coords.size(), static_cast<std::size_t>(p.a.rows) * 3);
-
-  RhbOptions opt;
-  opt.num_parts = 4;
-  opt.seed = 1;
-  partition::EngineOptions eng;
-  eng.engine = partition::Engine::Geometric;
-  eng.coords = p.coords;
-  const partition::EngineResult r = partition::rhb_engine(p.incidence, opt, eng);
-  EXPECT_EQ(r.stats.multilevel_subtrees, 0);
-  EXPECT_GT(r.stats.fallback_subtrees, 0);
-
-  // Every part must be populated (RCB forces >= 1 item per part) and the
-  // induced partition must be a valid DBBD input.
-  std::vector<int> seen(static_cast<std::size_t>(opt.num_parts), 0);
-  for (index_t label : r.row_part) {
-    ASSERT_GE(label, 0);
-    ASSERT_LT(label, opt.num_parts);
-    seen[static_cast<std::size_t>(label)] = 1;
-  }
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
-            static_cast<long>(opt.num_parts));
-  const DbbdPartition dbbd = build_dbbd(r.unknowns.part, opt.num_parts);
-  check::CheckReport rep;
-  check::check_partition(p.a, dbbd, rep);
-  EXPECT_TRUE(rep.ok()) << rep.summary();
-}
-
-TEST(PartitionEngine, NgdGeometricFallbackStaysValidDissection) {
-  const GeneratedProblem p = small_fem();
-  const CsrMatrix sym = symmetrize_abs(pattern_of(p.a));
-  const Graph g = graph_from_matrix(sym);
-  NgdOptions opt;
-  opt.num_parts = 8;
-  opt.seed = 9;
-  partition::EngineOptions eng;
-  eng.engine = partition::Engine::Geometric;
-  eng.coords = p.coords;
-  const partition::EngineResult r = partition::ngd_engine(g, opt, eng);
-  EXPECT_EQ(r.stats.multilevel_subtrees, 0);
-  EXPECT_GT(r.stats.fallback_subtrees, 0);
-  EXPECT_TRUE(is_valid_dissection(g, r.unknowns));
-  // The elimination order covers exactly the separator vertices.
-  EXPECT_EQ(static_cast<index_t>(r.unknowns.separator_order.size()),
-            r.unknowns.separator_size);
-}
-
-TEST(PartitionEngine, StreamingFallbackWithoutCoordsStaysValid) {
-  const GeneratedProblem p = small_fem();
-  RhbOptions opt;
-  opt.num_parts = 8;
-  opt.seed = 3;
-  partition::EngineOptions eng;
-  eng.engine = partition::Engine::Geometric;  // no coords: streaming split
-  const partition::EngineResult r = partition::rhb_engine(p.incidence, opt, eng);
-  EXPECT_GT(r.stats.fallback_subtrees, 0);
-  const DbbdPartition dbbd = build_dbbd(r.unknowns.part, opt.num_parts);
-  check::CheckReport rep;
-  check::check_partition(p.a, dbbd, rep);
-  EXPECT_TRUE(rep.ok()) << rep.summary();
-}
-
 TEST(PartitionEngine, SolverSetupRecordsEngineStats) {
   const GeneratedProblem p = small_fem();
   SolverOptions opt;
   opt.num_subdomains = 4;
-  opt.partition_budget_ms = -1.0;  // force full degradation
   SchurSolver solver(p.a, opt);
-  solver.setup(&p.incidence, p.coords);
-  EXPECT_EQ(solver.stats().partition_engine, "geometric");
-  EXPECT_GT(solver.stats().partition_fallback_subtrees, 0);
-  EXPECT_TRUE(solver.stats().partition_budget_exhausted);
+  solver.setup(&p.incidence);
+  // Every attempt of the multi-start recursion bisects k − 1 nodes.
+  EXPECT_EQ(solver.stats().partition_multilevel_subtrees,
+            (opt.num_subdomains - 1) * RhbOptions{}.attempts);
+  EXPECT_GE(solver.stats().partition_balance_ratio, 1.0);
+  EXPECT_LT(solver.stats().partition_balance_ratio, 1e30);
+  EXPECT_GT(solver.stats().partition_seconds, 0.0);
   check::CheckReport rep;
   check::check_partition(solver.matrix(), solver.partition(), rep);
   EXPECT_TRUE(rep.ok()) << rep.summary();
 
-  // The degraded partition must still carry a working solve.
+  // The partition must carry a working solve.
   solver.factor();
   std::vector<value_t> b(static_cast<std::size_t>(p.a.rows), 1.0);
   std::vector<value_t> x(b.size(), 0.0);
   const GmresResult res = solver.solve(b, x);
   EXPECT_TRUE(res.converged);
-}
-
-TEST(PartitionEngine, BudgetTrackerSentinels) {
-  partition::Budget unlimited;  // max_ms == 0
-  partition::BudgetTracker t0(unlimited);
-  EXPECT_FALSE(t0.exhausted());
-
-  partition::Budget forced;
-  forced.max_ms = -1.0;
-  partition::BudgetTracker t1(forced);
-  EXPECT_TRUE(t1.exhausted());
-
-  partition::Budget generous;
-  generous.max_ms = 1e9;
-  partition::BudgetTracker t2(generous);
-  EXPECT_FALSE(t2.exhausted());
 }
 
 TEST(PartitionDetMatching, IndependentOfThreadCount) {
@@ -277,17 +155,9 @@ TEST(PartitionFingerprint, EngineKnobsSplitTheCacheThreadsDoNot) {
   threads.threads = 8;  // bitwise-identical partition: must share the setup
   EXPECT_EQ(serve::setup_options_hash(threads), h0);
 
-  SolverOptions engine = base;
-  engine.partition_engine = partition::Engine::Geometric;
-  EXPECT_NE(serve::setup_options_hash(engine), h0);
-
-  SolverOptions budget = base;
-  budget.partition_budget_ms = 50.0;
-  EXPECT_NE(serve::setup_options_hash(budget), h0);
-
-  SolverOptions quality = base;
-  quality.partition_min_quality = 0.5;
-  EXPECT_NE(serve::setup_options_hash(quality), h0);
+  SolverOptions metric = base;
+  metric.metric = CutMetric::Con1;
+  EXPECT_NE(serve::setup_options_hash(metric), h0);
 }
 
 // ------------------------------------------------------- value-aware weights
@@ -417,7 +287,7 @@ TEST(PartitionValues, SolverValueWeightedBitwiseAcrossThreadCounts) {
   }
 }
 
-TEST(PartitionFingerprint, ValueModeSplitsTheCacheAdaptationDoesNot) {
+TEST(PartitionFingerprint, ValueModeSplitsTheCache) {
   SolverOptions base;
   const std::uint64_t h0 = serve::setup_options_hash(base);
 
@@ -428,11 +298,6 @@ TEST(PartitionFingerprint, ValueModeSplitsTheCacheAdaptationDoesNot) {
   EXPECT_NE(serve::setup_options_hash(logabs), h0);
   EXPECT_NE(serve::setup_options_hash(abs), h0);
   EXPECT_NE(serve::setup_options_hash(abs), serve::setup_options_hash(logabs));
-
-  // Adaptation state lives in the serve controller, outside SolverOptions:
-  // a class being re-tuned keeps its key. The only σ input to the hash is
-  // the *static* drop_s the request asked for.
-  EXPECT_EQ(serve::setup_options_hash(base), h0) << "hash must be pure";
 }
 
 // ---------------------------------------------------- saturating net costs
@@ -475,40 +340,6 @@ TEST(PartitionSaturation, ExtremeNetCostsClampInsteadOfOverflowing) {
             c.coarse.net_cost.end())
       << "merged extreme nets must saturate at the index_t ceiling";
   c.coarse.validate();
-}
-
-TEST(PartitionGeometric, RcbSplitsAreDeterministicAndComplete) {
-  // 8 points on a line, unit weights: RCB into 4 parts must produce
-  // contiguous pairs regardless of the item order presented.
-  std::vector<double> xyz;
-  for (int i = 0; i < 8; ++i) {
-    xyz.push_back(static_cast<double>(i));
-    xyz.push_back(0.0);
-    xyz.push_back(0.0);
-  }
-  const std::vector<long long> w(8, 1);
-  std::vector<index_t> label(8, -1);
-  std::vector<index_t> items = {7, 3, 5, 1, 0, 6, 2, 4};
-  partition::rcb_assign(xyz, w, items, 4, 0, label);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(label[static_cast<std::size_t>(i)], i / 2) << "point " << i;
-  }
-}
-
-TEST(PartitionGeometric, StreamingAssignBalancesWeight) {
-  const std::vector<long long> w = {1, 1, 1, 1, 2, 2, 2, 2};
-  std::vector<index_t> items(8);
-  for (index_t i = 0; i < 8; ++i) items[static_cast<std::size_t>(i)] = i;
-  std::vector<index_t> label(8, -1);
-  partition::streaming_assign(w, items, 4, 0, label);
-  std::vector<long long> load(4, 0);
-  for (std::size_t i = 0; i < 8; ++i) {
-    ASSERT_GE(label[i], 0);
-    ASSERT_LT(label[i], 4);
-    load[static_cast<std::size_t>(label[i])] += w[i];
-    if (i > 0) EXPECT_GE(label[i], label[i - 1]);  // contiguous split
-  }
-  for (long long l : load) EXPECT_GT(l, 0);
 }
 
 }  // namespace

@@ -68,7 +68,9 @@ TEST(Rng, UniformCoverage) {
 TEST(Timer, MeasuresElapsedTime) {
   WallTimer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i) {
+    sink = sink + std::sqrt(static_cast<double>(i));
+  }
   EXPECT_GE(t.seconds(), 0.0);
   AccumTimer acc;
   acc.start();

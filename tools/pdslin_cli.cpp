@@ -10,12 +10,6 @@
 //   --static-weights          disable RHB dynamic weights
 //   -k N                      number of subdomains (power of 2) [8]
 //   --epsilon X               partition balance tolerance     [0.05]
-//   --partition-engine E      multilevel|geometric            [multilevel]
-//   --partition-budget-ms X   partition latency budget (0 = unlimited;
-//                             exhausted budget degrades remaining subtrees
-//                             to the geometric/streaming fallback)    [0]
-//   --partition-min-quality Q fraction of top bisection levels immune to
-//                             budget degradation               [0]
 //   --partition-values M      off|abs|logabs — weight hyperedges/graph
 //                             edges by bucketed |a_ij| magnitudes  [off]
 //   --rhs-ordering natural|postorder|hypergraph               [postorder]
@@ -133,15 +127,6 @@ int run(int argc, char** argv) {
       opt.num_subdomains = parse_number<index_t>(arg, next());
     } else if (arg == "--epsilon") {
       opt.partition_epsilon = parse_number<double>(arg, next());
-    } else if (arg == "--partition-engine") {
-      const std::string v = next();
-      if (!partition::engine_from_string(v, opt.partition_engine)) {
-        usage("unknown --partition-engine (multilevel|geometric)");
-      }
-    } else if (arg == "--partition-budget-ms") {
-      opt.partition_budget_ms = parse_number<double>(arg, next());
-    } else if (arg == "--partition-min-quality") {
-      opt.partition_min_quality = parse_number<double>(arg, next());
     } else if (arg == "--partition-values") {
       const std::string v = next();
       if (!partition::value_mode_from_string(v, opt.partition_values)) {
@@ -212,8 +197,7 @@ int run(int argc, char** argv) {
 
   SchurSolver solver(std::move(problem.a), opt);
   const CsrMatrix& a = solver.matrix();
-  solver.setup(problem.incidence.rows > 0 ? &problem.incidence : nullptr,
-               problem.coords);
+  solver.setup(problem.incidence.rows > 0 ? &problem.incidence : nullptr);
   solver.factor();
 
   Rng rng(opt.seed + 777);
@@ -229,12 +213,6 @@ int run(int argc, char** argv) {
   const SolverStats& st = solver.stats();
   const DbbdStats& ps = st.partition;
   std::printf("\n%s\n", st.summary().c_str());
-  std::printf("partition engine: %s (%lld multilevel / %lld fallback "
-              "subtrees%s, balance=%.3f)\n",
-              st.partition_engine.c_str(), st.partition_multilevel_subtrees,
-              st.partition_fallback_subtrees,
-              st.partition_budget_exhausted ? ", budget exhausted" : "",
-              st.partition_balance_ratio);
   std::printf("balance (max/min over %d subdomains): dim(D)=%s nnz(D)=%s "
               "col(E)=%s nnz(E)=%s\n",
               opt.num_subdomains,
