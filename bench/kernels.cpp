@@ -291,7 +291,8 @@ double lu_residual_probe(const CsrMatrix& a, const LuFactors& f, Rng& rng) {
   for (int probe = 0; probe < 5; ++probe) {
     for (auto& v : x) v = rng.uniform(-1.0, 1.0);
     spmv(a, x, ax);
-    const std::vector<value_t> lux = csc_matvec(f.lower, csc_matvec(f.upper, x));
+    const std::vector<value_t> lux =
+        csc_matvec(f.lower, csc_matvec(transpose(f.upper_t), x));
     double diff = 0.0;
     for (index_t i = 0; i < a.rows; ++i) {
       diff = std::max(diff, std::abs(lux[i] - ax[f.row_perm[i]]));
@@ -310,7 +311,7 @@ bool factors_bitwise_equal(const LuFactors& fa, const LuFactors& fb) {
                         x.values.size() * sizeof(value_t)) == 0);
   };
   return fa.row_perm == fb.row_perm && csc_equal(fa.lower, fb.lower) &&
-         csc_equal(fa.upper, fb.upper);
+         csc_equal(fa.upper_t, fb.upper_t);
 }
 
 /// S̃ of benchmark/'s warm-krylov workload (tdr190k at scale 0.4, its
@@ -410,7 +411,7 @@ bool run_lu_ablation(const std::string& kernel_filter) {
       rep.set_config("threads", std::to_string(ln.threads));
       rep.set_phase("factor", ln.seconds);
       rep.set_stat("factor_nnz", static_cast<double>(ln.f->lower.nnz() +
-                                                     ln.f->upper.nnz()));
+                                                     ln.f->upper_t.nnz()));
       rep.set_stat("lu_residual_probe", ln.residual);
       rep.set_stat("factors_bitwise_equal", bitwise ? 1.0 : 0.0);
       rep.set_stat("speedup_vs_scalar", scalar_seconds / std::max(ln.seconds,

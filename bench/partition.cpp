@@ -5,9 +5,11 @@
 //   - the parallel engine (4 threads) must be BITWISE identical to the
 //     serial engine for both RHB and NGD (exit 1 otherwise) — the
 //     position-derived seeds + deterministic matching contract;
-//   - 4-thread speedup over serial must be >= 1.5x. Hardware-gated: it
-//     hard-fails only when the host has >= 4 cores, and prints an
-//     informational line otherwise;
+//   - 4-thread speedup over serial must be >= 1.5x, as the median over
+//     kSpeedupPairs pairs of serial and 4-thread RHB runs alternated in
+//     this process, so host load that drifts during the run hits both
+//     sides of a pair alike. Hardware-gated: it hard-fails only when the
+//     host has >= 4 cores, and prints an informational line otherwise;
 //   - value-aware partitioning (--partition-values=logabs) must REDUCE the
 //     summed GMRES iteration count versus pattern-only at equal k on the
 //     adversarial families where magnitude contrast matters (aniso-spd
@@ -16,6 +18,7 @@
 //     hybrid solver's interface.
 //
 // Emits one "BENCH {json}" line per engine configuration.
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -34,7 +37,17 @@ using namespace pdslin::bench;
 
 namespace {
 
+/// Serial / 4-thread pairs behind the speedup gate: one pair read 1.48x on
+/// partition code that reads 1.58-1.85x in other runs on a shared host.
+constexpr int kSpeedupPairs = 5;
+
 int failures = 0;
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
 
 void expect(bool ok, const char* what) {
   if (ok) {
@@ -123,22 +136,40 @@ int main() {
   ropt.num_parts = 8;
   ropt.seed = seed;
 
-  // --- gate 1: bitwise serial == parallel (RHB) -------------------------
+  // --- gate 1: bitwise serial == parallel (RHB), in every pair ---------
+  // Each pair runs both sides back to back, the side that goes first
+  // alternating from pair to pair; every run must equal the first one.
   partition::EngineOptions serial;
   serial.threads = 1;
   partition::EngineOptions par4 = serial;
   par4.threads = 4;
 
-  WallTimer t_serial;
   const partition::EngineResult r1 = partition::rhb_engine(p.incidence, ropt, serial);
-  const double serial_ms = t_serial.seconds() * 1e3;
-  WallTimer t_par;
-  const partition::EngineResult r4 = partition::rhb_engine(p.incidence, ropt, par4);
-  const double par_ms = t_par.seconds() * 1e3;
-  expect(r1.row_part == r4.row_part && r1.unknowns.part == r4.unknowns.part,
-         "rhb_engine: 4-thread partition bitwise identical to serial");
-  emit_engine_report("rhb-multilevel", p, 1, r1.stats, serial_ms);
-  emit_engine_report("rhb-multilevel", p, 4, r4.stats, par_ms);
+  bool rhb_bitwise = true;
+  std::vector<double> serial_ms, par_ms, speedups;
+  partition::Stats par_stats;
+  for (int pair = 0; pair < kSpeedupPairs; ++pair) {
+    double ms[2] = {0.0, 0.0};  // [0] serial, [1] 4 threads
+    for (int k = 0; k < 2; ++k) {
+      const int side = (pair + k) % 2;
+      WallTimer t;
+      const partition::EngineResult r =
+          partition::rhb_engine(p.incidence, ropt, side == 0 ? serial : par4);
+      ms[side] = t.seconds() * 1e3;
+      rhb_bitwise = rhb_bitwise && r.row_part == r1.row_part &&
+                    r.unknowns.part == r1.unknowns.part;
+      if (side == 1) par_stats = r.stats;
+    }
+    serial_ms.push_back(ms[0]);
+    par_ms.push_back(ms[1]);
+    speedups.push_back(ms[1] > 0.0 ? ms[0] / ms[1] : 1.0);
+    std::printf("  rhb_engine pair %d: serial %.1f ms, 4 threads %.1f ms, "
+                "speedup %.2fx\n", pair, ms[0], ms[1], speedups.back());
+  }
+  expect(rhb_bitwise,
+         "rhb_engine: 4-thread partition bitwise identical to serial in every pair");
+  emit_engine_report("rhb-multilevel", p, 1, r1.stats, median(serial_ms));
+  emit_engine_report("rhb-multilevel", p, 4, par_stats, median(par_ms));
 
   // --- gate 1b: bitwise serial == parallel (NGD) ------------------------
   const CsrMatrix sym = symmetrize_abs(pattern_of(p.a));
@@ -152,13 +183,15 @@ int main() {
              n1.unknowns.separator_order == n4.unknowns.separator_order,
          "ngd_engine: 4-thread dissection bitwise identical to serial");
 
-  // --- gate 2: >= 1.5x speedup at 4 threads (hardware-gated) ------------
-  const double speedup = par_ms > 0.0 ? serial_ms / par_ms : 1.0;
+  // --- gate 2: >= 1.5x median per-pair speedup at 4 threads -------------
+  // (hardware-gated)
+  const double speedup = median(speedups);
   const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("  rhb_engine: serial %.1f ms, 4 threads %.1f ms, speedup %.2fx\n",
-              serial_ms, par_ms, speedup);
+  std::printf("  rhb_engine: median speedup %.2fx over %d pairs\n", speedup,
+              kSpeedupPairs);
   if (hw >= 4) {
-    expect(speedup >= 1.5, "rhb_engine: >= 1.5x speedup at 4 threads");
+    expect(speedup >= 1.5,
+           "rhb_engine: >= 1.5x median per-pair speedup at 4 threads");
   } else {
     std::printf("  SKIP scaling gate: host has %u cores, need >= 4 "
                 "(informational: %.2fx)\n", hw, speedup);

@@ -57,7 +57,7 @@ bool same_factors(const LuFactors& a, const LuFactors& b) {
            x.values == y.values;
   };
   return a.row_perm == b.row_perm && csc_equal(a.lower, b.lower) &&
-         csc_equal(a.upper, b.upper);
+         csc_equal(a.upper_t, b.upper_t);
 }
 
 /// Setup-kernel ablation (ISSUE 6 acceptance): scalar vs supernodal panel

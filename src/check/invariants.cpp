@@ -208,7 +208,7 @@ void check_lu_residual(const CscMatrix& a, const LuFactors& f, double rel_tol,
     return;
   }
   const DenseMatrix l = dense_from_csc(f.lower);
-  const DenseMatrix u = dense_from_csc(f.upper);
+  const DenseMatrix ut = dense_from_csc(f.upper_t);  // Uᵀ
   const DenseMatrix ad = dense_from_csc(a);
   const index_t n = f.n;
   double scale = std::max(1.0, max_abs(ad));
@@ -217,7 +217,7 @@ void check_lu_residual(const CscMatrix& a, const LuFactors& f, double rel_tol,
     for (index_t j = 0; j < n; ++j) {
       value_t lu = 0.0;
       for (index_t kk = 0; kk <= std::min(i, j); ++kk) {
-        lu += l.at(i, kk) * u.at(kk, j);
+        lu += l.at(i, kk) * ut.at(j, kk);
       }
       worst = std::max(worst, std::abs(lu - ad.at(f.row_perm[i], j)));
     }
@@ -283,7 +283,7 @@ void check_subdomain_factors(const SchurSolver& solver, double rel_tol,
     }
     if (nd == 0) continue;
     const DenseMatrix l_d = dense_from_csc(f.lu.lower);
-    const DenseMatrix u_d = dense_from_csc(f.lu.upper);
+    const DenseMatrix ut_d = dense_from_csc(f.lu.upper_t);  // Uᵀ
     const DenseMatrix d_d = dense_from_csr(sub.d);
     const double scale = std::max(1.0, max_abs(d_d));
     double worst = 0.0;
@@ -291,7 +291,7 @@ void check_subdomain_factors(const SchurSolver& solver, double rel_tol,
       for (index_t j = 0; j < nd; ++j) {
         value_t lu = 0.0;
         for (index_t kk = 0; kk <= std::min(i, j); ++kk) {
-          lu += l_d.at(i, kk) * u_d.at(kk, j);
+          lu += l_d.at(i, kk) * ut_d.at(j, kk);
         }
         worst = std::max(worst,
                          std::abs(lu - d_d.at(f.rowmap[i], f.colmap[j])));

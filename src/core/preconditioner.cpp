@@ -40,7 +40,7 @@ void SchurPreconditioner::apply_with_scratch(
   }
   const std::span<value_t> ws(scratch.data(), static_cast<std::size_t>(n_));
   lower_solve_dense(lu_.lower, ws, /*unit_diag=*/true);
-  upper_solve_dense(lu_.upper, ws);
+  upper_solve_dense(lu_.upper_t, ws);
   for (index_t j = 0; j < n_; ++j) y[colmap_[j]] = scratch[j];
 }
 

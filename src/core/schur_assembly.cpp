@@ -214,7 +214,7 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   CscMatrix g = unpermute_columns(g_res.solution, g_order);
   g = drop_small_columns(g, opt.drop_wg, opt.inner_threads);
 
-  // --- Wᵀ = U⁻ᵀ (F̂ P̄)ᵀ: same machinery on the transposed factor. ---
+  // --- Wᵀ = U⁻ᵀ (F̂ P̄)ᵀ: same machinery on Uᵀ, which the factors store. ---
   // F̂ columns move to factor column order: new col index of old local c is
   // inv(colmap)[c].
   std::vector<index_t> col_new_of(nd);
@@ -228,15 +228,14 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   fhat_t.values = sub.fhat.values;
   fhat_t.sort_cols();
 
-  const CscMatrix ut = transpose(f.lu.upper);
   std::vector<std::vector<index_t>> w_patterns;
-  std::vector<index_t> w_order =
-      choose_rhs_order(ut, fhat_t, opt, f.reorder_seconds, w_patterns);
+  std::vector<index_t> w_order = choose_rhs_order(f.lu.upper_t, fhat_t, opt,
+                                                  f.reorder_seconds, w_patterns);
   timer.reset();
   mr.col_patterns = w_patterns.empty() ? nullptr : &w_patterns;
   MultiRhsResult w_res = [&] {
     PDSLIN_SPAN("comp_s.solve_w");
-    return solve_multi_rhs_blocked(ut, fhat_t, w_order, mr);
+    return solve_multi_rhs_blocked(f.lu.upper_t, fhat_t, w_order, mr);
   }();
   f.solve_w_seconds = timer.seconds();
   f.w_stats = w_res.stats;

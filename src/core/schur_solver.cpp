@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
+#include <string>
 
 #include "core/structural_factor.hpp"
 #include "direct/trisolve.hpp"
@@ -47,12 +49,83 @@ class PrecondView final : public LinearOperator {
   std::vector<value_t>& scratch_;
 };
 
+/// The ascending positions marked in `mark`, each closing the marks over
+/// the strictly-lower part of column k of `tri` as it is visited. One
+/// ascending pass suffices because every edge k → row leads to a larger
+/// position: L's columns (reach) and U's rows, as Uᵀ's columns (need).
+std::vector<index_t> close_ascending(const CscMatrix& tri,
+                                     std::vector<char>& mark) {
+  std::vector<index_t> out;
+  for (index_t k = 0; k < tri.cols; ++k) {
+    if (mark[k] == 0) continue;
+    out.push_back(k);
+    for (index_t p = tri.col_ptr[k] + 1; p < tri.col_ptr[k + 1]; ++p) {
+      mark[tri.row_idx[p]] = 1;
+    }
+  }
+  return out;
+}
+
+[[noreturn]] void invalid_request(const std::string& what) {
+  throw Error("invalid request: " + what);
+}
+
+void validate_part(const CsrMatrix& m, const char* name) {
+  try {
+    m.validate();
+  } catch (const Error& e) {
+    invalid_request(std::string(name) + ": " + e.what());
+  }
+}
+
+/// The position of the first NaN or ±inf in v, or v.size(). The scan is
+/// branch-free (|x| ≤ max is false for exactly those), so it vectorizes.
+std::size_t first_non_finite(std::span<const value_t> v) {
+  int bad = 0;
+  for (value_t x : v) {
+    bad |= !(std::abs(x) <= std::numeric_limits<value_t>::max());
+  }
+  if (bad == 0) return v.size();
+  return static_cast<std::size_t>(
+      std::find_if(v.begin(), v.end(),
+                   [](value_t x) { return !std::isfinite(x); }) -
+      v.begin());
+}
+
 }  // namespace
+
+void check_request_matrix(const CsrMatrix& a) {
+  if (a.rows != a.cols) invalid_request("A is not square");
+  validate_part(a, "A");
+  if (!a.has_values()) invalid_request("A has no values");
+  const std::size_t p = first_non_finite(a.values);
+  if (p < a.values.size()) {
+    const auto row = std::upper_bound(a.row_ptr.begin(), a.row_ptr.end(),
+                                      static_cast<index_t>(p)) -
+                     a.row_ptr.begin() - 1;
+    invalid_request("A holds a non-finite value in row " +
+                    std::to_string(row));
+  }
+}
+
+void check_request_incidence(const CsrMatrix& m, index_t n) {
+  validate_part(m, "incidence");
+  if (m.cols != n) {
+    invalid_request("the incidence has " + std::to_string(m.cols) +
+                    " columns, A has " + std::to_string(n));
+  }
+}
+
+void check_request_rhs(std::span<const value_t> b) {
+  const std::size_t i = first_non_finite(b);
+  if (i < b.size()) {
+    invalid_request("b holds a non-finite value at " + std::to_string(i));
+  }
+}
 
 SchurSolver::SchurSolver(CsrMatrix a, SolverOptions opt)
     : a_(std::move(a)), opt_(std::move(opt)) {
-  PDSLIN_CHECK_MSG(a_.rows == a_.cols, "solver needs a square matrix");
-  PDSLIN_CHECK_MSG(a_.has_values(), "solver needs numeric values");
+  check_request_matrix(a_);
   PDSLIN_CHECK_MSG(opt_.num_subdomains >= 1 &&
                        (opt_.num_subdomains & (opt_.num_subdomains - 1)) == 0,
                    "num_subdomains must be a power of two");
@@ -61,6 +134,9 @@ SchurSolver::SchurSolver(CsrMatrix a, SolverOptions opt)
 void SchurSolver::setup(const CsrMatrix* incidence,
                         std::span<const double> /*coords*/) {
   PDSLIN_SPAN("setup.partition");
+  if (incidence != nullptr && incidence->rows > 0) {
+    check_request_incidence(*incidence, a_.cols);
+  }
   WallTimer timer;
   partition::EngineOptions eng;
   eng.threads = opt_.threads;
@@ -98,8 +174,6 @@ void SchurSolver::setup(const CsrMatrix* incidence,
       m_local = clique_cover_factor(sym);
       m = &m_local;
     }
-    PDSLIN_CHECK_MSG(m->cols == a_.rows,
-                     "incidence columns must match the matrix dimension");
     RhbOptions ropt;
     ropt.num_parts = opt_.num_subdomains;
     ropt.metric = opt_.metric;
@@ -189,10 +263,13 @@ void SchurSolver::factor() {
   stats_.lu_d_seconds.assign(k, 0.0);
   stats_.comp_s_seconds.assign(k, 0.0);
 
+  sweeps_.resize(k);
+
   auto process_domain = [&](int l) {
     PDSLIN_SPAN_I("subdomain", l);
     subs_[l] = extract_subdomain(a_, dbbd_, l);
     facts_[l] = assemble_subdomain(subs_[l], opt_.assembly);
+    sweeps_[l] = sweep_lists(subs_[l], facts_[l]);
     stats_.lu_d_seconds[l] =
         facts_[l].order_seconds + facts_[l].factor_seconds;
     stats_.comp_s_seconds[l] = facts_[l].solve_g_seconds +
@@ -296,9 +373,12 @@ std::size_t SchurSolver::memory_bytes() const {
              index_bytes(sub.f_rows);
   }
   for (const SubdomainFactorization& f : facts_) {
-    bytes += f.lu.memory_bytes();  // factors + panel metadata
+    bytes += f.lu.memory_bytes();
     bytes += index_bytes(f.colmap) + index_bytes(f.rowmap);
     bytes += csr_bytes(f.t_tilde);
+  }
+  for (const SweepLists& sw : sweeps_) {
+    bytes += index_bytes(sw.reach) + index_bytes(sw.need);
   }
   bytes += csr_bytes(c_block_) + csr_bytes(s_tilde_);
   // LU(S̃): nnz(L+U) values + row indices, plus the permutation vectors.
@@ -329,8 +409,60 @@ void SchurSolver::domain_solve_scratch(index_t l, std::span<const value_t> b,
   const std::span<value_t> ws(w.data(), static_cast<std::size_t>(nd));
   for (index_t kk = 0; kk < nd; ++kk) ws[kk] = b[f.rowmap[kk]];
   lower_solve_dense(f.lu.lower, ws, /*unit_diag=*/true);
-  upper_solve_dense(f.lu.upper, ws);
+  upper_solve_dense(f.lu.upper_t, ws);
   for (index_t j = 0; j < nd; ++j) z[f.colmap[j]] = ws[j];
+}
+
+SchurSolver::SweepLists SchurSolver::sweep_lists(
+    const Subdomain& sub, const SubdomainFactorization& f) {
+  // Position q of the factors reads local row rowmap[q] of Ê_ℓ and writes
+  // local unknown colmap[q], the column F̂_ℓ multiplies.
+  const index_t nd = f.lu.n;
+  SweepLists sw;
+  std::vector<char> mark(nd, 0);
+  for (index_t q = 0; q < nd; ++q) {
+    mark[q] = sub.ehat.row_nnz(f.rowmap[q]) > 0 ? 1 : 0;
+  }
+  sw.reach = close_ascending(f.lu.lower, mark);
+  std::vector<index_t> position_of(nd);
+  for (index_t q = 0; q < nd; ++q) position_of[f.colmap[q]] = q;
+  std::fill(mark.begin(), mark.end(), 0);
+  for (index_t c : sub.fhat.col_idx) mark[position_of[c]] = 1;
+  sw.need = close_ascending(f.lu.upper_t, mark);
+  return sw;
+}
+
+void SchurSolver::interface_solve(index_t l, SubdomainSolveScratch& ws,
+                                  bool need_only) const {
+  const Subdomain& sub = subs_[l];
+  const SubdomainFactorization& f = facts_[l];
+  const SweepLists& sw = sweeps_[l];
+  const CsrMatrix& e = sub.ehat;
+  const std::span<value_t> w(ws.w.data(), static_cast<std::size_t>(f.lu.n));
+  // The backward sweep reads the forward sweep's +0.0 outside the reach.
+  if (need_only) {
+    for (index_t q : sw.need) w[q] = 0.0;
+  } else {
+    std::fill(w.begin(), w.end(), 0.0);
+  }
+  // P·Ê·v at the reach, each row summed as spmv sums it (rows of Ê outside
+  // the reach are empty, and spmv would give them +0.0 too).
+  for (index_t q : sw.reach) {
+    const index_t i = f.rowmap[q];
+    value_t sum = 0.0;
+    for (index_t p = e.row_ptr[i]; p < e.row_ptr[i + 1]; ++p) {
+      sum += e.values[p] * ws.v[e.col_idx[p]];
+    }
+    w[q] = sum;
+  }
+  lower_solve_dense(f.lu.lower, w, /*unit_diag=*/true, sw.reach);
+  if (need_only) {
+    upper_solve_dense(f.lu.upper_t, w, sw.need);
+    for (index_t q : sw.need) ws.z[f.colmap[q]] = w[q];
+  } else {
+    upper_solve_dense(f.lu.upper_t, w);
+    for (index_t q = 0; q < f.lu.n; ++q) ws.z[f.colmap[q]] = w[q];
+  }
 }
 
 void SchurSolver::domain_solve(index_t l, std::span<const value_t> b,
@@ -341,11 +473,41 @@ void SchurSolver::domain_solve(index_t l, std::span<const value_t> b,
 
 // Implicit Schur operator: S y = C y − Σ_ℓ F̂_ℓ D_ℓ⁻¹ Ê_ℓ (R_Eᵀ y).
 //
-// The per-subdomain sweeps write only into the bound context's preallocated
-// scratch and run concurrently under the outer thread budget; the
-// separator-row subtractions are then stitched serially in subdomain order,
-// so the result is bitwise identical to the serial sweep for any thread
-// count (the same block-ordered-stitching discipline as direct/multirhs.cpp).
+// Each subdomain's sweep computes only what F̂_ℓ reads: L over the reach of
+// Ê_ℓ's rows, U over the `need` rows, each bitwise equal to the full solve
+// at the rows it keeps. The sweeps write only into the context's
+// preallocated scratch and run concurrently under the outer thread budget;
+// the separator-row subtractions are then stitched serially in subdomain
+// order, so the result is bitwise identical to the serial sweep for any
+// thread count (the same block-ordered-stitching discipline as
+// direct/multirhs.cpp).
+void SchurSolver::apply_schur(std::span<const value_t> y,
+                              std::span<value_t> out,
+                              SolveContext& ctx) const {
+  PDSLIN_SPAN("schur.apply");
+  ++ctx.applies;
+  spmv(c_block_, y, out);
+  for_each_subdomain([&](int l) {
+    PDSLIN_SPAN_I("schur.sweep", l);
+    const Subdomain& sub = subs_[l];
+    SubdomainSolveScratch& ws = ctx.sub[l];
+    for (std::size_t c = 0; c < sub.e_cols.size(); ++c) {
+      ws.v[c] = y[sub.e_cols[c]];
+    }
+    interface_solve(l, ws, /*need_only=*/true);
+    spmv(sub.fhat, ws.z, ws.r);
+  });
+  // Deterministic stitch: subdomains may share separator rows, so the
+  // subtraction order is fixed to ascending ℓ regardless of schedule.
+  for (index_t l = 0; l < opt_.num_subdomains; ++l) {
+    const Subdomain& sub = subs_[l];
+    const SubdomainSolveScratch& ws = ctx.sub[l];
+    for (std::size_t fr = 0; fr < sub.f_rows.size(); ++fr) {
+      out[sub.f_rows[fr]] -= ws.r[fr];
+    }
+  }
+}
+
 class SchurSolver::SchurOperator final : public LinearOperator {
  public:
   SchurOperator(const SchurSolver& s, SolveContext& ctx) : s_(s), ctx_(ctx) {}
@@ -353,29 +515,7 @@ class SchurSolver::SchurOperator final : public LinearOperator {
     return s_.dbbd_.separator_size();
   }
   void apply(std::span<const value_t> y, std::span<value_t> out) const override {
-    PDSLIN_SPAN("schur.apply");
-    ++ctx_.applies;
-    spmv(s_.c_block_, y, out);
-    s_.for_each_subdomain([&](int l) {
-      PDSLIN_SPAN_I("schur.sweep", l);
-      const Subdomain& sub = s_.subs_[l];
-      SubdomainSolveScratch& ws = ctx_.sub[l];
-      for (std::size_t c = 0; c < sub.e_cols.size(); ++c) {
-        ws.v[c] = y[sub.e_cols[c]];
-      }
-      spmv(sub.ehat, ws.v, ws.t);
-      s_.domain_solve_scratch(l, ws.t, ws.z, ws.w);
-      spmv(sub.fhat, ws.z, ws.r);
-    });
-    // Deterministic stitch: subdomains may share separator rows, so the
-    // subtraction order is fixed to ascending ℓ regardless of schedule.
-    for (index_t l = 0; l < s_.opt_.num_subdomains; ++l) {
-      const Subdomain& sub = s_.subs_[l];
-      const SubdomainSolveScratch& ws = ctx_.sub[l];
-      for (std::size_t fr = 0; fr < sub.f_rows.size(); ++fr) {
-        out[sub.f_rows[fr]] -= ws.r[fr];
-      }
-    }
+    s_.apply_schur(y, out, ctx_);
   }
 
  private:
@@ -441,8 +581,7 @@ GmresResult SchurSolver::solve_column(const SchurOperator& op,
     for (std::size_t c = 0; c < sub.e_cols.size(); ++c) {
       ws.v[c] = y[sub.e_cols[c]];
     }
-    spmv(sub.ehat, ws.v, ws.t);
-    domain_solve_scratch(l, ws.t, ws.z, ws.w);
+    interface_solve(l, ws, /*need_only=*/false);
     for (index_t i = 0; i < nd; ++i) {
       x[sub.interior[i]] = ws.dinv_f[i] - ws.z[i];
     }
@@ -488,6 +627,7 @@ std::vector<GmresResult> SchurSolver::solve_multi(std::span<const value_t> b,
   const auto n = static_cast<std::size_t>(a_.rows);
   PDSLIN_CHECK(b.size() == n * static_cast<std::size_t>(nrhs));
   PDSLIN_CHECK(x.size() == n * static_cast<std::size_t>(nrhs));
+  check_request_rhs(b);
   PDSLIN_SPAN("solve");
 
   prepare_context(ctx);

@@ -61,6 +61,17 @@ struct SolverOptions {
   std::uint64_t seed = 1;
 };
 
+/// The request check, shared by SchurSolver (each part where its input
+/// arrives: A in the constructor, the incidence in setup(), b in every
+/// solve) and serve::SolveService::submit (all parts, before queueing).
+/// Each throws pdslin::Error with a message that starts "invalid request: ".
+/// A must be square, pass CsrMatrix::validate() and hold values, all finite.
+void check_request_matrix(const CsrMatrix& a);
+/// The incidence (structural factor) must pass validate() and have n columns.
+void check_request_incidence(const CsrMatrix& m, index_t n);
+/// Every value of b must be finite.
+void check_request_rhs(std::span<const value_t> b);
+
 /// One entry of the SolverOptions field table (for_each_option).
 template <typename T>
 struct OptionField {
@@ -112,12 +123,13 @@ void for_each_option(Opt& o, F&& f) {
 
 class SchurSolver {
  public:
-  /// The matrix is copied; it must be square with numeric values.
+  /// The matrix is copied; it must pass check_request_matrix().
   SchurSolver(CsrMatrix a, SolverOptions opt);
 
   /// Phase 1 — compute the DBBD partition (Eq. (1)). RHB consumes the
   /// structural factor M; pass the generator's incidence or nullptr to build
-  /// a clique cover internally. NGD ignores `incidence`. The second
+  /// a clique cover internally. NGD ignores `incidence`; a nonempty one must
+  /// pass check_request_incidence() either way. The second
   /// parameter is not read: the partition depends on the matrix, the
   /// incidence and the options alone. It stays only for callers that still
   /// pass problem coordinates.
@@ -139,13 +151,13 @@ class SchurSolver {
 
   /// Everything one subdomain's solve-path sweep mutates (the per-worker
   /// scratch idiom of direct/multirhs.cpp): the packed interface gather,
-  /// the Ê·v product, the D⁻¹ result, the triangular-solve permutation
-  /// scratch, the F̂·z product, and D⁻¹f kept from the ĝ reduction for the
+  /// f_ℓ, the D⁻¹Ê·v result, the triangular-solve permutation scratch, the
+  /// F̂·z product, and D⁻¹f kept from the ĝ reduction for the
   /// back-substitution.
   struct SubdomainSolveScratch {
     std::vector<value_t> v;       // |e_cols| packed interface values
-    std::vector<value_t> t;       // Ê·v (interior dim)
-    std::vector<value_t> z;       // D⁻¹·t (interior dim)
+    std::vector<value_t> t;       // f_ℓ for the ĝ reduction (interior dim)
+    std::vector<value_t> z;       // D⁻¹Ê·v (interior dim)
     std::vector<value_t> w;       // permuted trisolve scratch (interior dim)
     std::vector<value_t> r;       // F̂·z (|f_rows|)
     std::vector<value_t> dinv_f;  // D⁻¹·f (interior dim)
@@ -180,7 +192,8 @@ class SchurSolver {
   void prepare_context(SolveContext& ctx) const;
 
   /// Phase 3 — solve A x = b (callable repeatedly; no heap allocation in
-  /// the Schur operator after the first call). Uses the solver's own
+  /// the Schur operator after the first call). b must pass
+  /// check_request_rhs(). Uses the solver's own
   /// context and updates stats(); NOT reentrant — use the const overloads
   /// for concurrent solves.
   GmresResult solve(std::span<const value_t> b, std::span<value_t> x);
@@ -224,13 +237,39 @@ class SchurSolver {
   void domain_solve(index_t l, std::span<const value_t> b,
                     std::span<value_t> z) const;
 
+  /// out = S·y = C·y − Σ_ℓ F̂_ℓ D_ℓ⁻¹ Ê_ℓ (R_Eᵀ y), the matrix-free operator
+  /// the Krylov solve applies, through ctx's scratch (counted in
+  /// ctx.applies; ctx must be prepared). Public for tests.
+  void apply_schur(std::span<const value_t> y, std::span<value_t> out,
+                   SolveContext& ctx) const;
+
  private:
   class SchurOperator;
+
+  /// The factor positions one subdomain's interface sweeps visit, recorded
+  /// by factor(). Ê_ℓ's columns are sparse right-hand sides, and only F̂_ℓ's
+  /// rows of D_ℓ⁻¹Ê_ℓ are read (paper §IV).
+  struct SweepLists {
+    /// Ascending: the L positions that Ê_ℓ's nonempty rows reach. After the
+    /// forward solve of any Ê_ℓ·v, every other position holds +0.0.
+    std::vector<index_t> reach;
+    /// Ascending: the U rows at F̂_ℓ's nonzero columns, closed under U's
+    /// rows — the rows of the backward solve that F̂_ℓ's product depends on.
+    std::vector<index_t> need;
+  };
 
   /// domain_solve through caller-provided scratch (no allocation).
   void domain_solve_scratch(index_t l, std::span<const value_t> b,
                             std::span<value_t> z,
                             std::vector<value_t>& w) const;
+  /// The sweep lists of one factored subdomain.
+  static SweepLists sweep_lists(const Subdomain& sub,
+                                const SubdomainFactorization& f);
+  /// ws.z = D_ℓ⁻¹ Ê_ℓ ws.v, the forward sweep over the reach only. With
+  /// `need_only` the backward sweep computes only the `need` rows and z is
+  /// written only there; otherwise z is complete.
+  void interface_solve(index_t l, SubdomainSolveScratch& ws,
+                       bool need_only) const;
   /// Run body(l) for every subdomain, fanned out over opt_.threads when
   /// > 1 (serial otherwise). Used by the operator apply, the ĝ reduction
   /// and the back-substitution.
@@ -244,6 +283,7 @@ class SchurSolver {
   DbbdPartition dbbd_;
   std::vector<Subdomain> subs_;
   std::vector<SubdomainFactorization> facts_;
+  std::vector<SweepLists> sweeps_;
   CsrMatrix c_block_;
   CsrMatrix s_tilde_;
   std::unique_ptr<SchurPreconditioner> precond_;

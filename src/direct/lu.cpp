@@ -201,23 +201,29 @@ LuFactors scalar_lu_factorize(const CscMatrix& a, const LuOptions& opt) {
     }
   }
 
-  CscMatrix& U = f.upper;
-  U = CscMatrix(n, n);
+  // U by rows: column i of Uᵀ is row i of U. Row j of U has no entry left
+  // of column j, so visiting U's columns in ascending order puts each row's
+  // diagonal first and the rest in ascending column order.
+  CscMatrix& Ut = f.upper_t;
+  Ut = CscMatrix(n, n);
+  for (index_t j = 0; j < n; ++j) {
+    ++Ut.col_ptr[j + 1];
+    for (index_t r : u_rows[j]) ++Ut.col_ptr[r + 1];
+  }
+  for (index_t i = 0; i < n; ++i) Ut.col_ptr[i + 1] += Ut.col_ptr[i];
+  Ut.row_idx.resize(Ut.col_ptr[n]);
+  Ut.values.resize(Ut.col_ptr[n]);
   {
-    std::vector<std::pair<index_t, value_t>> buf;
+    std::vector<index_t> next(Ut.col_ptr.begin(), Ut.col_ptr.end() - 1);
     for (index_t j = 0; j < n; ++j) {
-      buf.clear();
+      const index_t d = next[j]++;
+      Ut.row_idx[d] = j;
+      Ut.values[d] = u_diag[j];
       for (std::size_t k = 0; k < u_rows[j].size(); ++k) {
-        buf.emplace_back(u_rows[j][k], u_vals[j][k]);
+        const index_t slot = next[u_rows[j][k]]++;
+        Ut.row_idx[slot] = j;
+        Ut.values[slot] = u_vals[j][k];
       }
-      std::sort(buf.begin(), buf.end());
-      for (const auto& [r, v] : buf) {
-        U.row_idx.push_back(r);
-        U.values.push_back(v);
-      }
-      U.row_idx.push_back(j);  // diagonal last
-      U.values.push_back(u_diag[j]);
-      U.col_ptr[j + 1] = static_cast<index_t>(U.row_idx.size());
     }
   }
   return f;

@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "direct/supernodes.hpp"
 #include "sparse/csr.hpp"
 
 namespace pdslin {
@@ -75,26 +74,29 @@ struct LuPanelStats {
 /// stored explicitly) and U upper triangular. Row indices of both factors
 /// are pivot positions (i.e. the factors are those of the row-permuted
 /// matrix). row_perm[k] = original row that became pivot row k.
+///
+/// L is stored by columns and U by rows. `upper_t` holds the CSC arrays of
+/// Uᵀ: its column i is row i of U, sorted, diagonal first. The forward solve
+/// scatters L's columns and skips x_j == 0, which keeps the reach of a
+/// sparse right-hand side cheap. The backward solve gathers U's rows, so a
+/// caller that reads only some rows of U⁻¹x can compute only those (the
+/// Schur operator, core/schur_solver.cpp), and the W = F̂·U⁻¹ solve of the
+/// Schur assembly runs on `upper_t` as a lower-triangular factor.
 struct LuFactors {
   index_t n = 0;
-  CscMatrix lower;  // sorted columns, unit diagonal first in each column
-  CscMatrix upper;  // sorted columns, diagonal last in each column
+  CscMatrix lower;    // by columns, sorted, unit diagonal first
+  CscMatrix upper_t;  // U by rows: CSC of Uᵀ, sorted, diagonal first
   std::vector<index_t> row_perm;
-  /// Panel partition the supernodal kernel factored with (empty for the
-  /// scalar kernel) — kept for stats and the supernodal bench ablations.
-  Supernodes panels;
   LuPanelStats stats;
-  [[nodiscard]] long long fill_nnz() const { return lower.nnz() + upper.nnz(); }
-  /// Resident bytes of the factors incl. panel metadata (serve-layer cache
-  /// accounting; the packed dense panels themselves are transient).
+  [[nodiscard]] long long fill_nnz() const { return lower.nnz() + upper_t.nnz(); }
+  /// Resident bytes of the factors (serve-layer cache accounting; the packed
+  /// dense panels of the supernodal kernel are transient).
   [[nodiscard]] std::size_t memory_bytes() const {
     const auto csc = [](const CscMatrix& m) {
       return (m.col_ptr.size() + m.row_idx.size()) * sizeof(index_t) +
              m.values.size() * sizeof(value_t);
     };
-    return csc(lower) + csc(upper) +
-           (row_perm.size() + panels.start.size() + panels.of_column.size()) *
-               sizeof(index_t);
+    return csc(lower) + csc(upper_t) + row_perm.size() * sizeof(index_t);
   }
 };
 

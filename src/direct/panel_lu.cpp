@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "direct/kernels.hpp"
+#include "direct/supernodes.hpp"
 #include "direct/symbolic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -39,7 +40,6 @@ struct PanelSymbolic {
   std::size_t arena_cells = 0;
   std::vector<std::vector<UpdateEdge>> upd;  // per target, ascending src
   long long l_nnz_bound = 0;          // symbolic L entries (incl. diagonal)
-  long long u_nnz_bound = 0;
 };
 
 /// `sn`'s panels before column t (the one straddling t cut at t), then
@@ -92,7 +92,6 @@ PanelSymbolic panel_symbolic(const CscMatrix& a, const LuOptions& opt) {
   const CscMatrix lpat = cholesky_pattern(sym);  // diag-first, sorted
   const CscMatrix upat = transpose(lpat);        // col j = row j of L, sorted
   ps.l_nnz_bound = lpat.nnz();
-  ps.u_nnz_bound = upat.nnz();
 
   ps.sn_parent.resize(np);
   ps.row_ptr.assign(np + 1, 0);
@@ -319,13 +318,13 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
   return !abort.load(std::memory_order_relaxed);
 }
 
-/// Extract clean CSC factors from the packed panels. Pivots before the tail
-/// kept their diagonal, and every tail row sits at its pivot position, so
-/// panel rows are pivot positions — except the tail rows of earlier L
-/// columns, which carry original rows and are relabeled through the tail's
-/// exchanges (then re-sorted). Exact zeros (structural padding and
-/// numerically cancelled entries) are dropped, exactly as the scalar
-/// kernel's scatter drops them.
+/// Extract clean factors from the packed panels: L by columns, U by rows
+/// (direct/lu.hpp). Pivots before the tail kept their diagonal, and every
+/// tail row sits at its pivot position, so panel rows are pivot positions —
+/// except the tail rows of earlier L columns, which carry original rows and
+/// are relabeled through the tail's exchanges (then re-sorted). Exact zeros
+/// (structural padding and numerically cancelled entries) are dropped,
+/// exactly as the scalar kernel's scatter drops them.
 LuFactors panel_extract(const PanelSymbolic& ps,
                         const std::vector<value_t>& arena,
                         const std::vector<index_t>& tail_perm, bool relabel,
@@ -343,62 +342,84 @@ LuFactors panel_extract(const PanelSymbolic& ps,
   }
   std::vector<std::pair<index_t, value_t>> buf;
 
+  // Visit every factor column in ascending order: f(j, col, dpos, nr, prows).
+  const auto for_each_column = [&](auto&& fn) {
+    for (index_t p = 0; p < ps.sn.count(); ++p) {
+      const index_t c0 = ps.sn.start[p], c1 = ps.sn.start[p + 1];
+      const index_t* prows = ps.rows.data() + ps.row_ptr[p];
+      const index_t nr =
+          static_cast<index_t>(ps.row_ptr[p + 1] - ps.row_ptr[p]);
+      const value_t* pan = arena.data() + ps.arena_off[p];
+      for (index_t j = c0; j < c1; ++j) {
+        fn(j, pan + static_cast<std::size_t>(j - c0) * nr,
+           ps.tri0[p] + (j - c0), nr, prows);
+      }
+    }
+  };
+
   CscMatrix& L = f.lower;
-  CscMatrix& U = f.upper;
+  CscMatrix& Ut = f.upper_t;
   L = CscMatrix(n, n);
-  U = CscMatrix(n, n);
+  Ut = CscMatrix(n, n);
   L.row_idx.reserve(ps.l_nnz_bound);
   L.values.reserve(ps.l_nnz_bound);
-  U.row_idx.reserve(ps.u_nnz_bound);
-  U.values.reserve(ps.u_nnz_bound);
 
-  for (index_t p = 0; p < ps.sn.count(); ++p) {
-    const index_t c0 = ps.sn.start[p], c1 = ps.sn.start[p + 1];
-    const index_t* prows = ps.rows.data() + ps.row_ptr[p];
-    const index_t nr = static_cast<index_t>(ps.row_ptr[p + 1] - ps.row_ptr[p]);
-    const value_t* pan = arena.data() + ps.arena_off[p];
-    for (index_t j = c0; j < c1; ++j) {
-      const value_t* col = pan + static_cast<std::size_t>(j - c0) * nr;
-      const index_t dpos = ps.tri0[p] + (j - c0);
-      for (index_t i = 0; i < dpos; ++i) {
-        const value_t v = col[i];
-        if (v != 0.0) {
-          U.row_idx.push_back(prows[i]);
-          U.values.push_back(v);
-        }
-      }
-      U.row_idx.push_back(j);  // diagonal last
-      U.values.push_back(col[dpos]);
-      U.col_ptr[j + 1] = static_cast<index_t>(U.row_idx.size());
-
-      L.row_idx.push_back(j);  // unit diagonal first
-      L.values.push_back(1.0);
-      const std::size_t first = L.row_idx.size();
-      for (index_t i = dpos + 1; i < nr; ++i) {
-        const value_t v = col[i];
-        if (v != 0.0) {
-          L.row_idx.push_back(prows[i]);
-          L.values.push_back(v);
-        }
-      }
-      if (relabel && j < ps.tail) {
-        const auto tail0 = std::lower_bound(
-            L.row_idx.begin() + static_cast<std::ptrdiff_t>(first),
-            L.row_idx.end(), ps.tail);
-        const std::size_t q0 =
-            static_cast<std::size_t>(tail0 - L.row_idx.begin());
-        buf.clear();
-        for (std::size_t q = q0; q < L.row_idx.size(); ++q) {
-          buf.emplace_back(pinv[L.row_idx[q]], L.values[q]);
-        }
-        std::sort(buf.begin(), buf.end());
-        for (std::size_t q = q0; q < L.row_idx.size(); ++q) {
-          std::tie(L.row_idx[q], L.values[q]) = buf[q - q0];
-        }
-      }
-      L.col_ptr[j + 1] = static_cast<index_t>(L.row_idx.size());
+  // U by rows: count each row's entries first. Row j of U has no entry left
+  // of column j, so filling in ascending column order puts each row's
+  // diagonal first and the rest in ascending column order.
+  for_each_column([&](index_t j, const value_t* col, index_t dpos, index_t,
+                      const index_t* prows) {
+    ++Ut.col_ptr[j + 1];
+    for (index_t i = 0; i < dpos; ++i) {
+      if (col[i] != 0.0) ++Ut.col_ptr[prows[i] + 1];
     }
-  }
+  });
+  for (index_t i = 0; i < n; ++i) Ut.col_ptr[i + 1] += Ut.col_ptr[i];
+  Ut.row_idx.resize(Ut.col_ptr[n]);
+  Ut.values.resize(Ut.col_ptr[n]);
+  std::vector<index_t> next(Ut.col_ptr.begin(), Ut.col_ptr.end() - 1);
+
+  for_each_column([&](index_t j, const value_t* col, index_t dpos, index_t nr,
+                      const index_t* prows) {
+    const index_t d = next[j]++;
+    Ut.row_idx[d] = j;
+    Ut.values[d] = col[dpos];
+    for (index_t i = 0; i < dpos; ++i) {
+      const value_t v = col[i];
+      if (v != 0.0) {
+        const index_t slot = next[prows[i]]++;
+        Ut.row_idx[slot] = j;
+        Ut.values[slot] = v;
+      }
+    }
+
+    L.row_idx.push_back(j);  // unit diagonal first
+    L.values.push_back(1.0);
+    const std::size_t first = L.row_idx.size();
+    for (index_t i = dpos + 1; i < nr; ++i) {
+      const value_t v = col[i];
+      if (v != 0.0) {
+        L.row_idx.push_back(prows[i]);
+        L.values.push_back(v);
+      }
+    }
+    if (relabel && j < ps.tail) {
+      const auto tail0 = std::lower_bound(
+          L.row_idx.begin() + static_cast<std::ptrdiff_t>(first),
+          L.row_idx.end(), ps.tail);
+      const std::size_t q0 =
+          static_cast<std::size_t>(tail0 - L.row_idx.begin());
+      buf.clear();
+      for (std::size_t q = q0; q < L.row_idx.size(); ++q) {
+        buf.emplace_back(pinv[L.row_idx[q]], L.values[q]);
+      }
+      std::sort(buf.begin(), buf.end());
+      for (std::size_t q = q0; q < L.row_idx.size(); ++q) {
+        std::tie(L.row_idx[q], L.values[q]) = buf[q - q0];
+      }
+    }
+    L.col_ptr[j + 1] = static_cast<index_t>(L.row_idx.size());
+  });
   return f;
 }
 
@@ -422,12 +443,12 @@ std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
   LuFactors f = panel_extract(ps, arena, tail_perm, stats.tail_pivots > 0,
                               a.rows);
   // Reported panels: the tail in the blocks it was factored in.
-  f.panels = cut_at_tail(ps.sn, ps.tail, opt.panel_max_width);
+  const Supernodes panels = cut_at_tail(ps.sn, ps.tail, opt.panel_max_width);
   stats.used_panel = true;
-  stats.panel_count = f.panels.count();
-  stats.avg_width = f.panels.average_width();
-  stats.max_width = f.panels.max_width();
-  stats.wide_col_fraction = f.panels.wide_column_fraction(4);
+  stats.panel_count = panels.count();
+  stats.avg_width = panels.average_width();
+  stats.max_width = panels.max_width();
+  stats.wide_col_fraction = panels.wide_column_fraction(4);
   stats.panel_bytes = static_cast<long long>(ps.arena_cells) *
                       static_cast<long long>(sizeof(value_t));
   f.stats = stats;

@@ -7,41 +7,81 @@
 
 namespace pdslin {
 
+namespace {
+
+// Column j of the forward sweep; takes the arrays as pointers, as upper_row.
+inline void lower_column(const index_t* ptr, const index_t* idx,
+                         const value_t* val, value_t* x, bool unit_diag,
+                         index_t j) {
+  const index_t begin = ptr[j];
+  const index_t end = ptr[j + 1];
+  PDSLIN_ASSERT(begin < end && idx[begin] == j);
+  if (!unit_diag) {
+    PDSLIN_CHECK_MSG(val[begin] != 0.0,
+                     "matrix is singular at column " + std::to_string(j));
+    x[j] /= val[begin];
+  }
+  const value_t xj = x[j];
+  if (xj == 0.0) return;
+  for (index_t p = begin + 1; p < end; ++p) x[idx[p]] -= val[p] * xj;
+}
+
+// Row i of U: x_i = (b_i − Σ_{j>i} U_ij·x_j) / U_ii, subtracting in
+// descending j and skipping x_j == 0 — what a scatter of U's columns from
+// the last one down does to x_i, operation for operation. Takes the arrays
+// of `ut` (U by rows, diagonal first) as pointers, so that the stores to x
+// cannot make the compiler reload them.
+inline void upper_row(const index_t* ptr, const index_t* idx,
+                      const value_t* val, value_t* x, index_t i) {
+  const index_t begin = ptr[i];
+  PDSLIN_ASSERT(begin < ptr[i + 1] && idx[begin] == i);
+  value_t s = x[i];
+  for (index_t p = ptr[i + 1] - 1; p > begin; --p) {
+    const value_t xj = x[idx[p]];
+    if (xj != 0.0) s -= val[p] * xj;
+  }
+  PDSLIN_CHECK_MSG(val[begin] != 0.0,
+                   "matrix is singular at column " + std::to_string(i));
+  x[i] = s / val[begin];
+}
+
+}  // namespace
+
 void lower_solve_dense(const CscMatrix& l, std::span<value_t> x, bool unit_diag) {
   PDSLIN_CHECK(l.rows == l.cols);
   PDSLIN_CHECK(x.size() == static_cast<std::size_t>(l.cols));
   for (index_t j = 0; j < l.cols; ++j) {
-    const index_t begin = l.col_ptr[j];
-    const index_t end = l.col_ptr[j + 1];
-    PDSLIN_ASSERT(begin < end && l.row_idx[begin] == j);
-    if (!unit_diag) {
-      PDSLIN_CHECK_MSG(l.values[begin] != 0.0,
-                       "matrix is singular at column " + std::to_string(j));
-      x[j] /= l.values[begin];
-    }
-    const value_t xj = x[j];
-    if (xj == 0.0) continue;
-    for (index_t p = begin + 1; p < end; ++p) {
-      x[l.row_idx[p]] -= l.values[p] * xj;
-    }
+    lower_column(l.col_ptr.data(), l.row_idx.data(), l.values.data(),
+                 x.data(), unit_diag, j);
   }
 }
 
-void upper_solve_dense(const CscMatrix& u, std::span<value_t> x) {
-  PDSLIN_CHECK(u.rows == u.cols);
-  PDSLIN_CHECK(x.size() == static_cast<std::size_t>(u.cols));
-  for (index_t j = u.cols - 1; j >= 0; --j) {
-    const index_t begin = u.col_ptr[j];
-    const index_t end = u.col_ptr[j + 1];
-    PDSLIN_ASSERT(begin < end && u.row_idx[end - 1] == j);
-    PDSLIN_CHECK_MSG(u.values[end - 1] != 0.0,
-                     "matrix is singular at column " + std::to_string(j));
-    x[j] /= u.values[end - 1];
-    const value_t xj = x[j];
-    if (xj == 0.0) continue;
-    for (index_t p = begin; p < end - 1; ++p) {
-      x[u.row_idx[p]] -= u.values[p] * xj;
-    }
+void lower_solve_dense(const CscMatrix& l, std::span<value_t> x, bool unit_diag,
+                       std::span<const index_t> cols) {
+  PDSLIN_CHECK(l.rows == l.cols);
+  PDSLIN_CHECK(x.size() == static_cast<std::size_t>(l.cols));
+  for (index_t j : cols) {
+    lower_column(l.col_ptr.data(), l.row_idx.data(), l.values.data(),
+                 x.data(), unit_diag, j);
+  }
+}
+
+void upper_solve_dense(const CscMatrix& ut, std::span<value_t> x) {
+  PDSLIN_CHECK(ut.rows == ut.cols);
+  PDSLIN_CHECK(x.size() == static_cast<std::size_t>(ut.cols));
+  for (index_t i = ut.cols - 1; i >= 0; --i) {
+    upper_row(ut.col_ptr.data(), ut.row_idx.data(), ut.values.data(),
+              x.data(), i);
+  }
+}
+
+void upper_solve_dense(const CscMatrix& ut, std::span<value_t> x,
+                       std::span<const index_t> rows) {
+  PDSLIN_CHECK(ut.rows == ut.cols);
+  PDSLIN_CHECK(x.size() == static_cast<std::size_t>(ut.cols));
+  for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
+    upper_row(ut.col_ptr.data(), ut.row_idx.data(), ut.values.data(),
+              x.data(), *it);
   }
 }
 
@@ -51,7 +91,7 @@ void lu_solve(const LuFactors& f, std::span<const value_t> b,
   PDSLIN_CHECK(x.size() == static_cast<std::size_t>(f.n));
   for (index_t k = 0; k < f.n; ++k) x[k] = b[f.row_perm[k]];
   lower_solve_dense(f.lower, x, /*unit_diag=*/true);
-  upper_solve_dense(f.upper, x);
+  upper_solve_dense(f.upper_t, x);
 }
 
 SparseLowerSolver::SparseLowerSolver(const CscMatrix& l)

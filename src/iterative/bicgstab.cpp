@@ -66,8 +66,13 @@ BicgstabResult bicgstab(const LinearOperator& a, const LinearOperator* precond,
 
   std::fill(p.begin(), p.end(), 0.0);
   std::fill(v.begin(), v.end(), 0.0);
-  a.apply(x, r);
-  for (index_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
+  // r = b − A x; for x = 0, A·x is +0.0 and r is b bit for bit.
+  if (is_zero(x)) {
+    std::copy(b.begin(), b.end(), r.begin());
+  } else {
+    a.apply(x, r);
+    for (index_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
+  }
   std::copy(r.begin(), r.end(), r0.begin());
 
   // Last finite iterate: restored on breakdown so x never carries NaN/Inf

@@ -93,9 +93,14 @@ GmresResult gmres(const LinearOperator& a, const LinearOperator* precond,
   while (result.iterations < opt.max_iterations) {
     if (result.iterations > 0) restart_counter.add();
     // r = b − A x (true residual: every restart cycle — and every happy
-    // breakdown, see below — re-anchors on it).
-    a.apply(x, tmp);
-    for (index_t i = 0; i < n; ++i) v[0][i] = b[i] - tmp[i];
+    // breakdown, see below — re-anchors on it). For x = 0, A·x is +0.0
+    // and b − (+0.0) is b bit for bit, so the apply is skipped.
+    if (is_zero(x)) {
+      std::copy(b.begin(), b.end(), v[0].begin());
+    } else {
+      a.apply(x, tmp);
+      for (index_t i = 0; i < n; ++i) v[0][i] = b[i] - tmp[i];
+    }
     const value_t beta = norm2(std::span<const value_t>(v[0].data(), n));
     result.relative_residual = beta / bnorm;
     if (result.relative_residual <= opt.rel_tolerance) {

@@ -9,13 +9,23 @@
 
 namespace pdslin {
 
-/// Abstract y = Op(x) for square operators.
+/// Abstract y = Op(x) for square operators. The Krylov solvers never apply
+/// an operator to an exactly zero vector: they take Op·0 = +0.0 in every
+/// entry, which holds for any operator with finite entries.
 class LinearOperator {
  public:
   virtual ~LinearOperator() = default;
   [[nodiscard]] virtual index_t size() const = 0;
   virtual void apply(std::span<const value_t> x, std::span<value_t> y) const = 0;
 };
+
+/// True when every entry of x is zero (of either sign).
+[[nodiscard]] inline bool is_zero(std::span<const value_t> x) {
+  for (value_t v : x) {
+    if (v != 0.0) return false;
+  }
+  return true;
+}
 
 /// Operator wrapping an explicit sparse matrix.
 class MatrixOperator final : public LinearOperator {

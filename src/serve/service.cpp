@@ -103,14 +103,24 @@ std::future<SolveResponse> SolveService::submit(SolveRequest req) {
   std::promise<SolveResponse> promise;
   std::future<SolveResponse> fut = promise.get_future();
 
-  // Validate outside the lock; a malformed request fails immediately.
-  if (!req.a || req.a->rows != req.a->cols || !req.a->has_values() ||
-      req.nrhs < 1 ||
-      req.b.size() != static_cast<std::size_t>(req.a ? req.a->rows : 0) *
-                          static_cast<std::size_t>(req.nrhs)) {
+  // The request check runs outside the lock, before the fingerprint: a
+  // malformed request fails immediately and never reaches a pool task.
+  try {
+    if (!req.a) throw Error("invalid request: no matrix");
+    check_request_matrix(*req.a);
+    if (req.incidence && req.incidence->rows > 0) {
+      check_request_incidence(*req.incidence, req.a->cols);
+    }
+    if (req.nrhs < 1 ||
+        req.b.size() != static_cast<std::size_t>(req.a->rows) *
+                            static_cast<std::size_t>(req.nrhs)) {
+      throw Error("invalid request: b is not n x nrhs");
+    }
+    check_request_rhs(req.b);
+  } catch (const Error& e) {
     SolveResponse r;
     r.status = ServeStatus::Failed;
-    r.detail = "invalid request: need a square valued matrix and an n x nrhs b";
+    r.detail = e.what();
     promise.set_value(std::move(r));
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.completed;

@@ -5,7 +5,9 @@
 //
 // Request lifecycle — every request is answered on its own, as one task on
 // the shared thread pool:
-//   submit() → bounded queue (reject-with-status when full — backpressure)
+//   submit() → the request check (a malformed matrix, incidence or b, or a
+//              non-finite value, is answered Failed at once)
+//            → bounded queue (reject-with-status when full — backpressure)
 //            → a task starts for it while fewer than config.workers run;
 //              a task that ends hands its slot to the next queued request
 //              (the solver's own two-level parallelism runs inside the same
@@ -124,8 +126,11 @@ class SolveService {
   SolveService& operator=(const SolveService&) = delete;
 
   /// Enqueue a request. The future is always eventually satisfied — with
-  /// Rejected immediately when the queue is full or the service is
-  /// stopping, with Timeout/Degraded/Failed per the ladder otherwise.
+  /// Failed ("invalid request: …") immediately when the request check
+  /// (check_request_matrix/_incidence/_rhs in core/schur_solver.hpp, and b
+  /// of n × nrhs values) fails, with Rejected immediately when the queue is
+  /// full or the service is stopping, with Timeout/Degraded/Failed per the
+  /// ladder otherwise.
   std::future<SolveResponse> submit(SolveRequest req);
 
   /// submit() + wait.

@@ -277,8 +277,8 @@ TEST(Invariants, LuResidualCheckerCatchesCorruptedFactor) {
   check_lu_residual(ac, f, 1e-9, clean);
   EXPECT_TRUE(clean.ok()) << clean.summary();
 
-  ASSERT_FALSE(f.upper.values.empty());
-  f.upper.values.back() += 0.5;  // corrupt one U entry
+  ASSERT_FALSE(f.upper_t.values.empty());
+  f.upper_t.values.back() += 0.5;  // corrupt one U entry
   CheckReport rep;
   check_lu_residual(ac, f, 1e-9, rep);
   EXPECT_TRUE(rep.has("lu.residual"));

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <numeric>
 #include <string>
 
@@ -164,14 +166,14 @@ TEST(Lu, FactorsReproduceMatrix) {
   Rng rng(31);
   const CsrMatrix a = testing::random_pattern_symmetric(40, 0.15, rng);
   const LuFactors f = lu_factorize(a);
-  // L·U must equal P·A: check via dense.
+  // L·U must equal P·A: check via dense (U is stored by rows, as Uᵀ).
   const auto dl = to_dense(f.lower);
-  const auto du = to_dense(f.upper);
+  const auto dut = to_dense(f.upper_t);
   const auto da = to_dense(a);
   for (index_t i = 0; i < a.rows; ++i) {
     for (index_t j = 0; j < a.cols; ++j) {
       value_t s = 0.0;
-      for (index_t k = 0; k < a.rows; ++k) s += dl[i][k] * du[k][j];
+      for (index_t k = 0; k < a.rows; ++k) s += dl[i][k] * dut[j][k];
       EXPECT_NEAR(s, da[f.row_perm[i]][j], 1e-10);
     }
   }
@@ -345,24 +347,132 @@ TEST(TriSolve, UpperSolveMatchesDense) {
   const LuFactors f = lu_factorize(a);
   std::vector<value_t> b(30);
   for (auto& v : b) v = rng.uniform(-1, 1);
-  // x = U⁻¹ b via the sparse kernel, checked against dense U.
+  // x = U⁻¹ b via the sparse kernel, checked against dense U (= Uᵀ's
+  // transpose).
   std::vector<value_t> x = b;
-  upper_solve_dense(f.upper, x);
-  const auto du = to_dense(f.upper);
+  upper_solve_dense(f.upper_t, x);
+  const auto dut = to_dense(f.upper_t);
   for (index_t i = 0; i < 30; ++i) {
     value_t s = 0.0;
-    for (index_t j = 0; j < 30; ++j) s += du[i][j] * x[j];
+    for (index_t j = 0; j < 30; ++j) s += dut[j][i] * x[j];
     EXPECT_NEAR(s, b[i], 1e-10);
+  }
+}
+
+/// The column-scatter backward solve on U stored by columns (diagonal
+/// last): for j from the last column down, x_j /= U_jj and, unless x_j is
+/// zero, x_i −= U_ij·x_j down the column. The row gather must give its bits.
+void scatter_upper_solve(const CscMatrix& u, std::vector<value_t>& x) {
+  for (index_t j = u.cols - 1; j >= 0; --j) {
+    const index_t end = u.col_ptr[j + 1];
+    x[j] /= u.values[end - 1];
+    const value_t xj = x[j];
+    if (xj == 0.0) continue;
+    for (index_t p = u.col_ptr[j]; p < end - 1; ++p) {
+      x[u.row_idx[p]] -= u.values[p] * xj;
+    }
+  }
+}
+
+/// U by rows (LuFactors::upper_t) from U's CSR arrays, which are Uᵀ's CSC.
+CscMatrix rows_of(const CsrMatrix& u) {
+  CscMatrix ut(u.cols, u.rows);
+  ut.col_ptr = u.row_ptr;
+  ut.row_idx = u.col_idx;
+  ut.values = u.values;
+  return ut;
+}
+
+bool same_bits(const std::vector<value_t>& a, const std::vector<value_t>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(value_t)) == 0;
+}
+
+TEST(TriSolve, UpperGatherGivesColumnScatterBits) {
+  // Solution x = (1, +0.0, −0.0, +0.0): each zero x_j is skipped, as the
+  // scatter skips its column. Without the skip row 1 would compute
+  // ((−0.0 − 5·(+0.0)) − 1·(−0.0)) / −2 = −0.0 instead of +0.0.
+  const CsrMatrix u = testing::from_dense({{1, 3, -1, 2},
+                                           {0, -2, 1, 5},
+                                           {0, 0, -1, 4},
+                                           {0, 0, 0, 3}});
+  const std::vector<value_t> b{1.0, -0.0, 0.0, 0.0};
+  std::vector<value_t> gather = b, scatter = b;
+  upper_solve_dense(rows_of(u), gather);
+  scatter_upper_solve(csr_to_csc(u), scatter);
+  EXPECT_TRUE(same_bits(gather, scatter));
+  EXPECT_TRUE(std::signbit(gather[2]));
+  EXPECT_FALSE(std::signbit(gather[1]));
+
+  // An LU factor and a right-hand side with zero entries: the subtraction
+  // order (descending column) decides the rounding of every row.
+  Rng rng(67);
+  const LuFactors f = lu_factorize(testing::random_pattern_symmetric(60, 0.1, rng));
+  std::vector<value_t> x(60);
+  for (auto& v : x) v = rng.uniform(-1, 1) < -0.5 ? 0.0 : rng.uniform(-1, 1);
+  gather = x;
+  scatter = x;
+  upper_solve_dense(f.upper_t, gather);
+  scatter_upper_solve(transpose(f.upper_t), scatter);
+  EXPECT_TRUE(same_bits(gather, scatter));
+}
+
+TEST(TriSolve, SweepsOverClosedListsMatchTheFullSolve) {
+  Rng rng(71);
+  const LuFactors f = lu_factorize(testing::random_pattern_symmetric(80, 0.04, rng));
+  const index_t n = f.n;
+  // b nonzero at three positions; the forward sweep over their reach
+  // (closed under L's columns) is the full sweep, bit for bit.
+  std::vector<value_t> b(n, 0.0);
+  std::vector<char> mark(n, 0);
+  for (index_t i : {5, 23, 41}) {
+    b[i] = rng.uniform(-1, 1);
+    mark[i] = 1;
+  }
+  std::vector<index_t> reach;
+  for (index_t j = 0; j < n; ++j) {
+    if (mark[j] == 0) continue;
+    reach.push_back(j);
+    for (index_t r : f.lower.col_rows(j)) mark[r] = 1;
+  }
+  ASSERT_LT(reach.size(), static_cast<std::size_t>(n));
+  std::vector<value_t> full = b, part = b;
+  lower_solve_dense(f.lower, full, /*unit_diag=*/true);
+  lower_solve_dense(f.lower, part, /*unit_diag=*/true, reach);
+  EXPECT_TRUE(same_bits(full, part));
+
+  // The backward sweep over rows {10, 50} closed under U's rows computes
+  // exactly those rows of the full solve and leaves the others as they were.
+  std::fill(mark.begin(), mark.end(), 0);
+  mark[10] = mark[50] = 1;
+  std::vector<index_t> need;
+  for (index_t i = 0; i < n; ++i) {
+    if (mark[i] == 0) continue;
+    need.push_back(i);
+    for (index_t j : f.upper_t.col_rows(i)) mark[j] = 1;
+  }
+  ASSERT_LT(need.size(), static_cast<std::size_t>(n));
+  std::vector<value_t> y(n);
+  for (auto& v : y) v = rng.uniform(-1, 1);
+  full = y;
+  part = y;
+  upper_solve_dense(f.upper_t, full);
+  upper_solve_dense(f.upper_t, part, need);
+  for (index_t i = 0; i < n; ++i) {
+    const bool in_need = std::binary_search(need.begin(), need.end(), i);
+    const value_t expect = in_need ? full[i] : y[i];
+    EXPECT_EQ(0, std::memcmp(&part[i], &expect, sizeof(value_t))) << i;
   }
 }
 
 CscMatrix tiny_upper_zero_diag() {
   // U = [[1, 2], [0, 0]] — structurally present but numerically zero pivot.
-  CscMatrix u(2, 2);
-  u.col_ptr = {0, 1, 3};
-  u.row_idx = {0, 0, 1};
-  u.values = {1.0, 2.0, 0.0};
-  return u;
+  // Stored by rows (CSC of Uᵀ, diagonal first).
+  CscMatrix ut(2, 2);
+  ut.col_ptr = {0, 2, 3};
+  ut.row_idx = {0, 1, 1};
+  ut.values = {1.0, 2.0, 0.0};
+  return ut;
 }
 
 TEST(TriSolve, UpperSolveDenseZeroPivotThrows) {

@@ -157,6 +157,77 @@ TEST(Gmres, WorkspaceReuseIsAllocationFreeAndBitwiseStable) {
   EXPECT_EQ(ws.allocations, allocs_after_first);
 }
 
+/// Counts its applies and whether any of them was given an exactly zero
+/// vector (which the Krylov solvers promise never to do).
+class CountingOperator final : public LinearOperator {
+ public:
+  explicit CountingOperator(const CsrMatrix& a) : op_(a) {}
+  [[nodiscard]] index_t size() const override { return op_.size(); }
+  void apply(std::span<const value_t> x, std::span<value_t> y) const override {
+    ++applies;
+    zero_inputs += is_zero(x) ? 1 : 0;
+    op_.apply(x, y);
+  }
+  mutable int applies = 0;
+  mutable int zero_inputs = 0;
+
+ private:
+  MatrixOperator op_;
+};
+
+TEST(Gmres, ZeroInitialGuessSkipsTheResidualApply) {
+  const CsrMatrix a = testing::grid_laplacian(8, 8);
+  Rng rng(41);
+  std::vector<value_t> b(a.rows), x0(a.rows);
+  for (auto& v : b) v = rng.uniform(-1, 1);
+  for (auto& v : x0) v = rng.uniform(-1, 1);
+  GmresOptions opt;
+  opt.restart = 80;  // one cycle: no restart residual, no final check
+
+  const CountingOperator zero_op(a);
+  std::vector<value_t> x(a.rows, 0.0);
+  const GmresResult rz = gmres(zero_op, nullptr, b, x, opt);
+  ASSERT_TRUE(rz.converged);
+  EXPECT_EQ(zero_op.applies, rz.iterations);
+  EXPECT_EQ(zero_op.zero_inputs, 0);
+
+  const CountingOperator guess_op(a);
+  std::vector<value_t> xg = x0;
+  const GmresResult rg = gmres(guess_op, nullptr, b, xg, opt);
+  ASSERT_TRUE(rg.converged);
+  EXPECT_EQ(guess_op.applies, rg.iterations + 1);
+
+  // −0.0 counts as zero, and the iterate is the one a +0.0 start gives.
+  const CountingOperator neg_op(a);
+  std::vector<value_t> xn(a.rows, -0.0);
+  const GmresResult rn = gmres(neg_op, nullptr, b, xn, opt);
+  EXPECT_EQ(neg_op.applies, rn.iterations);
+  EXPECT_EQ(rn.iterations, rz.iterations);
+  EXPECT_EQ(xn, x);
+}
+
+TEST(Bicgstab, ZeroInitialGuessSkipsTheResidualApply) {
+  // A = 2I: one iteration (one apply, then the s-check exits) and the final
+  // true-residual apply; a nonzero guess adds the initial residual apply.
+  const CsrMatrix a = testing::from_dense({{2, 0, 0}, {0, 2, 0}, {0, 0, 2}});
+  const std::vector<value_t> b{1, -2, 3};
+
+  const CountingOperator zero_op(a);
+  std::vector<value_t> x(3, 0.0);
+  const BicgstabResult rz = bicgstab(zero_op, nullptr, b, x);
+  ASSERT_TRUE(rz.converged);
+  EXPECT_EQ(rz.iterations, 1);
+  EXPECT_EQ(zero_op.applies, 2);
+  EXPECT_EQ(zero_op.zero_inputs, 0);
+
+  const CountingOperator guess_op(a);
+  std::vector<value_t> xg{0.25, 0.5, -1.0};
+  const BicgstabResult rg = bicgstab(guess_op, nullptr, b, xg);
+  ASSERT_TRUE(rg.converged);
+  EXPECT_EQ(rg.iterations, 1);
+  EXPECT_EQ(guess_op.applies, 3);
+}
+
 TEST(Bicgstab, SolvesLaplacian) {
   const CsrMatrix a = testing::grid_laplacian(10, 10);
   const MatrixOperator op(a);

@@ -36,29 +36,29 @@ void expect_factors_bitwise(const LuFactors& a, const LuFactors& b,
   EXPECT_EQ(a.row_perm, b.row_perm) << what;
   ASSERT_EQ(a.lower.col_ptr, b.lower.col_ptr) << what;
   ASSERT_EQ(a.lower.row_idx, b.lower.row_idx) << what;
-  ASSERT_EQ(a.upper.col_ptr, b.upper.col_ptr) << what;
-  ASSERT_EQ(a.upper.row_idx, b.upper.row_idx) << what;
+  ASSERT_EQ(a.upper_t.col_ptr, b.upper_t.col_ptr) << what;
+  ASSERT_EQ(a.upper_t.row_idx, b.upper_t.row_idx) << what;
   ASSERT_EQ(a.lower.values.size(), b.lower.values.size()) << what;
-  ASSERT_EQ(a.upper.values.size(), b.upper.values.size()) << what;
+  ASSERT_EQ(a.upper_t.values.size(), b.upper_t.values.size()) << what;
   // memcmp, not ==: bitwise means bitwise (0.0 vs -0.0 must not slip by).
   EXPECT_EQ(0, std::memcmp(a.lower.values.data(), b.lower.values.data(),
                            a.lower.values.size() * sizeof(value_t)))
       << what;
-  EXPECT_EQ(0, std::memcmp(a.upper.values.data(), b.upper.values.data(),
-                           a.upper.values.size() * sizeof(value_t)))
+  EXPECT_EQ(0, std::memcmp(a.upper_t.values.data(), b.upper_t.values.data(),
+                           a.upper_t.values.size() * sizeof(value_t)))
       << what;
 }
 
 /// ‖L·U − P·A‖_max via the dense oracle.
 double dense_lu_residual(const CsrMatrix& a, const LuFactors& f) {
   const auto l = to_dense(f.lower);
-  const auto u = to_dense(f.upper);
+  const auto ut = to_dense(f.upper_t);  // Uᵀ
   const auto ad = to_dense(a);
   double worst = 0.0;
   for (index_t i = 0; i < f.n; ++i) {
     for (index_t j = 0; j < f.n; ++j) {
       value_t lu = 0.0;
-      for (index_t k = 0; k < f.n; ++k) lu += l[i][k] * u[k][j];
+      for (index_t k = 0; k < f.n; ++k) lu += l[i][k] * ut[j][k];
       worst = std::max(worst, std::abs(lu - ad[f.row_perm[i]][j]));
     }
   }
@@ -345,7 +345,7 @@ TEST(PanelLu, WidthCapAndRelaxationKnobs) {
   expect_factors_bitwise(fs, lu_factorize(a, unlimited), "unlimited width");
 }
 
-TEST(PanelLu, MemoryBytesCoversPanelMetadata) {
+TEST(PanelLu, MemoryBytesEqualAcrossKernels) {
   const CsrMatrix a = ordered_matrix(testing::grid_laplacian(8, 8));
   LuOptions scalar;
   scalar.kernel = LuKernel::Scalar;
@@ -353,12 +353,12 @@ TEST(PanelLu, MemoryBytesCoversPanelMetadata) {
   panel.kernel = LuKernel::Panel;
   const LuFactors fs = lu_factorize(a, scalar);
   const LuFactors fp = lu_factorize(a, panel);
-  // Same CSC factors, but the panel result additionally owns the supernode
-  // partition — the serve cache must account for it.
-  EXPECT_GT(fp.memory_bytes(), fs.memory_bytes());
+  // The panel kernel keeps nothing beside the factors: its packed panels
+  // and panel partition are transient, so both kernels charge the same.
+  EXPECT_EQ(fp.memory_bytes(), fs.memory_bytes());
   EXPECT_GE(fs.memory_bytes(),
             fs.lower.values.size() * sizeof(value_t) +
-                fs.upper.values.size() * sizeof(value_t));
+                fs.upper_t.values.size() * sizeof(value_t));
 }
 
 TEST(PanelLu, FullSolveBitwiseAcrossKernels) {

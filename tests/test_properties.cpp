@@ -80,7 +80,7 @@ TEST_P(SeedSweep, LuSolvesRandomSymmetricPatternSystems) {
   EXPECT_LT(residual_norm(a, x, b) / norm2(b), 1e-10);
   // Factor sizes: L and U each have at least the dimension (diagonals).
   EXPECT_GE(f.lower.nnz(), 80);
-  EXPECT_GE(f.upper.nnz(), 80);
+  EXPECT_GE(f.upper_t.nnz(), 80);
   EXPECT_TRUE(is_permutation(f.row_perm, 80));
 }
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -556,6 +557,56 @@ TEST(ServeService, InvalidRequestFailsFast) {
   const auto resp = service.solve(std::move(bad));
   EXPECT_EQ(resp.status, ServeStatus::Failed);
   EXPECT_FALSE(resp.detail.empty());
+}
+
+// One request check before the queue: a malformed matrix or incidence, or
+// a non-finite value in A or b, is answered Failed with "invalid request:"
+// and never reaches a set-up (an out-of-range column crashed the process
+// in the partitioner; a NaN in A was answered "singular").
+TEST(ServeService, InvalidRequestIsAnsweredBeforeItIsQueued) {
+  const CsrMatrix a = testing::grid_laplacian(10, 10);
+  const SolverOptions opt = small_options();
+  SolveService service;
+  const auto expect_invalid = [&](serve::SolveRequest req, const char* what,
+                                  const char* detail) {
+    const auto resp = service.solve(std::move(req));
+    EXPECT_EQ(resp.status, ServeStatus::Failed) << what;
+    EXPECT_EQ(resp.detail.rfind("invalid request: ", 0), 0u)
+        << what << ": " << resp.detail;
+    EXPECT_NE(resp.detail.find(detail), std::string::npos)
+        << what << ": " << resp.detail;
+  };
+  const auto with_matrix = [&](CsrMatrix m) {
+    return make_request(std::make_shared<const CsrMatrix>(std::move(m)), opt,
+                        1, 61);
+  };
+
+  CsrMatrix bad = a;
+  bad.col_idx[9] = a.cols;
+  expect_invalid(with_matrix(bad), "column out of range", "index out of range");
+  bad = a;
+  std::swap(bad.row_ptr[3], bad.row_ptr[4]);
+  expect_invalid(with_matrix(bad), "swapped row_ptr pair", "monotone");
+  bad = a;
+  bad.values[17] = std::numeric_limits<value_t>::quiet_NaN();
+  expect_invalid(with_matrix(bad), "NaN in A", "non-finite value in row");
+
+  serve::SolveRequest nan_b = with_matrix(a);
+  nan_b.b[23] = std::numeric_limits<value_t>::quiet_NaN();
+  expect_invalid(std::move(nan_b), "NaN in b", "b holds a non-finite value");
+
+  serve::SolveRequest wide = with_matrix(a);
+  auto inc = std::make_shared<CsrMatrix>(1, a.cols + 1);
+  inc->row_ptr = {0, 1};
+  inc->col_idx = {0};
+  wide.incidence = inc;
+  expect_invalid(std::move(wide), "incidence width", "columns");
+
+  const serve::ServiceStats st = service.stats();
+  EXPECT_EQ(st.failed, 5);
+  EXPECT_EQ(st.accepted, 0);
+  EXPECT_EQ(st.setups_built, 0);
+  EXPECT_EQ(service.solve(with_matrix(a)).status, ServeStatus::Ok);
 }
 
 TEST(ServeService, DegradedOnSingularSetupAndQueueKeepsDraining) {

@@ -3,6 +3,10 @@
 // oracles on the Table-I analogue matrices.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include "core/schur_solver.hpp"
@@ -162,6 +166,107 @@ TEST(SchurSolver, DomainSolveInvertsD) {
   std::vector<value_t> z(sub.d.rows);
   solver.domain_solve(0, b, z);
   EXPECT_LT(residual_norm(sub.d, z, b) / norm2(b), 1e-9);
+}
+
+// The operator computes only what F̂_ℓ reads (the forward sweep over the
+// reach of Ê_ℓ's rows, the backward sweep over the rows F̂_ℓ needs), yet
+// equals C·y − Σ_ℓ F̂_ℓ·D_ℓ⁻¹(Ê_ℓ·y) through the full domain solve bit for
+// bit. On the circuit analogue the sweeps skip over half of the factor
+// entries (43% needed at this size); y has
+// exact zeros of both signs.
+TEST(SchurSolver, OperatorApplyEqualsFullDomainSolves) {
+  for (const auto& [name, scale] :
+       {std::pair<const char*, double>{"G3_circuit", 0.3}, {"tdr190k", 0.15}}) {
+    const GeneratedProblem p = make_suite_matrix(name, scale);
+    for (const unsigned threads : {1u, 4u}) {
+      SolverOptions opt;
+      opt.num_subdomains = 8;
+      opt.threads = threads;
+      SchurSolver solver(p.a, opt);
+      solver.setup(&p.incidence);
+      solver.factor();
+      const index_t ns = solver.partition().separator_size();
+      ASSERT_GT(ns, 0);
+      std::vector<value_t> y = random_rhs(ns, 83);
+      for (index_t i = 0; i < ns; i += 4) y[i] = i % 8 == 0 ? 0.0 : -0.0;
+
+      SchurSolver::SolveContext ctx;
+      solver.prepare_context(ctx);
+      std::vector<value_t> out(ns);
+      solver.apply_schur(y, out, ctx);
+      EXPECT_EQ(ctx.applies, 1);
+
+      std::vector<value_t> ref(ns);
+      spmv(solver.separator_block(), y, ref);
+      for (std::size_t l = 0; l < solver.subdomains().size(); ++l) {
+        const Subdomain& sub = solver.subdomains()[l];
+        std::vector<value_t> v(sub.e_cols.size()), t(sub.d.rows),
+            z(sub.d.rows), r(sub.f_rows.size());
+        for (std::size_t c = 0; c < v.size(); ++c) v[c] = y[sub.e_cols[c]];
+        spmv(sub.ehat, v, t);
+        solver.domain_solve(static_cast<index_t>(l), t, z);
+        spmv(sub.fhat, z, r);
+        for (std::size_t fr = 0; fr < r.size(); ++fr) {
+          ref[sub.f_rows[fr]] -= r[fr];
+        }
+      }
+      EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), ns * sizeof(value_t)))
+          << name << " threads=" << threads;
+    }
+  }
+}
+
+// Krylov starts from y = 0 and takes S·0 = +0.0 without applying S: one
+// apply per iteration (no restart, no final check at this size).
+TEST(SchurSolver, SolveMakesOneApplyPerIteration) {
+  const CsrMatrix a = testing::grid_laplacian(16, 16);
+  SolverOptions opt;
+  opt.num_subdomains = 4;
+  SchurSolver solver(a, opt);
+  solver.setup();
+  solver.factor();
+  const auto b = random_rhs(a.rows, 89);
+  std::vector<value_t> x(a.rows, 0.0);
+  SchurSolver::SolveContext ctx;
+  const GmresResult r = solver.solve(b, x, ctx);
+  ASSERT_TRUE(r.converged);
+  EXPECT_GT(r.iterations, 0);
+  EXPECT_EQ(ctx.applies, r.iterations);
+}
+
+TEST(SchurSolver, InvalidRequestThrows) {
+  const CsrMatrix a = testing::grid_laplacian(6, 6);
+  SolverOptions opt;
+  opt.num_subdomains = 2;
+  const auto rejects = [](auto&& call, const std::string& what) {
+    try {
+      call();
+      ADD_FAILURE() << "accepted: " << what;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("invalid request: ", 0), 0u)
+          << what << ": " << e.what();
+    }
+  };
+  CsrMatrix bad = a;
+  bad.col_idx[5] = a.cols;
+  rejects([&] { SchurSolver s(bad, opt); }, "column index out of range");
+  bad = a;
+  std::swap(bad.row_ptr[3], bad.row_ptr[4]);
+  rejects([&] { SchurSolver s(bad, opt); }, "swapped row_ptr pair");
+  bad = a;
+  bad.values[7] = std::numeric_limits<value_t>::quiet_NaN();
+  rejects([&] { SchurSolver s(bad, opt); }, "NaN in A");
+
+  SchurSolver solver(a, opt);
+  CsrMatrix wide(1, a.cols + 1);
+  wide.row_ptr = {0, 1};
+  wide.col_idx = {0};
+  rejects([&] { solver.setup(&wide); }, "incidence of the wrong width");
+  solver.setup();
+  solver.factor();
+  std::vector<value_t> b = random_rhs(a.rows, 97), x(a.rows, 0.0);
+  b[11] = std::numeric_limits<value_t>::infinity();
+  rejects([&] { solver.solve(b, x); }, "infinite b");
 }
 
 TEST(SchurSolver, ThreadedFactorMatchesSerial) {
