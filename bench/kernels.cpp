@@ -26,9 +26,11 @@
 #include "core/schur_solver.hpp"
 #include "core/structural_factor.hpp"
 #include "direct/etree.hpp"
+#include "direct/kernels.hpp"
 #include "direct/lu.hpp"
 #include "direct/mindeg.hpp"
 #include "direct/multirhs.hpp"
+#include "direct/reach.hpp"
 #include "direct/supernodes.hpp"
 #include "gen/grid_fem.hpp"
 #include "gen/suite.hpp"
@@ -138,6 +140,84 @@ void BM_MultiRhsSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MultiRhsSolve)->Arg(1)->Arg(16)->Arg(60)->Arg(240);
+
+// The dense set-up kernels on one path each (direct/kernel_path.hpp):
+// range(0) = 0 for the baseline build, 1 for AVX2 (skipped on a CPU
+// without it). GFLOP/s counts a multiply and a subtract per update.
+const panel::KernelTable* path_table(benchmark::State& state) {
+  const panel::KernelTable* t = panel::kernel_table(
+      state.range(0) == 0 ? panel::KernelPath::Baseline
+                          : panel::KernelPath::Avx2);
+  if (t == nullptr) state.SkipWithError("path not available on this CPU");
+  return t;
+}
+
+void set_gflops(benchmark::State& state, double flops_per_iteration) {
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      flops_per_iteration * static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+
+// C −= L·Y at the shape of the dense LU(S̃) tail of the cold-cavity
+// system: ni = ncol = 1,417, w = 32 pivots.
+void BM_GemmMinus(benchmark::State& state) {
+  const panel::KernelTable* t = path_table(state);
+  if (t == nullptr) return;
+  constexpr index_t ni = 1417, ncol = 1417, w = 32;
+  Rng rng(11);
+  std::vector<value_t> l(static_cast<std::size_t>(ni) * w);
+  std::vector<value_t> y(static_cast<std::size_t>(w) * ncol);
+  std::vector<value_t> c(static_cast<std::size_t>(ni) * ncol);
+  for (value_t& v : l) v = rng.uniform(-1e-3, 1e-3);
+  for (value_t& v : y) v = rng.uniform(-1e-3, 1e-3);
+  for (value_t& v : c) v = rng.uniform(-1.0, 1.0);
+  for (auto _ : state) {
+    t->gemm(l.data(), ni, ni, w, y.data(), ncol, c.data(), ni);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  set_gflops(state, 2.0 * ni * ncol * w);
+}
+BENCHMARK(BM_GemmMinus)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The block update of the blocked multi-RHS solve: one block of 60 sparse
+// right-hand sides (6 random rows each) over the reach of their union in
+// the factor of a 64 × 64 grid. Each iteration restores the block's input.
+void BM_RhsBlockSolve(benchmark::State& state) {
+  const panel::KernelTable* t = path_table(state);
+  if (t == nullptr) return;
+  const CsrMatrix a = bench_matrix(64);
+  const auto perm = minimum_degree_ordering(symmetrize_abs(pattern_of(a)));
+  const LuFactors lu = lu_factorize(permute_symmetric(a, perm));
+  constexpr index_t width = 60;
+  Rng rng(7);
+  std::vector<index_t> seeds(static_cast<std::size_t>(width) * 6);
+  for (index_t& r : seeds) r = rng.index(a.rows);
+  ReachSolver reach(lu.lower);
+  const auto rr = reach.reach(seeds);
+  const std::vector<index_t> rows(rr.begin(), rr.end());
+  const auto u = static_cast<index_t>(rows.size());
+  std::vector<index_t> slot(a.rows, -1);
+  for (index_t s = 0; s < u; ++s) slot[rows[s]] = s;
+  std::vector<value_t> x0(static_cast<std::size_t>(u) * width, 0.0);
+  for (std::size_t k = 0; k < seeds.size(); ++k) {
+    x0[static_cast<std::size_t>(slot[seeds[k]]) * width + k / 6] =
+        rng.uniform();
+  }
+  double flops = 0.0;
+  for (const index_t j : rows) {
+    flops += (1.0 + 2.0 * (lu.lower.col_nnz(j) - 1)) * width;
+  }
+  std::vector<value_t> x(x0.size());
+  for (auto _ : state) {
+    std::copy(x0.begin(), x0.end(), x.begin());
+    t->rhs_block(lu.lower, rows.data(), u, slot.data(), x.data(), width);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  set_gflops(state, flops);
+}
+BENCHMARK(BM_RhsBlockSolve)->Arg(0)->Arg(1);
 
 void BM_GraphBisect(benchmark::State& state) {
   const Graph g = graph_from_matrix(

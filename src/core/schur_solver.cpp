@@ -292,6 +292,15 @@ void SchurSolver::factor() {
     }
   }
   stats_.subdomain_wall_seconds = timer.seconds();
+  stats_.solve_g_symbolic_seconds = stats_.solve_g_numeric_seconds = 0.0;
+  stats_.solve_w_symbolic_seconds = stats_.solve_w_numeric_seconds = 0.0;
+  for (const SubdomainFactorization& f : facts_) {
+    stats_.solve_g_symbolic_seconds += f.g_stats.symbolic_seconds;
+    stats_.solve_g_numeric_seconds += f.g_stats.numeric_seconds;
+    stats_.solve_w_symbolic_seconds += f.w_stats.symbolic_seconds;
+    stats_.solve_w_numeric_seconds += f.w_stats.numeric_seconds;
+  }
+  stats_.kernel_path = panel::kernel_path();
 
   timer.reset();
   {

@@ -7,6 +7,7 @@
 
 #include "core/dbbd.hpp"
 #include "core/schur_assembly.hpp"
+#include "direct/kernel_path.hpp"
 
 namespace pdslin {
 
@@ -26,6 +27,15 @@ struct SolverStats {
   /// vectors above are per-task times, whose *sum* is aggregate CPU work and
   /// whose *max* is the paper's modeled one-process-per-subdomain time.
   double subdomain_wall_seconds = 0.0;
+  /// Comp(S)'s G and W solves (direct/multirhs) split into the symbolic
+  /// step (reach and patterns) and the numeric block solve: CPU seconds
+  /// summed over subdomains and block workers.
+  double solve_g_symbolic_seconds = 0.0;
+  double solve_g_numeric_seconds = 0.0;
+  double solve_w_symbolic_seconds = 0.0;
+  double solve_w_numeric_seconds = 0.0;
+  /// The build of the dense set-up kernels that ran (direct/kernel_path.hpp).
+  panel::KernelPath kernel_path = panel::KernelPath::Baseline;
   double gather_seconds = 0.0;           // Ŝ assembly + sparsification
   double lu_s_seconds = 0.0;             // LU(S̃)
   long long schur_dim = 0;               // n_S

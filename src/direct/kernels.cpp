@@ -3,10 +3,20 @@
 #include <cmath>
 #include <utility>
 
+#include "util/error.hpp"
+
 namespace pdslin::panel {
 
-void trsm_unit_lower(const value_t* tri, index_t nr, index_t tri0, index_t w,
-                     value_t* y, index_t ncol) {
+// The bodies of the dispatched kernels. Each is inlined into one wrapper
+// per path below, and so compiled once for each path's target. Their inner
+// loops update distinct elements with a plain multiply, subtract or
+// divide, and the library builds with -ffp-contract=off, so the vector code
+// of either path gives every element the scalar loop's bits.
+namespace {
+
+[[gnu::always_inline]] inline void trsm_body(const value_t* tri, index_t nr,
+                                             index_t tri0, index_t w,
+                                             value_t* y, index_t ncol) {
   for (index_t kp = 0; kp < w; ++kp) {
     const value_t* lk = tri + static_cast<std::size_t>(kp) * nr + tri0;
     const value_t* yk = y + static_cast<std::size_t>(kp) * ncol;
@@ -19,8 +29,10 @@ void trsm_unit_lower(const value_t* tri, index_t nr, index_t tri0, index_t w,
   }
 }
 
-void gemm_minus(const value_t* lblk, index_t lda, index_t ni, index_t w,
-                const value_t* y, index_t ncol, value_t* c, index_t ldc) {
+[[gnu::always_inline]] inline void gemm_body(const value_t* lblk, index_t lda,
+                                             index_t ni, index_t w,
+                                             const value_t* y, index_t ncol,
+                                             value_t* c, index_t ldc) {
   for (index_t q = 0; q < ncol; ++q) {
     value_t* col = c + static_cast<std::size_t>(q) * ldc;
     for (index_t k = 0; k < w; ++k) {
@@ -32,9 +44,9 @@ void gemm_minus(const value_t* lblk, index_t lda, index_t ni, index_t w,
   }
 }
 
-bool factorize_columns(value_t* pan, index_t nr, index_t tri0, index_t w,
-                       index_t j0, index_t j1, double pivot_tol,
-                       double min_pivot, index_t* perm) {
+[[gnu::always_inline]] inline bool factorize_body(
+    value_t* pan, index_t nr, index_t tri0, index_t w, index_t j0, index_t j1,
+    double pivot_tol, double min_pivot, index_t* perm) {
   for (index_t jj = j0; jj < j1; ++jj) {
     value_t* col = pan + static_cast<std::size_t>(jj) * nr;
     // Left-looking updates, ascending pivot order; the updating U entry is
@@ -82,6 +94,107 @@ bool factorize_columns(value_t* pan, index_t nr, index_t tri0, index_t w,
     }
   }
   return true;
+}
+
+[[gnu::always_inline]] inline void rhs_block_body(const CscMatrix& l,
+                                                  const index_t* rows,
+                                                  index_t u,
+                                                  const index_t* slot,
+                                                  value_t* x, index_t width) {
+  for (index_t s = 0; s < u; ++s) {
+    const index_t j = rows[s];
+    value_t* xj = x + static_cast<std::size_t>(s) * width;
+    const index_t cb = l.col_ptr[j];
+    const index_t ce = l.col_ptr[j + 1];
+    const value_t dj = l.values[cb];
+    if (dj != 1.0) {
+      for (index_t c = 0; c < width; ++c) xj[c] /= dj;
+    }
+    for (index_t p = cb + 1; p < ce; ++p) {
+      const index_t t = slot[l.row_idx[p]];
+      PDSLIN_ASSERT(t >= 0);  // the block's rows are closed under reach
+      const value_t v = l.values[p];
+      value_t* xt = x + static_cast<std::size_t>(t) * width;
+      if (width == 1) {  // skips the vector loop's set-up for one column
+        xt[0] -= v * xj[0];
+        continue;
+      }
+      for (index_t c = 0; c < width; ++c) xt[c] -= v * xj[c];
+    }
+  }
+}
+
+}  // namespace
+
+// One wrapper per kernel and path; ATTR is the path's target attribute.
+#define PDSLIN_PATH_KERNELS(ATTR)                                              \
+  ATTR void trsm(const value_t* tri, index_t nr, index_t tri0, index_t w,      \
+                 value_t* y, index_t ncol) {                                   \
+    trsm_body(tri, nr, tri0, w, y, ncol);                                      \
+  }                                                                            \
+  ATTR void gemm(const value_t* lblk, index_t lda, index_t ni, index_t w,      \
+                 const value_t* y, index_t ncol, value_t* c, index_t ldc) {    \
+    gemm_body(lblk, lda, ni, w, y, ncol, c, ldc);                              \
+  }                                                                            \
+  ATTR bool factorize(value_t* pan, index_t nr, index_t tri0, index_t w,       \
+                      index_t j0, index_t j1, double pivot_tol,                \
+                      double min_pivot, index_t* perm) {                       \
+    return factorize_body(pan, nr, tri0, w, j0, j1, pivot_tol, min_pivot,      \
+                          perm);                                               \
+  }                                                                            \
+  ATTR void rhs_block(const CscMatrix& l, const index_t* rows, index_t u,      \
+                      const index_t* slot, value_t* x, index_t width) {        \
+    rhs_block_body(l, rows, u, slot, x, width);                                \
+  }                                                                            \
+  constexpr KernelTable table{&trsm, &gemm, &factorize, &rhs_block};
+
+namespace baseline {
+PDSLIN_PATH_KERNELS()
+}  // namespace baseline
+
+#ifdef PDSLIN_KERNELS_AVX2
+namespace avx2 {
+PDSLIN_PATH_KERNELS(__attribute__((target("avx2"))))
+}  // namespace avx2
+#endif
+
+#undef PDSLIN_PATH_KERNELS
+
+const KernelTable* kernel_table(KernelPath p) {
+  if (!kernel_path_available(p)) return nullptr;
+#ifdef PDSLIN_KERNELS_AVX2
+  if (p == KernelPath::Avx2) return &avx2::table;
+#endif
+  return &baseline::table;
+}
+
+namespace {
+const KernelTable& active() {
+  static const KernelTable& table = *kernel_table(kernel_path());
+  return table;
+}
+}  // namespace
+
+void trsm_unit_lower(const value_t* tri, index_t nr, index_t tri0, index_t w,
+                     value_t* y, index_t ncol) {
+  active().trsm(tri, nr, tri0, w, y, ncol);
+}
+
+void gemm_minus(const value_t* lblk, index_t lda, index_t ni, index_t w,
+                const value_t* y, index_t ncol, value_t* c, index_t ldc) {
+  active().gemm(lblk, lda, ni, w, y, ncol, c, ldc);
+}
+
+bool factorize_columns(value_t* pan, index_t nr, index_t tri0, index_t w,
+                       index_t j0, index_t j1, double pivot_tol,
+                       double min_pivot, index_t* perm) {
+  return active().factorize(pan, nr, tri0, w, j0, j1, pivot_tol, min_pivot,
+                            perm);
+}
+
+void rhs_block_solve(const CscMatrix& l, const index_t* rows, index_t u,
+                     const index_t* slot, value_t* x, index_t width) {
+  active().rhs_block(l, rows, u, slot, x, width);
 }
 
 void gather_block(const value_t* pan, index_t nr, const index_t* pos,

@@ -1,4 +1,5 @@
-// Dense microkernels for the supernodal panel LU (direct/panel_lu).
+// Dense microkernels for the supernodal panel LU (direct/panel_lu), and the
+// block update of the blocked multi-RHS solve (direct/multirhs).
 //
 // A panel is stored column-major: nr rows × w columns, where local rows
 // [0, tri0) are the panel's U-part (global rows above the first column),
@@ -15,8 +16,15 @@
 // (structural padding from relaxed amalgamation) are skipped: subtracting
 // ±0.0 can only flip the sign of a zero, and zeros are dropped identically
 // at extraction.
+//
+// trsm_unit_lower, gemm_minus, factorize_columns and rhs_block_solve are
+// built twice from one source, for the baseline target and for AVX2
+// (direct/kernel_path.hpp). The functions below dispatch to the path the
+// CPU supports; kernel_table() names each path's build explicitly.
 #pragma once
 
+#include "direct/kernel_path.hpp"
+#include "sparse/csr.hpp"
 #include "sparse/types.hpp"
 
 namespace pdslin::panel {
@@ -53,6 +61,28 @@ void gemm_minus(const value_t* lblk, index_t lda, index_t ni, index_t w,
 bool factorize_columns(value_t* pan, index_t nr, index_t tri0, index_t w,
                        index_t j0, index_t j1, double pivot_tol,
                        double min_pivot, index_t* perm);
+
+/// Forward solve of one block of the blocked multi-RHS solve: x is
+/// u × width, row-major, row s holding the block's values at global row
+/// rows[s] (ascending); slot maps a global row to its row of x. For each s
+/// in ascending order, row s is divided by l's diagonal at column rows[s]
+/// (skipped when it is exactly 1), and l(i, rows[s])·x_s is subtracted from
+/// row slot[i] for every entry below the diagonal. `l` has its diagonal
+/// first in each column, and every row it reaches from rows[] is in rows[].
+void rhs_block_solve(const CscMatrix& l, const index_t* rows, index_t u,
+                     const index_t* slot, value_t* x, index_t width);
+
+/// One path's build of the four kernels above. Set-up calls the
+/// dispatching functions; tests and benches use these to call one path.
+struct KernelTable {
+  decltype(&trsm_unit_lower) trsm;
+  decltype(&gemm_minus) gemm;
+  decltype(&factorize_columns) factorize;
+  decltype(&rhs_block_solve) rhs_block;
+};
+
+/// The kernels of path p, or nullptr when this build or this CPU lacks it.
+const KernelTable* kernel_table(KernelPath p);
 
 /// Gather a block out of a panel through precomputed local positions:
 /// out(i, q) = pan[jloc[q]·nr + pos[i]], with pos[i] < 0 (slots structurally

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <memory>
 
+#include "direct/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -31,7 +34,9 @@ namespace {
 struct BlockWorker {
   ReachSolver reach;
   std::vector<index_t> slot;  // global row → union slot (-1 = unset)
+  std::vector<index_t> seeds;  // the block's RHS rows, concatenated
   std::vector<index_t> union_rows;
+  std::vector<std::uint64_t> masks;  // per union row: the columns reaching it
   std::vector<std::vector<index_t>> col_patterns;
   std::vector<value_t> buf;  // |union| × width, row-major
   MultiRhsStats stats;
@@ -49,26 +54,67 @@ struct BlockOutput {
   std::vector<index_t> col_nnz;  // per column of the block
 };
 
-void process_block(const CscMatrix& l, const CscMatrix& b,
-                   std::span<const index_t> order, const MultiRhsOptions& opts,
-                   index_t begin, index_t width, BlockWorker& w,
-                   BlockOutput& out) {
-  WallTimer timer;
-  ++w.stats.num_blocks;
+// The union is the reach of all the block's RHS rows, from one DFS. Column
+// c's pattern is the reach of its own rows: each union row carries a bitmask
+// of the columns that reach it, seeded by the columns holding the row and
+// OR-ed along L's edges j → i (i > j, the edges the DFS follows) in
+// ascending j, a topological order, so every mask is final before it is
+// read. Reading the patterns off the numeric result instead would lose
+// entries that cancel to exactly zero.
+void reach_block_patterns(const CscMatrix& l, const CscMatrix& b,
+                          std::span<const index_t> cols, BlockWorker& w) {
+  const auto width = static_cast<index_t>(cols.size());
+  w.seeds.clear();
+  for (const index_t col : cols) {
+    const auto rows = b.col_rows(col);
+    w.seeds.insert(w.seeds.end(), rows.begin(), rows.end());
+  }
+  const auto reach = w.reach.reach(w.seeds);
+  w.union_rows.assign(reach.begin(), reach.end());
+  const auto u = static_cast<index_t>(w.union_rows.size());
+  for (index_t s = 0; s < u; ++s) w.slot[w.union_rows[s]] = s;
+  if (width == 1) {  // the one column's pattern is the union
+    w.col_patterns[0].assign(w.union_rows.begin(), w.union_rows.end());
+    return;
+  }
 
-  // --- Symbolic: per-column reach (or the cached pattern), then the union
-  // pattern. ---
-  w.union_rows.clear();
+  const std::size_t words = (static_cast<std::size_t>(width) + 63) / 64;
+  w.masks.assign(static_cast<std::size_t>(u) * words, 0);
   for (index_t c = 0; c < width; ++c) {
-    const index_t col = order[begin + c];
-    std::span<const index_t> pat;
-    if (opts.col_patterns != nullptr) {
-      pat = (*opts.col_patterns)[col];
-    } else {
-      pat = w.reach.reach(b.col_rows(col));
+    const std::uint64_t bit = std::uint64_t{1} << (c % 64);
+    for (const index_t r : b.col_rows(cols[c])) {
+      w.masks[static_cast<std::size_t>(w.slot[r]) * words + c / 64] |= bit;
     }
+  }
+  for (index_t s = 0; s < u; ++s) {
+    const index_t j = w.union_rows[s];
+    const std::uint64_t* from = w.masks.data() + s * words;
+    for (index_t p = l.col_ptr[j]; p < l.col_ptr[j + 1]; ++p) {
+      const index_t i = l.row_idx[p];
+      if (i <= j) continue;
+      std::uint64_t* to = w.masks.data() + w.slot[i] * words;
+      for (std::size_t k = 0; k < words; ++k) to[k] |= from[k];
+    }
+  }
+  for (index_t c = 0; c < width; ++c) w.col_patterns[c].clear();
+  for (index_t s = 0; s < u; ++s) {
+    for (std::size_t k = 0; k < words; ++k) {
+      for (std::uint64_t m = w.masks[s * words + k]; m != 0; m &= m - 1) {
+        const auto c = static_cast<index_t>(k * 64) + std::countr_zero(m);
+        w.col_patterns[c].push_back(w.union_rows[s]);
+      }
+    }
+  }
+}
+
+// The union of cached per-column patterns (MultiRhsOptions::col_patterns).
+void cached_block_patterns(std::span<const index_t> cols,
+                           const std::vector<std::vector<index_t>>& cached,
+                           BlockWorker& w) {
+  w.union_rows.clear();
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    const std::vector<index_t>& pat = cached[cols[c]];
     w.col_patterns[c].assign(pat.begin(), pat.end());
-    w.stats.pattern_nnz += static_cast<long long>(pat.size());
     for (index_t i : pat) {
       if (w.slot[i] < 0) {
         w.slot[i] = 0;  // provisional mark
@@ -80,6 +126,25 @@ void process_block(const CscMatrix& l, const CscMatrix& b,
   for (std::size_t s = 0; s < w.union_rows.size(); ++s) {
     w.slot[w.union_rows[s]] = static_cast<index_t>(s);
   }
+}
+
+void process_block(const CscMatrix& l, const CscMatrix& b,
+                   std::span<const index_t> order, const MultiRhsOptions& opts,
+                   index_t begin, index_t width, BlockWorker& w,
+                   BlockOutput& out) {
+  WallTimer timer;
+  ++w.stats.num_blocks;
+  const std::span<const index_t> cols = order.subspan(begin, width);
+
+  // --- Symbolic: the union pattern and each column's own pattern. ---
+  if (opts.col_patterns != nullptr) {
+    cached_block_patterns(cols, *opts.col_patterns, w);
+  } else {
+    reach_block_patterns(l, b, cols, w);
+  }
+  for (index_t c = 0; c < width; ++c) {
+    w.stats.pattern_nnz += static_cast<long long>(w.col_patterns[c].size());
+  }
   const auto u = static_cast<index_t>(w.union_rows.size());
   w.stats.union_rows_total += u;
   w.stats.padded_zeros += static_cast<long long>(u) * width;
@@ -89,30 +154,14 @@ void process_block(const CscMatrix& l, const CscMatrix& b,
   timer.reset();
   w.buf.assign(static_cast<std::size_t>(u) * width, 0.0);
   for (index_t c = 0; c < width; ++c) {
-    const index_t col = order[begin + c];
-    const auto rows = b.col_rows(col);
-    const auto vals = b.col_vals(col);
+    const auto rows = b.col_rows(cols[c]);
+    const auto vals = b.col_vals(cols[c]);
     for (std::size_t k = 0; k < rows.size(); ++k) {
       w.buf[static_cast<std::size_t>(w.slot[rows[k]]) * width + c] = vals[k];
     }
   }
-  for (index_t s = 0; s < u; ++s) {
-    const index_t j = w.union_rows[s];
-    value_t* xj = w.buf.data() + static_cast<std::size_t>(s) * width;
-    const index_t cb = l.col_ptr[j];
-    const index_t ce = l.col_ptr[j + 1];
-    const value_t dj = l.values[cb];
-    if (dj != 1.0) {
-      for (index_t c = 0; c < width; ++c) xj[c] /= dj;
-    }
-    for (index_t p = cb + 1; p < ce; ++p) {
-      const index_t t = w.slot[l.row_idx[p]];
-      PDSLIN_ASSERT(t >= 0);  // union pattern is closed under reach
-      const value_t v = l.values[p];
-      value_t* xt = w.buf.data() + static_cast<std::size_t>(t) * width;
-      for (index_t c = 0; c < width; ++c) xt[c] -= v * xj[c];
-    }
-  }
+  panel::rhs_block_solve(l, w.union_rows.data(), u, w.slot.data(),
+                         w.buf.data(), width);
   w.stats.numeric_seconds += timer.seconds();
 
   // --- Gather each column on its own (unpadded) pattern. ---

@@ -1,8 +1,9 @@
 // Blocked triangular solution with multiple sparse right-hand sides
 // (paper §IV). Columns are processed in blocks of size B: the block's fill
 // patterns are unioned (padding zeros so all columns share one pattern, as a
-// supernodal solver must), the symbolic step runs once per block, and the
-// numeric step is a dense |union| × B kernel.
+// supernodal solver must), the symbolic step runs once per block (one reach
+// for the union, per-row column bitmasks for each column's own pattern), and
+// the numeric step is a dense |union| × B kernel.
 //
 // Blocks are mutually independent given L, which is what the second level of
 // the paper's hierarchy exploits: with opts.threads > 1 the blocks are solved
@@ -56,8 +57,8 @@ struct MultiRhsOptions {
   /// Optional precomputed per-column reach patterns, indexed by ORIGINAL RHS
   /// column (the pattern of solution column j is (*col_patterns)[order[j]]),
   /// each sorted ascending — exactly what symbolic_solve_patterns returns.
-  /// When set, the symbolic phase reuses them instead of re-running every
-  /// reach (the §IV-B pipeline already computed them to build the
+  /// When set, the symbolic phase takes their union instead of running the
+  /// block's reach (the §IV-B pipeline already computed them to build the
   /// hypergraph).
   const std::vector<std::vector<index_t>>* col_patterns = nullptr;
 };

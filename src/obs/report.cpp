@@ -87,6 +87,12 @@ void RunReport::add_solver(const SolverOptions& opt, const SolverStats& st) {
                : *std::max_element(st.comp_s_seconds.begin(),
                                    st.comp_s_seconds.end()));
   set_stat("subdomain_cpu_seconds", st.subdomain_seconds_cpu());
+  set_stat("comp_s_solve_g_symbolic_seconds", st.solve_g_symbolic_seconds);
+  set_stat("comp_s_solve_g_numeric_seconds", st.solve_g_numeric_seconds);
+  set_stat("comp_s_solve_w_symbolic_seconds", st.solve_w_symbolic_seconds);
+  set_stat("comp_s_solve_w_numeric_seconds", st.solve_w_numeric_seconds);
+  set_stat("kernel_path_avx2",
+           st.kernel_path == panel::KernelPath::Avx2 ? 1.0 : 0.0);
   set_stat("solve_cpu_seconds", st.solve_cpu_seconds);
   set_stat("schur_dim", static_cast<double>(st.schur_dim));
   set_stat("schur_nnz", static_cast<double>(st.schur_nnz));

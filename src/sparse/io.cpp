@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "sparse/convert.hpp"
@@ -47,9 +48,26 @@ CsrMatrix read_matrix_market(std::istream& in) {
   long long rows = 0, cols = 0, entries = 0;
   sizes >> rows >> cols >> entries;
   PDSLIN_CHECK_MSG(rows > 0 && cols > 0 && entries >= 0, "bad size line");
+  // Bound the header before any cast: indices are 32-bit, and a matrix holds
+  // at most rows·cols distinct entries (< 2^62 once both are ≤ INT32_MAX).
+  constexpr long long kMaxDim = std::numeric_limits<index_t>::max();
+  PDSLIN_CHECK_MSG(rows <= kMaxDim && cols <= kMaxDim,
+                   "declared size " + std::to_string(rows) + "x" +
+                       std::to_string(cols) + " exceeds " +
+                       std::to_string(kMaxDim) + " rows or columns");
+  PDSLIN_CHECK_MSG(entries <= rows * cols,
+                   "declared " + std::to_string(entries) +
+                       " entries exceed the " + std::to_string(rows) + "x" +
+                       std::to_string(cols) + " matrix");
 
+  // Reserve for the declared entries only up to a bounded amount; a header
+  // that overstates them ends in a truncation error below, not in a huge
+  // allocation. (2·entries < 2^63 by the check above.)
+  constexpr unsigned long long kMaxReserve = 1ULL << 20;
+  const auto declared = static_cast<unsigned long long>(entries) *
+                        (symmetric ? 2ULL : 1ULL);
   CooMatrix coo(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  coo.reserve(static_cast<std::size_t>(symmetric ? 2 * entries : entries));
+  coo.reserve(static_cast<std::size_t>(std::min(declared, kMaxReserve)));
   for (long long k = 0; k < entries; ++k) {
     long long i = 0, j = 0;
     double v = 1.0;

@@ -341,6 +341,66 @@ TEST(MultiRhs, SymbolicPatternsMatchSolver) {
   }
 }
 
+// The blocked solve finds each block's union with one reach and each
+// column's pattern through per-row column bitmasks: the patterns must equal
+// the per-column reach at every block size, across the 64-column words.
+TEST(MultiRhs, BlockPatternsEqualSymbolicAcrossWordBoundaries) {
+  Rng rng(71);
+  const CsrMatrix a = testing::random_pattern_symmetric(300, 0.01, rng);
+  const LuFactors f = lu_factorize(a);
+  const index_t m = 150;
+  const CscMatrix b = csr_to_csc(testing::random_sparse(300, m, 0.01, rng));
+  const auto patterns = symbolic_solve_patterns(f.lower, b);
+  long long pattern_nnz = 0;
+  for (const auto& p : patterns) pattern_nnz += static_cast<long long>(p.size());
+  std::vector<index_t> order(m);
+  std::iota(order.begin(), order.end(), 0);
+  for (index_t i = m - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.bounded(static_cast<std::uint64_t>(i) + 1)]);
+  }
+  const MultiRhsResult one = solve_multi_rhs_blocked(f.lower, b, order, 1);
+  for (const index_t bs : {1, 60, 64, 65, 130}) {
+    const MultiRhsResult r = solve_multi_rhs_blocked(f.lower, b, order, bs);
+    EXPECT_EQ(r.stats.pattern_nnz, pattern_nnz) << "block " << bs;
+    for (index_t j = 0; j < m; ++j) {
+      const auto rows = r.solution.col_rows(j);
+      ASSERT_TRUE(std::equal(rows.begin(), rows.end(),
+                             patterns[order[j]].begin(),
+                             patterns[order[j]].end()))
+          << "block " << bs << " col " << j;
+      // Padding subtracts ±0 terms, which may flip the sign of a zero only.
+      const auto vals = r.solution.col_vals(j);
+      const auto ref = one.solution.col_vals(j);
+      EXPECT_TRUE(std::equal(vals.begin(), vals.end(), ref.begin(), ref.end()))
+          << "block " << bs << " col " << j;
+    }
+  }
+}
+
+// An entry of a column's reach whose value cancels to exactly 0.0 stays in
+// that column's pattern: patterns come from the structure, not the numbers.
+TEST(MultiRhs, CancelledEntryStaysInPattern) {
+  // Unit lower L with every entry 1: for b = e0, x = (1, −1, (0 − 1) + 1).
+  CscMatrix l(3, 3);
+  l.col_ptr = {0, 3, 5, 6};
+  l.row_idx = {0, 1, 2, 1, 2, 2};
+  l.values = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
+  CscMatrix b(3, 3);  // columns e0, e2, e1
+  b.col_ptr = {0, 1, 2, 3};
+  b.row_idx = {0, 2, 1};
+  b.values = {1.0, 1.0, 1.0};
+  const std::vector<index_t> order = {0, 1, 2};
+  for (const index_t bs : {1, 2, 3}) {
+    const MultiRhsResult r = solve_multi_rhs_blocked(l, b, order, bs);
+    EXPECT_EQ(r.stats.pattern_nnz, 6) << "block " << bs;
+    EXPECT_EQ(r.solution.col_ptr, (std::vector<index_t>{0, 3, 4, 6}));
+    EXPECT_EQ(r.solution.row_idx, (std::vector<index_t>{0, 1, 2, 2, 1, 2}));
+    ASSERT_EQ(r.solution.values.size(), 6u);
+    EXPECT_EQ(r.solution.values[2], 0.0) << "block " << bs;
+    EXPECT_EQ(r.solution.values[1], -1.0) << "block " << bs;
+  }
+}
+
 TEST(TriSolve, UpperSolveMatchesDense) {
   Rng rng(61);
   const CsrMatrix a = testing::random_pattern_symmetric(30, 0.2, rng);

@@ -199,6 +199,23 @@ TEST(ObsReport, SolverRunFillsReportAndCounters) {
   ASSERT_NE(allocs, nullptr);
   EXPECT_GE(*allocs, 0.0);
   EXPECT_NE(rep.find_stat("iterations"), nullptr);
+  // Comp(S)'s G and W solves, split into symbolic and numeric time, and
+  // which build of the dense kernels ran.
+  for (const char* key :
+       {"comp_s_solve_g_symbolic_seconds", "comp_s_solve_g_numeric_seconds",
+        "comp_s_solve_w_symbolic_seconds", "comp_s_solve_w_numeric_seconds"}) {
+    const double* v = rep.find_stat(key);
+    ASSERT_NE(v, nullptr) << key;
+    EXPECT_GE(*v, 0.0) << key;
+  }
+  const double* avx2 = rep.find_stat("kernel_path_avx2");
+  ASSERT_NE(avx2, nullptr);
+  EXPECT_EQ(*avx2,
+            panel::kernel_path() == panel::KernelPath::Avx2 ? 1.0 : 0.0);
+  EXPECT_EQ(solver.stats().kernel_path, panel::kernel_path());
+  EXPECT_GT(solver.stats().solve_g_symbolic_seconds +
+                solver.stats().solve_g_numeric_seconds,
+            0.0);
   ASSERT_NE(rep.find_config("num_subdomains"), nullptr);
   EXPECT_EQ(*rep.find_config("num_subdomains"), "4");
 

@@ -6,15 +6,19 @@
 // byte accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <vector>
 
 #include "core/schur_solver.hpp"
+#include "direct/kernels.hpp"
 #include "direct/lu.hpp"
 #include "direct/mindeg.hpp"
+#include "direct/reach.hpp"
 #include "direct/supernodes.hpp"
 #include "direct/symbolic.hpp"
 #include "direct/trisolve.hpp"
@@ -112,6 +116,188 @@ CsrMatrix bordered_indefinite(index_t n1, index_t m, Rng& rng) {
     }
   }
   return coo_to_csr(coo);
+}
+
+/// `count` values of which about 15% are +0.0 and 10% are −0.0, so the
+/// kernels' zero-coefficient skips run.
+std::vector<value_t> values_with_zeros(std::size_t count, Rng& rng) {
+  std::vector<value_t> v(count);
+  for (value_t& x : v) {
+    const double r = rng.uniform();
+    x = r < 0.15 ? 0.0 : r < 0.25 ? -0.0 : rng.uniform(-1.0, 1.0);
+  }
+  return v;
+}
+
+bool bitwise_equal(const std::vector<value_t>& a,
+                   const std::vector<value_t>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(value_t)) == 0;
+}
+
+/// Every path's kernel table this build and CPU have, baseline first.
+std::vector<const panel::KernelTable*> kernel_paths() {
+  std::vector<const panel::KernelTable*> paths;
+  for (const auto p : {panel::KernelPath::Baseline, panel::KernelPath::Avx2}) {
+    if (const panel::KernelTable* t = panel::kernel_table(p)) paths.push_back(t);
+  }
+  return paths;
+}
+
+// Each path's build of the dispatched kernels against the baseline's, on
+// operands holding exact zeros and −0.0, at sizes that leave every vector
+// remainder.
+TEST(PanelLu, KernelPathsBitwiseEqual) {
+  const auto paths = kernel_paths();
+  ASSERT_NE(panel::kernel_table(panel::KernelPath::Baseline), nullptr);
+  EXPECT_EQ(paths.size(), panel::kernel_path() == panel::KernelPath::Avx2 ? 2u : 1u);
+  Rng rng(2024);
+  for (int rep = 0; rep < 60; ++rep) {
+    const auto w = static_cast<index_t>(1 + rng.bounded(9));
+    const auto ncol = static_cast<index_t>(1 + rng.bounded(13));
+    const auto ni = static_cast<index_t>(1 + rng.bounded(37));
+    const auto tri0 = static_cast<index_t>(rng.bounded(4));
+    const index_t nr = tri0 + w + ni;
+    const auto pan = values_with_zeros(static_cast<std::size_t>(nr) * w, rng);
+    const auto y0 = values_with_zeros(static_cast<std::size_t>(w) * ncol, rng);
+    const auto c0 = values_with_zeros(static_cast<std::size_t>(ni) * ncol, rng);
+    // A dense-tail panel (nr == tri0 + w) with a small diagonal, so rows
+    // are exchanged.
+    auto tail = values_with_zeros(static_cast<std::size_t>(tri0 + w) * w, rng);
+    for (index_t j = 0; j < w; ++j) {
+      tail[static_cast<std::size_t>(j) * (tri0 + w) + tri0 + j] *= 1e-3;
+    }
+
+    std::vector<std::vector<value_t>> out;
+    std::vector<std::vector<index_t>> perms;
+    std::vector<int> oks;
+    for (const panel::KernelTable* t : paths) {
+      std::vector<value_t> y = y0, c = c0, fd = pan, ft = tail;
+      t->trsm(pan.data(), nr, tri0, w, y.data(), ncol);
+      t->gemm(pan.data() + tri0 + w, nr, ni, w, y.data(), ncol, c.data(), ni);
+      const bool ok_d =
+          t->factorize(fd.data(), nr, tri0, w, 0, w, 0.1, 1e-300, nullptr);
+      std::vector<index_t> perm(w);
+      std::iota(perm.begin(), perm.end(), index_t{0});
+      const bool ok_t = t->factorize(ft.data(), tri0 + w, tri0, w, 0, w, 0.1,
+                                     1e-300, perm.data());
+      out.insert(out.end(), {y, c, fd, ft});
+      perms.push_back(perm);
+      oks.push_back(int{ok_d} * 2 + int{ok_t});
+    }
+    for (std::size_t k = 1; k < paths.size(); ++k) {
+      for (std::size_t o = 0; o < 4; ++o) {
+        EXPECT_TRUE(bitwise_equal(out[o], out[4 * k + o]))
+            << "rep " << rep << " output " << o;
+      }
+      EXPECT_EQ(perms[0], perms[k]) << "rep " << rep;
+      EXPECT_EQ(oks[0], oks[k]) << "rep " << rep;
+    }
+  }
+
+  // The multi-RHS block update, over the reach of a few seed rows of a
+  // sparse factor, with block widths across the vector remainders.
+  const CsrMatrix a =
+      ordered_matrix(testing::random_pattern_symmetric(120, 0.03, rng));
+  const LuFactors f = lu_factorize(a);
+  ReachSolver reach(f.lower);
+  std::vector<index_t> slot(a.rows, -1);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<index_t> seeds(1 + rng.bounded(6));
+    for (index_t& r : seeds) r = static_cast<index_t>(rng.bounded(a.rows));
+    const auto rr = reach.reach(seeds);
+    const std::vector<index_t> rows(rr.begin(), rr.end());
+    const auto u = static_cast<index_t>(rows.size());
+    for (index_t s = 0; s < u; ++s) slot[rows[s]] = s;
+    // Width 1 first: one-column blocks take their own scalar branch.
+    const auto width =
+        static_cast<index_t>(rep == 0 ? 1 : 1 + rng.bounded(70));
+    const auto x0 = values_with_zeros(static_cast<std::size_t>(u) * width, rng);
+    std::vector<std::vector<value_t>> xs;
+    for (const panel::KernelTable* t : paths) {
+      std::vector<value_t> x = x0;
+      t->rhs_block(f.lower, rows.data(), u, slot.data(), x.data(), width);
+      xs.push_back(std::move(x));
+    }
+    for (std::size_t k = 1; k < xs.size(); ++k) {
+      EXPECT_TRUE(bitwise_equal(xs[0], xs[k])) << "rhs block rep " << rep;
+    }
+    for (const index_t r : rows) slot[r] = -1;
+  }
+}
+
+// A dense matrix factored on each path exactly as the panel LU factors its
+// dense tail (right-looking over blocks, left-looking inside, threshold row
+// exchanges) reproduces the scalar kernel's factors bit for bit.
+TEST(PanelLu, DenseFactorOnEachPathMatchesScalar) {
+  Rng rng(77);
+  for (const index_t n : {9, 37, 70}) {
+    auto dense = values_with_zeros(static_cast<std::size_t>(n) * n, rng);
+    for (index_t j = 0; j < n; ++j) {
+      if (j % 3 == 0) dense[static_cast<std::size_t>(j) * n + j] *= 1e-3;
+    }
+    CooMatrix coo(n, n);
+    for (index_t j = 0; j < n; ++j) {
+      for (index_t i = 0; i < n; ++i) {
+        coo.add(i, j, dense[static_cast<std::size_t>(j) * n + i]);
+      }
+    }
+    const CsrMatrix a = coo_to_csr(coo);
+    LuOptions scalar;
+    scalar.kernel = LuKernel::Scalar;
+    const LuFactors fs = lu_factorize(a, scalar);
+    ASSERT_LT(first_deviation(fs), n) << "n " << n << ": no row exchange";
+    const auto l = to_dense(fs.lower);
+    const auto ut = to_dense(fs.upper_t);
+
+    for (const panel::KernelTable* t : kernel_paths()) {
+      std::vector<value_t> pan = dense;
+      std::vector<index_t> perm(n);
+      std::iota(perm.begin(), perm.end(), index_t{0});
+      constexpr index_t kBlock = 4;
+      std::vector<value_t> y;
+      for (index_t j0 = 0; j0 < n; j0 += kBlock) {
+        const index_t j1 = std::min(n, j0 + kBlock);
+        ASSERT_TRUE(t->factorize(pan.data(), n, 0, n, j0, j1, scalar.pivot_tol,
+                                 scalar.min_pivot, perm.data()));
+        const index_t rest = n - j1;
+        if (rest == 0) break;
+        const index_t bw = j1 - j0;
+        y.assign(static_cast<std::size_t>(bw) * rest, 0.0);
+        for (index_t k = 0; k < bw; ++k) {
+          for (index_t q = 0; q < rest; ++q) {
+            y[static_cast<std::size_t>(k) * rest + q] =
+                pan[static_cast<std::size_t>(j1 + q) * n + j0 + k];
+          }
+        }
+        value_t* blk = pan.data() + static_cast<std::size_t>(j0) * n;
+        t->trsm(blk, n, j0, bw, y.data(), rest);
+        for (index_t k = 0; k < bw; ++k) {
+          for (index_t q = 0; q < rest; ++q) {
+            pan[static_cast<std::size_t>(j1 + q) * n + j0 + k] =
+                y[static_cast<std::size_t>(k) * rest + q];
+          }
+        }
+        t->gemm(blk + j1, n, n - j1, bw, y.data(), rest,
+                pan.data() + static_cast<std::size_t>(j1) * n + j1, n);
+      }
+      EXPECT_EQ(perm, fs.row_perm) << "n " << n;
+      // Exact zeros are dropped from the stored factors, so a zero slot of
+      // the panel (either sign) reads +0.0 there.
+      for (index_t k = 0; k < n; ++k) {
+        for (index_t i = 0; i < n; ++i) {
+          const value_t pv = pan[static_cast<std::size_t>(k) * n + i];
+          const value_t fv = i > k ? l[i][k] : ut[k][i];
+          if (pv == 0.0) {
+            EXPECT_EQ(fv, 0.0) << "n " << n << " (" << i << ", " << k << ")";
+          } else {
+            EXPECT_EQ(0, std::memcmp(&pv, &fv, sizeof pv))
+                << "n " << n << " (" << i << ", " << k << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PanelLu, BitwiseMatchesScalar) {

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <string>
@@ -399,14 +400,21 @@ TEST(ServeFactorCache, EvictionRacesInFlightPinning) {
   cfg.capacity_bytes =
       solvers[2]->memory_bytes() + solvers[3]->memory_bytes();
   FactorCache cache(cfg);
+  // Fill the cache before the storm (the last two entries survive), so a
+  // finder can hit even if it runs all its lookups before any inserter.
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    (void)cache.insert(std::make_shared<CachedSetup>(keys[j], solvers[j]));
+  }
 
   constexpr int kThreads = 8;
   constexpr int kIters = 200;
   std::atomic<int> pinned_uses{0};
+  std::latch start(kThreads);  // releases every thread at once
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(static_cast<std::uint64_t>(1000 + t));
+      start.arrive_and_wait();
       for (int i = 0; i < kIters; ++i) {
         const std::size_t j =
             static_cast<std::size_t>(rng.bounded(keys.size()));

@@ -224,6 +224,46 @@ TEST(MatrixMarket, RejectsOutOfBoundsIndicesWithEntryNumber) {
   }
 }
 
+// The size line is bounded before any cast or allocation: dimensions past
+// the 32-bit index range, more entries than rows·cols, and a declared entry
+// count far beyond the entries present each end in a reader error.
+TEST(MatrixMarket, BoundsTheHeaderBeforeAnyCast) {
+  const auto error_of = [](const std::string& text) -> std::string {
+    std::stringstream ss(text);
+    try {
+      read_matrix_market(ss);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "<accepted>";
+  };
+  // 4,294,967,299 = 2^32 + 3 rows: a 32-bit cast would read a 3 × 3 matrix.
+  EXPECT_NE(error_of("%%MatrixMarket matrix coordinate real general\n"
+                     "4294967299 3 3\n1 1 1.0\n2 2 1.0\n3 3 1.0\n")
+                .find("exceeds"),
+            std::string::npos);
+  EXPECT_NE(error_of("%%MatrixMarket matrix coordinate real general\n"
+                     "3 4294967299 1\n1 1 1.0\n")
+                .find("exceeds"),
+            std::string::npos);
+  EXPECT_NE(error_of("%%MatrixMarket matrix coordinate real general\n"
+                     "2 2 5\n1 1 1.0\n")
+                .find("entries exceed"),
+            std::string::npos);
+  // 10^11 declared entries over one line: the reader reserves a bounded
+  // amount and stops at the missing second entry.
+  EXPECT_NE(error_of("%%MatrixMarket matrix coordinate real general\n"
+                     "1000000 1000000 100000000000\n1 1 1.0\n")
+                .find("truncated entry list at entry 2"),
+            std::string::npos);
+  // 2^62 symmetric entries: 2·entries would overflow a signed 64-bit count.
+  EXPECT_NE(error_of("%%MatrixMarket matrix coordinate real symmetric\n"
+                     "2147483647 2147483647 4611686018427387904\n"
+                     "1 1 1.0\n")
+                .find("entries exceed"),
+            std::string::npos);
+}
+
 TEST(MatrixMarket, RejectsNonFiniteValues) {
   for (const char* bad : {"nan", "inf", "-inf", "1e999"}) {
     std::stringstream ss(std::string(

@@ -13,6 +13,9 @@ mkdir -p "$work"
 printf '%%%%MatrixMarket matrix coordinate real general\n3 3 x\n' \
   > "$work/malformed.mtx"
 printf '{"requests": [{"matrix": ' > "$work/malformed.json"
+# 2^32 + 3 rows: read through a 32-bit cast, this was a 3 x 3 matrix.
+printf '%%%%MatrixMarket matrix coordinate real general\n4294967299 3 3\n1 1 1\n2 2 1\n3 3 1\n' \
+  > "$work/oversized.mtx"
 
 failures=0
 # expect_error TOOL ARGS... — TOOL must exit in [1, 127], print its name as
@@ -36,6 +39,7 @@ expect_error() {
 
 expect_error pdslin --matrix "$work/missing.mtx"
 expect_error pdslin --matrix "$work/malformed.mtx"
+expect_error pdslin --matrix "$work/oversized.mtx"
 expect_error pdslin --matrix tdr190k --scale 0.05 -k 3
 expect_error pdslin --matrix tdr190k --scale 0.05 --threads abc
 expect_error pdslin --matrix tdr190k --scale 0.05x
