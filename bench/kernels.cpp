@@ -15,6 +15,7 @@
 //                              the cross-check); default emits both.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "core/rhb.hpp"
+#include "core/schur_assembly.hpp"
 #include "core/schur_solver.hpp"
 #include "core/structural_factor.hpp"
 #include "direct/etree.hpp"
@@ -218,6 +220,78 @@ void BM_RhsBlockSolve(benchmark::State& state) {
   set_gflops(state, flops);
 }
 BENCHMARK(BM_RhsBlockSolve)->Arg(0)->Arg(1);
+
+// T̃ = W̃·G̃ at the shape of a cold-cavity subdomain: W̃ 392 × 1,132 and
+// G̃ 1,132 × 392, each 31% dense, through interface_product on one path
+// (range(0) = 0 baseline, 1 AVX2) or, for range(0) = 2, the Gustavson
+// spgemm it replaces. GFLOP/s counts Gustavson's multiply-adds as two.
+void BM_InterfaceProduct(benchmark::State& state) {
+  const panel::KernelTable* t = nullptr;
+  if (state.range(0) < 2 && (t = path_table(state)) == nullptr) return;
+  constexpr index_t mf = 392, nd = 1132, me = 392;
+  Rng rng(17);
+  const auto random_csc = [&](index_t rows, index_t cols) {
+    CscMatrix m(rows, cols);
+    for (index_t j = 0; j < cols; ++j) {
+      for (index_t i = 0; i < rows; ++i) {
+        if (rng.uniform() < 0.31) {
+          m.row_idx.push_back(i);
+          m.values.push_back(rng.uniform(-1.0, 1.0));
+        }
+      }
+      m.col_ptr[j + 1] = static_cast<index_t>(m.row_idx.size());
+    }
+    return m;
+  };
+  const CscMatrix wt = random_csc(nd, mf);
+  const CscMatrix g = random_csc(nd, me);
+  const CsrMatrix g_csr = csc_to_csr(g);
+  CsrMatrix w;
+  w.rows = mf;
+  w.cols = nd;
+  w.row_ptr = wt.col_ptr;
+  w.col_idx = wt.row_idx;
+  w.values = wt.values;
+  double flops = 0.0;
+  for (const index_t k : wt.row_idx) flops += 2.0 * g_csr.row_nnz(k);
+  for (auto _ : state) {
+    CsrMatrix out = t != nullptr ? interface_product(wt, g, 1, t)
+                                 : spgemm(w, g_csr);
+    benchmark::DoNotOptimize(out.values.data());
+  }
+  set_gflops(state, flops);
+}
+BENCHMARK(BM_InterfaceProduct)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+
+// One LU(S̃) apply's dense block at the cold-cavity size, 1,476², on one
+// path: unit L below the diagonal, U on and above, every entry nonzero. Each
+// iteration restores the right-hand side. GB/s counts the block's bytes.
+void BM_DenseBlockApply(benchmark::State& state) {
+  const panel::KernelTable* t = path_table(state);
+  if (t == nullptr) return;
+  constexpr index_t nb = 1476;
+  Rng rng(23);
+  std::vector<value_t> block(static_cast<std::size_t>(nb) * nb);
+  for (index_t j = 0; j < nb; ++j) {
+    for (index_t i = 0; i < nb; ++i) {
+      block[static_cast<std::size_t>(j) * nb + i] =
+          i == j ? 2.0 + rng.uniform() : rng.uniform(-1.0, 1.0) / nb;
+    }
+  }
+  std::vector<value_t> x0(nb), x(nb);
+  for (value_t& v : x0) v = rng.uniform(-1.0, 1.0);
+  for (auto _ : state) {
+    std::copy(x0.begin(), x0.end(), x.begin());
+    t->dense_lu(block.data(), nb, x.data());
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GB/s"] = benchmark::Counter(
+      static_cast<double>(block.size() * sizeof(value_t)) *
+          static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DenseBlockApply)->Arg(0)->Arg(1);
 
 void BM_GraphBisect(benchmark::State& state) {
   const Graph g = graph_from_matrix(

@@ -319,11 +319,10 @@ void check_schur_consistency(const SchurSolver& solver,
   // Achievable assembly accuracy is relative to the INTERMEDIATE magnitudes
   // (S = C − Σ T̃_ℓ cancels catastrophically when a D_ℓ is near-singular and
   // ‖T̃_ℓ‖ ≫ ‖S‖), and the drop thresholds cut relative to Ŝ rows, not S.
+  // max|T̃_ℓ| is recorded at assembly: factor() frees T̃_ℓ after the gather.
   double scale = std::max(1.0, max_abs(oracle));
   for (const SubdomainFactorization& f : solver.factorizations()) {
-    for (const value_t v : f.t_tilde.values) {
-      scale = std::max(scale, std::abs(v));
-    }
+    scale = std::max(scale, f.t_tilde_max_abs);
   }
   if (diff > opt.rel_tol * scale) {
     rep.add("schur.mismatch",

@@ -3,6 +3,7 @@
 // Eq. (1) and computes the balance statistics of Fig. 3 / Table II.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/nested_dissection.hpp"
@@ -21,6 +22,10 @@ struct DbbdPartition {
   /// Start offset of each subdomain block in the new ordering; size k+1,
   /// domain_offset[k] = separator start.
   std::vector<index_t> domain_offset;
+  /// pattern_hash of the incidence SchurSolver::setup() partitioned with (0
+  /// when it had none): a partition answers only requests that bring the
+  /// same incidence (serve/service.hpp).
+  std::uint64_t incidence_hash = 0;
   [[nodiscard]] index_t separator_size() const { return n - domain_offset[num_parts]; }
   [[nodiscard]] index_t domain_size(index_t l) const {
     return domain_offset[l + 1] - domain_offset[l];

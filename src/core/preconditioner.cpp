@@ -19,7 +19,9 @@ SchurPreconditioner::SchurPreconditioner(const CsrMatrix& s_tilde,
   const CsrMatrix sym = symmetrize_abs(pattern_of(s_tilde));
   colmap_ = minimum_degree_ordering(sym);
   const CsrMatrix ordered = permute_symmetric(s_tilde, colmap_);
-  lu_ = lu_factorize(ordered, opt);
+  LuFactors f = lu_factorize(ordered, opt);
+  const index_t start = dense_block_start(f);
+  lu_ = with_dense_block(std::move(f), start);
   factor_seconds_ = timer.seconds();
 }
 
@@ -38,9 +40,8 @@ void SchurPreconditioner::apply_with_scratch(
   for (index_t k = 0; k < n_; ++k) {
     scratch[k] = x[colmap_[lu_.row_perm[k]]];
   }
-  const std::span<value_t> ws(scratch.data(), static_cast<std::size_t>(n_));
-  lower_solve_dense(lu_.lower, ws, /*unit_diag=*/true);
-  upper_solve_dense(lu_.upper_t, ws);
+  block_lu_solve(lu_, std::span<value_t>(scratch.data(),
+                                         static_cast<std::size_t>(n_)));
   for (index_t j = 0; j < n_; ++j) y[colmap_[j]] = scratch[j];
 }
 

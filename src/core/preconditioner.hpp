@@ -1,6 +1,9 @@
 // Schur-complement preconditioner: LU factors of the sparsified S̃ applied
 // as M⁻¹ inside GMRES (paper §I: "the LU factors of S̃ are computed … and
-// used as a preconditioner for solving (2)").
+// used as a preconditioner for solving (2)"). The factors' trailing block
+// is kept dense from the column where that is no larger than CSC
+// (BlockLuFactors, docs/ALGORITHMS.md §2.5); the apply is bitwise the CSC
+// sweeps either way.
 #pragma once
 
 #include "direct/lu.hpp"
@@ -27,7 +30,8 @@ class SchurPreconditioner final : public LinearOperator {
   void apply_with_scratch(std::span<const value_t> x, std::span<value_t> y,
                           std::vector<value_t>& scratch) const;
 
-  [[nodiscard]] long long factor_nnz() const { return lu_.fill_nnz(); }
+  /// Stored entries of L + U, as the CSC factors held them.
+  [[nodiscard]] long long factor_nnz() const { return lu_.stored_nnz; }
   [[nodiscard]] double factor_seconds() const { return factor_seconds_; }
   /// Heap footprint of the factors — the serve cache charges this through
   /// SchurSolver::memory_bytes().
@@ -38,7 +42,7 @@ class SchurPreconditioner final : public LinearOperator {
  private:
   index_t n_ = 0;
   std::vector<index_t> colmap_;  // fill-reducing permutation (new → old)
-  LuFactors lu_;
+  BlockLuFactors lu_;
   double factor_seconds_ = 0.0;
   mutable std::vector<value_t> scratch_;
 };

@@ -1,11 +1,15 @@
 #include "core/schur_assembly.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "check/fault.hpp"
 #include "direct/mindeg.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "reorder/hypergraph_rhs.hpp"
@@ -101,7 +105,150 @@ CscMatrix unpermute_columns(const CscMatrix& in,
   return out;
 }
 
+// The segments of interface_product may take at most this many times G̃'s
+// own bytes; beyond it the product runs as a Gustavson spgemm.
+constexpr std::size_t kSegmentBudget = 4;
+
+bool all_finite(const std::vector<value_t>& v) {
+  int bad = 0;  // branch-free, so the scan vectorizes
+  for (const value_t x : v) {
+    bad |= !(std::abs(x) <= std::numeric_limits<value_t>::max());
+  }
+  return bad == 0;
+}
+
+// spgemm(W̃, G̃) on W̃'s CSR (W̃ᵀ's CSC arrays) and G̃'s.
+CsrMatrix gustavson_product(const CscMatrix& wt, const CscMatrix& g,
+                            unsigned threads) {
+  CsrMatrix w;
+  w.rows = wt.cols;
+  w.cols = wt.rows;
+  w.row_ptr = wt.col_ptr;
+  w.col_idx = wt.row_idx;
+  w.values = wt.values;
+  return spgemm(w, csc_to_csr(g), threads);
+}
+
 }  // namespace
+
+CsrMatrix interface_product(const CscMatrix& wt, const CscMatrix& g,
+                            unsigned threads,
+                            const panel::KernelTable* kernels) {
+  PDSLIN_CHECK_MSG(wt.rows == g.rows, "interface_product dimension mismatch");
+  const index_t m = wt.cols;
+  const index_t ncol = g.cols;
+  const index_t nd = g.rows;
+  CsrMatrix t(m, ncol);
+  if (wt.nnz() == 0 || g.nnz() == 0) return t;  // empty product, as spgemm
+  PDSLIN_CHECK_MSG(wt.has_values() && g.has_values(),
+                   "interface_product requires values");
+
+  // Row k of G̃ spans columns [first[k], first[k] + len[k]): columns are
+  // visited ascending, so a row's first visit is its smallest column.
+  std::vector<index_t> first(nd, 0), len(nd, 0), row_nnz(nd, 0);
+  for (index_t j = 0; j < ncol; ++j) {
+    for (index_t q = g.col_ptr[j]; q < g.col_ptr[j + 1]; ++q) {
+      const index_t k = g.row_idx[q];
+      if (row_nnz[k]++ == 0) first[k] = j;
+      len[k] = j - first[k] + 1;
+    }
+  }
+  // Words of row k's column bitmask, which starts at word first[k] / 64.
+  const auto mask_words = [&](index_t k) {
+    return len[k] == 0 ? 0 : (first[k] + len[k] - 1) / 64 - first[k] / 64 + 1;
+  };
+  std::vector<std::size_t> offset(nd), word_offset(nd);
+  std::size_t slots = 0, words = 0;
+  for (index_t k = 0; k < nd; ++k) {
+    offset[k] = slots;
+    word_offset[k] = words;
+    slots += static_cast<std::size_t>(len[k]);
+    words += static_cast<std::size_t>(mask_words(k));
+  }
+  const std::size_t g_bytes =
+      g.col_ptr.size() * sizeof(index_t) +
+      g.row_idx.size() * (sizeof(index_t) + sizeof(value_t));
+  if (!all_finite(wt.values) ||
+      (slots + words) * sizeof(value_t) > kSegmentBudget * g_bytes) {
+    return gustavson_product(wt, g, threads);
+  }
+  std::vector<value_t> seg(slots, 0.0);
+  std::vector<std::uint64_t> mask(words, 0);
+  for (index_t j = 0; j < ncol; ++j) {
+    for (index_t q = g.col_ptr[j]; q < g.col_ptr[j + 1]; ++q) {
+      const index_t k = g.row_idx[q];
+      std::uint64_t& word = mask[word_offset[k] + j / 64 - first[k] / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+      // The segment holds one value per column; a row stored twice at a
+      // column takes Gustavson's two terms.
+      if ((word & bit) != 0) return gustavson_product(wt, g, threads);
+      word |= bit;
+      seg[offset[k] + static_cast<std::size_t>(j - first[k])] = g.values[q];
+    }
+  }
+  long long flops = 0;  // Gustavson's multiply-add count
+  for (const index_t k : wt.row_idx) flops += row_nnz[k];
+  static obs::Counter& flop_counter = obs::counter("spgemm.flops");
+  flop_counter.add(flops);
+
+  // Row i's pattern: the OR of the column bitmasks of the G̃ rows it reads.
+  const auto nwords = static_cast<std::size_t>((ncol + 63) / 64);
+  const auto row_mask = [&](index_t i, std::uint64_t* out) {
+    std::fill(out, out + nwords, std::uint64_t{0});
+    for (index_t p = wt.col_ptr[i]; p < wt.col_ptr[i + 1]; ++p) {
+      const index_t k = wt.row_idx[p];
+      const std::uint64_t* src = mask.data() + word_offset[k];
+      std::uint64_t* dst = out + first[k] / 64;
+      for (index_t w = 0; w < mask_words(k); ++w) dst[w] |= src[w];
+    }
+  };
+  ThreadPool& pool = ThreadPool::shared();
+  std::vector<index_t> out_nnz(m, 0);
+  parallel_ranges(pool, m, threads,
+                  [&](unsigned, long long begin, long long end) {
+                    std::vector<std::uint64_t> rm(nwords);
+                    for (auto i = static_cast<index_t>(begin); i < end; ++i) {
+                      row_mask(i, rm.data());
+                      index_t count = 0;
+                      for (const std::uint64_t w : rm) count += std::popcount(w);
+                      out_nnz[i] = count;
+                    }
+                  });
+  for (index_t i = 0; i < m; ++i) t.row_ptr[i + 1] = t.row_ptr[i] + out_nnz[i];
+  t.col_idx.resize(t.row_ptr[m]);
+  t.values.resize(t.row_ptr[m]);
+  const panel::RowSegments segments{first.data(), len.data(), offset.data(),
+                                    seg.data()};
+  const panel::KernelTable& kt =
+      kernels != nullptr ? *kernels : *panel::kernel_table(panel::kernel_path());
+  parallel_ranges(
+      pool, m, threads, [&](unsigned, long long begin, long long end) {
+        std::vector<std::uint64_t> rm(nwords);
+        // Every entry is +0.0 between rows: a padded term of a finite W̃
+        // value is ±0.0 and leaves it so, and the pattern's entries are
+        // reset as they are read.
+        std::vector<value_t> acc(ncol, 0.0);
+        for (auto i = static_cast<index_t>(begin); i < end; ++i) {
+          const index_t p0 = wt.col_ptr[i];
+          const index_t nw = wt.col_ptr[i + 1] - p0;
+          kt.segment_row(segments, wt.row_idx.data() + p0,
+                         wt.values.data() + p0, nw, acc.data());
+          row_mask(i, rm.data());
+          index_t dst = t.row_ptr[i];
+          for (std::size_t w = 0; w < nwords; ++w) {
+            for (std::uint64_t bits = rm[w]; bits != 0; bits &= bits - 1) {
+              const auto j = static_cast<index_t>(
+                  w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+              t.col_idx[dst] = j;
+              t.values[dst] = acc[j];
+              acc[j] = 0.0;
+              ++dst;
+            }
+          }
+        }
+      });
+  return t;
+}
 
 CscMatrix drop_small_columns(const CscMatrix& a, double rel_tol,
                              unsigned threads) {
@@ -252,18 +399,14 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
     f.g_nnzrow = std::count(row_seen.begin(), row_seen.end(), 1);
   }
 
-  // --- T̃ = W̃ G̃. W (m_f × nd) in CSR is exactly Wᵀ's CSC arrays. ---
+  // --- T̃ = W̃ G̃. ---
   timer.reset();
-  CsrMatrix w_csr;
-  w_csr.rows = wt.cols;
-  w_csr.cols = wt.rows;
-  w_csr.row_ptr = wt.col_ptr;
-  w_csr.col_idx = wt.row_idx;
-  w_csr.values = wt.values;
-  const CsrMatrix g_csr = csc_to_csr(g);
   {
     PDSLIN_SPAN("comp_s.gemm");
-    f.t_tilde = spgemm(w_csr, g_csr, opt.inner_threads);
+    f.t_tilde = interface_product(wt, g, opt.inner_threads);
+  }
+  for (const value_t v : f.t_tilde.values) {
+    f.t_tilde_max_abs = std::max(f.t_tilde_max_abs, std::abs(v));
   }
   f.gemm_seconds = timer.seconds();
   return f;

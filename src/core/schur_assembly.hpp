@@ -9,6 +9,7 @@
 
 #include "core/config.hpp"
 #include "core/subdomain.hpp"
+#include "direct/kernels.hpp"
 #include "direct/lu.hpp"
 #include "direct/multirhs.hpp"
 #include "direct/trisolve.hpp"
@@ -27,7 +28,7 @@ struct SchurAssemblyOptions {
   LuOptions lu;
   /// Inner workers per subdomain — the second level of the paper's
   /// np = k × (np/k) hierarchy. Parallelizes the multi-RHS triangular
-  /// solves (across RHS blocks), the T̃ = W̃G̃ SpGEMM (across rows) and the
+  /// solves (across RHS blocks), the T̃ = W̃G̃ product (across rows) and the
   /// threshold-drop sweeps; 1 = serial. Results are bitwise identical for
   /// any value.
   unsigned inner_threads = 1;
@@ -45,7 +46,12 @@ struct SubdomainFactorization {
   /// Combined row map: rowmap[k] = old local interior row feeding pivot
   /// row k (colmap ∘ LU row permutation).
   std::vector<index_t> rowmap;
-  CsrMatrix t_tilde;  // F̂-row × Ê-col local update matrix
+  /// F̂-row × Ê-col local update matrix. SchurSolver::factor() frees it
+  /// after the gather; assemble_subdomain's own result keeps it.
+  CsrMatrix t_tilde;
+  /// max|T̃_ℓ| over its stored values (NaN skipped), kept past the release
+  /// for check_schur_consistency's tolerance scale.
+  double t_tilde_max_abs = 0.0;
 
   // --- measurements ---
   double order_seconds = 0.0;
@@ -61,6 +67,22 @@ struct SubdomainFactorization {
   long long nnz_ehat = 0;
   long long lu_nnz = 0;
 };
+
+/// T̃ = W̃·G̃ (paper Eq. (5)) with W̃ given by the CSC of its transpose (whose
+/// arrays are W̃'s CSR) and G̃ by columns; bitwise spgemm(W̃, G̃), the
+/// Gustavson product. Each G̃ row is kept as a dense segment from its first
+/// to its last column, each W̃ row is accumulated into a dense row that
+/// starts at +0.0, in W̃'s stored order (panel::segment_row_product), and
+/// the output pattern is the OR of the rows' column bitmasks
+/// (docs/ALGORITHMS.md §4). spgemm runs instead when W̃ holds a non-finite
+/// value, when G̃ stores an entry twice, or when the segments would take
+/// more than 4× G̃'s bytes. Row-parallel over `threads`, with the same bits
+/// for any count; adds the Gustavson multiply-add count to the spgemm.flops
+/// counter either way. `kernels` names one path's build of the row kernel
+/// (tests and benches); by default the dispatching one runs.
+CsrMatrix interface_product(const CscMatrix& wt, const CscMatrix& g,
+                            unsigned threads = 1,
+                            const panel::KernelTable* kernels = nullptr);
 
 /// Factor D_ℓ and form T̃_ℓ.
 SubdomainFactorization assemble_subdomain(const Subdomain& sub,

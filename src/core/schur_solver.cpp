@@ -20,6 +20,10 @@
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace pdslin {
 
 namespace {
@@ -66,6 +70,17 @@ std::vector<index_t> close_ascending(const CscMatrix& tri,
   return out;
 }
 
+/// Hand the pages of free heap chunks back to the system (glibc; elsewhere
+/// a no-op). factor() frees T̃ and the assembly's temporaries, then LU(S̃)'s
+/// CSC arrays; their chunks sit inside the heap, where the large arrays
+/// allocated next cannot reuse them, so without this each release would
+/// raise the process's resident peak rather than lower it.
+void return_free_heap_pages() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
 [[noreturn]] void invalid_request(const std::string& what) {
   throw Error("invalid request: " + what);
 }
@@ -93,6 +108,11 @@ std::size_t first_non_finite(std::span<const value_t> v) {
 }
 
 }  // namespace
+
+std::uint64_t incidence_hash_of(const CsrMatrix* incidence) {
+  return incidence != nullptr && incidence->rows > 0 ? pattern_hash(*incidence)
+                                                     : 0;
+}
 
 void check_request_matrix(const CsrMatrix& a) {
   if (a.rows != a.cols) invalid_request("A is not square");
@@ -217,6 +237,7 @@ void SchurSolver::setup(const CsrMatrix* incidence,
   {
     PDSLIN_SPAN("setup.dbbd");
     dbbd_ = build_dbbd(part, opt_.num_subdomains, separator_order);
+    dbbd_.incidence_hash = incidence_hash_of(incidence);
   }
   stats_.partition_seconds = timer.seconds();
   stats_.partition_multilevel_subtrees = pstats.multilevel_subtrees;
@@ -311,6 +332,9 @@ void SchurSolver::factor() {
         std::max(1u, opt_.threads) * std::max(1u, opt_.assembly.inner_threads);
     s_tilde_ = assemble_schur(c_block_, subs_, facts_, opt_.assembly.drop_s,
                               gather_threads);
+    // Nothing reads T̃_ℓ after the gather; free it before LU(S̃) allocates.
+    for (SubdomainFactorization& f : facts_) f.t_tilde = CsrMatrix{};
+    return_free_heap_pages();
   }
   stats_.gather_seconds = timer.seconds();
   stats_.schur_nnz = s_tilde_.nnz();
@@ -328,6 +352,9 @@ void SchurSolver::factor() {
     stats_.precond_nnz = 0;
   }
 
+  // Likewise LU(S̃)'s CSC factors, moved into the dense block, and its
+  // temporaries: a set-up built next would otherwise grow past them.
+  return_free_heap_pages();
   factor_done_ = true;
 
   // Preallocate the member solve path so every later solve() runs without
@@ -384,16 +411,12 @@ std::size_t SchurSolver::memory_bytes() const {
   for (const SubdomainFactorization& f : facts_) {
     bytes += f.lu.memory_bytes();
     bytes += index_bytes(f.colmap) + index_bytes(f.rowmap);
-    bytes += csr_bytes(f.t_tilde);
   }
   for (const SweepLists& sw : sweeps_) {
     bytes += index_bytes(sw.reach) + index_bytes(sw.need);
   }
   bytes += csr_bytes(c_block_) + csr_bytes(s_tilde_);
-  // LU(S̃): nnz(L+U) values + row indices, plus the permutation vectors.
-  bytes += static_cast<std::size_t>(stats_.precond_nnz) *
-           (sizeof(value_t) + sizeof(index_t));
-  bytes += 2 * static_cast<std::size_t>(stats_.schur_dim) * sizeof(index_t);
+  if (precond_) bytes += precond_->memory_bytes();
   return bytes;
 }
 

@@ -72,6 +72,10 @@ void check_request_incidence(const CsrMatrix& m, index_t n);
 /// Every value of b must be finite.
 void check_request_rhs(std::span<const value_t> b);
 
+/// pattern_hash of an incidence, 0 for none (nullptr or no rows): what
+/// setup() records in DbbdPartition::incidence_hash.
+std::uint64_t incidence_hash_of(const CsrMatrix* incidence);
+
 /// One entry of the SolverOptions field table (for_each_option).
 template <typename T>
 struct OptionField {
@@ -129,7 +133,8 @@ class SchurSolver {
   /// Phase 1 — compute the DBBD partition (Eq. (1)). RHB consumes the
   /// structural factor M; pass the generator's incidence or nullptr to build
   /// a clique cover internally. NGD ignores `incidence`; a nonempty one must
-  /// pass check_request_incidence() either way. The second
+  /// pass check_request_incidence() either way, and its hash is recorded in
+  /// partition().incidence_hash. The second
   /// parameter is not read: the partition depends on the matrix, the
   /// incidence and the options alone. It stays only for callers that still
   /// pass problem coordinates.
@@ -142,9 +147,10 @@ class SchurSolver {
   /// entirely; factor() must still run for the new numeric values.
   void adopt_partition(DbbdPartition dbbd);
 
-  /// Phase 2 — subdomain factorizations, S̃ assembly, LU(S̃). Also
-  /// preallocates the per-subdomain solve workspaces, so the solve phase
-  /// runs allocation-free. After factor() returns, the setup is immutable:
+  /// Phase 2 — subdomain factorizations, S̃ assembly, LU(S̃). Each T̃_ℓ is
+  /// released after the gather (factorizations()[ℓ].t_tilde is empty on
+  /// return). Also preallocates the per-subdomain solve workspaces, so the
+  /// solve phase runs allocation-free. After factor() returns, the setup is immutable:
   /// every solve entry point below is const and reentrant as long as each
   /// concurrent caller brings its own SolveContext.
   void factor();
@@ -229,8 +235,10 @@ class SchurSolver {
   [[nodiscard]] bool factored() const { return factor_done_; }
 
   /// Approximate resident bytes of the completed setup: matrix + partition
-  /// + per-subdomain factors/interfaces + S̃ + LU(S̃). The serve-layer
-  /// factorization cache charges entries by this number.
+  /// + per-subdomain factors/interfaces + S̃ + LU(S̃) (its own
+  /// memory_bytes()). T̃_ℓ is freed by factor() after the gather and is not
+  /// charged. The serve-layer factorization cache charges entries by this
+  /// number.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Apply D_ℓ⁻¹ (dense RHS) through the stored factors. Public for tests.

@@ -1,6 +1,8 @@
 #include "direct/kernels.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "util/error.hpp"
@@ -124,6 +126,50 @@ namespace {
   }
 }
 
+[[gnu::always_inline]] inline void segment_row_body(const RowSegments& g,
+                                                    const index_t* rows,
+                                                    const value_t* w,
+                                                    index_t nw, value_t* acc) {
+  for (index_t p = 0; p < nw; ++p) {
+    const index_t k = rows[p];
+    const index_t len = g.len[k];
+    const value_t wv = w[p];
+    const value_t* src = g.values + g.offset[k];
+    value_t* dst = acc + g.first[k];
+    for (index_t q = 0; q < len; ++q) dst[q] += wv * src[q];
+  }
+}
+
+// a·x_j for a present entry (a != 0.0), +0.0 for an absent one whatever
+// x_j is: 0·∞ and 0·NaN are NaN, and 0·(−x) is −0.0, which would turn an
+// x_r of −0.0 into +0.0. A bit mask rather than a branch, so the loops
+// vectorize.
+[[gnu::always_inline]] inline value_t present_term(value_t a, value_t xj) {
+  const std::uint64_t keep = 0 - static_cast<std::uint64_t>(a != 0.0);
+  return std::bit_cast<value_t>(std::bit_cast<std::uint64_t>(a * xj) & keep);
+}
+
+[[gnu::always_inline]] inline void dense_lu_body(const value_t* blk,
+                                                 index_t nb, value_t* x) {
+  for (index_t j = 0; j < nb; ++j) {
+    const value_t xj = x[j];
+    if (xj == 0.0) continue;
+    const value_t* col = blk + static_cast<std::size_t>(j) * nb;
+    for (index_t r = j + 1; r < nb; ++r) {
+      x[r] -= present_term(col[r], xj);
+    }
+  }
+  for (index_t j = nb - 1; j >= 0; --j) {
+    const value_t* col = blk + static_cast<std::size_t>(j) * nb;
+    x[j] /= col[j];
+    const value_t xj = x[j];
+    if (xj == 0.0) continue;
+    for (index_t r = 0; r < j; ++r) {
+      x[r] -= present_term(col[r], xj);
+    }
+  }
+}
+
 }  // namespace
 
 // One wrapper per kernel and path; ATTR is the path's target attribute.
@@ -146,7 +192,15 @@ namespace {
                       const index_t* slot, value_t* x, index_t width) {        \
     rhs_block_body(l, rows, u, slot, x, width);                                \
   }                                                                            \
-  constexpr KernelTable table{&trsm, &gemm, &factorize, &rhs_block};
+  ATTR void segment_row(const RowSegments& g, const index_t* rows,             \
+                        const value_t* w, index_t nw, value_t* acc) {          \
+    segment_row_body(g, rows, w, nw, acc);                                     \
+  }                                                                            \
+  ATTR void dense_lu(const value_t* blk, index_t nb, value_t* x) {             \
+    dense_lu_body(blk, nb, x);                                                 \
+  }                                                                            \
+  constexpr KernelTable table{&trsm,      &gemm,        &factorize,            \
+                              &rhs_block, &segment_row, &dense_lu};
 
 namespace baseline {
 PDSLIN_PATH_KERNELS()
@@ -195,6 +249,15 @@ bool factorize_columns(value_t* pan, index_t nr, index_t tri0, index_t w,
 void rhs_block_solve(const CscMatrix& l, const index_t* rows, index_t u,
                      const index_t* slot, value_t* x, index_t width) {
   active().rhs_block(l, rows, u, slot, x, width);
+}
+
+void segment_row_product(const RowSegments& g, const index_t* rows,
+                         const value_t* w, index_t nw, value_t* acc) {
+  active().segment_row(g, rows, w, nw, acc);
+}
+
+void dense_lu_solve(const value_t* blk, index_t nb, value_t* x) {
+  active().dense_lu(blk, nb, x);
 }
 
 void gather_block(const value_t* pan, index_t nr, const index_t* pos,

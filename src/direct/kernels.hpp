@@ -1,5 +1,7 @@
-// Dense microkernels for the supernodal panel LU (direct/panel_lu), and the
-// block update of the blocked multi-RHS solve (direct/multirhs).
+// Dense microkernels for the supernodal panel LU (direct/panel_lu), the
+// block update of the blocked multi-RHS solve (direct/multirhs), the dense
+// row accumulation of T̃ = W̃·G̃ (core/schur_assembly) and the sweep of a
+// factor's dense trailing block (direct/trisolve).
 //
 // A panel is stored column-major: nr rows × w columns, where local rows
 // [0, tri0) are the panel's U-part (global rows above the first column),
@@ -17,11 +19,14 @@
 // ±0.0 can only flip the sign of a zero, and zeros are dropped identically
 // at extraction.
 //
-// trsm_unit_lower, gemm_minus, factorize_columns and rhs_block_solve are
-// built twice from one source, for the baseline target and for AVX2
-// (direct/kernel_path.hpp). The functions below dispatch to the path the
-// CPU supports; kernel_table() names each path's build explicitly.
+// trsm_unit_lower, gemm_minus, factorize_columns, rhs_block_solve,
+// segment_row_product and dense_lu_solve are built twice from one source,
+// for the baseline target and for AVX2 (direct/kernel_path.hpp). The
+// functions below dispatch to the path the CPU supports; kernel_table()
+// names each path's build explicitly.
 #pragma once
+
+#include <cstddef>
 
 #include "direct/kernel_path.hpp"
 #include "sparse/csr.hpp"
@@ -72,13 +77,43 @@ bool factorize_columns(value_t* pan, index_t nr, index_t tri0, index_t w,
 void rhs_block_solve(const CscMatrix& l, const index_t* rows, index_t u,
                      const index_t* slot, value_t* x, index_t width);
 
-/// One path's build of the four kernels above. Set-up calls the
+/// The rows of a sparse matrix kept as dense segments: row k covers
+/// columns [first[k], first[k] + len[k]) at values + offset[k], with the
+/// entries the row does not store held as +0.0; len[k] == 0 for an empty
+/// row.
+struct RowSegments {
+  const index_t* first;
+  const index_t* len;
+  const std::size_t* offset;
+  const value_t* values;
+};
+
+/// One row of a product W·G accumulated densely: for p = 0 … nw−1 in
+/// order, acc[first[k] + q] += w[p]·seg_k[q] for every q of row k = rows[p]
+/// of g. Each element meets its terms in the order of p, as in Gustavson's
+/// row product, and a padded term w[p]·(+0.0) is ±0.0, which leaves a sum
+/// that started at +0.0 unchanged whenever w[p] is finite.
+void segment_row_product(const RowSegments& g, const index_t* rows,
+                         const value_t* w, index_t nw, value_t* acc);
+
+/// x ← U⁻¹ L⁻¹ x for the nb × nb column-major block `blk` holding unit L
+/// strictly below the diagonal and U on and above it. L is swept by
+/// ascending columns, U as a scatter of its columns from the last one down
+/// (x_j is divided by U_jj when column j is reached). A column with
+/// x_j == 0 is skipped, and an entry that is exactly 0.0 subtracts +0.0,
+/// which leaves every x_r as it was: with no stored zero in the block,
+/// these are the sweeps of the factors' CSC columns bit for bit.
+void dense_lu_solve(const value_t* blk, index_t nb, value_t* x);
+
+/// One path's build of the six kernels above. Set-up calls the
 /// dispatching functions; tests and benches use these to call one path.
 struct KernelTable {
   decltype(&trsm_unit_lower) trsm;
   decltype(&gemm_minus) gemm;
   decltype(&factorize_columns) factorize;
   decltype(&rhs_block_solve) rhs_block;
+  decltype(&segment_row_product) segment_row;
+  decltype(&dense_lu_solve) dense_lu;
 };
 
 /// The kernels of path p, or nullptr when this build or this CPU lacks it.

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "sparse/csr.hpp"
+#include "util/hash.hpp"
 
 namespace pdslin {
 struct SolverOptions;  // core/schur_solver.hpp
@@ -35,14 +36,10 @@ struct Fingerprint {
   [[nodiscard]] std::string to_hex() const;
 };
 
-/// 64-bit hash of a byte range: four multiply-xorshift lanes over 8-byte
-/// words. Pass the previous hash as `seed` to chain ranges. Changing any one
-/// 8-byte word of the range (counted from its start; the last 1-7 bytes
-/// count as one word), or the seed, always changes the result.
-std::uint64_t hash_bytes(const void* data, std::size_t len,
-                         std::uint64_t seed = 0xcbf29ce484222325ULL);
+using pdslin::hash_bytes;  // util/hash.hpp
 
-/// Fingerprint a matrix: O(nnz) hashing, no allocation.
+/// Fingerprint a matrix: O(nnz) hashing, no allocation. The structure half
+/// is pattern_hash(a).
 Fingerprint fingerprint_of(const CsrMatrix& a);
 
 /// Hash the SolverOptions fields that the for_each_option table marks

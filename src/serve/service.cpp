@@ -129,6 +129,7 @@ std::future<SolveResponse> SolveService::submit(SolveRequest req) {
   }
   PendingRequest pr;
   pr.key = SetupKey{fingerprint_of(*req.a), setup_options_hash(req.opt)};
+  pr.incidence = incidence_hash_of(req.incidence.get());
   pr.req = std::move(req);
   pr.promise = std::move(promise);
   pr.enqueued = Clock::now();
@@ -190,7 +191,7 @@ void SolveService::hand_off(const SetupKey& key,
                             std::shared_ptr<const BuildOutcome> outcome) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = builds_.find(key);
-  std::vector<PendingRequest>& parked = it->second;
+  std::vector<PendingRequest>& parked = it->second.parked;
   parked_ -= parked.size();
   for (auto p = parked.rbegin(); p != parked.rend(); ++p) {
     p->handoff = outcome;
@@ -213,6 +214,7 @@ std::shared_ptr<CachedSetup> SolveService::build(const PendingRequest& pr,
     auto solver = std::make_shared<SchurSolver>(*pr.req.a, pr.req.opt);
     std::shared_ptr<const DbbdPartition> part;
     if (cfg_.enable_cache) part = cache_.find_partition(pr.key);
+    if (part && part->incidence_hash != pr.incidence) part.reset();
     if (part) {
       solver->adopt_partition(*part);
     } else {
@@ -263,6 +265,7 @@ void SolveService::answer(PendingRequest& pr) {
       resp.detail = pr.handoff->detail;
       resp.cache_hit = setup != nullptr;
     } else {
+      bool claimed = false;
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.batches;
@@ -271,12 +274,21 @@ void SolveService::answer(PendingRequest& pr) {
           // Look up and claim under the lock the hand-off takes: a build
           // inserts its entry before it releases its claim, so a request
           // meets the entry or the claim of any build of its key, and
-          // builds only when it meets neither.
+          // builds only when it meets neither. An entry or a build
+          // partitioned on another incidence does not answer it: it then
+          // builds for itself, beside that build when one is in flight.
           setup = cache_.find(pr.key);
+          if (setup &&
+              setup->solver().partition().incidence_hash != pr.incidence) {
+            setup.reset();
+          }
           if (!setup) {
-            auto [claim, claimed] = builds_.try_emplace(pr.key);
-            if (!claimed) {
-              claim->second.push_back(std::move(pr));
+            auto [claim, fresh] = builds_.try_emplace(pr.key);
+            if (fresh) {
+              claim->second.incidence = pr.incidence;
+              claimed = true;
+            } else if (claim->second.incidence == pr.incidence) {
+              claim->second.parked.push_back(std::move(pr));
               ++parked_;
               return;
             }
@@ -286,7 +298,7 @@ void SolveService::answer(PendingRequest& pr) {
       resp.cache_hit = setup != nullptr;
       if (!setup) {
         setup = build(pr, resp);
-        if (cfg_.enable_cache) {
+        if (claimed) {
           hand_off(pr.key, std::make_shared<const BuildOutcome>(
                                BuildOutcome{setup, resp.detail}));
         }

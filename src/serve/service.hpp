@@ -16,7 +16,10 @@
 //              full hit → cached const setup; symbolic hit → partition
 //              adopted, factor() redone; miss → full setup. One build per
 //              key at a time: a miss on a key whose build is in flight
-//              parks until that build ends, then is answered from it
+//              parks until that build ends, then is answered from it.
+//              Each of the three is used only when it was partitioned on
+//              the request's own incidence (DbbdPartition::incidence_hash);
+//              otherwise the request builds its own set-up
 //            → one solve_multi over the request's own right-hand sides
 //            → the response through std::future.
 //
@@ -157,6 +160,7 @@ class SolveService {
   struct PendingRequest {
     SolveRequest req;
     SetupKey key;
+    std::uint64_t incidence = 0;  // incidence_hash_of(req.incidence)
     std::promise<SolveResponse> promise;
     std::chrono::steady_clock::time_point enqueued;
     /// Set when the request parked behind another request's build of its
@@ -188,9 +192,15 @@ class SolveService {
   mutable std::mutex mu_;
   std::condition_variable cv_idle_;  // stop(): the last task ended
   std::deque<PendingRequest> queue_;
-  /// Keys whose build is in flight → the requests parked behind it. The
-  /// claim check, the park and the hand-off all hold mu_.
-  std::map<SetupKey, std::vector<PendingRequest>> builds_;
+  /// A build in flight: the incidence it partitions on, and the requests
+  /// with that incidence parked behind it.
+  struct Build {
+    std::uint64_t incidence = 0;
+    std::vector<PendingRequest> parked;
+  };
+  /// Keys whose build is in flight → that build. The claim check, the park
+  /// and the hand-off all hold mu_.
+  std::map<SetupKey, Build> builds_;
   std::size_t parked_ = 0;  // requests in builds_, charged to queue_capacity
   unsigned running_ = 0;    // tasks started and not yet ended
   bool stopping_ = false;

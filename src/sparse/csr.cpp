@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace pdslin {
 
@@ -86,5 +87,15 @@ void CscMatrix::validate() const {
 bool CscMatrix::is_sorted() const { return sorted_compressed(cols, col_ptr, row_idx); }
 
 void CscMatrix::sort_cols() { sort_compressed(cols, col_ptr, row_idx, values); }
+
+std::uint64_t pattern_hash(const CsrMatrix& m) {
+  // Dimensions first so an empty n×m pattern differs from an empty p×q one.
+  const auto rows = static_cast<std::uint64_t>(m.rows);
+  const auto cols = static_cast<std::uint64_t>(m.cols);
+  std::uint64_t h = hash_bytes(&rows, sizeof rows, 0x9e3779b97f4a7c15ULL);
+  h = hash_bytes(&cols, sizeof cols, h);
+  h = hash_bytes(m.row_ptr.data(), m.row_ptr.size() * sizeof(index_t), h);
+  return hash_bytes(m.col_idx.data(), m.col_idx.size() * sizeof(index_t), h);
+}
 
 }  // namespace pdslin

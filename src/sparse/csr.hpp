@@ -10,6 +10,7 @@
 // avoid carrying numerical payloads.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -74,5 +75,9 @@ struct CscMatrix {
   [[nodiscard]] bool is_sorted() const;
   void sort_cols();
 };
+
+/// Hash of (rows, cols, row_ptr, col_idx) — the sparsity pattern, values
+/// ignored (util/hash.hpp). The structure half of serve::fingerprint_of.
+std::uint64_t pattern_hash(const CsrMatrix& m);
 
 }  // namespace pdslin

@@ -135,14 +135,7 @@ bool bitwise_equal(const std::vector<value_t>& a,
          std::memcmp(a.data(), b.data(), a.size() * sizeof(value_t)) == 0;
 }
 
-/// Every path's kernel table this build and CPU have, baseline first.
-std::vector<const panel::KernelTable*> kernel_paths() {
-  std::vector<const panel::KernelTable*> paths;
-  for (const auto p : {panel::KernelPath::Baseline, panel::KernelPath::Avx2}) {
-    if (const panel::KernelTable* t = panel::kernel_table(p)) paths.push_back(t);
-  }
-  return paths;
-}
+using testing::kernel_paths;
 
 // Each path's build of the dispatched kernels against the baseline's, on
 // operands holding exact zeros and −0.0, at sizes that leave every vector
@@ -578,6 +571,90 @@ TEST(Supernodes, AverageWidthOfEmptyFactorIsOne) {
   // report the neutral width 1.0, not 0.0.
   const Supernodes empty;
   EXPECT_EQ(empty.average_width(), 1.0);
+}
+
+// The dense-block apply against the CSC sweeps it replaces
+// (lower_solve_dense + upper_solve_dense), on each path: blocks from column
+// 0, from the middle, from dense_block_start, and none; right-hand sides
+// holding exact zeros, −0.0 and ±∞. The second factor is nearly diagonal,
+// so absent entries of its block meet a −0.0 that no present entry
+// touches, and an ∞ that reaches only one other row.
+TEST(PanelLu, DenseBlockApplyMatchesCscSweeps) {
+  Rng rng(31);
+  constexpr value_t inf = std::numeric_limits<value_t>::infinity();
+  CooMatrix sparse(4, 4);
+  for (index_t i = 0; i < 4; ++i) sparse.add(i, i, i == 2 ? -2.0 : 2.0);
+  sparse.add(3, 0, 1.0);
+  const LuFactors factors[] = {
+      lu_factorize(ordered_matrix(bordered_indefinite(60, 12, rng))),
+      lu_factorize(coo_to_csr(sparse))};
+  for (const LuFactors& f : factors) {
+    const index_t n = f.n;
+    const index_t rule = dense_block_start(f);
+    EXPECT_LT(rule, n);
+    std::vector<std::vector<value_t>> rhs = {
+        std::vector<value_t>(static_cast<std::size_t>(n), -0.0)};
+    if (n == 4) {
+      rhs.push_back({-1.0, -0.0, 1.0, -0.0});
+      rhs.push_back({inf, 1.0, -0.0, 1.0});
+      rhs.push_back({1.0, -inf, 1.0, -0.0});
+    } else {
+      EXPECT_GT(rule, 0);
+      for (int r = 0; r < 6; ++r) {
+        std::vector<value_t> b = values_with_zeros(static_cast<std::size_t>(n), rng);
+        if (r >= 3) {
+          b[rng.bounded(n)] = inf;
+          b[rng.bounded(n)] = -inf;
+        }
+        rhs.push_back(std::move(b));
+      }
+    }
+    for (const index_t start : {index_t{0}, n / 2, rule, n}) {
+      const BlockLuFactors bf = with_dense_block(f, start);
+      EXPECT_EQ(bf.start, start);
+      EXPECT_EQ(bf.stored_nnz, f.fill_nnz());
+      if (start == rule) {
+        EXPECT_LE(bf.memory_bytes(), f.memory_bytes());
+      }
+      for (std::size_t r = 0; r < rhs.size(); ++r) {
+        std::vector<value_t> want = rhs[r];
+        lower_solve_dense(f.lower, want, /*unit_diag=*/true);
+        upper_solve_dense(f.upper_t, want);
+        for (const panel::KernelTable* t : kernel_paths()) {
+          std::vector<value_t> got = rhs[r];
+          block_lu_solve(bf, got, t);
+          EXPECT_TRUE(bitwise_equal(want, got))
+              << "n " << n << ", block start " << start
+              << ", right-hand side " << r;
+        }
+      }
+    }
+  }
+}
+
+// A stored exact zero (0.0 or −0.0) reads as an absent entry in a dense
+// block, so a factor holding one in its candidate block keeps it in CSC.
+TEST(PanelLu, StoredZeroKeepsTheBlockInCsc) {
+  Rng rng(32);
+  const LuFactors f = lu_factorize(ordered_matrix(bordered_indefinite(60, 12, rng)));
+  const index_t start = dense_block_start(f);
+  ASSERT_LT(start, f.n);
+  for (const bool in_l : {true, false}) {
+    LuFactors z = f;
+    CscMatrix& m = in_l ? z.lower : z.upper_t;
+    index_t j = start;
+    while (m.col_nnz(j) < 2) ++j;  // an off-diagonal entry of the block
+    m.values[m.col_ptr[j] + 1] = in_l ? 0.0 : -0.0;
+    EXPECT_EQ(dense_block_start(z), z.n) << (in_l ? "L" : "U");
+    EXPECT_THROW(with_dense_block(z, start), Error);
+    const BlockLuFactors bf = with_dense_block(z, z.n);
+    std::vector<value_t> want = values_with_zeros(static_cast<std::size_t>(z.n), rng);
+    std::vector<value_t> got = want;
+    lower_solve_dense(z.lower, want, /*unit_diag=*/true);
+    upper_solve_dense(z.upper_t, want);
+    block_lu_solve(bf, got);
+    EXPECT_TRUE(bitwise_equal(want, got)) << (in_l ? "L" : "U");
+  }
 }
 
 }  // namespace

@@ -6,15 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "core/dbbd.hpp"
 #include "core/schur_assembly.hpp"
 #include "core/subdomain.hpp"
+#include "direct/kernels.hpp"
 #include "gen/grid_fem.hpp"
+#include "obs/metrics.hpp"
 #include "graph/graph.hpp"
 #include "partition/engine.hpp"
-#include "sparse/symmetrize.hpp"
 #include "sparse/convert.hpp"
+#include "sparse/spgemm.hpp"
+#include "sparse/symmetrize.hpp"
 #include "test_util.hpp"
 
 namespace pdslin {
@@ -262,6 +267,103 @@ TEST(SchurAssembly, DiagonalKeptUnderRowParallelSweeps) {
   EXPECT_EQ(t1.row_ptr, t4.row_ptr);
   EXPECT_EQ(t1.col_idx, t4.col_idx);
   EXPECT_EQ(t1.values, t4.values);
+}
+
+/// CSC from per-column (row, value) lists, rows ascending; stored zeros
+/// stay stored.
+CscMatrix csc_from_columns(
+    index_t rows, const std::vector<std::vector<std::pair<index_t, value_t>>>& cols) {
+  CscMatrix m(rows, static_cast<index_t>(cols.size()));
+  for (std::size_t j = 0; j < cols.size(); ++j) {
+    for (const auto& [r, v] : cols[j]) {
+      m.row_idx.push_back(r);
+      m.values.push_back(v);
+    }
+    m.col_ptr[j + 1] = static_cast<index_t>(m.row_idx.size());
+  }
+  return m;
+}
+
+void expect_same_bits(const CsrMatrix& want, const CsrMatrix& got,
+                      const std::string& what) {
+  EXPECT_EQ(want.rows, got.rows) << what;
+  EXPECT_EQ(want.cols, got.cols) << what;
+  EXPECT_EQ(want.row_ptr, got.row_ptr) << what;
+  EXPECT_EQ(want.col_idx, got.col_idx) << what;
+  ASSERT_EQ(want.values.size(), got.values.size()) << what;
+  EXPECT_EQ(0, std::memcmp(want.values.data(), got.values.data(),
+                           want.values.size() * sizeof(value_t)))
+      << what;
+}
+
+// interface_product against spgemm (Gustavson) bit for bit, on each kernel
+// path at inner_threads 1 and 4: T̃ widths across the bitmask word
+// boundaries, empty W̃ and G̃ rows, stored 0.0 and −0.0 in G̃, a G̃ row
+// spanning every column, and a NaN or ∞ in W̃, which takes spgemm.
+TEST(SchurAssembly, InterfaceProductMatchesSpgemm) {
+  const auto paths = testing::kernel_paths();
+  ASSERT_FALSE(paths.empty());
+  Rng rng(91);
+  const index_t nd = 40, mf = 23;
+  const auto value = [&] {
+    const double r = rng.uniform();
+    return r < 0.1 ? 0.0 : r < 0.2 ? -0.0 : rng.uniform(-1.0, 1.0);
+  };
+  obs::Counter& flops = obs::counter("spgemm.flops");
+  for (const index_t m : {1, 63, 64, 65, 130}) {
+    // G̃ (nd × m): row 0 spans columns 0 … m−1, rows 5–9 are empty, every
+    // other row holds a few entries in a window of 9 columns.
+    std::vector<std::vector<std::pair<index_t, value_t>>> gcols(m);
+    for (index_t k = 0; k < nd; ++k) {
+      if (k >= 5 && k < 10) continue;
+      if (k == 0) {
+        gcols[0].push_back({0, rng.uniform(-1.0, 1.0)});
+        if (m > 1) gcols[m - 1].push_back({0, rng.uniform(-1.0, 1.0)});
+        continue;
+      }
+      const auto c0 = static_cast<index_t>(rng.bounded(m));
+      for (index_t j = c0; j < std::min(m, c0 + 9); ++j) {
+        if (rng.uniform() < 0.5) gcols[j].push_back({k, value()});
+      }
+    }
+    const CscMatrix g = csc_from_columns(nd, gcols);
+    // W̃ᵀ (nd × mf): W̃ rows 3 and 7 are empty; the others read 6 random
+    // G̃ rows, the empty ones included.
+    std::vector<std::vector<std::pair<index_t, value_t>>> wcols(mf);
+    for (index_t i = 0; i < mf; ++i) {
+      if (i == 3 || i == 7) continue;
+      for (index_t k = 0; k < nd; ++k) {
+        if (rng.uniform() < 0.15) wcols[i].push_back({k, rng.uniform(-1.0, 1.0)});
+      }
+    }
+    const CscMatrix wt = csc_from_columns(nd, wcols);
+    for (const value_t bad : {0.0, std::numeric_limits<value_t>::quiet_NaN(),
+                              std::numeric_limits<value_t>::infinity()}) {
+      CscMatrix w_in = wt;
+      if (bad != 0.0) w_in.values[w_in.values.size() / 2] = bad;
+      CsrMatrix w;
+      w.rows = w_in.cols;
+      w.cols = w_in.rows;
+      w.row_ptr = w_in.col_ptr;
+      w.col_idx = w_in.row_idx;
+      w.values = w_in.values;
+      const long long f0 = flops.value();
+      const CsrMatrix want = spgemm(w, csc_to_csr(g));
+      const long long want_flops = flops.value() - f0;
+      ASSERT_GT(want.nnz(), 0);
+      for (const panel::KernelTable* t : paths) {
+        for (const unsigned threads : {1u, 4u}) {
+          const long long f1 = flops.value();
+          const CsrMatrix got = interface_product(w_in, g, threads, t);
+          const std::string what = "m " + std::to_string(m) + " threads " +
+                                   std::to_string(threads) + " bad " +
+                                   std::to_string(bad);
+          expect_same_bits(want, got, what);
+          EXPECT_EQ(flops.value() - f1, want_flops) << what;
+        }
+      }
+    }
+  }
 }
 
 TEST(SchurAssembly, StatsArePopulated) {

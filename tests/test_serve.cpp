@@ -19,7 +19,9 @@
 #include <vector>
 
 #include "core/schur_solver.hpp"
+#include "core/structural_factor.hpp"
 #include "serve/service.hpp"
+#include "sparse/symmetrize.hpp"
 #include "test_util.hpp"
 #include "util/error.hpp"
 
@@ -556,6 +558,64 @@ TEST(ServeService, SolvesCorrectlyAndCachesRepeats) {
   for (index_t i = 0; i < a->rows; ++i) {
     EXPECT_NEAR(first.x[i], x_ref[i], 1e-6);
   }
+}
+
+// A cached set-up, a cached partition and a build in flight answer only
+// requests that bring the incidence they were partitioned on: each answer
+// is bitwise the direct solve with the request's own incidence.
+TEST(ServeService, CachedSetupAnswersOnlyItsOwnIncidence) {
+  const auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(16, 16));
+  auto a2 = std::make_shared<CsrMatrix>(*a);  // same pattern, new values
+  for (value_t& v : a2->values) v *= 1.25;
+  // The clique cover (the grid's edges), and A's own rows (one star per
+  // unknown): both valid incidences, with different hypergraphs.
+  const auto inc1 = std::make_shared<const CsrMatrix>(
+      clique_cover_factor(symmetrize_abs(pattern_of(*a))));
+  const auto inc2 = a;
+  const SolverOptions opt = small_options();
+
+  const auto direct = [&](const CsrMatrix& m, const CsrMatrix& inc) {
+    SchurSolver solver(m, opt);
+    solver.setup(&inc);
+    solver.factor();
+    std::vector<value_t> x(m.rows, 0.0);
+    solver.solve(random_rhs(m.rows, 41), x);
+    return x;
+  };
+  const auto served = [](SolveService& svc, std::shared_ptr<const CsrMatrix> m,
+                         std::shared_ptr<const CsrMatrix> inc,
+                         const SolverOptions& o) {
+    serve::SolveRequest req = make_request(m, o, 1, 41);
+    req.incidence = std::move(inc);
+    return svc.solve(std::move(req));
+  };
+  const auto same = [](const std::vector<value_t>& x,
+                       const std::vector<value_t>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(value_t)) == 0;
+  };
+  const std::vector<value_t> x11 = direct(*a, *inc1), x12 = direct(*a, *inc2);
+  const std::vector<value_t> x21 = direct(*a2, *inc1);
+  ASSERT_FALSE(same(x11, x12)) << "the two incidences must partition apart";
+
+  SolveService svc;
+  const auto r1 = served(svc, a, inc1, opt);
+  ASSERT_EQ(r1.status, ServeStatus::Ok);
+  EXPECT_TRUE(same(r1.x, x11));
+  // Same A, other incidence: the cached set-up does not answer it.
+  const auto r2 = served(svc, a, inc2, opt);
+  ASSERT_EQ(r2.status, ServeStatus::Ok);
+  EXPECT_FALSE(r2.cache_hit);
+  EXPECT_TRUE(same(r2.x, x12)) << "answered from the first incidence's set-up";
+  // New values: the cached partition (now inc2's) is not adopted for inc1.
+  const auto r3 = served(svc, a2, inc1, opt);
+  ASSERT_EQ(r3.status, ServeStatus::Ok);
+  EXPECT_FALSE(r3.symbolic_reuse);
+  EXPECT_TRUE(same(r3.x, x21)) << "refactored on the other incidence's partition";
+  // The request's own incidence still hits.
+  const auto r4 = served(svc, a2, inc1, opt);
+  EXPECT_TRUE(r4.cache_hit);
+  EXPECT_TRUE(same(r4.x, x21));
 }
 
 TEST(ServeService, InvalidRequestFailsFast) {

@@ -9,6 +9,9 @@
 #include <string>
 #include <tuple>
 
+#include "check/fault.hpp"
+#include "check/invariants.hpp"
+#include "core/preconditioner.hpp"
 #include "core/schur_solver.hpp"
 #include "gen/suite.hpp"
 #include "sparse/ops.hpp"
@@ -287,6 +290,84 @@ TEST(SchurSolver, ThreadedFactorMatchesSerial) {
   s1.solve(b, x1);
   s2.solve(b, x2);
   for (index_t i = 0; i < a.rows; ++i) EXPECT_NEAR(x1[i], x2[i], 1e-10);
+}
+
+// factor() frees every T̃_ℓ after the gather; memory_bytes() charges what
+// the set-up keeps, LU(S̃) by the preconditioner's own memory_bytes(); and
+// the Schur check, whose tolerance scale reads max|T̃_ℓ|, still sees the
+// planted gather defect.
+TEST(SchurSolver, FactorReleasesTTilde) {
+  const CsrMatrix a = testing::grid_laplacian(16, 16);
+  SolverOptions opt;
+  opt.num_subdomains = 4;
+  opt.seed = 5;
+  opt.assembly.drop_wg = 0.0;
+  opt.assembly.drop_s = 0.0;
+  SchurSolver solver(a, opt);
+  solver.setup();
+  solver.factor();
+
+  const auto csr = [](const CsrMatrix& m) {
+    return (m.row_ptr.size() + m.col_idx.size()) * sizeof(index_t) +
+           m.values.size() * sizeof(value_t);
+  };
+  const auto idx = [](const std::vector<index_t>& v) {
+    return v.size() * sizeof(index_t);
+  };
+  const DbbdPartition& p = solver.partition();
+  std::size_t want = csr(a) + idx(p.part) + idx(p.perm) + idx(p.iperm) +
+                     idx(p.domain_offset);
+  for (index_t l = 0; l < opt.num_subdomains; ++l) {
+    const Subdomain& sub = solver.subdomains()[l];
+    const SubdomainFactorization& f = solver.factorizations()[l];
+    EXPECT_EQ(f.t_tilde.nnz(), 0) << "subdomain " << l;
+    EXPECT_TRUE(f.t_tilde.row_ptr.empty()) << "subdomain " << l;
+    const CsrMatrix t = assemble_subdomain(sub, opt.assembly).t_tilde;
+    ASSERT_GT(t.nnz(), 0);
+    double t_max = 0.0;
+    for (const value_t v : t.values) t_max = std::max(t_max, std::abs(v));
+    EXPECT_EQ(f.t_tilde_max_abs, t_max) << "subdomain " << l;
+
+    want += csr(sub.d) + csr(sub.ehat) + csr(sub.fhat) + idx(sub.interior) +
+            idx(sub.e_cols) + idx(sub.f_rows);
+    want += f.lu.memory_bytes() + idx(f.colmap) + idx(f.rowmap);
+    // The sweep lists: the L positions Ê's rows reach, and the U rows F̂'s
+    // columns need, each closed in one ascending pass.
+    const index_t nd = f.lu.n;
+    const auto closure = [nd](const CscMatrix& tri, std::vector<char> mark) {
+      std::size_t count = 0;
+      for (index_t k = 0; k < nd; ++k) {
+        if (mark[k] == 0) continue;
+        ++count;
+        for (index_t q = tri.col_ptr[k] + 1; q < tri.col_ptr[k + 1]; ++q) {
+          mark[tri.row_idx[q]] = 1;
+        }
+      }
+      return count;
+    };
+    std::vector<char> mark(nd, 0);
+    for (index_t q = 0; q < nd; ++q) mark[q] = sub.ehat.row_nnz(f.rowmap[q]) > 0;
+    want += closure(f.lu.lower, mark) * sizeof(index_t);
+    std::vector<index_t> position_of(nd);
+    for (index_t q = 0; q < nd; ++q) position_of[f.colmap[q]] = q;
+    std::fill(mark.begin(), mark.end(), 0);
+    for (const index_t c : sub.fhat.col_idx) mark[position_of[c]] = 1;
+    want += closure(f.lu.upper_t, mark) * sizeof(index_t);
+  }
+  want += csr(solver.separator_block()) + csr(solver.schur_tilde());
+  want += SchurPreconditioner(solver.schur_tilde(), opt.assembly.lu).memory_bytes();
+  EXPECT_EQ(solver.memory_bytes(), want);
+
+  check::CheckReport clean;
+  check::check_solver(solver, check::SchurCheckOptions{}, clean);
+  EXPECT_TRUE(clean.ok()) << clean.summary();
+  check::FaultGuard guard(check::Fault::SchurGatherOffByOne);
+  SchurSolver faulty(a, opt);
+  faulty.setup();
+  faulty.factor();
+  check::CheckReport rep;
+  check::check_solver(faulty, check::SchurCheckOptions{}, rep);
+  EXPECT_TRUE(rep.has("schur.mismatch")) << rep.summary();
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "direct/kernels.hpp"
 #include "partition/engine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/csr.hpp"
@@ -101,6 +102,15 @@ inline bool dense_solve(Dense a, std::vector<value_t> b,
     x[i] = s / a[i][i];
   }
   return true;
+}
+
+/// Every path's kernel table this build and CPU have, baseline first.
+inline std::vector<const panel::KernelTable*> kernel_paths() {
+  std::vector<const panel::KernelTable*> paths;
+  for (const auto p : {panel::KernelPath::Baseline, panel::KernelPath::Avx2}) {
+    if (const panel::KernelTable* t = panel::kernel_table(p)) paths.push_back(t);
+  }
+  return paths;
 }
 
 /// 5-point 2D grid Laplacian (SPD), handy deterministic test matrix.
