@@ -103,17 +103,17 @@ void BM_MinimumDegree(benchmark::State& state) {
 }
 BENCHMARK(BM_MinimumDegree)->Arg(48)->Arg(96);
 
-// range(0) = grid side, range(1) = kernel (0 scalar, 1 panel), range(2) =
-// panel threads.
+// range(0) = grid side, range(1) = kernel (0 scalar, 1 lu_factorize, which
+// runs the panel kernel), range(2) = panel threads.
 void BM_LuFactorize(benchmark::State& state) {
   const CsrMatrix a = bench_matrix(static_cast<index_t>(state.range(0)));
   const auto perm = minimum_degree_ordering(symmetrize_abs(pattern_of(a)));
-  const CsrMatrix ordered = permute_symmetric(a, perm);
-  LuOptions opt;
-  opt.kernel = state.range(1) == 0 ? LuKernel::Scalar : LuKernel::Panel;
-  opt.threads = static_cast<unsigned>(state.range(2));
+  const CscMatrix ordered = csr_to_csc(permute_symmetric(a, perm));
+  const auto threads = static_cast<unsigned>(state.range(2));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lu_factorize(ordered, opt));
+    benchmark::DoNotOptimize(state.range(1) == 0
+                                 ? scalar_lu_factorize(ordered)
+                                 : lu_factorize(ordered, {}, threads));
   }
 }
 BENCHMARK(BM_LuFactorize)
@@ -511,17 +511,13 @@ bool run_lu_ablation(const std::string& kernel_filter) {
     const CsrMatrix& ordered = c.ordered;
     const char* name = c.name.c_str();
 
-    LuOptions sopt;
-    sopt.kernel = LuKernel::Scalar;
-    LuOptions popt;
-    popt.kernel = LuKernel::Panel;
-    popt.threads = 4;
-
+    constexpr unsigned kPanelThreads = 4;
+    const CscMatrix ordered_csc = csr_to_csc(ordered);
     WallTimer ts;
-    const LuFactors fs = lu_factorize(ordered, sopt);
+    const LuFactors fs = scalar_lu_factorize(ordered_csc);
     const double scalar_seconds = ts.seconds();
     WallTimer tp;
-    const LuFactors fp = lu_factorize(ordered, popt);
+    const LuFactors fp = lu_factorize(ordered_csc, {}, kPanelThreads);
     const double panel_seconds = tp.seconds();
 
     Rng rng(1234 + ordered.rows);
@@ -552,7 +548,7 @@ bool run_lu_ablation(const std::string& kernel_filter) {
       const LuFactors* f;
       unsigned threads;
     } lines[] = {{"scalar", scalar_seconds, res_scalar, &fs, 1u},
-                 {"panel", panel_seconds, res_panel, &fp, popt.threads}};
+                 {"panel", panel_seconds, res_panel, &fp, kPanelThreads}};
     for (const Line& ln : lines) {
       if (kernel_filter != "both" && kernel_filter != ln.kernel) continue;
       obs::RunReport rep;

@@ -77,15 +77,13 @@ bool run_lu_kernel_ablation(std::uint64_t seed) {
 
     double seconds[2] = {0.0, 0.0};
     LuFactors factors[2];
-    const LuKernel kernels[2] = {LuKernel::Scalar, LuKernel::Panel};
+    const CscMatrix ordered_csc = csr_to_csc(ordered);
     for (int ki = 0; ki < 2; ++ki) {
-      LuOptions lopt;
-      lopt.kernel = kernels[ki];
-      lopt.threads = ki == 1 ? 4 : 1;
       double best = 1e30;
       for (int rep = 0; rep < 2; ++rep) {
         WallTimer t;
-        factors[ki] = lu_factorize(ordered, lopt);
+        factors[ki] = ki == 0 ? scalar_lu_factorize(ordered_csc)
+                              : lu_factorize(ordered_csc, {}, 4);
         best = std::min(best, t.seconds());
       }
       seconds[ki] = best;

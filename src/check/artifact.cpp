@@ -32,7 +32,6 @@ std::string artifact_to_json(const CaseSpec& spec, const CheckReport* report) {
      << "    \"exact_assembly\": " << (spec.exact_assembly ? "true" : "false")
      << ",\n"
      << "    \"serve\": " << (spec.serve ? "true" : "false") << ",\n"
-     << "    \"lu_kernel\": \"" << to_string(spec.lu_kernel) << "\",\n"
      << "    \"partition_engine\": \"" << to_string(spec.partition_engine)
      << "\",\n"
      << "    \"partition_values\": \""
@@ -89,12 +88,13 @@ CaseSpec artifact_from_json(std::string_view text) {
       kry.str == "bicgstab" ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
   spec.exact_assembly = s.at("exact_assembly").boolean;
   spec.serve = s.at("serve").boolean;
-  // Optional for corpus files written before the LU-kernel axis existed;
-  // those ran the (then-only) kernel config, which Panel reproduces bitwise.
+  // Artifacts from older campaigns name the LU kernel they ran. The scalar
+  // and panel kernels give the same factors, so either replays as recorded;
+  // other names (the removed lu-fp32 lane) do not.
   if (const obsjson::Value* lk = s.find("lu_kernel")) {
-    PDSLIN_CHECK_MSG(lk->is_string() &&
-                         lu_kernel_from_string(lk->str, spec.lu_kernel),
-                     "unknown lu_kernel in artifact");
+    PDSLIN_CHECK_MSG(
+        lk->is_string() && (lk->str == "lu-scalar" || lk->str == "lu-panel"),
+        "unknown lu_kernel in artifact");
   }
   // Optional for corpus files written before the partition-engine axis
   // existed; those ran the (then-only) serial multilevel engine. The

@@ -46,24 +46,21 @@ bool run_pipeline(const GeneratedProblem& prob, const SolverOptions& opt,
   }
 }
 
-/// Rerun the case under `rerun`; it must solve, to `x` bit for bit. `first`
-/// and `second` name the original and the rerun configuration.
-void check_rerun_bitwise(const GeneratedProblem& prob, const CaseSpec& rerun,
-                         std::span<const value_t> b,
-                         const std::vector<value_t>& x, const char* threw_key,
-                         const char* mismatch_key, const std::string& first,
-                         const std::string& second, CheckReport& rep) {
+/// Rerun the case as `serial`; it must solve, to `x` bit for bit.
+void check_serial_rerun(const GeneratedProblem& prob, const CaseSpec& serial,
+                        std::span<const value_t> b,
+                        const std::vector<value_t>& x, CheckReport& rep) {
   std::unique_ptr<SchurSolver> solver;
   std::vector<value_t> rx;
   std::vector<GmresResult> results;
   std::string err;
-  if (!run_pipeline(prob, solver_options_for(rerun), b, rx, rerun.nrhs,
+  if (!run_pipeline(prob, solver_options_for(serial), b, rx, serial.nrhs,
                     results, solver, err)) {
-    rep.add(threw_key,
-            second + " rerun threw where the " + first + " run solved: " + err);
+    rep.add("determinism.serial_threw",
+            "serial rerun threw where the parallel run solved: " + err);
   } else if (!bitwise_equal(x, rx)) {
-    rep.add(mismatch_key,
-            first + " solution differs bitwise from " + second);
+    rep.add("determinism.threads",
+            "parallel solution differs bitwise from serial");
   }
 }
 
@@ -253,20 +250,7 @@ DifferentialResult run_differential(const CaseSpec& spec,
         spec.partition_engine == PartitionEngineAxis::Multilevel) {
       serial.partition_engine = PartitionEngineAxis::ParallelMultilevel;
     }
-    check_rerun_bitwise(prob, serial, b, x, "determinism.serial_threw",
-                        "determinism.threads", "parallel", "serial",
-                        res.report);
-  }
-
-  // Kernel determinism: the panel kernel reproduces the scalar kernel bit
-  // for bit on every input, fallback or not, so the lu-panel lane reruns
-  // the case on lu-scalar and diffs the full solution.
-  if (opt.check_determinism && spec.lu_kernel == LuKernelAxis::Panel) {
-    CaseSpec scalar = spec;
-    scalar.lu_kernel = LuKernelAxis::Scalar;
-    check_rerun_bitwise(prob, scalar, b, x, "determinism.lu_kernel",
-                        "determinism.lu_kernel", "lu-panel", "lu-scalar",
-                        res.report);
+    check_serial_rerun(prob, serial, b, x, res.report);
   }
 
   // Serve path: cold vs cached vs direct, all bitwise. Only judged when the

@@ -7,6 +7,9 @@
 //   partition      — cover/disjointness, perm bijection, DBBD zero blocks
 //   bisection      — hypergraph incremental bookkeeping vs from-scratch
 //   subdomain LUs  — ‖L_ℓU_ℓ − P_ℓ D̂_ℓ‖ through the stored orderings
+//   LU kernels     — every D_ℓ and S̃ factor bitwise equal to the scalar
+//                    kernel's refactorization, and LU(S̃)'s apply to its
+//                    CSC sweeps
 //   Schur assembly — S̃ vs dense S = C − Σ F_ℓ D_ℓ⁻¹ E_ℓ (exact when the
 //                    spec disables drops, toleranced otherwise)
 //   Krylov solve   — reported residual vs true residual, solution vs the

@@ -103,35 +103,6 @@ bool family_from_string(std::string_view name, Family& out) {
 namespace {
 
 constexpr struct {
-  LuKernelAxis k;
-  const char* name;
-} kLuKernels[] = {
-    {LuKernelAxis::Scalar, "lu-scalar"},
-    {LuKernelAxis::Panel, "lu-panel"},
-};
-
-}  // namespace
-
-const char* to_string(LuKernelAxis k) {
-  for (const auto& e : kLuKernels) {
-    if (e.k == k) return e.name;
-  }
-  return "?";
-}
-
-bool lu_kernel_from_string(std::string_view name, LuKernelAxis& out) {
-  for (const auto& e : kLuKernels) {
-    if (name == e.name) {
-      out = e.k;
-      return true;
-    }
-  }
-  return false;
-}
-
-namespace {
-
-constexpr struct {
   PartitionEngineAxis e;
   const char* name;
 } kPartitionEngines[] = {
@@ -165,8 +136,7 @@ std::string CaseSpec::to_string() const {
      << pdslin::to_string(partitioning) << "/k" << num_subdomains << "/t"
      << threads << "x" << inner_threads << "/nrhs" << nrhs << "/"
      << (krylov == KrylovMethod::Gmres ? "gmres" : "bicgstab") << "/"
-     << (exact_assembly ? "exact" : "dropped") << "/"
-     << check::to_string(lu_kernel)
+     << (exact_assembly ? "exact" : "dropped")
      << (partition_engine != PartitionEngineAxis::Multilevel
              ? std::string("/") + check::to_string(partition_engine)
              : "")
@@ -430,9 +400,7 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
 
   // Config axes: cycle the full matrix so coverage is guaranteed, not
   // merely probable. Bit layout of i: partitioner, threads, nrhs, serve,
-  // krylov, exact/dropped (period 64), and the LU kernel cycles on i mod 3
-  // as {scalar, panel, panel} — coprime with 64, so the joint period is 192
-  // and every (config, kernel) pair is hit.
+  // krylov, exact/dropped (period 64).
   const unsigned c = static_cast<unsigned>(i);
   spec.partitioning =
       (c & 1u) ? PartitionMethod::RHB : PartitionMethod::NGD;
@@ -442,14 +410,13 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
   spec.serve = (c & 8u) != 0;
   spec.krylov = (c & 16u) ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
   spec.exact_assembly = (c & 32u) == 0;
-  spec.lu_kernel = c % 3u == 0 ? LuKernelAxis::Scalar : LuKernelAxis::Panel;
-  // Partition engine cycles mod 7 (coprime with 64 and 3): the serial
+  // Partition engine cycles mod 7 (coprime with 64): the serial
   // multilevel recursion keeps the majority share, the parallel lane is
   // sampled 1-in-7.
   spec.partition_engine = c % 7u == 4u
                               ? PartitionEngineAxis::ParallelMultilevel
                               : PartitionEngineAxis::Multilevel;
-  // Value mode cycles mod 11 (coprime with 64, 3 and 7): pattern-only keeps
+  // Value mode cycles mod 11 (coprime with 64 and 7): pattern-only keeps
   // the majority share; logabs is sampled 2-in-11 and abs 1-in-11, so every
   // (engine, value-mode) pair is hit over a few hundred seeds.
   switch (c % 11u) {
@@ -474,9 +441,6 @@ SolverOptions solver_options_for(const CaseSpec& spec) {
   opt.assembly.inner_threads = spec.inner_threads;
   opt.krylov = spec.krylov;
   opt.seed = spec.seed;
-  opt.assembly.lu.kernel = spec.lu_kernel == LuKernelAxis::Scalar
-                               ? LuKernel::Scalar
-                               : LuKernel::Panel;
   if (spec.partition_engine == PartitionEngineAxis::ParallelMultilevel) {
     // Same engine — the parallel recursion is bitwise identical to serial
     // by contract; forcing threads >= 4 actually spawns the subtrees.

@@ -39,16 +39,6 @@ const char* to_string(Family f);
 /// Parse the to_string() name; returns false on unknown names.
 bool family_from_string(std::string_view name, Family& out);
 
-/// LU factorization kernel axis. Scalar and Panel must agree bitwise (the
-/// differential runner reruns every Panel case on Scalar and diffs it).
-enum class LuKernelAxis {
-  Scalar,  // reference Gilbert–Peierls column kernel
-  Panel,   // supernodal blocked kernel (bitwise == Scalar by contract)
-};
-
-const char* to_string(LuKernelAxis k);
-bool lu_kernel_from_string(std::string_view name, LuKernelAxis& out);
-
 /// Partition-engine axis (src/partition/). Multilevel and ParallelMultilevel
 /// must agree bitwise (the engine's thread-count determinism contract; the
 /// differential runner's serial rerun enforces it end to end).
@@ -80,8 +70,6 @@ struct CaseSpec {
   /// Route the solve through a SolveService (cold, then cached, bitwise
   /// compared) instead of calling the solver directly.
   bool serve = false;
-  /// Which subdomain LU kernel factorizes the interior blocks.
-  LuKernelAxis lu_kernel = LuKernelAxis::Panel;
   /// Which partition engine lane computes the DBBD partition.
   PartitionEngineAxis partition_engine = PartitionEngineAxis::Multilevel;
   /// Value-aware partitioning lane (--partition-values): weight nets/graph

@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <sstream>
 
+#include "direct/trisolve.hpp"
 #include "hypergraph/metrics.hpp"
+#include "sparse/convert.hpp"
+#include "sparse/permute.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace pdslin::check {
 
@@ -230,6 +236,136 @@ void check_lu_residual(const CscMatrix& a, const LuFactors& f, double rel_tol,
   }
 }
 
+namespace {
+
+bool same_bits(std::span<const value_t> x, std::span<const value_t> y) {
+  return x.size() == y.size() &&
+         (x.empty() || std::memcmp(x.data(), y.data(), x.size_bytes()) == 0);
+}
+
+/// The first column at which x and y differ in pattern or in a value's
+/// bits; -1 when they are identical.
+index_t first_difference(const CscMatrix& x, const CscMatrix& y) {
+  if (x.rows != y.rows || x.cols != y.cols) return 0;
+  for (index_t j = 0; j < x.cols; ++j) {
+    const auto xr = x.col_rows(j), yr = y.col_rows(j);
+    if (!std::equal(xr.begin(), xr.end(), yr.begin(), yr.end()) ||
+        !same_bits(x.col_vals(j), y.col_vals(j))) {
+      return j;
+    }
+  }
+  return -1;
+}
+
+/// The CSC factors a BlockLuFactors was made from: the head as stored, then
+/// the block's columns of L (unit diagonal first) and rows of U (diagonal
+/// first), nonzeros only. with_dense_block admits no stored 0.0 into the
+/// block, so its zeros are exactly the absent entries.
+LuFactors csc_factors(const BlockLuFactors& b) {
+  const index_t n = b.n, s = b.start, nb = n - s;
+  const auto at = [&](index_t r, index_t c) {
+    return b.block[static_cast<std::size_t>(c - s) * nb + (r - s)];
+  };
+  const auto extend = [&](const CscMatrix& head, bool lower) {
+    CscMatrix m(n, n);
+    std::copy(head.col_ptr.begin(), head.col_ptr.end(), m.col_ptr.begin());
+    m.row_idx = head.row_idx;
+    m.values = head.values;
+    for (index_t j = s; j < n; ++j) {
+      if (lower) {
+        m.row_idx.push_back(j);
+        m.values.push_back(1.0);
+      }
+      for (index_t i = lower ? j + 1 : j; i < n; ++i) {
+        const value_t v = lower ? at(i, j) : at(j, i);
+        if (v != 0.0) {
+          m.row_idx.push_back(i);
+          m.values.push_back(v);
+        }
+      }
+      m.col_ptr[j + 1] = static_cast<index_t>(m.row_idx.size());
+    }
+    return m;
+  };
+  LuFactors f;
+  f.n = n;
+  f.lower = extend(b.lower_head, true);
+  f.upper_t = extend(b.upper_t_head, false);
+  f.row_perm = b.row_perm;
+  return f;
+}
+
+}  // namespace
+
+std::optional<LuFactors> check_factors_match_scalar(const CscMatrix& a,
+                                                    const LuOptions& opt,
+                                                    const LuFactors& f,
+                                                    const std::string& id,
+                                                    CheckReport& rep) {
+  std::optional<LuFactors> ref;
+  try {
+    ref = scalar_lu_factorize(a, opt);
+  } catch (const Error& e) {
+    rep.add("lu_kernel.scalar_threw",
+            id + ": the scalar kernel threw where the solver factored: " +
+                e.what());
+    return std::nullopt;
+  }
+  if (f.row_perm != ref->row_perm) {
+    rep.add("lu_kernel.factors",
+            id + ": row_perm differs from the scalar kernel's");
+  }
+  const std::pair<const char*, index_t> parts[] = {
+      {"lower", first_difference(f.lower, ref->lower)},
+      {"upper_t", first_difference(f.upper_t, ref->upper_t)}};
+  for (const auto& [name, col] : parts) {
+    if (col >= 0) {
+      rep.add("lu_kernel.factors",
+              id + ": " + name + " differs from the scalar kernel's at column " +
+                  std::to_string(col));
+    }
+  }
+  return ref;
+}
+
+void check_factor_kernels(const SchurSolver& solver, CheckReport& rep) {
+  const LuOptions& opt = solver.options().assembly.lu;
+  const auto& subs = solver.subdomains();
+  const auto& facts = solver.factorizations();
+  for (std::size_t l = 0; l < subs.size() && l < facts.size(); ++l) {
+    const SubdomainFactorization& f = facts[l];
+    // A malformed colmap is check_subdomain_factors' finding.
+    if (static_cast<index_t>(f.colmap.size()) != subs[l].d.rows) continue;
+    check_factors_match_scalar(
+        csr_to_csc(permute_symmetric(subs[l].d, f.colmap)), opt, f.lu,
+        "subdomain " + std::to_string(l), rep);
+  }
+
+  const SchurPreconditioner* pre = solver.preconditioner();
+  if (pre == nullptr) return;  // no separator, so no LU(S̃)
+  const std::vector<index_t>& colmap = pre->colmap();
+  const std::optional<LuFactors> ref = check_factors_match_scalar(
+      csr_to_csc(permute_symmetric(solver.schur_tilde(), colmap)), opt,
+      csc_factors(pre->factors()), "LU(S~)", rep);
+  if (!ref) return;
+
+  // One apply: permute into factor space, the CSC sweeps, permute back.
+  const index_t n = ref->n;
+  Rng rng(0x5c4e7u);
+  std::vector<value_t> x(n), want(n), got(n), w(n);
+  for (value_t& v : x) v = rng.uniform(-1.0, 1.0);
+  for (index_t k = 0; k < n; ++k) w[k] = x[colmap[ref->row_perm[k]]];
+  lower_solve_dense(ref->lower, w, /*unit_diag=*/true);
+  upper_solve_dense(ref->upper_t, w);
+  for (index_t j = 0; j < n; ++j) want[colmap[j]] = w[j];
+  pre->apply_with_scratch(x, got, w);
+  if (!same_bits(got, want)) {
+    rep.add("lu_kernel.apply",
+            "LU(S~): the preconditioner's apply differs bitwise from the CSC "
+            "sweeps of the scalar factors");
+  }
+}
+
 void check_subdomain_factors(const SchurSolver& solver, double rel_tol,
                              CheckReport& rep) {
   const DbbdPartition& p = solver.partition();
@@ -336,6 +472,7 @@ void check_solver(const SchurSolver& solver, const SchurCheckOptions& schur,
                   CheckReport& rep) {
   check_partition(solver.matrix(), solver.partition(), rep);
   check_subdomain_factors(solver, schur.factor_rel_tol, rep);
+  check_factor_kernels(solver, rep);
   check_schur_consistency(solver, schur, rep);
 }
 

@@ -9,6 +9,7 @@
 // checked here end-to-end.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -62,6 +63,17 @@ void check_bisection_state(const Hypergraph& h, const HgBisection& b,
 void check_lu_residual(const CscMatrix& a, const LuFactors& f, double rel_tol,
                        CheckReport& rep);
 
+/// The LU kernel contract (direct/lu.hpp): `f`, lu_factorize's factors of
+/// `a`, must equal scalar_lu_factorize(a, opt) bitwise — row_perm, lower
+/// and upper_t, signed zeros included. `id` names the factor in the report.
+/// Returns the scalar factors; nullopt when the scalar kernel threw (a
+/// reported violation, since the solver factored `a`).
+std::optional<LuFactors> check_factors_match_scalar(const CscMatrix& a,
+                                                    const LuOptions& opt,
+                                                    const LuFactors& f,
+                                                    const std::string& id,
+                                                    CheckReport& rep);
+
 // ---------------------------------------------------------------------------
 // Core layer (factored solver)
 
@@ -87,8 +99,14 @@ void check_schur_consistency(const SchurSolver& solver,
 void check_subdomain_factors(const SchurSolver& solver, double rel_tol,
                              CheckReport& rep);
 
+/// check_factors_match_scalar on every factor the solver holds: each D_ℓ,
+/// rebuilt through its colmap, and S̃, ordered by the preconditioner's
+/// colmap (its dense block read back as CSC). LU(S̃)'s apply of one vector
+/// must also equal the CSC sweeps of the scalar factors bitwise.
+void check_factor_kernels(const SchurSolver& solver, CheckReport& rep);
+
 /// Everything checkable on a factored solver: partition validity,
-/// subdomain factors, Schur consistency.
+/// subdomain factors, LU kernels, Schur consistency.
 void check_solver(const SchurSolver& solver, const SchurCheckOptions& schur,
                   CheckReport& rep);
 

@@ -68,13 +68,6 @@ bool ngd_partitioner(CaseSpec& s) {
   s.partitioning = PartitionMethod::NGD;
   return true;
 }
-/// Step the LU kernel down to scalar: a failure that survives on Scalar
-/// is not the panel kernel's fault.
-bool simpler_lu_kernel(CaseSpec& s) {
-  if (s.lu_kernel == LuKernelAxis::Scalar) return false;
-  s.lu_kernel = LuKernelAxis::Scalar;
-  return true;
-}
 /// Fall back to the default serial multilevel partition engine: a failure
 /// that survives there is not the parallel recursion's fault.
 bool default_partition_engine(CaseSpec& s) {
@@ -92,7 +85,7 @@ bool pattern_only_partition(CaseSpec& s) {
 
 constexpr Candidate kLadder[] = {
     halve_n, halve_subdomains, single_rhs, no_serve,       serial,
-    gmres_only, sparsify,      shave_n,    ngd_partitioner, simpler_lu_kernel,
+    gmres_only, sparsify,      shave_n,    ngd_partitioner,
     default_partition_engine, pattern_only_partition,
 };
 

@@ -30,6 +30,10 @@ class SchurPreconditioner final : public LinearOperator {
   void apply_with_scratch(std::span<const value_t> x, std::span<value_t> y,
                           std::vector<value_t>& scratch) const;
 
+  /// The fill-reducing ordering S̃ was factored in: colmap[new] = old.
+  [[nodiscard]] const std::vector<index_t>& colmap() const { return colmap_; }
+  /// The factors of S̃ permuted symmetrically by colmap().
+  [[nodiscard]] const BlockLuFactors& factors() const { return lu_; }
   /// Stored entries of L + U, as the CSC factors held them.
   [[nodiscard]] long long factor_nnz() const { return lu_.stored_nnz; }
   [[nodiscard]] double factor_seconds() const { return factor_seconds_; }

@@ -323,13 +323,10 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   timer.reset();
   {
     PDSLIN_SPAN("lu_d.factor");
-    // The panel kernel's pipeline inherits this subdomain's worker budget
-    // (the inner level of the paper's np = k × (np/k) layout) unless the
-    // caller dialed LuOptions::threads explicitly. Bitwise identical for
-    // any thread count, so this never perturbs results.
-    LuOptions lopt = opt.lu;
-    if (lopt.threads <= 1) lopt.threads = std::max(1u, opt.inner_threads);
-    f.lu = lu_factorize(d_ord, lopt);
+    // The panel kernel's pipeline runs on this subdomain's worker budget
+    // (the inner level of the paper's np = k × (np/k) layout). Bitwise
+    // identical for any thread count, so this never perturbs results.
+    f.lu = lu_factorize(d_ord, opt.lu, std::max(1u, opt.inner_threads));
   }
   f.factor_seconds = timer.seconds();
   f.lu_nnz = f.lu.fill_nnz();

@@ -110,10 +110,6 @@ void for_each_option(Opt& o, F&& f) {
   f(OptionField{"rhs_ordering", o.assembly.rhs_ordering, kSetup});
   f(OptionField{"lu_pivot_tol", o.assembly.lu.pivot_tol, kSetup});
   f(OptionField{"lu_min_pivot", o.assembly.lu.min_pivot, kSetup});
-  f(OptionField{"lu_kernel", o.assembly.lu.kernel, kSetup});
-  f(OptionField{"lu_panel_width", o.assembly.lu.panel_max_width, kSetup});
-  f(OptionField{"lu_panel_relax", o.assembly.lu.panel_relax, kSetup});
-  f(OptionField{"lu_threads", o.assembly.lu.threads, kOther});
   f(OptionField{"inner_threads", o.assembly.inner_threads, kOther});
   f(OptionField{"krylov", o.krylov, kOther});
   f(OptionField{"gmres_restart", o.gmres.restart, kOther});
@@ -228,6 +224,11 @@ class SchurSolver {
     return facts_;
   }
   [[nodiscard]] const CsrMatrix& schur_tilde() const { return s_tilde_; }
+  /// LU(S̃) once factor() has run; nullptr before it and when there is no
+  /// separator.
+  [[nodiscard]] const SchurPreconditioner* preconditioner() const {
+    return precond_.get();
+  }
   /// Separator block C of Eq. (1) (separator-local numbering) — const view
   /// for the differential checkers (src/check/invariants.hpp).
   [[nodiscard]] const CsrMatrix& separator_block() const { return c_block_; }

@@ -72,9 +72,21 @@ class GpDfs {
   std::vector<index_t> out_;
 };
 
+void check_lu_input(const CscMatrix& a) {
+  PDSLIN_CHECK_MSG(a.rows == a.cols, "LU requires a square matrix");
+  // An all-zero (or 0×0) matrix carries no values array; it is either the
+  // trivial empty factorization (n == 0) or structurally singular, which the
+  // pivot check reports as such — don't reject it as pattern-only.
+  PDSLIN_CHECK_MSG(a.has_values() || a.row_idx.empty(),
+                   "LU requires numeric values");
+}
+
+}  // namespace
+
 // The scalar Gilbert–Peierls kernel — also the fallback that defines the
 // exact result (and error behavior) the panel kernel must reproduce.
 LuFactors scalar_lu_factorize(const CscMatrix& a, const LuOptions& opt) {
+  check_lu_input(a);
   const index_t n = a.rows;
 
   // Factor columns held with ORIGINAL row indices during factorization;
@@ -229,37 +241,22 @@ LuFactors scalar_lu_factorize(const CscMatrix& a, const LuOptions& opt) {
   return f;
 }
 
-}  // namespace
-
-const char* to_string(LuKernel k) {
-  switch (k) {
-    case LuKernel::Scalar: return "scalar";
-    case LuKernel::Panel:  return "panel";
-  }
-  return "?";
-}
-
-LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt) {
-  PDSLIN_CHECK_MSG(a.rows == a.cols, "LU requires a square matrix");
-  // An all-zero (or 0×0) matrix carries no values array; it is either the
-  // trivial empty factorization (n == 0) or structurally singular, which the
-  // pivot check below reports as such — don't reject it as pattern-only.
-  PDSLIN_CHECK_MSG(a.has_values() || a.row_idx.empty(),
-                   "LU requires numeric values");
-  if (opt.kernel == LuKernel::Panel) {
-    if (auto f = panel_lu_factorize(a, opt)) return std::move(*f);
-    // Threshold pivoting left the diagonal before the dense tail, or a
-    // guard tripped (singular column, zero multiplier, non-finite value):
-    // refactorize with the scalar kernel, which produces the identical
-    // result — including the identical singularity error — that the panel
-    // path could not.
-    obs::counter("lu.panel.fallbacks").add(1);
-  }
+LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt,
+                       unsigned threads) {
+  check_lu_input(a);
+  if (auto f = panel_lu_factorize(a, opt, threads)) return std::move(*f);
+  // Threshold pivoting left the diagonal before the dense tail, or a guard
+  // tripped (singular column, zero multiplier, non-finite value):
+  // refactorize with the scalar kernel, which produces the identical result
+  // — including the identical singularity error — that the panel path
+  // could not.
+  obs::counter("lu.panel.fallbacks").add(1);
   return scalar_lu_factorize(a, opt);
 }
 
-LuFactors lu_factorize(const CsrMatrix& a, const LuOptions& opt) {
-  return lu_factorize(csr_to_csc(a), opt);
+LuFactors lu_factorize(const CsrMatrix& a, const LuOptions& opt,
+                       unsigned threads) {
+  return lu_factorize(csr_to_csc(a), opt, threads);
 }
 
 }  // namespace pdslin

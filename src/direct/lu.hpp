@@ -2,21 +2,18 @@
 // PDSLin pipeline (factors every interior subdomain D_ℓ and the sparsified
 // Schur complement S̃).
 //
-// Two kernels produce bit-identical factors behind the same entry point:
-//  - Scalar: left-looking Gilbert–Peierls with threshold partial pivoting,
-//    updates applied in canonical ascending-pivot order.
-//  - Panel (default): supernodal blocked factorization — panels detected on
-//    the symbolic Cholesky factor of the symmetrized pattern (relaxed
-//    amalgamation, width cap), dense packed storage, TRSM/GEMM microkernels,
-//    and pipelined scheduling of the supernodal elimination forest on the
-//    shared pool. The trailing columns whose symbolic columns are full to
-//    the bottom (the dense tail) form one panel factored with threshold row
-//    pivoting, so off-diagonal pivots there stay on the panel path. An
-//    off-diagonal pivot before the tail, a singular column, a multiplier
-//    that rounds to zero or a non-finite value aborts the attempt and the
-//    scalar kernel refactorizes, so results — including error behavior —
-//    are identical for every input, and parallel == serial stays bitwise
-//    for any LuOptions::threads.
+// Two kernels give bit-identical factors, so which one ran is not an
+// option: lu_factorize runs the panel kernel and, where its attempt aborts,
+// the scalar one.
+//  - Scalar (scalar_lu_factorize): left-looking Gilbert–Peierls with
+//    threshold partial pivoting, updates applied in canonical
+//    ascending-pivot order; the reference the panel kernel reproduces.
+//  - Panel (direct/panel_lu.hpp): supernodal blocked factorization with a
+//    dense, row-pivoted tail, pipelined on the shared pool. An off-diagonal
+//    pivot before the tail, a singular column, a multiplier that rounds to
+//    zero or a non-finite value aborts it, so results — including error
+//    behavior — are identical for every input, and parallel == serial stays
+//    bitwise for any worker count.
 #pragma once
 
 #include <cstddef>
@@ -26,13 +23,6 @@
 
 namespace pdslin {
 
-enum class LuKernel {
-  Scalar,  // Gilbert–Peierls reference kernel
-  Panel,   // supernodal blocked kernel with scalar fallback
-};
-
-const char* to_string(LuKernel k);
-
 struct LuOptions {
   /// Threshold pivoting: keep the diagonal pivot when
   /// |a_jj| ≥ pivot_tol · max|column|; otherwise take the largest entry.
@@ -40,17 +30,6 @@ struct LuOptions {
   double pivot_tol = 0.1;
   /// Refuse pivots smaller than this in absolute value.
   double min_pivot = 1e-300;
-  /// Factorization kernel; Panel falls back to Scalar on a pivot deviation
-  /// before the dense tail.
-  LuKernel kernel = LuKernel::Panel;
-  /// Panel width cap for the supernodal kernel (0 = unlimited).
-  index_t panel_max_width = 32;
-  /// Relaxed amalgamation: allowed structural-zero fraction when merging
-  /// e-tree chain columns into one panel (0 = fundamental supernodes only).
-  double panel_relax = 0.25;
-  /// Pipeline workers for the panel kernel (≤ 1 = serial). Results are
-  /// bitwise identical for any value.
-  unsigned threads = 1;
 };
 
 /// Measurements of the supernodal kernel (zeroed when the scalar kernel
@@ -100,11 +79,20 @@ struct LuFactors {
   }
 };
 
-/// Factorize a square CSC matrix. Throws pdslin::Error on a zero/degenerate
-/// pivot (structural or numerical singularity).
-LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt = {});
+/// Factorize a square CSC matrix: the panel kernel, or the scalar kernel
+/// where the panel attempt aborts. `threads` pipeline workers run the panel
+/// kernel (≤ 1 = serial); the factors are bitwise the same for any count.
+/// Throws pdslin::Error on a zero/degenerate pivot (structural or numerical
+/// singularity).
+LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt = {},
+                       unsigned threads = 1);
 
 /// Convenience overload for CSR input.
-LuFactors lu_factorize(const CsrMatrix& a, const LuOptions& opt = {});
+LuFactors lu_factorize(const CsrMatrix& a, const LuOptions& opt = {},
+                       unsigned threads = 1);
+
+/// The scalar Gilbert–Peierls kernel alone: lu_factorize's fallback and the
+/// reference its factors are checked against (check/invariants.hpp).
+LuFactors scalar_lu_factorize(const CscMatrix& a, const LuOptions& opt = {});
 
 }  // namespace pdslin

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "direct/kernels.hpp"
+#include "direct/reach.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"

@@ -64,7 +64,8 @@ struct MultiRhsOptions {
 };
 
 /// Solve l · X = B(:, order) in blocks of `opts.block_size` columns.
-/// `l` must satisfy the SparseLowerSolver layout (diagonal first). Columns
+/// `l` must hold its diagonal first in every column, and the solve divides
+/// by it: LuFactors::lower, or upper_t for the W = F̂·U⁻¹ solve. Columns
 /// beyond the last full block form one final (smaller) block, matching the
 /// paper's "remaining columns gathered into one part".
 MultiRhsResult solve_multi_rhs_blocked(const CscMatrix& l, const CscMatrix& b,

@@ -62,7 +62,8 @@ Supernodes cut_at_tail(const Supernodes& sn, index_t t, index_t width) {
   return out;
 }
 
-PanelSymbolic panel_symbolic(const CscMatrix& a, const LuOptions& opt) {
+PanelSymbolic panel_symbolic(const CscMatrix& a, index_t max_width,
+                             double relax) {
   PDSLIN_SPAN("lu.panel.symbolic");
   const index_t n = a.rows;
 
@@ -83,9 +84,8 @@ PanelSymbolic panel_symbolic(const CscMatrix& a, const LuOptions& opt) {
   while (ps.tail > 0 && sf.col_counts[ps.tail - 1] == n - ps.tail + 1) {
     --ps.tail;
   }
-  ps.sn = cut_at_tail(relaxed_supernodes(sf.parent, sf.col_counts,
-                                         opt.panel_max_width,
-                                         std::max(0.0, opt.panel_relax)),
+  ps.sn = cut_at_tail(relaxed_supernodes(sf.parent, sf.col_counts, max_width,
+                                         std::max(0.0, relax)),
                       ps.tail, 0);
   const index_t np = ps.sn.count();
 
@@ -210,14 +210,15 @@ bool factor_panel(value_t* pan, index_t nr, index_t tri0, index_t w,
 }
 
 bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
-                   const PanelSymbolic& ps, std::vector<value_t>& arena,
+                   const PanelSymbolic& ps, index_t max_width,
+                   unsigned threads, std::vector<value_t>& arena,
                    std::vector<index_t>& tail_perm, LuPanelStats& stats) {
   PDSLIN_SPAN("lu.panel.numeric");
   const index_t n = a.rows;
   const index_t np = ps.sn.count();
   arena.assign(ps.arena_cells, 0.0);
 
-  const unsigned workers = std::max(1u, opt.threads);
+  const unsigned workers = std::max(1u, threads);
   const unsigned nw = std::min<unsigned>(workers, np == 0 ? 1u
                                                           : static_cast<unsigned>(np));
   std::vector<Workspace> ws(nw);
@@ -294,7 +295,7 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
     // NaNs the scalar kernel never forms.
     const bool tail = c0 == ps.tail;
     const bool ok =
-        factor_panel(pan, nr, ps.tri0[p], wp, tail ? opt.panel_max_width : wp,
+        factor_panel(pan, nr, ps.tri0[p], wp, tail ? max_width : wp,
                      opt, tail ? tail_perm.data() : nullptr, s) &&
         std::all_of(pan, pan + static_cast<std::size_t>(nr) * wp,
                     [](value_t v) { return std::isfinite(v); });
@@ -426,13 +427,16 @@ LuFactors panel_extract(const PanelSymbolic& ps,
 }  // namespace
 
 std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
-                                            const LuOptions& opt) {
+                                            const LuOptions& opt,
+                                            unsigned threads,
+                                            index_t max_width, double relax) {
   PDSLIN_CHECK_MSG(a.rows == a.cols, "LU requires a square matrix");
-  const PanelSymbolic ps = panel_symbolic(a, opt);
+  const PanelSymbolic ps = panel_symbolic(a, max_width, relax);
   LuPanelStats stats;
   std::vector<value_t> arena;
   std::vector<index_t> tail_perm;
-  if (!panel_numeric(a, opt, ps, arena, tail_perm, stats)) {
+  if (!panel_numeric(a, opt, ps, max_width, threads, arena, tail_perm,
+                     stats)) {
     return std::nullopt;
   }
 
@@ -443,7 +447,7 @@ std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
   LuFactors f = panel_extract(ps, arena, tail_perm, stats.tail_pivots > 0,
                               a.rows);
   // Reported panels: the tail in the blocks it was factored in.
-  const Supernodes panels = cut_at_tail(ps.sn, ps.tail, opt.panel_max_width);
+  const Supernodes panels = cut_at_tail(ps.sn, ps.tail, max_width);
   stats.used_panel = true;
   stats.panel_count = panels.count();
   stats.avg_width = panels.average_width();

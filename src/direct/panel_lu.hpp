@@ -14,12 +14,12 @@
 // update, gather/GEMM/scatter for the below-diagonal block, then an
 // in-panel dense factorization. Before the tail, threshold pivoting is
 // confined to the diagonal. Inside the tail a row exchange changes no
-// structure, so the tail is factored right-looking in blocks of
-// panel_max_width columns with threshold row pivoting, reproducing the
-// scalar kernel's pivot choices; tail rows of earlier L columns are
-// relabeled through its exchanges at extraction. Scheduling is pipelined
-// (parallel/pipeline.hpp) when opt.threads > 1, the tail being one task;
-// results are bitwise identical for any thread count.
+// structure, so the tail is factored right-looking in blocks of max_width
+// columns with threshold row pivoting, reproducing the scalar kernel's pivot
+// choices; tail rows of earlier L columns are relabeled through its
+// exchanges at extraction. Scheduling is pipelined (parallel/pipeline.hpp)
+// when threads > 1, the tail being one task; results are bitwise identical
+// for any thread count, width cap and relaxation.
 #pragma once
 
 #include <optional>
@@ -28,13 +28,25 @@
 
 namespace pdslin {
 
-/// Attempt the supernodal factorization. Returns std::nullopt — the caller
-/// reruns the scalar kernel, which reproduces the exact scalar result
-/// (including its singularity error) — when threshold pivoting wants an
-/// off-diagonal pivot before the dense tail, a column is numerically
-/// singular, a nonzero numerator gives a zero L multiplier, or a factor
-/// value is not finite.
+/// The panel width cap lu_factorize uses; the dense tail is factored in
+/// blocks of this many columns.
+inline constexpr index_t kPanelMaxWidth = 32;
+/// The relaxed amalgamation lu_factorize uses: the structural-zero fraction
+/// allowed when merging e-tree chain columns into one panel.
+inline constexpr double kPanelRelax = 0.25;
+
+/// Attempt the supernodal factorization with `threads` pipeline workers,
+/// panels at most `max_width` columns wide (0 = unlimited) and relaxation
+/// `relax` (0 = fundamental supernodes only). Returns std::nullopt — the
+/// caller reruns the scalar kernel, which reproduces the exact scalar
+/// result (including its singularity error) — when threshold pivoting
+/// wants an off-diagonal pivot before the dense tail, a column is
+/// numerically singular, a nonzero numerator gives a zero L multiplier, or
+/// a factor value is not finite.
 std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
-                                            const LuOptions& opt);
+                                            const LuOptions& opt,
+                                            unsigned threads = 1,
+                                            index_t max_width = kPanelMaxWidth,
+                                            double relax = kPanelRelax);
 
 }  // namespace pdslin

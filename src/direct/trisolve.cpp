@@ -194,40 +194,4 @@ void block_lu_solve(const BlockLuFactors& f, std::span<value_t> x,
   }
 }
 
-SparseLowerSolver::SparseLowerSolver(const CscMatrix& l)
-    : l_(l), reach_(l), x_(l.cols, 0.0) {
-  PDSLIN_CHECK(l.rows == l.cols);
-  PDSLIN_CHECK_MSG(l.has_values(), "SparseLowerSolver needs numeric values");
-  for (index_t j = 0; j < l.cols; ++j) {
-    PDSLIN_CHECK_MSG(l.col_ptr[j] < l.col_ptr[j + 1] &&
-                         l.row_idx[l.col_ptr[j]] == j,
-                     "diagonal must lead every column");
-  }
-}
-
-std::span<const index_t> SparseLowerSolver::solve(std::span<const index_t> rows,
-                                                  std::span<const value_t> vals) {
-  PDSLIN_CHECK(rows.size() == vals.size());
-  const std::span<const index_t> pattern = reach_.reach(rows);
-  for (index_t i : pattern) x_[i] = 0.0;
-  for (std::size_t k = 0; k < rows.size(); ++k) x_[rows[k]] = vals[k];
-  for (index_t j : pattern) {  // ascending = topological for lower triangular
-    const index_t begin = l_.col_ptr[j];
-    const index_t end = l_.col_ptr[j + 1];
-    PDSLIN_CHECK_MSG(l_.values[begin] != 0.0,
-                     "matrix is singular at column " + std::to_string(j));
-    value_t xj = x_[j] / l_.values[begin];
-    x_[j] = xj;
-    if (xj == 0.0) continue;
-    for (index_t p = begin + 1; p < end; ++p) {
-      x_[l_.row_idx[p]] -= l_.values[p] * xj;
-    }
-  }
-  return pattern;
-}
-
-std::span<const index_t> SparseLowerSolver::symbolic(std::span<const index_t> rows) {
-  return reach_.reach(rows);
-}
-
 }  // namespace pdslin

@@ -1,13 +1,13 @@
-// Triangular solves with the LU factors: dense right-hand sides and sparse
-// right-hand sides (Gilbert–Peierls reach + scatter), the kernel behind
-// G_ℓ = L⁻¹ Ê_ℓ and W_ℓ = F̂_ℓ U⁻¹ in the Schur assembly (paper Eq. (5)).
+// Triangular solves with the LU factors on dense right-hand sides: the
+// subdomain solves D_ℓ⁻¹ of the Schur operator and the LU(S̃) apply. The
+// sparse right-hand sides of the Schur assembly (G_ℓ = L⁻¹ Ê_ℓ and
+// W_ℓ = F̂_ℓ U⁻¹, paper Eq. (5)) go through direct/multirhs.hpp.
 #pragma once
 
 #include <span>
 
 #include "direct/kernels.hpp"
 #include "direct/lu.hpp"
-#include "direct/reach.hpp"
 
 namespace pdslin {
 
@@ -77,30 +77,5 @@ void block_lu_solve(const BlockLuFactors& f, std::span<value_t> x,
 /// SchurAssemblyOptions::trisolve to the SchurPreconditioner constructor;
 /// delete it, that field and that parameter together.
 struct TrisolveOptions {};
-
-/// Sparse-RHS lower-triangular solver with reusable workspace.
-/// Requires the diagonal to be the first entry of every column; divides by
-/// it, so both L (unit) and Uᵀ (non-unit) work.
-class SparseLowerSolver {
- public:
-  explicit SparseLowerSolver(const CscMatrix& l);
-
-  /// Solve l·x = b for the sparse b given by (rows, vals). Returns the fill
-  /// pattern (topologically/ascending ordered); numeric values are read via
-  /// value(). The view is valid until the next solve call.
-  std::span<const index_t> solve(std::span<const index_t> rows,
-                                 std::span<const value_t> vals);
-
-  /// Symbolic-only variant: the pattern of l⁻¹ b.
-  std::span<const index_t> symbolic(std::span<const index_t> rows);
-
-  [[nodiscard]] value_t value(index_t i) const { return x_[i]; }
-  [[nodiscard]] index_t n() const { return reach_.n(); }
-
- private:
-  const CscMatrix& l_;
-  ReachSolver reach_;
-  std::vector<value_t> x_;
-};
 
 }  // namespace pdslin

@@ -4,8 +4,7 @@
 //
 // Design constraints, in order:
 //   1. Disabled cost ≈ zero. A PDSLIN_SPAN behind a disabled tracer is one
-//      relaxed atomic load; nothing is allocated, nothing is written. A
-//      build with -DPDSLIN_OBS=OFF compiles the macros away entirely.
+//      relaxed atomic load; nothing is allocated, nothing is written.
 //   2. Recording never takes a lock. Each thread owns its buffer; only the
 //      published-count atomic is shared with the exporter (release/acquire),
 //      so recording is safe under TSan with a concurrent export.
@@ -97,11 +96,6 @@ class TraceSpan {
 #define PDSLIN_OBS_CAT2(a, b) a##b
 #define PDSLIN_OBS_CAT(a, b) PDSLIN_OBS_CAT2(a, b)
 
-#if defined(PDSLIN_OBS_DISABLED)
-// Compiled-out form: no object, no atomic load, nothing to optimize away.
-#define PDSLIN_SPAN(name) ((void)0)
-#define PDSLIN_SPAN_I(name, arg) ((void)0)
-#else
 /// Scoped span covering the rest of the enclosing block.
 #define PDSLIN_SPAN(name) \
   ::pdslin::obs::TraceSpan PDSLIN_OBS_CAT(pdslin_span_, __COUNTER__)(name)
@@ -110,4 +104,3 @@ class TraceSpan {
 #define PDSLIN_SPAN_I(name, arg) \
   ::pdslin::obs::TraceSpan PDSLIN_OBS_CAT(pdslin_span_, __COUNTER__)( \
       name, static_cast<std::int32_t>(arg))
-#endif

@@ -27,10 +27,13 @@ void CachedSetup::return_context(
 
 FactorCache::FactorCache(FactorCacheConfig cfg) : cfg_(cfg) {}
 
-std::shared_ptr<CachedSetup> FactorCache::find(const SetupKey& key) {
+std::shared_ptr<CachedSetup> FactorCache::find(
+    const SetupKey& key, std::optional<std::uint64_t> incidence) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
+  if (it == index_.end() ||
+      (incidence &&
+       (*it->second)->solver().partition().incidence_hash != *incidence)) {
     ++stats_.misses;
     obs::counter("serve.cache.misses").add();
     return nullptr;
@@ -43,10 +46,12 @@ std::shared_ptr<CachedSetup> FactorCache::find(const SetupKey& key) {
 }
 
 std::shared_ptr<const DbbdPartition> FactorCache::find_partition(
-    const SetupKey& key) {
+    const SetupKey& key, std::uint64_t incidence) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = partitions_.find(key.symbolic());
-  if (it == partitions_.end()) return nullptr;
+  if (it == partitions_.end() || it->second->incidence_hash != incidence) {
+    return nullptr;
+  }
   ++stats_.symbolic_hits;
   obs::counter("serve.cache.symbolic_hits").add();
   return it->second;

@@ -12,10 +12,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/schur_solver.hpp"
@@ -76,13 +78,20 @@ class FactorCache {
  public:
   explicit FactorCache(FactorCacheConfig cfg = {});
 
-  /// Full-key lookup; refreshes recency and pins the entry (shared_ptr).
-  std::shared_ptr<CachedSetup> find(const SetupKey& key);
+  /// Full-key lookup for a request with incidence hash `incidence`
+  /// (incidence_hash_of): an entry partitioned on another incidence
+  /// (DbbdPartition::incidence_hash) is a miss. Without one, the key's entry
+  /// whatever its incidence. A hit refreshes recency and pins the entry
+  /// (shared_ptr).
+  std::shared_ptr<CachedSetup> find(
+      const SetupKey& key, std::optional<std::uint64_t> incidence = {});
 
-  /// Partition of any setup ever completed in the same symbolic class
-  /// (pattern + options, values ignored). Survives numeric eviction: the
-  /// partition itself is tiny next to the factors.
-  std::shared_ptr<const DbbdPartition> find_partition(const SetupKey& key);
+  /// Partition of the last setup completed in the same symbolic class
+  /// (pattern + options, values ignored), when it was partitioned on
+  /// `incidence`. Survives numeric eviction: the partition itself is tiny
+  /// next to the factors.
+  std::shared_ptr<const DbbdPartition> find_partition(const SetupKey& key,
+                                                      std::uint64_t incidence);
 
   /// Insert a finished setup, evicting cold unpinned entries until it fits;
   /// also records the setup's partition for symbolic reuse. Returns false

@@ -213,8 +213,7 @@ std::shared_ptr<CachedSetup> SolveService::build(const PendingRequest& pr,
   try {
     auto solver = std::make_shared<SchurSolver>(*pr.req.a, pr.req.opt);
     std::shared_ptr<const DbbdPartition> part;
-    if (cfg_.enable_cache) part = cache_.find_partition(pr.key);
-    if (part && part->incidence_hash != pr.incidence) part.reset();
+    if (cfg_.enable_cache) part = cache_.find_partition(pr.key, pr.incidence);
     if (part) {
       solver->adopt_partition(*part);
     } else {
@@ -277,11 +276,7 @@ void SolveService::answer(PendingRequest& pr) {
           // builds only when it meets neither. An entry or a build
           // partitioned on another incidence does not answer it: it then
           // builds for itself, beside that build when one is in flight.
-          setup = cache_.find(pr.key);
-          if (setup &&
-              setup->solver().partition().incidence_hash != pr.incidence) {
-            setup.reset();
-          }
+          setup = cache_.find(pr.key, pr.incidence);
           if (!setup) {
             auto [claim, fresh] = builds_.try_emplace(pr.key);
             if (fresh) {

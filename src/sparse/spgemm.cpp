@@ -186,39 +186,4 @@ CsrMatrix ata_pattern(const CsrMatrix& a) {
   return spgemm_pattern(at, a);
 }
 
-CsrMatrix add(const CsrMatrix& a, const CsrMatrix& b, value_t alpha, value_t beta) {
-  PDSLIN_CHECK_MSG(a.rows == b.rows && a.cols == b.cols, "add dimension mismatch");
-  PDSLIN_CHECK_MSG(a.has_values() && b.has_values(), "add requires values");
-  CsrMatrix as = a;
-  as.sort_rows();
-  CsrMatrix bs = b;
-  bs.sort_rows();
-
-  CsrMatrix c(a.rows, a.cols);
-  c.col_idx.reserve(a.col_idx.size() + b.col_idx.size());
-  c.values.reserve(a.values.size() + b.values.size());
-  for (index_t i = 0; i < a.rows; ++i) {
-    index_t p = as.row_ptr[i], q = bs.row_ptr[i];
-    const index_t pe = as.row_ptr[i + 1], qe = bs.row_ptr[i + 1];
-    while (p < pe || q < qe) {
-      if (p < pe && (q >= qe || as.col_idx[p] < bs.col_idx[q])) {
-        c.col_idx.push_back(as.col_idx[p]);
-        c.values.push_back(alpha * as.values[p]);
-        ++p;
-      } else if (q < qe && (p >= pe || bs.col_idx[q] < as.col_idx[p])) {
-        c.col_idx.push_back(bs.col_idx[q]);
-        c.values.push_back(beta * bs.values[q]);
-        ++q;
-      } else {
-        c.col_idx.push_back(as.col_idx[p]);
-        c.values.push_back(alpha * as.values[p] + beta * bs.values[q]);
-        ++p;
-        ++q;
-      }
-    }
-    c.row_ptr[i + 1] = static_cast<index_t>(c.col_idx.size());
-  }
-  return c;
-}
-
 }  // namespace pdslin

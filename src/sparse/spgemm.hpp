@@ -26,7 +26,4 @@ CsrMatrix spgemm_pattern(const CsrMatrix& a, const CsrMatrix& b,
 /// explicitly as a separate user step.
 CsrMatrix ata_pattern(const CsrMatrix& a);
 
-/// C = alpha·A + beta·B (same dimensions; patterns merged, sorted rows).
-CsrMatrix add(const CsrMatrix& a, const CsrMatrix& b, value_t alpha, value_t beta);
-
 }  // namespace pdslin

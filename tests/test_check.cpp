@@ -424,14 +424,6 @@ TEST(Differential, SampleCaseIsDeterministic) {
   EXPECT_NE(sample_case(42, 0).to_string(), sample_case(42, 1).to_string());
 }
 
-TEST(Differential, LuKernelAxisCyclesScalarPanelPanel) {
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(sample_case(42, i).lu_kernel,
-              i % 3 == 0 ? LuKernelAxis::Scalar : LuKernelAxis::Panel)
-        << "case " << i;
-  }
-}
-
 TEST(Differential, BuildCaseIsDeterministic) {
   const CaseSpec spec = sample_case(7, 3);
   const GeneratedProblem p1 = build_case(spec);
@@ -472,16 +464,27 @@ TEST(Artifact, MalformedDocumentThrows) {
   EXPECT_THROW(
       artifact_from_json(R"({"artifact": "something-else", "version": 1})"),
       Error);
-  // Artifacts from older campaigns may name the lu-fp32 lane; they must be
-  // rejected as an unknown lu_kernel, not replayed on some other kernel.
-  std::string fp32 = artifact_to_json(CaseSpec{});
-  const std::size_t at = fp32.find("\"lu-panel\"");
-  ASSERT_NE(at, std::string::npos);
-  fp32.replace(at, 10, "\"lu-fp32\"");
-  EXPECT_THROW(artifact_from_json(fp32), Error);
+  // Artifacts from older campaigns name the LU kernel: lu-scalar and
+  // lu-panel replay as recorded (the kernels give the same factors); the
+  // lu-fp32 lane is rejected as an unknown lu_kernel, not replayed on some
+  // other kernel.
+  const std::string base = artifact_to_json(CaseSpec{});
+  ASSERT_EQ(base.find("lu_kernel"), std::string::npos);
+  const std::size_t spec_open = base.find("\"spec\": {");
+  ASSERT_NE(spec_open, std::string::npos);
+  auto with_kernel = [&](const char* name) {
+    std::string doc = base;
+    doc.insert(spec_open + 9,
+               std::string("\n    \"lu_kernel\": \"") + name + "\",");
+    return doc;
+  };
+  EXPECT_EQ(artifact_from_json(with_kernel("lu-scalar")).to_string(),
+            CaseSpec{}.to_string());
+  EXPECT_EQ(artifact_from_json(with_kernel("lu-panel")).to_string(),
+            CaseSpec{}.to_string());
+  EXPECT_THROW(artifact_from_json(with_kernel("lu-fp32")), Error);
 
   // The same holds for the removed partition-engine lanes.
-  const std::string base = artifact_to_json(CaseSpec{});
   for (const char* lane : {"pe-geometric", "pe-budget0"}) {
     std::string removed = base;
     const std::size_t pe = removed.find("\"pe-multilevel\"");
@@ -746,8 +749,8 @@ TEST(ServeProperty, EveryOptionFieldMovesSetupHashExactlyWhenSetup) {
     });
     EXPECT_EQ(serve::setup_options_hash(opt) != default_hash, field.setup);
   });
-  EXPECT_EQ(fields, 27);
-  EXPECT_EQ(setup_fields, 18);
+  EXPECT_EQ(fields, 23);
+  EXPECT_EQ(setup_fields, 15);
 }
 
 TEST(ServeProperty, DeadlineAlreadyExpiredAtEnqueueTimesOut) {

@@ -254,30 +254,6 @@ TEST(Reach, MatchesTransitiveClosure) {
   EXPECT_EQ(reach.reach(seed2).size(), 1u);
 }
 
-TEST(SparseLowerSolver, MatchesDenseSolve) {
-  Rng rng(43);
-  const CsrMatrix a = testing::random_pattern_symmetric(40, 0.15, rng);
-  const LuFactors f = lu_factorize(a);
-  SparseLowerSolver solver(f.lower);
-  // Sparse RHS with a few entries.
-  std::vector<index_t> rows{3, 17, 29};
-  std::vector<value_t> vals{1.0, -2.0, 0.5};
-  const auto pattern = solver.solve(rows, vals);
-  // Dense oracle.
-  std::vector<value_t> dense_b(40, 0.0);
-  for (std::size_t k = 0; k < rows.size(); ++k) dense_b[rows[k]] = vals[k];
-  lower_solve_dense(f.lower, dense_b, /*unit_diag=*/true);
-  for (index_t i = 0; i < 40; ++i) {
-    const bool in_pattern =
-        std::find(pattern.begin(), pattern.end(), i) != pattern.end();
-    if (in_pattern) {
-      EXPECT_NEAR(solver.value(i), dense_b[i], 1e-12);
-    } else {
-      EXPECT_EQ(dense_b[i], 0.0);  // pattern must cover all nonzeros
-    }
-  }
-}
-
 TEST(MultiRhs, BlockedEqualsColumnwise) {
   Rng rng(47);
   const CsrMatrix a = testing::random_pattern_symmetric(60, 0.1, rng);
@@ -289,16 +265,21 @@ TEST(MultiRhs, BlockedEqualsColumnwise) {
   std::iota(order.begin(), order.end(), 0);
 
   const MultiRhsResult blocked = solve_multi_rhs_blocked(f.lower, b, order, 4);
-  // Column-by-column oracle.
-  SparseLowerSolver ref(f.lower);
+  // Column-by-column oracle: the column's reach, and a dense solve.
+  ReachSolver reach(f.lower);
   for (index_t j = 0; j < 13; ++j) {
-    const auto pat = ref.solve(b.col_rows(j), b.col_vals(j));
+    const auto pat = reach.reach(b.col_rows(j));
+    std::vector<value_t> x(60, 0.0);
+    for (std::size_t k = 0; k < b.col_rows(j).size(); ++k) {
+      x[b.col_rows(j)[k]] = b.col_vals(j)[k];
+    }
+    lower_solve_dense(f.lower, x, /*unit_diag=*/true);
     const auto sol_rows = blocked.solution.col_rows(j);
     const auto sol_vals = blocked.solution.col_vals(j);
     ASSERT_EQ(sol_rows.size(), pat.size()) << "col " << j;
     for (std::size_t k = 0; k < pat.size(); ++k) {
       EXPECT_EQ(sol_rows[k], pat[k]);
-      EXPECT_NEAR(sol_vals[k], ref.value(pat[k]), 1e-12);
+      EXPECT_NEAR(sol_vals[k], x[pat[k]], 1e-12);
     }
   }
 }
@@ -333,9 +314,9 @@ TEST(MultiRhs, SymbolicPatternsMatchSolver) {
   const LuFactors f = lu_factorize(a);
   const CscMatrix b = csr_to_csc(testing::random_sparse(40, 6, 0.1, rng));
   const auto patterns = symbolic_solve_patterns(f.lower, b);
-  SparseLowerSolver ref(f.lower);
+  ReachSolver reach(f.lower);
   for (index_t j = 0; j < 6; ++j) {
-    const auto pat = ref.symbolic(b.col_rows(j));
+    const auto pat = reach.reach(b.col_rows(j));
     ASSERT_EQ(patterns[j].size(), pat.size());
     EXPECT_TRUE(std::equal(pat.begin(), pat.end(), patterns[j].begin()));
   }
@@ -556,17 +537,6 @@ TEST(TriSolve, LowerSolveDenseZeroPivotThrows) {
   l.values = {0.0, 3.0, 1.0};
   std::vector<value_t> x = {1.0, 1.0};
   EXPECT_THROW(lower_solve_dense(l, x, /*unit_diag=*/false), Error);
-}
-
-TEST(SparseLowerSolver, ZeroPivotThrows) {
-  CscMatrix l(2, 2);
-  l.col_ptr = {0, 2, 3};
-  l.row_idx = {0, 1, 1};
-  l.values = {0.0, 3.0, 1.0};
-  SparseLowerSolver solver(l);
-  const std::vector<index_t> rows = {0};
-  const std::vector<value_t> vals = {1.0};
-  EXPECT_THROW(solver.solve(rows, vals), Error);
 }
 
 }  // namespace

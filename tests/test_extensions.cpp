@@ -111,8 +111,6 @@ TEST(ConfigStrings, AllEnumsPrintable) {
   EXPECT_STREQ(to_string(CutMetric::Soed), "soed");
   EXPECT_STREQ(to_string(RhbConstraintMode::SingleW1), "w1");
   EXPECT_STREQ(to_string(RhbConstraintMode::MultiW1W2), "w1w2");
-  EXPECT_STREQ(to_string(LuKernel::Scalar), "scalar");
-  EXPECT_STREQ(to_string(LuKernel::Panel), "panel");
 }
 
 }  // namespace

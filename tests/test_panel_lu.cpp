@@ -2,8 +2,9 @@
 // equivalence with the scalar Gilbert–Peierls reference, parallel == serial
 // determinism, row pivoting inside the dense tail, scalar fallback on pivot
 // deviation before the tail, singularity, zero multipliers and non-finite
-// values, the relaxed-amalgamation and width-cap knobs, and the serve-layer
-// byte accounting.
+// values, the width cap and relaxation (parameters of the panel kernel's own
+// entry point), the serve-layer byte accounting, and the per-factor kernel
+// invariant of the differential checker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,14 +15,17 @@
 #include <optional>
 #include <vector>
 
+#include "check/invariants.hpp"
 #include "core/schur_solver.hpp"
 #include "direct/kernels.hpp"
 #include "direct/lu.hpp"
 #include "direct/mindeg.hpp"
+#include "direct/panel_lu.hpp"
 #include "direct/reach.hpp"
 #include "direct/supernodes.hpp"
 #include "direct/symbolic.hpp"
 #include "direct/trisolve.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/permute.hpp"
 #include "sparse/symmetrize.hpp"
@@ -67,6 +71,20 @@ double dense_lu_residual(const CsrMatrix& a, const LuFactors& f) {
     }
   }
   return worst;
+}
+
+/// The scalar reference kernel on CSR input.
+LuFactors scalar_of(const CsrMatrix& a, const LuOptions& opt = {}) {
+  return scalar_lu_factorize(csr_to_csc(a), opt);
+}
+
+/// The panel kernel alone, without the scalar fallback, at an explicit
+/// worker count, width cap and relaxation.
+std::optional<LuFactors> panel_of(const CsrMatrix& a, unsigned threads = 1,
+                                  index_t width = kPanelMaxWidth,
+                                  double relax = kPanelRelax,
+                                  const LuOptions& opt = {}) {
+  return panel_lu_factorize(csr_to_csc(a), opt, threads, width, relax);
 }
 
 CsrMatrix ordered_matrix(const CsrMatrix& a) {
@@ -236,9 +254,8 @@ TEST(PanelLu, DenseFactorOnEachPathMatchesScalar) {
       }
     }
     const CsrMatrix a = coo_to_csr(coo);
-    LuOptions scalar;
-    scalar.kernel = LuKernel::Scalar;
-    const LuFactors fs = lu_factorize(a, scalar);
+    const LuOptions scalar;
+    const LuFactors fs = scalar_of(a, scalar);
     ASSERT_LT(first_deviation(fs), n) << "n " << n << ": no row exchange";
     const auto l = to_dense(fs.lower);
     const auto ut = to_dense(fs.upper_t);
@@ -299,12 +316,8 @@ TEST(PanelLu, BitwiseMatchesScalar) {
     for (int rep = 0; rep < 3; ++rep) {
       const CsrMatrix a =
           ordered_matrix(testing::random_pattern_symmetric(n, 0.12, rng));
-      LuOptions scalar;
-      scalar.kernel = LuKernel::Scalar;
-      LuOptions panel;
-      panel.kernel = LuKernel::Panel;
-      const LuFactors fs = lu_factorize(a, scalar);
-      const LuFactors fp = lu_factorize(a, panel);
+      const LuFactors fs = scalar_of(a);
+      const LuFactors fp = lu_factorize(a);
       expect_factors_bitwise(fs, fp, "scalar vs panel");
       EXPECT_TRUE(fp.stats.used_panel);
       EXPECT_GT(fp.stats.panel_count, 0);
@@ -314,9 +327,7 @@ TEST(PanelLu, BitwiseMatchesScalar) {
 
 TEST(PanelLu, FactorsSatisfyResidual) {
   const CsrMatrix a = ordered_matrix(testing::grid_laplacian(8, 8));
-  LuOptions panel;
-  panel.kernel = LuKernel::Panel;
-  const LuFactors f = lu_factorize(a, panel);
+  const LuFactors f = lu_factorize(a);
   EXPECT_TRUE(f.stats.used_panel);
   EXPECT_LT(dense_lu_residual(a, f), 1e-10);
 }
@@ -325,14 +336,9 @@ TEST(PanelLu, ParallelBitwiseIdenticalToSerial) {
   Rng rng(7);
   const CsrMatrix a =
       ordered_matrix(testing::random_pattern_symmetric(120, 0.06, rng));
-  LuOptions serial;
-  serial.kernel = LuKernel::Panel;
-  serial.threads = 1;
-  const LuFactors f1 = lu_factorize(a, serial);
+  const LuFactors f1 = lu_factorize(a, {}, 1);
   for (const unsigned t : {2u, 4u, 8u}) {
-    LuOptions par = serial;
-    par.threads = t;
-    const LuFactors ft = lu_factorize(a, par);
+    const LuFactors ft = lu_factorize(a, {}, t);
     expect_factors_bitwise(f1, ft, "panel serial vs parallel");
   }
 }
@@ -345,14 +351,10 @@ TEST(PanelLu, FallbackOnPivotDeviationMatchesScalar) {
   const CsrMatrix a =
       ordered_matrix(testing::random_pattern_symmetric(60, 0.15, rng,
                                                        /*diag_boost=*/0.0));
-  LuOptions scalar;
-  scalar.kernel = LuKernel::Scalar;
-  scalar.pivot_tol = 1.0;
-  LuOptions panel = scalar;
-  panel.kernel = LuKernel::Panel;
-  panel.threads = 3;
-  const LuFactors fs = lu_factorize(a, scalar);
-  const LuFactors fp = lu_factorize(a, panel);
+  LuOptions opt;
+  opt.pivot_tol = 1.0;
+  const LuFactors fs = scalar_of(a, opt);
+  const LuFactors fp = lu_factorize(a, opt, 3);
   // The first deviation must precede the dense tail: inside it the panel
   // kernel pivots itself and there would be no fallback to test.
   ASSERT_LT(first_deviation(fs), dense_tail_start(a));
@@ -364,19 +366,16 @@ TEST(PanelLu, FallbackOnPivotDeviationMatchesScalar) {
 TEST(PanelLu, DenseTailPivotMatchesScalar) {
   Rng rng(21);
   const CsrMatrix a = bordered_indefinite(60, 12, rng);
-  LuOptions scalar;
-  scalar.kernel = LuKernel::Scalar;
-  const LuFactors fs = lu_factorize(a, scalar);
+  const LuFactors fs = scalar_of(a);
   const index_t tail = dense_tail_start(a);
   ASSERT_LE(tail, first_deviation(fs)) << "every deviation must be in the tail";
   ASSERT_LT(first_deviation(fs), fs.n) << "expected off-diagonal pivots";
 
-  LuOptions panel = scalar;
-  panel.kernel = LuKernel::Panel;
-  panel.panel_max_width = 4;  // several tail blocks: exercises the GEMM
   for (const unsigned t : {1u, 2u, 4u}) {
-    panel.threads = t;
-    const LuFactors fp = lu_factorize(a, panel);
+    // Width 4: several tail blocks, which exercises the GEMM.
+    const std::optional<LuFactors> attempt = panel_of(a, t, 4);
+    ASSERT_TRUE(attempt.has_value()) << "threads=" << t;
+    const LuFactors& fp = *attempt;
     EXPECT_TRUE(fp.stats.used_panel) << "threads=" << t;
     EXPECT_EQ(fp.stats.tail_cols, a.rows - tail);
     EXPECT_GT(fp.stats.tail_pivots, 0);
@@ -400,12 +399,8 @@ TEST(PanelLu, DenseTailPivotTieGoesToSmallestOriginalRow) {
   }
   const CsrMatrix a = coo_to_csr(coo);
   ASSERT_EQ(dense_tail_start(a), 0);
-  LuOptions scalar;
-  scalar.kernel = LuKernel::Scalar;
-  LuOptions panel;
-  panel.kernel = LuKernel::Panel;
-  const LuFactors fs = lu_factorize(a, scalar);
-  const LuFactors fp = lu_factorize(a, panel);
+  const LuFactors fs = scalar_of(a);
+  const LuFactors fp = lu_factorize(a);
   ASSERT_EQ(fs.row_perm[1], 0);
   EXPECT_TRUE(fp.stats.used_panel);
   expect_factors_bitwise(fs, fp, "tied tail pivot");
@@ -414,10 +409,9 @@ TEST(PanelLu, DenseTailPivotTieGoesToSmallestOriginalRow) {
 TEST(PanelLu, SolveOnTailPivotedFactorHasSmallResidual) {
   Rng rng(5);
   const CsrMatrix a = bordered_indefinite(80, 16, rng);
-  LuOptions opt;
-  opt.kernel = LuKernel::Panel;
-  opt.panel_max_width = 8;
-  const LuFactors f = lu_factorize(a, opt);
+  const std::optional<LuFactors> attempt = panel_of(a, 1, 8);
+  ASSERT_TRUE(attempt.has_value());
+  const LuFactors& f = *attempt;
   ASSERT_TRUE(f.stats.used_panel);
   ASSERT_GT(f.stats.tail_pivots, 0);
 
@@ -433,13 +427,9 @@ TEST(PanelLu, ZeroMultiplierAndNonFiniteMatchScalar) {
   // planted inf makes padding products 0·inf = NaN the scalar kernel never
   // forms. Both must send the panel attempt to the scalar kernel.
   auto both = [](const CsrMatrix& a, const char* what) {
-    LuOptions scalar;
-    scalar.kernel = LuKernel::Scalar;
-    LuOptions panel;
-    panel.kernel = LuKernel::Panel;
     std::optional<LuFactors> fs, fp;
-    try { fs = lu_factorize(a, scalar); } catch (const Error&) {}
-    try { fp = lu_factorize(a, panel); } catch (const Error&) {}
+    try { fs = scalar_of(a); } catch (const Error&) {}
+    try { fp = lu_factorize(a); } catch (const Error&) {}
     ASSERT_EQ(fs.has_value(), fp.has_value()) << what;
     if (fs) expect_factors_bitwise(*fs, *fp, what);
   };
@@ -484,54 +474,38 @@ TEST(PanelLu, SingularThrowsLikeScalar) {
   }
   d[5] = d[2];
   const CsrMatrix a = testing::from_dense(d);
-  LuOptions scalar;
-  scalar.kernel = LuKernel::Scalar;
-  LuOptions panel;
-  panel.kernel = LuKernel::Panel;
-  EXPECT_THROW(lu_factorize(a, scalar), Error);
-  EXPECT_THROW(lu_factorize(a, panel), Error);
+  EXPECT_THROW(scalar_of(a), Error);
+  EXPECT_THROW(lu_factorize(a), Error);
+  EXPECT_FALSE(panel_of(a).has_value()) << "the panel attempt must decline";
 }
 
 TEST(PanelLu, WidthCapAndRelaxationKnobs) {
   const CsrMatrix a = ordered_matrix(testing::grid_laplacian(12, 12));
-  LuOptions scalar;
-  scalar.kernel = LuKernel::Scalar;
-  const LuFactors fs = lu_factorize(a, scalar);
+  const LuFactors fs = scalar_of(a);
 
-  LuOptions capped;
-  capped.kernel = LuKernel::Panel;
-  capped.panel_max_width = 4;
-  const LuFactors fc = lu_factorize(a, capped);
-  EXPECT_TRUE(fc.stats.used_panel);
-  EXPECT_LE(fc.stats.max_width, 4);
-  expect_factors_bitwise(fs, fc, "width cap");
+  const std::optional<LuFactors> fc = panel_of(a, 1, 4);
+  ASSERT_TRUE(fc.has_value());
+  EXPECT_LE(fc->stats.max_width, 4);
+  expect_factors_bitwise(fs, *fc, "width cap");
 
-  LuOptions fundamental = capped;
-  fundamental.panel_max_width = 32;
-  fundamental.panel_relax = 0.0;
-  const LuFactors ff = lu_factorize(a, fundamental);
-  LuOptions relaxed = fundamental;
-  relaxed.panel_relax = 0.5;
-  const LuFactors fr = lu_factorize(a, relaxed);
+  const std::optional<LuFactors> ff = panel_of(a, 1, 32, 0.0);
+  const std::optional<LuFactors> fr = panel_of(a, 1, 32, 0.5);
+  ASSERT_TRUE(ff.has_value() && fr.has_value());
   // Relaxation only merges panels: never narrower, numerics untouched.
-  EXPECT_GE(fr.stats.avg_width, ff.stats.avg_width);
-  EXPECT_LE(fr.stats.panel_count, ff.stats.panel_count);
-  expect_factors_bitwise(fs, ff, "fundamental supernodes");
-  expect_factors_bitwise(fs, fr, "relaxed amalgamation");
+  EXPECT_GE(fr->stats.avg_width, ff->stats.avg_width);
+  EXPECT_LE(fr->stats.panel_count, ff->stats.panel_count);
+  expect_factors_bitwise(fs, *ff, "fundamental supernodes");
+  expect_factors_bitwise(fs, *fr, "relaxed amalgamation");
 
-  LuOptions unlimited = fundamental;
-  unlimited.panel_max_width = 0;  // 0 = no cap
-  expect_factors_bitwise(fs, lu_factorize(a, unlimited), "unlimited width");
+  const std::optional<LuFactors> fu = panel_of(a, 1, 0, 0.0);  // 0 = no cap
+  ASSERT_TRUE(fu.has_value());
+  expect_factors_bitwise(fs, *fu, "unlimited width");
 }
 
 TEST(PanelLu, MemoryBytesEqualAcrossKernels) {
   const CsrMatrix a = ordered_matrix(testing::grid_laplacian(8, 8));
-  LuOptions scalar;
-  scalar.kernel = LuKernel::Scalar;
-  LuOptions panel;
-  panel.kernel = LuKernel::Panel;
-  const LuFactors fs = lu_factorize(a, scalar);
-  const LuFactors fp = lu_factorize(a, panel);
+  const LuFactors fs = scalar_of(a);
+  const LuFactors fp = lu_factorize(a);
   // The panel kernel keeps nothing beside the factors: its packed panels
   // and panel partition are transient, so both kernels charge the same.
   EXPECT_EQ(fp.memory_bytes(), fs.memory_bytes());
@@ -540,30 +514,86 @@ TEST(PanelLu, MemoryBytesEqualAcrossKernels) {
                 fs.upper_t.values.size() * sizeof(value_t));
 }
 
+// The solver's factors are the scalar kernel's, each D_ℓ and S̃ bit for
+// bit (the per-factor invariant every fuzz case runs), and its answer does
+// not depend on the panel kernel's worker count.
 TEST(PanelLu, FullSolveBitwiseAcrossKernels) {
   const CsrMatrix a = testing::grid_laplacian(10, 10);
   Rng rng(5);
   std::vector<value_t> b(a.rows);
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
 
-  auto solve_with = [&](LuKernel kernel, unsigned inner) {
+  auto solve_with = [&](unsigned inner) {
     SolverOptions opt;
     opt.num_subdomains = 4;
-    opt.assembly.lu.kernel = kernel;
     opt.assembly.inner_threads = inner;
     SchurSolver solver(a, opt);
     solver.setup();
     solver.factor();
+    check::CheckReport rep;
+    check::check_factor_kernels(solver, rep);
+    EXPECT_TRUE(rep.ok()) << "inner " << inner << ": " << rep.summary();
+    EXPECT_NE(solver.preconditioner(), nullptr);
     std::vector<value_t> x(a.rows, 0.0);
     solver.solve(b, x);
     return x;
   };
-  const std::vector<value_t> xs = solve_with(LuKernel::Scalar, 1);
-  const std::vector<value_t> xp = solve_with(LuKernel::Panel, 1);
-  const std::vector<value_t> xp4 = solve_with(LuKernel::Panel, 4);
-  ASSERT_EQ(xs.size(), xp.size());
-  EXPECT_EQ(0, std::memcmp(xs.data(), xp.data(), xs.size() * sizeof(value_t)));
-  EXPECT_EQ(0, std::memcmp(xs.data(), xp4.data(), xs.size() * sizeof(value_t)));
+  const std::vector<value_t> x1 = solve_with(1);
+  const std::vector<value_t> x4 = solve_with(4);
+  EXPECT_TRUE(bitwise_equal(x1, x4));
+}
+
+// The per-factor invariant reports one ulp of one factor entry: in L, in
+// Uᵀ and in a D_ℓ factor the solver holds.
+TEST(PanelLu, KernelInvariantReportsOneUlp) {
+  const CsrMatrix a = ordered_matrix(testing::grid_laplacian(9, 9));
+  const CscMatrix ac = csr_to_csc(a);
+  const LuFactors f = lu_factorize(a);
+  check::CheckReport clean;
+  check::check_factors_match_scalar(ac, {}, f, "grid", clean);
+  EXPECT_TRUE(clean.ok()) << clean.summary();
+
+  const auto planted = [&](LuFactors g, bool in_lower) {
+    std::vector<value_t>& v = in_lower ? g.lower.values : g.upper_t.values;
+    value_t& e = v[v.size() / 2];
+    e = std::nextafter(e, std::numeric_limits<value_t>::infinity());
+    check::CheckReport rep;
+    check::check_factors_match_scalar(ac, {}, g, "grid", rep);
+    return rep;
+  };
+  for (const bool in_lower : {true, false}) {
+    const check::CheckReport rep = planted(f, in_lower);
+    ASSERT_EQ(rep.violations.size(), 1u) << rep.summary();
+    EXPECT_EQ(rep.violations[0].checker, "lu_kernel.factors");
+    EXPECT_NE(rep.violations[0].detail.find(in_lower ? "lower" : "upper_t"),
+              std::string::npos)
+        << rep.summary();
+  }
+  // A swapped pair of pivot rows is a finding too.
+  LuFactors swapped = f;
+  std::swap(swapped.row_perm[0], swapped.row_perm[1]);
+  check::CheckReport rep;
+  check::check_factors_match_scalar(ac, {}, swapped, "grid", rep);
+  EXPECT_TRUE(rep.has("lu_kernel.factors"));
+
+  // One of a solver's own D_ℓ factors, rebuilt through its colmap.
+  SolverOptions opt;
+  opt.num_subdomains = 4;
+  SchurSolver solver(testing::grid_laplacian(10, 10), opt);
+  solver.setup();
+  solver.factor();
+  const SubdomainFactorization& d0 = solver.factorizations()[0];
+  const CscMatrix d = csr_to_csc(
+      permute_symmetric(solver.subdomains()[0].d, d0.colmap));
+  check::CheckReport own;
+  check::check_factors_match_scalar(d, opt.assembly.lu, d0.lu, "d0", own);
+  EXPECT_TRUE(own.ok()) << own.summary();
+  LuFactors bumped = d0.lu;
+  bumped.upper_t.values[0] =
+      std::nextafter(bumped.upper_t.values[0], value_t{0});
+  check::CheckReport found;
+  check::check_factors_match_scalar(d, opt.assembly.lu, bumped, "d0", found);
+  EXPECT_TRUE(found.has("lu_kernel.factors")) << found.summary();
 }
 
 TEST(Supernodes, AverageWidthOfEmptyFactorIsOne) {

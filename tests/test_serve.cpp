@@ -306,7 +306,7 @@ TEST(ServeFactorCache, PartitionSurvivesNumericEviction) {
   for (auto& v : a2.values) v *= 1.001;
   const SetupKey k2{serve::fingerprint_of(a2), serve::setup_options_hash(opt)};
   EXPECT_NE(k1, k2);
-  const auto part = cache.find_partition(k2);
+  const auto part = cache.find_partition(k2, /*incidence=*/0);
   ASSERT_NE(part, nullptr);
   EXPECT_GE(cache.stats().symbolic_hits, 1);
 
@@ -344,7 +344,7 @@ TEST(ServeFactorCache, AdoptedPartitionChargedFullBytes) {
   CsrMatrix a2 = a;
   for (auto& v : a2.values) v *= 1.0 + 1e-6;
   const SetupKey k2{serve::fingerprint_of(a2), serve::setup_options_hash(opt)};
-  const auto part = cache.find_partition(k2);
+  const auto part = cache.find_partition(k2, /*incidence=*/0);
   ASSERT_NE(part, nullptr);
 
   auto solver = std::make_shared<SchurSolver>(a2, opt);
@@ -616,6 +616,21 @@ TEST(ServeService, CachedSetupAnswersOnlyItsOwnIncidence) {
   const auto r4 = served(svc, a2, inc1, opt);
   EXPECT_TRUE(r4.cache_hit);
   EXPECT_TRUE(same(r4.x, x21));
+
+  // Only r4 reused anything: the entry r2 met and the partition r3 met were
+  // on the other incidence, and count as misses, not hits.
+  const serve::FactorCacheStats st = svc.cache().stats();
+  EXPECT_EQ(st.hits, 1);
+  EXPECT_EQ(st.misses, 3);
+  EXPECT_EQ(st.symbolic_hits, 0);
+  // The key's entry is inc1's; the one-argument find returns it anyway.
+  const serve::SetupKey key{serve::fingerprint_of(*a2),
+                            serve::setup_options_hash(opt)};
+  ASSERT_NE(svc.cache().find(key), nullptr);
+  EXPECT_EQ(svc.cache().find(key, incidence_hash_of(inc2.get())),
+            nullptr);
+  EXPECT_NE(svc.cache().find(key, incidence_hash_of(inc1.get())),
+            nullptr);
 }
 
 TEST(ServeService, InvalidRequestFailsFast) {

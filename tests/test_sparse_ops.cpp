@@ -143,17 +143,6 @@ TEST(Spgemm, AtaPatternIsSymmetric) {
   EXPECT_TRUE(pattern_symmetric(p));
 }
 
-TEST(Add, LinearCombination) {
-  const CsrMatrix a = testing::from_dense({{1, 0}, {0, 2}});
-  const CsrMatrix b = testing::from_dense({{0, 3}, {4, 2}});
-  const CsrMatrix c = add(a, b, 2.0, -1.0);
-  const auto d = to_dense(c);
-  EXPECT_DOUBLE_EQ(d[0][0], 2.0);
-  EXPECT_DOUBLE_EQ(d[0][1], -3.0);
-  EXPECT_DOUBLE_EQ(d[1][0], -4.0);
-  EXPECT_DOUBLE_EQ(d[1][1], 2.0);
-}
-
 TEST(MatrixMarket, RoundTrip) {
   Rng rng(19);
   const CsrMatrix a = testing::random_sparse(10, 7, 0.3, rng);

@@ -47,6 +47,9 @@ expect_error pdslin --matrix tdr190k --scale 0.05 -k 8x
 expect_error pdslin --matrix tdr190k --scale 0.05 --partition-engine geometric
 expect_error pdslin --matrix tdr190k --scale 0.05 --partition-budget-ms 5
 expect_error pdslin --matrix tdr190k --scale 0.05 --partition-min-quality 0.5
+expect_error pdslin --matrix tdr190k --scale 0.05 --lu-kernel scalar
+expect_error pdslin --matrix tdr190k --scale 0.05 --lu-panel-width 8
+expect_error pdslin --matrix tdr190k --scale 0.05 --lu-panel-relax 0
 expect_error pdslin_serve --workload "$work/missing.json"
 expect_error pdslin_serve --workload "$work/malformed.json"
 expect_error pdslin_serve --matrix "$work/missing.mtx" --requests 1

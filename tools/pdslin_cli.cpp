@@ -15,9 +15,6 @@
 //   --rhs-ordering natural|postorder|hypergraph               [postorder]
 //   --block-size B            multi-RHS block size            [60]
 //   --drop-wg X / --drop-s X  dropping thresholds             [1e-6 / 1e-5]
-//   --lu-kernel scalar|panel  LU factorization kernel         [panel]
-//   --lu-panel-width W        panel width cap (0 = unlimited) [32]
-//   --lu-panel-relax X        relaxed-amalgamation padding    [0.25]
 //   --krylov gmres|bicgstab   Schur iterative method          [gmres]
 //   --nrhs N                  right-hand sides solved as one batch      [1]
 //                             (one operator/preconditioner/workspace set
@@ -144,15 +141,6 @@ int run(int argc, char** argv) {
       opt.assembly.drop_wg = parse_number<double>(arg, next());
     } else if (arg == "--drop-s") {
       opt.assembly.drop_s = parse_number<double>(arg, next());
-    } else if (arg == "--lu-kernel") {
-      const std::string k = next();
-      if (k == "scalar") opt.assembly.lu.kernel = LuKernel::Scalar;
-      else if (k == "panel") opt.assembly.lu.kernel = LuKernel::Panel;
-      else usage("unknown --lu-kernel (scalar|panel)");
-    } else if (arg == "--lu-panel-width") {
-      opt.assembly.lu.panel_max_width = parse_number<index_t>(arg, next());
-    } else if (arg == "--lu-panel-relax") {
-      opt.assembly.lu.panel_relax = parse_number<double>(arg, next());
     } else if (arg == "--krylov") {
       krylov = next();
       if (krylov != "gmres" && krylov != "bicgstab") usage("unknown --krylov");
