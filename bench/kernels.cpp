@@ -104,24 +104,22 @@ void BM_MinimumDegree(benchmark::State& state) {
 BENCHMARK(BM_MinimumDegree)->Arg(48)->Arg(96);
 
 // range(0) = grid side, range(1) = kernel (0 scalar, 1 lu_factorize, which
-// runs the panel kernel), range(2) = panel threads.
+// runs the panel kernel).
 void BM_LuFactorize(benchmark::State& state) {
   const CsrMatrix a = bench_matrix(static_cast<index_t>(state.range(0)));
   const auto perm = minimum_degree_ordering(symmetrize_abs(pattern_of(a)));
   const CscMatrix ordered = csr_to_csc(permute_symmetric(a, perm));
-  const auto threads = static_cast<unsigned>(state.range(2));
   for (auto _ : state) {
     benchmark::DoNotOptimize(state.range(1) == 0
                                  ? scalar_lu_factorize(ordered)
-                                 : lu_factorize(ordered, {}, threads));
+                                 : lu_factorize(ordered));
   }
 }
 BENCHMARK(BM_LuFactorize)
-    ->Args({48, 0, 1})
-    ->Args({48, 1, 1})
-    ->Args({96, 0, 1})
-    ->Args({96, 1, 1})
-    ->Args({96, 1, 4});
+    ->Args({48, 0})
+    ->Args({48, 1})
+    ->Args({96, 0})
+    ->Args({96, 1});
 
 void BM_MultiRhsSolve(benchmark::State& state) {
   const CsrMatrix a = bench_matrix(64);
@@ -255,7 +253,7 @@ void BM_InterfaceProduct(benchmark::State& state) {
   double flops = 0.0;
   for (const index_t k : wt.row_idx) flops += 2.0 * g_csr.row_nnz(k);
   for (auto _ : state) {
-    CsrMatrix out = t != nullptr ? interface_product(wt, g, 1, t)
+    CsrMatrix out = t != nullptr ? interface_product(wt, g, t)
                                  : spgemm(w, g_csr);
     benchmark::DoNotOptimize(out.values.data());
   }
@@ -511,13 +509,12 @@ bool run_lu_ablation(const std::string& kernel_filter) {
     const CsrMatrix& ordered = c.ordered;
     const char* name = c.name.c_str();
 
-    constexpr unsigned kPanelThreads = 4;
     const CscMatrix ordered_csc = csr_to_csc(ordered);
     WallTimer ts;
     const LuFactors fs = scalar_lu_factorize(ordered_csc);
     const double scalar_seconds = ts.seconds();
     WallTimer tp;
-    const LuFactors fp = lu_factorize(ordered_csc, {}, kPanelThreads);
+    const LuFactors fp = lu_factorize(ordered_csc);
     const double panel_seconds = tp.seconds();
 
     Rng rng(1234 + ordered.rows);
@@ -546,9 +543,8 @@ bool run_lu_ablation(const std::string& kernel_filter) {
       double seconds;
       double residual;
       const LuFactors* f;
-      unsigned threads;
-    } lines[] = {{"scalar", scalar_seconds, res_scalar, &fs, 1u},
-                 {"panel", panel_seconds, res_panel, &fp, kPanelThreads}};
+    } lines[] = {{"scalar", scalar_seconds, res_scalar, &fs},
+                 {"panel", panel_seconds, res_panel, &fp}};
     for (const Line& ln : lines) {
       if (kernel_filter != "both" && kernel_filter != ln.kernel) continue;
       obs::RunReport rep;
@@ -558,7 +554,6 @@ bool run_lu_ablation(const std::string& kernel_filter) {
       rep.nnz = ordered.nnz();
       rep.set_config("ablation", "lu_factorize");
       rep.set_config("lu_kernel", ln.kernel);
-      rep.set_config("threads", std::to_string(ln.threads));
       rep.set_phase("factor", ln.seconds);
       rep.set_stat("factor_nnz", static_cast<double>(ln.f->lower.nnz() +
                                                      ln.f->upper_t.nnz()));

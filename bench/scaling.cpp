@@ -1,40 +1,36 @@
-// Two-level intra-subdomain scaling study: wall-clock of the interface
-// computation phase — the blocked multi-RHS triangular solves for
-// G = L⁻¹Ê and Wᵀ = U⁻ᵀF̂ᵀ plus the T̃ = W̃G̃ SpGEMM — as the inner
-// (per-subdomain) worker count grows, and of the full factorization under
-// outer × inner thread layouts (the paper's np = k × (np/k) processor
-// groups, §V).
+// Subdomain-level scaling study: wall-clock of factor()'s subdomain phase at
+// outer threads 1, 4 and k — one worker per subdomain, the paper's §V
+// configuration; the work inside a subdomain is serial — with a hard
+// bitwise gate: S̃ and the solution x of one right-hand side must be
+// identical at every layout.
 //
 // Also runs the LU setup-kernel ablation: scalar vs supernodal panel
-// factorization on Table I families (matrix211, ASIC_680ks) with the panel
-// pipeline's worker dial at 4, recorded as BENCH lines with the panel
-// statistics — the ISSUE 6 ≥3× setup-speedup evidence.
+// factorization on Table I families (matrix211, ASIC_680ks), recorded as
+// BENCH lines with the panel statistics; the factors must agree bitwise.
 //
-// The solver output must be bitwise identical at every thread count; the
-// driver hard-fails otherwise. Emits one JSON line (prefix "JSON ") for the
-// bench trajectory. Speedups reflect the host: on a single-core container
-// every thread configuration degrades to serial execution and reports ~1×
-// (the kernel ablation's speedup is algorithmic, not thread-parallel).
+// The driver hard-fails when either gate does. Emits one JSON line (prefix
+// "JSON ") for the bench trajectory. Speedups reflect the host: on a
+// single-core container every layout degrades to serial execution and
+// reports ~1× (the kernel ablation's speedup is algorithmic, not
+// thread-parallel).
 //
 // Environment: PDSLIN_BENCH_SCALE, PDSLIN_BENCH_SEED (see bench_common.hpp),
 // PDSLIN_BENCH_MATRIX (suite name, default tdr190k).
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/dbbd.hpp"
-#include "core/schur_assembly.hpp"
-#include "core/subdomain.hpp"
 #include "direct/lu.hpp"
 #include "direct/mindeg.hpp"
-#include "graph/graph.hpp"
-#include "partition/engine.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/permute.hpp"
 #include "sparse/symmetrize.hpp"
+#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 using namespace pdslin;
@@ -46,10 +42,10 @@ bool same_matrix(const CsrMatrix& a, const CsrMatrix& b) {
          a.col_idx == b.col_idx && a.values == b.values;
 }
 
-struct PhaseRun {
-  double solve_gemm_seconds = 0.0;   // Σ_ℓ wall of (G solve + W solve + T̃ GEMM)
-  std::vector<CsrMatrix> t_tilde;    // per-subdomain output, for the bitwise check
-};
+bool same_bits(const std::vector<value_t>& a, const std::vector<value_t>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(value_t)) == 0;
+}
 
 bool same_factors(const LuFactors& a, const LuFactors& b) {
   auto csc_equal = [](const CscMatrix& x, const CscMatrix& y) {
@@ -60,10 +56,9 @@ bool same_factors(const LuFactors& a, const LuFactors& b) {
          csc_equal(a.upper_t, b.upper_t);
 }
 
-/// Setup-kernel ablation (ISSUE 6 acceptance): scalar vs supernodal panel
-/// factorization on Table I families, panel running with the two-level
-/// inner worker dial at 4. Emits one BENCH line per (family, kernel) with
-/// the panel statistics; returns false when the factors disagree bitwise.
+/// Setup-kernel ablation: scalar vs supernodal panel factorization on
+/// Table I families. Emits one BENCH line per (family, kernel) with the
+/// panel statistics; returns false when the factors disagree bitwise.
 bool run_lu_kernel_ablation(std::uint64_t seed) {
   const double scale = bench::bench_scale(0.3);
   const char* families[] = {"matrix211", "ASIC_680ks"};
@@ -83,7 +78,7 @@ bool run_lu_kernel_ablation(std::uint64_t seed) {
       for (int rep = 0; rep < 2; ++rep) {
         WallTimer t;
         factors[ki] = ki == 0 ? scalar_lu_factorize(ordered_csc)
-                              : lu_factorize(ordered_csc, {}, 4);
+                              : lu_factorize(ordered_csc);
         best = std::min(best, t.seconds());
       }
       seconds[ki] = best;
@@ -102,7 +97,6 @@ bool run_lu_kernel_ablation(std::uint64_t seed) {
       rep.nnz = p.a.nnz();
       rep.set_config("ablation", "lu_setup_kernel");
       rep.set_config("lu_kernel", kname);
-      rep.set_config("inner_threads", ki == 1 ? "4" : "1");
       rep.set_phase("factor", seconds[ki]);
       rep.set_stat("setup_speedup_vs_scalar", seconds[0] / seconds[ki]);
       rep.set_stat("factors_bitwise_equal", bitwise ? 1.0 : 0.0);
@@ -122,27 +116,12 @@ bool run_lu_kernel_ablation(std::uint64_t seed) {
   return ok;
 }
 
-PhaseRun run_phase(const std::vector<Subdomain>& subs, unsigned inner_threads) {
-  SchurAssemblyOptions opt;
-  opt.drop_wg = 1e-6;
-  opt.drop_s = 1e-5;
-  opt.inner_threads = inner_threads;
-  PhaseRun r;
-  for (const Subdomain& sub : subs) {
-    const SubdomainFactorization f = assemble_subdomain(sub, opt);
-    r.solve_gemm_seconds +=
-        f.solve_g_seconds + f.solve_w_seconds + f.gemm_seconds;
-    r.t_tilde.push_back(f.t_tilde);
-  }
-  return r;
-}
-
 }  // namespace
 
 int main() {
   bench::print_header(
-      "SCALING — two-level intra-subdomain parallelism",
-      "the §V np = k × (np/k) processor-group configurations");
+      "SCALING — subdomain-level parallelism",
+      "the §V one-worker-per-subdomain configuration");
   const double scale = bench::bench_scale(1.0);
   const std::uint64_t seed = bench::bench_seed();
   std::string name = "tdr190k";
@@ -153,97 +132,58 @@ int main() {
   std::printf("matrix %s: n=%d nnz=%d, %d subdomains, pool=%u threads\n",
               p.name.c_str(), p.a.rows, p.a.nnz(), k,
               ThreadPool::shared().size());
+  std::vector<value_t> b(static_cast<std::size_t>(p.a.rows));
+  Rng rng(seed);
+  for (value_t& v : b) v = rng.uniform(-1.0, 1.0);
 
-  const CsrMatrix sym = symmetrize_abs(pattern_of(p.a));
-  NgdOptions nopt;
-  nopt.num_parts = k;
-  nopt.seed = seed;
-  const DissectionResult nd =
-      partition::ngd_engine(graph_from_matrix(sym), nopt, {}).unknowns;
-  const DbbdPartition dbbd = build_dbbd(nd.part, k, nd.separator_order);
-  std::vector<Subdomain> subs;
-  subs.reserve(k);
-  for (index_t l = 0; l < k; ++l) subs.push_back(extract_subdomain(p.a, dbbd, l));
-
-  // --- Inner-level scaling of the multi-RHS solves + SpGEMM. ---
-  const std::vector<unsigned> inner_counts{1, 2, 4};
-  std::vector<double> phase_seconds;
-  PhaseRun reference;
+  // --- factor() and one solve at each outer thread count. ---
+  std::printf("\n%-8s | %-18s | %s\n", "threads", "subdomain wall[s]",
+              "speedup vs serial");
+  std::vector<std::pair<unsigned, double>> layouts;
+  CsrMatrix s_ref;
+  std::vector<value_t> x_ref;
   bool identical = true;
-  std::printf("\n%-14s | %-18s | %s\n", "config", "solve+gemm t[s]",
-              "speedup vs serial");
-  for (std::size_t ci = 0; ci < inner_counts.size(); ++ci) {
-    const unsigned t = inner_counts[ci];
-    // Repeat-min timing: single shots are noise-dominated at laptop scale.
-    double best = 1e30;
-    PhaseRun run;
-    for (int rep = 0; rep < 2; ++rep) {
-      run = run_phase(subs, t);
-      best = std::min(best, run.solve_gemm_seconds);
-    }
-    phase_seconds.push_back(best);
-    if (ci == 0) {
-      reference = run;
-    } else {
-      for (index_t l = 0; l < k; ++l) {
-        identical = identical && same_matrix(reference.t_tilde[l], run.t_tilde[l]);
-      }
-    }
-    std::printf("1x%-12u | %18.4f | %17.2fx\n", t, best, phase_seconds[0] / best);
-  }
-  std::printf("bitwise-identical T~ across thread counts: %s\n",
-              identical ? "yes" : "NO — BUG");
-
-  // --- Full factorization under outer × inner layouts. ---
-  std::printf("\n%-14s | %-18s | %s\n", "factor layout", "subdomain wall[s]",
-              "speedup vs serial");
-  std::vector<std::pair<std::string, double>> layouts;
-  double serial_wall = 0.0;
-  const ThreadBudget auto_budget =
-      split_thread_budget(/*total=*/0, static_cast<unsigned>(k));
-  const std::vector<std::pair<const char*, ThreadBudget>> configs{
-      {"", {1, 1}},
-      {"", {static_cast<unsigned>(k), 1}},
-      {"", {1, 4}},
-      {"auto_", auto_budget}};  // hardware budget split over k subdomains
-  for (const auto& [prefix, tb] : configs) {
+  for (const unsigned threads : {1u, 4u, static_cast<unsigned>(k)}) {
     SolverOptions opt = bench::bench_solver_options();
     opt.num_subdomains = k;
-    opt.threads = tb.outer;
-    opt.assembly.inner_threads = tb.inner;
+    opt.threads = threads;
     SchurSolver solver(p.a, opt);
     solver.setup(p.incidence.rows > 0 ? &p.incidence : nullptr);
     solver.factor();
+    std::vector<value_t> x(b.size(), 0.0);
+    solver.solve(b, x);
     const double wall = solver.stats().subdomain_wall_seconds;
-    const std::string label = std::string(prefix) + std::to_string(tb.outer) +
-                              "x" + std::to_string(tb.inner);
-    if (layouts.empty()) serial_wall = wall;
-    layouts.emplace_back(label, wall);
-    std::printf("%-14s | %18.4f | %17.2fx  (cpu=%.4fs modeled-max=%.4fs)\n",
-                label.c_str(), wall, serial_wall / wall,
+    bool same = true;
+    if (layouts.empty()) {
+      s_ref = solver.schur_tilde();
+      x_ref = x;
+    } else {
+      same = same_matrix(s_ref, solver.schur_tilde()) && same_bits(x_ref, x);
+      identical = identical && same;
+    }
+    layouts.emplace_back(threads, wall);
+    std::printf("%-8u | %18.4f | %17.2fx  (cpu=%.4fs modeled-max=%.4fs)%s\n",
+                threads, wall, layouts.front().second / wall,
                 solver.stats().subdomain_seconds_cpu(),
-                solver.stats().subdomain_seconds_modeled());
+                solver.stats().subdomain_seconds_modeled(),
+                same ? "" : "  S~ OR x DIFFERS — BUG");
     obs::RunReport rep =
         bench::make_bench_report("bench/scaling", p, opt, solver.stats());
-    rep.set_config("layout", label);
+    rep.set_config("layout", "t" + std::to_string(threads));
     bench::emit_bench_report(rep);
   }
+  std::printf("bitwise-identical S~ and x across thread counts: %s\n",
+              identical ? "yes" : "NO — BUG");
 
   // --- LU setup kernel ablation over Table I families. ---
   const bool lu_identical = run_lu_kernel_ablation(seed);
   identical = identical && lu_identical;
 
   std::printf("\nJSON {\"bench\":\"scaling\",\"matrix\":\"%s\",\"n\":%d,"
-              "\"pool_threads\":%u,\"phase_seconds\":{",
+              "\"pool_threads\":%u,\"factor_wall_seconds\":{",
               p.name.c_str(), p.a.rows, ThreadPool::shared().size());
-  for (std::size_t ci = 0; ci < inner_counts.size(); ++ci) {
-    std::printf("%s\"inner%u\":%.6f", ci ? "," : "", inner_counts[ci],
-                phase_seconds[ci]);
-  }
-  std::printf("},\"speedup_inner4\":%.3f,\"factor_wall_seconds\":{",
-              phase_seconds.front() / phase_seconds.back());
   for (std::size_t li = 0; li < layouts.size(); ++li) {
-    std::printf("%s\"%s\":%.6f", li ? "," : "", layouts[li].first.c_str(),
+    std::printf("%s\"t%u\":%.6f", li ? "," : "", layouts[li].first,
                 layouts[li].second);
   }
   std::printf("},\"identical\":%s}\n", identical ? "true" : "false");

@@ -1,7 +1,10 @@
 #include "check/artifact.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "obs/json.hpp"
 #include "util/error.hpp"
@@ -9,6 +12,28 @@
 namespace pdslin::check {
 
 namespace obsjson = pdslin::obs::json;
+
+namespace {
+
+// An integer field of the spec: a finite, integral JSON number in [lo, hi].
+// Every integer is read through here, since casting a double that is out
+// of an integer type's range is undefined behaviour.
+std::uint64_t integer_field(const obsjson::Value& spec, std::string_view key,
+                            std::uint64_t lo, std::uint64_t hi) {
+  const obsjson::Value& v = spec.at(key);
+  PDSLIN_CHECK_MSG(v.is_number() && std::isfinite(v.number) &&
+                       v.number == std::floor(v.number) &&
+                       v.number >= static_cast<double>(lo) &&
+                       v.number <= static_cast<double>(hi),
+                   "artifact " + std::string(key) + " must be an integer in [" +
+                       std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return static_cast<std::uint64_t>(v.number);
+}
+
+// Largest seed a JSON number carries exactly: 2^53 − 1.
+constexpr std::uint64_t kMaxSeed = (std::uint64_t{1} << 53) - 1;
+
+}  // namespace
 
 std::string artifact_to_json(const CaseSpec& spec, const CheckReport* report) {
   std::ostringstream os;
@@ -24,7 +49,6 @@ std::string artifact_to_json(const CaseSpec& spec, const CheckReport* report) {
      << (spec.partitioning == PartitionMethod::RHB ? "RHB" : "NGD") << "\",\n"
      << "    \"num_subdomains\": " << spec.num_subdomains << ",\n"
      << "    \"threads\": " << spec.threads << ",\n"
-     << "    \"inner_threads\": " << spec.inner_threads << ",\n"
      << "    \"nrhs\": " << spec.nrhs << ",\n"
      << "    \"krylov\": \""
      << (spec.krylov == KrylovMethod::Bicgstab ? "bicgstab" : "gmres")
@@ -68,18 +92,26 @@ CaseSpec artifact_from_json(std::string_view text) {
   const obsjson::Value& fam = s.at("family");
   PDSLIN_CHECK_MSG(fam.is_string() && family_from_string(fam.str, spec.family),
                    "unknown fuzz family in artifact");
-  spec.n = static_cast<index_t>(s.at("n").number);
-  spec.seed = static_cast<std::uint64_t>(s.at("seed").number);
+  spec.n = static_cast<index_t>(integer_field(s, "n", 8, 4096));
+  spec.seed = integer_field(s, "seed", 0, kMaxSeed);
   spec.density = s.at("density").number;
   const obsjson::Value& part = s.at("partitioning");
   PDSLIN_CHECK_MSG(part.is_string() && (part.str == "RHB" || part.str == "NGD"),
                    "partitioning must be RHB or NGD");
   spec.partitioning =
       part.str == "RHB" ? PartitionMethod::RHB : PartitionMethod::NGD;
-  spec.num_subdomains = static_cast<index_t>(s.at("num_subdomains").number);
-  spec.threads = static_cast<unsigned>(s.at("threads").number);
-  spec.inner_threads = static_cast<unsigned>(s.at("inner_threads").number);
-  spec.nrhs = static_cast<index_t>(s.at("nrhs").number);
+  spec.num_subdomains =
+      static_cast<index_t>(integer_field(s, "num_subdomains", 1, 64));
+  PDSLIN_CHECK_MSG((spec.num_subdomains & (spec.num_subdomains - 1)) == 0,
+                   "artifact num_subdomains must be a power of two");
+  spec.threads = static_cast<unsigned>(integer_field(s, "threads", 1, 64));
+  // Artifacts from older campaigns carry the removed per-subdomain worker
+  // count; the work inside a subdomain is serial now, and its bits never
+  // depended on the count.
+  if (s.find("inner_threads") != nullptr) {
+    (void)integer_field(s, "inner_threads", 1, 64);
+  }
+  spec.nrhs = static_cast<index_t>(integer_field(s, "nrhs", 1, 64));
   const obsjson::Value& kry = s.at("krylov");
   PDSLIN_CHECK_MSG(
       kry.is_string() && (kry.str == "gmres" || kry.str == "bicgstab"),
@@ -120,15 +152,6 @@ CaseSpec artifact_from_json(std::string_view text) {
                      "adaptive_sigma must be false: the adaptive-sigma lane "
                      "was removed");
   }
-
-  PDSLIN_CHECK_MSG(spec.n >= 8 && spec.n <= 4096, "artifact n out of range");
-  PDSLIN_CHECK_MSG(spec.num_subdomains >= 1 &&
-                       (spec.num_subdomains &
-                        (spec.num_subdomains - 1)) == 0,
-                   "artifact num_subdomains must be a power of two");
-  PDSLIN_CHECK_MSG(spec.nrhs >= 1 && spec.threads >= 1 &&
-                       spec.inner_threads >= 1,
-                   "artifact counts must be positive");
   return spec;
 }
 

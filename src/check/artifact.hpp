@@ -16,7 +16,7 @@ namespace pdslin::check {
 /// {
 ///   "artifact": "pdslin-fuzz-case", "version": 1,
 ///   "spec": { family, n, seed, density, partitioning, num_subdomains,
-///             threads, inner_threads, nrhs, krylov, exact_assembly, serve },
+///             threads, nrhs, krylov, exact_assembly, serve },
 ///   "violations": [ { checker, detail, magnitude }, … ]   // optional
 /// }
 std::string artifact_to_json(const CaseSpec& spec,

@@ -231,12 +231,11 @@ DifferentialResult run_differential(const CaseSpec& spec,
 
   // Thread determinism: parallel must be bitwise identical to serial.
   if (opt.check_determinism &&
-      (spec.threads > 1 || spec.inner_threads > 1 ||
+      (spec.threads > 1 ||
        spec.partition_engine == PartitionEngineAxis::ParallelMultilevel ||
        spec.partition_values != partition::ValueMode::Off)) {
     CaseSpec serial = spec;
     serial.threads = 1;
-    serial.inner_threads = 1;
     // The parallel-partition lane reruns on the serial recursion: the
     // engine's thread-count determinism contract, enforced end to end.
     if (serial.partition_engine == PartitionEngineAxis::ParallelMultilevel) {
@@ -246,7 +245,7 @@ DifferentialResult run_differential(const CaseSpec& spec,
     // parallel partition recursion instead — same contract, other direction:
     // |a_ij|-weighted net costs must not perturb thread-count determinism.
     if (spec.partition_values != partition::ValueMode::Off &&
-        spec.threads <= 1 && spec.inner_threads <= 1 &&
+        spec.threads <= 1 &&
         spec.partition_engine == PartitionEngineAxis::Multilevel) {
       serial.partition_engine = PartitionEngineAxis::ParallelMultilevel;
     }

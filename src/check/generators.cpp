@@ -134,7 +134,7 @@ std::string CaseSpec::to_string() const {
   std::ostringstream os;
   os << check::to_string(family) << "/n" << n << "/seed" << seed << "/"
      << pdslin::to_string(partitioning) << "/k" << num_subdomains << "/t"
-     << threads << "x" << inner_threads << "/nrhs" << nrhs << "/"
+     << threads << "/nrhs" << nrhs << "/"
      << (krylov == KrylovMethod::Gmres ? "gmres" : "bicgstab") << "/"
      << (exact_assembly ? "exact" : "dropped")
      << (partition_engine != PartitionEngineAxis::Multilevel
@@ -405,7 +405,6 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
   spec.partitioning =
       (c & 1u) ? PartitionMethod::RHB : PartitionMethod::NGD;
   spec.threads = (c & 2u) ? 3 : 1;
-  spec.inner_threads = (c & 2u) ? 2 : 1;
   spec.nrhs = (c & 4u) ? 3 : 1;
   spec.serve = (c & 8u) != 0;
   spec.krylov = (c & 16u) ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
@@ -438,7 +437,6 @@ SolverOptions solver_options_for(const CaseSpec& spec) {
   opt.partitioning = spec.partitioning;
   opt.num_subdomains = spec.num_subdomains;
   opt.threads = spec.threads;
-  opt.assembly.inner_threads = spec.inner_threads;
   opt.krylov = spec.krylov;
   opt.seed = spec.seed;
   if (spec.partition_engine == PartitionEngineAxis::ParallelMultilevel) {

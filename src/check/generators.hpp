@@ -60,8 +60,7 @@ struct CaseSpec {
 
   PartitionMethod partitioning = PartitionMethod::NGD;
   index_t num_subdomains = 4;  // power of two
-  unsigned threads = 1;        // outer subdomain concurrency
-  unsigned inner_threads = 1;  // per-subdomain workers
+  unsigned threads = 1;        // subdomain concurrency
   index_t nrhs = 1;
   KrylovMethod krylov = KrylovMethod::Gmres;
   /// true → zero drop thresholds, so the Schur check is exact to roundoff;

@@ -48,9 +48,8 @@ bool no_serve(CaseSpec& s) {
   return true;
 }
 bool serial(CaseSpec& s) {
-  if (s.threads <= 1 && s.inner_threads <= 1) return false;
+  if (s.threads <= 1) return false;
   s.threads = 1;
-  s.inner_threads = 1;
   return true;
 }
 bool gmres_only(CaseSpec& s) {

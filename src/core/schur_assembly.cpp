@@ -11,7 +11,6 @@
 #include "direct/mindeg.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "reorder/hypergraph_rhs.hpp"
 #include "reorder/postorder_rhs.hpp"
 #include "sparse/convert.hpp"
@@ -118,21 +117,19 @@ bool all_finite(const std::vector<value_t>& v) {
 }
 
 // spgemm(W̃, G̃) on W̃'s CSR (W̃ᵀ's CSC arrays) and G̃'s.
-CsrMatrix gustavson_product(const CscMatrix& wt, const CscMatrix& g,
-                            unsigned threads) {
+CsrMatrix gustavson_product(const CscMatrix& wt, const CscMatrix& g) {
   CsrMatrix w;
   w.rows = wt.cols;
   w.cols = wt.rows;
   w.row_ptr = wt.col_ptr;
   w.col_idx = wt.row_idx;
   w.values = wt.values;
-  return spgemm(w, csc_to_csr(g), threads);
+  return spgemm(w, csc_to_csr(g));
 }
 
 }  // namespace
 
 CsrMatrix interface_product(const CscMatrix& wt, const CscMatrix& g,
-                            unsigned threads,
                             const panel::KernelTable* kernels) {
   PDSLIN_CHECK_MSG(wt.rows == g.rows, "interface_product dimension mismatch");
   const index_t m = wt.cols;
@@ -170,7 +167,7 @@ CsrMatrix interface_product(const CscMatrix& wt, const CscMatrix& g,
       g.row_idx.size() * (sizeof(index_t) + sizeof(value_t));
   if (!all_finite(wt.values) ||
       (slots + words) * sizeof(value_t) > kSegmentBudget * g_bytes) {
-    return gustavson_product(wt, g, threads);
+    return gustavson_product(wt, g);
   }
   std::vector<value_t> seg(slots, 0.0);
   std::vector<std::uint64_t> mask(words, 0);
@@ -181,7 +178,7 @@ CsrMatrix interface_product(const CscMatrix& wt, const CscMatrix& g,
       const std::uint64_t bit = std::uint64_t{1} << (j % 64);
       // The segment holds one value per column; a row stored twice at a
       // column takes Gustavson's two terms.
-      if ((word & bit) != 0) return gustavson_product(wt, g, threads);
+      if ((word & bit) != 0) return gustavson_product(wt, g);
       word |= bit;
       seg[offset[k] + static_cast<std::size_t>(j - first[k])] = g.values[q];
     }
@@ -202,94 +199,74 @@ CsrMatrix interface_product(const CscMatrix& wt, const CscMatrix& g,
       for (index_t w = 0; w < mask_words(k); ++w) dst[w] |= src[w];
     }
   };
-  ThreadPool& pool = ThreadPool::shared();
-  std::vector<index_t> out_nnz(m, 0);
-  parallel_ranges(pool, m, threads,
-                  [&](unsigned, long long begin, long long end) {
-                    std::vector<std::uint64_t> rm(nwords);
-                    for (auto i = static_cast<index_t>(begin); i < end; ++i) {
-                      row_mask(i, rm.data());
-                      index_t count = 0;
-                      for (const std::uint64_t w : rm) count += std::popcount(w);
-                      out_nnz[i] = count;
-                    }
-                  });
-  for (index_t i = 0; i < m; ++i) t.row_ptr[i + 1] = t.row_ptr[i] + out_nnz[i];
+  // Two passes, so T̃ is allocated at its exact size: count, then fill.
+  std::vector<std::uint64_t> rm(nwords);
+  for (index_t i = 0; i < m; ++i) {
+    row_mask(i, rm.data());
+    index_t count = 0;
+    for (const std::uint64_t w : rm) count += std::popcount(w);
+    t.row_ptr[i + 1] = t.row_ptr[i] + count;
+  }
   t.col_idx.resize(t.row_ptr[m]);
   t.values.resize(t.row_ptr[m]);
   const panel::RowSegments segments{first.data(), len.data(), offset.data(),
                                     seg.data()};
   const panel::KernelTable& kt =
       kernels != nullptr ? *kernels : *panel::kernel_table(panel::kernel_path());
-  parallel_ranges(
-      pool, m, threads, [&](unsigned, long long begin, long long end) {
-        std::vector<std::uint64_t> rm(nwords);
-        // Every entry is +0.0 between rows: a padded term of a finite W̃
-        // value is ±0.0 and leaves it so, and the pattern's entries are
-        // reset as they are read.
-        std::vector<value_t> acc(ncol, 0.0);
-        for (auto i = static_cast<index_t>(begin); i < end; ++i) {
-          const index_t p0 = wt.col_ptr[i];
-          const index_t nw = wt.col_ptr[i + 1] - p0;
-          kt.segment_row(segments, wt.row_idx.data() + p0,
-                         wt.values.data() + p0, nw, acc.data());
-          row_mask(i, rm.data());
-          index_t dst = t.row_ptr[i];
-          for (std::size_t w = 0; w < nwords; ++w) {
-            for (std::uint64_t bits = rm[w]; bits != 0; bits &= bits - 1) {
-              const auto j = static_cast<index_t>(
-                  w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-              t.col_idx[dst] = j;
-              t.values[dst] = acc[j];
-              acc[j] = 0.0;
-              ++dst;
-            }
-          }
-        }
-      });
+  // Every entry is +0.0 between rows: a padded term of a finite W̃ value is
+  // ±0.0 and leaves it so, and the pattern's entries are reset as they are
+  // read.
+  std::vector<value_t> acc(ncol, 0.0);
+  for (index_t i = 0; i < m; ++i) {
+    const index_t p0 = wt.col_ptr[i];
+    const index_t nw = wt.col_ptr[i + 1] - p0;
+    kt.segment_row(segments, wt.row_idx.data() + p0, wt.values.data() + p0,
+                   nw, acc.data());
+    row_mask(i, rm.data());
+    index_t dst = t.row_ptr[i];
+    for (std::size_t w = 0; w < nwords; ++w) {
+      for (std::uint64_t bits = rm[w]; bits != 0; bits &= bits - 1) {
+        const auto j = static_cast<index_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+        t.col_idx[dst] = j;
+        t.values[dst] = acc[j];
+        acc[j] = 0.0;
+        ++dst;
+      }
+    }
+  }
   return t;
 }
 
-CscMatrix drop_small_columns(const CscMatrix& a, double rel_tol,
-                             unsigned threads) {
-  // Two-pass so the sweep parallelizes over columns: count survivors per
-  // column, prefix-sum, then fill disjoint slices. Keep/drop is decided per
-  // entry, so the output matches the serial single-pass result exactly.
+CscMatrix drop_small_columns(const CscMatrix& a, double rel_tol) {
+  // Two passes, so the result is allocated at its exact size: count each
+  // column's survivors, then fill.
   CscMatrix out(a.rows, a.cols);
-  ThreadPool& pool = ThreadPool::shared();
   std::vector<value_t> cut(a.cols, 0.0);
-  std::vector<index_t> keep(a.cols, 0);
-  parallel_ranges(pool, a.cols, threads,
-                  [&](unsigned, long long begin, long long end) {
-                    for (auto j = static_cast<index_t>(begin); j < end; ++j) {
-                      value_t cmax = 0.0;
-                      for (index_t q = a.col_ptr[j]; q < a.col_ptr[j + 1]; ++q) {
-                        cmax = std::max(cmax, std::abs(a.values[q]));
-                      }
-                      cut[j] = rel_tol * cmax;
-                      index_t k = 0;
-                      for (index_t q = a.col_ptr[j]; q < a.col_ptr[j + 1]; ++q) {
-                        if (std::abs(a.values[q]) >= cut[j] && a.values[q] != 0.0) ++k;
-                      }
-                      keep[j] = k;
-                    }
-                  });
-  for (index_t j = 0; j < a.cols; ++j) out.col_ptr[j + 1] = out.col_ptr[j] + keep[j];
+  for (index_t j = 0; j < a.cols; ++j) {
+    value_t cmax = 0.0;
+    for (index_t q = a.col_ptr[j]; q < a.col_ptr[j + 1]; ++q) {
+      cmax = std::max(cmax, std::abs(a.values[q]));
+    }
+    cut[j] = rel_tol * cmax;
+    index_t k = 0;
+    for (index_t q = a.col_ptr[j]; q < a.col_ptr[j + 1]; ++q) {
+      if (std::abs(a.values[q]) >= cut[j] && a.values[q] != 0.0) ++k;
+    }
+    out.col_ptr[j + 1] = out.col_ptr[j] + k;
+  }
   out.row_idx.resize(out.col_ptr[a.cols]);
   out.values.resize(out.col_ptr[a.cols]);
-  parallel_ranges(pool, a.cols, threads,
-                  [&](unsigned, long long begin, long long end) {
-                    for (auto j = static_cast<index_t>(begin); j < end; ++j) {
-                      index_t dst = out.col_ptr[j];
-                      for (index_t q = a.col_ptr[j]; q < a.col_ptr[j + 1]; ++q) {
-                        if (std::abs(a.values[q]) >= cut[j] && a.values[q] != 0.0) {
-                          out.row_idx[dst] = a.row_idx[q];
-                          out.values[dst] = a.values[q];
-                          ++dst;
-                        }
-                      }
-                    }
-                  });
+  for (index_t j = 0; j < a.cols; ++j) {
+    index_t dst = out.col_ptr[j];
+    for (index_t q = a.col_ptr[j]; q < a.col_ptr[j + 1]; ++q) {
+      if (std::abs(a.values[q]) >= cut[j] && a.values[q] != 0.0) {
+        out.row_idx[dst] = a.row_idx[q];
+        out.values[dst] = a.values[q];
+        ++dst;
+      }
+    }
+  }
   return out;
 }
 
@@ -323,10 +300,7 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   timer.reset();
   {
     PDSLIN_SPAN("lu_d.factor");
-    // The panel kernel's pipeline runs on this subdomain's worker budget
-    // (the inner level of the paper's np = k × (np/k) layout). Bitwise
-    // identical for any thread count, so this never perturbs results.
-    f.lu = lu_factorize(d_ord, opt.lu, std::max(1u, opt.inner_threads));
+    f.lu = lu_factorize(d_ord, opt.lu);
   }
   f.factor_seconds = timer.seconds();
   f.lu_nnz = f.lu.fill_nnz();
@@ -341,7 +315,6 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   // --- G = L⁻¹ (P Ê): blocked multi-RHS forward solve. ---
   MultiRhsOptions mr;
   mr.block_size = opt.rhs_block_size;
-  mr.threads = opt.inner_threads;
   f.nnz_ehat = sub.ehat.nnz();
   const CscMatrix ehat_perm = remap_rows_to_csc(sub.ehat, row_new_of);
   std::vector<std::vector<index_t>> g_patterns;
@@ -356,7 +329,7 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   f.solve_g_seconds = timer.seconds();
   f.g_stats = g_res.stats;
   CscMatrix g = unpermute_columns(g_res.solution, g_order);
-  g = drop_small_columns(g, opt.drop_wg, opt.inner_threads);
+  g = drop_small_columns(g, opt.drop_wg);
 
   // --- Wᵀ = U⁻ᵀ (F̂ P̄)ᵀ: same machinery on Uᵀ, which the factors store. ---
   // F̂ columns move to factor column order: new col index of old local c is
@@ -384,7 +357,7 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   f.solve_w_seconds = timer.seconds();
   f.w_stats = w_res.stats;
   CscMatrix wt = unpermute_columns(w_res.solution, w_order);
-  wt = drop_small_columns(wt, opt.drop_wg, opt.inner_threads);
+  wt = drop_small_columns(wt, opt.drop_wg);
 
   // Table III statistics of G̃.
   {
@@ -400,7 +373,7 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   timer.reset();
   {
     PDSLIN_SPAN("comp_s.gemm");
-    f.t_tilde = interface_product(wt, g, opt.inner_threads);
+    f.t_tilde = interface_product(wt, g);
   }
   for (const value_t v : f.t_tilde.values) {
     f.t_tilde_max_abs = std::max(f.t_tilde_max_abs, std::abs(v));
@@ -412,7 +385,7 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
 CsrMatrix assemble_schur(const CsrMatrix& c_block,
                          const std::vector<Subdomain>& subs,
                          const std::vector<SubdomainFactorization>& facts,
-                         double drop_s, unsigned threads) {
+                         double drop_s, unsigned /*threads*/) {
   PDSLIN_CHECK(subs.size() == facts.size());
   const index_t ns = c_block.rows;
   CooMatrix acc(ns, ns);
@@ -442,51 +415,41 @@ CsrMatrix assemble_schur(const CsrMatrix& c_block,
   CsrMatrix s_hat = coo_to_csr(acc);
 
   // Relative drop against the largest magnitude in each row; keep diagonal.
-  // Row-parallel two-pass (count → prefix-sum → fill), same entries as the
-  // serial single-pass sweep.
+  // Two passes, so S̃ is allocated at its exact size: count, then fill.
   CsrMatrix s_tilde(ns, ns);
-  ThreadPool& pool = ThreadPool::shared();
   std::vector<value_t> cut(ns, 0.0);
-  std::vector<index_t> keep(ns, 0);
-  parallel_ranges(pool, ns, threads,
-                  [&](unsigned, long long begin, long long end) {
-                    for (auto i = static_cast<index_t>(begin); i < end; ++i) {
-                      value_t rmax = 0.0;
-                      for (index_t q = s_hat.row_ptr[i]; q < s_hat.row_ptr[i + 1]; ++q) {
-                        rmax = std::max(rmax, std::abs(s_hat.values[q]));
-                      }
-                      cut[i] = drop_s * rmax;
-                      index_t k = 0;
-                      for (index_t q = s_hat.row_ptr[i]; q < s_hat.row_ptr[i + 1]; ++q) {
-                        if (s_hat.col_idx[q] == i || std::abs(s_hat.values[q]) >= cut[i]) ++k;
-                      }
-                      // Test hook (check/fault.hpp): silently lose the last
-                      // kept entry of every multi-entry row.
-                      if (k > 1 && check::injected_fault() ==
-                                       check::Fault::SchurDropLastEntry) {
-                        --k;
-                      }
-                      keep[i] = k;
-                    }
-                  });
-  for (index_t i = 0; i < ns; ++i) s_tilde.row_ptr[i + 1] = s_tilde.row_ptr[i] + keep[i];
+  for (index_t i = 0; i < ns; ++i) {
+    value_t rmax = 0.0;
+    for (index_t q = s_hat.row_ptr[i]; q < s_hat.row_ptr[i + 1]; ++q) {
+      rmax = std::max(rmax, std::abs(s_hat.values[q]));
+    }
+    cut[i] = drop_s * rmax;
+    index_t k = 0;
+    for (index_t q = s_hat.row_ptr[i]; q < s_hat.row_ptr[i + 1]; ++q) {
+      if (s_hat.col_idx[q] == i || std::abs(s_hat.values[q]) >= cut[i]) ++k;
+    }
+    // Test hook (check/fault.hpp): silently lose the last kept entry of
+    // every multi-entry row.
+    if (k > 1 &&
+        check::injected_fault() == check::Fault::SchurDropLastEntry) {
+      --k;
+    }
+    s_tilde.row_ptr[i + 1] = s_tilde.row_ptr[i] + k;
+  }
   s_tilde.col_idx.resize(s_tilde.row_ptr[ns]);
   s_tilde.values.resize(s_tilde.row_ptr[ns]);
-  parallel_ranges(pool, ns, threads,
-                  [&](unsigned, long long begin, long long end) {
-                    for (auto i = static_cast<index_t>(begin); i < end; ++i) {
-                      index_t dst = s_tilde.row_ptr[i];
-                      for (index_t q = s_hat.row_ptr[i]; q < s_hat.row_ptr[i + 1]; ++q) {
-                        const index_t j = s_hat.col_idx[q];
-                        if (dst >= s_tilde.row_ptr[i + 1]) break;
-                        if (j == i || std::abs(s_hat.values[q]) >= cut[i]) {
-                          s_tilde.col_idx[dst] = j;
-                          s_tilde.values[dst] = s_hat.values[q];
-                          ++dst;
-                        }
-                      }
-                    }
-                  });
+  for (index_t i = 0; i < ns; ++i) {
+    index_t dst = s_tilde.row_ptr[i];
+    for (index_t q = s_hat.row_ptr[i]; q < s_hat.row_ptr[i + 1]; ++q) {
+      const index_t j = s_hat.col_idx[q];
+      if (dst >= s_tilde.row_ptr[i + 1]) break;
+      if (j == i || std::abs(s_hat.values[q]) >= cut[i]) {
+        s_tilde.col_idx[dst] = j;
+        s_tilde.values[dst] = s_hat.values[q];
+        ++dst;
+      }
+    }
+  }
   return s_tilde;
 }
 

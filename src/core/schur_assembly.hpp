@@ -26,11 +26,9 @@ struct SchurAssemblyOptions {
   /// defaults and parts of rhs_block_size columns.
   RhsOrdering rhs_ordering = RhsOrdering::Postorder;
   LuOptions lu;
-  /// Inner workers per subdomain — the second level of the paper's
-  /// np = k × (np/k) hierarchy. Parallelizes the multi-RHS triangular
-  /// solves (across RHS blocks), the T̃ = W̃G̃ product (across rows) and the
-  /// threshold-drop sweeps; 1 = serial. Results are bitwise identical for
-  /// any value.
+  /// Read by nothing: the work inside one subdomain is serial. It survives
+  /// only because benchmark/harness/layers.cpp still reads it; delete it
+  /// with the next change to the harness.
   unsigned inner_threads = 1;
   /// Unused (see TrisolveOptions).
   TrisolveOptions trisolve;
@@ -76,12 +74,10 @@ struct SubdomainFactorization {
 /// the output pattern is the OR of the rows' column bitmasks
 /// (docs/ALGORITHMS.md §4). spgemm runs instead when W̃ holds a non-finite
 /// value, when G̃ stores an entry twice, or when the segments would take
-/// more than 4× G̃'s bytes. Row-parallel over `threads`, with the same bits
-/// for any count; adds the Gustavson multiply-add count to the spgemm.flops
-/// counter either way. `kernels` names one path's build of the row kernel
-/// (tests and benches); by default the dispatching one runs.
+/// more than 4× G̃'s bytes. Adds the Gustavson multiply-add count to the
+/// spgemm.flops counter either way. `kernels` names one path's build of the
+/// row kernel (tests and benches); by default the dispatching one runs.
 CsrMatrix interface_product(const CscMatrix& wt, const CscMatrix& g,
-                            unsigned threads = 1,
                             const panel::KernelTable* kernels = nullptr);
 
 /// Factor D_ℓ and form T̃_ℓ.
@@ -89,16 +85,15 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
                                           const SchurAssemblyOptions& opt);
 
 /// Gather: Ŝ = C − Σ_ℓ T̃_ℓ mapped through (f_rows, e_cols), then drop-small
-/// (keeping the diagonal) → S̃. The drop sweep is row-parallel when
-/// threads > 1 (the gather itself is a serial reduction).
+/// (keeping the diagonal) → S̃. The trailing thread count is ignored; it
+/// survives only because benchmark/harness/layers.cpp still passes one.
+/// Delete it with the next change to the harness.
 CsrMatrix assemble_schur(const CsrMatrix& c_block,
                          const std::vector<Subdomain>& subs,
                          const std::vector<SubdomainFactorization>& facts,
                          double drop_s, unsigned threads = 1);
 
-/// Per-column relative threshold dropping for CSC blocks (W̃/G̃ step);
-/// column-parallel when threads > 1.
-CscMatrix drop_small_columns(const CscMatrix& a, double rel_tol,
-                             unsigned threads = 1);
+/// Per-column relative threshold dropping for CSC blocks (W̃/G̃ step).
+CscMatrix drop_small_columns(const CscMatrix& a, double rel_tol);
 
 }  // namespace pdslin

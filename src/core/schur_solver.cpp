@@ -298,11 +298,9 @@ void SchurSolver::factor() {
                                facts_[l].reorder_seconds +
                                facts_[l].gemm_seconds;
   };
-  // Two-level execution on the shared pool: at most opt_.threads subdomain
-  // tasks run concurrently (the outer k of the paper's np = k × (np/k)
-  // layout); each fans its RHS blocks / GEMM rows out with
-  // opt_.assembly.inner_threads workers. TaskGroup::wait helps execute
-  // queued tasks, so the nesting cannot deadlock on any pool size.
+  // At most opt_.threads subdomain tasks run concurrently on the shared
+  // pool, one worker per subdomain (the paper's §V configuration); the
+  // work inside a subdomain is serial.
   WallTimer timer;
   {
     PDSLIN_SPAN("factor.subdomains");
@@ -327,11 +325,7 @@ void SchurSolver::factor() {
   {
     PDSLIN_SPAN("factor.gather");
     c_block_ = extract_separator_block(a_, dbbd_);
-    // The gather runs alone, so it may use the whole thread budget.
-    const unsigned gather_threads =
-        std::max(1u, opt_.threads) * std::max(1u, opt_.assembly.inner_threads);
-    s_tilde_ = assemble_schur(c_block_, subs_, facts_, opt_.assembly.drop_s,
-                              gather_threads);
+    s_tilde_ = assemble_schur(c_block_, subs_, facts_, opt_.assembly.drop_s);
     // Nothing reads T̃_ℓ after the gather; free it before LU(S̃) allocates.
     for (SubdomainFactorization& f : facts_) f.t_tilde = CsrMatrix{};
     return_free_heap_pages();

@@ -47,14 +47,14 @@ struct SolverOptions {
   KrylovMethod krylov = KrylovMethod::Gmres;
   GmresOptions gmres;
   BicgstabOptions bicgstab;
-  /// Outer level of the paper's np = k × (np/k) processor layout: at most
-  /// this many subdomain tasks run concurrently (on the shared pool) when
-  /// > 1 — in factor() *and* in every iterative-solve subdomain sweep (the
-  /// implicit Schur operator, the ĝ reduction, the back-substitution). The
-  /// inner level — workers per subdomain — is assembly.inner_threads;
-  /// split_thread_budget() derives both from a flat budget. Per-subdomain
-  /// times are measured either way, so the modeled parallel time in
-  /// stats() is meaningful on any host. Solve results are bitwise
+  /// The one executed thread level, the paper's §V configuration of one
+  /// worker per subdomain: at most this many subdomain tasks run
+  /// concurrently (on the shared pool) when > 1 — in factor() *and* in
+  /// every iterative-solve subdomain sweep (the implicit Schur operator, the
+  /// ĝ reduction, the back-substitution) — and the partition recursion
+  /// spawns its subtrees. The work inside one subdomain is serial.
+  /// Per-subdomain times are measured either way, so the modeled parallel
+  /// time in stats() is meaningful on any host. Results are bitwise
   /// independent of the thread count (deterministic block-ordered
   /// stitching of the separator reductions).
   unsigned threads = 1;
@@ -110,7 +110,6 @@ void for_each_option(Opt& o, F&& f) {
   f(OptionField{"rhs_ordering", o.assembly.rhs_ordering, kSetup});
   f(OptionField{"lu_pivot_tol", o.assembly.lu.pivot_tol, kSetup});
   f(OptionField{"lu_min_pivot", o.assembly.lu.min_pivot, kSetup});
-  f(OptionField{"inner_threads", o.assembly.inner_threads, kOther});
   f(OptionField{"krylov", o.krylov, kOther});
   f(OptionField{"gmres_restart", o.gmres.restart, kOther});
   f(OptionField{"gmres_max_iterations", o.gmres.max_iterations, kOther});
@@ -143,7 +142,8 @@ class SchurSolver {
   /// entirely; factor() must still run for the new numeric values.
   void adopt_partition(DbbdPartition dbbd);
 
-  /// Phase 2 — subdomain factorizations, S̃ assembly, LU(S̃). Each T̃_ℓ is
+  /// Phase 2 — subdomain factorizations (opt.threads of them at a time,
+  /// each serial inside), S̃ assembly, LU(S̃). Each T̃_ℓ is
   /// released after the gather (factorizations()[ℓ].t_tilde is empty on
   /// return). Also preallocates the per-subdomain solve workspaces, so the
   /// solve phase runs allocation-free. After factor() returns, the setup is immutable:

@@ -23,13 +23,13 @@ struct SolverStats {
   std::vector<double> lu_d_seconds;      // LU(D_ℓ)
   std::vector<double> comp_s_seconds;    // G/W solves + T̃ per subdomain
   /// Measured wall-clock of the whole (possibly parallel) subdomain loop.
-  /// With the two-level pool this is the real elapsed time; the per-subdomain
+  /// With threads > 1 this is the real elapsed time; the per-subdomain
   /// vectors above are per-task times, whose *sum* is aggregate CPU work and
   /// whose *max* is the paper's modeled one-process-per-subdomain time.
   double subdomain_wall_seconds = 0.0;
   /// Comp(S)'s G and W solves (direct/multirhs) split into the symbolic
   /// step (reach and patterns) and the numeric block solve: CPU seconds
-  /// summed over subdomains and block workers.
+  /// summed over subdomains.
   double solve_g_symbolic_seconds = 0.0;
   double solve_g_numeric_seconds = 0.0;
   double solve_w_symbolic_seconds = 0.0;

@@ -241,10 +241,9 @@ LuFactors scalar_lu_factorize(const CscMatrix& a, const LuOptions& opt) {
   return f;
 }
 
-LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt,
-                       unsigned threads) {
+LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt) {
   check_lu_input(a);
-  if (auto f = panel_lu_factorize(a, opt, threads)) return std::move(*f);
+  if (auto f = panel_lu_factorize(a, opt)) return std::move(*f);
   // Threshold pivoting left the diagonal before the dense tail, or a guard
   // tripped (singular column, zero multiplier, non-finite value):
   // refactorize with the scalar kernel, which produces the identical result
@@ -254,9 +253,8 @@ LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt,
   return scalar_lu_factorize(a, opt);
 }
 
-LuFactors lu_factorize(const CsrMatrix& a, const LuOptions& opt,
-                       unsigned threads) {
-  return lu_factorize(csr_to_csc(a), opt, threads);
+LuFactors lu_factorize(const CsrMatrix& a, const LuOptions& opt) {
+  return lu_factorize(csr_to_csc(a), opt);
 }
 
 }  // namespace pdslin

@@ -9,11 +9,10 @@
 //    threshold partial pivoting, updates applied in canonical
 //    ascending-pivot order; the reference the panel kernel reproduces.
 //  - Panel (direct/panel_lu.hpp): supernodal blocked factorization with a
-//    dense, row-pivoted tail, pipelined on the shared pool. An off-diagonal
-//    pivot before the tail, a singular column, a multiplier that rounds to
-//    zero or a non-finite value aborts it, so results — including error
-//    behavior — are identical for every input, and parallel == serial stays
-//    bitwise for any worker count.
+//    dense, row-pivoted tail. An off-diagonal pivot before the tail, a
+//    singular column, a multiplier that rounds to zero or a non-finite value
+//    aborts it, so results — including error behavior — are identical for
+//    every input.
 #pragma once
 
 #include <cstddef>
@@ -80,16 +79,12 @@ struct LuFactors {
 };
 
 /// Factorize a square CSC matrix: the panel kernel, or the scalar kernel
-/// where the panel attempt aborts. `threads` pipeline workers run the panel
-/// kernel (≤ 1 = serial); the factors are bitwise the same for any count.
-/// Throws pdslin::Error on a zero/degenerate pivot (structural or numerical
-/// singularity).
-LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt = {},
-                       unsigned threads = 1);
+/// where the panel attempt aborts. Throws pdslin::Error on a zero/degenerate
+/// pivot (structural or numerical singularity).
+LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt = {});
 
 /// Convenience overload for CSR input.
-LuFactors lu_factorize(const CsrMatrix& a, const LuOptions& opt = {},
-                       unsigned threads = 1);
+LuFactors lu_factorize(const CsrMatrix& a, const LuOptions& opt = {});
 
 /// The scalar Gilbert–Peierls kernel alone: lu_factorize's fallback and the
 /// reference its factors are checked against (check/invariants.hpp).

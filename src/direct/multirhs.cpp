@@ -1,16 +1,13 @@
 #include "direct/multirhs.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
 
 #include "direct/kernels.hpp"
 #include "direct/reach.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -30,9 +27,8 @@ std::vector<std::vector<index_t>> symbolic_solve_patterns(const CscMatrix& l,
 
 namespace {
 
-// Per-worker solve context: everything a block solve mutates, so concurrent
-// workers share only the read-only factor and RHS.
-struct BlockWorker {
+// Block solve scratch, reused across the blocks of one solve.
+struct BlockScratch {
   ReachSolver reach;
   std::vector<index_t> slot;  // global row → union slot (-1 = unset)
   std::vector<index_t> seeds;  // the block's RHS rows, concatenated
@@ -40,19 +36,9 @@ struct BlockWorker {
   std::vector<std::uint64_t> masks;  // per union row: the columns reaching it
   std::vector<std::vector<index_t>> col_patterns;
   std::vector<value_t> buf;  // |union| × width, row-major
-  MultiRhsStats stats;
 
-  BlockWorker(const CscMatrix& l, index_t block_size)
+  BlockScratch(const CscMatrix& l, index_t block_size)
       : reach(l), slot(l.rows, -1), col_patterns(block_size) {}
-};
-
-// Columns [begin, begin+width) of the blocked solve, gathered into the
-// block-local output arrays (stitched into the CSC result afterwards, in
-// block order, so the parallel schedule cannot affect the result).
-struct BlockOutput {
-  std::vector<index_t> row_idx;
-  std::vector<value_t> values;
-  std::vector<index_t> col_nnz;  // per column of the block
 };
 
 // The union is the reach of all the block's RHS rows, from one DFS. Column
@@ -63,7 +49,7 @@ struct BlockOutput {
 // read. Reading the patterns off the numeric result instead would lose
 // entries that cancel to exactly zero.
 void reach_block_patterns(const CscMatrix& l, const CscMatrix& b,
-                          std::span<const index_t> cols, BlockWorker& w) {
+                          std::span<const index_t> cols, BlockScratch& w) {
   const auto width = static_cast<index_t>(cols.size());
   w.seeds.clear();
   for (const index_t col : cols) {
@@ -111,7 +97,7 @@ void reach_block_patterns(const CscMatrix& l, const CscMatrix& b,
 // The union of cached per-column patterns (MultiRhsOptions::col_patterns).
 void cached_block_patterns(std::span<const index_t> cols,
                            const std::vector<std::vector<index_t>>& cached,
-                           BlockWorker& w) {
+                           BlockScratch& w) {
   w.union_rows.clear();
   for (std::size_t c = 0; c < cols.size(); ++c) {
     const std::vector<index_t>& pat = cached[cols[c]];
@@ -129,12 +115,15 @@ void cached_block_patterns(std::span<const index_t> cols,
   }
 }
 
+// Solve columns [begin, begin+width) of the blocked solve and append them
+// to res.solution.
 void process_block(const CscMatrix& l, const CscMatrix& b,
                    std::span<const index_t> order, const MultiRhsOptions& opts,
-                   index_t begin, index_t width, BlockWorker& w,
-                   BlockOutput& out) {
+                   index_t begin, index_t width, BlockScratch& w,
+                   MultiRhsResult& res) {
   WallTimer timer;
-  ++w.stats.num_blocks;
+  MultiRhsStats& stats = res.stats;
+  ++stats.num_blocks;
   const std::span<const index_t> cols = order.subspan(begin, width);
 
   // --- Symbolic: the union pattern and each column's own pattern. ---
@@ -144,12 +133,12 @@ void process_block(const CscMatrix& l, const CscMatrix& b,
     reach_block_patterns(l, b, cols, w);
   }
   for (index_t c = 0; c < width; ++c) {
-    w.stats.pattern_nnz += static_cast<long long>(w.col_patterns[c].size());
+    stats.pattern_nnz += static_cast<long long>(w.col_patterns[c].size());
   }
   const auto u = static_cast<index_t>(w.union_rows.size());
-  w.stats.union_rows_total += u;
-  w.stats.padded_zeros += static_cast<long long>(u) * width;
-  w.stats.symbolic_seconds += timer.seconds();
+  stats.union_rows_total += u;
+  stats.padded_zeros += static_cast<long long>(u) * width;
+  stats.symbolic_seconds += timer.seconds();
 
   // --- Numeric: dense |union| × width forward solve. ---
   timer.reset();
@@ -163,29 +152,20 @@ void process_block(const CscMatrix& l, const CscMatrix& b,
   }
   panel::rhs_block_solve(l, w.union_rows.data(), u, w.slot.data(),
                          w.buf.data(), width);
-  w.stats.numeric_seconds += timer.seconds();
+  stats.numeric_seconds += timer.seconds();
 
-  // --- Gather each column on its own (unpadded) pattern. ---
-  out.col_nnz.assign(width, 0);
+  // --- Append each column on its own (unpadded) pattern. ---
+  CscMatrix& x = res.solution;
   for (index_t c = 0; c < width; ++c) {
     for (index_t i : w.col_patterns[c]) {
-      out.row_idx.push_back(i);
-      out.values.push_back(
+      x.row_idx.push_back(i);
+      x.values.push_back(
           w.buf[static_cast<std::size_t>(w.slot[i]) * width + c]);
     }
-    out.col_nnz[c] = static_cast<index_t>(w.col_patterns[c].size());
+    x.col_ptr[begin + c + 1] = static_cast<index_t>(x.row_idx.size());
   }
 
   for (index_t i : w.union_rows) w.slot[i] = -1;  // reset scatter map
-}
-
-void merge_stats(MultiRhsStats& into, const MultiRhsStats& from) {
-  into.pattern_nnz += from.pattern_nnz;
-  into.padded_zeros += from.padded_zeros;
-  into.union_rows_total += from.union_rows_total;
-  into.num_blocks += from.num_blocks;
-  into.symbolic_seconds += from.symbolic_seconds;
-  into.numeric_seconds += from.numeric_seconds;
 }
 
 }  // namespace
@@ -208,61 +188,10 @@ MultiRhsResult solve_multi_rhs_blocked(const CscMatrix& l, const CscMatrix& b,
   res.solution = CscMatrix(n, m);
   if (m == 0) return res;
 
-  const index_t nblocks = (m + bs - 1) / bs;
-  std::vector<BlockOutput> outs(nblocks);
-  const auto width_of = [&](index_t blk) {
-    return std::min<index_t>(bs, m - blk * bs);
-  };
-
-  const unsigned workers =
-      std::max(1u, std::min<unsigned>(opts.threads,
-                                      static_cast<unsigned>(nblocks)));
-  if (workers == 1) {
-    BlockWorker w(l, bs);
-    for (index_t blk = 0; blk < nblocks; ++blk) {
-      process_block(l, b, order, opts, blk * bs, width_of(blk), w, outs[blk]);
-    }
-    res.stats = w.stats;
-  } else {
-    // Dynamic block distribution: each worker task owns its context and
-    // pulls the next unprocessed block. Blocks land in outs[] by index, so
-    // the schedule never changes the stitched result.
-    std::vector<std::unique_ptr<BlockWorker>> ctx;
-    ctx.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      ctx.push_back(std::make_unique<BlockWorker>(l, bs));
-    }
-    std::atomic<index_t> next{0};
-    TaskGroup group;
-    for (unsigned w = 0; w < workers; ++w) {
-      group.run([&, w] {
-        BlockWorker& bw = *ctx[w];
-        for (index_t blk; (blk = next.fetch_add(1)) < nblocks;) {
-          process_block(l, b, order, opts, blk * bs, width_of(blk), bw,
-                        outs[blk]);
-        }
-      });
-    }
-    group.wait();
-    for (const auto& c : ctx) merge_stats(res.stats, c->stats);
-  }
-
-  // --- Stitch per-block column segments in deterministic block order. ---
-  std::size_t total = 0;
-  for (const auto& o : outs) total += o.row_idx.size();
-  res.solution.row_idx.reserve(total);
-  res.solution.values.reserve(total);
-  for (index_t blk = 0; blk < nblocks; ++blk) {
-    const BlockOutput& o = outs[blk];
-    res.solution.row_idx.insert(res.solution.row_idx.end(), o.row_idx.begin(),
-                                o.row_idx.end());
-    res.solution.values.insert(res.solution.values.end(), o.values.begin(),
-                               o.values.end());
-    const index_t begin = blk * bs;
-    for (std::size_t c = 0; c < o.col_nnz.size(); ++c) {
-      res.solution.col_ptr[begin + static_cast<index_t>(c) + 1] =
-          res.solution.col_ptr[begin + static_cast<index_t>(c)] + o.col_nnz[c];
-    }
+  BlockScratch w(l, bs);
+  for (index_t begin = 0; begin < m; begin += bs) {
+    process_block(l, b, order, opts, begin, std::min<index_t>(bs, m - begin),
+                  w, res);
   }
   res.stats.padded_zeros -= res.stats.pattern_nnz;
   static obs::Counter& rhs_blocks = obs::counter("trisolve.rhs_blocks");

@@ -3,14 +3,8 @@
 // patterns are unioned (padding zeros so all columns share one pattern, as a
 // supernodal solver must), the symbolic step runs once per block (one reach
 // for the union, per-row column bitmasks for each column's own pattern), and
-// the numeric step is a dense |union| × B kernel.
-//
-// Blocks are mutually independent given L, which is what the second level of
-// the paper's hierarchy exploits: with opts.threads > 1 the blocks are solved
-// concurrently on the shared thread pool (each worker owns its ReachSolver,
-// scatter map and dense scratch) and the per-block column segments are
-// stitched back in deterministic block order, so the result is bitwise
-// identical to the serial path.
+// the numeric step is a dense |union| × B kernel. Blocks run in order on
+// the calling thread, each appending its columns to the result.
 //
 // The padded-zero counts and solve times this module reports are the
 // quantities Figures 4 and 5 of the paper plot.
@@ -29,8 +23,7 @@ struct MultiRhsStats {
   long long padded_zeros = 0;    // Σ_blocks B·|union| − pattern_nnz
   long long union_rows_total = 0;
   index_t num_blocks = 0;
-  /// Aggregate CPU seconds summed over workers (equals wall time only on the
-  /// serial path; with threads > 1, wall time is what the caller measures).
+  /// Wall seconds of the symbolic and numeric steps, summed over blocks.
   double symbolic_seconds = 0.0;
   double numeric_seconds = 0.0;
   /// Fraction of the dense block entries that are padding: padded / (padded
@@ -50,10 +43,6 @@ struct MultiRhsResult {
 
 struct MultiRhsOptions {
   index_t block_size = 60;
-  /// Inner workers for the block-parallel solve; 1 = serial. Workers run on
-  /// ThreadPool::shared() (nesting-safe: safe to use from within an outer
-  /// subdomain task).
-  unsigned threads = 1;
   /// Optional precomputed per-column reach patterns, indexed by ORIGINAL RHS
   /// column (the pattern of solution column j is (*col_patterns)[order[j]]),
   /// each sorted ascending — exactly what symbolic_solve_patterns returns.
@@ -72,7 +61,7 @@ MultiRhsResult solve_multi_rhs_blocked(const CscMatrix& l, const CscMatrix& b,
                                        std::span<const index_t> order,
                                        const MultiRhsOptions& opts);
 
-/// Serial convenience overload (block size only).
+/// Convenience overload (block size only).
 MultiRhsResult solve_multi_rhs_blocked(const CscMatrix& l, const CscMatrix& b,
                                        std::span<const index_t> order,
                                        index_t block_size);

@@ -1,7 +1,6 @@
 #include "direct/panel_lu.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <tuple>
@@ -12,7 +11,6 @@
 #include "direct/symbolic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/pipeline.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/symmetrize.hpp"
 #include "util/error.hpp"
@@ -32,7 +30,6 @@ struct UpdateEdge {
 struct PanelSymbolic {
   Supernodes sn;                      // the panels; the last one is the tail
   index_t tail = 0;                   // first column of the dense tail
-  std::vector<index_t> sn_parent;     // supernodal elimination forest
   std::vector<index_t> rows;          // concatenated sorted row lists
   std::vector<std::size_t> row_ptr;   // per-panel slice of `rows`
   std::vector<index_t> tri0;          // local row of the first panel column
@@ -93,7 +90,6 @@ PanelSymbolic panel_symbolic(const CscMatrix& a, index_t max_width,
   const CscMatrix upat = transpose(lpat);        // col j = row j of L, sorted
   ps.l_nnz_bound = lpat.nnz();
 
-  ps.sn_parent.resize(np);
   ps.row_ptr.assign(np + 1, 0);
   ps.tri0.resize(np);
   ps.arena_off.resize(np);
@@ -123,9 +119,6 @@ PanelSymbolic panel_symbolic(const CscMatrix& a, index_t max_width,
     ps.arena_cells += local.size() * static_cast<std::size_t>(c1 - c0);
     ps.rows.insert(ps.rows.end(), local.begin(), local.end());
     ps.row_ptr[p + 1] = ps.rows.size();
-
-    const index_t last = c1 - 1;
-    ps.sn_parent[p] = sf.parent[last] < 0 ? -1 : ps.sn.of_column[sf.parent[last]];
   }
 
   // Update edges: the below-diagonal rows of panel d, grouped by target
@@ -150,8 +143,8 @@ PanelSymbolic panel_symbolic(const CscMatrix& a, index_t max_width,
   return ps;
 }
 
-/// Per-worker scratch: the global→local row map for the panel being built
-/// plus reusable gather buffers.
+/// Scratch: the global→local row map for the panel being built plus
+/// reusable gather buffers.
 struct Workspace {
   std::vector<index_t> rowpos;  // size n, -1 outside the current panel
   std::vector<index_t> pos;     // update-local positions in the target
@@ -211,26 +204,20 @@ bool factor_panel(value_t* pan, index_t nr, index_t tri0, index_t w,
 
 bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
                    const PanelSymbolic& ps, index_t max_width,
-                   unsigned threads, std::vector<value_t>& arena,
+                   std::vector<value_t>& arena,
                    std::vector<index_t>& tail_perm, LuPanelStats& stats) {
   PDSLIN_SPAN("lu.panel.numeric");
   const index_t n = a.rows;
   const index_t np = ps.sn.count();
   arena.assign(ps.arena_cells, 0.0);
 
-  const unsigned workers = std::max(1u, threads);
-  const unsigned nw = std::min<unsigned>(workers, np == 0 ? 1u
-                                                          : static_cast<unsigned>(np));
-  std::vector<Workspace> ws(nw);
-  for (auto& w : ws) w.rowpos.assign(n, -1);
-
+  Workspace s;
+  s.rowpos.assign(n, -1);
   tail_perm.resize(n - ps.tail);
   std::iota(tail_perm.begin(), tail_perm.end(), index_t{0});
-  std::atomic<bool> abort{false};
 
-  auto body = [&](unsigned widx, index_t p) {
-    if (abort.load(std::memory_order_relaxed)) return;
-    Workspace& s = ws[widx];
+  // Panels in ascending order: every panel's updaters precede it.
+  for (index_t p = 0; p < np; ++p) {
     const index_t c0 = ps.sn.start[p], c1 = ps.sn.start[p + 1];
     const index_t wp = c1 - c0;
     const index_t* prows = ps.rows.data() + ps.row_ptr[p];
@@ -299,24 +286,14 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
                      opt, tail ? tail_perm.data() : nullptr, s) &&
         std::all_of(pan, pan + static_cast<std::size_t>(nr) * wp,
                     [](value_t v) { return std::isfinite(v); });
-    if (!ok) abort.store(true, std::memory_order_relaxed);
+    if (!ok) return false;
 
     for (index_t i = 0; i < nr; ++i) s.rowpos[prows[i]] = -1;
-  };
-
-  if (nw <= 1) {
-    for (index_t p = 0; p < np && !abort.load(std::memory_order_relaxed); ++p) {
-      body(0, p);
-    }
-  } else {
-    run_tree_pipeline(ThreadPool::shared(), ps.sn_parent, nw, body);
   }
 
-  for (const auto& w : ws) {
-    stats.gemm_flops += w.gemm_flops;
-    stats.total_flops += w.gemm_flops + w.other_flops;
-  }
-  return !abort.load(std::memory_order_relaxed);
+  stats.gemm_flops += s.gemm_flops;
+  stats.total_flops += s.gemm_flops + s.other_flops;
+  return true;
 }
 
 /// Extract clean factors from the packed panels: L by columns, U by rows
@@ -428,15 +405,13 @@ LuFactors panel_extract(const PanelSymbolic& ps,
 
 std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
                                             const LuOptions& opt,
-                                            unsigned threads,
                                             index_t max_width, double relax) {
   PDSLIN_CHECK_MSG(a.rows == a.cols, "LU requires a square matrix");
   const PanelSymbolic ps = panel_symbolic(a, max_width, relax);
   LuPanelStats stats;
   std::vector<value_t> arena;
   std::vector<index_t> tail_perm;
-  if (!panel_numeric(a, opt, ps, max_width, threads, arena, tail_perm,
-                     stats)) {
+  if (!panel_numeric(a, opt, ps, max_width, arena, tail_perm, stats)) {
     return std::nullopt;
   }
 

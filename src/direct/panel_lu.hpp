@@ -17,9 +17,8 @@
 // structure, so the tail is factored right-looking in blocks of max_width
 // columns with threshold row pivoting, reproducing the scalar kernel's pivot
 // choices; tail rows of earlier L columns are relabeled through its
-// exchanges at extraction. Scheduling is pipelined (parallel/pipeline.hpp)
-// when threads > 1, the tail being one task; results are bitwise identical
-// for any thread count, width cap and relaxation.
+// exchanges at extraction. Panels run in ascending order on the calling
+// thread; results are bitwise identical for any width cap and relaxation.
 #pragma once
 
 #include <optional>
@@ -35,8 +34,8 @@ inline constexpr index_t kPanelMaxWidth = 32;
 /// allowed when merging e-tree chain columns into one panel.
 inline constexpr double kPanelRelax = 0.25;
 
-/// Attempt the supernodal factorization with `threads` pipeline workers,
-/// panels at most `max_width` columns wide (0 = unlimited) and relaxation
+/// Attempt the supernodal factorization with panels at most `max_width`
+/// columns wide (0 = unlimited) and relaxation
 /// `relax` (0 = fundamental supernodes only). Returns std::nullopt — the
 /// caller reruns the scalar kernel, which reproduces the exact scalar
 /// result (including its singularity error) — when threshold pivoting
@@ -45,7 +44,6 @@ inline constexpr double kPanelRelax = 0.25;
 /// a factor value is not finite.
 std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
                                             const LuOptions& opt,
-                                            unsigned threads = 1,
                                             index_t max_width = kPanelMaxWidth,
                                             double relax = kPanelRelax);
 

@@ -67,12 +67,16 @@ std::vector<index_t> heavy_connectivity_matching_det(const Hypergraph& h,
   std::iota(active.begin(), active.end(), 0);
   std::vector<index_t> stale = active;
   // Per-range scatter accumulator of shared net cost, one per range index
-  // so concurrent ranges never share scratch; kept across rounds.
+  // so concurrent ranges never share scratch; kept across rounds. Each holds
+  // an n-long score array, so the range count is bounded by the pool, not
+  // by the caller's thread count.
   struct Scratch {
     std::vector<long long> score;
     std::vector<index_t> touched;
   };
-  std::vector<Scratch> scratch(std::max(1u, threads));
+  const unsigned ranges =
+      threads > 1 ? std::min(threads, ThreadPool::shared().size()) : 1u;
+  std::vector<Scratch> scratch(ranges);
   auto propose = [&](unsigned range, long long lo, long long hi) {
     std::vector<long long>& score = scratch[range].score;
     std::vector<index_t>& touched = scratch[range].touched;
@@ -115,8 +119,8 @@ std::vector<index_t> heavy_connectivity_matching_det(const Hypergraph& h,
   constexpr int kMaxRounds = 8;
   for (int round = 0; round < kMaxRounds; ++round) {
     const auto count = static_cast<long long>(stale.size());
-    if (threads > 1 && count > 1) {
-      parallel_ranges(ThreadPool::shared(), count, threads, propose);
+    if (ranges > 1 && count > 1) {
+      parallel_ranges(ThreadPool::shared(), count, ranges, propose);
     } else {
       propose(0, 0, count);
     }

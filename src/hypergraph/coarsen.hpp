@@ -14,7 +14,8 @@ struct HgCoarsening {
 /// Deterministic heavy-connectivity matching: each unmatched vertex pairs
 /// with the unmatched vertex sharing the largest total net cost, in bounded
 /// rounds of a two-pass claim/commit protocol. Pass 1 runs
-/// vertex-parallel (parallel_ranges over the shared pool) — every unmatched
+/// vertex-parallel (parallel_ranges over the shared pool, at most its size
+/// ranges whatever `threads` asks for) — every unmatched
 /// vertex proposes its best-connected unmatched partner, ties broken by a
 /// hashed vertex key; pass 2 commits mutual proposals. Each pass is a
 /// pure function of the hypergraph and the previous round's matched set, so

@@ -141,15 +141,6 @@ void TaskGroup::wait() {
   }
 }
 
-ThreadBudget split_thread_budget(unsigned total, unsigned outer_tasks) {
-  if (total == 0) total = std::max(1u, std::thread::hardware_concurrency());
-  if (outer_tasks == 0) outer_tasks = 1;
-  ThreadBudget b;
-  b.outer = std::max(1u, std::min(total, outer_tasks));
-  b.inner = std::max(1u, total / b.outer);
-  return b;
-}
-
 void parallel_for(ThreadPool& pool, int count, const std::function<void(int)>& body,
                   unsigned max_tasks) {
   if (count <= 0) return;

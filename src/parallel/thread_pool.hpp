@@ -1,11 +1,16 @@
-// Nesting-safe thread pool: the second ("intra-subdomain") level of the
-// paper's hierarchy.
+// Nesting-safe thread pool: the one executed level of the paper's
+// hierarchy.
 //
-// PDSLin assigns a *group* of processors to each subdomain (§II, §V): work is
-// parallel both across subdomains and within one. The pool mirrors that with
-// a process-wide shared pool plus TaskGroup, whose wait() *helps execute*
-// queued tasks instead of blocking — so a worker running one subdomain task
-// can fan out its RHS blocks onto the same pool without deadlock, even on a
+// PDSLin assigns a *group* of processors to each subdomain (§II, §V). This
+// reproduction runs the paper's §V configuration, one worker per subdomain:
+// SolverOptions::threads subdomain tasks run concurrently in factor() and in
+// every solve sweep, and the partition recursion spawns its subtrees on the
+// same pool. Work inside one subdomain is serial; the intra-subdomain level
+// is modeled (parallel/cost_model.hpp), not executed, because its regions
+// (a few ms each) gained nothing on a 4-vCPU host (docs/ALGORITHMS.md §7).
+// TaskGroup::wait *helps execute* queued tasks instead of blocking, so
+// nested groups — the partition recursion's subtrees, a served request's
+// subdomain tasks inside its own pool task — cannot deadlock, even on a
 // single-thread pool (the waiter drains the queue itself). On a single-core
 // host everything degrades to serial execution with identical results; the
 // benchmark drivers additionally report the *modeled* parallel time
@@ -42,9 +47,9 @@ class ThreadPool {
 
   [[nodiscard]] unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Process-wide pool shared by both hierarchy levels (outer subdomain
-  /// tasks and inner per-subdomain workers). Sized on first use to
-  /// PDSLIN_POOL_THREADS if set (benches / CI), else hardware_concurrency.
+  /// Process-wide pool for the subdomain tasks and the partition
+  /// recursion. Sized on first use to PDSLIN_POOL_THREADS if set
+  /// (benches / CI), else hardware_concurrency.
   /// Correctness never depends on its size: callers waiting on a TaskGroup
   /// execute queued tasks themselves.
   static ThreadPool& shared();
@@ -102,17 +107,6 @@ class TaskGroup {
   std::exception_ptr error_;    // first failure, guarded by pool_.mutex_
 };
 
-/// The paper's np = k × (np/k) processor layout (§V): split a total thread
-/// budget into `outer` concurrent tasks × `inner` workers each.
-struct ThreadBudget {
-  unsigned outer = 1;
-  unsigned inner = 1;
-};
-
-/// total == 0 → hardware_concurrency. outer ≤ min(outer_tasks, total),
-/// inner = total / outer (≥ 1), so outer × inner ≤ max(total, outer_tasks).
-ThreadBudget split_thread_budget(unsigned total, unsigned outer_tasks);
-
 /// Run body(i) for i in [0, count) on the pool (blocking; the calling thread
 /// helps). Exceptions from tasks propagate: exactly one — the first recorded
 /// — is rethrown, remaining iterations are skipped on a best-effort basis,
@@ -120,8 +114,7 @@ ThreadBudget split_thread_budget(unsigned total, unsigned outer_tasks);
 ///
 /// max_tasks == 0 → one task per index (fine-grained, dynamic balance).
 /// max_tasks == t → at most t contiguous chunks, bounding this loop's
-/// concurrency to t regardless of pool size (the outer level of the
-/// two-level budget).
+/// concurrency to t regardless of pool size (SolverOptions::threads).
 void parallel_for(ThreadPool& pool, int count, const std::function<void(int)>& body,
                   unsigned max_tasks = 0);
 

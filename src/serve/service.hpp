@@ -10,8 +10,8 @@
 //            → bounded queue (reject-with-status when full — backpressure)
 //            → a task starts for it while fewer than config.workers run;
 //              a task that ends hands its slot to the next queued request
-//              (the solver's own two-level parallelism runs inside the same
-//              pool, nesting-safe)
+//              (the solver's own subdomain tasks run inside the same pool,
+//              nesting-safe)
 //            → factorization cache consulted (serve/factor_cache.hpp):
 //              full hit → cached const setup; symbolic hit → partition
 //              adopted, factor() redone; miss → full setup. One build per

@@ -2,12 +2,6 @@
 //
 // Used by the Schur assembly T̃ = W̃ G̃ (paper Eq. (5)) and by the structural
 // factorization check str(A) = str(MᵀM) (paper Eq. (11)).
-//
-// With threads > 1 the product runs row-parallel on the shared thread pool
-// using the classic two-pass scheme (symbolic per-row nnz count →
-// prefix-sum row_ptr → numeric fill into preallocated arrays, one dense
-// accumulator per worker). Each row is computed exactly as on the serial
-// path, so the result is bitwise identical for any thread count.
 #pragma once
 
 #include "sparse/csr.hpp"
@@ -15,11 +9,10 @@
 namespace pdslin {
 
 /// Numeric C = A·B (both CSR, result CSR with sorted rows).
-CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, unsigned threads = 1);
+CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b);
 
 /// Symbolic pattern of A·B (no values, sorted rows).
-CsrMatrix spgemm_pattern(const CsrMatrix& a, const CsrMatrix& b,
-                         unsigned threads = 1);
+CsrMatrix spgemm_pattern(const CsrMatrix& a, const CsrMatrix& b);
 
 /// Symbolic pattern of AᵀA for a (rectangular) CSR A — the structural
 /// product the hypergraph pipeline needs, computed without forming Aᵀ

@@ -8,11 +8,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "check/artifact.hpp"
@@ -445,7 +448,6 @@ TEST(Artifact, SpecRoundTripsThroughJson) {
   spec.partitioning = PartitionMethod::RHB;
   spec.num_subdomains = 8;
   spec.threads = 3;
-  spec.inner_threads = 2;
   spec.nrhs = 4;
   spec.krylov = KrylovMethod::Bicgstab;
   spec.exact_assembly = false;
@@ -506,6 +508,49 @@ TEST(Artifact, MalformedDocumentThrows) {
   EXPECT_NO_THROW(artifact_from_json(with_adaptive("false")));
   for (const char* bad : {"true", "0", "\"false\"", "null"}) {
     EXPECT_THROW(artifact_from_json(with_adaptive(bad)), Error) << bad;
+  }
+
+  // Every integer field is a finite integer in its range. Cast as before,
+  // threads −1, 2.5 and 1e10 ran as 4294967295, 2 and 1410065408 workers,
+  // seed −1 as 2^64 − 1, n 40.7 as 40, and nrhs 1e6 was accepted.
+  auto with_value = [&](const std::string& key, const std::string& value) {
+    std::string doc = base;
+    const std::size_t at = doc.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t from = at + key.size() + 4;
+    doc.replace(from, doc.find(',', from) - from, value);
+    return doc;
+  };
+  const std::pair<const char*, const char*> bad_counts[] = {
+      {"threads", "-1"},   {"threads", "2.5"},  {"threads", "1e10"},
+      {"threads", "0"},    {"threads", "65"},   {"threads", "\"2\""},
+      {"seed", "-1"},      {"seed", "1e300"},   {"n", "40.7"},
+      {"n", "4097"},       {"nrhs", "1e6"},     {"nrhs", "0"},
+      {"num_subdomains", "4.5"}, {"num_subdomains", "1024"},
+      {"num_subdomains", "6"}};
+  for (const auto& [key, value] : bad_counts) {
+    EXPECT_THROW(artifact_from_json(with_value(key, value)), Error)
+        << key << " " << value;
+  }
+  EXPECT_EQ(artifact_from_json(with_value("threads", "64")).threads, 64u);
+  EXPECT_EQ(artifact_from_json(with_value("nrhs", "64")).nrhs, 64);
+  EXPECT_EQ(artifact_from_json(with_value("seed", "9007199254740991")).seed,
+            (std::uint64_t{1} << 53) - 1);
+
+  // The removed per-subdomain worker count: the writer leaves it out, and a
+  // reader takes it from older artifacts only as such an integer, then
+  // ignores it.
+  ASSERT_EQ(base.find("inner_threads"), std::string::npos);
+  auto with_inner = [&](const char* value) {
+    std::string doc = base;
+    doc.insert(spec_open + 9,
+               std::string("\n    \"inner_threads\": ") + value + ",");
+    return doc;
+  };
+  EXPECT_EQ(artifact_from_json(with_inner("4")).to_string(),
+            CaseSpec{}.to_string());
+  for (const char* bad : {"0", "-1", "2.5", "\"1\"", "null"}) {
+    EXPECT_THROW(artifact_from_json(with_inner(bad)), Error) << bad;
   }
 }
 
@@ -749,7 +794,7 @@ TEST(ServeProperty, EveryOptionFieldMovesSetupHashExactlyWhenSetup) {
     });
     EXPECT_EQ(serve::setup_options_hash(opt) != default_hash, field.setup);
   });
-  EXPECT_EQ(fields, 23);
+  EXPECT_EQ(fields, 22);
   EXPECT_EQ(setup_fields, 15);
 }
 

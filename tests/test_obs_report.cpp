@@ -272,6 +272,8 @@ TEST(ObsReport, AddSolverWritesEveryOptionField) {
   EXPECT_EQ(config("seed"), "1");
   // Which LU kernel ran is not an option: no input can tell them apart.
   EXPECT_EQ(back.find_config("lu_kernel"), nullptr);
+  // Nor is a per-subdomain worker count: the work inside one is serial.
+  EXPECT_EQ(back.find_config("inner_threads"), nullptr);
   EXPECT_EQ(config("constraints"), "w1w2");
   EXPECT_EQ(config("lu_pivot_tol"), obs::json::number_to_string(0.1));
   EXPECT_EQ(config("gmres_restart"), "45");

@@ -1,6 +1,6 @@
 // Tests for the supernodal panel LU kernel (direct/panel_lu): bitwise
-// equivalence with the scalar Gilbert–Peierls reference, parallel == serial
-// determinism, row pivoting inside the dense tail, scalar fallback on pivot
+// equivalence with the scalar Gilbert–Peierls reference, row pivoting
+// inside the dense tail, scalar fallback on pivot
 // deviation before the tail, singularity, zero multipliers and non-finite
 // values, the width cap and relaxation (parameters of the panel kernel's own
 // entry point), the serve-layer byte accounting, and the per-factor kernel
@@ -79,12 +79,12 @@ LuFactors scalar_of(const CsrMatrix& a, const LuOptions& opt = {}) {
 }
 
 /// The panel kernel alone, without the scalar fallback, at an explicit
-/// worker count, width cap and relaxation.
-std::optional<LuFactors> panel_of(const CsrMatrix& a, unsigned threads = 1,
+/// width cap and relaxation.
+std::optional<LuFactors> panel_of(const CsrMatrix& a,
                                   index_t width = kPanelMaxWidth,
                                   double relax = kPanelRelax,
                                   const LuOptions& opt = {}) {
-  return panel_lu_factorize(csr_to_csc(a), opt, threads, width, relax);
+  return panel_lu_factorize(csr_to_csc(a), opt, width, relax);
 }
 
 CsrMatrix ordered_matrix(const CsrMatrix& a) {
@@ -332,17 +332,6 @@ TEST(PanelLu, FactorsSatisfyResidual) {
   EXPECT_LT(dense_lu_residual(a, f), 1e-10);
 }
 
-TEST(PanelLu, ParallelBitwiseIdenticalToSerial) {
-  Rng rng(7);
-  const CsrMatrix a =
-      ordered_matrix(testing::random_pattern_symmetric(120, 0.06, rng));
-  const LuFactors f1 = lu_factorize(a, {}, 1);
-  for (const unsigned t : {2u, 4u, 8u}) {
-    const LuFactors ft = lu_factorize(a, {}, t);
-    expect_factors_bitwise(f1, ft, "panel serial vs parallel");
-  }
-}
-
 TEST(PanelLu, FallbackOnPivotDeviationMatchesScalar) {
   // Classic partial pivoting (pivot_tol = 1) on a matrix without diagonal
   // dominance: some column's largest entry is off-diagonal, the panel
@@ -354,7 +343,7 @@ TEST(PanelLu, FallbackOnPivotDeviationMatchesScalar) {
   LuOptions opt;
   opt.pivot_tol = 1.0;
   const LuFactors fs = scalar_of(a, opt);
-  const LuFactors fp = lu_factorize(a, opt, 3);
+  const LuFactors fp = lu_factorize(a, opt);
   // The first deviation must precede the dense tail: inside it the panel
   // kernel pivots itself and there would be no fallback to test.
   ASSERT_LT(first_deviation(fs), dense_tail_start(a));
@@ -371,17 +360,15 @@ TEST(PanelLu, DenseTailPivotMatchesScalar) {
   ASSERT_LE(tail, first_deviation(fs)) << "every deviation must be in the tail";
   ASSERT_LT(first_deviation(fs), fs.n) << "expected off-diagonal pivots";
 
-  for (const unsigned t : {1u, 2u, 4u}) {
-    // Width 4: several tail blocks, which exercises the GEMM.
-    const std::optional<LuFactors> attempt = panel_of(a, t, 4);
-    ASSERT_TRUE(attempt.has_value()) << "threads=" << t;
-    const LuFactors& fp = *attempt;
-    EXPECT_TRUE(fp.stats.used_panel) << "threads=" << t;
-    EXPECT_EQ(fp.stats.tail_cols, a.rows - tail);
-    EXPECT_GT(fp.stats.tail_pivots, 0);
-    EXPECT_LE(fp.stats.max_width, 4);
-    expect_factors_bitwise(fs, fp, "tail-pivoted panel vs scalar");
-  }
+  // Width 4: several tail blocks, which exercises the GEMM.
+  const std::optional<LuFactors> attempt = panel_of(a, 4);
+  ASSERT_TRUE(attempt.has_value());
+  const LuFactors& fp = *attempt;
+  EXPECT_TRUE(fp.stats.used_panel);
+  EXPECT_EQ(fp.stats.tail_cols, a.rows - tail);
+  EXPECT_GT(fp.stats.tail_pivots, 0);
+  EXPECT_LE(fp.stats.max_width, 4);
+  expect_factors_bitwise(fs, fp, "tail-pivoted panel vs scalar");
 }
 
 TEST(PanelLu, DenseTailPivotTieGoesToSmallestOriginalRow) {
@@ -409,7 +396,7 @@ TEST(PanelLu, DenseTailPivotTieGoesToSmallestOriginalRow) {
 TEST(PanelLu, SolveOnTailPivotedFactorHasSmallResidual) {
   Rng rng(5);
   const CsrMatrix a = bordered_indefinite(80, 16, rng);
-  const std::optional<LuFactors> attempt = panel_of(a, 1, 8);
+  const std::optional<LuFactors> attempt = panel_of(a, 8);
   ASSERT_TRUE(attempt.has_value());
   const LuFactors& f = *attempt;
   ASSERT_TRUE(f.stats.used_panel);
@@ -483,13 +470,13 @@ TEST(PanelLu, WidthCapAndRelaxationKnobs) {
   const CsrMatrix a = ordered_matrix(testing::grid_laplacian(12, 12));
   const LuFactors fs = scalar_of(a);
 
-  const std::optional<LuFactors> fc = panel_of(a, 1, 4);
+  const std::optional<LuFactors> fc = panel_of(a, 4);
   ASSERT_TRUE(fc.has_value());
   EXPECT_LE(fc->stats.max_width, 4);
   expect_factors_bitwise(fs, *fc, "width cap");
 
-  const std::optional<LuFactors> ff = panel_of(a, 1, 32, 0.0);
-  const std::optional<LuFactors> fr = panel_of(a, 1, 32, 0.5);
+  const std::optional<LuFactors> ff = panel_of(a, 32, 0.0);
+  const std::optional<LuFactors> fr = panel_of(a, 32, 0.5);
   ASSERT_TRUE(ff.has_value() && fr.has_value());
   // Relaxation only merges panels: never narrower, numerics untouched.
   EXPECT_GE(fr->stats.avg_width, ff->stats.avg_width);
@@ -497,7 +484,7 @@ TEST(PanelLu, WidthCapAndRelaxationKnobs) {
   expect_factors_bitwise(fs, *ff, "fundamental supernodes");
   expect_factors_bitwise(fs, *fr, "relaxed amalgamation");
 
-  const std::optional<LuFactors> fu = panel_of(a, 1, 0, 0.0);  // 0 = no cap
+  const std::optional<LuFactors> fu = panel_of(a, 0, 0.0);  // 0 = no cap
   ASSERT_TRUE(fu.has_value());
   expect_factors_bitwise(fs, *fu, "unlimited width");
 }
@@ -516,23 +503,23 @@ TEST(PanelLu, MemoryBytesEqualAcrossKernels) {
 
 // The solver's factors are the scalar kernel's, each D_ℓ and S̃ bit for
 // bit (the per-factor invariant every fuzz case runs), and its answer does
-// not depend on the panel kernel's worker count.
+// not depend on the subdomain thread count.
 TEST(PanelLu, FullSolveBitwiseAcrossKernels) {
   const CsrMatrix a = testing::grid_laplacian(10, 10);
   Rng rng(5);
   std::vector<value_t> b(a.rows);
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
 
-  auto solve_with = [&](unsigned inner) {
+  auto solve_with = [&](unsigned threads) {
     SolverOptions opt;
     opt.num_subdomains = 4;
-    opt.assembly.inner_threads = inner;
+    opt.threads = threads;
     SchurSolver solver(a, opt);
     solver.setup();
     solver.factor();
     check::CheckReport rep;
     check::check_factor_kernels(solver, rep);
-    EXPECT_TRUE(rep.ok()) << "inner " << inner << ": " << rep.summary();
+    EXPECT_TRUE(rep.ok()) << "threads " << threads << ": " << rep.summary();
     EXPECT_NE(solver.preconditioner(), nullptr);
     std::vector<value_t> x(a.rows, 0.0);
     solver.solve(b, x);

@@ -15,6 +15,8 @@
 #include "graph/nested_dissection.hpp"
 #include "hypergraph/coarsen.hpp"
 #include "hypergraph/hypergraph.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "partition/engine.hpp"
 #include "serve/fingerprint.hpp"
 #include "sparse/convert.hpp"
@@ -139,6 +141,15 @@ TEST(PartitionDetMatching, IndependentOfThreadCount) {
     EXPECT_EQ(heavy_connectivity_matching_det(h, threads), serial)
         << "threads=" << threads;
   }
+  // A thread count far past the pool's size: each range holds an n-long
+  // score array, so the matcher makes at most the pool's size of ranges per
+  // round (8 rounds at most), not one per vertex.
+  obs::Counter& executed = obs::counter("pool.tasks_executed");
+  obs::Counter& stolen = obs::counter("pool.tasks_stolen");
+  const long long tasks0 = executed.value() + stolen.value();
+  EXPECT_EQ(heavy_connectivity_matching_det(h, 1u << 16), serial);
+  EXPECT_LE(executed.value() + stolen.value() - tasks0,
+            8LL * ThreadPool::shared().size());
   // Well-formed matching: symmetric involution.
   for (index_t v = 0; v < h.num_vertices; ++v) {
     ASSERT_GE(serial[v], 0);
@@ -265,7 +276,6 @@ TEST(PartitionValues, SolverValueWeightedBitwiseAcrossThreadCounts) {
       opt.partitioning = method;
       opt.num_subdomains = 4;
       opt.threads = threads;
-      opt.assembly.inner_threads = threads > 1 ? 2 : 1;
       opt.partition_values = partition::ValueMode::LogAbs;
       opt.seed = 3;
       SchurSolver solver(p.a, opt);

@@ -11,6 +11,7 @@
 
 #include "core/dbbd.hpp"
 #include "core/schur_assembly.hpp"
+#include "core/schur_solver.hpp"
 #include "core/subdomain.hpp"
 #include "direct/kernels.hpp"
 #include "gen/grid_fem.hpp"
@@ -222,8 +223,7 @@ TEST(SchurAssembly, AllZeroColumnIsDroppedWithoutIncident) {
 
 TEST(SchurAssembly, DiagonalKeptUnderRowParallelSweeps) {
   // Tiny diagonals under a cut that would drop them: the diagonal is always
-  // kept (LU(S̃) needs it), and the row-parallel two-pass sweep must agree
-  // bitwise with the serial sweep on exactly which entries survive.
+  // kept (LU(S̃) needs it).
   const index_t ns = 16;
   CooMatrix cb(ns, ns);
   for (index_t i = 0; i < ns; ++i) {
@@ -232,8 +232,7 @@ TEST(SchurAssembly, DiagonalKeptUnderRowParallelSweeps) {
     cb.add(i, (i + 5) % ns, i % 3 == 0 ? 1e-6 : 50.0);  // some get dropped
   }
   const CsrMatrix c_block = coo_to_csr(cb);
-  const CsrMatrix serial =
-      assemble_schur(c_block, {}, {}, /*drop_s=*/0.5, /*threads=*/1);
+  const CsrMatrix serial = assemble_schur(c_block, {}, {}, /*drop_s=*/0.5);
   for (index_t i = 0; i < ns; ++i) {
     bool has_diag = false;
     for (index_t q = serial.row_ptr[i]; q < serial.row_ptr[i + 1]; ++q) {
@@ -241,29 +240,25 @@ TEST(SchurAssembly, DiagonalKeptUnderRowParallelSweeps) {
     }
     EXPECT_TRUE(has_diag) << "row " << i << " lost its diagonal";
   }
-  for (const unsigned threads : {2u, 4u}) {
-    const CsrMatrix par =
-        assemble_schur(c_block, {}, {}, /*drop_s=*/0.5, threads);
-    EXPECT_EQ(par.row_ptr, serial.row_ptr) << "threads=" << threads;
-    EXPECT_EQ(par.col_idx, serial.col_idx) << "threads=" << threads;
-    EXPECT_EQ(par.values, serial.values) << "threads=" << threads;
-  }
 
-  // And on a real fixture end to end: the full pipeline's S̃ is thread-count
-  // independent at a dropping tolerance.
+  // And on a real fixture end to end: the full pipeline's S̃ at a dropping
+  // tolerance is the same at outer threads 1 and 4.
   const Fixture s = make_setup(10, 2);
-  SchurAssemblyOptions opt;
-  opt.drop_wg = 0.0;
-  opt.drop_s = 1e-3;
-  std::vector<Subdomain> subs;
-  std::vector<SubdomainFactorization> facts;
-  for (index_t l = 0; l < 2; ++l) {
-    subs.push_back(extract_subdomain(s.a, s.dbbd, l));
-    facts.push_back(assemble_subdomain(subs.back(), opt));
-  }
-  const CsrMatrix block = extract_separator_block(s.a, s.dbbd);
-  const CsrMatrix t1 = assemble_schur(block, subs, facts, 1e-3, 1);
-  const CsrMatrix t4 = assemble_schur(block, subs, facts, 1e-3, 4);
+  SolverOptions opt;
+  opt.partitioning = PartitionMethod::NGD;
+  opt.num_subdomains = 2;
+  opt.assembly.drop_wg = 0.0;
+  opt.assembly.drop_s = 1e-3;
+  const auto schur_at = [&](unsigned threads) {
+    opt.threads = threads;
+    SchurSolver solver(s.a, opt);
+    solver.setup();
+    solver.factor();
+    return solver.schur_tilde();
+  };
+  const CsrMatrix t1 = schur_at(1);
+  const CsrMatrix t4 = schur_at(4);
+  EXPECT_GT(t1.nnz(), 0);
   EXPECT_EQ(t1.row_ptr, t4.row_ptr);
   EXPECT_EQ(t1.col_idx, t4.col_idx);
   EXPECT_EQ(t1.values, t4.values);
@@ -297,7 +292,7 @@ void expect_same_bits(const CsrMatrix& want, const CsrMatrix& got,
 }
 
 // interface_product against spgemm (Gustavson) bit for bit, on each kernel
-// path at inner_threads 1 and 4: T̃ widths across the bitmask word
+// path: T̃ widths across the bitmask word
 // boundaries, empty W̃ and G̃ rows, stored 0.0 and −0.0 in G̃, a G̃ row
 // spanning every column, and a NaN or ∞ in W̃, which takes spgemm.
 TEST(SchurAssembly, InterfaceProductMatchesSpgemm) {
@@ -352,15 +347,12 @@ TEST(SchurAssembly, InterfaceProductMatchesSpgemm) {
       const long long want_flops = flops.value() - f0;
       ASSERT_GT(want.nnz(), 0);
       for (const panel::KernelTable* t : paths) {
-        for (const unsigned threads : {1u, 4u}) {
-          const long long f1 = flops.value();
-          const CsrMatrix got = interface_product(w_in, g, threads, t);
-          const std::string what = "m " + std::to_string(m) + " threads " +
-                                   std::to_string(threads) + " bad " +
-                                   std::to_string(bad);
-          expect_same_bits(want, got, what);
-          EXPECT_EQ(flops.value() - f1, want_flops) << what;
-        }
+        const long long f1 = flops.value();
+        const CsrMatrix got = interface_product(w_in, g, t);
+        const std::string what =
+            "m " + std::to_string(m) + " bad " + std::to_string(bad);
+        expect_same_bits(want, got, what);
+        EXPECT_EQ(flops.value() - f1, want_flops) << what;
       }
     }
   }

@@ -896,7 +896,6 @@ TEST(ServeService, NestedParallelBurstFinishes) {
   auto b = std::make_shared<const CsrMatrix>(testing::grid_laplacian(18, 22));
   SolverOptions opt = small_options();
   opt.threads = 4;
-  opt.assembly.inner_threads = 2;
   serve::ServiceConfig cfg;
   cfg.workers = 4;
   SolveService service(cfg);

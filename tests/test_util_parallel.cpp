@@ -178,8 +178,9 @@ TEST(TaskGroup, WaitRethrowsFirstRecordedError) {
 // The load-bearing property of the rewrite: an outer parallel_for whose
 // bodies run inner parallel_fors on the SAME pool must not deadlock, even
 // when the pool is smaller than the outer width — wait() helps execute
-// queued tasks instead of blocking. This is the subdomain-task →
-// RHS-block-fan-out nesting of the two-level solver.
+// queued tasks instead of blocking. This is the nesting of the partition
+// recursion's subtrees, and of a served request's subdomain tasks inside
+// the request's own pool task.
 TEST(TaskGroup, NestedParallelForDoesNotDeadlock) {
   for (unsigned pool_threads : {1u, 2u, 4u}) {
     ThreadPool pool(pool_threads);
@@ -217,24 +218,6 @@ TEST(ParallelRanges, PartitionsAndRunsSerialFallback) {
                     });
     for (auto& h : hits) EXPECT_EQ(h.load(), 1) << workers;
   }
-}
-
-TEST(ThreadBudget, SplitMirrorsPaperLayout) {
-  // np = 8, k = 4 subdomains → 4 groups of 2 (paper §V).
-  const ThreadBudget b = split_thread_budget(8, 4);
-  EXPECT_EQ(b.outer, 4u);
-  EXPECT_EQ(b.inner, 2u);
-  // Budget smaller than the task count: outer clamps to the budget.
-  const ThreadBudget c = split_thread_budget(2, 8);
-  EXPECT_EQ(c.outer, 2u);
-  EXPECT_EQ(c.inner, 1u);
-  // Degenerate inputs stay at least 1×1.
-  const ThreadBudget d = split_thread_budget(1, 0);
-  EXPECT_EQ(d.outer, 1u);
-  EXPECT_EQ(d.inner, 1u);
-  const ThreadBudget e = split_thread_budget(0, 4);
-  EXPECT_GE(e.outer, 1u);
-  EXPECT_GE(e.inner, 1u);
 }
 
 TEST(CostModel, SpeedupMonotoneInCores) {

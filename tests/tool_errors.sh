@@ -13,6 +13,13 @@ mkdir -p "$work"
 printf '%%%%MatrixMarket matrix coordinate real general\n3 3 x\n' \
   > "$work/malformed.mtx"
 printf '{"requests": [{"matrix": ' > "$work/malformed.json"
+# threads 2.5: cast to unsigned, this replayed with 2 workers.
+printf '%s\n' '{"artifact": "pdslin-fuzz-case", "version": 1, "spec": {' \
+  '"family": "grid", "n": 64, "seed": 1, "density": 0.08,' \
+  '"partitioning": "NGD", "num_subdomains": 4, "threads": 2.5,' \
+  '"inner_threads": 1, "nrhs": 1, "krylov": "gmres",' \
+  '"exact_assembly": true, "serve": false}}' \
+  > "$work/bad_count.json"
 # 2^32 + 3 rows: read through a 32-bit cast, this was a 3 x 3 matrix.
 printf '%%%%MatrixMarket matrix coordinate real general\n4294967299 3 3\n1 1 1\n2 2 1\n3 3 1\n' \
   > "$work/oversized.mtx"
@@ -48,6 +55,7 @@ expect_error pdslin --matrix tdr190k --scale 0.05 --partition-engine geometric
 expect_error pdslin --matrix tdr190k --scale 0.05 --partition-budget-ms 5
 expect_error pdslin --matrix tdr190k --scale 0.05 --partition-min-quality 0.5
 expect_error pdslin --matrix tdr190k --scale 0.05 --lu-kernel scalar
+expect_error pdslin --matrix tdr190k --scale 0.05 --inner-threads 2
 expect_error pdslin --matrix tdr190k --scale 0.05 --lu-panel-width 8
 expect_error pdslin --matrix tdr190k --scale 0.05 --lu-panel-relax 0
 expect_error pdslin_serve --workload "$work/missing.json"
@@ -58,8 +66,10 @@ expect_error pdslin_serve --batch on
 expect_error pdslin_serve --max-batch 4
 expect_error pdslin_serve --matrix tdr190k --scale 0.05 --requests 2 --workers abc
 expect_error pdslin_serve --capacity-mb 100000000000000
+expect_error pdslin_serve --inner-threads 2
 expect_error pdslin_fuzz --seeds notanumber
 expect_error pdslin_fuzz --replay "$work/missing.json"
+expect_error pdslin_fuzz --replay "$work/bad_count.json"
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures tool invocation(s) did not fail cleanly"

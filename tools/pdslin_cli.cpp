@@ -19,13 +19,11 @@
 //   --nrhs N                  right-hand sides solved as one batch      [1]
 //                             (one operator/preconditioner/workspace set
 //                             shared across the columns)
-//   --threads N               outer threads: concurrent subdomain tasks [1]
-//   --inner-threads M         inner workers per subdomain task          [1]
-//                             (two-level budget np = N × M, mirroring the
-//                             paper's k subdomain groups of np/k processors;
-//                             M parallelizes the multi-RHS solves, the T̃
-//                             SpGEMM and the drop sweeps — results are
-//                             bitwise independent of N and M)
+//   --threads N               concurrent subdomain tasks (and partition
+//                             subtrees); the work inside one subdomain is
+//                             serial, as in the paper's one process per
+//                             subdomain — results are bitwise
+//                             independent of N                          [1]
 //   --seed N                  RNG seed                        [1]
 //   --verbose                 info-level logging
 // Observability (docs/OBSERVABILITY.md):
@@ -149,8 +147,6 @@ int run(int argc, char** argv) {
       if (nrhs < 1) usage("--nrhs must be >= 1");
     } else if (arg == "--threads") {
       opt.threads = parse_number<unsigned>(arg, next());
-    } else if (arg == "--inner-threads") {
-      opt.assembly.inner_threads = parse_number<unsigned>(arg, next());
     } else if (arg == "--seed") {
       opt.seed = parse_number<std::uint64_t>(arg, next());
     } else if (arg == "--verbose") {

@@ -26,7 +26,7 @@
 //   --queue N           queue capacity (backpressure beyond) [256]
 //   --capacity-mb M     cache byte budget                    [512]
 //   --requests N / --nrhs N / --scale X   built-in workload shape
-//   --threads N / --inner-threads M       solver thread budget per request
+//   --threads N         solver subdomain tasks per request   [1]
 //   --report-out FILE   write the RunReport JSON
 //   --verbose           info logging
 // Prints per-status counts, solves/s, cache hit rate, setups built and
@@ -204,8 +204,6 @@ int run(int argc, char** argv) {
       cfg.cache.capacity_bytes = mb << 20;
     } else if (arg == "--threads") {
       sopt.threads = parse_number<unsigned>(arg, next());
-    } else if (arg == "--inner-threads") {
-      sopt.assembly.inner_threads = parse_number<unsigned>(arg, next());
     } else if (arg == "--report-out") {
       report_out = next();
     } else if (arg == "--verbose") {
