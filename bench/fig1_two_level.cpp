@@ -44,19 +44,18 @@ int main() {
     bench::emit_bench_report("bench/fig1_two_level", p, opt, r.stats);
   }
 
-  TwoLevelCostOptions model;
   std::printf("\n%8s  %-15s %9s %9s %9s %9s %9s\n", "cores", "algorithm",
               "LU(D)", "Comp(S)", "LU(S)", "Solve", "total");
   for (const int cores : {8, 32, 128, 512, 1024}) {
     const int per_domain = std::max(1, cores / k);
     for (const Measured& m : runs) {
       const double lu_d =
-          two_level_phase_time(m.stats.lu_d_seconds, per_domain, model);
+          two_level_phase_time(m.stats.lu_d_seconds, per_domain);
       const double comp_s =
-          two_level_phase_time(m.stats.comp_s_seconds, per_domain, model) +
-          global_phase_time(m.stats.gather_seconds, cores, model);
-      const double lu_s = global_phase_time(m.stats.lu_s_seconds, cores, model);
-      const double solve = global_phase_time(m.stats.solve_seconds, cores, model);
+          two_level_phase_time(m.stats.comp_s_seconds, per_domain) +
+          global_phase_time(m.stats.gather_seconds, cores);
+      const double lu_s = global_phase_time(m.stats.lu_s_seconds, cores);
+      const double solve = global_phase_time(m.stats.solve_seconds, cores);
       std::printf("%8d  %-15s %9.3f %9.3f %9.3f %9.3f %9.3f\n", cores, m.label,
                   lu_d, comp_s, lu_s, solve, lu_d + comp_s + lu_s + solve);
     }

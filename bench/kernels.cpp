@@ -34,6 +34,7 @@
 #include "direct/multirhs.hpp"
 #include "direct/reach.hpp"
 #include "direct/supernodes.hpp"
+#include "direct/symbolic.hpp"
 #include "gen/grid_fem.hpp"
 #include "gen/suite.hpp"
 #include "iterative/bicgstab.hpp"
@@ -367,11 +368,11 @@ void BM_KrylovMethod(benchmark::State& state) {
   for (auto _ : state) {
     std::vector<value_t> x(a.rows, 0.0);
     if (state.range(0) == 0) {
-      GmresOptions gopt;
+      KrylovOptions gopt;
       gopt.rel_tolerance = 1e-8;
       benchmark::DoNotOptimize(gmres(op, nullptr, b, x, gopt));
     } else {
-      BicgstabOptions bopt;
+      KrylovOptions bopt;
       bopt.rel_tolerance = 1e-8;
       benchmark::DoNotOptimize(bicgstab(op, nullptr, b, x, bopt));
     }
@@ -384,7 +385,9 @@ void BM_SupernodeDetection(benchmark::State& state) {
   const auto perm = minimum_degree_ordering(symmetrize_abs(pattern_of(a)));
   const CsrMatrix ordered = permute_symmetric(a, perm);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fundamental_supernodes(ordered));
+    const SymbolicFactor sf = symbolic_cholesky(ordered);
+    benchmark::DoNotOptimize(
+        relaxed_supernodes(sf.parent, sf.col_counts, 0, 0.0));
   }
 }
 BENCHMARK(BM_SupernodeDetection)->Arg(64)->Arg(128);

@@ -30,6 +30,14 @@ std::uint64_t integer_field(const obsjson::Value& spec, std::string_view key,
   return static_cast<std::uint64_t>(v.number);
 }
 
+// A boolean field of the spec: a JSON true or false, not a number or string.
+bool boolean_field(const obsjson::Value& spec, std::string_view key) {
+  const obsjson::Value& v = spec.at(key);
+  PDSLIN_CHECK_MSG(v.type == obsjson::Value::Type::Bool,
+                   "artifact " + std::string(key) + " must be true or false");
+  return v.boolean;
+}
+
 // Largest seed a JSON number carries exactly: 2^53 − 1.
 constexpr std::uint64_t kMaxSeed = (std::uint64_t{1} << 53) - 1;
 
@@ -94,7 +102,11 @@ CaseSpec artifact_from_json(std::string_view text) {
                    "unknown fuzz family in artifact");
   spec.n = static_cast<index_t>(integer_field(s, "n", 8, 4096));
   spec.seed = integer_field(s, "seed", 0, kMaxSeed);
-  spec.density = s.at("density").number;
+  const obsjson::Value& density = s.at("density");
+  PDSLIN_CHECK_MSG(density.is_number() && std::isfinite(density.number) &&
+                       density.number > 0.0 && density.number <= 1.0,
+                   "artifact density must be a number in (0, 1]");
+  spec.density = density.number;
   const obsjson::Value& part = s.at("partitioning");
   PDSLIN_CHECK_MSG(part.is_string() && (part.str == "RHB" || part.str == "NGD"),
                    "partitioning must be RHB or NGD");
@@ -118,8 +130,8 @@ CaseSpec artifact_from_json(std::string_view text) {
       "krylov must be gmres or bicgstab");
   spec.krylov =
       kry.str == "bicgstab" ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
-  spec.exact_assembly = s.at("exact_assembly").boolean;
-  spec.serve = s.at("serve").boolean;
+  spec.exact_assembly = boolean_field(s, "exact_assembly");
+  spec.serve = boolean_field(s, "serve");
   // Artifacts from older campaigns name the LU kernel they ran. The scalar
   // and panel kernels give the same factors, so either replays as recorded;
   // other names (the removed lu-fp32 lane) do not.

@@ -437,7 +437,7 @@ SolverOptions solver_options_for(const CaseSpec& spec) {
   opt.partitioning = spec.partitioning;
   opt.num_subdomains = spec.num_subdomains;
   opt.threads = spec.threads;
-  opt.krylov = spec.krylov;
+  opt.krylov.method = spec.krylov;
   opt.seed = spec.seed;
   if (spec.partition_engine == PartitionEngineAxis::ParallelMultilevel) {
     // Same engine — the parallel recursion is bitwise identical to serial
@@ -449,8 +449,7 @@ SolverOptions solver_options_for(const CaseSpec& spec) {
     opt.assembly.drop_wg = 0.0;
     opt.assembly.drop_s = 0.0;
   }
-  opt.gmres.max_iterations = 2000;
-  opt.bicgstab.max_iterations = 2000;
+  opt.krylov.max_iterations = 2000;
   return opt;
 }
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include "hypergraph/metrics.hpp"
+#include "iterative/operators.hpp"  // KrylovMethod
 
 namespace pdslin {
 
@@ -22,12 +23,6 @@ enum class RhsOrdering {
   Natural,     // global dissection order, as extracted
   Postorder,   // e-tree postorder + first-nonzero sort (§IV-A)
   Hypergraph,  // row-net hypergraph partitioning of G (§IV-B)
-};
-
-/// Krylov method for the Schur complement system (Eq. (2)).
-enum class KrylovMethod {
-  Gmres,     // restarted GMRES (PDSLin's default)
-  Bicgstab,  // short-recurrence alternative
 };
 
 const char* to_string(PartitionMethod m);

@@ -47,15 +47,13 @@ CscMatrix remap_rows_to_csc(const CsrMatrix& a,
 }
 
 // Column order for a multi-RHS solve per the configured strategy. `rhs` has
-// rows already in factor order. The Hypergraph strategy needs the per-column
-// solve patterns to build its row-net model; they are handed back through
-// `patterns_out` so the blocked solve can reuse them instead of re-running
-// every reach (left empty by the other strategies).
-std::vector<index_t> choose_rhs_order(
-    const CscMatrix& l, const CscMatrix& rhs, const SchurAssemblyOptions& opt,
-    double& reorder_seconds, std::vector<std::vector<index_t>>& patterns_out) {
+// rows already in factor order. The Hypergraph strategy builds its row-net
+// model from the per-column solve patterns; the blocked solve then takes
+// one reach per block as for every other order.
+std::vector<index_t> choose_rhs_order(const CscMatrix& l, const CscMatrix& rhs,
+                                      const SchurAssemblyOptions& opt,
+                                      double& reorder_seconds) {
   WallTimer t;
-  patterns_out.clear();
   std::vector<index_t> order(rhs.cols);
   std::iota(order.begin(), order.end(), 0);
   switch (opt.rhs_ordering) {
@@ -71,10 +69,11 @@ std::vector<index_t> choose_rhs_order(
       break;
     }
     case RhsOrdering::Hypergraph: {
-      patterns_out = symbolic_solve_patterns(l, rhs);
       HypergraphRhsOptions hopt;
       hopt.block_size = opt.rhs_block_size;
-      order = hypergraph_rhs_ordering(patterns_out, rhs.rows, hopt).col_order;
+      order = hypergraph_rhs_ordering(symbolic_solve_patterns(l, rhs),
+                                      rhs.rows, hopt)
+                  .col_order;
       break;
     }
   }
@@ -313,18 +312,15 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   for (index_t k = 0; k < nd; ++k) row_new_of[f.rowmap[k]] = k;
 
   // --- G = L⁻¹ (P Ê): blocked multi-RHS forward solve. ---
-  MultiRhsOptions mr;
-  mr.block_size = opt.rhs_block_size;
   f.nnz_ehat = sub.ehat.nnz();
   const CscMatrix ehat_perm = remap_rows_to_csc(sub.ehat, row_new_of);
-  std::vector<std::vector<index_t>> g_patterns;
-  std::vector<index_t> g_order = choose_rhs_order(f.lu.lower, ehat_perm, opt,
-                                                  f.reorder_seconds, g_patterns);
+  const std::vector<index_t> g_order =
+      choose_rhs_order(f.lu.lower, ehat_perm, opt, f.reorder_seconds);
   timer.reset();
-  mr.col_patterns = g_patterns.empty() ? nullptr : &g_patterns;
   MultiRhsResult g_res = [&] {
     PDSLIN_SPAN("comp_s.solve_g");
-    return solve_multi_rhs_blocked(f.lu.lower, ehat_perm, g_order, mr);
+    return solve_multi_rhs_blocked(f.lu.lower, ehat_perm, g_order,
+                                   opt.rhs_block_size);
   }();
   f.solve_g_seconds = timer.seconds();
   f.g_stats = g_res.stats;
@@ -345,14 +341,13 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   fhat_t.values = sub.fhat.values;
   fhat_t.sort_cols();
 
-  std::vector<std::vector<index_t>> w_patterns;
-  std::vector<index_t> w_order = choose_rhs_order(f.lu.upper_t, fhat_t, opt,
-                                                  f.reorder_seconds, w_patterns);
+  const std::vector<index_t> w_order =
+      choose_rhs_order(f.lu.upper_t, fhat_t, opt, f.reorder_seconds);
   timer.reset();
-  mr.col_patterns = w_patterns.empty() ? nullptr : &w_patterns;
   MultiRhsResult w_res = [&] {
     PDSLIN_SPAN("comp_s.solve_w");
-    return solve_multi_rhs_blocked(f.lu.upper_t, fhat_t, w_order, mr);
+    return solve_multi_rhs_blocked(f.lu.upper_t, fhat_t, w_order,
+                                   opt.rhs_block_size);
   }();
   f.solve_w_seconds = timer.seconds();
   f.w_stats = w_res.stats;

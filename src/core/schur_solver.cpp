@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/structural_factor.hpp"
+#include "direct/reach.hpp"
 #include "direct/trisolve.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -52,23 +53,6 @@ class PrecondView final : public LinearOperator {
   const SchurPreconditioner& p_;
   std::vector<value_t>& scratch_;
 };
-
-/// The ascending positions marked in `mark`, each closing the marks over
-/// the strictly-lower part of column k of `tri` as it is visited. One
-/// ascending pass suffices because every edge k → row leads to a larger
-/// position: L's columns (reach) and U's rows, as Uᵀ's columns (need).
-std::vector<index_t> close_ascending(const CscMatrix& tri,
-                                     std::vector<char>& mark) {
-  std::vector<index_t> out;
-  for (index_t k = 0; k < tri.cols; ++k) {
-    if (mark[k] == 0) continue;
-    out.push_back(k);
-    for (index_t p = tri.col_ptr[k] + 1; p < tri.col_ptr[k + 1]; ++p) {
-      mark[tri.row_idx[p]] = 1;
-    }
-  }
-  return out;
-}
 
 /// Hand the pages of free heap chunks back to the system (glibc; elsewhere
 /// a no-op). factor() frees T̃ and the assembly's temporaries, then LU(S̃)'s
@@ -443,18 +427,24 @@ SchurSolver::SweepLists SchurSolver::sweep_lists(
     const Subdomain& sub, const SubdomainFactorization& f) {
   // Position q of the factors reads local row rowmap[q] of Ê_ℓ and writes
   // local unknown colmap[q], the column F̂_ℓ multiplies.
+  // Both lists are reaches (Gilbert): L's columns from Ê_ℓ's nonempty
+  // rows, and U's rows, as Uᵀ's columns, from F̂_ℓ's columns.
   const index_t nd = f.lu.n;
   SweepLists sw;
-  std::vector<char> mark(nd, 0);
+  std::vector<index_t> seeds;
   for (index_t q = 0; q < nd; ++q) {
-    mark[q] = sub.ehat.row_nnz(f.rowmap[q]) > 0 ? 1 : 0;
+    if (sub.ehat.row_nnz(f.rowmap[q]) > 0) seeds.push_back(q);
   }
-  sw.reach = close_ascending(f.lu.lower, mark);
+  ReachSolver lower(f.lu.lower);
+  const std::span<const index_t> reach = lower.reach(seeds);
+  sw.reach.assign(reach.begin(), reach.end());
   std::vector<index_t> position_of(nd);
   for (index_t q = 0; q < nd; ++q) position_of[f.colmap[q]] = q;
-  std::fill(mark.begin(), mark.end(), 0);
-  for (index_t c : sub.fhat.col_idx) mark[position_of[c]] = 1;
-  sw.need = close_ascending(f.lu.upper_t, mark);
+  seeds.clear();
+  for (index_t c : sub.fhat.col_idx) seeds.push_back(position_of[c]);
+  ReachSolver upper(f.lu.upper_t);
+  const std::span<const index_t> need = upper.reach(seeds);
+  sw.need.assign(need.begin(), need.end());
   return sw;
 }
 
@@ -586,16 +576,8 @@ GmresResult SchurSolver::solve_column(const SchurOperator& op,
   std::optional<PrecondView> precond;
   if (precond_) precond.emplace(*precond_, ctx.precond);
   const LinearOperator* m = precond ? &*precond : nullptr;
-  GmresResult res;
-  if (opt_.krylov == KrylovMethod::Bicgstab) {
-    const BicgstabResult br =
-        bicgstab(op, m, ghat, y, opt_.bicgstab, &ctx.bicgstab);
-    res.iterations = br.iterations;
-    res.relative_residual = br.relative_residual;
-    res.converged = br.converged;
-  } else {
-    res = gmres(op, m, ghat, y, opt_.gmres, &ctx.gmres);
-  }
+  GmresResult res =
+      krylov_solve(op, m, ghat, y, opt_.krylov, &ctx.gmres, &ctx.bicgstab);
 
   // Back-substitution: u_ℓ = D_ℓ⁻¹ (f_ℓ − E_ℓ y) = dinv_f − D⁻¹ Ê (R y).
   // Interior index sets are disjoint across subdomains, so the x writes
@@ -635,10 +617,8 @@ GmresResult SchurSolver::solve_column(const SchurOperator& op,
       // A converged Schur solve whose back-substitution (through an
       // ill-conditioned D_ℓ) lost the full-system residual did not converge
       // in any sense the caller cares about.
-      const double tol = opt_.krylov == KrylovMethod::Bicgstab
-                             ? opt_.bicgstab.rel_tolerance
-                             : opt_.gmres.rel_tolerance;
-      res.converged = res.converged && true_rel <= tol * 10.0;
+      res.converged =
+          res.converged && true_rel <= opt_.krylov.rel_tolerance * 10.0;
     }
   }
   return res;

@@ -20,8 +20,7 @@
 #include "core/schur_assembly.hpp"
 #include "core/stats.hpp"
 #include "core/subdomain.hpp"
-#include "iterative/bicgstab.hpp"
-#include "iterative/gmres.hpp"
+#include "iterative/krylov.hpp"
 #include "partition/types.hpp"
 
 namespace pdslin {
@@ -44,9 +43,9 @@ struct SolverOptions {
   /// Setup-affecting: part of the serve fingerprint.
   partition::ValueMode partition_values = partition::ValueMode::Off;
   SchurAssemblyOptions assembly;
-  KrylovMethod krylov = KrylovMethod::Gmres;
-  GmresOptions gmres;
-  BicgstabOptions bicgstab;
+  /// The Schur system's Krylov solve (iterative/krylov.hpp); solve-phase
+  /// only, so not part of the serve fingerprint.
+  KrylovOptions krylov;
   /// The one executed thread level, the paper's §V configuration of one
   /// worker per subdomain: at most this many subdomain tasks run
   /// concurrently (on the shared pool) when > 1 — in factor() *and* in
@@ -110,12 +109,10 @@ void for_each_option(Opt& o, F&& f) {
   f(OptionField{"rhs_ordering", o.assembly.rhs_ordering, kSetup});
   f(OptionField{"lu_pivot_tol", o.assembly.lu.pivot_tol, kSetup});
   f(OptionField{"lu_min_pivot", o.assembly.lu.min_pivot, kSetup});
-  f(OptionField{"krylov", o.krylov, kOther});
-  f(OptionField{"gmres_restart", o.gmres.restart, kOther});
-  f(OptionField{"gmres_max_iterations", o.gmres.max_iterations, kOther});
-  f(OptionField{"gmres_rel_tolerance", o.gmres.rel_tolerance, kOther});
-  f(OptionField{"bicgstab_max_iterations", o.bicgstab.max_iterations, kOther});
-  f(OptionField{"bicgstab_rel_tolerance", o.bicgstab.rel_tolerance, kOther});
+  f(OptionField{"krylov", o.krylov.method, kOther});
+  f(OptionField{"krylov_restart", o.krylov.restart, kOther});
+  f(OptionField{"krylov_max_iterations", o.krylov.max_iterations, kOther});
+  f(OptionField{"krylov_rel_tolerance", o.krylov.rel_tolerance, kOther});
   f(OptionField{"threads", o.threads, kOther});
   f(OptionField{"seed", o.seed, kSetup});
 }

@@ -9,7 +9,12 @@
 
 namespace pdslin {
 
-CsrMatrix clique_cover_factor(const CsrMatrix& a, const CliqueCoverOptions& opt) {
+namespace {
+// The largest clique the greedy search grows.
+constexpr index_t kMaxClique = 8;
+}  // namespace
+
+CsrMatrix clique_cover_factor(const CsrMatrix& a) {
   PDSLIN_CHECK(a.rows == a.cols);
   const index_t n = a.rows;
   CsrMatrix as = a;
@@ -42,7 +47,7 @@ CsrMatrix clique_cover_factor(const CsrMatrix& a, const CliqueCoverOptions& opt)
       clique.push_back(u);
       for (index_t q = p + 1;
            q < as.row_ptr[v + 1] &&
-           static_cast<index_t>(clique.size()) < opt.max_clique;
+           static_cast<index_t>(clique.size()) < kMaxClique;
            ++q) {
         const index_t w = as.col_idx[q];
         if (covered[q]) continue;

@@ -11,16 +11,12 @@
 
 namespace pdslin {
 
-struct CliqueCoverOptions {
-  /// Largest clique the greedy search grows (bigger cliques → fewer M rows
-  /// → smaller hypergraphs, but quadratic verification cost per clique).
-  index_t max_clique = 8;
-};
-
 /// Build M (pattern-only CSR, rows = cliques, cols = unknowns) such that
 /// str(MᵀM) ⊇ str(A) with equality when A's pattern has a zero-free
-/// diagonal. `a` must be structurally symmetric.
-CsrMatrix clique_cover_factor(const CsrMatrix& a, const CliqueCoverOptions& opt = {});
+/// diagonal. `a` must be structurally symmetric. Cliques grow to at most 8
+/// vertices (bigger cliques → fewer M rows → smaller hypergraphs, but
+/// quadratic verification cost per clique).
+CsrMatrix clique_cover_factor(const CsrMatrix& a);
 
 /// Verify str(MᵀM) ⊇ str(A) (and report whether it is exact). Test helper.
 struct FactorCheck {

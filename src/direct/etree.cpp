@@ -61,15 +61,6 @@ std::vector<index_t> tree_postorder(const std::vector<index_t>& parent) {
   return post;
 }
 
-std::vector<index_t> subtree_sizes(const std::vector<index_t>& parent) {
-  const index_t n = static_cast<index_t>(parent.size());
-  std::vector<index_t> size(n, 1);
-  for (index_t i = 0; i < n; ++i) {
-    if (parent[i] >= 0) size[parent[i]] += size[i];
-  }
-  return size;
-}
-
 bool is_valid_etree(const std::vector<index_t>& parent) {
   const index_t n = static_cast<index_t>(parent.size());
   for (index_t i = 0; i < n; ++i) {

@@ -20,9 +20,6 @@ std::vector<index_t> elimination_tree(const CsrMatrix& a);
 /// k-th. Children are visited in ascending node order.
 std::vector<index_t> tree_postorder(const std::vector<index_t>& parent);
 
-/// For each node, the size of its subtree (including itself).
-std::vector<index_t> subtree_sizes(const std::vector<index_t>& parent);
-
 /// True if `parent` encodes a forest over n nodes (no cycles,
 /// parents in range and strictly above children is NOT required here —
 /// e-tree parents always satisfy parent[i] > i, which is checked).

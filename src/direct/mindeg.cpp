@@ -10,6 +10,9 @@ namespace pdslin {
 
 namespace {
 
+// A variable whose degree reaches max(16, kDenseFactor·√n) is dense.
+constexpr double kDenseFactor = 10.0;
+
 // Quotient-graph state. Node ids double as variable ids and (after
 // elimination) element ids, as in AMD.
 struct QuotientGraph {
@@ -51,8 +54,7 @@ long long compute_degree(QuotientGraph& q, index_t v) {
 
 }  // namespace
 
-std::vector<index_t> minimum_degree_ordering(const CsrMatrix& a,
-                                             const MinDegOptions& opt) {
+std::vector<index_t> minimum_degree_ordering(const CsrMatrix& a) {
   PDSLIN_CHECK(a.rows == a.cols);
   const index_t n = a.rows;
   if (n == 0) return {};
@@ -81,7 +83,7 @@ std::vector<index_t> minimum_degree_ordering(const CsrMatrix& a,
   }
 
   const auto dense_threshold = static_cast<long long>(
-      std::max(16.0, opt.dense_factor * std::sqrt(static_cast<double>(n))));
+      std::max(16.0, kDenseFactor * std::sqrt(static_cast<double>(n))));
 
   // Bucket queue keyed by min(degree, n). Lazy: entries may be stale.
   std::vector<std::vector<index_t>> bucket(static_cast<std::size_t>(n) + 1);

@@ -14,16 +14,11 @@
 
 namespace pdslin {
 
-struct MinDegOptions {
-  /// Variables whose degree exceeds dense_factor·sqrt(n) are postponed to the
-  /// end of the ordering (classic dense-row handling; quasi-dense rows in the
-  /// circuit matrices would otherwise stall the quotient graph).
-  double dense_factor = 10.0;
-};
-
 /// Compute a fill-reducing permutation of a structurally symmetric matrix.
 /// Returns perm with perm[new] = old. Symmetrize unsymmetric matrices first.
-std::vector<index_t> minimum_degree_ordering(const CsrMatrix& a,
-                                             const MinDegOptions& opt = {});
+/// Variables whose degree reaches max(16, ⌊10·√n⌋) are postponed to the end
+/// of the ordering (classic dense-row handling; quasi-dense rows in the
+/// circuit matrices would otherwise stall the quotient graph).
+std::vector<index_t> minimum_degree_ordering(const CsrMatrix& a);
 
 }  // namespace pdslin

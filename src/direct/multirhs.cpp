@@ -94,44 +94,18 @@ void reach_block_patterns(const CscMatrix& l, const CscMatrix& b,
   }
 }
 
-// The union of cached per-column patterns (MultiRhsOptions::col_patterns).
-void cached_block_patterns(std::span<const index_t> cols,
-                           const std::vector<std::vector<index_t>>& cached,
-                           BlockScratch& w) {
-  w.union_rows.clear();
-  for (std::size_t c = 0; c < cols.size(); ++c) {
-    const std::vector<index_t>& pat = cached[cols[c]];
-    w.col_patterns[c].assign(pat.begin(), pat.end());
-    for (index_t i : pat) {
-      if (w.slot[i] < 0) {
-        w.slot[i] = 0;  // provisional mark
-        w.union_rows.push_back(i);
-      }
-    }
-  }
-  std::sort(w.union_rows.begin(), w.union_rows.end());
-  for (std::size_t s = 0; s < w.union_rows.size(); ++s) {
-    w.slot[w.union_rows[s]] = static_cast<index_t>(s);
-  }
-}
-
 // Solve columns [begin, begin+width) of the blocked solve and append them
 // to res.solution.
 void process_block(const CscMatrix& l, const CscMatrix& b,
-                   std::span<const index_t> order, const MultiRhsOptions& opts,
-                   index_t begin, index_t width, BlockScratch& w,
-                   MultiRhsResult& res) {
+                   std::span<const index_t> order, index_t begin, index_t width,
+                   BlockScratch& w, MultiRhsResult& res) {
   WallTimer timer;
   MultiRhsStats& stats = res.stats;
   ++stats.num_blocks;
   const std::span<const index_t> cols = order.subspan(begin, width);
 
   // --- Symbolic: the union pattern and each column's own pattern. ---
-  if (opts.col_patterns != nullptr) {
-    cached_block_patterns(cols, *opts.col_patterns, w);
-  } else {
-    reach_block_patterns(l, b, cols, w);
-  }
+  reach_block_patterns(l, b, cols, w);
   for (index_t c = 0; c < width; ++c) {
     stats.pattern_nnz += static_cast<long long>(w.col_patterns[c].size());
   }
@@ -172,26 +146,22 @@ void process_block(const CscMatrix& l, const CscMatrix& b,
 
 MultiRhsResult solve_multi_rhs_blocked(const CscMatrix& l, const CscMatrix& b,
                                        std::span<const index_t> order,
-                                       const MultiRhsOptions& opts) {
+                                       index_t block_size) {
   PDSLIN_SPAN("trisolve.multirhs");
   PDSLIN_CHECK(l.rows == l.cols && l.rows == b.rows);
   PDSLIN_CHECK(b.has_values() || b.nnz() == 0);
-  PDSLIN_CHECK(opts.block_size >= 1);
+  PDSLIN_CHECK(block_size >= 1);
   PDSLIN_CHECK(order.size() == static_cast<std::size_t>(b.cols));
-  PDSLIN_CHECK(opts.col_patterns == nullptr ||
-               opts.col_patterns->size() == static_cast<std::size_t>(b.cols));
   const index_t n = l.rows;
   const index_t m = b.cols;
-  const index_t bs = opts.block_size;
 
   MultiRhsResult res;
   res.solution = CscMatrix(n, m);
   if (m == 0) return res;
 
-  BlockScratch w(l, bs);
-  for (index_t begin = 0; begin < m; begin += bs) {
-    process_block(l, b, order, opts, begin, std::min<index_t>(bs, m - begin),
-                  w, res);
+  BlockScratch w(l, block_size);
+  for (index_t begin = 0; begin < m; begin += block_size) {
+    process_block(l, b, order, begin, std::min(block_size, m - begin), w, res);
   }
   res.stats.padded_zeros -= res.stats.pattern_nnz;
   static obs::Counter& rhs_blocks = obs::counter("trisolve.rhs_blocks");
@@ -199,14 +169,6 @@ MultiRhsResult solve_multi_rhs_blocked(const CscMatrix& l, const CscMatrix& b,
   rhs_blocks.add(res.stats.num_blocks);
   padded.add(res.stats.padded_zeros);
   return res;
-}
-
-MultiRhsResult solve_multi_rhs_blocked(const CscMatrix& l, const CscMatrix& b,
-                                       std::span<const index_t> order,
-                                       index_t block_size) {
-  MultiRhsOptions opts;
-  opts.block_size = block_size;
-  return solve_multi_rhs_blocked(l, b, order, opts);
 }
 
 }  // namespace pdslin

@@ -41,27 +41,11 @@ struct MultiRhsResult {
   MultiRhsStats stats;
 };
 
-struct MultiRhsOptions {
-  index_t block_size = 60;
-  /// Optional precomputed per-column reach patterns, indexed by ORIGINAL RHS
-  /// column (the pattern of solution column j is (*col_patterns)[order[j]]),
-  /// each sorted ascending — exactly what symbolic_solve_patterns returns.
-  /// When set, the symbolic phase takes their union instead of running the
-  /// block's reach (the §IV-B pipeline already computed them to build the
-  /// hypergraph).
-  const std::vector<std::vector<index_t>>* col_patterns = nullptr;
-};
-
-/// Solve l · X = B(:, order) in blocks of `opts.block_size` columns.
+/// Solve l · X = B(:, order) in blocks of `block_size` columns.
 /// `l` must hold its diagonal first in every column, and the solve divides
 /// by it: LuFactors::lower, or upper_t for the W = F̂·U⁻¹ solve. Columns
 /// beyond the last full block form one final (smaller) block, matching the
 /// paper's "remaining columns gathered into one part".
-MultiRhsResult solve_multi_rhs_blocked(const CscMatrix& l, const CscMatrix& b,
-                                       std::span<const index_t> order,
-                                       const MultiRhsOptions& opts);
-
-/// Convenience overload (block size only).
 MultiRhsResult solve_multi_rhs_blocked(const CscMatrix& l, const CscMatrix& b,
                                        std::span<const index_t> order,
                                        index_t block_size);

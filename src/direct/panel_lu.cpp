@@ -86,8 +86,8 @@ PanelSymbolic panel_symbolic(const CscMatrix& a, index_t max_width,
                       ps.tail, 0);
   const index_t np = ps.sn.count();
 
-  const CscMatrix lpat = cholesky_pattern(sym);  // diag-first, sorted
-  const CscMatrix upat = transpose(lpat);        // col j = row j of L, sorted
+  const CscMatrix lpat = cholesky_pattern(sym, sf);  // diag-first, sorted
+  const CscMatrix upat = transpose(lpat);  // col j = row j of L, sorted
   ps.l_nnz_bound = lpat.nnz();
 
   ps.row_ptr.assign(np + 1, 0);
@@ -439,15 +439,6 @@ std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
   obs::counter("lu.panel.tail_pivots").add(stats.tail_pivots);
   obs::counter("lu.panel.gemm_flops").add(stats.gemm_flops);
   obs::counter("lu.panel.total_flops").add(stats.total_flops);
-  obs::gauge("lu.panel.count").set(static_cast<double>(stats.panel_count));
-  obs::gauge("lu.panel.avg_width").set(stats.avg_width);
-  obs::gauge("lu.panel.max_width").set(static_cast<double>(stats.max_width));
-  obs::gauge("lu.panel.wide_col_fraction").set(stats.wide_col_fraction);
-  obs::gauge("lu.panel.gemm_fraction")
-      .set(stats.total_flops > 0
-               ? static_cast<double>(stats.gemm_flops) /
-                     static_cast<double>(stats.total_flops)
-               : 0.0);
   return f;
 }
 

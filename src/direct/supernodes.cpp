@@ -1,9 +1,5 @@
 #include "direct/supernodes.hpp"
 
-#include <algorithm>
-
-#include "direct/etree.hpp"
-#include "direct/symbolic.hpp"
 #include "util/error.hpp"
 
 namespace pdslin {
@@ -22,28 +18,6 @@ Supernodes from_breaks(index_t n, const std::vector<char>& new_snode) {
 }
 
 }  // namespace
-
-Supernodes fundamental_supernodes(const CsrMatrix& a, index_t max_width) {
-  PDSLIN_CHECK(a.rows == a.cols);
-  const index_t n = a.rows;
-  if (n == 0) return from_breaks(0, {});
-  const SymbolicFactor sym = symbolic_cholesky(a);
-
-  std::vector<char> new_snode(n, 0);
-  index_t width = 1;
-  for (index_t j = 1; j < n; ++j) {
-    const bool merge = sym.parent[j - 1] == j &&
-                       sym.col_counts[j] == sym.col_counts[j - 1] - 1 &&
-                       (max_width == 0 || width < max_width);
-    if (merge) {
-      ++width;
-    } else {
-      new_snode[j] = 1;
-      width = 1;
-    }
-  }
-  return from_breaks(n, new_snode);
-}
 
 Supernodes relaxed_supernodes(const std::vector<index_t>& parent,
                               const std::vector<index_t>& col_counts,
@@ -78,40 +52,6 @@ Supernodes relaxed_supernodes(const std::vector<index_t>& parent,
       new_snode[j] = 1;
       c0 = j;
       entries = col_counts[j];
-    }
-  }
-  return from_breaks(n, new_snode);
-}
-
-Supernodes supernodes_of_factor(const CscMatrix& l, index_t max_width) {
-  PDSLIN_CHECK(l.rows == l.cols);
-  const index_t n = l.cols;
-  if (n == 0) return from_breaks(0, {});
-
-  std::vector<char> new_snode(n, 0);
-  index_t width = 1;
-  for (index_t j = 1; j < n; ++j) {
-    // Column j extends the panel iff the below-diagonal rows of column j−1,
-    // minus its diagonal successor j, equal the below-diagonal rows of j.
-    const index_t pb = l.col_ptr[j - 1], pe = l.col_ptr[j];
-    const index_t cb = l.col_ptr[j], ce = l.col_ptr[j + 1];
-    // prev column: diagonal at pb, then rows; must start with j at pb+1.
-    bool merge = (pe - pb) == (ce - cb) + 1 && pb + 1 < pe &&
-                 l.row_idx[pb + 1] == j &&
-                 (max_width == 0 || width < max_width);
-    if (merge) {
-      for (index_t off = 0; off < ce - cb - 1; ++off) {
-        if (l.row_idx[pb + 2 + off] != l.row_idx[cb + 1 + off]) {
-          merge = false;
-          break;
-        }
-      }
-    }
-    if (merge) {
-      ++width;
-    } else {
-      new_snode[j] = 1;
-      width = 1;
     }
   }
   return from_breaks(n, new_snode);

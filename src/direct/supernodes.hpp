@@ -1,11 +1,11 @@
-// Fundamental supernode detection.
+// Supernode detection for the panel LU kernel (direct/panel_lu.cpp).
 //
 // PDSLin's triangular solver is supernodal: consecutive factor columns with
 // identical below-diagonal structure are treated as one dense panel. The
 // paper's B-column RHS blocking (§IV) is the right-hand-side analogue of
-// this. This module detects fundamental supernodes from the elimination
-// tree and the factor column counts, and reports the panel statistics used
-// by the kernel ablations.
+// this. This module amalgamates columns into panels from the elimination
+// tree and the factor column counts (relaxed_supernodes; relax 0 gives the
+// fundamental supernodes), and reports the panel statistics.
 #pragma once
 
 #include <algorithm>
@@ -47,22 +47,14 @@ struct Supernodes {
   }
 };
 
-/// Fundamental supernodes of a structurally symmetric matrix: column j+1
-/// joins column j's supernode iff parent(j) == j+1 and
-/// colcount(j+1) == colcount(j) − 1 (identical below-diagonal structure),
-/// with panel width capped at `max_width` (0 = unlimited).
-Supernodes fundamental_supernodes(const CsrMatrix& a, index_t max_width = 0);
-
-/// Supernodes detected directly on an explicit lower-triangular factor
-/// (CSC, diagonal first): exact structural comparison of adjacent columns.
-Supernodes supernodes_of_factor(const CscMatrix& l, index_t max_width = 0);
-
 /// Relaxed amalgamation on a symbolic Cholesky factor given by its
 /// elimination tree and column counts: column j joins column j−1's panel iff
 /// parent(j−1) == j (so the panel stays an e-tree chain), the width stays
 /// under `max_width` (0 = unlimited), and the structural zeros the merge
 /// introduces into the dense lower panel stay within `relax` × (true factor
-/// entries of the panel). relax == 0 reproduces fundamental supernodes.
+/// entries of the panel). relax == 0 gives the fundamental supernodes:
+/// column j joins iff parent(j−1) == j and colcount(j) == colcount(j−1) − 1
+/// (identical below-diagonal structure), under the width cap.
 Supernodes relaxed_supernodes(const std::vector<index_t>& parent,
                               const std::vector<index_t>& col_counts,
                               index_t max_width, double relax);

@@ -39,18 +39,14 @@ SymbolicFactor symbolic_cholesky(const CsrMatrix& a) {
     walk_row_subtree(a, s.parent, stamp, i,
                      [&](index_t k) { ++s.col_counts[k]; });
   }
-  for (index_t j = 0; j < n; ++j) {
-    s.factor_nnz += s.col_counts[j];
-    const double c = static_cast<double>(s.col_counts[j]);
-    s.flops += c * c;
-  }
+  for (index_t j = 0; j < n; ++j) s.factor_nnz += s.col_counts[j];
   return s;
 }
 
-CscMatrix cholesky_pattern(const CsrMatrix& a) {
+CscMatrix cholesky_pattern(const CsrMatrix& a, const SymbolicFactor& s) {
   PDSLIN_CHECK(a.rows == a.cols);
   const index_t n = a.rows;
-  const SymbolicFactor s = symbolic_cholesky(a);
+  PDSLIN_CHECK(s.parent.size() == static_cast<std::size_t>(n));
 
   CscMatrix l(n, n);
   for (index_t j = 0; j < n; ++j) l.col_ptr[j + 1] = l.col_ptr[j] + s.col_counts[j];

@@ -1,8 +1,9 @@
 // Symbolic factorization for structurally symmetric patterns: Cholesky-style
 // column counts and factor pattern via elimination-tree row subtrees.
 //
-// Used for (a) estimating LU(D) work in the two-level cost model, (b) tests
-// validating the numeric factorization's fill against the symbolic bound.
+// The symbolic phase of the panel LU kernel (direct/panel_lu.cpp) runs it
+// once per factorization on the symmetrized pattern: the column counts pick
+// the panels and the dense tail, and the pattern of L bounds the fill.
 #pragma once
 
 #include <vector>
@@ -15,14 +16,13 @@ struct SymbolicFactor {
   std::vector<index_t> parent;      // elimination tree
   std::vector<index_t> col_counts;  // nnz of each column of L (incl. diagonal)
   long long factor_nnz = 0;         // Σ col_counts
-  double flops = 0.0;               // Σ col_counts² — dominant LU cost term
 };
 
 /// Symbolic Cholesky of a structurally symmetric matrix (pattern only).
 SymbolicFactor symbolic_cholesky(const CsrMatrix& a);
 
-/// Full pattern of L (lower triangular, diagonal included), row-subtree
-/// algorithm. Only for matrices where the fill fits in memory.
-CscMatrix cholesky_pattern(const CsrMatrix& a);
+/// Full pattern of L (lower triangular, diagonal first, rows ascending),
+/// row-subtree algorithm, given a's symbolic_cholesky `s`.
+CscMatrix cholesky_pattern(const CsrMatrix& a, const SymbolicFactor& s);
 
 }  // namespace pdslin

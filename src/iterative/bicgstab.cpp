@@ -24,7 +24,7 @@ void BicgstabWorkspace::ensure(index_t n) {
 
 BicgstabResult bicgstab(const LinearOperator& a, const LinearOperator* precond,
                         std::span<const value_t> b, std::span<value_t> x,
-                        const BicgstabOptions& opt, BicgstabWorkspace* ws) {
+                        const KrylovOptions& opt, BicgstabWorkspace* ws) {
   PDSLIN_SPAN("bicgstab");
   static obs::Counter& iter_counter = obs::counter("bicgstab.iters");
   const index_t n = a.size();

@@ -10,11 +10,6 @@
 
 namespace pdslin {
 
-struct BicgstabOptions {
-  int max_iterations = 1000;
-  double rel_tolerance = 1e-12;
-};
-
 struct BicgstabResult {
   int iterations = 0;
   double relative_residual = 0.0;
@@ -41,10 +36,11 @@ struct BicgstabWorkspace {
 /// `x` is the initial guess and the output. On breakdown (ρ ≈ 0, ω ≈ 0, or
 /// a non-finite recurrence quantity) the solve stops and returns the last
 /// finite iterate with `breakdown = true` instead of propagating NaN/Inf
-/// through x. `ws` (optional) supplies reusable scratch.
+/// through x. `ws` (optional) supplies reusable scratch. opt.method and
+/// opt.restart are not read.
 BicgstabResult bicgstab(const LinearOperator& a, const LinearOperator* precond,
                         std::span<const value_t> b, std::span<value_t> x,
-                        const BicgstabOptions& opt = {},
+                        const KrylovOptions& opt = {},
                         BicgstabWorkspace* ws = nullptr);
 
 }  // namespace pdslin

@@ -20,12 +20,6 @@ void MatrixOperator::apply(std::span<const value_t> x,
   spmv(a_, x, y);
 }
 
-void IdentityOperator::apply(std::span<const value_t> x,
-                             std::span<value_t> y) const {
-  PDSLIN_CHECK(x.size() == y.size());
-  std::copy(x.begin(), x.end(), y.begin());
-}
-
 void GmresWorkspace::ensure(index_t n, int m) {
   const auto un = static_cast<std::size_t>(n);
   const auto um = static_cast<std::size_t>(m);
@@ -60,7 +54,7 @@ void GmresWorkspace::ensure(index_t n, int m) {
 
 GmresResult gmres(const LinearOperator& a, const LinearOperator* precond,
                   std::span<const value_t> b, std::span<value_t> x,
-                  const GmresOptions& opt, GmresWorkspace* ws) {
+                  const KrylovOptions& opt, GmresWorkspace* ws) {
   PDSLIN_SPAN("gmres");
   static obs::Counter& iter_counter = obs::counter("gmres.iters");
   static obs::Counter& restart_counter = obs::counter("gmres.restarts");

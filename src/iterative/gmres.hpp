@@ -9,12 +9,6 @@
 
 namespace pdslin {
 
-struct GmresOptions {
-  int restart = 60;
-  int max_iterations = 1000;
-  double rel_tolerance = 1e-12;
-};
-
 struct GmresResult {
   int iterations = 0;
   double relative_residual = 0.0;
@@ -44,9 +38,9 @@ struct GmresWorkspace {
 /// minimizes ||b − A M⁻¹ u|| over the Krylov space, x = M⁻¹ u.
 /// `precond` may be null (unpreconditioned). `x` is both the initial guess
 /// and the output. `ws` (optional) supplies reusable scratch; when null a
-/// local workspace is allocated for the call.
+/// local workspace is allocated for the call. opt.method is not read.
 GmresResult gmres(const LinearOperator& a, const LinearOperator* precond,
                   std::span<const value_t> b, std::span<value_t> x,
-                  const GmresOptions& opt = {}, GmresWorkspace* ws = nullptr);
+                  const KrylovOptions& opt = {}, GmresWorkspace* ws = nullptr);
 
 }  // namespace pdslin

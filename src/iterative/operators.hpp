@@ -1,6 +1,7 @@
-// Linear-operator abstraction for the Krylov layer: the Schur system is
-// solved matrix-free (paper §I: "a preconditioned iterative solver is
-// typically used to solve (2) without explicitly forming S").
+// The Krylov layer's shared types: the linear-operator abstraction (the
+// Schur system is solved matrix-free, paper §I: "a preconditioned iterative
+// solver is typically used to solve (2) without explicitly forming S") and
+// the one options struct every Krylov method reads.
 #pragma once
 
 #include <span>
@@ -8,6 +9,21 @@
 #include "sparse/csr.hpp"
 
 namespace pdslin {
+
+/// Krylov method for the Schur complement system (Eq. (2)).
+enum class KrylovMethod {
+  Gmres,     // restarted GMRES (PDSLin's default)
+  Bicgstab,  // short-recurrence alternative
+};
+
+/// The options of every Krylov solve (iterative/krylov.hpp); each method
+/// reads the fields it has.
+struct KrylovOptions {
+  KrylovMethod method = KrylovMethod::Gmres;
+  int restart = 60;  // GMRES's basis length; BiCGSTAB has none
+  int max_iterations = 1000;
+  double rel_tolerance = 1e-12;
+};
 
 /// Abstract y = Op(x) for square operators. The Krylov solvers never apply
 /// an operator to an exactly zero vector: they take Op·0 = +0.0 in every
@@ -36,17 +52,6 @@ class MatrixOperator final : public LinearOperator {
 
  private:
   const CsrMatrix& a_;
-};
-
-/// Identity (used as the trivial preconditioner).
-class IdentityOperator final : public LinearOperator {
- public:
-  explicit IdentityOperator(index_t n) : n_(n) {}
-  [[nodiscard]] index_t size() const override { return n_; }
-  void apply(std::span<const value_t> x, std::span<value_t> y) const override;
-
- private:
-  index_t n_;
 };
 
 }  // namespace pdslin

@@ -8,6 +8,12 @@
 // model with communication overhead calibrated to published SuperLU_DIST
 // scaling behaviour.
 //
+// The model's constants (cost_model.cpp): parallel efficiency 0.78 per
+// doubling of cores within a subdomain (SuperLU_DIST-style strong scaling:
+// ~0.7–0.85 per doubling), a serial fraction of 0.04 of each phase
+// (symbolic setup, pivoting sync), and 2 ms of communication per log₂ of
+// the core count added to every phase.
+//
 // What stays real: all per-subdomain serial work is actually measured, so
 // load imbalance — the paper's subject — is measured, not modeled.
 #pragma once
@@ -16,28 +22,15 @@
 
 namespace pdslin {
 
-struct TwoLevelCostOptions {
-  /// Parallel efficiency decay per doubling of cores within a subdomain
-  /// (SuperLU_DIST-style strong scaling: ~0.7–0.85 per doubling).
-  double intra_efficiency = 0.78;
-  /// Fraction of each phase that is serial (symbolic setup, pivoting sync).
-  double serial_fraction = 0.04;
-  /// Per-core communication overhead added to reduction phases (seconds,
-  /// grows with log₂ of the core count).
-  double comm_latency = 0.002;
-};
-
 /// Wall time for one phase whose per-subdomain serial work is given, when
 /// each subdomain gets `cores_per_domain` cores: the slowest subdomain
 /// dominates (the inter-domain load-balance effect the paper studies), and
 /// each subdomain's work scales per the intra-domain model.
 double two_level_phase_time(const std::vector<double>& serial_work_per_domain,
-                            int cores_per_domain,
-                            const TwoLevelCostOptions& opt = {});
+                            int cores_per_domain);
 
 /// Wall time for a phase executed by all cores jointly (LU(S̃), Schur
 /// triangular solves): serial work scaled across `total_cores`.
-double global_phase_time(double serial_work, int total_cores,
-                         const TwoLevelCostOptions& opt = {});
+double global_phase_time(double serial_work, int total_cores);
 
 }  // namespace pdslin

@@ -10,6 +10,14 @@
 
 namespace pdslin {
 
+namespace {
+// The bisection settings of the column partition (partition/engine.hpp):
+// coarsen to this many vertices, FM passes per level, initial partitions.
+constexpr index_t kCoarsenTo = 120;
+constexpr int kRefinePasses = 4;
+constexpr int kInitialTries = 2;
+}  // namespace
+
 HypergraphRhsResult hypergraph_rhs_ordering(
     const std::vector<std::vector<index_t>>& g_patterns, index_t num_rows,
     const HypergraphRhsOptions& opt) {
@@ -45,9 +53,9 @@ HypergraphRhsResult hypergraph_rhs_ordering(
   popt.dynamic_weights = false;
   popt.epsilon = 0.0;
   popt.seed = opt.seed;
-  popt.coarsen_to = opt.coarsen_to;
-  popt.refine_passes = opt.refine_passes;
-  popt.initial_tries = opt.initial_tries;
+  popt.coarsen_to = kCoarsenTo;
+  popt.refine_passes = kRefinePasses;
+  popt.initial_tries = kInitialTries;
   popt.attempts = 1;
   const std::vector<index_t> part =
       partition::rhb_engine(filter.vertex_nets, popt, {}).row_part;

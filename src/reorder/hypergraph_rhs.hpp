@@ -20,10 +20,6 @@ struct HypergraphRhsOptions {
   /// (§V-B-c). Values > 1 disable the filter.
   double quasi_dense_tau = 2.0;
   std::uint64_t seed = 1;
-  /// Hypergraph-bisection knobs (forwarded).
-  index_t coarsen_to = 120;
-  int refine_passes = 4;
-  int initial_tries = 2;
 };
 
 struct HypergraphRhsResult {

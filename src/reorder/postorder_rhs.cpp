@@ -36,13 +36,4 @@ std::vector<index_t> sort_columns_by_first_nonzero(
   return order;
 }
 
-PostorderRhs postorder_rhs_ordering(const CsrMatrix& d, const CscMatrix& rhs) {
-  PDSLIN_CHECK(d.rows == d.cols);
-  PDSLIN_CHECK(rhs.rows == d.rows);
-  PostorderRhs r;
-  r.d_perm = etree_postorder_permutation(d);
-  r.col_order = sort_columns_by_first_nonzero(rhs, r.d_perm);
-  return r;
-}
-
 }  // namespace pdslin

@@ -13,20 +13,8 @@
 
 namespace pdslin {
 
-struct PostorderRhs {
-  /// Symmetric permutation of D (perm[new] = old) putting the e-tree of
-  /// |D| + |Dᵀ| in postorder.
-  std::vector<index_t> d_perm;
-  /// Column order for the RHS (order[k] = original column index), sorted by
-  /// first-nonzero row under the postordered row numbering.
-  std::vector<index_t> col_order;
-};
-
-/// `d` is the subdomain matrix (any square pattern, symmetrized internally);
-/// `rhs` holds the sparse RHS columns (rows indexed like d).
-PostorderRhs postorder_rhs_ordering(const CsrMatrix& d, const CscMatrix& rhs);
-
-/// Just the postorder permutation of D (perm[new] = old).
+/// The symmetric permutation of D (perm[new] = old) putting the e-tree of
+/// |D| + |Dᵀ| in postorder (`d` any square pattern, symmetrized internally).
 std::vector<index_t> etree_postorder_permutation(const CsrMatrix& d);
 
 /// Sort columns by first-nonzero row index under a given row permutation

@@ -4,9 +4,7 @@
 #include <chrono>
 #include <exception>
 
-#include "iterative/bicgstab.hpp"
-#include "iterative/gmres.hpp"
-#include "iterative/operators.hpp"
+#include "iterative/krylov.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -50,16 +48,7 @@ void fallback_solve(const SolveRequest& req, SolveResponse& resp) {
   for (index_t j = 0; j < req.nrhs; ++j) {
     const std::span<const value_t> b(req.b.data() + j * n, n);
     const std::span<value_t> x(resp.x.data() + j * n, n);
-    GmresResult col;
-    if (req.opt.krylov == KrylovMethod::Bicgstab) {
-      const BicgstabResult br =
-          bicgstab(op, nullptr, b, x, req.opt.bicgstab);
-      col.iterations = br.iterations;
-      col.relative_residual = br.relative_residual;
-      col.converged = br.converged;
-    } else {
-      col = gmres(op, nullptr, b, x, req.opt.gmres);
-    }
+    const GmresResult col = krylov_solve(op, nullptr, b, x, req.opt.krylov);
     all_converged = all_converged && col.converged;
     resp.columns.push_back(col);
   }

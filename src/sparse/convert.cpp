@@ -1,7 +1,6 @@
 #include "sparse/convert.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
@@ -145,25 +144,6 @@ CscMatrix transpose(const CscMatrix& a) {
   CscMatrix b(a.cols, a.rows);
   transpose_arrays(a.cols, a.rows, a.col_ptr, a.row_idx, a.values, b.col_ptr,
                    b.row_idx, b.values);
-  return b;
-}
-
-CsrMatrix drop_small(const CsrMatrix& a, value_t threshold, bool keep_diagonal) {
-  PDSLIN_CHECK_MSG(a.has_values(), "drop_small requires numeric values");
-  CsrMatrix b(a.rows, a.cols);
-  b.col_idx.reserve(a.col_idx.size());
-  b.values.reserve(a.values.size());
-  for (index_t i = 0; i < a.rows; ++i) {
-    for (index_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
-      const index_t j = a.col_idx[p];
-      const value_t v = a.values[p];
-      if (std::abs(v) >= threshold || (keep_diagonal && i == j)) {
-        b.col_idx.push_back(j);
-        b.values.push_back(v);
-      }
-    }
-    b.row_ptr[i + 1] = static_cast<index_t>(b.col_idx.size());
-  }
   return b;
 }
 

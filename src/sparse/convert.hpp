@@ -21,11 +21,6 @@ CsrMatrix csc_to_csr(const CscMatrix& a);
 CsrMatrix transpose(const CsrMatrix& a);
 CscMatrix transpose(const CscMatrix& a);
 
-/// Drop entries with |value| < threshold (absolute). The diagonal can be
-/// retained unconditionally, which the Schur sparsification uses so that the
-/// preconditioner factorization never meets a structurally singular pivot.
-CsrMatrix drop_small(const CsrMatrix& a, value_t threshold, bool keep_diagonal);
-
 /// Pattern-only copy (values dropped).
 CsrMatrix pattern_of(const CsrMatrix& a);
 

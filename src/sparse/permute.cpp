@@ -51,30 +51,4 @@ CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm) {
   return permute(a, perm, perm);
 }
 
-CsrMatrix permute_rows(const CsrMatrix& a, std::span<const index_t> rowperm) {
-  PDSLIN_CHECK(rowperm.size() == static_cast<std::size_t>(a.rows));
-  CsrMatrix b(a.rows, a.cols);
-  b.col_idx.reserve(a.col_idx.size());
-  const bool has_vals = a.has_values();
-  if (has_vals) b.values.reserve(a.values.size());
-  for (index_t i = 0; i < a.rows; ++i) {
-    const index_t old_row = rowperm[i];
-    for (index_t p = a.row_ptr[old_row]; p < a.row_ptr[old_row + 1]; ++p) {
-      b.col_idx.push_back(a.col_idx[p]);
-      if (has_vals) b.values.push_back(a.values[p]);
-    }
-    b.row_ptr[i + 1] = static_cast<index_t>(b.col_idx.size());
-  }
-  return b;
-}
-
-CsrMatrix permute_cols(const CsrMatrix& a, std::span<const index_t> colperm) {
-  PDSLIN_CHECK(colperm.size() == static_cast<std::size_t>(a.cols));
-  const std::vector<index_t> icol = invert_permutation(colperm);
-  CsrMatrix b = a;
-  for (auto& c : b.col_idx) c = icol[c];
-  b.sort_rows();
-  return b;
-}
-
 }  // namespace pdslin

@@ -26,10 +26,4 @@ CsrMatrix permute(const CsrMatrix& a, std::span<const index_t> rowperm,
 /// Symmetric permutation B(i, j) = A(perm[i], perm[j]).
 CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm);
 
-/// Permute rows only: B(i, :) = A(rowperm[i], :).
-CsrMatrix permute_rows(const CsrMatrix& a, std::span<const index_t> rowperm);
-
-/// Permute columns only: B(:, j) = A(:, colperm[j]).
-CsrMatrix permute_cols(const CsrMatrix& a, std::span<const index_t> colperm);
-
 }  // namespace pdslin

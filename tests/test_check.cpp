@@ -537,6 +537,28 @@ TEST(Artifact, MalformedDocumentThrows) {
   EXPECT_EQ(artifact_from_json(with_value("seed", "9007199254740991")).seed,
             (std::uint64_t{1} << 53) - 1);
 
+  // density is a finite number in (0, 1], exact_assembly and serve are JSON
+  // booleans, and a failed check names the key. Read without a type check,
+  // "density": "0.5" replayed as 0.0 and "serve": 1 as false.
+  const std::pair<const char*, const char*> bad_fields[] = {
+      {"density", "\"0.5\""},         {"density", "-0.1"},
+      {"density", "0"},               {"density", "1.5"},
+      {"serve", "1"},                 {"serve", "\"false\""},
+      {"exact_assembly", "\"true\""}, {"exact_assembly", "null"}};
+  for (const auto& [key, value] : bad_fields) {
+    try {
+      (void)artifact_from_json(with_value(key, value));
+      ADD_FAILURE() << key << " " << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(artifact_from_json(with_value("density", "1")).density, 1.0);
+  EXPECT_TRUE(artifact_from_json(with_value("serve", "true")).serve);
+  EXPECT_FALSE(
+      artifact_from_json(with_value("exact_assembly", "false")).exact_assembly);
+
   // The removed per-subdomain worker count: the writer leaves it out, and a
   // reader takes it from older artifacts only as such an integer, then
   // ignores it.
@@ -614,7 +636,7 @@ TEST(IterativeOracle, GmresMatchesDenseSolve) {
 
   MatrixOperator op(a);
   std::vector<value_t> x(60, 0.0);
-  const GmresResult r = gmres(op, nullptr, b, x, GmresOptions{});
+  const GmresResult r = gmres(op, nullptr, b, x, KrylovOptions{});
   ASSERT_TRUE(r.converged);
   for (index_t i = 0; i < 60; ++i) EXPECT_NEAR(x[i], x_oracle[i], 1e-8);
   // Reported residual must agree with the recomputed true residual.
@@ -631,7 +653,7 @@ TEST(IterativeOracle, BicgstabMatchesDenseSolve) {
 
   MatrixOperator op(a);
   std::vector<value_t> x(60, 0.0);
-  BicgstabOptions opt;
+  KrylovOptions opt;
   opt.rel_tolerance = 1e-10;
   const BicgstabResult r = bicgstab(op, nullptr, b, x, opt);
   ASSERT_TRUE(r.converged);
@@ -764,10 +786,10 @@ TEST(ServeProperty, SolvePhaseKnobsNeverChangeSetupHash) {
   const std::uint64_t h0 = serve::setup_options_hash(base);
 
   SolverOptions solve_only = base;
-  solve_only.krylov = KrylovMethod::Bicgstab;
-  solve_only.gmres.rel_tolerance = 1e-4;
-  solve_only.gmres.restart = 10;
-  solve_only.bicgstab.max_iterations = 3;
+  solve_only.krylov.method = KrylovMethod::Bicgstab;
+  solve_only.krylov.rel_tolerance = 1e-4;
+  solve_only.krylov.restart = 10;
+  solve_only.krylov.max_iterations = 3;
   EXPECT_EQ(serve::setup_options_hash(solve_only), h0);
 
   SolverOptions setup_changed = base;
@@ -794,7 +816,7 @@ TEST(ServeProperty, EveryOptionFieldMovesSetupHashExactlyWhenSetup) {
     });
     EXPECT_EQ(serve::setup_options_hash(opt) != default_hash, field.setup);
   });
-  EXPECT_EQ(fields, 22);
+  EXPECT_EQ(fields, 20);
   EXPECT_EQ(setup_fields, 15);
 }
 

@@ -2,6 +2,7 @@
 // degenerate shapes, extreme options, and supernode detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <sstream>
 
@@ -9,6 +10,7 @@
 #include "direct/lu.hpp"
 #include "direct/multirhs.hpp"
 #include "direct/supernodes.hpp"
+#include "direct/symbolic.hpp"
 #include "graph/bisect.hpp"
 #include "graph/graph.hpp"
 #include "hypergraph/bisect.hpp"
@@ -131,7 +133,7 @@ TEST(EdgeCases, GmresRestartOne) {
   const CsrMatrix a = testing::grid_laplacian(5, 5);
   const MatrixOperator op(a);
   std::vector<value_t> b(a.rows, 1.0), x(a.rows, 0.0);
-  GmresOptions opt;
+  KrylovOptions opt;
   opt.restart = 1;
   opt.max_iterations = 5000;
   EXPECT_TRUE(gmres(op, nullptr, b, x, opt).converged);
@@ -149,8 +151,14 @@ TEST(EdgeCases, SolverKEqualsOne) {
   EXPECT_LT(residual_norm(a, x, b), 1e-8);
 }
 
-TEST(Supernodes, TridiagonalHasNone) {
-  const index_t n = 10;
+// The fundamental supernodes of a's symbolic Cholesky factor: relaxed
+// amalgamation at relax 0.
+Supernodes fundamental_of(const CsrMatrix& a, index_t max_width = 0) {
+  const SymbolicFactor sf = symbolic_cholesky(a);
+  return relaxed_supernodes(sf.parent, sf.col_counts, max_width, 0.0);
+}
+
+CsrMatrix tridiagonal(index_t n) {
   CooMatrix coo(n, n);
   for (index_t i = 0; i < n; ++i) {
     coo.add(i, i, 2.0);
@@ -159,38 +167,70 @@ TEST(Supernodes, TridiagonalHasNone) {
       coo.add(i + 1, i, -1.0);
     }
   }
-  const CsrMatrix a = coo_to_csr(coo);
+  return coo_to_csr(coo);
+}
+
+CsrMatrix dense_6x6() {
+  Rng rng(5);
+  return testing::random_pattern_symmetric(6, 1.0, rng, 8.0);
+}
+
+TEST(Supernodes, TridiagonalHasNone) {
+  const index_t n = 10;
+  const CsrMatrix a = tridiagonal(n);
   // Tridiagonal L: column j's below-diagonal row {j+1} differs from
   // column j+1's {j+2}, so no interior columns merge; only the final pair
   // (whose structures are {n-1} and {}) forms a width-2 panel → n−1 nodes.
-  const Supernodes s = fundamental_supernodes(a);
+  const Supernodes s = fundamental_of(a);
   EXPECT_EQ(s.count(), n - 1);
   EXPECT_EQ(s.width(s.count() - 1), 2);
   EXPECT_EQ(s.of_column.size(), static_cast<std::size_t>(n));
   // Capped width respects the limit.
-  const Supernodes capped = fundamental_supernodes(a, 4);
+  const Supernodes capped = fundamental_of(a, 4);
   for (index_t k = 0; k < capped.count(); ++k) EXPECT_LE(capped.width(k), 4);
 }
 
 TEST(Supernodes, DenseBlockIsOneSupernode) {
   // A dense 6×6 matrix: L is dense lower triangular → one supernode.
-  Rng rng(5);
-  const CsrMatrix a = testing::random_pattern_symmetric(6, 1.0, rng, 8.0);
-  const LuFactors f = lu_factorize(a);
-  const Supernodes s = supernodes_of_factor(f.lower);
+  const Supernodes s = fundamental_of(dense_6x6());
   EXPECT_EQ(s.count(), 1);
   EXPECT_DOUBLE_EQ(s.average_width(), 6.0);
 }
 
-TEST(Supernodes, FactorDetectionConsistentWithSymbolic) {
-  const CsrMatrix a = testing::grid_laplacian(9, 9);
-  const LuFactors f = lu_factorize(a);  // no pivoting on SPD grid
-  const Supernodes sym = fundamental_supernodes(a);
-  const Supernodes fac = supernodes_of_factor(f.lower);
-  // Fundamental supernodes are a refinement-compatible partition: every
-  // symbolic boundary is also a factor boundary set (they agree here since
-  // the factor pattern equals the symbolic pattern without pivoting).
-  EXPECT_EQ(sym.count(), fac.count());
+// At relax 0, column j joins column j−1's panel exactly when
+// parent(j−1) = j and count(j) = count(j−1) − 1, under the width cap (the
+// fundamental-supernode rule); and on an SPD grid, which factors without
+// pivoting, exactly when the two columns of L share their rows below j.
+TEST(Supernodes, RelaxZeroIsTheFundamentalRule) {
+  const CsrMatrix grid = testing::grid_laplacian(9, 9);
+  for (const CsrMatrix& a : {tridiagonal(10), dense_6x6(), grid}) {
+    const SymbolicFactor sf = symbolic_cholesky(a);
+    for (const index_t cap : {0, 4}) {
+      SCOPED_TRACE(::testing::Message() << "n " << a.rows << " cap " << cap);
+      const Supernodes s =
+          relaxed_supernodes(sf.parent, sf.col_counts, cap, 0.0);
+      index_t width = 1;
+      for (index_t j = 1; j < a.rows; ++j) {
+        const bool merge = sf.parent[j - 1] == j &&
+                           sf.col_counts[j] == sf.col_counts[j - 1] - 1 &&
+                           (cap == 0 || width < cap);
+        EXPECT_EQ(s.of_column[j] == s.of_column[j - 1], merge) << j;
+        width = merge ? width + 1 : 1;
+      }
+    }
+  }
+  const LuFactors f = lu_factorize(grid);
+  ASSERT_EQ(f.lower.nnz(), symbolic_cholesky(grid).factor_nnz);
+  const Supernodes s = fundamental_of(grid);
+  for (index_t j = 1; j < grid.rows; ++j) {
+    // Column j−1 below its diagonal is {j} ∪ (column j below its diagonal).
+    const auto prev = f.lower.col_rows(j - 1).subspan(1);
+    const auto cur = f.lower.col_rows(j).subspan(1);
+    const bool same = !prev.empty() && prev[0] == j &&
+                      std::equal(prev.begin() + 1, prev.end(), cur.begin(),
+                                 cur.end());
+    EXPECT_EQ(s.of_column[j] == s.of_column[j - 1], same) << j;
+  }
 }
 
 TEST(EdgeCases, MatrixMarketRejectsBadSizes) {

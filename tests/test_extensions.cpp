@@ -33,7 +33,7 @@ TEST(Bicgstab, LaplacianConverges) {
   Rng rng(3);
   std::vector<value_t> b(a.rows), x(a.rows, 0.0);
   for (auto& v : b) v = rng.uniform(-1, 1);
-  BicgstabOptions opt;
+  KrylovOptions opt;
   opt.rel_tolerance = 1e-10;
   const BicgstabResult r = bicgstab(op, nullptr, b, x, opt);
   EXPECT_TRUE(r.converged);
@@ -61,7 +61,7 @@ TEST(SchurSolverKrylov, BicgstabMatchesGmresSolution) {
   auto solve_with = [&](KrylovMethod method) {
     SolverOptions opt;
     opt.num_subdomains = 4;
-    opt.krylov = method;
+    opt.krylov.method = method;
     SchurSolver solver(a, opt);
     solver.setup();
     solver.factor();

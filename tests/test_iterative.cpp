@@ -39,7 +39,7 @@ TEST(Gmres, LaplacianUnpreconditioned) {
   Rng rng(3);
   std::vector<value_t> b(a.rows), x(a.rows, 0.0);
   for (auto& v : b) v = rng.uniform(-1, 1);
-  GmresOptions opt;
+  KrylovOptions opt;
   opt.restart = 40;
   opt.max_iterations = 500;
   opt.rel_tolerance = 1e-10;
@@ -54,7 +54,7 @@ TEST(Gmres, RestartStillConverges) {
   Rng rng(5);
   std::vector<value_t> b(a.rows), x(a.rows, 0.0);
   for (auto& v : b) v = rng.uniform(-1, 1);
-  GmresOptions opt;
+  KrylovOptions opt;
   opt.restart = 5;  // force many restart cycles
   opt.max_iterations = 2000;
   const GmresResult r = gmres(op, nullptr, b, x, opt);
@@ -110,7 +110,7 @@ TEST(Gmres, HappyBreakdownOnSingularOperatorDoesNotClaimConvergence) {
   const CsrMatrix a = testing::from_dense({{1, 0, 0}, {0, 1, 0}, {0, 0, 0}});
   const MatrixOperator op(a);
   std::vector<value_t> b{0, 0, 1}, x(3, 0.0);
-  GmresOptions opt;
+  KrylovOptions opt;
   opt.max_iterations = 50;
   const GmresResult r = gmres(op, nullptr, b, x, opt);
   EXPECT_FALSE(r.converged);
@@ -140,7 +140,7 @@ TEST(Gmres, WorkspaceReuseIsAllocationFreeAndBitwiseStable) {
 
   GmresWorkspace ws;
   std::vector<value_t> x1(a.rows, 0.0), x2(a.rows, 0.0), x0(a.rows, 0.0);
-  GmresOptions opt;
+  KrylovOptions opt;
   opt.restart = 25;
   const GmresResult r0 = gmres(op, nullptr, b, x0, opt);  // no workspace
   const GmresResult r1 = gmres(op, nullptr, b, x1, opt, &ws);
@@ -181,7 +181,7 @@ TEST(Gmres, ZeroInitialGuessSkipsTheResidualApply) {
   std::vector<value_t> b(a.rows), x0(a.rows);
   for (auto& v : b) v = rng.uniform(-1, 1);
   for (auto& v : x0) v = rng.uniform(-1, 1);
-  GmresOptions opt;
+  KrylovOptions opt;
   opt.restart = 80;  // one cycle: no restart residual, no final check
 
   const CountingOperator zero_op(a);
@@ -234,7 +234,7 @@ TEST(Bicgstab, SolvesLaplacian) {
   Rng rng(23);
   std::vector<value_t> b(a.rows), x(a.rows, 0.0);
   for (auto& v : b) v = rng.uniform(-1, 1);
-  BicgstabOptions opt;
+  KrylovOptions opt;
   opt.rel_tolerance = 1e-10;
   const BicgstabResult r = bicgstab(op, nullptr, b, x, opt);
   EXPECT_TRUE(r.converged);
@@ -253,7 +253,7 @@ TEST(Bicgstab, OverflowBreakdownReturnsFiniteIterate) {
   // r0·(A r0) = 1 − 1 + 1e-300: tiny but nonzero, so the exact-zero guard
   // of the old code does not trigger — α ≈ 2e300 overflows t·t instead.
   std::vector<value_t> b{1, 1, 1e-100}, x(3, 0.0);
-  BicgstabOptions opt;
+  KrylovOptions opt;
   opt.max_iterations = 50;
   const BicgstabResult r = bicgstab(op, nullptr, b, x, opt);
   EXPECT_FALSE(r.converged);
@@ -269,7 +269,7 @@ TEST(Bicgstab, StagnationBreakdownIsFiniteAndNotConverged) {
   const CsrMatrix a = testing::from_dense({{0, 1}, {-1, 0}});
   const MatrixOperator op(a);
   std::vector<value_t> b{1, 1}, x(2, 0.0);
-  BicgstabOptions opt;
+  KrylovOptions opt;
   opt.max_iterations = 20;
   const BicgstabResult r = bicgstab(op, nullptr, b, x, opt);
   EXPECT_TRUE(std::isfinite(r.relative_residual));
@@ -285,7 +285,7 @@ TEST(Bicgstab, WorkspaceReuseIsAllocationFree) {
   for (auto& v : b) v = rng.uniform(-1, 1);
   BicgstabWorkspace ws;
   std::vector<value_t> x1(a.rows, 0.0), x2(a.rows, 0.0);
-  BicgstabOptions opt;
+  KrylovOptions opt;
   opt.rel_tolerance = 1e-10;
   const BicgstabResult r1 = bicgstab(op, nullptr, b, x1, opt, &ws);
   const long long allocs_after_first = ws.allocations;

@@ -243,7 +243,7 @@ TEST(ObsReport, SolverRunFillsReportAndCounters) {
 TEST(ObsReport, AddSolverWritesEveryOptionField) {
   SolverOptions opt;
   opt.constraints = RhbConstraintMode::MultiW1W2;
-  opt.gmres.restart = 45;
+  opt.krylov.restart = 45;
   obs::RunReport rep;
   rep.add_solver(opt, SolverStats{});
 
@@ -276,7 +276,10 @@ TEST(ObsReport, AddSolverWritesEveryOptionField) {
   EXPECT_EQ(back.find_config("inner_threads"), nullptr);
   EXPECT_EQ(config("constraints"), "w1w2");
   EXPECT_EQ(config("lu_pivot_tol"), obs::json::number_to_string(0.1));
-  EXPECT_EQ(config("gmres_restart"), "45");
+  EXPECT_EQ(config("krylov_restart"), "45");
+  // One KrylovOptions serves both methods: no per-method keys.
+  EXPECT_EQ(back.find_config("gmres_restart"), nullptr);
+  EXPECT_EQ(back.find_config("bicgstab_max_iterations"), nullptr);
   EXPECT_EQ(config("rhb_dynamic_weights"), "true");
 }
 

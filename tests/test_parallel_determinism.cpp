@@ -1,24 +1,11 @@
 // Determinism of the subdomain-parallel set-up: factor() at threads 4 must
 // return the bits of threads 1 — the schedule only changes which worker
-// factors a subdomain, never what is computed — and the blocked multi-RHS
-// solve must read cached reach patterns exactly as it recomputes them.
+// factors a subdomain, never what is computed.
 #include <gtest/gtest.h>
 
-#include <numeric>
-
-#include "core/dbbd.hpp"
 #include "core/schur_assembly.hpp"
 #include "core/schur_solver.hpp"
-#include "core/subdomain.hpp"
-#include "direct/lu.hpp"
-#include "direct/mindeg.hpp"
-#include "direct/multirhs.hpp"
 #include "gen/grid_fem.hpp"
-#include "graph/graph.hpp"
-#include "partition/engine.hpp"
-#include "sparse/convert.hpp"
-#include "sparse/permute.hpp"
-#include "sparse/symmetrize.hpp"
 
 namespace pdslin {
 namespace {
@@ -39,64 +26,6 @@ void expect_same_csr(const CsrMatrix& a, const CsrMatrix& b) {
   EXPECT_EQ(a.row_ptr, b.row_ptr);
   EXPECT_EQ(a.col_idx, b.col_idx);
   EXPECT_EQ(a.values, b.values);
-}
-
-// RHS in factor row order — the real input shape of the blocked solve.
-struct FactoredSubdomain {
-  LuFactors lu;
-  CscMatrix ehat;
-};
-
-FactoredSubdomain make_factored_subdomain() {
-  GridFemOptions gen;
-  gen.nx = gen.ny = 17;
-  gen.shift = 0.2;
-  gen.seed = 11;
-  const CsrMatrix a = generate_grid_fem(gen).a;
-  NgdOptions nopt;
-  nopt.num_parts = 2;
-  nopt.seed = 7;
-  const DissectionResult nd =
-      partition::ngd_engine(graph_from_matrix(symmetrize_abs(pattern_of(a))),
-                            nopt, {})
-          .unknowns;
-  const DbbdPartition dbbd = build_dbbd(nd.part, 2);
-  const Subdomain sub = extract_subdomain(a, dbbd, 0);
-
-  FactoredSubdomain f;
-  const std::vector<index_t> md =
-      minimum_degree_ordering(symmetrize_abs(pattern_of(sub.d)));
-  f.lu = lu_factorize(permute_symmetric(sub.d, md));
-  const index_t nd_rows = sub.d.rows;
-  std::vector<index_t> new_of(nd_rows);
-  for (index_t k = 0; k < nd_rows; ++k) new_of[md[f.lu.row_perm[k]]] = k;
-  CooMatrix coo(sub.ehat.rows, sub.ehat.cols);
-  for (index_t i = 0; i < sub.ehat.rows; ++i) {
-    for (index_t q = sub.ehat.row_ptr[i]; q < sub.ehat.row_ptr[i + 1]; ++q) {
-      coo.add(new_of[i], sub.ehat.col_idx[q], sub.ehat.values[q]);
-    }
-  }
-  f.ehat = coo_to_csc(coo);
-  return f;
-}
-
-TEST(ParallelDeterminism, CachedPatternsMatchRecomputedReach) {
-  const FactoredSubdomain f = make_factored_subdomain();
-  std::vector<index_t> order(f.ehat.cols);
-  std::iota(order.begin(), order.end(), 0);
-  const auto patterns = symbolic_solve_patterns(f.lu.lower, f.ehat);
-
-  MultiRhsOptions base;
-  base.block_size = 16;
-  const MultiRhsResult ref =
-      solve_multi_rhs_blocked(f.lu.lower, f.ehat, order, base);
-  MultiRhsOptions cached = base;
-  cached.col_patterns = &patterns;
-  const MultiRhsResult got =
-      solve_multi_rhs_blocked(f.lu.lower, f.ehat, order, cached);
-  expect_same_csc(ref.solution, got.solution);
-  EXPECT_EQ(ref.stats.pattern_nnz, got.stats.pattern_nnz);
-  EXPECT_EQ(ref.stats.padded_zeros, got.stats.padded_zeros);
 }
 
 // End-to-end: every D_ℓ's factors and T̃_ℓ, and the assembled S̃, from a

@@ -65,20 +65,24 @@ TEST(Padding, AgreesWithBlockedSolver) {
   }
 }
 
+// The §IV-A ordering as the pipeline runs it: the e-tree postorder of D,
+// then the RHS columns sorted by first nonzero under it.
 TEST(PostorderRhs, PermutationValidAndSorted) {
   const RhsFixture f = make_fixture(10, 30, 0.04, 7);
-  const PostorderRhs po = postorder_rhs_ordering(f.d, f.rhs);
-  EXPECT_TRUE(is_permutation(po.d_perm, f.d.rows));
-  EXPECT_TRUE(is_permutation(po.col_order, 30));
+  const std::vector<index_t> d_perm = etree_postorder_permutation(f.d);
+  const std::vector<index_t> col_order =
+      sort_columns_by_first_nonzero(f.rhs, d_perm);
+  EXPECT_TRUE(is_permutation(d_perm, f.d.rows));
+  EXPECT_TRUE(is_permutation(col_order, 30));
   // Columns sorted by first nonzero under the postorder.
-  const auto inv = invert_permutation(po.d_perm);
+  const auto inv = invert_permutation(d_perm);
   auto first_nz = [&](index_t col) {
     index_t key = f.d.rows;
     for (index_t r : f.rhs.col_rows(col)) key = std::min(key, inv[r]);
     return key;
   };
-  for (std::size_t k = 1; k < po.col_order.size(); ++k) {
-    EXPECT_LE(first_nz(po.col_order[k - 1]), first_nz(po.col_order[k]));
+  for (std::size_t k = 1; k < col_order.size(); ++k) {
+    EXPECT_LE(first_nz(col_order[k - 1]), first_nz(col_order[k]));
   }
 }
 
@@ -90,11 +94,13 @@ TEST(PostorderRhs, ReducesPaddingVersusRandomOrder) {
   CsrMatrix d = testing::grid_laplacian(grid, grid);
   Rng rng(11);
   CscMatrix rhs = csr_to_csc(testing::random_sparse(d.rows, ncols, 0.03, rng));
-  const PostorderRhs po = postorder_rhs_ordering(d, rhs);
+  const std::vector<index_t> d_perm = etree_postorder_permutation(d);
+  const std::vector<index_t> col_order =
+      sort_columns_by_first_nonzero(rhs, d_perm);
 
-  const CsrMatrix dp = permute_symmetric(d, po.d_perm);
+  const CsrMatrix dp = permute_symmetric(d, d_perm);
   // Permute RHS rows conformingly.
-  const auto inv = invert_permutation(po.d_perm);
+  const auto inv = invert_permutation(d_perm);
   CooMatrix coo(d.rows, ncols);
   for (index_t j = 0; j < ncols; ++j) {
     for (index_t q = rhs.col_ptr[j]; q < rhs.col_ptr[j + 1]; ++q) {
@@ -109,7 +115,7 @@ TEST(PostorderRhs, ReducesPaddingVersusRandomOrder) {
   std::iota(random_order.begin(), random_order.end(), 0);
   std::shuffle(random_order.begin(), random_order.end(), rng);
 
-  const auto sorted_cost = padding_cost(patterns, po.col_order, block);
+  const auto sorted_cost = padding_cost(patterns, col_order, block);
   const auto random_cost = padding_cost(patterns, random_order, block);
   EXPECT_LT(sorted_cost.padded_zeros, random_cost.padded_zeros);
 }

@@ -144,8 +144,8 @@ TEST(ServeFingerprint, EmptyAndPatternOnlyMatrices) {
 TEST(ServeFingerprint, OptionsHashIgnoresSolvePhaseKnobs) {
   SolverOptions a = small_options();
   SolverOptions b = a;
-  b.gmres.rel_tolerance = 1e-6;  // solve-phase: must still share a setup
-  b.gmres.max_iterations = 17;
+  b.krylov.rel_tolerance = 1e-6;  // solve-phase: must still share a setup
+  b.krylov.max_iterations = 17;
   EXPECT_EQ(serve::setup_options_hash(a), serve::setup_options_hash(b));
 
   SolverOptions c = a;

@@ -130,7 +130,7 @@ TEST(SolvePath, ParallelBicgstabSolveIsBitwiseIdenticalToSerial) {
   const CsrMatrix a = testing::grid_laplacian(20, 20);
   SolverOptions serial;
   serial.num_subdomains = 4;
-  serial.krylov = KrylovMethod::Bicgstab;
+  serial.krylov.method = KrylovMethod::Bicgstab;
   serial.seed = 61;
   SolverOptions threaded = serial;
   threaded.threads = 3;

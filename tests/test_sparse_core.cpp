@@ -108,23 +108,6 @@ TEST(Csr, SortRowsKeepsValuesAligned) {
   EXPECT_EQ(a.values, (std::vector<value_t>{0.5, 2.0, 3.0}));
 }
 
-TEST(DropSmall, ThresholdAndDiagonal) {
-  CooMatrix coo(3, 3);
-  coo.add(0, 0, 1e-12);
-  coo.add(0, 1, 0.5);
-  coo.add(1, 1, 2.0);
-  coo.add(2, 0, 1e-9);
-  coo.add(2, 2, 1e-12);
-  const CsrMatrix a = coo_to_csr(coo);
-  const CsrMatrix kept = drop_small(a, 1e-6, /*keep_diagonal=*/true);
-  const auto d = to_dense(kept);
-  EXPECT_DOUBLE_EQ(d[0][0], 1e-12);  // diagonal kept
-  EXPECT_DOUBLE_EQ(d[0][1], 0.5);
-  EXPECT_DOUBLE_EQ(d[2][0], 0.0);  // dropped
-  const CsrMatrix strict = drop_small(a, 1e-6, /*keep_diagonal=*/false);
-  EXPECT_DOUBLE_EQ(to_dense(strict)[0][0], 0.0);
-}
-
 TEST(PatternOf, DropsValues) {
   Rng rng(1);
   const CsrMatrix a = testing::random_sparse(5, 5, 0.5, rng);

@@ -51,8 +51,8 @@ TEST(Permute, SymmetricAndRowsColsAgree) {
   const CsrMatrix a = testing::random_sparse(7, 7, 0.4, rng);
   const std::vector<index_t> p{6, 0, 2, 5, 1, 4, 3};
   const auto full = to_dense(permute_symmetric(a, p));
-  const auto rows_then_cols = to_dense(permute_cols(permute_rows(a, p), p));
-  EXPECT_EQ(full, rows_then_cols);
+  const auto rows_and_cols = to_dense(permute(a, p, p));
+  EXPECT_EQ(full, rows_and_cols);
 }
 
 TEST(Spmv, MatchesDense) {

@@ -222,11 +222,10 @@ TEST(ParallelRanges, PartitionsAndRunsSerialFallback) {
 
 TEST(CostModel, SpeedupMonotoneInCores) {
   const std::vector<double> work{1.0, 2.0, 1.5};
-  TwoLevelCostOptions opt;
-  double prev = two_level_phase_time(work, 1, opt);
+  double prev = two_level_phase_time(work, 1);
   EXPECT_GE(prev, 2.0);  // slowest domain dominates at 1 core
   for (int cores : {2, 4, 8, 16}) {
-    const double t = two_level_phase_time(work, cores, opt);
+    const double t = two_level_phase_time(work, cores);
     EXPECT_LT(t, prev) << cores;
     prev = t;
   }

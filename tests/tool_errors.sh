@@ -20,6 +20,12 @@ printf '%s\n' '{"artifact": "pdslin-fuzz-case", "version": 1, "spec": {' \
   '"inner_threads": 1, "nrhs": 1, "krylov": "gmres",' \
   '"exact_assembly": true, "serve": false}}' \
   > "$work/bad_count.json"
+# serve 1: read without a type check, this replayed as serve false.
+printf '%s\n' '{"artifact": "pdslin-fuzz-case", "version": 1, "spec": {' \
+  '"family": "grid", "n": 64, "seed": 1, "density": 0.08,' \
+  '"partitioning": "NGD", "num_subdomains": 4, "threads": 1,' \
+  '"nrhs": 1, "krylov": "gmres", "exact_assembly": true, "serve": 1}}' \
+  > "$work/bad_bool.json"
 # 2^32 + 3 rows: read through a 32-bit cast, this was a 3 x 3 matrix.
 printf '%%%%MatrixMarket matrix coordinate real general\n4294967299 3 3\n1 1 1\n2 2 1\n3 3 1\n' \
   > "$work/oversized.mtx"
@@ -70,6 +76,7 @@ expect_error pdslin_serve --inner-threads 2
 expect_error pdslin_fuzz --seeds notanumber
 expect_error pdslin_fuzz --replay "$work/missing.json"
 expect_error pdslin_fuzz --replay "$work/bad_count.json"
+expect_error pdslin_fuzz --replay "$work/bad_bool.json"
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures tool invocation(s) did not fail cleanly"

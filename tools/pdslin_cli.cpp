@@ -160,7 +160,8 @@ int run(int argc, char** argv) {
     }
   }
   if (matrix.empty()) usage("--matrix is required");
-  opt.krylov = krylov == "bicgstab" ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
+  opt.krylov.method =
+      krylov == "bicgstab" ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
 
   obs::trace_init_from_env();
   if (!trace_out.empty()) obs::trace_enable();
