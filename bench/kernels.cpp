@@ -27,6 +27,7 @@
 #include "core/schur_assembly.hpp"
 #include "core/schur_solver.hpp"
 #include "core/structural_factor.hpp"
+#include "direct/analysis.hpp"
 #include "direct/etree.hpp"
 #include "direct/kernels.hpp"
 #include "direct/lu.hpp"
@@ -61,6 +62,12 @@ CsrMatrix bench_matrix(index_t side) {
   GridFemOptions opt;
   opt.nx = opt.ny = side;
   return generate_grid_fem(opt).a;
+}
+
+/// `a` permuted into the minimum-degree order analyze_pattern gives it.
+CsrMatrix md_ordered(const CsrMatrix& a) {
+  return permute_symmetric(
+      a, analyze_pattern(a, FillOrdering::MinimumDegree).colmap);
 }
 
 void BM_Transpose(benchmark::State& state) {
@@ -107,9 +114,8 @@ BENCHMARK(BM_MinimumDegree)->Arg(48)->Arg(96);
 // range(0) = grid side, range(1) = kernel (0 scalar, 1 lu_factorize, which
 // runs the panel kernel).
 void BM_LuFactorize(benchmark::State& state) {
-  const CsrMatrix a = bench_matrix(static_cast<index_t>(state.range(0)));
-  const auto perm = minimum_degree_ordering(symmetrize_abs(pattern_of(a)));
-  const CscMatrix ordered = csr_to_csc(permute_symmetric(a, perm));
+  const CscMatrix ordered =
+      csr_to_csc(md_ordered(bench_matrix(static_cast<index_t>(state.range(0)))));
   for (auto _ : state) {
     benchmark::DoNotOptimize(state.range(1) == 0
                                  ? scalar_lu_factorize(ordered)
@@ -124,8 +130,8 @@ BENCHMARK(BM_LuFactorize)
 
 void BM_MultiRhsSolve(benchmark::State& state) {
   const CsrMatrix a = bench_matrix(64);
-  const auto perm = minimum_degree_ordering(symmetrize_abs(pattern_of(a)));
-  const LuFactors lu = lu_factorize(permute_symmetric(a, perm));
+  const LuFactors lu =
+      lu_factorize(a, analyze_pattern(a, FillOrdering::MinimumDegree));
   Rng rng(7);
   CooMatrix coo(a.rows, 240);
   for (index_t j = 0; j < 240; ++j) {
@@ -188,8 +194,8 @@ void BM_RhsBlockSolve(benchmark::State& state) {
   const panel::KernelTable* t = path_table(state);
   if (t == nullptr) return;
   const CsrMatrix a = bench_matrix(64);
-  const auto perm = minimum_degree_ordering(symmetrize_abs(pattern_of(a)));
-  const LuFactors lu = lu_factorize(permute_symmetric(a, perm));
+  const LuFactors lu =
+      lu_factorize(a, analyze_pattern(a, FillOrdering::MinimumDegree));
   constexpr index_t width = 60;
   Rng rng(7);
   std::vector<index_t> seeds(static_cast<std::size_t>(width) * 6);
@@ -381,9 +387,8 @@ void BM_KrylovMethod(benchmark::State& state) {
 BENCHMARK(BM_KrylovMethod)->Arg(0)->Arg(1);
 
 void BM_SupernodeDetection(benchmark::State& state) {
-  const CsrMatrix a = bench_matrix(static_cast<index_t>(state.range(0)));
-  const auto perm = minimum_degree_ordering(symmetrize_abs(pattern_of(a)));
-  const CsrMatrix ordered = permute_symmetric(a, perm);
+  const CsrMatrix ordered =
+      md_ordered(bench_matrix(static_cast<index_t>(state.range(0))));
   for (auto _ : state) {
     const SymbolicFactor sf = symbolic_cholesky(ordered);
     benchmark::DoNotOptimize(
@@ -485,9 +490,7 @@ CsrMatrix warm_krylov_schur() {
   SchurSolver solver(p.a, opt);
   solver.setup(p.incidence.rows > 0 ? &p.incidence : nullptr);
   solver.factor();
-  const CsrMatrix& s = solver.schur_tilde();
-  return permute_symmetric(
-      s, minimum_degree_ordering(symmetrize_abs(pattern_of(s))));
+  return md_ordered(solver.schur_tilde());
 }
 
 /// Returns false (after printing the defect) when the kernels disagree or
@@ -500,10 +503,8 @@ bool run_lu_ablation(const std::string& kernel_filter) {
   };
   std::vector<Case> cases;
   for (const index_t side : {64, 128}) {
-    const CsrMatrix a = bench_matrix(side);
-    const auto perm = minimum_degree_ordering(symmetrize_abs(pattern_of(a)));
     cases.push_back({"grid-fem-" + std::to_string(side),
-                     permute_symmetric(a, perm)});
+                     md_ordered(bench_matrix(side))});
   }
   cases.push_back({"warm-krylov-schur", warm_krylov_schur()});
 

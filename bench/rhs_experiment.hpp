@@ -1,8 +1,9 @@
 // Shared setup for the §IV experiments (Figs. 4, 5 and the quasi-dense
 // study): extract eight subdomains with the NGD baseline (the paper uses
-// PT-Scotch here), order each with minimum degree, factor it, and prepare
-// the sparse RHS Ê in factor row order — once per subdomain, reused across
-// block sizes and orderings.
+// PT-Scotch here), order each with minimum degree and with minimum degree
+// composed with its e-tree postorder (one analyze_pattern), factor both,
+// and prepare the sparse RHS Ê in each factor row order — once per
+// subdomain, reused across block sizes and orderings.
 #pragma once
 
 #include <memory>
@@ -11,14 +12,13 @@
 
 #include "bench_common.hpp"
 #include "core/subdomain.hpp"
+#include "direct/analysis.hpp"
 #include "direct/lu.hpp"
-#include "direct/mindeg.hpp"
 #include "direct/multirhs.hpp"
 #include "graph/graph.hpp"
 #include "partition/engine.hpp"
 #include "reorder/postorder_rhs.hpp"
 #include "sparse/convert.hpp"
-#include "sparse/permute.hpp"
 #include "sparse/symmetrize.hpp"
 
 namespace pdslin::bench {
@@ -37,21 +37,6 @@ struct SubdomainRhsSetup {
   long long nnz_ehat = 0;
 };
 
-inline CscMatrix remap_rhs_rows(const CsrMatrix& ehat,
-                                const std::vector<index_t>& colmap,
-                                const std::vector<index_t>& lu_row_perm) {
-  const index_t nd = static_cast<index_t>(colmap.size());
-  std::vector<index_t> new_of(nd);
-  for (index_t k = 0; k < nd; ++k) new_of[colmap[lu_row_perm[k]]] = k;
-  CooMatrix coo(ehat.rows, ehat.cols);
-  for (index_t i = 0; i < ehat.rows; ++i) {
-    for (index_t q = ehat.row_ptr[i]; q < ehat.row_ptr[i + 1]; ++q) {
-      coo.add(new_of[i], ehat.col_idx[q], ehat.values[q]);
-    }
-  }
-  return coo_to_csc(coo);
-}
-
 inline SubdomainRhsSetup prepare_subdomain(const CsrMatrix& a,
                                            const DbbdPartition& dbbd,
                                            index_t l) {
@@ -60,20 +45,15 @@ inline SubdomainRhsSetup prepare_subdomain(const CsrMatrix& a,
   s.num_cols = sub.ehat.cols;
   s.nnz_ehat = sub.ehat.nnz();
 
-  const CsrMatrix dsym = symmetrize_abs(pattern_of(sub.d));
-  const std::vector<index_t> md = minimum_degree_ordering(dsym);
-  const CsrMatrix d_md = permute_symmetric(sub.d, md);
-  s.lu_md = lu_factorize(d_md);
-  s.ehat_md = remap_rhs_rows(sub.ehat, md, s.lu_md.row_perm);
+  PatternAnalysis an = analyze_pattern(sub.d, FillOrdering::MinimumDegree);
+  s.lu_md = lu_factorize(sub.d, an);
+  s.ehat_md = rhs_in_factor_order(sub.ehat, an.colmap, s.lu_md.row_perm);
   s.patterns_md = symbolic_solve_patterns(s.lu_md.lower, s.ehat_md);
 
   // Postordered variant: MD ∘ e-tree postorder.
-  const std::vector<index_t> post = etree_postorder_permutation(d_md);
-  std::vector<index_t> composed(md.size());
-  for (std::size_t i = 0; i < md.size(); ++i) composed[i] = md[post[i]];
-  const CsrMatrix d_post = permute_symmetric(sub.d, composed);
-  s.lu_post = lu_factorize(d_post);
-  s.ehat_post = remap_rhs_rows(sub.ehat, composed, s.lu_post.row_perm);
+  an = postorder_analysis(std::move(an));
+  s.lu_post = lu_factorize(sub.d, an);
+  s.ehat_post = rhs_in_factor_order(sub.ehat, an.colmap, s.lu_post.row_perm);
   s.patterns_post = symbolic_solve_patterns(s.lu_post.lower, s.ehat_post);
   {
     std::vector<index_t> identity(s.ehat_post.rows);

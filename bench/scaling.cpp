@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "direct/analysis.hpp"
 #include "direct/lu.hpp"
-#include "direct/mindeg.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/permute.hpp"
@@ -67,12 +67,11 @@ bool run_lu_kernel_ablation(std::uint64_t seed) {
               "factor t[s]", "speedup vs scalar");
   for (const char* fam : families) {
     const GeneratedProblem p = make_suite_matrix(fam, scale, seed);
-    const auto perm = minimum_degree_ordering(symmetrize_abs(pattern_of(p.a)));
-    const CsrMatrix ordered = permute_symmetric(p.a, perm);
+    const CscMatrix ordered_csc = csr_to_csc(permute_symmetric(
+        p.a, analyze_pattern(p.a, FillOrdering::MinimumDegree).colmap));
 
     double seconds[2] = {0.0, 0.0};
     LuFactors factors[2];
-    const CscMatrix ordered_csc = csr_to_csc(ordered);
     for (int ki = 0; ki < 2; ++ki) {
       double best = 1e30;
       for (int rep = 0; rep < 2; ++rep) {

@@ -11,18 +11,16 @@
 
 #include "core/dbbd.hpp"
 #include "core/subdomain.hpp"
+#include "direct/analysis.hpp"
 #include "direct/lu.hpp"
-#include "direct/mindeg.hpp"
 #include "direct/multirhs.hpp"
 #include "gen/suite.hpp"
 #include "graph/graph.hpp"
 #include "partition/engine.hpp"
 #include "reorder/hypergraph_rhs.hpp"
 #include "reorder/padding.hpp"
-#include "direct/etree.hpp"
 #include "reorder/postorder_rhs.hpp"
 #include "sparse/convert.hpp"
-#include "sparse/permute.hpp"
 #include "sparse/symmetrize.hpp"
 #include "util/timer.hpp"
 
@@ -43,40 +41,18 @@ int main(int argc, char** argv) {
   std::printf("subdomain 0: n=%d, interface Ê has %d columns, %d nnz\n\n",
               sub.d.rows, sub.ehat.cols, sub.ehat.nnz());
 
-  // Minimum-degree ordering + postorder variant, factored once each.
-  const std::vector<index_t> md =
-      minimum_degree_ordering(symmetrize_abs(pattern_of(sub.d)));
-  const CsrMatrix d_md = permute_symmetric(sub.d, md);
-  const LuFactors lu = lu_factorize(d_md);
-  // Ê rows into factor order.
-  std::vector<index_t> new_of(md.size());
-  for (std::size_t k = 0; k < md.size(); ++k) new_of[md[lu.row_perm[k]]] = k;
-  CooMatrix coo(sub.ehat.rows, sub.ehat.cols);
-  for (index_t i = 0; i < sub.ehat.rows; ++i) {
-    for (index_t q = sub.ehat.row_ptr[i]; q < sub.ehat.row_ptr[i + 1]; ++q) {
-      coo.add(new_of[i], sub.ehat.col_idx[q], sub.ehat.values[q]);
-    }
-  }
-  const CscMatrix rhs = coo_to_csc(coo);
+  // Minimum-degree ordering + postorder variant, factored once each, with
+  // Ê's rows in each factor order.
+  PatternAnalysis an = analyze_pattern(sub.d, FillOrdering::MinimumDegree);
+  const LuFactors lu = lu_factorize(sub.d, an);
+  const CscMatrix rhs = rhs_in_factor_order(sub.ehat, an.colmap, lu.row_perm);
   const auto patterns = symbolic_solve_patterns(lu.lower, rhs);
 
   // §IV-A needs D postordered by its e-tree; factor that variant too.
-  const std::vector<index_t> post = etree_postorder_permutation(d_md);
-  std::vector<index_t> md_post(md.size());
-  for (std::size_t i = 0; i < md.size(); ++i) md_post[i] = md[post[i]];
-  const CsrMatrix d_post = permute_symmetric(sub.d, md_post);
-  const LuFactors lu_post = lu_factorize(d_post);
-  std::vector<index_t> new_of_post(md.size());
-  for (std::size_t k = 0; k < md.size(); ++k) {
-    new_of_post[md_post[lu_post.row_perm[k]]] = static_cast<index_t>(k);
-  }
-  CooMatrix coo_post(sub.ehat.rows, sub.ehat.cols);
-  for (index_t i = 0; i < sub.ehat.rows; ++i) {
-    for (index_t q = sub.ehat.row_ptr[i]; q < sub.ehat.row_ptr[i + 1]; ++q) {
-      coo_post.add(new_of_post[i], sub.ehat.col_idx[q], sub.ehat.values[q]);
-    }
-  }
-  const CscMatrix rhs_post = coo_to_csc(coo_post);
+  an = postorder_analysis(std::move(an));
+  const LuFactors lu_post = lu_factorize(sub.d, an);
+  const CscMatrix rhs_post =
+      rhs_in_factor_order(sub.ehat, an.colmap, lu_post.row_perm);
 
   std::vector<index_t> identity(rhs.cols);
   std::iota(identity.begin(), identity.end(), 0);

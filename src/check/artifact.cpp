@@ -1,5 +1,6 @@
 #include "check/artifact.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -64,8 +65,6 @@ std::string artifact_to_json(const CaseSpec& spec, const CheckReport* report) {
      << "    \"exact_assembly\": " << (spec.exact_assembly ? "true" : "false")
      << ",\n"
      << "    \"serve\": " << (spec.serve ? "true" : "false") << ",\n"
-     << "    \"partition_engine\": \"" << to_string(spec.partition_engine)
-     << "\",\n"
      << "    \"partition_values\": \""
      << partition::to_string(spec.partition_values) << "\"\n"
      << "  }";
@@ -140,14 +139,15 @@ CaseSpec artifact_from_json(std::string_view text) {
         lk->is_string() && (lk->str == "lu-scalar" || lk->str == "lu-panel"),
         "unknown lu_kernel in artifact");
   }
-  // Optional for corpus files written before the partition-engine axis
-  // existed; those ran the (then-only) serial multilevel engine. The
-  // removed pe-geometric and pe-budget0 lanes are unknown names.
+  // Artifacts from older campaigns name the partition-engine lane they ran.
+  // pe-multilevel ran as recorded; pe-parallel ran the same engine at no
+  // fewer than 4 threads. The removed pe-geometric and pe-budget0 lanes are
+  // unknown names.
   if (const obsjson::Value* pe = s.find("partition_engine")) {
-    PDSLIN_CHECK_MSG(
-        pe->is_string() &&
-            partition_engine_from_string(pe->str, spec.partition_engine),
-        "unknown partition_engine in artifact");
+    PDSLIN_CHECK_MSG(pe->is_string() && (pe->str == "pe-multilevel" ||
+                                         pe->str == "pe-parallel"),
+                     "unknown partition_engine in artifact");
+    if (pe->str == "pe-parallel") spec.threads = std::max(spec.threads, 4u);
   }
   // Optional for corpus files written before the value-mode axis existed;
   // those ran pattern-only partitioning.

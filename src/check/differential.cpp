@@ -46,7 +46,8 @@ bool run_pipeline(const GeneratedProblem& prob, const SolverOptions& opt,
   }
 }
 
-/// Rerun the case as `serial`; it must solve, to `x` bit for bit.
+/// Rerun the case as `serial` (the same case at another thread count); it
+/// must solve, to `x` bit for bit.
 void check_serial_rerun(const GeneratedProblem& prob, const CaseSpec& serial,
                         std::span<const value_t> b,
                         const std::vector<value_t>& x, CheckReport& rep) {
@@ -229,27 +230,15 @@ DifferentialResult run_differential(const CaseSpec& spec,
     }
   }
 
-  // Thread determinism: parallel must be bitwise identical to serial.
+  // Thread determinism: parallel must be bitwise identical to serial. A
+  // parallel case reruns at 1 thread; a value-weighted serial case reruns
+  // at 4, so |a_ij|-weighted net costs are held to the same contract.
   if (opt.check_determinism &&
       (spec.threads > 1 ||
-       spec.partition_engine == PartitionEngineAxis::ParallelMultilevel ||
        spec.partition_values != partition::ValueMode::Off)) {
-    CaseSpec serial = spec;
-    serial.threads = 1;
-    // The parallel-partition lane reruns on the serial recursion: the
-    // engine's thread-count determinism contract, enforced end to end.
-    if (serial.partition_engine == PartitionEngineAxis::ParallelMultilevel) {
-      serial.partition_engine = PartitionEngineAxis::Multilevel;
-    }
-    // A value-weighted lane that already ran fully serial diffs against the
-    // parallel partition recursion instead — same contract, other direction:
-    // |a_ij|-weighted net costs must not perturb thread-count determinism.
-    if (spec.partition_values != partition::ValueMode::Off &&
-        spec.threads <= 1 &&
-        spec.partition_engine == PartitionEngineAxis::Multilevel) {
-      serial.partition_engine = PartitionEngineAxis::ParallelMultilevel;
-    }
-    check_serial_rerun(prob, serial, b, x, res.report);
+    CaseSpec rerun = spec;
+    rerun.threads = spec.threads > 1 ? 1 : 4;
+    check_serial_rerun(prob, rerun, b, x, res.report);
   }
 
   // Serve path: cold vs cached vs direct, all bitwise. Only judged when the

@@ -100,36 +100,6 @@ bool family_from_string(std::string_view name, Family& out) {
   return false;
 }
 
-namespace {
-
-constexpr struct {
-  PartitionEngineAxis e;
-  const char* name;
-} kPartitionEngines[] = {
-    {PartitionEngineAxis::Multilevel, "pe-multilevel"},
-    {PartitionEngineAxis::ParallelMultilevel, "pe-parallel"},
-};
-
-}  // namespace
-
-const char* to_string(PartitionEngineAxis e) {
-  for (const auto& entry : kPartitionEngines) {
-    if (entry.e == e) return entry.name;
-  }
-  return "?";
-}
-
-bool partition_engine_from_string(std::string_view name,
-                                  PartitionEngineAxis& out) {
-  for (const auto& entry : kPartitionEngines) {
-    if (name == entry.name) {
-      out = entry.e;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string CaseSpec::to_string() const {
   std::ostringstream os;
   os << check::to_string(family) << "/n" << n << "/seed" << seed << "/"
@@ -137,9 +107,6 @@ std::string CaseSpec::to_string() const {
      << threads << "/nrhs" << nrhs << "/"
      << (krylov == KrylovMethod::Gmres ? "gmres" : "bicgstab") << "/"
      << (exact_assembly ? "exact" : "dropped")
-     << (partition_engine != PartitionEngineAxis::Multilevel
-             ? std::string("/") + check::to_string(partition_engine)
-             : "")
      << (partition_values != partition::ValueMode::Off
              ? std::string("/pv-") + partition::to_string(partition_values)
              : "")
@@ -409,15 +376,12 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
   spec.serve = (c & 8u) != 0;
   spec.krylov = (c & 16u) ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
   spec.exact_assembly = (c & 32u) == 0;
-  // Partition engine cycles mod 7 (coprime with 64): the serial
-  // multilevel recursion keeps the majority share, the parallel lane is
-  // sampled 1-in-7.
-  spec.partition_engine = c % 7u == 4u
-                              ? PartitionEngineAxis::ParallelMultilevel
-                              : PartitionEngineAxis::Multilevel;
+  // One case in 7 (coprime with 64) runs at 4 threads, so the partition
+  // recursion spawns its subtrees.
+  if (c % 7u == 4u) spec.threads = 4;
   // Value mode cycles mod 11 (coprime with 64 and 7): pattern-only keeps
   // the majority share; logabs is sampled 2-in-11 and abs 1-in-11, so every
-  // (engine, value-mode) pair is hit over a few hundred seeds.
+  // (thread count, value-mode) pair is hit over a few hundred seeds.
   switch (c % 11u) {
     case 3u:
     case 8u:
@@ -439,11 +403,6 @@ SolverOptions solver_options_for(const CaseSpec& spec) {
   opt.threads = spec.threads;
   opt.krylov.method = spec.krylov;
   opt.seed = spec.seed;
-  if (spec.partition_engine == PartitionEngineAxis::ParallelMultilevel) {
-    // Same engine — the parallel recursion is bitwise identical to serial
-    // by contract; forcing threads >= 4 actually spawns the subtrees.
-    opt.threads = std::max(opt.threads, 4u);
-  }
   opt.partition_values = spec.partition_values;
   if (spec.exact_assembly) {
     opt.assembly.drop_wg = 0.0;

@@ -39,18 +39,6 @@ const char* to_string(Family f);
 /// Parse the to_string() name; returns false on unknown names.
 bool family_from_string(std::string_view name, Family& out);
 
-/// Partition-engine axis (src/partition/). Multilevel and ParallelMultilevel
-/// must agree bitwise (the engine's thread-count determinism contract; the
-/// differential runner's serial rerun enforces it end to end).
-enum class PartitionEngineAxis {
-  Multilevel,          // serial multilevel recursion (the default engine)
-  ParallelMultilevel,  // same engine, parallel recursion (bitwise == serial)
-};
-
-const char* to_string(PartitionEngineAxis e);
-bool partition_engine_from_string(std::string_view name,
-                                  PartitionEngineAxis& out);
-
 /// One fuzz case: problem descriptor + pipeline configuration.
 struct CaseSpec {
   Family family = Family::RandomDiagDom;
@@ -69,12 +57,10 @@ struct CaseSpec {
   /// Route the solve through a SolveService (cold, then cached, bitwise
   /// compared) instead of calling the solver directly.
   bool serve = false;
-  /// Which partition engine lane computes the DBBD partition.
-  PartitionEngineAxis partition_engine = PartitionEngineAxis::Multilevel;
   /// Value-aware partitioning lane (--partition-values): weight nets/graph
   /// edges by bucketed |a_ij| magnitudes. Off keeps the pattern-only
-  /// default; value-weighted parallel lanes are re-run serial and diffed
-  /// bitwise by the differential runner.
+  /// default; value-weighted lanes are re-run at another thread count and
+  /// diffed bitwise by the differential runner.
   partition::ValueMode partition_values = partition::ValueMode::Off;
 
   /// Short id, e.g. "random-diag-dom/n64/seed7/RHB/k4/t3/nrhs2/exact".

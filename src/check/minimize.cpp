@@ -67,13 +67,6 @@ bool ngd_partitioner(CaseSpec& s) {
   s.partitioning = PartitionMethod::NGD;
   return true;
 }
-/// Fall back to the default serial multilevel partition engine: a failure
-/// that survives there is not the parallel recursion's fault.
-bool default_partition_engine(CaseSpec& s) {
-  if (s.partition_engine == PartitionEngineAxis::Multilevel) return false;
-  s.partition_engine = PartitionEngineAxis::Multilevel;
-  return true;
-}
 /// Fall back to pattern-only partitioning: a failure that survives without
 /// |a_ij| net weighting is not the value-weighting lane's fault.
 bool pattern_only_partition(CaseSpec& s) {
@@ -83,9 +76,9 @@ bool pattern_only_partition(CaseSpec& s) {
 }
 
 constexpr Candidate kLadder[] = {
-    halve_n, halve_subdomains, single_rhs, no_serve,       serial,
-    gmres_only, sparsify,      shave_n,    ngd_partitioner,
-    default_partition_engine, pattern_only_partition,
+    halve_n,    halve_subdomains, single_rhs, no_serve,
+    serial,     gmres_only,       sparsify,   shave_n,
+    ngd_partitioner, pattern_only_partition,
 };
 
 }  // namespace

@@ -1,10 +1,7 @@
 #include "core/preconditioner.hpp"
 
-#include "direct/mindeg.hpp"
+#include "direct/analysis.hpp"
 #include "direct/trisolve.hpp"
-#include "sparse/convert.hpp"
-#include "sparse/permute.hpp"
-#include "sparse/symmetrize.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -13,21 +10,18 @@ namespace pdslin {
 SchurPreconditioner::SchurPreconditioner(const CsrMatrix& s_tilde,
                                          const LuOptions& opt,
                                          const TrisolveOptions&)
-    : n_(s_tilde.rows), scratch_(s_tilde.rows) {
+    : n_(s_tilde.rows) {
   PDSLIN_CHECK(s_tilde.rows == s_tilde.cols);
   WallTimer timer;
-  const CsrMatrix sym = symmetrize_abs(pattern_of(s_tilde));
-  colmap_ = minimum_degree_ordering(sym);
-  const CsrMatrix ordered = permute_symmetric(s_tilde, colmap_);
-  LuFactors f = lu_factorize(ordered, opt);
+  LuFactors f;
+  {
+    PatternAnalysis an = analyze_pattern(s_tilde, FillOrdering::MinimumDegree);
+    f = lu_factorize(s_tilde, an, opt);
+    colmap_ = std::move(an.colmap);
+  }
   const index_t start = dense_block_start(f);
   lu_ = with_dense_block(std::move(f), start);
   factor_seconds_ = timer.seconds();
-}
-
-void SchurPreconditioner::apply(std::span<const value_t> x,
-                                std::span<value_t> y) const {
-  apply_with_scratch(x, y, scratch_);
 }
 
 void SchurPreconditioner::apply_with_scratch(

@@ -3,7 +3,8 @@
 // used as a preconditioner for solving (2)"). The factors' trailing block
 // is kept dense from the column where that is no larger than CSC
 // (BlockLuFactors, docs/ALGORITHMS.md §2.5); the apply is bitwise the CSC
-// sweeps either way.
+// sweeps either way. A Krylov solve takes it through PrecondView, which
+// binds the shared factors to the caller's scratch.
 #pragma once
 
 #include "direct/lu.hpp"
@@ -12,18 +13,17 @@
 
 namespace pdslin {
 
-class SchurPreconditioner final : public LinearOperator {
+class SchurPreconditioner {
  public:
-  /// Factorizes S̃ (throws pdslin::Error if singular). A fill-reducing
-  /// ordering is applied internally. The third parameter is unused (see
-  /// TrisolveOptions).
+  /// Factorizes S̃ (throws pdslin::Error if singular) in the minimum-degree
+  /// order of |S̃| + |S̃ᵀ| (analyze_pattern). The third parameter is unused
+  /// (see TrisolveOptions).
   explicit SchurPreconditioner(const CsrMatrix& s_tilde, const LuOptions& opt = {},
                                const TrisolveOptions& = {});
 
-  [[nodiscard]] index_t size() const override { return n_; }
-  void apply(std::span<const value_t> x, std::span<value_t> y) const override;
+  [[nodiscard]] index_t size() const { return n_; }
 
-  /// apply() through caller-owned scratch (resized to n if short). The
+  /// y = M⁻¹x through caller-owned scratch (resized to n if short). The
   /// factors themselves are immutable after construction, so any number of
   /// threads may apply one preconditioner concurrently as long as each
   /// brings its own scratch — the serve layer's const-reuse contract.
@@ -48,7 +48,23 @@ class SchurPreconditioner final : public LinearOperator {
   std::vector<index_t> colmap_;  // fill-reducing permutation (new → old)
   BlockLuFactors lu_;
   double factor_seconds_ = 0.0;
-  mutable std::vector<value_t> scratch_;
+};
+
+/// The LinearOperator of a shared (const) SchurPreconditioner bound to a
+/// caller-owned scratch buffer, so concurrent solves never share apply
+/// state.
+class PrecondView final : public LinearOperator {
+ public:
+  PrecondView(const SchurPreconditioner& p, std::vector<value_t>& scratch)
+      : p_(p), scratch_(scratch) {}
+  [[nodiscard]] index_t size() const override { return p_.size(); }
+  void apply(std::span<const value_t> x, std::span<value_t> y) const override {
+    p_.apply_with_scratch(x, y, scratch_);
+  }
+
+ private:
+  const SchurPreconditioner& p_;
+  std::vector<value_t>& scratch_;
 };
 
 }  // namespace pdslin

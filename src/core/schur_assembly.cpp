@@ -8,43 +8,19 @@
 #include <numeric>
 
 #include "check/fault.hpp"
-#include "direct/mindeg.hpp"
+#include "direct/analysis.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "reorder/hypergraph_rhs.hpp"
 #include "reorder/postorder_rhs.hpp"
 #include "sparse/convert.hpp"
-#include "sparse/permute.hpp"
 #include "sparse/spgemm.hpp"
-#include "sparse/symmetrize.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace pdslin {
 
 namespace {
-
-// CSC of A with rows renumbered: new row index of old row r is new_of[r].
-CscMatrix remap_rows_to_csc(const CsrMatrix& a,
-                            const std::vector<index_t>& new_of) {
-  CscMatrix out(a.rows, a.cols);
-  // Count per column.
-  for (index_t c : a.col_idx) ++out.col_ptr[c + 1];
-  for (index_t j = 0; j < a.cols; ++j) out.col_ptr[j + 1] += out.col_ptr[j];
-  out.row_idx.resize(a.col_idx.size());
-  out.values.resize(a.values.size());
-  std::vector<index_t> next(out.col_ptr.begin(), out.col_ptr.end() - 1);
-  for (index_t i = 0; i < a.rows; ++i) {
-    const index_t ni = new_of[i];
-    for (index_t q = a.row_ptr[i]; q < a.row_ptr[i + 1]; ++q) {
-      const index_t slot = next[a.col_idx[q]]++;
-      out.row_idx[slot] = ni;
-      out.values[slot] = a.values[q];
-    }
-  }
-  out.sort_cols();
-  return out;
-}
 
 // Column order for a multi-RHS solve per the configured strategy. `rhs` has
 // rows already in factor order. The Hypergraph strategy builds its row-net
@@ -275,45 +251,37 @@ SubdomainFactorization assemble_subdomain(const Subdomain& sub,
   const index_t nd = sub.d.rows;
   WallTimer timer;
 
-  // --- Fill-reducing ordering (minimum degree), optionally composed with
-  // the e-tree postorder when the §IV-A RHS strategy is active. ---
-  timer.reset();
-  CsrMatrix d_ord;
+  // --- Pattern analysis: minimum degree, composed with the e-tree
+  // postorder when the §IV-A RHS strategy is active; then the LU
+  // factorization of D in that order. The analysis is not kept. ---
   {
-    PDSLIN_SPAN("lu_d.order");
-    const CsrMatrix dsym = symmetrize_abs(pattern_of(sub.d));
-    f.colmap = minimum_degree_ordering(dsym);
-    d_ord = permute_symmetric(sub.d, f.colmap);
-    if (opt.rhs_ordering == RhsOrdering::Postorder) {
-      const std::vector<index_t> post = etree_postorder_permutation(d_ord);
-      // Compose: colmap[new] = old goes through the postorder.
-      std::vector<index_t> composed(nd);
-      for (index_t i = 0; i < nd; ++i) composed[i] = f.colmap[post[i]];
-      f.colmap = std::move(composed);
-      d_ord = permute_symmetric(sub.d, f.colmap);
+    timer.reset();
+    PatternAnalysis an = [&] {
+      PDSLIN_SPAN("lu_d.order");
+      return analyze_pattern(sub.d, opt.rhs_ordering == RhsOrdering::Postorder
+                                        ? FillOrdering::MinimumDegreePostorder
+                                        : FillOrdering::MinimumDegree);
+    }();
+    f.order_seconds = timer.seconds();
+    timer.reset();
+    {
+      PDSLIN_SPAN("lu_d.factor");
+      f.lu = lu_factorize(sub.d, an, opt.lu);
     }
+    f.factor_seconds = timer.seconds();
+    f.colmap = std::move(an.colmap);
   }
-  f.order_seconds = timer.seconds();
-
-  // --- LU factorization of the (re)ordered subdomain. ---
-  timer.reset();
-  {
-    PDSLIN_SPAN("lu_d.factor");
-    f.lu = lu_factorize(d_ord, opt.lu);
-  }
-  f.factor_seconds = timer.seconds();
   f.lu_nnz = f.lu.fill_nnz();
 
   // Combined row map: pivot row k of the factors reads old local row
   // colmap[lu.row_perm[k]].
   f.rowmap.resize(nd);
   for (index_t k = 0; k < nd; ++k) f.rowmap[k] = f.colmap[f.lu.row_perm[k]];
-  std::vector<index_t> row_new_of(nd);
-  for (index_t k = 0; k < nd; ++k) row_new_of[f.rowmap[k]] = k;
 
   // --- G = L⁻¹ (P Ê): blocked multi-RHS forward solve. ---
   f.nnz_ehat = sub.ehat.nnz();
-  const CscMatrix ehat_perm = remap_rows_to_csc(sub.ehat, row_new_of);
+  const CscMatrix ehat_perm =
+      rhs_in_factor_order(sub.ehat, f.colmap, f.lu.row_perm);
   const std::vector<index_t> g_order =
       choose_rhs_order(f.lu.lower, ehat_perm, opt, f.reorder_seconds);
   timer.reset();

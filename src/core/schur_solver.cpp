@@ -38,22 +38,6 @@ std::size_t index_bytes(const std::vector<index_t>& v) {
   return v.size() * sizeof(index_t);
 }
 
-/// LinearOperator view binding the shared (const) LU(S̃) preconditioner to a
-/// per-context scratch buffer, so concurrent solves never share apply state.
-class PrecondView final : public LinearOperator {
- public:
-  PrecondView(const SchurPreconditioner& p, std::vector<value_t>& scratch)
-      : p_(p), scratch_(scratch) {}
-  [[nodiscard]] index_t size() const override { return p_.size(); }
-  void apply(std::span<const value_t> x, std::span<value_t> y) const override {
-    p_.apply_with_scratch(x, y, scratch_);
-  }
-
- private:
-  const SchurPreconditioner& p_;
-  std::vector<value_t>& scratch_;
-};
-
 /// Hand the pages of free heap chunks back to the system (glibc; elsewhere
 /// a no-op). factor() frees T̃ and the assembly's temporaries, then LU(S̃)'s
 /// CSC arrays; their chunks sit inside the heap, where the large arrays
@@ -226,11 +210,7 @@ void SchurSolver::setup(const CsrMatrix* incidence,
   stats_.partition_seconds = timer.seconds();
   stats_.partition_multilevel_subtrees = pstats.multilevel_subtrees;
   stats_.partition_balance_ratio = pstats.balance_ratio;
-  obs::gauge("partition.separator_size")
-      .set(static_cast<double>(dbbd_.separator_size()));
   obs::counter("partition.subtrees.multilevel").add(pstats.multilevel_subtrees);
-  obs::gauge("partition.balance_ratio").set(pstats.balance_ratio);
-  obs::gauge("partition.value_weighted").set(value_weighted ? 1.0 : 0.0);
   stats_.partition = dbbd_stats(a_, dbbd_);
   stats_.schur_dim = dbbd_.separator_size();
   setup_done_ = true;
@@ -249,8 +229,6 @@ void SchurSolver::adopt_partition(DbbdPartition dbbd) {
   WallTimer timer;
   dbbd_ = std::move(dbbd);
   stats_.partition_seconds = timer.seconds();
-  obs::gauge("partition.separator_size")
-      .set(static_cast<double>(dbbd_.separator_size()));
   stats_.partition = dbbd_stats(a_, dbbd_);
   stats_.schur_dim = dbbd_.separator_size();
   setup_done_ = true;

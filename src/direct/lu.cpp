@@ -6,6 +6,7 @@
 #include "direct/panel_lu.hpp"
 #include "obs/metrics.hpp"
 #include "sparse/convert.hpp"
+#include "sparse/permute.hpp"
 #include "util/error.hpp"
 
 namespace pdslin {
@@ -241,9 +242,13 @@ LuFactors scalar_lu_factorize(const CscMatrix& a, const LuOptions& opt) {
   return f;
 }
 
-LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt) {
+namespace {
+
+/// `a` in factor order, `an` its analysis.
+LuFactors factorize_analyzed(const CscMatrix& a, const PatternAnalysis& an,
+                             const LuOptions& opt) {
   check_lu_input(a);
-  if (auto f = panel_lu_factorize(a, opt)) return std::move(*f);
+  if (auto f = panel_lu_factorize(a, an, opt)) return std::move(*f);
   // Threshold pivoting left the diagonal before the dense tail, or a guard
   // tripped (singular column, zero multiplier, non-finite value):
   // refactorize with the scalar kernel, which produces the identical result
@@ -253,8 +258,27 @@ LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt) {
   return scalar_lu_factorize(a, opt);
 }
 
+}  // namespace
+
+LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt) {
+  check_lu_input(a);
+  // The pattern of Aᵀ, the CSC arrays read as CSR: |Aᵀ| + |A| = |A| + |Aᵀ|.
+  CsrMatrix at;
+  at.rows = a.cols;
+  at.cols = a.rows;
+  at.row_ptr = a.col_ptr;
+  at.col_idx = a.row_idx;
+  return factorize_analyzed(a, analyze_pattern(at, FillOrdering::Given), opt);
+}
+
 LuFactors lu_factorize(const CsrMatrix& a, const LuOptions& opt) {
   return lu_factorize(csr_to_csc(a), opt);
+}
+
+LuFactors lu_factorize(const CsrMatrix& a, const PatternAnalysis& an,
+                       const LuOptions& opt) {
+  return factorize_analyzed(csr_to_csc(permute_symmetric(a, an.colmap)), an,
+                            opt);
 }
 
 }  // namespace pdslin

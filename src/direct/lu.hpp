@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "direct/analysis.hpp"
 #include "sparse/csr.hpp"
 
 namespace pdslin {
@@ -78,13 +79,20 @@ struct LuFactors {
   }
 };
 
-/// Factorize a square CSC matrix: the panel kernel, or the scalar kernel
-/// where the panel attempt aborts. Throws pdslin::Error on a zero/degenerate
-/// pivot (structural or numerical singularity).
+/// Factorize a square CSC matrix in its own order: the panel kernel, or the
+/// scalar kernel where the panel attempt aborts. Throws pdslin::Error on a
+/// zero/degenerate pivot (structural or numerical singularity).
 LuFactors lu_factorize(const CscMatrix& a, const LuOptions& opt = {});
 
 /// Convenience overload for CSR input.
 LuFactors lu_factorize(const CsrMatrix& a, const LuOptions& opt = {});
+
+/// Factorize a permuted symmetrically by `an.colmap`, where `an` is
+/// analyze_pattern(a, ·): the factors of permute_symmetric(a, an.colmap),
+/// which is formed once, and the panel kernel reads an's pattern and
+/// SymbolicFactor.
+LuFactors lu_factorize(const CsrMatrix& a, const PatternAnalysis& an,
+                       const LuOptions& opt = {});
 
 /// The scalar Gilbert–Peierls kernel alone: lu_factorize's fallback and the
 /// reference its factors are checked against (check/invariants.hpp).

@@ -13,16 +13,28 @@
 
 namespace pdslin {
 
-std::vector<std::vector<index_t>> symbolic_solve_patterns(const CscMatrix& l,
-                                                          const CscMatrix& b) {
-  PDSLIN_CHECK(l.rows == l.cols && l.rows == b.rows);
-  ReachSolver reach(l);
-  std::vector<std::vector<index_t>> patterns(b.cols);
-  for (index_t j = 0; j < b.cols; ++j) {
-    const auto pat = reach.reach(b.col_rows(j));
-    patterns[j].assign(pat.begin(), pat.end());
+CscMatrix rhs_in_factor_order(const CsrMatrix& b,
+                              std::span<const index_t> colmap,
+                              std::span<const index_t> row_perm) {
+  PDSLIN_CHECK(colmap.size() == static_cast<std::size_t>(b.rows) &&
+               row_perm.size() == colmap.size());
+  std::vector<index_t> new_of(colmap.size());
+  for (index_t k = 0; k < b.rows; ++k) new_of[colmap[row_perm[k]]] = k;
+  CscMatrix out(b.rows, b.cols);
+  for (const index_t c : b.col_idx) ++out.col_ptr[c + 1];
+  for (index_t j = 0; j < b.cols; ++j) out.col_ptr[j + 1] += out.col_ptr[j];
+  out.row_idx.resize(b.col_idx.size());
+  out.values.resize(b.values.size());
+  std::vector<index_t> next(out.col_ptr.begin(), out.col_ptr.end() - 1);
+  for (index_t i = 0; i < b.rows; ++i) {
+    for (index_t q = b.row_ptr[i]; q < b.row_ptr[i + 1]; ++q) {
+      const index_t slot = next[b.col_idx[q]]++;
+      out.row_idx[slot] = new_of[i];
+      out.values[slot] = b.values[q];
+    }
   }
-  return patterns;
+  out.sort_cols();
+  return out;
 }
 
 namespace {
@@ -143,6 +155,24 @@ void process_block(const CscMatrix& l, const CscMatrix& b,
 }
 
 }  // namespace
+
+std::vector<std::vector<index_t>> symbolic_solve_patterns(const CscMatrix& l,
+                                                          const CscMatrix& b) {
+  PDSLIN_CHECK(l.rows == l.cols && l.rows == b.rows);
+  constexpr index_t kBlock = 64;  // one bitmask word per union row
+  std::vector<std::vector<index_t>> patterns(b.cols);
+  std::vector<index_t> cols(kBlock);
+  BlockScratch w(l, kBlock);
+  for (index_t begin = 0; begin < b.cols; begin += kBlock) {
+    const index_t width = std::min(kBlock, b.cols - begin);
+    for (index_t c = 0; c < width; ++c) cols[c] = begin + c;
+    reach_block_patterns(l, b, std::span<const index_t>(cols.data(), width), w);
+    for (index_t c = 0; c < width; ++c) {
+      patterns[begin + c].swap(w.col_patterns[c]);
+    }
+  }
+  return patterns;
+}
 
 MultiRhsResult solve_multi_rhs_blocked(const CscMatrix& l, const CscMatrix& b,
                                        std::span<const index_t> order,

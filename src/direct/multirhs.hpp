@@ -52,8 +52,17 @@ MultiRhsResult solve_multi_rhs_blocked(const CscMatrix& l, const CscMatrix& b,
 
 /// Symbolic-only sweep: per-column fill patterns of l⁻¹B (no numerics).
 /// Used by the reordering pipeline (§IV-B builds the hypergraph from these)
-/// and by the padding-cost evaluation.
+/// and by the padding-cost evaluation. The blocked solve's own symbolic
+/// step: one reach per block of up to 64 columns, each column's pattern
+/// read off the per-row column bitmasks.
 std::vector<std::vector<index_t>> symbolic_solve_patterns(const CscMatrix& l,
                                                           const CscMatrix& b);
+
+/// The CSC of sparse right-hand sides `b` (one row per row of A) with their
+/// rows in the factor order of LU(A permuted by colmap): row k of the
+/// result is b's row colmap[row_perm[k]]. Entries are not merged.
+CscMatrix rhs_in_factor_order(const CsrMatrix& b,
+                              std::span<const index_t> colmap,
+                              std::span<const index_t> row_perm);
 
 }  // namespace pdslin

@@ -12,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sparse/convert.hpp"
-#include "sparse/symmetrize.hpp"
 #include "util/error.hpp"
 
 namespace pdslin {
@@ -59,19 +58,12 @@ Supernodes cut_at_tail(const Supernodes& sn, index_t t, index_t width) {
   return out;
 }
 
-PanelSymbolic panel_symbolic(const CscMatrix& a, index_t max_width,
+PanelSymbolic panel_symbolic(const PatternAnalysis& an, index_t max_width,
                              double relax) {
   PDSLIN_SPAN("lu.panel.symbolic");
-  const index_t n = a.rows;
-
-  // Pattern of Aᵀ, reinterpreting the CSC arrays as CSR (no values).
-  CsrMatrix at;
-  at.rows = a.cols;
-  at.cols = a.rows;
-  at.row_ptr = a.col_ptr;
-  at.col_idx = a.row_idx;
-  const CsrMatrix sym = symmetrize_abs(at);
-  const SymbolicFactor sf = symbolic_cholesky(sym);
+  const CsrMatrix& sym = an.pattern;
+  const SymbolicFactor& sf = an.symbolic;
+  const index_t n = sym.rows;
 
   // The dense tail: the trailing columns whose symbolic columns are full to
   // the bottom. Its rows all share one pattern, so row exchanges among them
@@ -404,10 +396,15 @@ LuFactors panel_extract(const PanelSymbolic& ps,
 }  // namespace
 
 std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
+                                            const PatternAnalysis& an,
                                             const LuOptions& opt,
                                             index_t max_width, double relax) {
   PDSLIN_CHECK_MSG(a.rows == a.cols, "LU requires a square matrix");
-  const PanelSymbolic ps = panel_symbolic(a, max_width, relax);
+  PDSLIN_CHECK_MSG(an.pattern.rows == a.rows &&
+                       an.symbolic.parent.size() ==
+                           static_cast<std::size_t>(a.rows),
+                   "the pattern analysis is of another matrix");
+  const PanelSymbolic ps = panel_symbolic(an, max_width, relax);
   LuPanelStats stats;
   std::vector<value_t> arena;
   std::vector<index_t> tail_perm;

@@ -2,9 +2,10 @@
 // direct/lu.hpp for the kernel contract and direct/kernels.hpp for the
 // microkernel bitwise-order contract).
 //
-// Symbolic phase: symmetrize the pattern, take the symbolic Cholesky factor
-// (a structural superset of the diagonal-pivoted LU fill, George/Ng), find
-// its dense tail — the trailing columns whose symbolic columns are full to
+// Symbolic phase: from the pattern analysis (direct/analysis.hpp) — the
+// symmetrized pattern in factor order and its symbolic Cholesky factor, a
+// structural superset of the diagonal-pivoted LU fill (George/Ng) — find
+// the factor's dense tail — the trailing columns whose symbolic columns are full to
 // the bottom — and carve the columns before it into panels by relaxed
 // amalgamation of e-tree chains (the panel straddling the tail start is
 // cut there). The tail is one more panel. Each panel records its dense row
@@ -34,8 +35,9 @@ inline constexpr index_t kPanelMaxWidth = 32;
 /// allowed when merging e-tree chain columns into one panel.
 inline constexpr double kPanelRelax = 0.25;
 
-/// Attempt the supernodal factorization with panels at most `max_width`
-/// columns wide (0 = unlimited) and relaxation
+/// Attempt the supernodal factorization of `a`, the matrix in factor order
+/// (permuted by an.colmap), whose analysis is `an`, with panels at most
+/// `max_width` columns wide (0 = unlimited) and relaxation
 /// `relax` (0 = fundamental supernodes only). Returns std::nullopt — the
 /// caller reruns the scalar kernel, which reproduces the exact scalar
 /// result (including its singularity error) — when threshold pivoting
@@ -43,6 +45,7 @@ inline constexpr double kPanelRelax = 0.25;
 /// numerically singular, a nonzero numerator gives a zero L multiplier, or
 /// a factor value is not finite.
 std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
+                                            const PatternAnalysis& an,
                                             const LuOptions& opt,
                                             index_t max_width = kPanelMaxWidth,
                                             double relax = kPanelRelax);

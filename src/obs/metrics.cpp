@@ -162,33 +162,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
   return out;
 }
 
-std::string MetricsRegistry::to_json() const {
-  const std::vector<MetricSample> samples = snapshot();
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  for (const MetricSample& s : samples) {
-    os << (first ? "" : ",") << "\"" << json::escape(s.name) << "\":";
-    if (s.kind == MetricSample::Kind::Histogram) {
-      os << "{\"count\":" << s.count
-         << ",\"sum\":" << json::number_to_string(s.value) << ",\"bounds\":[";
-      for (std::size_t i = 0; i < s.bounds.size(); ++i) {
-        os << (i ? "," : "") << json::number_to_string(s.bounds[i]);
-      }
-      os << "],\"buckets\":[";
-      for (std::size_t i = 0; i < s.buckets.size(); ++i) {
-        os << (i ? "," : "") << s.buckets[i];
-      }
-      os << "]}";
-    } else {
-      os << json::number_to_string(s.value);
-    }
-    first = false;
-  }
-  os << "}";
-  return os.str();
-}
-
 void MetricsRegistry::reset_values() {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mutex);

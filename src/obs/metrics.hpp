@@ -88,11 +88,9 @@ class MetricsRegistry {
   /// get the same instance (bounds argument ignored).
   Histogram& histogram(std::string_view name, std::span<const double> bounds);
 
-  /// All metrics, sorted by name.
+  /// All metrics, sorted by name. RunReport::capture_metrics renders them
+  /// in its `metrics` block.
   [[nodiscard]] std::vector<MetricSample> snapshot() const;
-  /// Snapshot as one JSON object {"name":value,...}; histograms become
-  /// {"count":..,"sum":..,"buckets":[..]}.
-  [[nodiscard]] std::string to_json() const;
 
   /// Zero every value (names and bounds stay registered). Benches and tests
   /// use this to scope metrics to one run.

@@ -4,19 +4,10 @@
 #include <limits>
 #include <numeric>
 
-#include "direct/etree.hpp"
-#include "sparse/convert.hpp"
 #include "sparse/permute.hpp"
-#include "sparse/symmetrize.hpp"
 #include "util/error.hpp"
 
 namespace pdslin {
-
-std::vector<index_t> etree_postorder_permutation(const CsrMatrix& d) {
-  const CsrMatrix sym = symmetrize_abs(pattern_of(d));
-  const std::vector<index_t> parent = elimination_tree(sym);
-  return tree_postorder(parent);
-}
 
 std::vector<index_t> sort_columns_by_first_nonzero(
     const CscMatrix& rhs, const std::vector<index_t>& row_perm) {

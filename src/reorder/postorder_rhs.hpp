@@ -1,10 +1,11 @@
 // RHS reordering based on the elimination-tree postorder (paper §IV-A).
 //
-// The subdomain matrix D is permuted so its e-tree is postordered; the RHS
-// rows are permuted conformingly; RHS columns are then sorted by the row
-// index of their first nonzero. Consecutive columns then start at nearby
-// e-tree nodes, so their fill paths overlap and the blocked solver pads
-// fewer zeros.
+// The subdomain matrix D is permuted so its e-tree is postordered
+// (FillOrdering::MinimumDegreePostorder, direct/analysis.hpp); the RHS rows
+// are permuted conformingly; RHS columns are then sorted by the row index
+// of their first nonzero. Consecutive columns then start at nearby e-tree
+// nodes, so their fill paths overlap and the blocked solver pads fewer
+// zeros.
 #pragma once
 
 #include <vector>
@@ -12,10 +13,6 @@
 #include "sparse/csr.hpp"
 
 namespace pdslin {
-
-/// The symmetric permutation of D (perm[new] = old) putting the e-tree of
-/// |D| + |Dᵀ| in postorder (`d` any square pattern, symmetrized internally).
-std::vector<index_t> etree_postorder_permutation(const CsrMatrix& d);
 
 /// Sort columns by first-nonzero row index under a given row permutation
 /// (perm[new] = old). Stable: ties keep original column order.

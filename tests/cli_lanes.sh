@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Two pdslin lanes that no benchmark workload or fuzz case runs: BiCGSTAB
-# (--krylov, mapped into KrylovOptions::method) and the §IV-B hypergraph
-# RHS ordering. Each must exit 0, converge, and print the same iteration
-# count, operator applies, Krylov residual and true residual at --threads 1
-# and 4 (the numeric tokens, not whole lines: the summary embeds timings).
+# Three pdslin lanes that no benchmark workload or fuzz case runs: BiCGSTAB
+# (--krylov, mapped into KrylovOptions::method), the §IV-B hypergraph RHS
+# ordering, and the natural RHS ordering (each D_ℓ ordered by minimum degree
+# alone, without the e-tree postorder). Each must exit 0, converge, and
+# print the same iteration count, operator applies, Krylov residual and true
+# residual at --threads 1 and 4 (the numeric tokens, not whole lines: the
+# summary embeds timings).
 #
 # Usage: cli_lanes.sh BIN_DIR
 #   BIN_DIR   directory holding pdslin
@@ -11,7 +13,8 @@ set -u
 bin=$1
 
 failures=0
-for lane in "--krylov bicgstab" "--rhs-ordering hypergraph"; do
+for lane in "--krylov bicgstab" "--rhs-ordering hypergraph" \
+            "--rhs-ordering natural"; do
   ref=""
   for threads in 1 4; do
     # shellcheck disable=SC2086  # $lane is a flag and its value

@@ -452,7 +452,6 @@ TEST(Artifact, SpecRoundTripsThroughJson) {
   spec.krylov = KrylovMethod::Bicgstab;
   spec.exact_assembly = false;
   spec.serve = true;
-  spec.partition_engine = PartitionEngineAxis::ParallelMultilevel;
   const std::string json = artifact_to_json(spec);
   const CaseSpec back = artifact_from_json(json);
   EXPECT_EQ(back.to_string(), spec.to_string());
@@ -486,13 +485,24 @@ TEST(Artifact, MalformedDocumentThrows) {
             CaseSpec{}.to_string());
   EXPECT_THROW(artifact_from_json(with_kernel("lu-fp32")), Error);
 
-  // The same holds for the removed partition-engine lanes.
-  for (const char* lane : {"pe-geometric", "pe-budget0"}) {
-    std::string removed = base;
-    const std::size_t pe = removed.find("\"pe-multilevel\"");
-    ASSERT_NE(pe, std::string::npos);
-    removed.replace(pe, 15, std::string("\"") + lane + "\"");
-    EXPECT_THROW(artifact_from_json(removed), Error) << lane;
+  // The same holds for the partition-engine lanes older artifacts name:
+  // pe-multilevel replays as recorded, pe-parallel at no fewer than 4
+  // threads, and the removed pe-geometric and pe-budget0 lanes are unknown.
+  ASSERT_EQ(base.find("partition_engine"), std::string::npos);
+  auto with_engine = [&](const char* name) {
+    std::string doc = base;
+    doc.insert(spec_open + 9,
+               std::string("\n    \"partition_engine\": \"") + name + "\",");
+    return doc;
+  };
+  EXPECT_EQ(artifact_from_json(with_engine("pe-multilevel")).to_string(),
+            CaseSpec{}.to_string());
+  CaseSpec at4;
+  at4.threads = 4;
+  EXPECT_EQ(artifact_from_json(with_engine("pe-parallel")).to_string(),
+            at4.to_string());
+  for (const char* lane : {"pe-geometric", "pe-budget0", "pe-other"}) {
+    EXPECT_THROW(artifact_from_json(with_engine(lane)), Error) << lane;
   }
 
   // adaptive_sigma: absent or false replays; true names the removed lane,

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <string>
 
+#include "direct/analysis.hpp"
 #include "direct/etree.hpp"
 #include "direct/lu.hpp"
 #include "direct/mindeg.hpp"
@@ -158,6 +159,61 @@ TEST(MinDeg, HandlesDenseRow) {
   EXPECT_EQ(perm.back(), n / 2);
 }
 
+// analyze_pattern computes once what the ordering sequence computed step by
+// step: minimum degree of |A| + |Aᵀ|, the ordered pattern the panel kernel
+// used to rebuild from the permuted matrix, its e-tree and column counts,
+// and for the postorder the same recomputed on the postordered matrix.
+TEST(PatternAnalysis, MatchesTheStepwiseSequence) {
+  Rng rng(61);
+  for (const double density : {0.02, 0.05, 0.12}) {
+    const CsrMatrix a = testing::random_sparse(90, 90, density, rng, 1.0);
+    const CsrMatrix sym = symmetrize_abs(pattern_of(a));
+    const std::vector<index_t> md = minimum_degree_ordering(sym);
+    const std::vector<index_t> post = tree_postorder(
+        elimination_tree(symmetrize_abs(pattern_of(permute_symmetric(a, md)))));
+    std::vector<index_t> md_post(md.size());
+    for (std::size_t i = 0; i < md.size(); ++i) md_post[i] = md[post[i]];
+    std::vector<index_t> identity(md.size());
+    std::iota(identity.begin(), identity.end(), 0);
+
+    const std::pair<FillOrdering, const std::vector<index_t>*> cases[] = {
+        {FillOrdering::Given, &identity},
+        {FillOrdering::MinimumDegree, &md},
+        {FillOrdering::MinimumDegreePostorder, &md_post}};
+    for (const auto& [ordering, colmap] : cases) {
+      const PatternAnalysis an = analyze_pattern(a, ordering);
+      EXPECT_EQ(an.colmap, *colmap) << density;
+      const CsrMatrix want =
+          symmetrize_abs(pattern_of(permute_symmetric(a, *colmap)));
+      EXPECT_EQ(an.pattern.row_ptr, want.row_ptr) << density;
+      EXPECT_EQ(an.pattern.col_idx, want.col_idx) << density;
+      EXPECT_FALSE(an.pattern.has_values());
+      const SymbolicFactor sf = symbolic_cholesky(want);
+      EXPECT_EQ(an.symbolic.parent, sf.parent) << density;
+      EXPECT_EQ(an.symbolic.col_counts, sf.col_counts) << density;
+      EXPECT_EQ(an.symbolic.factor_nnz, sf.factor_nnz) << density;
+    }
+  }
+}
+
+// Factoring through an analysis gives the factors of the permuted matrix.
+TEST(PatternAnalysis, AnalyzedFactorsEqualThePermutedMatrixFactors) {
+  Rng rng(67);
+  const CsrMatrix a = testing::random_sparse(120, 120, 0.04, rng, 2.0);
+  for (const FillOrdering ordering :
+       {FillOrdering::Given, FillOrdering::MinimumDegree,
+        FillOrdering::MinimumDegreePostorder}) {
+    const PatternAnalysis an = analyze_pattern(a, ordering);
+    const LuFactors got = lu_factorize(a, an);
+    const LuFactors want = lu_factorize(permute_symmetric(a, an.colmap));
+    EXPECT_EQ(got.row_perm, want.row_perm);
+    EXPECT_EQ(got.lower.row_idx, want.lower.row_idx);
+    EXPECT_EQ(got.lower.values, want.lower.values);
+    EXPECT_EQ(got.upper_t.row_idx, want.upper_t.row_idx);
+    EXPECT_EQ(got.upper_t.values, want.upper_t.values);
+  }
+}
+
 TEST(Lu, FactorsReproduceMatrix) {
   Rng rng(31);
   const CsrMatrix a = testing::random_pattern_symmetric(40, 0.15, rng);
@@ -304,17 +360,24 @@ TEST(MultiRhs, PaddingAccounting) {
   EXPECT_LT(r12.stats.padded_fraction(), 1.0);
 }
 
+// symbolic_solve_patterns runs the blocked solve's symbolic step on blocks
+// of 64 columns: each column's pattern is its own reach, for a single block,
+// a full word, one column past it and a last block of one column.
 TEST(MultiRhs, SymbolicPatternsMatchSolver) {
   Rng rng(59);
   const CsrMatrix a = testing::random_pattern_symmetric(40, 0.12, rng);
   const LuFactors f = lu_factorize(a);
-  const CscMatrix b = csr_to_csc(testing::random_sparse(40, 6, 0.1, rng));
-  const auto patterns = symbolic_solve_patterns(f.lower, b);
   ReachSolver reach(f.lower);
-  for (index_t j = 0; j < 6; ++j) {
-    const auto pat = reach.reach(b.col_rows(j));
-    ASSERT_EQ(patterns[j].size(), pat.size());
-    EXPECT_TRUE(std::equal(pat.begin(), pat.end(), patterns[j].begin()));
+  for (const index_t m : {6, 64, 65, 129}) {
+    const CscMatrix b = csr_to_csc(testing::random_sparse(40, m, 0.1, rng));
+    const auto patterns = symbolic_solve_patterns(f.lower, b);
+    ASSERT_EQ(patterns.size(), static_cast<std::size_t>(m));
+    for (index_t j = 0; j < m; ++j) {
+      const auto pat = reach.reach(b.col_rows(j));
+      EXPECT_TRUE(std::equal(pat.begin(), pat.end(), patterns[j].begin(),
+                             patterns[j].end()))
+          << m << " columns, column " << j;
+    }
   }
 }
 
@@ -327,7 +390,12 @@ TEST(MultiRhs, BlockPatternsEqualSymbolicAcrossWordBoundaries) {
   const LuFactors f = lu_factorize(a);
   const index_t m = 150;
   const CscMatrix b = csr_to_csc(testing::random_sparse(300, m, 0.01, rng));
-  const auto patterns = symbolic_solve_patterns(f.lower, b);
+  std::vector<std::vector<index_t>> patterns(m);
+  ReachSolver reach(f.lower);
+  for (index_t j = 0; j < m; ++j) {
+    const auto pat = reach.reach(b.col_rows(j));
+    patterns[j].assign(pat.begin(), pat.end());
+  }
   long long pattern_nnz = 0;
   for (const auto& p : patterns) pattern_nnz += static_cast<long long>(p.size());
   std::vector<index_t> order(m);
@@ -352,6 +420,35 @@ TEST(MultiRhs, BlockPatternsEqualSymbolicAcrossWordBoundaries) {
           << "block " << bs << " col " << j;
     }
   }
+}
+
+// A sparse right-hand side's rows in factor order: row k holds the row
+// colmap[row_perm[k]], as a COO remap would place it.
+TEST(MultiRhs, RhsInFactorOrderMatchesCooRemap) {
+  Rng rng(83);
+  const index_t n = 70;
+  const CsrMatrix b = testing::random_sparse(n, 25, 0.08, rng);
+  std::vector<index_t> colmap(n), row_perm(n);
+  std::iota(colmap.begin(), colmap.end(), 0);
+  std::iota(row_perm.begin(), row_perm.end(), 0);
+  for (index_t i = n - 1; i > 0; --i) {
+    std::swap(colmap[i], colmap[rng.bounded(static_cast<std::uint64_t>(i) + 1)]);
+    std::swap(row_perm[i],
+              row_perm[rng.bounded(static_cast<std::uint64_t>(i) + 1)]);
+  }
+  std::vector<index_t> new_of(n);
+  for (index_t k = 0; k < n; ++k) new_of[colmap[row_perm[k]]] = k;
+  CooMatrix coo(n, b.cols);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t q = b.row_ptr[i]; q < b.row_ptr[i + 1]; ++q) {
+      coo.add(new_of[i], b.col_idx[q], b.values[q]);
+    }
+  }
+  const CscMatrix want = coo_to_csc(coo);
+  const CscMatrix got = rhs_in_factor_order(b, colmap, row_perm);
+  EXPECT_EQ(got.col_ptr, want.col_ptr);
+  EXPECT_EQ(got.row_idx, want.row_idx);
+  EXPECT_EQ(got.values, want.values);
 }
 
 // An entry of a column's reach whose value cancels to exactly 0.0 stays in

@@ -44,7 +44,9 @@ TEST(Bicgstab, ExactPreconditionerFewIterations) {
   Rng rng(7);
   const CsrMatrix a = testing::random_pattern_symmetric(40, 0.15, rng);
   const MatrixOperator op(a);
-  const SchurPreconditioner precond(a);
+  const SchurPreconditioner lu(a);
+  std::vector<value_t> scratch;
+  const PrecondView precond(lu, scratch);
   std::vector<value_t> b(40), x(40, 0.0);
   for (auto& v : b) v = rng.uniform(-1, 1);
   const BicgstabResult r = bicgstab(op, &precond, b, x);

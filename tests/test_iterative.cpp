@@ -65,7 +65,9 @@ TEST(Gmres, ExactPreconditionerOneIteration) {
   Rng rng(7);
   const CsrMatrix a = testing::random_pattern_symmetric(30, 0.2, rng);
   const MatrixOperator op(a);
-  const SchurPreconditioner precond(a);  // LU of A itself: M⁻¹ = A⁻¹
+  const SchurPreconditioner lu(a);  // LU of A itself: M⁻¹ = A⁻¹
+  std::vector<value_t> scratch;
+  const PrecondView precond(lu, scratch);
   std::vector<value_t> b(30), x(30, 0.0);
   for (auto& v : b) v = rng.uniform(-1, 1);
   const GmresResult r = gmres(op, &precond, b, x);
@@ -300,9 +302,9 @@ TEST(Preconditioner, ApplySolvesSystem) {
   Rng rng(13);
   const CsrMatrix a = testing::random_pattern_symmetric(25, 0.25, rng);
   const SchurPreconditioner p(a);
-  std::vector<value_t> b(25), x(25);
+  std::vector<value_t> b(25), x(25), scratch;
   for (auto& v : b) v = rng.uniform(-1, 1);
-  p.apply(b, x);
+  PrecondView(p, scratch).apply(b, x);
   EXPECT_LT(residual_norm(a, x, b), 1e-9);
   EXPECT_GT(p.factor_nnz(), a.rows);
 }

@@ -84,11 +84,20 @@ TEST(ObsMetrics, SnapshotSortedAndJsonParses) {
   for (std::size_t i = 1; i < snap.size(); ++i) {
     EXPECT_LT(snap[i - 1].name, snap[i].name);
   }
-  const obs::json::Value doc =
-      obs::json::parse(obs::MetricsRegistry::instance().to_json());
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.at("test.snap.b").number, 2.0);
-  EXPECT_EQ(doc.at("test.snap.a").number, 1.0);
+  // The snapshot reaches JSON through the RunReport's metrics block.
+  obs::RunReport rep;
+  rep.capture_metrics();
+  EXPECT_EQ(rep.metrics, snap);
+  const obs::RunReport back = obs::RunReport::from_json(rep.to_json());
+  const auto value_of = [&](std::string_view name) {
+    for (const obs::MetricSample& m : back.metrics) {
+      if (m.name == name) return m.value;
+    }
+    ADD_FAILURE() << name << " missing from the parsed report";
+    return -1.0;
+  };
+  EXPECT_EQ(value_of("test.snap.b"), 2.0);
+  EXPECT_EQ(value_of("test.snap.a"), 1.0);
 }
 
 TEST(ObsMetrics, ResetZeroesValuesButKeepsNames) {

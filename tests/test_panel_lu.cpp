@@ -79,23 +79,25 @@ LuFactors scalar_of(const CsrMatrix& a, const LuOptions& opt = {}) {
 }
 
 /// The panel kernel alone, without the scalar fallback, at an explicit
-/// width cap and relaxation.
+/// width cap and relaxation, on `a` in its own order.
 std::optional<LuFactors> panel_of(const CsrMatrix& a,
                                   index_t width = kPanelMaxWidth,
                                   double relax = kPanelRelax,
                                   const LuOptions& opt = {}) {
-  return panel_lu_factorize(csr_to_csc(a), opt, width, relax);
+  return panel_lu_factorize(csr_to_csc(a),
+                            analyze_pattern(a, FillOrdering::Given), opt,
+                            width, relax);
 }
 
 CsrMatrix ordered_matrix(const CsrMatrix& a) {
-  const auto perm = minimum_degree_ordering(symmetrize_abs(pattern_of(a)));
-  return permute_symmetric(a, perm);
+  return permute_symmetric(
+      a, analyze_pattern(a, FillOrdering::MinimumDegree).colmap);
 }
 
 /// First column of the dense tail: the trailing columns whose symbolic
 /// Cholesky columns (of the symmetrized pattern) are full to the bottom.
 index_t dense_tail_start(const CsrMatrix& a) {
-  const SymbolicFactor sf = symbolic_cholesky(symmetrize_abs(pattern_of(a)));
+  const SymbolicFactor sf = analyze_pattern(a, FillOrdering::Given).symbolic;
   index_t t = a.rows;
   while (t > 0 && sf.col_counts[t - 1] == a.rows - t + 1) --t;
   return t;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "direct/analysis.hpp"
 #include "direct/lu.hpp"
 #include "direct/mindeg.hpp"
 #include "direct/multirhs.hpp"
@@ -69,7 +70,8 @@ TEST(Padding, AgreesWithBlockedSolver) {
 // then the RHS columns sorted by first nonzero under it.
 TEST(PostorderRhs, PermutationValidAndSorted) {
   const RhsFixture f = make_fixture(10, 30, 0.04, 7);
-  const std::vector<index_t> d_perm = etree_postorder_permutation(f.d);
+  const std::vector<index_t> d_perm =
+      postorder_analysis(analyze_pattern(f.d, FillOrdering::Given)).colmap;
   const std::vector<index_t> col_order =
       sort_columns_by_first_nonzero(f.rhs, d_perm);
   EXPECT_TRUE(is_permutation(d_perm, f.d.rows));
@@ -94,7 +96,8 @@ TEST(PostorderRhs, ReducesPaddingVersusRandomOrder) {
   CsrMatrix d = testing::grid_laplacian(grid, grid);
   Rng rng(11);
   CscMatrix rhs = csr_to_csc(testing::random_sparse(d.rows, ncols, 0.03, rng));
-  const std::vector<index_t> d_perm = etree_postorder_permutation(d);
+  const std::vector<index_t> d_perm =
+      postorder_analysis(analyze_pattern(d, FillOrdering::Given)).colmap;
   const std::vector<index_t> col_order =
       sort_columns_by_first_nonzero(rhs, d_perm);
 
