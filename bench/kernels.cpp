@@ -5,7 +5,7 @@
 // Before the google-benchmark suite runs, main() executes the scalar-vs-
 // supernodal LU factorization ablation: both kernels factorize the same
 // ordered matrices — two grid FEM meshes and one indefinite Schur
-// complement whose off-diagonal pivots all fall in the dense tail — the
+// complement whose off-diagonal pivots all fall in the dense region — the
 // factors are cross-checked (bitwise by contract, plus a matvec probe of
 // ‖LU − PA‖, plus the panel kernel having run rather than fallen back),
 // and one "BENCH {json}" line per (matrix, kernel) is printed. A failed
@@ -165,18 +165,24 @@ void set_gflops(benchmark::State& state, double flops_per_iteration) {
       benchmark::Counter::kIsRate);
 }
 
-// C −= L·Y at the shape of the dense LU(S̃) tail of the cold-cavity
-// system: ni = ncol = 1,417, w = 32 pivots.
+// C −= L·Y at the shape of the dense LU(S̃) region of the cold-cavity
+// system: ni = ncol = 1,417, w = 32 pivots. The second argument is the
+// percentage of multipliers that are 0.0: at 0 every strip of the AVX2
+// path's register tile runs its unmasked body, at 10 nearly every strip
+// holds a zero and runs the masked one.
 void BM_GemmMinus(benchmark::State& state) {
   const panel::KernelTable* t = path_table(state);
   if (t == nullptr) return;
   constexpr index_t ni = 1417, ncol = 1417, w = 32;
+  const double zeros = static_cast<double>(state.range(1)) / 100.0;
   Rng rng(11);
   std::vector<value_t> l(static_cast<std::size_t>(ni) * w);
   std::vector<value_t> y(static_cast<std::size_t>(w) * ncol);
   std::vector<value_t> c(static_cast<std::size_t>(ni) * ncol);
   for (value_t& v : l) v = rng.uniform(-1e-3, 1e-3);
-  for (value_t& v : y) v = rng.uniform(-1e-3, 1e-3);
+  for (value_t& v : y) {
+    v = rng.uniform() < zeros ? 0.0 : rng.uniform(-1e-3, 1e-3);
+  }
   for (value_t& v : c) v = rng.uniform(-1.0, 1.0);
   for (auto _ : state) {
     t->gemm(l.data(), ni, ni, w, y.data(), ncol, c.data(), ni);
@@ -185,7 +191,13 @@ void BM_GemmMinus(benchmark::State& state) {
   }
   set_gflops(state, 2.0 * ni * ncol * w);
 }
-BENCHMARK(BM_GemmMinus)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GemmMinus)
+    ->ArgNames({"avx2", "zero_pct"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 10})
+    ->Args({1, 10})
+    ->Unit(benchmark::kMillisecond);
 
 // The block update of the blocked multi-RHS solve: one block of 60 sparse
 // right-hand sides (6 random rows each) over the reach of their union in
@@ -477,7 +489,7 @@ bool factors_bitwise_equal(const LuFactors& fa, const LuFactors& fb) {
 /// S̃ of benchmark/'s warm-krylov workload (tdr190k at scale 0.4, its
 /// solver options with drop_s 1e-3, system seed 20130520), ordered as
 /// SchurPreconditioner orders it. Indefinite: threshold pivoting leaves the
-/// diagonal, but only inside the dense tail.
+/// diagonal, but only inside the dense region.
 CsrMatrix warm_krylov_schur() {
   const GeneratedProblem p = make_suite_matrix("tdr190k", 0.4, 20130520);
   SolverOptions opt;

@@ -2,6 +2,7 @@
 
 #include "direct/analysis.hpp"
 #include "direct/trisolve.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -13,14 +14,16 @@ SchurPreconditioner::SchurPreconditioner(const CsrMatrix& s_tilde,
     : n_(s_tilde.rows) {
   PDSLIN_CHECK(s_tilde.rows == s_tilde.cols);
   WallTimer timer;
-  LuFactors f;
+  PatternAnalysis an = [&] {
+    PDSLIN_SPAN("lu_s.analyze");
+    return analyze_pattern(s_tilde, FillOrdering::MinimumDegree);
+  }();
+  analyze_seconds_ = timer.seconds();
   {
-    PatternAnalysis an = analyze_pattern(s_tilde, FillOrdering::MinimumDegree);
-    f = lu_factorize(s_tilde, an, opt);
-    colmap_ = std::move(an.colmap);
+    PDSLIN_SPAN("lu_s.factor");
+    lu_ = block_lu_factorize(s_tilde, an, opt);
   }
-  const index_t start = dense_block_start(f);
-  lu_ = with_dense_block(std::move(f), start);
+  colmap_ = std::move(an.colmap);
   factor_seconds_ = timer.seconds();
 }
 

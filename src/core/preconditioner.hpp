@@ -2,8 +2,8 @@
 // as M⁻¹ inside GMRES (paper §I: "the LU factors of S̃ are computed … and
 // used as a preconditioner for solving (2)"). The factors' trailing block
 // is kept dense from the column where that is no larger than CSC
-// (BlockLuFactors, docs/ALGORITHMS.md §2.5); the apply is bitwise the CSC
-// sweeps either way. A Krylov solve takes it through PrecondView, which
+// (BlockLuFactors, docs/ALGORITHMS.md §2.5), written there by the panel
+// kernel itself; the apply is bitwise the CSC sweeps either way. A Krylov solve takes it through PrecondView, which
 // binds the shared factors to the caller's scratch.
 #pragma once
 
@@ -36,7 +36,12 @@ class SchurPreconditioner {
   [[nodiscard]] const BlockLuFactors& factors() const { return lu_; }
   /// Stored entries of L + U, as the CSC factors held them.
   [[nodiscard]] long long factor_nnz() const { return lu_.stored_nnz; }
+  /// Wall seconds of the whole construction: the analysis and the numeric
+  /// factorization (permutation, panel kernel, dense block).
   [[nodiscard]] double factor_seconds() const { return factor_seconds_; }
+  /// The pattern analysis's share of factor_seconds(): |S̃| + |S̃ᵀ|,
+  /// minimum degree, the permuted pattern and its symbolic factor.
+  [[nodiscard]] double analyze_seconds() const { return analyze_seconds_; }
   /// Heap footprint of the factors — the serve cache charges this through
   /// SchurSolver::memory_bytes().
   [[nodiscard]] std::size_t memory_bytes() const {
@@ -48,6 +53,7 @@ class SchurPreconditioner {
   std::vector<index_t> colmap_;  // fill-reducing permutation (new → old)
   BlockLuFactors lu_;
   double factor_seconds_ = 0.0;
+  double analyze_seconds_ = 0.0;
 };
 
 /// The LinearOperator of a shared (const) SchurPreconditioner bound to a

@@ -75,6 +75,38 @@ std::size_t first_non_finite(std::span<const value_t> v) {
       v.begin());
 }
 
+/// Throws when a row of `a` stores a column twice: the LU scatter would
+/// keep one of the two entries while spmv and the residual checks sum them.
+/// Every row strictly ascending rules it out. Descents between neighbouring
+/// entries, less those across a row boundary, count the rows that do not
+/// ascend; the first scan is branch-free, and only a row that does not
+/// ascend takes a marker pass, so an unsorted row without a repeat passes.
+void check_no_repeated_column(const CsrMatrix& a) {
+  const index_t* col = a.col_idx.data();
+  const auto nnz = static_cast<index_t>(a.col_idx.size());
+  index_t descents = 0;
+  for (index_t p = 1; p < nnz; ++p) descents += col[p] <= col[p - 1];
+  for (index_t i = 0; i < a.rows; ++i) {
+    const index_t p = a.row_ptr[i];
+    if (p > 0 && p < a.row_ptr[i + 1]) descents -= col[p] <= col[p - 1];
+  }
+  if (descents == 0) return;
+  std::vector<index_t> mark(static_cast<std::size_t>(a.cols), -1);
+  for (index_t i = 0; i < a.rows; ++i) {
+    const index_t begin = a.row_ptr[i], end = a.row_ptr[i + 1];
+    bool ascending = true;
+    for (index_t p = begin + 1; p < end; ++p) ascending &= col[p] > col[p - 1];
+    if (ascending) continue;
+    for (index_t p = begin; p < end; ++p) {
+      if (mark[col[p]] == i) {
+        invalid_request("A stores column " + std::to_string(col[p]) +
+                        " twice in row " + std::to_string(i));
+      }
+      mark[col[p]] = i;
+    }
+  }
+}
+
 }  // namespace
 
 std::uint64_t incidence_hash_of(const CsrMatrix* incidence) {
@@ -85,6 +117,7 @@ std::uint64_t incidence_hash_of(const CsrMatrix* incidence) {
 void check_request_matrix(const CsrMatrix& a) {
   if (a.rows != a.cols) invalid_request("A is not square");
   validate_part(a, "A");
+  check_no_repeated_column(a);
   if (!a.has_values()) invalid_request("A has no values");
   const std::size_t p = first_non_finite(a.values);
   if (p < a.values.size()) {
@@ -244,6 +277,7 @@ void SchurSolver::factor() {
   subs_.resize(k);
   facts_.resize(k);
   stats_.lu_d_seconds.assign(k, 0.0);
+  stats_.lu_d_order_seconds.assign(k, 0.0);
   stats_.comp_s_seconds.assign(k, 0.0);
 
   sweeps_.resize(k);
@@ -255,6 +289,7 @@ void SchurSolver::factor() {
     sweeps_[l] = sweep_lists(subs_[l], facts_[l]);
     stats_.lu_d_seconds[l] =
         facts_[l].order_seconds + facts_[l].factor_seconds;
+    stats_.lu_d_order_seconds[l] = facts_[l].order_seconds;
     stats_.comp_s_seconds[l] = facts_[l].solve_g_seconds +
                                facts_[l].solve_w_seconds +
                                facts_[l].reorder_seconds +
@@ -300,16 +335,18 @@ void SchurSolver::factor() {
     precond_ = std::make_unique<SchurPreconditioner>(s_tilde_, opt_.assembly.lu,
                                                      opt_.assembly.trisolve);
     stats_.lu_s_seconds = precond_->factor_seconds();
+    stats_.lu_s_analyze_seconds = precond_->analyze_seconds();
     stats_.precond_nnz = precond_->factor_nnz();
   } else {
     // Degenerate but legal: no separator (block-diagonal matrix or k = 1).
     precond_.reset();
     stats_.lu_s_seconds = 0.0;
+    stats_.lu_s_analyze_seconds = 0.0;
     stats_.precond_nnz = 0;
   }
 
-  // Likewise LU(S̃)'s CSC factors, moved into the dense block, and its
-  // temporaries: a set-up built next would otherwise grow past them.
+  // Likewise LU(S̃)'s packed panels and temporaries: a set-up built next
+  // would otherwise grow past them.
   return_free_heap_pages();
   factor_done_ = true;
 

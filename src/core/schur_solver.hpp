@@ -64,7 +64,8 @@ struct SolverOptions {
 /// arrives: A in the constructor, the incidence in setup(), b in every
 /// solve) and serve::SolveService::submit (all parts, before queueing).
 /// Each throws pdslin::Error with a message that starts "invalid request: ".
-/// A must be square, pass CsrMatrix::validate() and hold values, all finite.
+/// A must be square, pass CsrMatrix::validate(), store no column twice in
+/// one row and hold values, all finite.
 void check_request_matrix(const CsrMatrix& a);
 /// The incidence (structural factor) must pass validate() and have n columns.
 void check_request_incidence(const CsrMatrix& m, index_t n);

@@ -21,6 +21,9 @@ struct SolverStats {
 
   // --- preconditioner phases (per subdomain where meaningful) ---
   std::vector<double> lu_d_seconds;      // LU(D_ℓ)
+  /// The pattern analysis's share of lu_d_seconds (minimum degree and the
+  /// symbolic factor, direct/analysis.hpp); the rest is numeric.
+  std::vector<double> lu_d_order_seconds;
   std::vector<double> comp_s_seconds;    // G/W solves + T̃ per subdomain
   /// Measured wall-clock of the whole (possibly parallel) subdomain loop.
   /// With threads > 1 this is the real elapsed time; the per-subdomain
@@ -38,6 +41,7 @@ struct SolverStats {
   panel::KernelPath kernel_path = panel::KernelPath::Baseline;
   double gather_seconds = 0.0;           // Ŝ assembly + sparsification
   double lu_s_seconds = 0.0;             // LU(S̃)
+  double lu_s_analyze_seconds = 0.0;     // its pattern analysis share
   long long schur_dim = 0;               // n_S
   long long schur_nnz = 0;               // nnz(S̃)
   long long precond_nnz = 0;             // nnz(L+U of S̃)

@@ -5,6 +5,10 @@
 #include <cstdint>
 #include <utility>
 
+#ifdef PDSLIN_KERNELS_AVX2
+#include <immintrin.h>
+#endif
+
 #include "util/error.hpp"
 
 namespace pdslin::panel {
@@ -31,20 +35,103 @@ namespace {
   }
 }
 
-[[gnu::always_inline]] inline void gemm_body(const value_t* lblk, index_t lda,
+// C −= L·Y over `ncol` columns of Y, whose rows are `ldy` apart.
+[[gnu::always_inline]] inline void gemm_loop(const value_t* lblk, index_t lda,
                                              index_t ni, index_t w,
-                                             const value_t* y, index_t ncol,
-                                             value_t* c, index_t ldc) {
+                                             const value_t* y, index_t ldy,
+                                             index_t ncol, value_t* c,
+                                             index_t ldc) {
   for (index_t q = 0; q < ncol; ++q) {
     value_t* col = c + static_cast<std::size_t>(q) * ldc;
     for (index_t k = 0; k < w; ++k) {
-      const value_t b = y[static_cast<std::size_t>(k) * ncol + q];
+      const value_t b = y[static_cast<std::size_t>(k) * ldy + q];
       if (b == 0.0) continue;
       const value_t* a = lblk + static_cast<std::size_t>(k) * lda;
       for (index_t i = 0; i < ni; ++i) col[i] -= a[i] * b;
     }
   }
 }
+
+[[gnu::always_inline]] inline void gemm_body(const value_t* lblk, index_t lda,
+                                             index_t ni, index_t w,
+                                             const value_t* y, index_t ncol,
+                                             value_t* c, index_t ldc) {
+  gemm_loop(lblk, lda, ni, w, y, ncol, ncol, c, ldc);
+}
+
+#ifdef PDSLIN_KERNELS_AVX2
+// The AVX2 path's C −= L·Y: 8 × 4 register tiles (two 4-lane vectors of
+// rows by four columns), the loop for the rows and columns left over.
+// Every element of a tile takes its w terms in ascending k, each a
+// multiply and then a subtract (no FMA: the target is avx2 alone), so it
+// meets the loop's operations in the loop's order. The loop skips a term
+// whose multiplier y(k, q) is ±0.0. A strip of four columns whose Y holds
+// such a zero runs the masked body, which ANDs that term's product to
+// +0.0: c − (+0.0) is c for every c, −0.0 included, and the mask also
+// hides 0·∞ and 0·NaN. A strip without a zero runs the unmasked body.
+template <bool Masked>
+[[gnu::target("avx2"), gnu::always_inline]] inline void gemm_tile_8x4(
+    const value_t* l, index_t lda, index_t w, const value_t* y, index_t ldy,
+    value_t* c, index_t ldc) {
+  __m256d acc[4][2];
+#pragma GCC unroll 4
+  for (int q = 0; q < 4; ++q) {
+    acc[q][0] = _mm256_loadu_pd(c + static_cast<std::size_t>(q) * ldc);
+    acc[q][1] = _mm256_loadu_pd(c + static_cast<std::size_t>(q) * ldc + 4);
+  }
+  const __m256d zero = _mm256_setzero_pd();
+  for (index_t k = 0; k < w; ++k) {
+    const value_t* lk = l + static_cast<std::size_t>(k) * lda;
+    const value_t* yk = y + static_cast<std::size_t>(k) * ldy;
+    const __m256d a0 = _mm256_loadu_pd(lk);
+    const __m256d a1 = _mm256_loadu_pd(lk + 4);
+#pragma GCC unroll 4
+    for (int q = 0; q < 4; ++q) {
+      const __m256d b = _mm256_broadcast_sd(yk + q);
+      __m256d p0 = _mm256_mul_pd(a0, b);
+      __m256d p1 = _mm256_mul_pd(a1, b);
+      if constexpr (Masked) {
+        const __m256d keep = _mm256_cmp_pd(b, zero, _CMP_NEQ_UQ);
+        p0 = _mm256_and_pd(p0, keep);
+        p1 = _mm256_and_pd(p1, keep);
+      }
+      acc[q][0] = _mm256_sub_pd(acc[q][0], p0);
+      acc[q][1] = _mm256_sub_pd(acc[q][1], p1);
+    }
+  }
+#pragma GCC unroll 4
+  for (int q = 0; q < 4; ++q) {
+    _mm256_storeu_pd(c + static_cast<std::size_t>(q) * ldc, acc[q][0]);
+    _mm256_storeu_pd(c + static_cast<std::size_t>(q) * ldc + 4, acc[q][1]);
+  }
+}
+
+[[gnu::target("avx2"), gnu::always_inline]] inline void gemm_tiled_body(
+    const value_t* lblk, index_t lda, index_t ni, index_t w, const value_t* y,
+    index_t ncol, value_t* c, index_t ldc) {
+  const index_t ni8 = ni - ni % 8;
+  const index_t nc4 = ncol - ncol % 4;
+  for (index_t q = 0; q < nc4; q += 4) {
+    int zero = 0;
+    for (index_t k = 0; k < w; ++k) {
+      const value_t* yk = y + static_cast<std::size_t>(k) * ncol + q;
+      zero |= (yk[0] == 0.0) | (yk[1] == 0.0) | (yk[2] == 0.0) |
+              (yk[3] == 0.0);
+    }
+    value_t* cq = c + static_cast<std::size_t>(q) * ldc;
+    for (index_t i = 0; i < ni8; i += 8) {
+      if (zero != 0) {
+        gemm_tile_8x4<true>(lblk + i, lda, w, y + q, ncol, cq + i, ldc);
+      } else {
+        gemm_tile_8x4<false>(lblk + i, lda, w, y + q, ncol, cq + i, ldc);
+      }
+    }
+    gemm_loop(lblk + ni8, lda, ni - ni8, w, y + q, ncol, 4, cq + ni8, ldc);
+  }
+  gemm_loop(lblk, lda, ni, w, y + nc4, ncol, ncol - nc4,
+            c + static_cast<std::size_t>(nc4) * ldc, ldc);
+}
+#endif
 
 [[gnu::always_inline]] inline bool factorize_body(
     value_t* pan, index_t nr, index_t tri0, index_t w, index_t j0, index_t j1,
@@ -173,14 +260,14 @@ namespace {
 }  // namespace
 
 // One wrapper per kernel and path; ATTR is the path's target attribute.
-#define PDSLIN_PATH_KERNELS(ATTR)                                              \
+#define PDSLIN_PATH_KERNELS(ATTR, GEMM)                                        \
   ATTR void trsm(const value_t* tri, index_t nr, index_t tri0, index_t w,      \
                  value_t* y, index_t ncol) {                                   \
     trsm_body(tri, nr, tri0, w, y, ncol);                                      \
   }                                                                            \
   ATTR void gemm(const value_t* lblk, index_t lda, index_t ni, index_t w,      \
                  const value_t* y, index_t ncol, value_t* c, index_t ldc) {    \
-    gemm_body(lblk, lda, ni, w, y, ncol, c, ldc);                              \
+    GEMM(lblk, lda, ni, w, y, ncol, c, ldc);                                   \
   }                                                                            \
   ATTR bool factorize(value_t* pan, index_t nr, index_t tri0, index_t w,       \
                       index_t j0, index_t j1, double pivot_tol,                \
@@ -203,12 +290,12 @@ namespace {
                               &rhs_block, &segment_row, &dense_lu};
 
 namespace baseline {
-PDSLIN_PATH_KERNELS()
+PDSLIN_PATH_KERNELS(, gemm_body)
 }  // namespace baseline
 
 #ifdef PDSLIN_KERNELS_AVX2
 namespace avx2 {
-PDSLIN_PATH_KERNELS(__attribute__((target("avx2"))))
+PDSLIN_PATH_KERNELS(__attribute__((target("avx2"))), gemm_tiled_body)
 }  // namespace avx2
 #endif
 

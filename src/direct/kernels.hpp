@@ -56,7 +56,7 @@ void gemm_minus(const value_t* lblk, index_t lda, index_t ni, index_t w,
 /// with |diag| ≥ pivot_tol·max and |diag| > min_pivot.
 ///  - perm == nullptr: pivots are confined to the diagonal (the panel's rows
 ///    are its original rows); a column that wants another row fails.
-///  - perm != nullptr (the dense tail, nr == tri0 + w): perm[i] is the
+///  - perm != nullptr (the dense region, nr == tri0 + w): perm[i] is the
 ///    panel-local column whose original row sits at local row tri0 + i. A
 ///    pivot row is exchanged with row tri0 + jj across all w columns, and
 ///    perm follows; on return perm[jj] is the row that pivoted column jj.

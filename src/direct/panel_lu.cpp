@@ -27,15 +27,14 @@ struct UpdateEdge {
 };
 
 struct PanelSymbolic {
-  Supernodes sn;                      // the panels; the last one is the tail
-  index_t tail = 0;                   // first column of the dense tail
+  Supernodes sn;                      // the panels; the last is the dense region
+  index_t tail = 0;                   // first column of the dense region
   std::vector<index_t> rows;          // concatenated sorted row lists
   std::vector<std::size_t> row_ptr;   // per-panel slice of `rows`
   std::vector<index_t> tri0;          // local row of the first panel column
   std::vector<std::size_t> arena_off; // packed-panel offsets (cells)
   std::size_t arena_cells = 0;
   std::vector<std::vector<UpdateEdge>> upd;  // per target, ascending src
-  long long l_nnz_bound = 0;          // symbolic L entries (incl. diagonal)
 };
 
 /// `sn`'s panels before column t (the one straddling t cut at t), then
@@ -65,22 +64,28 @@ PanelSymbolic panel_symbolic(const PatternAnalysis& an, index_t max_width,
   const SymbolicFactor& sf = an.symbolic;
   const index_t n = sym.rows;
 
-  // The dense tail: the trailing columns whose symbolic columns are full to
-  // the bottom. Its rows all share one pattern, so row exchanges among them
-  // change no structure; it is factored as one panel with row pivoting.
+  // The dense region: from the first column at which dense storage of the
+  // trailing block is no larger than the CSC storage of its symbolic
+  // columns (L's column and U's row, each col_counts[j] entries). It holds
+  // every row [tail, n) of its columns, so row exchanges among them change
+  // no structure; it is factored as one panel with row pivoting.
   PanelSymbolic ps;
-  ps.tail = n;
-  while (ps.tail > 0 && sf.col_counts[ps.tail - 1] == n - ps.tail + 1) {
-    --ps.tail;
+  {
+    std::vector<index_t> entries(sf.col_counts.size());
+    for (std::size_t j = 0; j < entries.size(); ++j) {
+      entries[j] = 2 * sf.col_counts[j];
+    }
+    ps.tail = dense_region_start(entries);
   }
   ps.sn = cut_at_tail(relaxed_supernodes(sf.parent, sf.col_counts, max_width,
                                          std::max(0.0, relax)),
                       ps.tail, 0);
   const index_t np = ps.sn.count();
 
-  const CscMatrix lpat = cholesky_pattern(sym, sf);  // diag-first, sorted
-  const CscMatrix upat = transpose(lpat);  // col j = row j of L, sorted
-  ps.l_nnz_bound = lpat.nnz();
+  // L's pattern is needed only before the dense region, which stores
+  // every row of its columns.
+  const CscMatrix lpat = cholesky_pattern(sym, sf, ps.tail);  // diag-first
+  const CscMatrix upat = transpose(lpat);  // col j: row j of L before tail
 
   ps.row_ptr.assign(np + 1, 0);
   ps.tri0.resize(np);
@@ -88,7 +93,8 @@ PanelSymbolic panel_symbolic(const PatternAnalysis& an, index_t max_width,
 
   // Per-panel row list: union of the full symbolic column patterns (U rows
   // above the panel, the triangle — always complete, every member column
-  // contributes its diagonal — and the shared below-diagonal rows).
+  // contributes its diagonal — and the shared below-diagonal rows); the
+  // dense region's rows above it, then all of its own.
   std::vector<index_t> mark(n, -1);
   std::vector<index_t> local;
   for (index_t p = 0; p < np; ++p) {
@@ -98,9 +104,13 @@ PanelSymbolic panel_symbolic(const PatternAnalysis& an, index_t max_width,
       for (index_t r : upat.col_rows(j)) {
         if (mark[r] != p) { mark[r] = p; local.push_back(r); }
       }
+      if (j >= ps.tail) continue;
       for (index_t r : lpat.col_rows(j)) {
         if (mark[r] != p) { mark[r] = p; local.push_back(r); }
       }
+    }
+    if (c0 == ps.tail) {
+      for (index_t r = c0; r < n; ++r) local.push_back(r);
     }
     std::sort(local.begin(), local.end());
     const auto t0 = std::lower_bound(local.begin(), local.end(), c0);
@@ -150,9 +160,9 @@ struct Workspace {
 /// Factor one panel in place: right-looking over blocks of `block` columns,
 /// left-looking inside each (panel::factorize_columns). Every element still
 /// takes its updates in ascending pivot order, so the factors are the
-/// scalar kernel's bit for bit. A panel before the tail is one block with
-/// pivots confined to the diagonal (perm == nullptr); the dense tail passes
-/// the width cap and its row order, and exchanges rows.
+/// scalar kernel's bit for bit. A panel before the dense region is one
+/// block with pivots confined to the diagonal (perm == nullptr); the region
+/// passes the width cap and its row order, and exchanges rows.
 bool factor_panel(value_t* pan, index_t nr, index_t tri0, index_t w,
                   index_t block, const LuOptions& opt, index_t* perm,
                   Workspace& s) {
@@ -269,7 +279,7 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
       s.other_flops += static_cast<long long>(nj) * wd * (wd - 1) / 2;
     }
 
-    // In-panel dense factorization. Only the tail exchanges rows. A
+    // In-panel dense factorization. Only the dense region exchanges rows. A
     // non-finite value aborts too — padding products like 0·inf would make
     // NaNs the scalar kernel never forms.
     const bool tail = c0 == ps.tail;
@@ -289,17 +299,26 @@ bool panel_numeric(const CscMatrix& a, const LuOptions& opt,
 }
 
 /// Extract clean factors from the packed panels: L by columns, U by rows
-/// (direct/lu.hpp). Pivots before the tail kept their diagonal, and every
-/// tail row sits at its pivot position, so panel rows are pivot positions —
-/// except the tail rows of earlier L columns, which carry original rows and
-/// are relabeled through the tail's exchanges (then re-sorted). Exact zeros
-/// (structural padding and numerically cancelled entries) are dropped,
-/// exactly as the scalar kernel's scatter drops them.
-LuFactors panel_extract(const PanelSymbolic& ps,
-                        const std::vector<value_t>& arena,
-                        const std::vector<index_t>& tail_perm, bool relabel,
-                        index_t n) {
-  LuFactors f;
+/// (direct/lu.hpp). Pivots before the dense region kept their diagonal,
+/// and every row of the region sits at its pivot position, so panel rows
+/// are pivot positions — except the region's rows of earlier L columns,
+/// which carry original rows and are relabeled through its exchanges (then
+/// re-sorted). Exact zeros (structural padding and numerically cancelled
+/// entries) are dropped from the CSC columns, exactly as the scalar
+/// kernel's scatter drops them.
+///
+/// A count pass gives each L column's and U row's entries. With `block`
+/// set, dense_region_start on them places the dense block, as
+/// dense_block_start does on CSC factors; without it, or when no column
+/// qualifies, the block starts at n. The write pass copies the block's
+/// columns out of the arena, a zero of either sign as +0.0, and writes L's
+/// columns and U's rows before it as CSC. When the block and the dense
+/// region both start at column 0, the arena is the block.
+BlockLuFactors panel_extract(const PanelSymbolic& ps,
+                             std::vector<value_t>& arena,
+                             const std::vector<index_t>& tail_perm,
+                             bool relabel, index_t n, bool block) {
+  BlockLuFactors f;
   f.n = n;
   f.row_perm.resize(n);
   for (index_t r = 0; r < n; ++r) {
@@ -310,7 +329,11 @@ LuFactors panel_extract(const PanelSymbolic& ps,
     pinv.resize(n);
     for (index_t k = 0; k < n; ++k) pinv[f.row_perm[k]] = k;
   }
-  std::vector<std::pair<index_t, value_t>> buf;
+  // The pivot position of local row i of column j's panel.
+  const auto row_of = [&](index_t j, const index_t* prows, index_t i) {
+    const index_t r = prows[i];
+    return relabel && j < ps.tail && r >= ps.tail ? pinv[r] : r;
+  };
 
   // Visit every factor column in ascending order: f(j, col, dpos, nr, prows).
   const auto for_each_column = [&](auto&& fn) {
@@ -327,85 +350,141 @@ LuFactors panel_extract(const PanelSymbolic& ps,
     }
   };
 
-  CscMatrix& L = f.lower;
-  CscMatrix& Ut = f.upper_t;
-  L = CscMatrix(n, n);
-  Ut = CscMatrix(n, n);
-  L.row_idx.reserve(ps.l_nnz_bound);
-  L.values.reserve(ps.l_nnz_bound);
-
-  // U by rows: count each row's entries first. Row j of U has no entry left
-  // of column j, so filling in ascending column order puts each row's
-  // diagonal first and the rest in ascending column order.
-  for_each_column([&](index_t j, const value_t* col, index_t dpos, index_t,
-                      const index_t* prows) {
-    ++Ut.col_ptr[j + 1];
-    for (index_t i = 0; i < dpos; ++i) {
-      if (col[i] != 0.0) ++Ut.col_ptr[prows[i] + 1];
-    }
-  });
-  for (index_t i = 0; i < n; ++i) Ut.col_ptr[i + 1] += Ut.col_ptr[i];
-  Ut.row_idx.resize(Ut.col_ptr[n]);
-  Ut.values.resize(Ut.col_ptr[n]);
-  std::vector<index_t> next(Ut.col_ptr.begin(), Ut.col_ptr.end() - 1);
-
+  // Count pass: L's columns (unit diagonal included) and U's rows. The
+  // dense region's own rows sit at consecutive local rows from tri0, so
+  // its U part above the diagonal is counted as one run.
+  std::vector<index_t> l_count(n), u_count(n, 0);
   for_each_column([&](index_t j, const value_t* col, index_t dpos, index_t nr,
                       const index_t* prows) {
-    const index_t d = next[j]++;
-    Ut.row_idx[d] = j;
-    Ut.values[d] = col[dpos];
-    for (index_t i = 0; i < dpos; ++i) {
-      const value_t v = col[i];
-      if (v != 0.0) {
-        const index_t slot = next[prows[i]]++;
-        Ut.row_idx[slot] = j;
-        Ut.values[slot] = v;
-      }
+    ++u_count[j];
+    const index_t run = j >= ps.tail ? dpos - (j - ps.tail) : dpos;
+    for (index_t i = 0; i < run; ++i) {
+      if (col[i] != 0.0) ++u_count[prows[i]];
     }
+    index_t* uc = u_count.data() + ps.tail;  // uc[i − run]: local row i
+    for (index_t i = run; i < dpos; ++i) uc[i - run] += col[i] != 0.0;
+    index_t below = 0;
+    for (index_t i = dpos + 1; i < nr; ++i) below += col[i] != 0.0;
+    l_count[j] = 1 + below;
+  });
+  std::vector<index_t> entries(n);
+  for (index_t j = 0; j < n; ++j) {
+    entries[j] = l_count[j] + u_count[j];
+    f.stored_nnz += entries[j];
+  }
+  const index_t b = block ? dense_region_start(entries) : n;
+  const index_t nb = n - b;
+  f.start = b;
 
-    L.row_idx.push_back(j);  // unit diagonal first
-    L.values.push_back(1.0);
-    const std::size_t first = L.row_idx.size();
-    for (index_t i = dpos + 1; i < nr; ++i) {
+  // The CSC head: L's columns and U's rows before b, over all n positions.
+  CscMatrix& L = f.lower_head;
+  CscMatrix& Ut = f.upper_t_head;
+  L = CscMatrix(n, b);
+  Ut = CscMatrix(n, b);
+  for (index_t j = 0; j < b; ++j) {
+    L.col_ptr[j + 1] = L.col_ptr[j] + l_count[j];
+    Ut.col_ptr[j + 1] = Ut.col_ptr[j] + u_count[j];
+  }
+  L.row_idx.resize(L.col_ptr[b]);
+  L.values.resize(L.col_ptr[b]);
+  Ut.row_idx.resize(Ut.col_ptr[b]);
+  Ut.values.resize(Ut.col_ptr[b]);
+  std::vector<index_t> next(Ut.col_ptr.begin(), Ut.col_ptr.end() - 1);
+  // A U entry of row r < b; row r's entries arrive in ascending column
+  // order, its diagonal first (row r has no entry left of column r).
+  const auto put_u = [&](index_t r, index_t j, value_t v) {
+    const index_t slot = next[r]++;
+    Ut.row_idx[slot] = j;
+    Ut.values[slot] = v;
+  };
+
+  if (b == 0 && ps.tail == 0) {
+    // One panel, the dense region, with no rows above it: nr = n.
+    for (value_t& v : arena) v = v != 0.0 ? v : 0.0;
+    f.block = std::move(arena);
+    return f;
+  }
+  f.block.assign(static_cast<std::size_t>(nb) * static_cast<std::size_t>(nb),
+                 0.0);
+  std::vector<std::pair<index_t, value_t>> buf;
+  for_each_column([&](index_t j, const value_t* col, index_t dpos, index_t nr,
+                      const index_t* prows) {
+    if (j < b) {
+      put_u(j, j, col[dpos]);
+      for (index_t i = 0; i < dpos; ++i) {
+        if (col[i] != 0.0) put_u(prows[i], j, col[i]);
+      }
+      index_t q = L.col_ptr[j];
+      L.row_idx[q] = j;  // unit diagonal first
+      L.values[q] = 1.0;
+      ++q;
+      for (index_t i = dpos + 1; i < nr; ++i) {
+        if (col[i] != 0.0) {
+          L.row_idx[q] = prows[i];
+          L.values[q] = col[i];
+          ++q;
+        }
+      }
+      if (relabel && j < ps.tail) {
+        const auto first = L.row_idx.begin() + L.col_ptr[j] + 1;
+        const auto last = L.row_idx.begin() + L.col_ptr[j + 1];
+        const auto q0 = std::lower_bound(first, last, ps.tail) -
+                        L.row_idx.begin();
+        buf.clear();
+        for (index_t k = static_cast<index_t>(q0); k < L.col_ptr[j + 1]; ++k) {
+          buf.emplace_back(pinv[L.row_idx[k]], L.values[k]);
+        }
+        std::sort(buf.begin(), buf.end());
+        for (index_t k = static_cast<index_t>(q0); k < L.col_ptr[j + 1]; ++k) {
+          std::tie(L.row_idx[k], L.values[k]) = buf[k - q0];
+        }
+      }
+      return;
+    }
+    // Column j of the block: bc[r − b] is block entry (r, j).
+    value_t* bc = f.block.data() + static_cast<std::size_t>(j - b) * nb;
+    if (j >= ps.tail) {
+      // The dense region's rows [tail, n) sit at local rows tri0 + (r −
+      // tail): copy rows [max(b, tail), n) in one run.
+      const index_t tri0 = dpos - (j - ps.tail);
+      const index_t r0 = std::max(b, ps.tail);
+      const value_t* src = col + tri0 + (r0 - ps.tail);
+      for (index_t r = r0; r < n; ++r) {
+        const value_t v = src[r - r0];
+        bc[r - b] = v != 0.0 ? v : 0.0;
+      }
+      nr = tri0 + (r0 - ps.tail);
+    }
+    for (index_t i = 0; i < nr; ++i) {
+      if (i == dpos) {
+        bc[j - b] = col[dpos];
+        continue;
+      }
       const value_t v = col[i];
-      if (v != 0.0) {
-        L.row_idx.push_back(prows[i]);
-        L.values.push_back(v);
+      const index_t r = i < dpos ? prows[i] : row_of(j, prows, i);
+      if (r >= b) {
+        bc[r - b] = v != 0.0 ? v : 0.0;
+      } else if (v != 0.0) {
+        put_u(r, j, v);
       }
     }
-    if (relabel && j < ps.tail) {
-      const auto tail0 = std::lower_bound(
-          L.row_idx.begin() + static_cast<std::ptrdiff_t>(first),
-          L.row_idx.end(), ps.tail);
-      const std::size_t q0 =
-          static_cast<std::size_t>(tail0 - L.row_idx.begin());
-      buf.clear();
-      for (std::size_t q = q0; q < L.row_idx.size(); ++q) {
-        buf.emplace_back(pinv[L.row_idx[q]], L.values[q]);
-      }
-      std::sort(buf.begin(), buf.end());
-      for (std::size_t q = q0; q < L.row_idx.size(); ++q) {
-        std::tie(L.row_idx[q], L.values[q]) = buf[q - q0];
-      }
-    }
-    L.col_ptr[j + 1] = static_cast<index_t>(L.row_idx.size());
   });
   return f;
 }
 
-}  // namespace
-
-std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
-                                            const PatternAnalysis& an,
-                                            const LuOptions& opt,
-                                            index_t max_width, double relax) {
+/// Symbolic and numeric phases, then the extraction; nullopt when the
+/// numeric phase aborts.
+std::optional<BlockLuFactors> attempt(const CscMatrix& a,
+                                      const PatternAnalysis& an,
+                                      const LuOptions& opt, index_t max_width,
+                                      double relax, bool block,
+                                      LuPanelStats& stats) {
   PDSLIN_CHECK_MSG(a.rows == a.cols, "LU requires a square matrix");
   PDSLIN_CHECK_MSG(an.pattern.rows == a.rows &&
                        an.symbolic.parent.size() ==
                            static_cast<std::size_t>(a.rows),
                    "the pattern analysis is of another matrix");
   const PanelSymbolic ps = panel_symbolic(an, max_width, relax);
-  LuPanelStats stats;
   std::vector<value_t> arena;
   std::vector<index_t> tail_perm;
   if (!panel_numeric(a, opt, ps, max_width, arena, tail_perm, stats)) {
@@ -416,9 +495,7 @@ std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
   for (index_t i = 0; i < stats.tail_cols; ++i) {
     if (tail_perm[i] != i) ++stats.tail_pivots;
   }
-  LuFactors f = panel_extract(ps, arena, tail_perm, stats.tail_pivots > 0,
-                              a.rows);
-  // Reported panels: the tail in the blocks it was factored in.
+  // Reported panels: the dense region in the blocks it was factored in.
   const Supernodes panels = cut_at_tail(ps.sn, ps.tail, max_width);
   stats.used_panel = true;
   stats.panel_count = panels.count();
@@ -427,16 +504,43 @@ std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
   stats.wide_col_fraction = panels.wide_column_fraction(4);
   stats.panel_bytes = static_cast<long long>(ps.arena_cells) *
                       static_cast<long long>(sizeof(value_t));
-  f.stats = stats;
 
   obs::counter("lu.panel.factorizations").add(1);
   obs::counter("lu.panel.panels_total").add(stats.panel_count);
-  obs::counter("lu.panel.cols_total").add(f.n);
+  obs::counter("lu.panel.cols_total").add(a.rows);
   obs::counter("lu.panel.tail_cols").add(stats.tail_cols);
   obs::counter("lu.panel.tail_pivots").add(stats.tail_pivots);
   obs::counter("lu.panel.gemm_flops").add(stats.gemm_flops);
   obs::counter("lu.panel.total_flops").add(stats.total_flops);
+  PDSLIN_SPAN("lu.panel.extract");
+  return panel_extract(ps, arena, tail_perm, stats.tail_pivots > 0, a.rows,
+                       block);
+}
+
+}  // namespace
+
+std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
+                                            const PatternAnalysis& an,
+                                            const LuOptions& opt,
+                                            index_t max_width, double relax) {
+  LuPanelStats stats;
+  std::optional<BlockLuFactors> b =
+      attempt(a, an, opt, max_width, relax, /*block=*/false, stats);
+  if (!b) return std::nullopt;
+  LuFactors f;
+  f.n = b->n;
+  f.lower = std::move(b->lower_head);
+  f.upper_t = std::move(b->upper_t_head);
+  f.row_perm = std::move(b->row_perm);
+  f.stats = stats;
   return f;
+}
+
+std::optional<BlockLuFactors> panel_lu_factorize_block(
+    const CscMatrix& a, const PatternAnalysis& an, const LuOptions& opt) {
+  LuPanelStats stats;
+  return attempt(a, an, opt, kPanelMaxWidth, kPanelRelax, /*block=*/true,
+                 stats);
 }
 
 }  // namespace pdslin

@@ -3,7 +3,8 @@
 //
 // The symbolic phase of the panel LU kernel (direct/panel_lu.cpp) runs it
 // once per factorization on the symmetrized pattern: the column counts pick
-// the panels and the dense tail, and the pattern of L bounds the fill.
+// the panels and the dense region, and the pattern of L's columns before
+// the region bounds their fill.
 #pragma once
 
 #include <vector>
@@ -21,8 +22,10 @@ struct SymbolicFactor {
 /// Symbolic Cholesky of a structurally symmetric matrix (pattern only).
 SymbolicFactor symbolic_cholesky(const CsrMatrix& a);
 
-/// Full pattern of L (lower triangular, diagonal first, rows ascending),
-/// row-subtree algorithm, given a's symbolic_cholesky `s`.
-CscMatrix cholesky_pattern(const CsrMatrix& a, const SymbolicFactor& s);
+/// Pattern of L's first `cols` columns (all n when negative) as an
+/// n × cols CSC (diagonal first, rows ascending), row-subtree algorithm,
+/// given a's symbolic_cholesky `s`.
+CscMatrix cholesky_pattern(const CsrMatrix& a, const SymbolicFactor& s,
+                           index_t cols = -1);
 
 }  // namespace pdslin

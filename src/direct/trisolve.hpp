@@ -38,33 +38,6 @@ void upper_solve_dense(const CscMatrix& ut, std::span<value_t> x,
 /// x = A⁻¹ b using the factors (applies the row permutation internally).
 void lu_solve(const LuFactors& f, std::span<const value_t> b, std::span<value_t> x);
 
-/// LU factors whose trailing block [start, n)² is stored dense,
-/// column-major: unit L strictly below the diagonal, U on and above it. The
-/// head stays in CSC: L's columns and U's rows before `start`, each over
-/// all n positions (docs/ALGORITHMS.md §2.5).
-struct BlockLuFactors {
-  index_t n = 0;
-  index_t start = 0;           // first column of the dense block; n = none
-  CscMatrix lower_head;        // n × start: L's columns [0, start)
-  CscMatrix upper_t_head;      // n × start: U's rows [0, start), as Uᵀ
-  std::vector<value_t> block;  // (n − start)², column-major
-  std::vector<index_t> row_perm;
-  /// Stored entries of the CSC factors it was made from (LuFactors::fill_nnz).
-  long long stored_nnz = 0;
-  [[nodiscard]] std::size_t memory_bytes() const;
-};
-
-/// The first column c at which dense storage of the trailing block,
-/// 8·(n − c)² bytes, is no larger than the CSC storage of L's columns and
-/// U's rows from c on; n (no block) when that block would hold a stored
-/// entry equal to 0.0, which the dense sweep could not tell from an absent
-/// one.
-index_t dense_block_start(const LuFactors& f);
-
-/// f with its trailing block from `start` moved into dense storage. No
-/// stored entry of that block may equal 0.0 (checked).
-BlockLuFactors with_dense_block(LuFactors f, index_t start);
-
 /// x ← U⁻¹ L⁻¹ x with x already in pivot order: the CSC head columns of L,
 /// the dense block (panel::dense_lu_solve, or `kernels`' build of it), the
 /// CSC head rows of U. Bitwise the lower_solve_dense + upper_solve_dense

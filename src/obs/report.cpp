@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <sstream>
 #include <type_traits>
 
@@ -81,6 +82,12 @@ void RunReport::add_solver(const SolverOptions& opt, const SolverStats& st) {
            st.lu_d_seconds.empty()
                ? 0.0
                : *std::max_element(st.lu_d_seconds.begin(), st.lu_d_seconds.end()));
+  const auto sum = [](const std::vector<double>& v) {
+    return std::accumulate(v.begin(), v.end(), 0.0);
+  };
+  set_stat("lu_d_seconds", sum(st.lu_d_seconds));
+  set_stat("lu_d_order_seconds", sum(st.lu_d_order_seconds));
+  set_stat("lu_s_analyze_seconds", st.lu_s_analyze_seconds);
   set_stat("comp_s_max_seconds",
            st.comp_s_seconds.empty()
                ? 0.0

@@ -19,9 +19,16 @@ std::vector<index_t> invert_permutation(std::span<const index_t> perm);
 /// True if `perm` is a permutation of 0..n-1.
 bool is_permutation(std::span<const index_t> perm, index_t n);
 
-/// B = P A Qᵀ with B(i, j) = A(rowperm[i], colperm[j]).
+/// B = P A Qᵀ with B(i, j) = A(rowperm[i], colperm[j]), every row sorted:
+/// two stable counting passes, by columns and then by rows, so entries
+/// with equal indices keep their stored order.
 CsrMatrix permute(const CsrMatrix& a, std::span<const index_t> rowperm,
                   std::span<const index_t> colperm);
+
+/// The same B stored by columns, every column sorted: the first of
+/// permute's two counting passes.
+CscMatrix permuted_csc(const CsrMatrix& a, std::span<const index_t> rowperm,
+                       std::span<const index_t> colperm);
 
 /// Symmetric permutation B(i, j) = A(perm[i], perm[j]).
 CsrMatrix permute_symmetric(const CsrMatrix& a, std::span<const index_t> perm);

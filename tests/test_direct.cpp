@@ -121,6 +121,17 @@ TEST(Symbolic, MatchesDenseCholeskyFill) {
   // Full pattern agrees with the counts.
   const CscMatrix l = cholesky_pattern(a, s);
   for (index_t k = 0; k < n; ++k) EXPECT_EQ(l.col_nnz(k), counts[k]);
+  // The pattern of the leading columns only is those columns of it.
+  for (const index_t cols : {index_t{0}, n / 3, n}) {
+    const CscMatrix head = cholesky_pattern(a, s, cols);
+    EXPECT_EQ(head.rows, n);
+    ASSERT_EQ(head.cols, cols);
+    EXPECT_TRUE(std::equal(head.col_ptr.begin(), head.col_ptr.end(),
+                           l.col_ptr.begin()));
+    EXPECT_TRUE(std::equal(head.row_idx.begin(), head.row_idx.end(),
+                           l.row_idx.begin()));
+    EXPECT_EQ(head.row_idx.size(), static_cast<std::size_t>(l.col_ptr[cols]));
+  }
 }
 
 TEST(MinDeg, ValidPermutationOnSuiteOfGraphs) {

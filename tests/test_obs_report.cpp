@@ -16,6 +16,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "test_util.hpp"
 #include "util/error.hpp"
@@ -247,7 +248,54 @@ TEST(ObsReport, SolverRunFillsReportAndCounters) {
   EXPECT_EQ(obs::RunReport::from_json(rep.to_json()), rep);
 }
 
-// add_solver() writes one config key per entry of the SolverOptions field
+// LU time is exported split into the pattern analysis and the rest, for
+// the D_ℓ (summed over subdomains) and for S̃, with a span for each part.
+TEST(ObsReport, LuTimeSplitsAnalysisFromNumeric) {
+  const CsrMatrix a = testing::grid_laplacian(20, 20);
+  SolverOptions opt;
+  opt.num_subdomains = 4;
+  obs::trace_reset();
+  obs::trace_enable();
+  SchurSolver solver(a, opt);
+  solver.setup();
+  solver.factor();
+  obs::trace_disable();
+  const std::string trace = obs::trace_to_chrome_json();
+  obs::trace_reset();
+
+  const SolverStats& st = solver.stats();
+  ASSERT_EQ(st.lu_d_order_seconds.size(), 4u);
+  for (std::size_t l = 0; l < 4; ++l) {
+    EXPECT_GT(st.lu_d_order_seconds[l], 0.0) << l;
+    EXPECT_LE(st.lu_d_order_seconds[l], st.lu_d_seconds[l]) << l;
+  }
+  EXPECT_GT(st.lu_s_analyze_seconds, 0.0);
+  EXPECT_LE(st.lu_s_analyze_seconds, st.lu_s_seconds);
+
+  obs::RunReport rep;
+  rep.add_solver(opt, st);
+  double lu_d = 0.0, order = 0.0;
+  for (std::size_t l = 0; l < 4; ++l) {
+    lu_d += st.lu_d_seconds[l];
+    order += st.lu_d_order_seconds[l];
+  }
+  const std::array<std::pair<const char*, double>, 3> keys = {{
+      {"lu_d_seconds", lu_d},
+      {"lu_d_order_seconds", order},
+      {"lu_s_analyze_seconds", st.lu_s_analyze_seconds},
+  }};
+  for (const auto& [key, want] : keys) {
+    const double* v = rep.find_stat(key);
+    ASSERT_NE(v, nullptr) << key;
+    EXPECT_EQ(*v, want) << key;
+  }
+  for (const char* span : {"\"lu_d.order\"", "\"lu_d.factor\"",
+                           "\"lu_s.analyze\"", "\"lu_s.factor\""}) {
+    EXPECT_NE(trace.find(span), std::string::npos) << span;
+  }
+}
+
+
 // table, in table order, and every value survives the JSON round trip.
 TEST(ObsReport, AddSolverWritesEveryOptionField) {
   SolverOptions opt;

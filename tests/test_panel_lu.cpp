@@ -1,10 +1,11 @@
 // Tests for the supernodal panel LU kernel (direct/panel_lu): bitwise
 // equivalence with the scalar Gilbert–Peierls reference, row pivoting
-// inside the dense tail, scalar fallback on pivot
-// deviation before the tail, singularity, zero multipliers and non-finite
-// values, the width cap and relaxation (parameters of the panel kernel's own
-// entry point), the serve-layer byte accounting, and the per-factor kernel
-// invariant of the differential checker.
+// inside the dense region, scalar fallback on pivot deviation before it,
+// singularity, zero multipliers and non-finite values, the width cap and
+// relaxation (parameters of the panel kernel's own entry point), the
+// AVX2 register tile, the BlockLuFactors the kernel writes, the
+// serve-layer byte accounting, and the per-factor kernel invariant of the
+// differential checker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "direct/supernodes.hpp"
 #include "direct/symbolic.hpp"
 #include "direct/trisolve.hpp"
+#include "obs/metrics.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/permute.hpp"
@@ -94,9 +96,21 @@ CsrMatrix ordered_matrix(const CsrMatrix& a) {
       a, analyze_pattern(a, FillOrdering::MinimumDegree).colmap);
 }
 
-/// First column of the dense tail: the trailing columns whose symbolic
-/// Cholesky columns (of the symmetrized pattern) are full to the bottom.
-index_t dense_tail_start(const CsrMatrix& a) {
+/// First column of the panel kernel's dense region: the byte rule on the
+/// symbolic Cholesky column counts of the symmetrized pattern, L's column
+/// and U's row each col_counts[j] entries.
+index_t dense_region_of(const CsrMatrix& a) {
+  const SymbolicFactor sf = analyze_pattern(a, FillOrdering::Given).symbolic;
+  std::vector<index_t> entries(sf.col_counts.size());
+  for (std::size_t j = 0; j < entries.size(); ++j) {
+    entries[j] = 2 * sf.col_counts[j];
+  }
+  return dense_region_start(entries);
+}
+
+/// First column of the full tail: the trailing columns whose symbolic
+/// columns are full to the bottom, where the dense region used to start.
+index_t full_tail_start(const CsrMatrix& a) {
   const SymbolicFactor sf = analyze_pattern(a, FillOrdering::Given).symbolic;
   index_t t = a.rows;
   while (t > 0 && sf.col_counts[t - 1] == a.rows - t + 1) --t;
@@ -239,8 +253,110 @@ TEST(PanelLu, KernelPathsBitwiseEqual) {
   }
 }
 
+/// C −= L·Y as the plain loop: each column takes its terms in ascending k
+/// and skips a multiplier that is ±0.0.
+void reference_gemm(const std::vector<value_t>& l, index_t ni, index_t w,
+                    const std::vector<value_t>& y, index_t ncol,
+                    std::vector<value_t>& c) {
+  for (index_t q = 0; q < ncol; ++q) {
+    for (index_t k = 0; k < w; ++k) {
+      const value_t b = y[static_cast<std::size_t>(k) * ncol + q];
+      if (b == 0.0) continue;
+      for (index_t i = 0; i < ni; ++i) {
+        c[static_cast<std::size_t>(q) * ni + i] -=
+            l[static_cast<std::size_t>(k) * ni + i] * b;
+      }
+    }
+  }
+}
+
+// The AVX2 path's 8 × 4 register tile and the baseline loop against the
+// plain loop, at 8k−1, 8k and 8k+1 rows and 4k−1, 4k and 4k+1 columns, so
+// every tile meets remainder rows and columns. Strips of four columns
+// alternate between no zero multiplier (the unmasked body) and ±0.0 ones
+// (the masked body); C holds −0.0, and L holds ±∞ and NaN in rows that only
+// zero multipliers reach, where the loop never forms 0·∞.
+TEST(PanelLu, GemmTileMatchesLoop) {
+  constexpr value_t inf = std::numeric_limits<value_t>::infinity();
+  constexpr value_t nan = std::numeric_limits<value_t>::quiet_NaN();
+  Rng rng(808);
+  for (const index_t w : {1, 32}) {
+    for (const index_t ni : {15, 16, 17, 23, 24, 25}) {
+      for (const index_t ncol : {3, 4, 5, 7, 8, 9, 11, 12, 13}) {
+        std::vector<value_t> l(static_cast<std::size_t>(ni) * w);
+        std::vector<value_t> y(static_cast<std::size_t>(w) * ncol);
+        std::vector<value_t> c0(static_cast<std::size_t>(ni) * ncol);
+        for (value_t& v : l) v = rng.uniform(-1.0, 1.0);
+        for (value_t& v : c0) v = rng.uniform() < 0.2 ? -0.0 : rng.uniform(-1.0, 1.0);
+        for (index_t k = 0; k < w; ++k) {
+          for (index_t q = 0; q < ncol; ++q) {
+            // Strips 1, 3, … hold zero multipliers; strips 0, 2, … none.
+            const bool zero = (q / 4) % 2 == 1 && rng.uniform() < 0.3;
+            y[static_cast<std::size_t>(k) * ncol + q] =
+                zero ? (rng.uniform() < 0.5 ? 0.0 : -0.0)
+                     : rng.uniform(0.5, 1.0) * (rng.uniform() < 0.5 ? -1.0 : 1.0);
+          }
+        }
+        // A term k whose multipliers are zero in the masked strips, and
+        // whose column of L holds ±∞ and NaN in a few rows: those strips
+        // must not take it, the others take it as the loop does.
+        {
+          const index_t k = static_cast<index_t>(rng.bounded(w));
+          for (index_t q = 0; q < ncol; ++q) {
+            if ((q / 4) % 2 == 1) {
+              y[static_cast<std::size_t>(k) * ncol + q] = q % 2 ? -0.0 : 0.0;
+            }
+          }
+          for (index_t i = 0; i < ni; i += 5) {
+            l[static_cast<std::size_t>(k) * ni + i] =
+                i % 3 == 0 ? inf : i % 3 == 1 ? -inf : nan;
+          }
+        }
+        std::vector<value_t> want = c0;
+        reference_gemm(l, ni, w, y, ncol, want);
+        for (const panel::KernelTable* t : kernel_paths()) {
+          std::vector<value_t> got = c0;
+          t->gemm(l.data(), ni, ni, w, y.data(), ncol, got.data(), ni);
+          EXPECT_TRUE(bitwise_equal(want, got))
+              << "w " << w << ", ni " << ni << ", ncol " << ncol;
+        }
+      }
+    }
+  }
+  // A leading dimension larger than the block, as in a panel: C and L are
+  // blocks of taller arrays, and the rows outside them stay untouched.
+  for (const panel::KernelTable* t : kernel_paths()) {
+    constexpr index_t ni = 19, w = 5, ncol = 6, ld = 27;
+    std::vector<value_t> l(static_cast<std::size_t>(ld) * w);
+    std::vector<value_t> y(static_cast<std::size_t>(w) * ncol);
+    std::vector<value_t> c(static_cast<std::size_t>(ld) * ncol);
+    for (value_t& v : l) v = rng.uniform(-1.0, 1.0);
+    for (value_t& v : y) v = rng.uniform() < 0.1 ? 0.0 : rng.uniform(-1.0, 1.0);
+    for (value_t& v : c) v = rng.uniform(-1.0, 1.0);
+    std::vector<value_t> lb(static_cast<std::size_t>(ni) * w);
+    std::vector<value_t> want(static_cast<std::size_t>(ni) * ncol);
+    for (index_t k = 0; k < w; ++k) {
+      for (index_t i = 0; i < ni; ++i) lb[k * ni + i] = l[k * ld + 3 + i];
+    }
+    for (index_t q = 0; q < ncol; ++q) {
+      for (index_t i = 0; i < ni; ++i) want[q * ni + i] = c[q * ld + 3 + i];
+    }
+    reference_gemm(lb, ni, w, y, ncol, want);
+    std::vector<value_t> got = c;
+    t->gemm(l.data() + 3, ld, ni, w, y.data(), ncol, got.data() + 3, ld);
+    for (index_t q = 0; q < ncol; ++q) {
+      for (index_t i = 0; i < ld; ++i) {
+        const bool inside = i >= 3 && i < 3 + ni;
+        const value_t e = inside ? want[q * ni + i - 3] : c[q * ld + i];
+        EXPECT_EQ(0, std::memcmp(&e, &got[q * ld + i], sizeof e))
+            << "ld rows: (" << i << ", " << q << ")";
+      }
+    }
+  }
+}
+
 // A dense matrix factored on each path exactly as the panel LU factors its
-// dense tail (right-looking over blocks, left-looking inside, threshold row
+// dense region (right-looking over blocks, left-looking inside, threshold row
 // exchanges) reproduces the scalar kernel's factors bit for bit.
 TEST(PanelLu, DenseFactorOnEachPathMatchesScalar) {
   Rng rng(77);
@@ -346,19 +462,60 @@ TEST(PanelLu, FallbackOnPivotDeviationMatchesScalar) {
   opt.pivot_tol = 1.0;
   const LuFactors fs = scalar_of(a, opt);
   const LuFactors fp = lu_factorize(a, opt);
-  // The first deviation must precede the dense tail: inside it the panel
+  // The first deviation must precede the dense region: inside it the panel
   // kernel pivots itself and there would be no fallback to test.
-  ASSERT_LT(first_deviation(fs), dense_tail_start(a));
+  ASSERT_LT(first_deviation(fs), dense_region_of(a));
   ASSERT_FALSE(fp.stats.used_panel)
       << "expected a pivot deviation to force the scalar fallback";
   expect_factors_bitwise(fs, fp, "fallback vs scalar");
+}
+
+/// bordered_indefinite with one below-diagonal entry of a column between
+/// the dense region's start and the full tail made large: threshold
+/// pivoting then leaves the diagonal there, after the region starts but
+/// before the symbolic columns are full.
+CsrMatrix pivot_before_full_tail(Rng& rng) {
+  CsrMatrix a = bordered_indefinite(60, 12, rng);
+  const index_t region = dense_region_of(a), tail = full_tail_start(a);
+  for (index_t j = (region + tail) / 2; j < tail; ++j) {
+    for (index_t i = j + 1; i < a.rows; ++i) {
+      for (index_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
+        if (a.col_idx[p] == j) {
+          a.values[p] = 1e3;
+          return a;
+        }
+      }
+    }
+  }
+  return a;
+}
+
+// The dense region starts at the byte rule, before the full tail: a pivot
+// that leaves the diagonal between the two stays on the panel path (the
+// full-tail rule sent it to the scalar kernel), bitwise the scalar factors.
+TEST(PanelLu, PivotInsideDenseRegionBeforeFullTailStaysOnPanelPath) {
+  Rng rng(21);
+  const CsrMatrix a = pivot_before_full_tail(rng);
+  const LuFactors fs = scalar_of(a);
+  const index_t region = dense_region_of(a);
+  const index_t dev = first_deviation(fs);
+  ASSERT_LE(region, dev);
+  ASSERT_LT(dev, full_tail_start(a)) << "the full-tail rule must fall back";
+
+  const long long fallbacks0 = obs::counter("lu.panel.fallbacks").value();
+  const LuFactors fp = lu_factorize(a);
+  EXPECT_EQ(obs::counter("lu.panel.fallbacks").value(), fallbacks0);
+  EXPECT_TRUE(fp.stats.used_panel);
+  EXPECT_EQ(fp.stats.tail_cols, a.rows - region);
+  EXPECT_GT(fp.stats.tail_pivots, 0);
+  expect_factors_bitwise(fs, fp, "pivot before the full tail");
 }
 
 TEST(PanelLu, DenseTailPivotMatchesScalar) {
   Rng rng(21);
   const CsrMatrix a = bordered_indefinite(60, 12, rng);
   const LuFactors fs = scalar_of(a);
-  const index_t tail = dense_tail_start(a);
+  const index_t tail = dense_region_of(a);
   ASSERT_LE(tail, first_deviation(fs)) << "every deviation must be in the tail";
   ASSERT_LT(first_deviation(fs), fs.n) << "expected off-diagonal pivots";
 
@@ -387,7 +544,7 @@ TEST(PanelLu, DenseTailPivotTieGoesToSmallestOriginalRow) {
     for (index_t j = 0; j < 4; ++j) coo.add(i, j, d[i][j]);  // zeros kept
   }
   const CsrMatrix a = coo_to_csr(coo);
-  ASSERT_EQ(dense_tail_start(a), 0);
+  ASSERT_EQ(dense_region_of(a), 0);
   const LuFactors fs = scalar_of(a);
   const LuFactors fp = lu_factorize(a);
   ASSERT_EQ(fs.row_perm[1], 0);
@@ -649,6 +806,81 @@ TEST(PanelLu, DenseBlockApplyMatchesCscSweeps) {
       }
     }
   }
+}
+
+void expect_block_factors_equal(const BlockLuFactors& a,
+                                const BlockLuFactors& b, const char* what) {
+  ASSERT_EQ(a.n, b.n) << what;
+  EXPECT_EQ(a.start, b.start) << what;
+  EXPECT_EQ(a.row_perm, b.row_perm) << what;
+  EXPECT_EQ(a.stored_nnz, b.stored_nnz) << what;
+  EXPECT_EQ(a.memory_bytes(), b.memory_bytes()) << what;
+  for (const bool lower : {true, false}) {
+    const CscMatrix& x = lower ? a.lower_head : a.upper_t_head;
+    const CscMatrix& y = lower ? b.lower_head : b.upper_t_head;
+    EXPECT_EQ(x.rows, y.rows) << what;
+    EXPECT_EQ(x.cols, y.cols) << what;
+    EXPECT_EQ(x.col_ptr, y.col_ptr) << what;
+    EXPECT_EQ(x.row_idx, y.row_idx) << what;
+    EXPECT_TRUE(bitwise_equal(x.values, y.values))
+        << what << (lower ? ": L head" : ": U head");
+  }
+  EXPECT_TRUE(bitwise_equal(a.block, b.block)) << what << ": block";
+}
+
+// The panel kernel writes LU(S̃)'s BlockLuFactors itself: equal, in start,
+// heads, block bytes, row_perm and stored_nnz, to the scalar factors moved
+// into a block at dense_block_start. Dense regions from column 0
+// (the arena is the block), mid-matrix, with pivots in the region, and
+// none at all.
+TEST(PanelLu, KernelWrittenBlockMatchesScalarBlock) {
+  Rng rng(41);
+  CooMatrix path(40, 40);
+  for (index_t i = 0; i < 40; ++i) {
+    path.add(i, i, 4.0);
+    if (i > 0) path.add(i, i - 1, -1.0);
+    if (i + 1 < 40) path.add(i, i + 1, -1.5);
+  }
+  struct Case {
+    const char* what;
+    CsrMatrix a;
+  };
+  const Case cases[] = {
+      {"dense from column 0", bordered_indefinite(30, 40, rng)},
+      {"dense mid-matrix", ordered_matrix(testing::grid_laplacian(14, 14))},
+      {"pivots in the region", bordered_indefinite(60, 12, rng)},
+      {"pivot before the full tail", pivot_before_full_tail(rng)},
+      {"a few trailing columns", coo_to_csr(path)},
+  };
+  std::vector<index_t> regions;
+  for (const Case& c : cases) {
+    const CsrMatrix& a = c.a;
+    const LuFactors fs = scalar_of(a);
+    const BlockLuFactors want = with_dense_block(fs, dense_block_start(fs));
+    const PatternAnalysis an = analyze_pattern(a, FillOrdering::Given);
+    const std::optional<BlockLuFactors> got =
+        panel_lu_factorize_block(csr_to_csc(a), an, LuOptions{});
+    ASSERT_TRUE(got.has_value()) << c.what;
+    expect_block_factors_equal(want, *got, c.what);
+    expect_block_factors_equal(want, block_lu_factorize(a, an), c.what);
+    // No block at all: the same extraction at start n gives the CSC
+    // factors D_ℓ keep.
+    const std::optional<LuFactors> csc = panel_of(a);
+    ASSERT_TRUE(csc.has_value()) << c.what;
+    expect_block_factors_equal(with_dense_block(fs, a.rows),
+                               with_dense_block(*csc, a.rows), c.what);
+    regions.push_back(dense_region_of(a));
+  }
+  EXPECT_EQ(regions[0], 0);
+  EXPECT_EQ(cases[0].a.rows * cases[0].a.rows,
+            static_cast<index_t>(block_lu_factorize(
+                                     cases[0].a, analyze_pattern(cases[0].a,
+                                                                 FillOrdering::Given))
+                                     .block.size()))
+      << "the arena is the block";
+  EXPECT_GT(regions[1], 0);
+  EXPECT_LT(regions[1], cases[1].a.rows);
+  EXPECT_GT(regions[4], cases[4].a.rows - 10);
 }
 
 // A stored exact zero (0.0 or −0.0) reads as an absent entry in a dense

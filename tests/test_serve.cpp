@@ -673,6 +673,8 @@ TEST(ServeService, InvalidRequestIsAnsweredBeforeItIsQueued) {
   bad = a;
   bad.values[17] = std::numeric_limits<value_t>::quiet_NaN();
   expect_invalid(with_matrix(bad), "NaN in A", "non-finite value in row");
+  expect_invalid(with_matrix(testing::with_split_diagonal(a, 43)),
+                 "a column stored twice", "A stores column 43 twice in row 43");
 
   serve::SolveRequest nan_b = with_matrix(a);
   nan_b.b[23] = std::numeric_limits<value_t>::quiet_NaN();
@@ -686,7 +688,7 @@ TEST(ServeService, InvalidRequestIsAnsweredBeforeItIsQueued) {
   expect_invalid(std::move(wide), "incidence width", "columns");
 
   const serve::ServiceStats st = service.stats();
-  EXPECT_EQ(st.failed, 5);
+  EXPECT_EQ(st.failed, 6);
   EXPECT_EQ(st.accepted, 0);
   EXPECT_EQ(st.setups_built, 0);
   EXPECT_EQ(service.solve(with_matrix(a)).status, ServeStatus::Ok);

@@ -3,6 +3,8 @@
 // oracles on the Table-I analogue matrices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -259,6 +261,21 @@ TEST(SchurSolver, InvalidRequestThrows) {
   bad = a;
   bad.values[7] = std::numeric_limits<value_t>::quiet_NaN();
   rejects([&] { SchurSolver s(bad, opt); }, "NaN in A");
+  // A column stored twice in a row: the LU would keep one entry, spmv and
+  // the residual sum both.
+  try {
+    SchurSolver s(testing::with_split_diagonal(a, 13), opt);
+    ADD_FAILURE() << "accepted: a column stored twice";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "invalid request: A stores column 13 twice in row 13");
+  }
+  // An unsorted row without a repeat is accepted.
+  bad = a;
+  std::reverse(bad.col_idx.begin() + bad.row_ptr[8],
+               bad.col_idx.begin() + bad.row_ptr[9]);
+  std::reverse(bad.values.begin() + bad.row_ptr[8],
+               bad.values.begin() + bad.row_ptr[9]);
+  EXPECT_NO_THROW(SchurSolver s(bad, opt));
 
   SchurSolver solver(a, opt);
   CsrMatrix wide(1, a.cols + 1);

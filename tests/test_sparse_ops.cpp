@@ -3,8 +3,12 @@
 // dense oracles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
+#include <utility>
 
+#include "sparse/convert.hpp"
 #include "sparse/io.hpp"
 #include "util/error.hpp"
 #include "sparse/ops.hpp"
@@ -53,6 +57,88 @@ TEST(Permute, SymmetricAndRowsColsAgree) {
   const auto full = to_dense(permute_symmetric(a, p));
   const auto rows_and_cols = to_dense(permute(a, p, p));
   EXPECT_EQ(full, rows_and_cols);
+}
+
+/// permute as a gather of the rows in their new order, then a sort of each
+/// row by column: the reference the counting passes must reproduce.
+CsrMatrix sort_permute(const CsrMatrix& a, const std::vector<index_t>& rp,
+                       const std::vector<index_t>& cp) {
+  const std::vector<index_t> icol = invert_permutation(cp);
+  CsrMatrix b(a.rows, a.cols);
+  for (index_t i = 0; i < a.rows; ++i) {
+    std::vector<std::pair<index_t, value_t>> row;
+    for (index_t p = a.row_ptr[rp[i]]; p < a.row_ptr[rp[i] + 1]; ++p) {
+      row.emplace_back(icol[a.col_idx[p]],
+                       a.has_values() ? a.values[p] : 0.0);
+    }
+    std::sort(row.begin(), row.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (const auto& [c, v] : row) {
+      b.col_idx.push_back(c);
+      if (a.has_values()) b.values.push_back(v);
+    }
+    b.row_ptr[i + 1] = static_cast<index_t>(b.col_idx.size());
+  }
+  return b;
+}
+
+std::vector<index_t> shuffled(index_t n, Rng& rng) {
+  std::vector<index_t> p(static_cast<std::size_t>(n));
+  std::iota(p.begin(), p.end(), index_t{0});
+  for (index_t i = n - 1; i > 0; --i) {
+    std::swap(p[i], p[rng.bounded(static_cast<std::uint64_t>(i) + 1)]);
+  }
+  return p;
+}
+
+// permute's two counting passes and permuted_csc's one against the
+// sort-based reference, entry for entry: valued and pattern-only
+// matrices, empty rows, rows stored out of order, rectangular shapes and
+// row permutations that differ from the column permutation.
+TEST(Permute, CountingPassesMatchSortReference) {
+  Rng rng(17);
+  for (int rep = 0; rep < 40; ++rep) {
+    const auto rows = static_cast<index_t>(1 + rng.bounded(30));
+    const auto cols = static_cast<index_t>(1 + rng.bounded(30));
+    CsrMatrix a = testing::random_sparse(rows, cols, 0.2, rng);
+    // Empty rows: some of them, and every one when rep % 10 == 9.
+    for (index_t i = 0; i < rows; ++i) {
+      if (rep % 10 != 9 && rng.uniform() > 0.2) continue;
+      const index_t b = a.row_ptr[i], e = a.row_ptr[i + 1];
+      a.col_idx.erase(a.col_idx.begin() + b, a.col_idx.begin() + e);
+      a.values.erase(a.values.begin() + b, a.values.begin() + e);
+      for (index_t k = i + 1; k <= rows; ++k) a.row_ptr[k] -= e - b;
+    }
+    // Rows stored out of order (no column twice).
+    for (index_t i = 0; i < rows; ++i) {
+      if (rng.uniform() < 0.5) {
+        std::reverse(a.col_idx.begin() + a.row_ptr[i],
+                     a.col_idx.begin() + a.row_ptr[i + 1]);
+        std::reverse(a.values.begin() + a.row_ptr[i],
+                     a.values.begin() + a.row_ptr[i + 1]);
+      }
+    }
+    if (rep % 2 == 1) a.values.clear();  // pattern only
+    const std::vector<index_t> rp = shuffled(rows, rng);
+    const std::vector<index_t> cp = shuffled(cols, rng);
+    const CsrMatrix want = sort_permute(a, rp, cp);
+    const CsrMatrix got = permute(a, rp, cp);
+    EXPECT_EQ(got.rows, rows);
+    EXPECT_EQ(got.cols, cols);
+    EXPECT_EQ(got.row_ptr, want.row_ptr) << "rep " << rep;
+    EXPECT_EQ(got.col_idx, want.col_idx) << "rep " << rep;
+    EXPECT_EQ(got.values, want.values) << "rep " << rep;
+    EXPECT_TRUE(got.is_sorted());
+    const CscMatrix by_cols = permuted_csc(a, rp, cp);
+    const CscMatrix want_cols = csr_to_csc(want);
+    EXPECT_EQ(by_cols.col_ptr, want_cols.col_ptr) << "rep " << rep;
+    EXPECT_EQ(by_cols.row_idx, want_cols.row_idx) << "rep " << rep;
+    EXPECT_EQ(by_cols.values, want_cols.values) << "rep " << rep;
+    if (rows == cols) {
+      const CsrMatrix sym = permute_symmetric(a, rp);
+      EXPECT_EQ(sym.col_idx, sort_permute(a, rp, rp).col_idx) << "rep " << rep;
+    }
+  }
 }
 
 TEST(Spmv, MatchesDense) {

@@ -113,6 +113,21 @@ inline std::vector<const panel::KernelTable*> kernel_paths() {
   return paths;
 }
 
+/// `a` with the diagonal entry of row `row` stored as two halves, side by
+/// side: spmv sums them back to a, but the row stores its column twice.
+inline CsrMatrix with_split_diagonal(const CsrMatrix& a, index_t row) {
+  CsrMatrix b = a;
+  for (index_t p = a.row_ptr[row]; p < a.row_ptr[row + 1]; ++p) {
+    if (a.col_idx[p] != row) continue;
+    b.values[p] = a.values[p] / 2;
+    b.col_idx.insert(b.col_idx.begin() + p + 1, row);
+    b.values.insert(b.values.begin() + p + 1, a.values[p] - b.values[p]);
+    for (index_t i = row + 1; i <= a.rows; ++i) ++b.row_ptr[i];
+    break;
+  }
+  return b;
+}
+
 /// 5-point 2D grid Laplacian (SPD), handy deterministic test matrix.
 inline CsrMatrix grid_laplacian(index_t nx, index_t ny) {
   const index_t n = nx * ny;
