@@ -167,9 +167,8 @@ void set_gflops(benchmark::State& state, double flops_per_iteration) {
 
 // C −= L·Y at the shape of the dense LU(S̃) region of the cold-cavity
 // system: ni = ncol = 1,417, w = 32 pivots. The second argument is the
-// percentage of multipliers that are 0.0: at 0 every strip of the AVX2
-// path's register tile runs its unmasked body, at 10 nearly every strip
-// holds a zero and runs the masked one.
+// percentage of multipliers that are 0.0, terms the loop skips and the
+// AVX2 path's register tile masks.
 void BM_GemmMinus(benchmark::State& state) {
   const panel::KernelTable* t = path_table(state);
   if (t == nullptr) return;

@@ -65,11 +65,9 @@ namespace {
 // Every element of a tile takes its w terms in ascending k, each a
 // multiply and then a subtract (no FMA: the target is avx2 alone), so it
 // meets the loop's operations in the loop's order. The loop skips a term
-// whose multiplier y(k, q) is ±0.0. A strip of four columns whose Y holds
-// such a zero runs the masked body, which ANDs that term's product to
-// +0.0: c − (+0.0) is c for every c, −0.0 included, and the mask also
-// hides 0·∞ and 0·NaN. A strip without a zero runs the unmasked body.
-template <bool Masked>
+// whose multiplier y(k, q) is ±0.0; the tile ANDs that term's product to
+// +0.0 instead: c − (+0.0) is c for every c, −0.0 included, and the mask
+// also hides 0·∞ and 0·NaN.
 [[gnu::target("avx2"), gnu::always_inline]] inline void gemm_tile_8x4(
     const value_t* l, index_t lda, index_t w, const value_t* y, index_t ldy,
     value_t* c, index_t ldc) {
@@ -88,15 +86,11 @@ template <bool Masked>
 #pragma GCC unroll 4
     for (int q = 0; q < 4; ++q) {
       const __m256d b = _mm256_broadcast_sd(yk + q);
-      __m256d p0 = _mm256_mul_pd(a0, b);
-      __m256d p1 = _mm256_mul_pd(a1, b);
-      if constexpr (Masked) {
-        const __m256d keep = _mm256_cmp_pd(b, zero, _CMP_NEQ_UQ);
-        p0 = _mm256_and_pd(p0, keep);
-        p1 = _mm256_and_pd(p1, keep);
-      }
-      acc[q][0] = _mm256_sub_pd(acc[q][0], p0);
-      acc[q][1] = _mm256_sub_pd(acc[q][1], p1);
+      const __m256d keep = _mm256_cmp_pd(b, zero, _CMP_NEQ_UQ);
+      acc[q][0] = _mm256_sub_pd(acc[q][0],
+                                _mm256_and_pd(_mm256_mul_pd(a0, b), keep));
+      acc[q][1] = _mm256_sub_pd(acc[q][1],
+                                _mm256_and_pd(_mm256_mul_pd(a1, b), keep));
     }
   }
 #pragma GCC unroll 4
@@ -112,19 +106,9 @@ template <bool Masked>
   const index_t ni8 = ni - ni % 8;
   const index_t nc4 = ncol - ncol % 4;
   for (index_t q = 0; q < nc4; q += 4) {
-    int zero = 0;
-    for (index_t k = 0; k < w; ++k) {
-      const value_t* yk = y + static_cast<std::size_t>(k) * ncol + q;
-      zero |= (yk[0] == 0.0) | (yk[1] == 0.0) | (yk[2] == 0.0) |
-              (yk[3] == 0.0);
-    }
     value_t* cq = c + static_cast<std::size_t>(q) * ldc;
     for (index_t i = 0; i < ni8; i += 8) {
-      if (zero != 0) {
-        gemm_tile_8x4<true>(lblk + i, lda, w, y + q, ncol, cq + i, ldc);
-      } else {
-        gemm_tile_8x4<false>(lblk + i, lda, w, y + q, ncol, cq + i, ldc);
-      }
+      gemm_tile_8x4(lblk + i, lda, w, y + q, ncol, cq + i, ldc);
     }
     gemm_loop(lblk + ni8, lda, ni - ni8, w, y + q, ncol, 4, cq + ni8, ldc);
   }

@@ -51,8 +51,7 @@ CscMatrix cholesky_pattern(const CsrMatrix& a, const SymbolicFactor& s,
   PDSLIN_CHECK(a.rows == a.cols);
   const index_t n = a.rows;
   PDSLIN_CHECK(s.parent.size() == static_cast<std::size_t>(n));
-  if (cols < 0) cols = n;
-  PDSLIN_CHECK(cols <= n);
+  PDSLIN_CHECK(cols >= 0 && cols <= n);
 
   CscMatrix l(n, cols);
   for (index_t j = 0; j < cols; ++j) {

@@ -22,10 +22,9 @@ struct SymbolicFactor {
 /// Symbolic Cholesky of a structurally symmetric matrix (pattern only).
 SymbolicFactor symbolic_cholesky(const CsrMatrix& a);
 
-/// Pattern of L's first `cols` columns (all n when negative) as an
-/// n × cols CSC (diagonal first, rows ascending), row-subtree algorithm,
-/// given a's symbolic_cholesky `s`.
+/// Pattern of L's first `cols` columns as an n × cols CSC (diagonal first,
+/// rows ascending), row-subtree algorithm, given a's symbolic_cholesky `s`.
 CscMatrix cholesky_pattern(const CsrMatrix& a, const SymbolicFactor& s,
-                           index_t cols = -1);
+                           index_t cols);
 
 }  // namespace pdslin

@@ -119,7 +119,7 @@ TEST(Symbolic, MatchesDenseCholeskyFill) {
   }
   for (index_t k = 0; k < n; ++k) EXPECT_EQ(s.col_counts[k], counts[k]) << k;
   // Full pattern agrees with the counts.
-  const CscMatrix l = cholesky_pattern(a, s);
+  const CscMatrix l = cholesky_pattern(a, s, n);
   for (index_t k = 0; k < n; ++k) EXPECT_EQ(l.col_nnz(k), counts[k]);
   // The pattern of the leading columns only is those columns of it.
   for (const index_t cols : {index_t{0}, n / 3, n}) {

@@ -295,7 +295,7 @@ TEST(ObsReport, LuTimeSplitsAnalysisFromNumeric) {
   }
 }
 
-
+// add_solver() writes one config key per entry of the SolverOptions field
 // table, in table order, and every value survives the JSON round trip.
 TEST(ObsReport, AddSolverWritesEveryOptionField) {
   SolverOptions opt;

@@ -273,9 +273,9 @@ void reference_gemm(const std::vector<value_t>& l, index_t ni, index_t w,
 // The AVX2 path's 8 × 4 register tile and the baseline loop against the
 // plain loop, at 8k−1, 8k and 8k+1 rows and 4k−1, 4k and 4k+1 columns, so
 // every tile meets remainder rows and columns. Strips of four columns
-// alternate between no zero multiplier (the unmasked body) and ±0.0 ones
-// (the masked body); C holds −0.0, and L holds ±∞ and NaN in rows that only
-// zero multipliers reach, where the loop never forms 0·∞.
+// alternate between no zero multiplier and ±0.0 ones; C holds −0.0, and L
+// holds ±∞ and NaN in rows that only zero multipliers reach, where the loop
+// never forms 0·∞.
 TEST(PanelLu, GemmTileMatchesLoop) {
   constexpr value_t inf = std::numeric_limits<value_t>::infinity();
   constexpr value_t nan = std::numeric_limits<value_t>::quiet_NaN();
@@ -297,7 +297,7 @@ TEST(PanelLu, GemmTileMatchesLoop) {
                      : rng.uniform(0.5, 1.0) * (rng.uniform() < 0.5 ? -1.0 : 1.0);
           }
         }
-        // A term k whose multipliers are zero in the masked strips, and
+        // A term k whose multipliers are zero in the odd strips, and
         // whose column of L holds ±∞ and NaN in a few rows: those strips
         // must not take it, the others take it as the loop does.
         {
